@@ -16,7 +16,6 @@ from .sparse_linalg import (
     NotPositiveDefiniteError,
     SparseSpd,
     factorize,
-    quadratic_form,
     solve_multi,
 )
 from .discretization import (

@@ -50,8 +50,10 @@ def _add_solver_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _config_from(args, problem, **overrides) -> SolverConfig:
+    # alpha comes from the problem alone, so the solver, the oracle and the
+    # manufactured solution all use the one the example was built with.
     return SolverConfig(
-        alpha=args.alpha if args.alpha is not None else problem.alpha,
+        alpha=problem.alpha,
         beta=args.beta if args.beta is not None else problem.beta,
         gamma=args.gamma,
         epsilon=args.eps,
@@ -61,7 +63,7 @@ def _config_from(args, problem, **overrides) -> SolverConfig:
 
 
 def cmd_converge(args) -> None:
-    problem = get_example(args.example)
+    problem = get_example(args.example, alpha=args.alpha)
     config = _config_from(args, problem)
     rows = convergence_study(problem, _int_list(args.levels), config=config, mode=args.mode)
     _write_csv(
@@ -80,7 +82,7 @@ def cmd_converge(args) -> None:
 
 
 def cmd_iterate(args) -> None:
-    problem = get_example(args.example)
+    problem = get_example(args.example, alpha=args.alpha)
     config = _config_from(args, problem)
     records = iteration_history(problem, config, args.n)
     _write_csv(
@@ -92,7 +94,7 @@ def cmd_iterate(args) -> None:
 
 
 def cmd_bench(args) -> None:
-    problem = get_example(args.example)
+    problem = get_example(args.example, alpha=args.alpha)
     config = _config_from(args, problem)
     rows = benchmark(problem, config, args.n, _int_list(args.threads), k=args.k)
     _write_csv(
@@ -105,7 +107,7 @@ def cmd_bench(args) -> None:
 
 
 def cmd_box(args) -> None:
-    problem = get_example(args.example)
+    problem = get_example(args.example, alpha=args.alpha)
     config = _config_from(args, problem, bounds=(args.lower, args.upper))
     system = build_level(problem, args.n)
     w, report = solve_box(system, config)

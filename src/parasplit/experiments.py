@@ -178,12 +178,15 @@ def example_5_2(alpha: float = 1e-3, beta: float = 100.0) -> ManufacturedProblem
     )
 
 
-def get_example(name: str) -> ManufacturedProblem:
+def get_example(name: str, alpha: float | None = None) -> ManufacturedProblem:
+    """A built-in example by name, with its default alpha unless one is given."""
     if name in ("5.1", "5_1"):
-        return example_5_1()
-    if name in ("5.2", "5_2"):
-        return example_5_2()
-    raise ValueError(f"unknown example {name!r} (expected '5.1' or '5.2')")
+        make = example_5_1
+    elif name in ("5.2", "5_2"):
+        make = example_5_2
+    else:
+        raise ValueError(f"unknown example {name!r} (expected '5.1' or '5.2')")
+    return make() if alpha is None else make(alpha=alpha)
 
 
 def error_y_final(space: FemSpace, Y_M: np.ndarray, problem: ManufacturedProblem) -> float:

@@ -1,8 +1,11 @@
-"""Exact reference solver: direct solve of the monolithic saddle-point system.
+"""Exact reference solver for the saddle-point system of the discrete QP.
 
 Provides ground-truth trajectories and multipliers for convergence and
-contraction tests of the iterative solver.  Intended for small and medium
-instances only; the dimension cap guards against accidental huge solves.
+contraction tests of the iterative solver.  The solve is modal (fast
+diagonalisation): one generalised eigendecomposition of the stiffness-mass
+pencil turns the reduced state system into independent scalar tridiagonal
+systems in time, one per mode.  The dimension cap guards against accidental
+huge solves.
 """
 
 from __future__ import annotations
@@ -12,12 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .discretization import DiscreteSystem, constraint_residual
 
 DEFAULT_DIMENSION_CAP = 200_000
-_DENSE_LIMIT = 5_000
 
 
 @dataclass(frozen=True)
@@ -39,65 +40,49 @@ def constraint_blocks(sys: DiscreteSystem) -> tuple[sp.spmatrix, sp.spmatrix]:
     return state_part.tocsr(), control_part.tocsr()
 
 
-def _solve_reduced(sys: DiscreteSystem, alpha: float):
-    """Direct solve by block elimination instead of factoring the full system.
+def _solve_modal(sys: DiscreteSystem):
+    """Exact solve in the eigenbasis of the pencil (stiffness, mass).
 
-    The control rows give U_m = -lambda_m / alpha outright, and the constraint
-    rows then express lambda_m through the states.  What remains is a symmetric
-    positive definite block-tridiagonal system in the states alone, solved by a
-    block Cholesky sweep with dense per-step blocks.  Memory stays proportional
-    to M times one dense block, which keeps mid-size instances tractable.
+    With V^T A V = I and V^T B V = diag(mu), the step matrices become the
+    diagonals a = 1 + tau mu / 2 and b = 1 - tau mu / 2.  The control rows give
+    U_m = -lambda_m / alpha and the constraint rows give
+    lambda_m = rho A^-1 (f_m - C+ Y_m + C- Y_{m-1}) with rho = alpha / tau.  What
+    remains in modal coordinates is one tridiagonal system in time per mode,
+    with diagonal kappa_m tau + rho a^2 + [m < M] rho b^2 and off-diagonal
+    -rho a b.  Since mu >= 0 gives a >= |b|, each system is strictly
+    diagonally dominant and a Thomas sweep without pivoting solves them all.
     """
-    ndof, M = sys.ndof, sys.grid.M
-    tau = sys.grid.tau
+    M, tau, alpha = sys.grid.M, sys.grid.tau, sys.alpha
     rho = alpha / tau
-    cp, cm = sys.step_plus.mat.tocsc(), sys.step_minus.mat.tocsc()
-    mass_lu = spla.splu(sys.mass.mat.tocsc())
+    mu, V = scipy.linalg.eigh(sys.stiffness.toarray(), sys.mass.toarray())
+    a = 1.0 + 0.5 * tau * mu
+    b = 1.0 - 0.5 * tau * mu
+    f = V.T @ sys.rhs
+    kt = sys.kappa * tau
 
-    g_plus = mass_lu.solve(cp.toarray())
-    g_minus = mass_lu.solve(cm.toarray())
-    p_pp = cp.T @ g_plus
-    p_mm = cm.T @ g_minus
-    off = -rho * (cp.T @ g_minus)  # coupling block between steps m-1 and m
+    diag = kt[:, None] + rho * a * a + rho * b * b
+    diag[-1] -= rho * b * b
+    off = -rho * a * b  # couples steps m-1 and m
+    r = (kt * (V.T @ sys.desired_loads)).T + rho * a * f.T
+    r[:-1] -= rho * b * f[:, 1:].T
 
-    ainv_f = mass_lu.solve(sys.rhs)
-    r = (sys.kappa * tau) * sys.desired_loads + rho * (cp.T @ ainv_f)
-    r[:, :-1] -= rho * (cm.T @ ainv_f[:, 1:])
-
-    mass_dense = sys.mass.toarray()
-    factors = []
-    y_fwd = np.empty((ndof, M))
-    schur = None
-    for m in range(M):
-        kappa = 0.5 if m == M - 1 else 1.0
-        diag = kappa * tau * mass_dense + rho * p_pp
-        if m < M - 1:
-            diag = diag + rho * p_mm
-        rhs_m = r[:, m].copy()
-        if m > 0:
-            prev = factors[-1]
-            diag -= off @ scipy.linalg.cho_solve(prev, off.T)
-            rhs_m -= off @ scipy.linalg.cho_solve(prev, y_fwd[:, m - 1])
-        try:
-            schur = scipy.linalg.cho_factor(diag, lower=True)
-        except scipy.linalg.LinAlgError as exc:
-            raise RuntimeError(
-                "reduced state system lost positive definiteness; this "
-                "signals a build bug"
-            ) from exc
-        factors.append(schur)
-        y_fwd[:, m] = rhs_m
-
-    Y = np.empty((ndof, M))
-    Y[:, M - 1] = scipy.linalg.cho_solve(factors[M - 1], y_fwd[:, M - 1])
+    # Forward elimination and back substitution, all modes at once.
+    piv = np.empty_like(diag)
+    piv[0] = diag[0]
+    for m in range(1, M):
+        piv[m] = diag[m] - off * off / piv[m - 1]
+        r[m] -= off / piv[m - 1] * r[m - 1]
+    y = np.empty_like(r)
+    y[-1] = r[-1] / piv[-1]
     for m in range(M - 2, -1, -1):
-        Y[:, m] = scipy.linalg.cho_solve(factors[m], y_fwd[:, m] - off.T @ Y[:, m + 1])
+        y[m] = (r[m] - off * y[m + 1]) / piv[m]
 
-    lam_rhs = sys.rhs - cp @ Y
-    lam_rhs[:, 1:] += cm @ Y[:, :-1]
-    lam = rho * mass_lu.solve(lam_rhs)
-    U = -lam / alpha
-    return Y, U, lam
+    y = y.T
+    lam_hat = rho * (f - a[:, None] * y)
+    lam_hat[:, 1:] += rho * b[:, None] * y[:, :-1]
+    Y = V @ y
+    lam = V @ lam_hat
+    return Y, -lam / alpha, lam
 
 
 def solve_kkt(
@@ -105,46 +90,31 @@ def solve_kkt(
 ) -> KktSolution:
     """Solve the stationarity system of the equality-constrained QP directly.
 
-    Unknown ordering is (U stacked, Y stacked, lambda stacked); the system is
-    symmetric indefinite and solved with a direct factorization (dense below
-    a small threshold).
+    ``alpha`` must equal ``sys.alpha``, the weight the system was built
+    with.  The solution comes from the modal solve; the residuals are then
+    measured on the assembled system, unknowns ordered (U stacked, Y
+    stacked, lambda stacked).
     """
+    if alpha != sys.alpha:
+        raise ValueError(f"alpha {alpha} does not match the system's alpha {sys.alpha}")
     ndof, M = sys.ndof, sys.grid.M
     tau = sys.grid.tau
     dim = 3 * ndof * M
     if dim > dimension_cap:
         raise ValueError(f"KKT dimension {dim} exceeds cap {dimension_cap}")
 
+    Y, U, lam = _solve_modal(sys)
+
     state_part, control_part = constraint_blocks(sys)
     C = sp.hstack([control_part, state_part], format="csr")
     Qu = sp.kron(sp.identity(M), alpha * tau * sys.mass.mat)
     Qy = sp.kron(sp.diags(sys.kappa * tau), sys.mass.mat)
     Q = sp.block_diag([Qu, Qy], format="csr")
-
     b = np.concatenate([np.zeros(ndof * M), (sys.desired_loads * (sys.kappa * tau)).T.ravel()])
     fvec = sys.rhs.T.ravel()
+    z = np.concatenate([U.T.ravel(), Y.T.ravel()])
 
-    if dim < _DENSE_LIMIT:
-        kkt = sp.bmat([[Q, -C.T], [C, None]], format="csc")
-        rhs = np.concatenate([b, fvec])
-        try:
-            sol = scipy.linalg.solve(kkt.toarray(), rhs)
-        except scipy.linalg.LinAlgError as exc:
-            raise RuntimeError(
-                "KKT system is singular; the constraint blocks should have full "
-                "column rank, so this signals a build bug"
-            ) from exc
-        nz = 2 * ndof * M
-        z, lam_flat = sol[:nz], sol[nz:]
-        U = z[: ndof * M].reshape(M, ndof).T.copy()
-        Y = z[ndof * M :].reshape(M, ndof).T.copy()
-        lam = lam_flat.reshape(M, ndof).T.copy()
-    else:
-        Y, U, lam = _solve_reduced(sys, alpha)
-        z = np.concatenate([U.T.ravel(), Y.T.ravel()])
-        lam_flat = lam.T.ravel()
-
-    stat = np.linalg.norm(Q @ z - b - C.T @ lam_flat) / (1.0 + np.linalg.norm(b))
+    stat = np.linalg.norm(Q @ z - b - C.T @ lam.T.ravel()) / (1.0 + np.linalg.norm(b))
     feas = np.linalg.norm(constraint_residual(sys, Y, U)) / (1.0 + np.linalg.norm(fvec))
     return KktSolution(
         Y_star=Y,

@@ -148,10 +148,3 @@ def solve_multi(f: CholFactor, rhs: np.ndarray, thread_count: int = 1) -> np.nda
             fut.result()
     return out
 
-
-def quadratic_form(m: SparseSpd, v: np.ndarray) -> float:
-    """v^T m v."""
-    v = np.asarray(v, dtype=float)
-    if v.shape[0] != m.dimension:
-        raise ValueError(f"vector length {v.shape[0]} does not match dimension {m.dimension}")
-    return float(v @ (m @ v))

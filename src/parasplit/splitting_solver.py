@@ -72,8 +72,12 @@ class SolverConfig:
             raise ValueError(f"gamma must lie in (0, 2), got {self.gamma}")
         if self.epsilon < 0:
             raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
+        if self.k_max < 1:
+            raise ValueError(f"k_max must be >= 1, got {self.k_max}")
         if self.bounds is not None and self.bounds[0] >= self.bounds[1]:
             raise ValueError(f"lower bound must be below upper bound, got {self.bounds}")
+        if self.thread_count < 1:
+            raise ValueError(f"thread_count must be >= 1, got {self.thread_count}")
 
 
 @dataclass
@@ -135,7 +139,7 @@ def predict_controls(
     w: Iterate,
     q: np.ndarray,
     config: SolverConfig,
-    factors: PredictionFactors | None = None,
+    factors: PredictionFactors,
 ) -> np.ndarray:
     """Closed-form control subproblem solves, all M columns at once.
 
@@ -144,8 +148,6 @@ def predict_controls(
     the q term follows from the subproblem optimality conditions; the
     constraint carries the control with a negative block.)
     """
-    if factors is None:
-        factors = PredictionFactors.build(sys, config)
     beta = config.beta
     rhs = beta * (sys.control_gram @ w.U + sys.control_mass @ q[:, : sys.grid.M])
     return solve_multi(factors.control, rhs, config.thread_count)
@@ -170,12 +172,10 @@ def predict_states(
     w: Iterate,
     q: np.ndarray,
     config: SolverConfig,
-    factors: PredictionFactors | None = None,
+    factors: PredictionFactors,
 ) -> np.ndarray:
     """Closed-form state subproblem solves: one multi-RHS batch for the
     interior steps and a separate solve for the terminal step."""
-    if factors is None:
-        factors = PredictionFactors.build(sys, config)
     rhs = _state_rhs(sys, w, q, config)
     out = np.empty_like(rhs)
     if sys.grid.M > 1:
@@ -191,11 +191,9 @@ def predict_multiplier(
 
 
 def predict(
-    sys: DiscreteSystem, w: Iterate, config: SolverConfig, factors: PredictionFactors | None = None
+    sys: DiscreteSystem, w: Iterate, config: SolverConfig, factors: PredictionFactors
 ) -> Iterate:
     """One full prediction sweep; all subproblems read the same w and q."""
-    if factors is None:
-        factors = PredictionFactors.build(sys, config)
     beta = config.beta
     q = compute_q(sys, w, beta)
     U_t = predict_controls(sys, w, q, config, factors)
@@ -256,6 +254,8 @@ def h_norm_sq(sys: DiscreteSystem, v: Iterate, beta: float) -> float:
 
 
 def _run(sys: DiscreteSystem, config: SolverConfig, monitor=None) -> tuple[Iterate, SolveReport]:
+    if config.alpha != sys.alpha:
+        raise ValueError(f"config alpha {config.alpha} does not match the system's alpha {sys.alpha}")
     box = config.bounds is not None
     blocks = 3 if box else 2
     nu = correction_factor(sys.grid.M, config.gamma, blocks_per_step=blocks)

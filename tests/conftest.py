@@ -88,6 +88,27 @@ def dense_constraint(sys: DiscreteSystem):
     return A_cal, B_cal, flat(sys.rhs)
 
 
+def dense_kkt_solution(sys: DiscreteSystem):
+    """Dense LU solve of the assembled KKT system, returned as (Y, U, lambda).
+
+    Unknowns are ordered (U stacked, Y stacked, lambda stacked); the rows are
+    the control and state stationarity conditions followed by the constraint.
+    """
+    N, M = sys.ndof, sys.grid.M
+    tau = sys.grid.tau
+    A_cal, B_cal, F = dense_constraint(sys)
+    C = np.hstack([B_cal, A_cal])
+    A = sys.mass.toarray()
+    Q = scipy.linalg.block_diag(
+        np.kron(np.eye(M), sys.alpha * tau * A), np.kron(np.diag(sys.kappa * tau), A)
+    )
+    kkt = np.block([[Q, -C.T], [C, np.zeros((N * M, N * M))]])
+    rhs = np.concatenate([np.zeros(N * M), flat(sys.desired_loads * (sys.kappa * tau)), F])
+    sol = scipy.linalg.solve(kkt, rhs)
+    U, Y, lam = (sol[i * N * M : (i + 1) * N * M].reshape(M, N).T for i in range(3))
+    return Y, U, lam
+
+
 def dense_block_columns(sys: DiscreteSystem):
     """The 2M block columns of the constraint matrix, as dense arrays.
 

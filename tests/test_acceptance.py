@@ -140,10 +140,11 @@ def test_criterion_5_prediction_exactness():
         sys = random_system(seed, n=n, M=M)
         beta = 10.0 ** np.random.default_rng(seed).uniform(-1, 1)
         config = SolverConfig(alpha=sys.alpha, beta=beta, epsilon=0.0, k_max=20)
+        factors = PredictionFactors.build(sys, config)
         iterates = []
         solve(sys, config, monitor=lambda k, w: iterates.append(w.copy()))
         for w in iterates:
-            w_t = predict(sys, w, config)
+            w_t = predict(sys, w, config, factors)
             res = prediction_row_residuals(sys, w, w_t, config.alpha, beta)
             worst = max(worst, float(res.max()))
             # multiplier update row against the dense constraint residual

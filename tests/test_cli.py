@@ -50,6 +50,16 @@ class TestConverge:
         assert float(rows[0][4]) > float(rows[1][4])
         assert "n=4" in capsys.readouterr().out
 
+    def test_alpha_reaches_problem_and_oracle(self, tmp_path):
+        # The manufactured solution depends on alpha; a study whose oracle
+        # and exact solution used different alphas would show order ~0.
+        out = tmp_path / "conv.csv"
+        args = ["converge", "--example", "5.1", "--levels", "4,8", "--alpha", "0.1", "--out", str(out)]
+        assert main(args) == 0
+        _, rows = _read(out)
+        assert float(rows[1][6]) > 1.8
+        assert float(rows[1][7]) > 1.7
+
     def test_error_is_one_line_and_exit_one(self, tmp_path, capsys):
         out = tmp_path / "conv.csv"
         code = main(["converge", "--example", "5.1", "--levels", "4,2", "--out", str(out)])

@@ -69,6 +69,11 @@ class TestExamples:
         assert c["c10"] == pytest.approx(0.3474091, abs=1e-6)
         assert c["c9"] == pytest.approx(4.0 * c["c3"] * c["c10"], rel=1e-12)
 
+    @pytest.mark.parametrize("name", ["5.1", "5.2"])
+    def test_get_example_alpha(self, name):
+        assert get_example(name, alpha=0.1).alpha == 0.1
+        assert get_example(name).alpha == get_example(name, alpha=None).alpha
+
     def test_get_example_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown example"):
             get_example("5.3")
@@ -134,6 +139,12 @@ class TestConvergenceStudy:
     def test_mode_validated(self):
         with pytest.raises(ValueError, match="mode"):
             convergence_study(get_example("5.1"), [4], mode="exact")
+
+    @pytest.mark.parametrize("mode", ["oracle", "splitting"])
+    def test_alpha_mismatch_rejected(self, mode):
+        config = SolverConfig(alpha=0.1, beta=1.0)
+        with pytest.raises(ValueError, match="alpha"):
+            convergence_study(get_example("5.1"), [2], config=config, mode=mode)
 
     def test_oracle_orders_small_study(self):
         rows = convergence_study(get_example("5.1"), [4, 8, 16])

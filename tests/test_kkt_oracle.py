@@ -2,14 +2,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-import parasplit.kkt_oracle as kkt_oracle
-from conftest import random_system, toy_problem
+from conftest import dense_kkt_solution, random_system, toy_problem
 from parasplit.discretization import TimeGrid, build_system, objective_vec
 from parasplit.experiments import build_level, get_example
 from parasplit.fem_assembly import make_space
 from parasplit.kkt_oracle import solve_kkt
-from parasplit.mesh import NEUMANN, uniform_unit_square
+from parasplit.mesh import DIRICHLET, NEUMANN, uniform_unit_square
 from parasplit.sparse_linalg import factorize
 
 
@@ -61,20 +61,42 @@ class TestSolveKkt:
         assert np.allclose(b.U_star, 3.0 * a.U_star, atol=1e-10 * scale)
         assert np.allclose(b.lambda_star, 3.0 * a.lambda_star, atol=1e-10 * scale)
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=10_000),
+        st.sampled_from([DIRICHLET, NEUMANN]),
+        st.integers(min_value=2, max_value=3),
+        st.integers(min_value=1, max_value=4),
+    )
+    def test_matches_dense_kkt(self, seed, bc, n, M):
+        sys = random_system(seed, n=n, M=M, bc=bc)
+        Y, U, lam = dense_kkt_solution(sys)
+        sol = solve_kkt(sys, sys.alpha)
+        scale = max(1.0, np.abs(Y).max(), np.abs(lam).max())
+        assert np.allclose(sol.Y_star, Y, atol=1e-10 * scale)
+        assert np.allclose(sol.U_star, U, atol=1e-10 * scale)
+        assert np.allclose(sol.lambda_star, lam, atol=1e-10 * scale)
+        assert sol.stationarity_residual <= 1e-9
+        assert sol.feasibility_residual <= 1e-9
+
     @pytest.mark.parametrize("name", ["5.1", "5.2"])
-    def test_reduced_path_matches_dense_path(self, name, monkeypatch):
+    def test_reduced_path_matches_dense_path(self, name):
         prob = get_example(name)
         space = make_space(uniform_unit_square(3), prob.bc)
         sys = build_system(prob, space, TimeGrid(T=prob.T, M=3))
-        dense = solve_kkt(sys, sys.alpha)
-        monkeypatch.setattr(kkt_oracle, "_DENSE_LIMIT", 0)
+        Y, U, lam = dense_kkt_solution(sys)
         reduced = solve_kkt(sys, sys.alpha)
-        scale = max(1.0, np.abs(dense.Y_star).max(), np.abs(dense.lambda_star).max())
-        assert np.allclose(reduced.Y_star, dense.Y_star, atol=1e-10 * scale)
-        assert np.allclose(reduced.U_star, dense.U_star, atol=1e-10 * scale)
-        assert np.allclose(reduced.lambda_star, dense.lambda_star, atol=1e-10 * scale)
+        scale = max(1.0, np.abs(Y).max(), np.abs(lam).max())
+        assert np.allclose(reduced.Y_star, Y, atol=1e-10 * scale)
+        assert np.allclose(reduced.U_star, U, atol=1e-10 * scale)
+        assert np.allclose(reduced.lambda_star, lam, atol=1e-10 * scale)
         assert reduced.stationarity_residual <= 1e-9
         assert reduced.feasibility_residual <= 1e-9
+
+    def test_alpha_mismatch_rejected(self):
+        sys = random_system(7, n=2, M=2)
+        with pytest.raises(ValueError, match="alpha"):
+            solve_kkt(sys, 2.0 * sys.alpha)
 
     def test_dimension_cap(self):
         sys = random_system(6, n=2, M=2)

@@ -7,7 +7,6 @@ from parasplit.sparse_linalg import (
     NotPositiveDefiniteError,
     SparseSpd,
     factorize,
-    quadratic_form,
     solve_multi,
 )
 
@@ -110,30 +109,3 @@ class TestSolveMulti:
         f = factorize(SparseSpd(sp.identity(3)))
         with pytest.raises(ValueError, match="dimension"):
             solve_multi(f, np.ones((4, 2)), thread_count=2)
-
-
-class TestQuadraticForm:
-    def test_identity(self):
-        assert quadratic_form(SparseSpd(sp.identity(2)), np.array([3.0, 4.0])) == pytest.approx(25.0)
-
-    def test_zero_matrix(self):
-        z = SparseSpd(sp.csr_matrix((3, 3)))
-        assert quadratic_form(z, np.ones(3)) == 0.0
-
-    def test_hand_expansion(self):
-        m = SparseSpd(sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]])))
-        assert quadratic_form(m, np.array([1.0, 1.0])) == pytest.approx(6.0)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            quadratic_form(SparseSpd(sp.identity(2)), np.ones(3))
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(min_value=0, max_value=10_000))
-    def test_matches_matvec(self, seed):
-        rng = np.random.default_rng(seed)
-        m = _random_spd(rng, 6)
-        v = rng.standard_normal(6)
-        direct = float(v @ (m.mat @ v))
-        assert quadratic_form(m, v) == pytest.approx(direct, rel=1e-13)
-        assert quadratic_form(m, v) >= 0.0

@@ -118,7 +118,7 @@ class TestPrediction:
         )
         config = _config(sys)
         w = Iterate.zeros(sys.ndof, 2)
-        w_t = predict(sys, w, config)
+        w_t = predict(sys, w, config, PredictionFactors.build(sys, config))
         for arr in (w_t.U, w_t.Y, w_t.lam):
             assert np.allclose(arr, 0.0, atol=1e-15)
 
@@ -127,7 +127,7 @@ class TestPrediction:
         sys = random_system(seed, n=n, M=M)
         w = random_iterate(seed + 20, sys)
         config = _config(sys, beta=10.0 ** np.random.default_rng(seed).uniform(-1, 1))
-        w_t = predict(sys, w, config)
+        w_t = predict(sys, w, config, PredictionFactors.build(sys, config))
         res = prediction_row_residuals(sys, w, w_t, config.alpha, config.beta)
         assert res.max() <= 1e-9
 
@@ -136,7 +136,7 @@ class TestPrediction:
         w = random_iterate(6, sys)
         config = _config(sys, beta=0.8)
         q = compute_q(sys, w, config.beta)
-        U_t = predict_controls(sys, w, q, config)
+        U_t = predict_controls(sys, w, q, config, PredictionFactors.build(sys, config))
         A = sys.mass.toarray()
         tau = sys.grid.tau
         lhs = config.alpha * tau * (A @ U_t) + config.beta * tau * tau * (A @ (A @ U_t))
@@ -148,7 +148,7 @@ class TestPrediction:
         w = random_iterate(8, sys)
         config = _config(sys, beta=1.3)
         q = compute_q(sys, w, config.beta)
-        Y_t = predict_states(sys, w, q, config)
+        Y_t = predict_states(sys, w, q, config, PredictionFactors.build(sys, config))
         tau = sys.grid.tau
         A = sys.mass.toarray()
         cp = sys.step_plus.toarray()
@@ -170,16 +170,6 @@ class TestPrediction:
 
         expected = w.lam - beta * constraint_residual(sys, Y_t, U_t)
         assert np.allclose(predict_multiplier(sys, w, U_t, Y_t, beta), expected, atol=1e-13)
-
-    def test_shared_factors_match_fresh(self):
-        sys = random_system(12, n=2, M=3)
-        w = random_iterate(13, sys)
-        config = _config(sys, beta=0.9)
-        factors = PredictionFactors.build(sys, config)
-        a = predict(sys, w, config, factors)
-        b = predict(sys, w, config)
-        for x, y in ((a.U, b.U), (a.Y, b.Y), (a.lam, b.lam)):
-            assert np.array_equal(x, y)
 
 
 class TestCorrect:
@@ -268,7 +258,7 @@ class TestSolve:
         config = _config(sys, beta=0.8)
         star = solve_kkt(sys, sys.alpha)
         w_star = Iterate(U=star.U_star, Y=star.Y_star, lam=star.lambda_star)
-        w_t = predict(sys, w_star, config)
+        w_t = predict(sys, w_star, config, PredictionFactors.build(sys, config))
         scale = max(np.abs(star.U_star).max(), np.abs(star.Y_star).max(), np.abs(star.lambda_star).max())
         assert np.allclose(w_t.U, w_star.U, atol=1e-9 * scale)
         assert np.allclose(w_t.Y, w_star.Y, atol=1e-9 * scale)
@@ -305,6 +295,14 @@ class TestSolve:
         with pytest.raises(ValueError, match="bounds"):
             solve_box(sys, _config(sys))
 
+    def test_alpha_mismatch_rejected(self):
+        sys = random_system(5, n=2, M=2)
+        config = SolverConfig(alpha=2.0 * sys.alpha, beta=1.0)
+        with pytest.raises(ValueError, match="alpha"):
+            solve(sys, config)
+        with pytest.raises(ValueError, match="alpha"):
+            solve_box(sys, SolverConfig(alpha=2.0 * sys.alpha, beta=1.0, bounds=(0.0, 1.0)))
+
 
 class TestSolveBox:
     def test_copy_block_is_projection(self):
@@ -312,7 +310,7 @@ class TestSolveBox:
         config = _config(sys, beta=1.0, bounds=(0.0, 0.8))
         w = Iterate.zeros(sys.ndof, 2, box=True)
         w.Y[:] = 1.2
-        w_t = predict(sys, w, config)
+        w_t = predict(sys, w, config, PredictionFactors.build(sys, config))
         assert np.allclose(w_t.P, 0.8, atol=1e-15)
         assert np.allclose(w_t.mu, -config.beta * (w_t.Y - w_t.P), atol=1e-13)
 
@@ -348,3 +346,7 @@ class TestConfigValidation:
             SolverConfig(alpha=1.0, beta=1.0, epsilon=-1e-3)
         with pytest.raises(ValueError, match="bound"):
             SolverConfig(alpha=1.0, beta=1.0, bounds=(1.0, 0.0))
+        with pytest.raises(ValueError, match="k_max"):
+            SolverConfig(alpha=1.0, beta=1.0, k_max=0)
+        with pytest.raises(ValueError, match="thread_count"):
+            SolverConfig(alpha=1.0, beta=1.0, thread_count=0)
