@@ -123,6 +123,7 @@ def cmd_box(args) -> None:
     y_min = float(w.P.min())
     print(
         f"iterations={report.iterations} converged={report.converged} "
+        f"stop_reason={report.stop_reason} "
         f"P_range=[{_fmt(y_min)}, {_fmt(y_max)}] "
         f"final_gap={_fmt(float(np.linalg.norm(w.Y - w.P)))}"
     )

@@ -58,11 +58,10 @@ class DiscreteSystem:
     ``rhs`` holds the M constraint right-hand blocks (the first block
     already includes the step_minus @ y0 contribution), ``desired_loads``
     the M load vectors of the desired state.  The precomputed operators
-    back the closed-form subproblem solves:
+    back the closed-form state subproblem solves (the control solves need
+    only the mass matrix):
 
-      control_mass   tau * A
-      control_gram   tau^2 * A A
-      state_gram     2 A A + tau^2/2 * B B
+      state_gram     2 A A + tau^2/2 * B B  (= step_plus^2 + step_minus^2)
       terminal_gram  step_plus^T step_plus
     """
 
@@ -77,8 +76,6 @@ class DiscreteSystem:
     y0_nodal: np.ndarray
     alpha: float
     desired_state: object  # callable (x1, x2, t) -> values
-    control_mass: SparseSpd
-    control_gram: SparseSpd
     state_gram: SparseSpd
     terminal_gram: SparseSpd
 
@@ -134,8 +131,6 @@ def build_system(problem, space: FemSpace, grid: TimeGrid) -> DiscreteSystem:
         y0_nodal=y0_nodal,
         alpha=problem.alpha,
         desired_state=problem.y_d,
-        control_mass=tau * mass,
-        control_gram=(tau * tau) * mass2,
         state_gram=2.0 * mass2 + (tau * tau / 2.0) * stiff2,
         terminal_gram=step_plus.gram(step_plus),
     )
@@ -148,11 +143,25 @@ def _check_trajectory(sys: DiscreteSystem, arr: np.ndarray, name: str) -> np.nda
     return arr
 
 
+def constraint_products(sys: DiscreteSystem, Y: np.ndarray, U: np.ndarray):
+    """The three sparse products behind the constraint map:
+    A U, step_plus Y and step_minus Y[:, :-1]."""
+    return sys.mass @ U, sys.step_plus @ Y, sys.step_minus @ Y[:, :-1]
+
+
+def constraint_map_from_products(
+    sys: DiscreteSystem, AU: np.ndarray, PY: np.ndarray, MY: np.ndarray
+) -> np.ndarray:
+    """The homogeneous constraint map assembled from its products: block m is
+    step_plus Y_m - tau A U_m - step_minus Y_{m-1} (no step_minus term for m = 1)."""
+    out = PY - sys.grid.tau * AU
+    out[:, 1:] -= MY
+    return out
+
+
 def constraint_linear_map(sys: DiscreteSystem, Y: np.ndarray, U: np.ndarray) -> np.ndarray:
     """The homogeneous constraint map: block column sums without the rhs."""
-    out = sys.step_plus @ Y - sys.grid.tau * (sys.mass @ U)
-    out[:, 1:] -= sys.step_minus @ Y[:, :-1]
-    return out
+    return constraint_map_from_products(sys, *constraint_products(sys, Y, U))
 
 
 def constraint_residual(sys: DiscreteSystem, Y: np.ndarray, U: np.ndarray) -> np.ndarray:

@@ -5,32 +5,73 @@ state subproblems in closed form against shared factorizations (prediction),
 update the multiplier, then apply the constant-step correction
 w^{k+1} = w^k - nu (w^k - w~^k).  Monitoring uses the weighted norm under
 which the corrected iteration contracts.
+
+The constraint map is linear, so the loop carries the products it needs
+beside the iterate (``Products``: A U, step_plus Y, step_minus Y[:, :-1] and
+the constraint map Cz built from them) and corrects them with the same convex
+combination as the iterate.  An iteration then forms five sparse products:
+three for the predicted iterate's products and two for the state right-hand
+sides.  q, the multiplier update and the H-norm increment (nu times the
+difference of the two iterates' products) need none of their own.  The
+control solves use the mass shift alpha I + beta tau A, the control normal
+matrix alpha tau A + beta tau^2 A A with its SPD factor tau A cancelled.
 """
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .discretization import DiscreteSystem, constraint_linear_map, constraint_residual
+from .discretization import (  # noqa: F401  constraint_linear_map: bench/tracing.py patches it here
+    DiscreteSystem,
+    constraint_linear_map,
+    constraint_map_from_products,
+    constraint_products,
+    constraint_residual,
+)
 from .sparse_linalg import CholFactor, SparseSpd, factorize, solve_multi
 
 import scipy.sparse as sp
 
 
 @dataclass
+class Products:
+    """Constraint products of a trajectory pair (U, Y).
+
+    ``AU = A U``, ``PY = step_plus Y``, ``MY = step_minus Y[:, :-1]`` and the
+    homogeneous constraint map ``Cz`` assembled from them; the constraint
+    residual is ``Cz - rhs``.  All four are linear in (U, Y), so the products
+    of a combination of iterates are the same combination of their products.
+    """
+
+    AU: np.ndarray
+    PY: np.ndarray
+    MY: np.ndarray
+    Cz: np.ndarray
+
+    @staticmethod
+    def of(sys: DiscreteSystem, Y: np.ndarray, U: np.ndarray) -> "Products":
+        AU, PY, MY = constraint_products(sys, Y, U)
+        return Products(AU=AU, PY=PY, MY=MY, Cz=constraint_map_from_products(sys, AU, PY, MY))
+
+
+@dataclass
 class Iterate:
     """Full splitting iterate: M control columns, M state columns, and the
     multiplier block; box-constrained runs carry the auxiliary state copies
-    and their multiplier as well."""
+    and their multiplier as well.  ``products`` holds the constraint products
+    of (U, Y) while the solver carries them, and is None elsewhere (``copy``
+    leaves them out)."""
 
     U: np.ndarray
     Y: np.ndarray
     lam: np.ndarray
     P: np.ndarray | None = None
     mu: np.ndarray | None = None
+    products: Products | None = None
 
     @property
     def is_box(self) -> bool:
@@ -82,10 +123,21 @@ class SolverConfig:
 
 @dataclass
 class SolveReport:
+    """What a solve did.
+
+    ``stop_reason`` is "converged" (the increment reached the tolerance),
+    "k_max" (the iteration cap was hit) or "non_finite" (the increment was
+    NaN or infinite; the loop stops at the first such one).  ``residual_drift`` is
+    the gap between the carried constraint residual and the one recomputed
+    from the final iterate, relative to max(1, ||rhs||).
+    """
+
     iterations: int
     converged: bool
+    stop_reason: str
     increment_history: np.ndarray
     final_constraint_norm: float
+    residual_drift: float
     seconds_total: float
     seconds_predict: float
     seconds_correct: float
@@ -103,10 +155,15 @@ def correction_factor(M: int, gamma: float, blocks_per_step: int = 2) -> float:
     return gamma * (1.0 - np.sqrt(L / (L + 1.0)))
 
 
+def _products(sys: DiscreteSystem, w: Iterate) -> Products:
+    """The products w carries, or else formed from scratch."""
+    return w.products if w.products is not None else Products.of(sys, w.Y, w.U)
+
+
 def compute_q(sys: DiscreteSystem, w: Iterate, beta: float) -> np.ndarray:
-    """Shifted constraint residual, with a trailing zero block appended
-    so that the state solves can index block m+1 uniformly."""
-    q = constraint_residual(sys, w.Y, w.U) - w.lam / beta
+    """Shifted constraint residual Cz - rhs - lam / beta, with a trailing
+    zero block for the absent step M+1."""
+    q = _products(sys, w).Cz - sys.rhs - w.lam / beta
     return np.concatenate([q, np.zeros((sys.ndof, 1))], axis=1)
 
 
@@ -126,7 +183,7 @@ class PredictionFactors:
         if config.bounds is not None:
             shift = beta  # extra beta * I from the state-copy constraint row
         eye = SparseSpd(sp.identity(sys.ndof, format="csr"))
-        control = factorize(alpha * sys.control_mass + beta * sys.control_gram)
+        control = factorize(alpha * eye + (beta * tau) * sys.mass)
         state = None
         if sys.grid.M > 1:
             state = factorize(tau * sys.mass + beta * sys.state_gram + shift * eye)
@@ -143,27 +200,33 @@ def predict_controls(
 ) -> np.ndarray:
     """Closed-form control subproblem solves, all M columns at once.
 
-    Solves (alpha*tau*A + beta*tau^2*A*A) U~ = beta*(tau^2*A*A U + tau*A q),
-    the first-order conditions of the odd-index subproblems.  (The sign of
-    the q term follows from the subproblem optimality conditions; the
-    constraint carries the control with a negative block.)
+    The first-order conditions of the odd-index subproblems read
+    (alpha*tau*A + beta*tau^2*A*A) U~ = beta*(tau^2*A*A U + tau*A q).  Both
+    sides carry the SPD factor tau*A, so U~ solves the mass shift
+    (alpha*I + beta*tau*A) U~ = beta*(tau*A U + q).  (The sign of the q term
+    follows from the subproblem optimality conditions; the constraint
+    carries the control with a negative block.)
     """
-    beta = config.beta
-    rhs = beta * (sys.control_gram @ w.U + sys.control_mass @ q[:, : sys.grid.M])
+    rhs = config.beta * (sys.grid.tau * _products(sys, w).AU + q[:, : sys.grid.M])
     return solve_multi(factors.control, rhs, config.thread_count)
 
 
 def _state_rhs(sys: DiscreteSystem, w: Iterate, q: np.ndarray, config: SolverConfig):
-    """Right-hand sides of the state subproblems, split interior/terminal."""
-    tau = sys.grid.tau
-    beta = config.beta
+    """Right-hand sides of the state subproblems.
+
+    Block m is tau*kappa_m*d_m + beta*[step_plus (step_plus Y_m - q_m)
+    + step_minus (step_minus Y_m + q_{m+1})], without the step_minus term at
+    the terminal step.  Since state_gram = step_plus^2 + step_minus^2 and
+    terminal_gram = step_plus^2, this is the normal-equation right-hand side;
+    the inner products step_plus Y and step_minus Y come from w's products.
+    """
+    p = _products(sys, w)
     M = sys.grid.M
-    coupled = sys.step_plus @ q[:, :M] - sys.step_minus @ q[:, 1 : M + 1]
-    rhs = -beta * coupled
-    rhs[:, :-1] += tau * sys.desired_loads[:, :-1] + beta * (sys.state_gram @ w.Y[:, :-1])
-    rhs[:, -1] += (tau / 2.0) * sys.desired_loads[:, -1] + beta * (sys.terminal_gram @ w.Y[:, -1])
+    coupled = sys.step_plus @ (p.PY - q[:, :M])
+    coupled[:, :-1] += sys.step_minus @ (p.MY + q[:, 1:M])
+    rhs = (sys.grid.tau * sys.kappa) * sys.desired_loads + config.beta * coupled
     if config.bounds is not None:
-        rhs += beta * w.P + w.mu
+        rhs += config.beta * w.P + w.mu
     return rhs
 
 
@@ -185,47 +248,59 @@ def predict_states(
 
 
 def predict_multiplier(
-    sys: DiscreteSystem, w: Iterate, U_tilde: np.ndarray, Y_tilde: np.ndarray, beta: float
+    sys: DiscreteSystem, w: Iterate, products_tilde: Products, beta: float
 ) -> np.ndarray:
-    return w.lam - beta * constraint_residual(sys, Y_tilde, U_tilde)
+    """lam~ = lam - beta * (C z~ - rhs), from the predicted pair's products."""
+    return w.lam - beta * (products_tilde.Cz - sys.rhs)
 
 
 def predict(
     sys: DiscreteSystem, w: Iterate, config: SolverConfig, factors: PredictionFactors
 ) -> Iterate:
-    """One full prediction sweep; all subproblems read the same w and q."""
+    """One full prediction sweep; all subproblems read the same w and q.
+
+    Uses the products w carries, forming them first when it carries none.
+    The predicted iterate is returned with its own products.
+    """
+    if w.products is None:
+        w = replace(w, products=Products.of(sys, w.Y, w.U))
     beta = config.beta
     q = compute_q(sys, w, beta)
     U_t = predict_controls(sys, w, q, config, factors)
     Y_t = predict_states(sys, w, q, config, factors)
-    lam_t = predict_multiplier(sys, w, U_t, Y_t, beta)
-    if config.bounds is None:
-        return Iterate(U=U_t, Y=Y_t, lam=lam_t)
-    ya, yb = config.bounds
-    P_t = np.clip(w.Y - w.mu / beta, ya, yb)
-    mu_t = w.mu - beta * (Y_t - P_t)
-    return Iterate(U=U_t, Y=Y_t, lam=lam_t, P=P_t, mu=mu_t)
+    products_t = Products.of(sys, Y_t, U_t)
+    lam_t = predict_multiplier(sys, w, products_t, beta)
+    w_t = Iterate(U=U_t, Y=Y_t, lam=lam_t, products=products_t)
+    if config.bounds is not None:
+        ya, yb = config.bounds
+        w_t.P = np.clip(w.Y - w.mu / beta, ya, yb)
+        w_t.mu = w.mu - beta * (Y_t - w_t.P)
+    return w_t
 
 
-def correct(w: Iterate, w_tilde: Iterate, nu: float) -> Iterate:
-    """Constant-step correction applied componentwise to every block."""
-    out = Iterate(
-        U=w.U - nu * (w.U - w_tilde.U),
-        Y=w.Y - nu * (w.Y - w_tilde.Y),
-        lam=w.lam - nu * (w.lam - w_tilde.lam),
-    )
-    if w.is_box:
-        out.P = w.P - nu * (w.P - w_tilde.P)
-        out.mu = w.mu - nu * (w.mu - w_tilde.mu)
+def _combine(a: Iterate, b: Iterate, f) -> Iterate:
+    """f applied blockwise to two iterates, and to their products when both
+    carry them."""
+    out = Iterate(U=f(a.U, b.U), Y=f(a.Y, b.Y), lam=f(a.lam, b.lam))
+    if a.is_box and b.is_box:
+        out.P = f(a.P, b.P)
+        out.mu = f(a.mu, b.mu)
+    pa, pb = a.products, b.products
+    if pa is not None and pb is not None:
+        out.products = Products(
+            AU=f(pa.AU, pb.AU), PY=f(pa.PY, pb.PY), MY=f(pa.MY, pb.MY), Cz=f(pa.Cz, pb.Cz)
+        )
     return out
 
 
+def correct(w: Iterate, w_tilde: Iterate, nu: float) -> Iterate:
+    """Constant-step correction applied componentwise to every block (and to
+    the carried products)."""
+    return _combine(w, w_tilde, lambda a, b: a - nu * (a - b))
+
+
 def iterate_diff(a: Iterate, b: Iterate) -> Iterate:
-    d = Iterate(U=a.U - b.U, Y=a.Y - b.Y, lam=a.lam - b.lam)
-    if a.is_box and b.is_box:
-        d.P = a.P - b.P
-        d.mu = a.mu - b.mu
-    return d
+    return _combine(a, b, lambda x, y: x - y)
 
 
 def h_norm_sq(sys: DiscreteSystem, v: Iterate, beta: float) -> float:
@@ -234,22 +309,18 @@ def h_norm_sq(sys: DiscreteSystem, v: Iterate, beta: float) -> float:
     Uses the identity v^T H v = beta * [ sum_l ||M_l v_l||^2
     + ||sum_l M_l v_l||^2 ] + (1/beta) ||v_lam||^2, where M_l are the block
     columns of the constraint matrix.  Box iterates extend the columns with
-    the identity rows of the state-copy constraint.
+    the identity rows of the state-copy constraint.  The block products
+    M_l v_l and their sum are v's products (formed when v carries none).
     """
-    tau = sys.grid.tau
-    AU = tau * (sys.mass @ v.U)
-    CpY = sys.step_plus @ v.Y
-    CmY = sys.step_minus @ v.Y[:, :-1]
-    per_block = (AU**2).sum() + (CpY**2).sum() + (CmY**2).sum()
-    combined = constraint_linear_map(sys, v.Y, v.U)
-    mult = (v.lam**2).sum()
+    p = _products(sys, v)
+    sq = lambda x: np.vdot(x, x)
+    per_block = sys.grid.tau**2 * sq(p.AU) + sq(p.PY) + sq(p.MY)
+    total_sum = sq(p.Cz)
+    mult = sq(v.lam)
     if v.is_box:
-        per_block += (v.Y**2).sum() + (v.P**2).sum()
-        gap = v.Y - v.P
-        total_sum = (combined**2).sum() + (gap**2).sum()
-        mult += (v.mu**2).sum()
-    else:
-        total_sum = (combined**2).sum()
+        per_block += sq(v.Y) + sq(v.P)
+        total_sum += sq(v.Y - v.P)
+        mult += sq(v.mu)
     return float(beta * (per_block + total_sum) + mult / beta)
 
 
@@ -264,10 +335,11 @@ def _run(sys: DiscreteSystem, config: SolverConfig, monitor=None) -> tuple[Itera
     w = Iterate.zeros(sys.ndof, sys.grid.M, box=box)
     if box:
         w.P = np.clip(w.P, config.bounds[0], config.bounds[1])
+    w.products = Products.of(sys, w.Y, w.U)
 
     increments: list[float] = []
     gaps: list[float] = [] if box else None
-    converged = False
+    stop_reason = "k_max"
     t_predict = 0.0
     t_correct = 0.0
     t0 = time.perf_counter()
@@ -279,8 +351,9 @@ def _run(sys: DiscreteSystem, config: SolverConfig, monitor=None) -> tuple[Itera
         t1 = time.perf_counter()
         w_tilde = predict(sys, w, config, factors)
         t2 = time.perf_counter()
+        # w - w_next = nu (w - w~), and the H-norm is quadratic.
+        inc = nu * nu * h_norm_sq(sys, iterate_diff(w, w_tilde), config.beta)
         w_next = correct(w, w_tilde, nu)
-        inc = h_norm_sq(sys, iterate_diff(w, w_next), config.beta)
         t3 = time.perf_counter()
         t_predict += t2 - t1
         t_correct += t3 - t2
@@ -288,15 +361,23 @@ def _run(sys: DiscreteSystem, config: SolverConfig, monitor=None) -> tuple[Itera
         if box:
             gaps.append(float(np.linalg.norm(w_next.Y - w_next.P)))
         w = w_next
+        if not math.isfinite(inc):
+            stop_reason = "non_finite"
+            break
         if inc <= config.epsilon:
-            converged = True
+            stop_reason = "converged"
             break
 
+    residual = constraint_residual(sys, w.Y, w.U)
+    drift = np.linalg.norm(w.products.Cz - sys.rhs - residual) / max(1.0, np.linalg.norm(sys.rhs))
+    w.products = None  # the caller may change w; carried products would go stale
     report = SolveReport(
         iterations=k,
-        converged=converged,
+        converged=stop_reason == "converged",
+        stop_reason=stop_reason,
         increment_history=np.asarray(increments),
-        final_constraint_norm=float(np.linalg.norm(constraint_residual(sys, w.Y, w.U))),
+        final_constraint_norm=float(np.linalg.norm(residual)),
+        residual_drift=float(drift),
         seconds_total=time.perf_counter() - t0,
         seconds_predict=t_predict,
         seconds_correct=t_correct,

@@ -3,6 +3,8 @@
 Everything here is built independently of the solver's fast paths: block
 matrices are materialized explicitly with numpy kron, so the sparse and
 matrix-free implementations can be checked against plain dense algebra.
+The one exception, ``reference_loop``, rebuilds the iteration from the
+solver's one-step pieces with no carried products.
 """
 
 import dataclasses
@@ -14,7 +16,15 @@ import scipy.linalg
 from parasplit.discretization import DiscreteSystem, TimeGrid, build_system
 from parasplit.fem_assembly import make_space
 from parasplit.mesh import NEUMANN, uniform_unit_square
-from parasplit.splitting_solver import Iterate
+from parasplit.splitting_solver import (
+    Iterate,
+    PredictionFactors,
+    correct,
+    correction_factor,
+    h_norm_sq,
+    iterate_diff,
+    predict,
+)
 
 _ACCEPTANCE_RESULTS: list[str] = []
 
@@ -250,3 +260,26 @@ def prediction_row_residuals(sys: DiscreteSystem, w: Iterate, w_tilde: Iterate, 
         scale = max(1.0, max(np.linalg.norm(t) for t in terms))
         out.append(np.linalg.norm(res) / scale)
     return np.asarray(out)
+
+
+def reference_loop(sys: DiscreteSystem, config, K: int):
+    """K splitting iterations built from the one-step pieces alone.
+
+    No constraint products are carried: every prediction and every H-norm
+    increment forms its products from the iterate itself.  Returns the final
+    iterate and the K squared increments ||w^k - w^{k+1}||_H^2.
+    """
+    box = config.bounds is not None
+    nu = correction_factor(sys.grid.M, config.gamma, blocks_per_step=3 if box else 2)
+    factors = PredictionFactors.build(sys, config)
+    w = Iterate.zeros(sys.ndof, sys.grid.M, box=box)
+    if box:
+        w.P = np.clip(w.P, *config.bounds)
+    increments = []
+    for _ in range(K):
+        w_tilde = predict(sys, w, config, factors)
+        w_tilde.products = None
+        w_next = correct(w, w_tilde, nu)
+        increments.append(h_norm_sq(sys, iterate_diff(w, w_next), config.beta))
+        w = w_next
+    return w, np.asarray(increments)

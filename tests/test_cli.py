@@ -109,3 +109,4 @@ class TestBox:
         assert len(rows) >= 1
         text = capsys.readouterr().out
         assert "P_range=" in text and "iterations=" in text
+        assert "stop_reason=" in text

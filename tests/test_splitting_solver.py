@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     dense_box_h_matrix,
@@ -11,12 +14,17 @@ from conftest import (
     flatten_for_h,
     random_iterate,
     random_system,
+    reference_loop,
 )
+from parasplit.discretization import constraint_residual
+from parasplit.experiments import build_level, get_example
 from parasplit.kkt_oracle import solve_kkt
+from parasplit.mesh import DIRICHLET, NEUMANN
 from parasplit.sparse_linalg import factorize, solve_multi
 from parasplit.splitting_solver import (
     Iterate,
     PredictionFactors,
+    Products,
     SolverConfig,
     compute_q,
     correct,
@@ -166,10 +174,9 @@ class TestPrediction:
         U_t = rng.standard_normal((sys.ndof, 2))
         Y_t = rng.standard_normal((sys.ndof, 2))
         beta = 0.4
-        from parasplit.discretization import constraint_residual
-
         expected = w.lam - beta * constraint_residual(sys, Y_t, U_t)
-        assert np.allclose(predict_multiplier(sys, w, U_t, Y_t, beta), expected, atol=1e-13)
+        products_t = Products.of(sys, Y_t, U_t)
+        assert np.allclose(predict_multiplier(sys, w, products_t, beta), expected, atol=1e-13)
 
 
 class TestCorrect:
@@ -295,6 +302,58 @@ class TestSolve:
         with pytest.raises(ValueError, match="bounds"):
             solve_box(sys, _config(sys))
 
+    def test_non_finite_data_stops_at_first_iteration(self):
+        sys = random_system(8, n=2, M=3)
+        rhs = sys.rhs.copy()
+        rhs[0, 1] = np.nan
+        sys = dataclasses.replace(sys, rhs=rhs)
+        _, report = solve(sys, _config(sys, k_max=50))
+        assert report.iterations == 1
+        assert report.stop_reason == "non_finite"
+        assert not report.converged
+
+    def test_iteration_cap_reported(self):
+        sys = random_system(9, n=2, M=2)
+        _, report = solve(sys, _config(sys, epsilon=0.0, k_max=7))
+        assert report.iterations == 7
+        assert report.stop_reason == "k_max"
+        assert not report.converged
+        assert len(report.increment_history) == 7
+
+    def test_carried_residual_does_not_drift(self):
+        prob = get_example("5.1")
+        sys = build_level(prob, 8)
+        w, report = solve(sys, SolverConfig(alpha=prob.alpha, beta=prob.beta))
+        assert report.stop_reason == "converged" and report.converged
+        assert report.residual_drift <= 1e-12
+        assert report.final_constraint_norm == pytest.approx(
+            np.linalg.norm(constraint_residual(sys, w.Y, w.U)), rel=1e-15
+        )
+        assert w.products is None
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        bc=st.sampled_from([NEUMANN, DIRICHLET]),
+        n=st.sampled_from([2, 3]),
+        M=st.integers(min_value=1, max_value=4),
+        K=st.integers(min_value=1, max_value=6),
+        box=st.booleans(),
+        beta=st.floats(min_value=0.1, max_value=10.0),
+    )
+    def test_carried_products_match_from_scratch_loop(self, seed, bc, n, M, K, box, beta):
+        sys = random_system(seed, n=n, M=M, bc=bc)
+        bounds = (-0.5, 0.5) if box else None
+        config = _config(sys, beta=beta, epsilon=0.0, k_max=K, bounds=bounds)
+        w, report = (solve_box if box else solve)(sys, config)
+        w_ref, increments_ref = reference_loop(sys, config, K)
+        assert report.iterations == K and report.stop_reason == "k_max"
+        names = ("U", "Y", "lam", "P", "mu") if box else ("U", "Y", "lam")
+        for name in names:
+            got, want = getattr(w, name), getattr(w_ref, name)
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
+        np.testing.assert_allclose(report.increment_history, increments_ref, rtol=1e-10)
+
     def test_alpha_mismatch_rejected(self):
         sys = random_system(5, n=2, M=2)
         config = SolverConfig(alpha=2.0 * sys.alpha, beta=1.0)
@@ -324,6 +383,7 @@ class TestSolveBox:
         assert report.gap_history is not None
         assert report.gap_history[-1] <= 1e-8
         assert np.allclose(w.P, w.Y, atol=1e-8)
+        assert report.residual_drift <= 1e-12
 
     def test_solution_respects_bounds(self):
         sys = random_system(7, n=2, M=2)
