@@ -14,7 +14,6 @@ from .fem_assembly import (
 from .sparse_linalg import (
     CholFactor,
     NotPositiveDefiniteError,
-    SparseSpd,
     factorize,
     solve_multi,
 )

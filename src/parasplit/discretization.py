@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .fem_assembly import (
     FemSpace,
@@ -20,7 +21,6 @@ from .fem_assembly import (
     l2_norm_of,
     load_vector,
 )
-from .sparse_linalg import SparseSpd
 
 
 @dataclass(frozen=True)
@@ -57,9 +57,9 @@ class DiscreteSystem:
 
     ``rhs`` holds the M constraint right-hand blocks (the first block
     already includes the step_minus @ y0 contribution), ``desired_loads``
-    the M load vectors of the desired state.  The precomputed operators
-    back the closed-form state subproblem solves (the control solves need
-    only the mass matrix):
+    the M load vectors of the desired state.  The operators are CSR
+    matrices; the precomputed ones back the closed-form state subproblem
+    solves (the control solves need only the mass matrix):
 
       state_gram     2 A A + tau^2/2 * B B  (= step_plus^2 + step_minus^2)
       terminal_gram  step_plus^T step_plus
@@ -67,17 +67,17 @@ class DiscreteSystem:
 
     space: FemSpace
     grid: TimeGrid
-    mass: SparseSpd
-    stiffness: SparseSpd
-    step_plus: SparseSpd
-    step_minus: SparseSpd
+    mass: sp.csr_matrix
+    stiffness: sp.csr_matrix
+    step_plus: sp.csr_matrix
+    step_minus: sp.csr_matrix
     rhs: np.ndarray
     desired_loads: np.ndarray
     y0_nodal: np.ndarray
     alpha: float
     desired_state: object  # callable (x1, x2, t) -> values
-    state_gram: SparseSpd
-    terminal_gram: SparseSpd
+    state_gram: sp.csr_matrix
+    terminal_gram: sp.csr_matrix
 
     @property
     def ndof(self) -> int:
@@ -89,6 +89,12 @@ class DiscreteSystem:
         k = np.ones(self.grid.M)
         k[-1] = 0.5
         return k
+
+
+def _gram(a: sp.csr_matrix, b: sp.csr_matrix) -> sp.csr_matrix:
+    """Symmetrized product a^T b + b^T a, halved."""
+    prod = a.T @ b
+    return sp.csr_matrix(0.5 * (prod + prod.T))
 
 
 def build_system(problem, space: FemSpace, grid: TimeGrid) -> DiscreteSystem:
@@ -117,8 +123,8 @@ def build_system(problem, space: FemSpace, grid: TimeGrid) -> DiscreteSystem:
         desired[:, m] = load_vector(space, lambda x1, x2: problem.y_d(x1, x2, t_node))
     rhs[:, 0] += step_minus @ y0_nodal
 
-    mass2 = mass.gram(mass)
-    stiff2 = stiffness.gram(stiffness)
+    mass2 = _gram(mass, mass)
+    stiff2 = _gram(stiffness, stiffness)
     return DiscreteSystem(
         space=space,
         grid=grid,
@@ -132,7 +138,7 @@ def build_system(problem, space: FemSpace, grid: TimeGrid) -> DiscreteSystem:
         alpha=problem.alpha,
         desired_state=problem.y_d,
         state_gram=2.0 * mass2 + (tau * tau / 2.0) * stiff2,
-        terminal_gram=step_plus.gram(step_plus),
+        terminal_gram=_gram(step_plus, step_plus),
     )
 
 

@@ -12,7 +12,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import DIRICHLET, TriMesh, _check_bc, node_classification
-from .sparse_linalg import SparseSpd
 
 
 @dataclass(frozen=True)
@@ -62,9 +61,13 @@ def _p1_gradients(xy: np.ndarray, area: np.ndarray) -> np.ndarray:
     return grads
 
 
-def _restrict(global_mat: sp.spmatrix, space: FemSpace) -> SparseSpd:
+def _restrict(global_mat: sp.csr_matrix, space: FemSpace) -> sp.csr_matrix:
+    """The DOF rows and columns in canonical CSR form.  Neumann DOFs are not
+    in node order, so the column indices must be sorted again."""
     idx = space.dof_nodes
-    return SparseSpd(sp.csr_matrix(global_mat)[np.ix_(idx, idx)])
+    mat = global_mat[np.ix_(idx, idx)]
+    mat.sort_indices()
+    return mat
 
 
 def _assemble_global(mesh: TriMesh, local: np.ndarray) -> sp.csr_matrix:
@@ -78,7 +81,7 @@ def _assemble_global(mesh: TriMesh, local: np.ndarray) -> sp.csr_matrix:
     return mat.tocsr()
 
 
-def assemble_mass(space: FemSpace) -> SparseSpd:
+def assemble_mass(space: FemSpace) -> sp.csr_matrix:
     """Gram matrix of the nodal basis under the L2 inner product."""
     _, area = _element_geometry(space.mesh)
     base = (np.ones((3, 3)) + np.eye(3)) / 12.0
@@ -86,7 +89,7 @@ def assemble_mass(space: FemSpace) -> SparseSpd:
     return _restrict(_assemble_global(space.mesh, local), space)
 
 
-def assemble_stiffness(space: FemSpace) -> SparseSpd:
+def assemble_stiffness(space: FemSpace) -> sp.csr_matrix:
     """Gram matrix of the nodal basis gradients (H1 seminorm)."""
     xy, area = _element_geometry(space.mesh)
     grads = _p1_gradients(xy, area)

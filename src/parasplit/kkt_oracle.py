@@ -35,8 +35,8 @@ def constraint_blocks(sys: DiscreteSystem) -> tuple[sp.spmatrix, sp.spmatrix]:
     M = sys.grid.M
     eye = sp.identity(M, format="csr")
     sub = sp.eye(M, M, k=-1, format="csr")
-    state_part = sp.kron(eye, sys.step_plus.mat) - sp.kron(sub, sys.step_minus.mat)
-    control_part = sp.kron(eye, -sys.grid.tau * sys.mass.mat)
+    state_part = sp.kron(eye, sys.step_plus) - sp.kron(sub, sys.step_minus)
+    control_part = sp.kron(eye, -sys.grid.tau * sys.mass)
     return state_part.tocsr(), control_part.tocsr()
 
 
@@ -91,9 +91,10 @@ def solve_kkt(
     """Solve the stationarity system of the equality-constrained QP directly.
 
     ``alpha`` must equal ``sys.alpha``, the weight the system was built
-    with.  The solution comes from the modal solve; the residuals are then
-    measured on the assembled system, unknowns ordered (U stacked, Y
-    stacked, lambda stacked).
+    with.  The solution comes from the modal solve.  The residuals are then
+    measured with the unknowns ordered (U stacked, Y stacked, lambda
+    stacked): Q z from two mass products, C^T lambda from the assembled
+    constraint blocks.
     """
     if alpha != sys.alpha:
         raise ValueError(f"alpha {alpha} does not match the system's alpha {sys.alpha}")
@@ -107,14 +108,12 @@ def solve_kkt(
 
     state_part, control_part = constraint_blocks(sys)
     C = sp.hstack([control_part, state_part], format="csr")
-    Qu = sp.kron(sp.identity(M), alpha * tau * sys.mass.mat)
-    Qy = sp.kron(sp.diags(sys.kappa * tau), sys.mass.mat)
-    Q = sp.block_diag([Qu, Qy], format="csr")
-    b = np.concatenate([np.zeros(ndof * M), (sys.desired_loads * (sys.kappa * tau)).T.ravel()])
+    kt = sys.kappa * tau
+    Qz = np.concatenate([(alpha * tau * (sys.mass @ U)).T.ravel(), (kt * (sys.mass @ Y)).T.ravel()])
+    b = np.concatenate([np.zeros(ndof * M), (sys.desired_loads * kt).T.ravel()])
     fvec = sys.rhs.T.ravel()
-    z = np.concatenate([U.T.ravel(), Y.T.ravel()])
 
-    stat = np.linalg.norm(Q @ z - b - C.T @ lam.T.ravel()) / (1.0 + np.linalg.norm(b))
+    stat = np.linalg.norm(Qz - b - C.T @ lam.T.ravel()) / (1.0 + np.linalg.norm(b))
     feas = np.linalg.norm(constraint_residual(sys, Y, U)) / (1.0 + np.linalg.norm(fvec))
     return KktSolution(
         Y_star=Y,

@@ -1,4 +1,4 @@
-"""Symmetric sparse matrices, SPD factorization, and multi-RHS solves."""
+"""One symmetry check, SPD factorization and multi-RHS solves on sparse matrices."""
 
 from __future__ import annotations
 
@@ -20,11 +20,11 @@ class NotPositiveDefiniteError(ValueError):
 
 
 class SparseSpd:
-    """Sparse symmetric matrix with duplicate-free CSR storage.
+    """A square sparse matrix checked for symmetry, in duplicate-free CSR.
 
-    Symmetry is validated at construction.  Despite the name, symmetric
-    indefinite matrices are accepted too (e.g. stepping matrices); positive
-    definiteness is only enforced at factorization time.
+    ``factorize`` builds one from its argument; the operators themselves are
+    plain scipy matrices.  Positive definiteness is checked by the
+    factorization's pivots, not here.
     """
 
     def __init__(self, mat):
@@ -37,37 +37,6 @@ class SparseSpd:
         if asym.nnz and asym.max() > _SYMMETRY_TOL * scale:
             raise ValueError("matrix is not symmetric within tolerance")
         self.mat = mat
-
-    @property
-    def dimension(self) -> int:
-        return self.mat.shape[0]
-
-    def __matmul__(self, other):
-        return self.mat @ other
-
-    def __add__(self, other):
-        other = other.mat if isinstance(other, SparseSpd) else other
-        return SparseSpd(self.mat + other)
-
-    def __sub__(self, other):
-        other = other.mat if isinstance(other, SparseSpd) else other
-        return SparseSpd(self.mat - other)
-
-    def __mul__(self, scalar: float) -> "SparseSpd":
-        return SparseSpd(self.mat * scalar)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "SparseSpd":
-        return SparseSpd(-self.mat)
-
-    def gram(self, other: "SparseSpd") -> "SparseSpd":
-        """Symmetrized product self.T @ other + other.T @ self, halved."""
-        prod = self.mat.T @ other.mat
-        return SparseSpd(0.5 * (prod + prod.T))
-
-    def toarray(self) -> np.ndarray:
-        return self.mat.toarray()
 
 
 class CholFactor:
@@ -90,13 +59,14 @@ class CholFactor:
         return self._lu.solve(b)
 
 
-def factorize(m: SparseSpd) -> CholFactor:
-    """Factor an SPD matrix for repeated solves.
+def factorize(m: sp.spmatrix) -> CholFactor:
+    """Factor a sparse SPD matrix for repeated solves.
 
-    Raises NotPositiveDefiniteError (with the offending pivot index) when a
+    Raises ValueError when ``m`` is not square or not symmetric, and
+    NotPositiveDefiniteError (with the offending pivot index) when a
     non-positive pivot appears.
     """
-    mat = m.mat if isinstance(m, SparseSpd) else SparseSpd(m).mat
+    mat = SparseSpd(m).mat
     lu = spla.splu(
         sp.csc_matrix(mat),
         permc_spec="MMD_AT_PLUS_A",

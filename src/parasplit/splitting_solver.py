@@ -32,7 +32,7 @@ from .discretization import (  # noqa: F401  constraint_linear_map: bench/tracin
     constraint_products,
     constraint_residual,
 )
-from .sparse_linalg import CholFactor, SparseSpd, factorize, solve_multi
+from .sparse_linalg import CholFactor, factorize, solve_multi
 
 import scipy.sparse as sp
 
@@ -105,17 +105,17 @@ class SolverConfig:
     thread_count: int = 1
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if self.beta <= 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+        if not 0.0 < self.beta < math.inf:
+            raise ValueError(f"beta must be positive and finite, got {self.beta}")
         if not 0.0 < self.gamma < 2.0:
             raise ValueError(f"gamma must lie in (0, 2), got {self.gamma}")
-        if self.epsilon < 0:
+        if not self.epsilon >= 0.0:
             raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
         if self.k_max < 1:
             raise ValueError(f"k_max must be >= 1, got {self.k_max}")
-        if self.bounds is not None and self.bounds[0] >= self.bounds[1]:
+        if self.bounds is not None and not self.bounds[0] < self.bounds[1]:
             raise ValueError(f"lower bound must be below upper bound, got {self.bounds}")
         if self.thread_count < 1:
             raise ValueError(f"thread_count must be >= 1, got {self.thread_count}")
@@ -161,10 +161,8 @@ def _products(sys: DiscreteSystem, w: Iterate) -> Products:
 
 
 def compute_q(sys: DiscreteSystem, w: Iterate, beta: float) -> np.ndarray:
-    """Shifted constraint residual Cz - rhs - lam / beta, with a trailing
-    zero block for the absent step M+1."""
-    q = _products(sys, w).Cz - sys.rhs - w.lam / beta
-    return np.concatenate([q, np.zeros((sys.ndof, 1))], axis=1)
+    """Shifted constraint residual Cz - rhs - lam / beta, one column per step."""
+    return _products(sys, w).Cz - sys.rhs - w.lam / beta
 
 
 @dataclass(frozen=True)
@@ -182,7 +180,7 @@ class PredictionFactors:
         shift = 0.0
         if config.bounds is not None:
             shift = beta  # extra beta * I from the state-copy constraint row
-        eye = SparseSpd(sp.identity(sys.ndof, format="csr"))
+        eye = sp.identity(sys.ndof, format="csr")
         control = factorize(alpha * eye + (beta * tau) * sys.mass)
         state = None
         if sys.grid.M > 1:
@@ -207,7 +205,7 @@ def predict_controls(
     follows from the subproblem optimality conditions; the constraint
     carries the control with a negative block.)
     """
-    rhs = config.beta * (sys.grid.tau * _products(sys, w).AU + q[:, : sys.grid.M])
+    rhs = config.beta * (sys.grid.tau * _products(sys, w).AU + q)
     return solve_multi(factors.control, rhs, config.thread_count)
 
 
@@ -221,9 +219,8 @@ def _state_rhs(sys: DiscreteSystem, w: Iterate, q: np.ndarray, config: SolverCon
     the inner products step_plus Y and step_minus Y come from w's products.
     """
     p = _products(sys, w)
-    M = sys.grid.M
-    coupled = sys.step_plus @ (p.PY - q[:, :M])
-    coupled[:, :-1] += sys.step_minus @ (p.MY + q[:, 1:M])
+    coupled = sys.step_plus @ (p.PY - q)
+    coupled[:, :-1] += sys.step_minus @ (p.MY + q[:, 1:])
     rhs = (sys.grid.tau * sys.kappa) * sys.desired_loads + config.beta * coupled
     if config.bounds is not None:
         rhs += config.beta * w.P + w.mu

@@ -71,6 +71,14 @@ class TestAssembledMatrices:
                 assert np.array_equal(assemble(dir_).toarray(), full[:ni, :ni])
 
     @pytest.mark.parametrize("bc", [NEUMANN, DIRICHLET])
+    def test_canonical_csr(self, bc):
+        # sorted column indices and no duplicates in every row
+        space = _space(4, bc)
+        for mat in (assemble_mass(space), assemble_stiffness(space)):
+            rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+            assert np.all(np.diff(rows * mat.shape[1] + mat.indices) > 0)
+
+    @pytest.mark.parametrize("bc", [NEUMANN, DIRICHLET])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_naive_assembly(self, n, bc):
         space = _space(n, bc)

@@ -3,71 +3,72 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from parasplit.sparse_linalg import (
-    NotPositiveDefiniteError,
-    SparseSpd,
-    factorize,
-    solve_multi,
-)
+from parasplit.experiments import build_level, example_5_1
+from parasplit.sparse_linalg import NotPositiveDefiniteError, SparseSpd, factorize, solve_multi
+from parasplit.splitting_solver import PredictionFactors, SolverConfig
 
 
 def _random_spd(rng, dim):
     m = rng.standard_normal((dim, dim))
-    return SparseSpd(sp.csr_matrix(m @ m.T + dim * np.eye(dim)))
+    return sp.csr_matrix(m @ m.T + dim * np.eye(dim))
 
 
 class TestSparseSpd:
+    """The one symmetry check, as ``factorize`` runs it on its argument."""
+
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError, match="square"):
-            SparseSpd(sp.csr_matrix(np.ones((2, 3))))
+            factorize(sp.csr_matrix(np.ones((2, 3))))
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
-            SparseSpd(sp.csr_matrix(np.array([[1.0, 2.0], [0.0, 1.0]])))
-
-    def test_accepts_indefinite_symmetric(self):
-        m = SparseSpd(sp.csr_matrix(np.diag([1.0, -1.0])))
-        assert m.dimension == 2
+            factorize(sp.csr_matrix(np.array([[1.0, 2.0], [0.0, 1.0]])))
 
     def test_sums_duplicates(self):
         coo = sp.coo_matrix(([1.0, 1.0], ([0, 0], [0, 0])), shape=(1, 1))
-        m = SparseSpd(coo)
-        assert m.toarray()[0, 0] == 2.0
+        assert factorize(coo).solve(np.array([4.0])) == pytest.approx(2.0)
 
-    def test_arithmetic(self):
-        a = SparseSpd(sp.identity(2))
-        b = SparseSpd(2.0 * sp.identity(2))
-        assert np.allclose((a + b).toarray(), 3.0 * np.eye(2))
-        assert np.allclose((b - a).toarray(), np.eye(2))
-        assert np.allclose((3.0 * a).toarray(), 3.0 * np.eye(2))
-        assert np.allclose((-a).toarray(), -np.eye(2))
+    def test_checked_once_per_factorization(self, monkeypatch):
+        shapes = []
+        init = SparseSpd.__init__
+
+        def counting_init(self, mat):
+            shapes.append(mat.shape)
+            init(self, mat)
+
+        monkeypatch.setattr(SparseSpd, "__init__", counting_init)
+        problem = example_5_1()
+        sys = build_level(problem, 4)
+        assert shapes == []
+        PredictionFactors.build(sys, SolverConfig(alpha=problem.alpha, beta=problem.beta))
+        assert shapes == [(sys.ndof, sys.ndof)] * 3
 
 
 class TestFactorize:
     def test_identity(self):
-        f = factorize(SparseSpd(sp.identity(3)))
+        f = factorize(sp.identity(3))
         b = np.array([1.0, 2.0, 3.0])
         assert np.allclose(f.solve(b), b)
 
     def test_scalar_diagonal(self):
-        f = factorize(SparseSpd(sp.csr_matrix(np.array([[4.0]]))))
+        f = factorize(sp.csr_matrix(np.array([[4.0]])))
         assert f.solve(np.array([8.0])) == pytest.approx(2.0)
 
     def test_two_by_two(self):
-        f = factorize(SparseSpd(sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))))
+        f = factorize(sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]])))
         assert np.allclose(f.solve(np.array([3.0, 3.0])), [1.0, 1.0])
 
     def test_not_positive_definite(self):
         with pytest.raises(NotPositiveDefiniteError) as exc:
-            factorize(SparseSpd(sp.csr_matrix(np.diag([1.0, -1.0]))))
+            factorize(sp.csr_matrix(np.diag([1.0, -1.0])))
         assert exc.value.pivot_index in (0, 1)
 
     def test_indefinite_offdiagonal(self):
         with pytest.raises(NotPositiveDefiniteError):
-            factorize(SparseSpd(sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))))
+            factorize(sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]])))
 
     def test_solve_dimension_mismatch(self):
-        f = factorize(SparseSpd(sp.identity(3)))
+        f = factorize(sp.identity(3))
         with pytest.raises(ValueError, match="dimension"):
             f.solve(np.ones(4))
 
@@ -83,12 +84,12 @@ class TestFactorize:
 
 class TestSolveMulti:
     def test_identity_passthrough(self):
-        f = factorize(SparseSpd(sp.identity(4)))
+        f = factorize(sp.identity(4))
         rhs = np.arange(12.0).reshape(4, 3)
         assert np.array_equal(solve_multi(f, rhs), rhs)
 
     def test_diagonal_two(self):
-        f = factorize(SparseSpd(2.0 * sp.identity(1)))
+        f = factorize(2.0 * sp.identity(1))
         rhs = np.array([[2.0, 4.0, 6.0]])
         assert np.allclose(solve_multi(f, rhs), [[1.0, 2.0, 3.0]])
 
@@ -102,10 +103,10 @@ class TestSolveMulti:
             assert np.array_equal(solve_multi(f, rhs, thread_count=threads), serial)
 
     def test_single_column_vector(self):
-        f = factorize(SparseSpd(2.0 * sp.identity(3)))
+        f = factorize(2.0 * sp.identity(3))
         assert np.allclose(solve_multi(f, np.ones(3)), 0.5 * np.ones(3))
 
     def test_dimension_mismatch(self):
-        f = factorize(SparseSpd(sp.identity(3)))
+        f = factorize(sp.identity(3))
         with pytest.raises(ValueError, match="dimension"):
             solve_multi(f, np.ones((4, 2)), thread_count=2)

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -91,7 +92,7 @@ class TestComputeQ:
             Y[:, m] = fac.solve(rhs)
             prev = Y[:, m]
         q = compute_q(sys, Iterate(U=U, Y=Y, lam=np.zeros_like(U)), beta=0.7)
-        assert q.shape == (sys.ndof, 4)
+        assert q.shape == (sys.ndof, 3)
         assert np.allclose(q, 0.0, atol=1e-11)
 
     def test_zero_iterate_zero_data(self):
@@ -100,8 +101,8 @@ class TestComputeQ:
         E = np.ones((sys.ndof, 2))
         w = Iterate(U=np.zeros_like(E), Y=np.zeros_like(E), lam=0.7 * E)
         q = compute_q(sys, w, beta=0.7)
-        assert np.allclose(q[:, :2], -E, atol=1e-15)
-        assert np.array_equal(q[:, 2], np.zeros(sys.ndof))
+        assert q.shape == (sys.ndof, 2)
+        assert np.allclose(q, -E, atol=1e-15)
 
     @pytest.mark.parametrize("seed,n,M", CASES)
     def test_matches_dense_oracle(self, seed, n, M):
@@ -109,7 +110,7 @@ class TestComputeQ:
         w = random_iterate(seed + 10, sys)
         beta = 0.3 + 0.1 * seed
         q = compute_q(sys, w, beta)
-        assert np.allclose(flat(q[:, :M]), dense_q(sys, w, beta), atol=1e-12)
+        assert np.allclose(flat(q), dense_q(sys, w, beta), atol=1e-12)
 
 
 class TestPrediction:
@@ -396,16 +397,21 @@ class TestSolveBox:
 
 class TestConfigValidation:
     def test_parameter_checks(self):
-        with pytest.raises(ValueError, match="alpha"):
-            SolverConfig(alpha=0.0, beta=1.0)
-        with pytest.raises(ValueError, match="beta"):
-            SolverConfig(alpha=1.0, beta=-1.0)
+        for bad in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="alpha"):
+                SolverConfig(alpha=bad, beta=1.0)
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="beta"):
+                SolverConfig(alpha=1.0, beta=bad)
         with pytest.raises(ValueError, match="gamma"):
             SolverConfig(alpha=1.0, beta=1.0, gamma=2.5)
-        with pytest.raises(ValueError, match="epsilon"):
-            SolverConfig(alpha=1.0, beta=1.0, epsilon=-1e-3)
-        with pytest.raises(ValueError, match="bound"):
-            SolverConfig(alpha=1.0, beta=1.0, bounds=(1.0, 0.0))
+        for bad in (-1e-3, math.nan):
+            with pytest.raises(ValueError, match="epsilon"):
+                SolverConfig(alpha=1.0, beta=1.0, epsilon=bad)
+        for bounds in ((1.0, 0.0), (math.nan, 1.0), (0.0, math.nan)):
+            with pytest.raises(ValueError, match="bound"):
+                SolverConfig(alpha=1.0, beta=1.0, bounds=bounds)
+        SolverConfig(alpha=1.0, beta=1.0, bounds=(-math.inf, math.inf))
         with pytest.raises(ValueError, match="k_max"):
             SolverConfig(alpha=1.0, beta=1.0, k_max=0)
         with pytest.raises(ValueError, match="thread_count"):
