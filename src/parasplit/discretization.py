@@ -7,7 +7,7 @@ control are evaluated at the midpoint t_{m-1/2}.  Trajectories are stored as
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -33,8 +33,8 @@ class TimeGrid:
     def __post_init__(self):
         if self.M < 1:
             raise ValueError(f"need at least one time step, got M={self.M}")
-        if self.T <= 0:
-            raise ValueError(f"final time must be positive, got T={self.T}")
+        if not 0.0 < self.T < np.inf:
+            raise ValueError(f"final time must be positive and finite, got T={self.T}")
 
     @property
     def tau(self) -> float:
@@ -149,25 +149,28 @@ def _check_trajectory(sys: DiscreteSystem, arr: np.ndarray, name: str) -> np.nda
     return arr
 
 
-def constraint_products(sys: DiscreteSystem, Y: np.ndarray, U: np.ndarray):
-    """The three sparse products behind the constraint map:
-    A U, step_plus Y and step_minus Y[:, :-1]."""
-    return sys.mass @ U, sys.step_plus @ Y, sys.step_minus @ Y[:, :-1]
+def constraint_products(sys: DiscreteSystem, Y: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """The constraint map and its sparse products, stacked: shape (4, ndof, M).
 
-
-def constraint_map_from_products(
-    sys: DiscreteSystem, AU: np.ndarray, PY: np.ndarray, MY: np.ndarray
-) -> np.ndarray:
-    """The homogeneous constraint map assembled from its products: block m is
-    step_plus Y_m - tau A U_m - step_minus Y_{m-1} (no step_minus term for m = 1)."""
-    out = PY - sys.grid.tau * AU
-    out[:, 1:] -= MY
+    The slabs are A U, step_plus Y, step_minus Y and the homogeneous
+    constraint map Cz, whose block m is step_plus Y_m - tau A U_m
+    - step_minus Y_{m-1} (no step_minus term for m = 1); the last column of
+    step_minus Y enters no block.  All four are linear in (U, Y), so the
+    products of a combination of trajectories are the same combination of
+    their products.
+    """
+    out = np.empty((4,) + U.shape)
+    out[0] = sys.mass @ U
+    out[1] = sys.step_plus @ Y
+    out[2] = sys.step_minus @ Y
+    np.subtract(out[1], sys.grid.tau * out[0], out=out[3])
+    out[3, :, 1:] -= out[2, :, :-1]
     return out
 
 
 def constraint_linear_map(sys: DiscreteSystem, Y: np.ndarray, U: np.ndarray) -> np.ndarray:
     """The homogeneous constraint map: block column sums without the rhs."""
-    return constraint_map_from_products(sys, *constraint_products(sys, Y, U))
+    return constraint_products(sys, Y, U)[3]
 
 
 def constraint_residual(sys: DiscreteSystem, Y: np.ndarray, U: np.ndarray) -> np.ndarray:

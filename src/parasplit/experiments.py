@@ -3,18 +3,16 @@
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .discretization import DiscreteSystem, TimeGrid, build_system
 from .fem_assembly import FemSpace, l2_error, make_space
-from .kkt_oracle import DEFAULT_DIMENSION_CAP, KktSolution, solve_kkt
+from .kkt_oracle import solve_kkt
 from .mesh import DIRICHLET, NEUMANN, uniform_unit_square
 from .splitting_solver import (
     Iterate,
-    SolveReport,
     SolverConfig,
     h_norm_sq,
     iterate_diff,
@@ -275,7 +273,6 @@ def convergence_study(
     levels: list[int],
     config: SolverConfig | None = None,
     mode: str = "oracle",
-    dimension_cap: int = DEFAULT_DIMENSION_CAP,
 ) -> list[ConvergenceRow]:
     """Error table over nested refinement levels with observed orders.
 
@@ -291,7 +288,7 @@ def convergence_study(
     for n in levels:
         sys = build_level(problem, n)
         if mode == "oracle":
-            sol = solve_kkt(sys, config.alpha, dimension_cap=dimension_cap)
+            sol = solve_kkt(sys, config.alpha)
             Y, U = sol.Y_star, sol.U_star
         else:
             w, _ = solve(sys, config)
@@ -316,46 +313,29 @@ def convergence_study(
 @dataclass
 class IterationRecord:
     k: int
-    hnorm_to_star: float | None
+    hnorm_to_star: float
     hnorm_increment_sq: float
 
 
 def iteration_history(
-    problem: ManufacturedProblem,
-    config: SolverConfig | None,
-    n: int,
-    dimension_cap: int = DEFAULT_DIMENSION_CAP,
+    problem: ManufacturedProblem, config: SolverConfig | None, n: int
 ) -> list[IterationRecord]:
-    """Per-iteration distances to the exact solution and squared increments.
-
-    When the direct solve exceeds its dimension cap only the increment
-    column is populated.
-    """
+    """Per-iteration distances to the exact solution and squared increments."""
     config = _solver_config(problem, config)
     sys = build_level(problem, n)
-    try:
-        sol = solve_kkt(sys, config.alpha, dimension_cap=dimension_cap)
-        w_star = Iterate(U=sol.U_star, Y=sol.Y_star, lam=sol.lambda_star)
-    except ValueError:
-        w_star = None
+    sol = solve_kkt(sys, config.alpha)
+    w_star = Iterate.of(sol.U_star, sol.Y_star, sol.lambda_star)
 
     distances: list[float] = []
 
     def monitor(k, w):
-        if w_star is not None:
-            distances.append(math.sqrt(h_norm_sq(sys, iterate_diff(w, w_star), config.beta)))
+        distances.append(math.sqrt(h_norm_sq(sys, iterate_diff(w, w_star), config.beta)))
 
     _, report = solve(sys, config, monitor=monitor)
-    records = []
-    for i, inc in enumerate(report.increment_history):
-        records.append(
-            IterationRecord(
-                k=i + 1,
-                hnorm_to_star=None if w_star is None else distances[i],
-                hnorm_increment_sq=float(inc),
-            )
-        )
-    return records
+    return [
+        IterationRecord(k=k, hnorm_to_star=dist, hnorm_increment_sq=float(inc))
+        for k, (dist, inc) in enumerate(zip(distances, report.increment_history), start=1)
+    ]
 
 
 @dataclass
@@ -398,11 +378,7 @@ def benchmark(
         if reference is None:
             reference = w
             serial_seconds = report.seconds_total
-        elif not (
-            np.array_equal(w.U, reference.U)
-            and np.array_equal(w.Y, reference.Y)
-            and np.array_equal(w.lam, reference.lam)
-        ):
+        elif not np.array_equal(w.z, reference.z):
             raise RuntimeError(f"iterate with {threads} threads differs from the reference run")
         rows.append(
             BenchmarkRow(

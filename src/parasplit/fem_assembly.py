@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import DIRICHLET, TriMesh, _check_bc, node_classification
+from .mesh import TriMesh, _check_bc, node_classification, triangle_areas
 
 
 @dataclass(frozen=True)
@@ -43,10 +43,7 @@ def make_space(mesh: TriMesh, bc: str) -> FemSpace:
 
 def _element_geometry(mesh: TriMesh):
     xy = mesh.element_coords()
-    e1 = xy[:, 1] - xy[:, 0]
-    e2 = xy[:, 2] - xy[:, 0]
-    area = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-    return xy, area
+    return xy, triangle_areas(xy)
 
 
 def _p1_gradients(xy: np.ndarray, area: np.ndarray) -> np.ndarray:
@@ -131,13 +128,7 @@ def load_vector(space: FemSpace, g, scale: float = 1.0) -> np.ndarray:
 
 def interpolate_nodal(space: FemSpace, g) -> np.ndarray:
     """Nodal interpolant: g evaluated at the DOF nodes."""
-    pts = space.mesh.nodes[space.dof_nodes]
-    vals = np.asarray(g(pts[:, 0], pts[:, 1]), dtype=float)
-    vals = np.broadcast_to(vals, (pts.shape[0],)).copy()
-    if not np.all(np.isfinite(vals)):
-        bad = np.argmin(np.isfinite(vals))
-        raise ValueError(f"non-finite function value at point {pts[bad]}")
-    return vals
+    return _eval_checked(g, space.mesh.nodes[space.dof_nodes]).copy()
 
 
 def _nodal_values(space: FemSpace, coeffs: np.ndarray) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,10 +49,14 @@ class TriMesh:
         return self.nodes[self.elements]
 
     def signed_areas(self) -> np.ndarray:
-        xy = self.element_coords()
-        e1 = xy[:, 1] - xy[:, 0]
-        e2 = xy[:, 2] - xy[:, 0]
-        return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+        return triangle_areas(self.element_coords())
+
+
+def triangle_areas(xy: np.ndarray) -> np.ndarray:
+    """Signed areas of triangles from their vertex coordinates, shape (ne, 3, 2)."""
+    e1 = xy[:, 1] - xy[:, 0]
+    e2 = xy[:, 2] - xy[:, 0]
+    return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
 
 
 def uniform_unit_square(n: int) -> TriMesh:

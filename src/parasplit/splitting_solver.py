@@ -6,13 +6,15 @@ update the multiplier, then apply the constant-step correction
 w^{k+1} = w^k - nu (w^k - w~^k).  Monitoring uses the weighted norm under
 which the corrected iteration contracts.
 
-The constraint map is linear, so the loop carries the products it needs
-beside the iterate (``Products``: A U, step_plus Y, step_minus Y[:, :-1] and
-the constraint map Cz built from them) and corrects them with the same convex
-combination as the iterate.  An iteration then forms five sparse products:
-three for the predicted iterate's products and two for the state right-hand
-sides.  q, the multiplier update and the H-norm increment (nu times the
-difference of the two iterates' products) need none of their own.  The
+An iterate is one stacked array: the slabs U, Y, lam and, in the box
+variant, P and mu.  The constraint map is linear, so the loop carries the
+iterate's constraint products (A U, step_plus Y, step_minus Y and the
+constraint map Cz, stacked as ``constraint_products`` returns them) beside
+it.  Each iteration forms the difference d = w - w~ once, over the iterate
+and its products together: the H-norm increment nu^2 ||d||_H^2 reads d's
+products, and ``correct(w, d, nu)`` = w - nu d is the corrected iterate with
+its products.  An iteration then forms five sparse products: three for the
+predicted iterate's products and two for the state right-hand sides.  The
 control solves use the mass shift alpha I + beta tau A, the control normal
 matrix alpha tau A + beta tau^2 A A with its SPD factor tau A cancelled.
 """
@@ -21,14 +23,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .discretization import (  # noqa: F401  constraint_linear_map: bench/tracing.py patches it here
     DiscreteSystem,
     constraint_linear_map,
-    constraint_map_from_products,
     constraint_products,
     constraint_residual,
 )
@@ -38,60 +39,41 @@ import scipy.sparse as sp
 
 
 @dataclass
-class Products:
-    """Constraint products of a trajectory pair (U, Y).
+class Iterate:
+    """Full splitting iterate, stored as the slabs of one array ``z``.
 
-    ``AU = A U``, ``PY = step_plus Y``, ``MY = step_minus Y[:, :-1]`` and the
-    homogeneous constraint map ``Cz`` assembled from them; the constraint
-    residual is ``Cz - rhs``.  All four are linear in (U, Y), so the products
-    of a combination of iterates are the same combination of their products.
+    ``z`` has shape (3, ndof, M): the M control columns U, the M state
+    columns Y and the multiplier block lam.  Box-constrained runs add the
+    auxiliary state copies P and their multiplier mu, for shape
+    (5, ndof, M); elsewhere ``P`` and ``mu`` are None.  ``products`` holds
+    the constraint products of (U, Y) while the solver carries them, and is
+    None elsewhere (``copy`` leaves them out).
     """
 
-    AU: np.ndarray
-    PY: np.ndarray
-    MY: np.ndarray
-    Cz: np.ndarray
+    z: np.ndarray
+    products: np.ndarray | None = None
 
-    @staticmethod
-    def of(sys: DiscreteSystem, Y: np.ndarray, U: np.ndarray) -> "Products":
-        AU, PY, MY = constraint_products(sys, Y, U)
-        return Products(AU=AU, PY=PY, MY=MY, Cz=constraint_map_from_products(sys, AU, PY, MY))
-
-
-@dataclass
-class Iterate:
-    """Full splitting iterate: M control columns, M state columns, and the
-    multiplier block; box-constrained runs carry the auxiliary state copies
-    and their multiplier as well.  ``products`` holds the constraint products
-    of (U, Y) while the solver carries them, and is None elsewhere (``copy``
-    leaves them out)."""
-
-    U: np.ndarray
-    Y: np.ndarray
-    lam: np.ndarray
-    P: np.ndarray | None = None
-    mu: np.ndarray | None = None
-    products: Products | None = None
+    U = property(lambda self: self.z[0])
+    Y = property(lambda self: self.z[1])
+    lam = property(lambda self: self.z[2])
+    P = property(lambda self: self.z[3] if self.is_box else None)
+    mu = property(lambda self: self.z[4] if self.is_box else None)
 
     @property
     def is_box(self) -> bool:
-        return self.P is not None
+        return len(self.z) == 5
 
     def copy(self) -> "Iterate":
-        return Iterate(
-            U=self.U.copy(),
-            Y=self.Y.copy(),
-            lam=self.lam.copy(),
-            P=None if self.P is None else self.P.copy(),
-            mu=None if self.mu is None else self.mu.copy(),
-        )
+        return Iterate(self.z.copy())
+
+    @staticmethod
+    def of(U, Y, lam, P=None, mu=None) -> "Iterate":
+        """The iterate with the given blocks (P and mu for a box iterate)."""
+        return Iterate(np.stack((U, Y, lam) if P is None else (U, Y, lam, P, mu)))
 
     @staticmethod
     def zeros(ndof: int, M: int, box: bool = False) -> "Iterate":
-        z = lambda: np.zeros((ndof, M))
-        if box:
-            return Iterate(U=z(), Y=z(), lam=z(), P=z(), mu=z())
-        return Iterate(U=z(), Y=z(), lam=z())
+        return Iterate(np.zeros((5 if box else 3, ndof, M)))
 
 
 @dataclass(frozen=True)
@@ -155,14 +137,14 @@ def correction_factor(M: int, gamma: float, blocks_per_step: int = 2) -> float:
     return gamma * (1.0 - np.sqrt(L / (L + 1.0)))
 
 
-def _products(sys: DiscreteSystem, w: Iterate) -> Products:
+def _products(sys: DiscreteSystem, w: Iterate) -> np.ndarray:
     """The products w carries, or else formed from scratch."""
-    return w.products if w.products is not None else Products.of(sys, w.Y, w.U)
+    return w.products if w.products is not None else constraint_products(sys, w.Y, w.U)
 
 
 def compute_q(sys: DiscreteSystem, w: Iterate, beta: float) -> np.ndarray:
     """Shifted constraint residual Cz - rhs - lam / beta, one column per step."""
-    return _products(sys, w).Cz - sys.rhs - w.lam / beta
+    return _products(sys, w)[3] - sys.rhs - w.lam / beta
 
 
 @dataclass(frozen=True)
@@ -205,7 +187,7 @@ def predict_controls(
     follows from the subproblem optimality conditions; the constraint
     carries the control with a negative block.)
     """
-    rhs = config.beta * (sys.grid.tau * _products(sys, w).AU + q)
+    rhs = config.beta * (sys.grid.tau * _products(sys, w)[0] + q)
     return solve_multi(factors.control, rhs, config.thread_count)
 
 
@@ -218,9 +200,9 @@ def _state_rhs(sys: DiscreteSystem, w: Iterate, q: np.ndarray, config: SolverCon
     terminal_gram = step_plus^2, this is the normal-equation right-hand side;
     the inner products step_plus Y and step_minus Y come from w's products.
     """
-    p = _products(sys, w)
-    coupled = sys.step_plus @ (p.PY - q)
-    coupled[:, :-1] += sys.step_minus @ (p.MY + q[:, 1:])
+    _, PY, MY, _ = _products(sys, w)
+    coupled = sys.step_plus @ (PY - q)
+    coupled[:, :-1] += sys.step_minus @ (MY[:, :-1] + q[:, 1:])
     rhs = (sys.grid.tau * sys.kappa) * sys.desired_loads + config.beta * coupled
     if config.bounds is not None:
         rhs += config.beta * w.P + w.mu
@@ -245,10 +227,10 @@ def predict_states(
 
 
 def predict_multiplier(
-    sys: DiscreteSystem, w: Iterate, products_tilde: Products, beta: float
+    sys: DiscreteSystem, w: Iterate, products_tilde: np.ndarray, beta: float
 ) -> np.ndarray:
     """lam~ = lam - beta * (C z~ - rhs), from the predicted pair's products."""
-    return w.lam - beta * (products_tilde.Cz - sys.rhs)
+    return w.lam - beta * (products_tilde[3] - sys.rhs)
 
 
 def predict(
@@ -260,44 +242,42 @@ def predict(
     The predicted iterate is returned with its own products.
     """
     if w.products is None:
-        w = replace(w, products=Products.of(sys, w.Y, w.U))
+        w = Iterate(w.z, constraint_products(sys, w.Y, w.U))
     beta = config.beta
     q = compute_q(sys, w, beta)
-    U_t = predict_controls(sys, w, q, config, factors)
-    Y_t = predict_states(sys, w, q, config, factors)
-    products_t = Products.of(sys, Y_t, U_t)
-    lam_t = predict_multiplier(sys, w, products_t, beta)
-    w_t = Iterate(U=U_t, Y=Y_t, lam=lam_t, products=products_t)
-    if config.bounds is not None:
-        ya, yb = config.bounds
-        w_t.P = np.clip(w.Y - w.mu / beta, ya, yb)
-        w_t.mu = w.mu - beta * (Y_t - w_t.P)
-    return w_t
-
-
-def _combine(a: Iterate, b: Iterate, f) -> Iterate:
-    """f applied blockwise to two iterates, and to their products when both
-    carry them."""
-    out = Iterate(U=f(a.U, b.U), Y=f(a.Y, b.Y), lam=f(a.lam, b.lam))
-    if a.is_box and b.is_box:
-        out.P = f(a.P, b.P)
-        out.mu = f(a.mu, b.mu)
-    pa, pb = a.products, b.products
-    if pa is not None and pb is not None:
-        out.products = Products(
-            AU=f(pa.AU, pb.AU), PY=f(pa.PY, pb.PY), MY=f(pa.MY, pb.MY), Cz=f(pa.Cz, pb.Cz)
-        )
-    return out
-
-
-def correct(w: Iterate, w_tilde: Iterate, nu: float) -> Iterate:
-    """Constant-step correction applied componentwise to every block (and to
-    the carried products)."""
-    return _combine(w, w_tilde, lambda a, b: a - nu * (a - b))
+    box = config.bounds is not None
+    z_t = np.empty((5 if box else 3,) + w.U.shape)
+    z_t[0] = predict_controls(sys, w, q, config, factors)
+    z_t[1] = predict_states(sys, w, q, config, factors)
+    products_t = constraint_products(sys, z_t[1], z_t[0])
+    z_t[2] = predict_multiplier(sys, w, products_t, beta)
+    if box:
+        np.clip(w.Y - w.mu / beta, *config.bounds, out=z_t[3])
+        z_t[4] = w.mu - beta * (z_t[1] - z_t[3])
+    return Iterate(z_t, products_t)
 
 
 def iterate_diff(a: Iterate, b: Iterate) -> Iterate:
-    return _combine(a, b, lambda x, y: x - y)
+    """a - b, with the difference of the products when both carry them."""
+    if a.products is None or b.products is None:
+        return Iterate(a.z - b.z)
+    return Iterate(a.z - b.z, a.products - b.products)
+
+
+def correct(w: Iterate, d: Iterate, nu: float) -> Iterate:
+    """The corrected iterate w - nu d from the difference d = w - w~.
+
+    The result takes d's storage (d is used up); w is left unchanged.  It
+    carries products when both w and d do.  Since d is the very difference
+    w - w~, this is w - nu (w - w~) to the last bit.
+    """
+    d.z *= nu
+    np.subtract(w.z, d.z, out=d.z)
+    if w.products is None or d.products is None:
+        return Iterate(d.z)
+    d.products *= nu
+    np.subtract(w.products, d.products, out=d.products)
+    return d
 
 
 def h_norm_sq(sys: DiscreteSystem, v: Iterate, beta: float) -> float:
@@ -309,10 +289,10 @@ def h_norm_sq(sys: DiscreteSystem, v: Iterate, beta: float) -> float:
     the identity rows of the state-copy constraint.  The block products
     M_l v_l and their sum are v's products (formed when v carries none).
     """
-    p = _products(sys, v)
+    AU, PY, MY, Cz = _products(sys, v)
     sq = lambda x: np.vdot(x, x)
-    per_block = sys.grid.tau**2 * sq(p.AU) + sq(p.PY) + sq(p.MY)
-    total_sum = sq(p.Cz)
+    per_block = sys.grid.tau**2 * sq(AU) + sq(PY) + sq(MY[:, :-1])
+    total_sum = sq(Cz)
     mult = sq(v.lam)
     if v.is_box:
         per_block += sq(v.Y) + sq(v.P)
@@ -331,8 +311,8 @@ def _run(sys: DiscreteSystem, config: SolverConfig, monitor=None) -> tuple[Itera
 
     w = Iterate.zeros(sys.ndof, sys.grid.M, box=box)
     if box:
-        w.P = np.clip(w.P, config.bounds[0], config.bounds[1])
-    w.products = Products.of(sys, w.Y, w.U)
+        np.clip(w.P, *config.bounds, out=w.P)
+    w.products = constraint_products(sys, w.Y, w.U)
 
     increments: list[float] = []
     gaps: list[float] = [] if box else None
@@ -348,16 +328,17 @@ def _run(sys: DiscreteSystem, config: SolverConfig, monitor=None) -> tuple[Itera
         t1 = time.perf_counter()
         w_tilde = predict(sys, w, config, factors)
         t2 = time.perf_counter()
-        # w - w_next = nu (w - w~), and the H-norm is quadratic.
-        inc = nu * nu * h_norm_sq(sys, iterate_diff(w, w_tilde), config.beta)
-        w_next = correct(w, w_tilde, nu)
+        d = iterate_diff(w, w_tilde)
+        del w_tilde  # frees the prediction before the next one is formed
+        # w - w_next = nu d, and the H-norm is quadratic.
+        inc = nu * nu * h_norm_sq(sys, d, config.beta)
+        w = correct(w, d, nu)
         t3 = time.perf_counter()
         t_predict += t2 - t1
         t_correct += t3 - t2
         increments.append(inc)
         if box:
-            gaps.append(float(np.linalg.norm(w_next.Y - w_next.P)))
-        w = w_next
+            gaps.append(float(np.linalg.norm(w.Y - w.P)))
         if not math.isfinite(inc):
             stop_reason = "non_finite"
             break
@@ -366,7 +347,7 @@ def _run(sys: DiscreteSystem, config: SolverConfig, monitor=None) -> tuple[Itera
             break
 
     residual = constraint_residual(sys, w.Y, w.U)
-    drift = np.linalg.norm(w.products.Cz - sys.rhs - residual) / max(1.0, np.linalg.norm(sys.rhs))
+    drift = np.linalg.norm(w.products[3] - sys.rhs - residual) / max(1.0, np.linalg.norm(sys.rhs))
     w.products = None  # the caller may change w; carried products would go stale
     report = SolveReport(
         iterations=k,

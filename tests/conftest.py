@@ -71,16 +71,7 @@ def random_system(seed: int, n: int, M: int, bc: str = NEUMANN, T: float = 1.0) 
 
 def random_iterate(seed: int, sys: DiscreteSystem, box: bool = False) -> Iterate:
     rng = np.random.default_rng(seed)
-    shape = (sys.ndof, sys.grid.M)
-    w = Iterate(
-        U=rng.standard_normal(shape),
-        Y=rng.standard_normal(shape),
-        lam=rng.standard_normal(shape),
-    )
-    if box:
-        w.P = rng.standard_normal(shape)
-        w.mu = rng.standard_normal(shape)
-    return w
+    return Iterate(rng.standard_normal((5 if box else 3, sys.ndof, sys.grid.M)))
 
 
 def flat(X: np.ndarray) -> np.ndarray:
@@ -265,21 +256,20 @@ def prediction_row_residuals(sys: DiscreteSystem, w: Iterate, w_tilde: Iterate, 
 def reference_loop(sys: DiscreteSystem, config, K: int):
     """K splitting iterations built from the one-step pieces alone.
 
-    No constraint products are carried: every prediction and every H-norm
-    increment forms its products from the iterate itself.  Returns the final
-    iterate and the K squared increments ||w^k - w^{k+1}||_H^2.
+    No constraint products are carried (w never carries any, so neither do
+    the differences): every prediction and every H-norm increment forms its
+    products from the iterate itself.  Returns the final iterate and the K
+    squared increments ||w^k - w^{k+1}||_H^2.
     """
     box = config.bounds is not None
     nu = correction_factor(sys.grid.M, config.gamma, blocks_per_step=3 if box else 2)
     factors = PredictionFactors.build(sys, config)
     w = Iterate.zeros(sys.ndof, sys.grid.M, box=box)
     if box:
-        w.P = np.clip(w.P, *config.bounds)
+        np.clip(w.P, *config.bounds, out=w.P)
     increments = []
     for _ in range(K):
-        w_tilde = predict(sys, w, config, factors)
-        w_tilde.products = None
-        w_next = correct(w, w_tilde, nu)
+        w_next = correct(w, iterate_diff(w, predict(sys, w, config, factors)), nu)
         increments.append(h_norm_sq(sys, iterate_diff(w, w_next), config.beta))
         w = w_next
     return w, np.asarray(increments)

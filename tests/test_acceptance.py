@@ -50,7 +50,7 @@ def _verdict(num: int, ok: bool, detail: str) -> bool:
 
 def _star_iterate(sys) -> Iterate:
     sol = solve_kkt(sys, sys.alpha)
-    return Iterate(U=sol.U_star, Y=sol.Y_star, lam=sol.lambda_star)
+    return Iterate.of(sol.U_star, sol.Y_star, sol.lambda_star)
 
 
 def test_criterion_1_discretization_orders():
@@ -118,7 +118,7 @@ def test_criterion_4_oracle_agreement():
         d0 = math.sqrt(h_norm_sq(sys, iterate_diff(w, w_star), config.beta))
         reached = None
         for k in range(1, 100_001):
-            w = correct(w, predict(sys, w, config, factors), nu)
+            w = correct(w, iterate_diff(w, predict(sys, w, config, factors)), nu)
             if k % 100 == 0:
                 d = math.sqrt(h_norm_sq(sys, iterate_diff(w, w_star), config.beta))
                 if d <= 1e-6 * d0:
@@ -197,7 +197,7 @@ def test_criterion_7_box_variant():
     tight = dict(alpha=prob.alpha, beta=0.3, gamma=1.5, epsilon=1e-22, k_max=200000)
     w_unc, rep_u = solve(sys, SolverConfig(**tight))
     w_wide, rep_w = solve_box(sys, SolverConfig(**tight, bounds=(-1e6, 1e6)))
-    diff = Iterate(U=w_unc.U - w_wide.U, Y=w_unc.Y - w_wide.Y, lam=w_unc.lam - w_wide.lam)
+    diff = Iterate(w_unc.z - w_wide.z[:3])
     h_dist = math.sqrt(h_norm_sq(sys, diff, 0.3))
     part_b = rep_u.converged and rep_w.converged and h_dist <= 1e-6
 

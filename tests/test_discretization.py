@@ -30,8 +30,9 @@ class TestTimeGrid:
     def test_validation(self):
         with pytest.raises(ValueError, match="time step"):
             TimeGrid(T=1.0, M=0)
-        with pytest.raises(ValueError, match="positive"):
-            TimeGrid(T=0.0, M=3)
+        for T in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="positive and finite"):
+                TimeGrid(T=T, M=3)
 
 
 class TestBuildSystem:

@@ -188,13 +188,6 @@ class TestIterationHistory:
         assert np.all(dists[1:] <= dists[:-1] * (1.0 + 1e-12))
         assert all(r.hnorm_increment_sq >= 0.0 for r in records)
 
-    def test_distance_blank_when_oracle_capped(self):
-        prob = get_example("5.1")
-        config = SolverConfig(alpha=prob.alpha, beta=1.0, epsilon=0.0, k_max=3)
-        records = iteration_history(prob, config, 2, dimension_cap=10)
-        assert all(r.hnorm_to_star is None for r in records)
-        assert len(records) == 3
-
 
 class TestBenchmark:
     def test_reference_row_and_speedups(self):

@@ -8,6 +8,7 @@ from conftest import dense_kkt_solution, random_system, toy_problem
 from parasplit.discretization import TimeGrid, build_system, objective_vec
 from parasplit.experiments import build_level, get_example
 from parasplit.fem_assembly import make_space
+from parasplit import kkt_oracle
 from parasplit.kkt_oracle import solve_kkt
 from parasplit.mesh import DIRICHLET, NEUMANN, uniform_unit_square
 from parasplit.sparse_linalg import factorize
@@ -98,7 +99,16 @@ class TestSolveKkt:
         with pytest.raises(ValueError, match="alpha"):
             solve_kkt(sys, 2.0 * sys.alpha)
 
-    def test_dimension_cap(self):
+    def test_dimension_cap(self, monkeypatch):
         sys = random_system(6, n=2, M=2)
+        monkeypatch.setattr(kkt_oracle, "MAX_NDOF", sys.ndof - 1)
         with pytest.raises(ValueError, match="cap"):
-            solve_kkt(sys, sys.alpha, dimension_cap=10)
+            solve_kkt(sys, sys.alpha)
+        monkeypatch.setattr(kkt_oracle, "MAX_NDOF", sys.ndof)
+        solve_kkt(sys, sys.alpha)
+
+    def test_cap_admits_n64_rejects_n128(self):
+        for n, admitted in ((64, True), (128, False)):
+            for bc in (NEUMANN, DIRICHLET):
+                ndof = make_space(uniform_unit_square(n), bc).ndof
+                assert (ndof <= kkt_oracle.MAX_NDOF) == admitted

@@ -17,15 +17,14 @@ from conftest import (
     random_system,
     reference_loop,
 )
-from parasplit.discretization import constraint_residual
+from parasplit.discretization import constraint_products, constraint_residual
 from parasplit.experiments import build_level, get_example
 from parasplit.kkt_oracle import solve_kkt
 from parasplit.mesh import DIRICHLET, NEUMANN
-from parasplit.sparse_linalg import factorize, solve_multi
+from parasplit.sparse_linalg import factorize
 from parasplit.splitting_solver import (
     Iterate,
     PredictionFactors,
-    Products,
     SolverConfig,
     compute_q,
     correct,
@@ -91,7 +90,7 @@ class TestComputeQ:
                 rhs += sys.step_minus @ prev
             Y[:, m] = fac.solve(rhs)
             prev = Y[:, m]
-        q = compute_q(sys, Iterate(U=U, Y=Y, lam=np.zeros_like(U)), beta=0.7)
+        q = compute_q(sys, Iterate.of(U, Y, np.zeros_like(U)), beta=0.7)
         assert q.shape == (sys.ndof, 3)
         assert np.allclose(q, 0.0, atol=1e-11)
 
@@ -99,7 +98,7 @@ class TestComputeQ:
         sys = random_system(2, n=2, M=2)
         sys = type(sys)(**{**sys.__dict__, "rhs": np.zeros_like(sys.rhs)})
         E = np.ones((sys.ndof, 2))
-        w = Iterate(U=np.zeros_like(E), Y=np.zeros_like(E), lam=0.7 * E)
+        w = Iterate.of(np.zeros_like(E), np.zeros_like(E), 0.7 * E)
         q = compute_q(sys, w, beta=0.7)
         assert q.shape == (sys.ndof, 2)
         assert np.allclose(q, -E, atol=1e-15)
@@ -176,32 +175,80 @@ class TestPrediction:
         Y_t = rng.standard_normal((sys.ndof, 2))
         beta = 0.4
         expected = w.lam - beta * constraint_residual(sys, Y_t, U_t)
-        products_t = Products.of(sys, Y_t, U_t)
+        products_t = constraint_products(sys, Y_t, U_t)
         assert np.allclose(predict_multiplier(sys, w, products_t, beta), expected, atol=1e-13)
 
 
 class TestCorrect:
-    def _pair(self):
+    BLOCKS = ("U", "Y", "lam")
+    BOX_BLOCKS = ("U", "Y", "lam", "P", "mu")
+
+    def _pair(self, box=False):
         sys = random_system(0, n=2, M=2)
-        return random_iterate(1, sys), random_iterate(2, sys)
+        return sys, random_iterate(1, sys, box), random_iterate(2, sys, box)
 
     def test_nu_zero_keeps_w(self):
-        w, w_t = self._pair()
-        out = correct(w, w_t, 0.0)
+        _, w, w_t = self._pair()
+        out = correct(w, iterate_diff(w, w_t), 0.0)
         assert np.array_equal(out.U, w.U) and np.array_equal(out.Y, w.Y)
         assert np.array_equal(out.lam, w.lam)
 
     def test_nu_one_gives_prediction(self):
-        w, w_t = self._pair()
-        out = correct(w, w_t, 1.0)
+        _, w, w_t = self._pair()
+        out = correct(w, iterate_diff(w, w_t), 1.0)
         assert np.allclose(out.U, w_t.U) and np.allclose(out.lam, w_t.lam)
 
     def test_half_step_interpolates(self):
-        _, w_t = self._pair()
-        w = Iterate(U=2.0 * w_t.U, Y=2.0 * w_t.Y, lam=2.0 * w_t.lam)
-        out = correct(w, w_t, 0.5)
+        _, _, w_t = self._pair()
+        w = Iterate.of(2.0 * w_t.U, 2.0 * w_t.Y, 2.0 * w_t.lam)
+        out = correct(w, iterate_diff(w, w_t), 0.5)
         assert np.allclose(out.U, 1.5 * w_t.U, atol=1e-15)
         assert np.allclose(out.Y, 1.5 * w_t.Y, atol=1e-15)
+
+    def test_blocks_are_slabs(self):
+        sys, w, _ = self._pair()
+        assert w.z.shape == (3, sys.ndof, 2) and not w.is_box
+        assert w.P is None and w.mu is None
+        _, b, _ = self._pair(box=True)
+        assert b.z.shape == (5, sys.ndof, 2) and b.is_box
+        for i, name in enumerate(self.BOX_BLOCKS):
+            assert np.shares_memory(getattr(b, name), b.z[i])
+        assert np.array_equal(Iterate.of(b.U, b.Y, b.lam, b.P, b.mu).z, b.z)
+        assert np.array_equal(Iterate.of(w.U, w.Y, w.lam).z, w.z)
+
+    @pytest.mark.parametrize("box", [False, True])
+    def test_every_block_and_product(self, box):
+        sys, w, w_t = self._pair(box)
+        w.products = constraint_products(sys, w.Y, w.U)
+        w_t.products = constraint_products(sys, w_t.Y, w_t.U)
+        z0, p0 = w.z.copy(), w.products.copy()
+        names = self.BOX_BLOCKS if box else self.BLOCKS
+        nu = 0.3
+        d = iterate_diff(w, w_t)
+        for name in names:
+            a, b = getattr(w, name), getattr(w_t, name)
+            assert np.array_equal(getattr(d, name), a - b)
+        for slab, (a, b) in enumerate(zip(w.products, w_t.products)):
+            assert np.array_equal(d.products[slab], a - b)
+        out = correct(w, d, nu)
+        for name in names:
+            a, b = getattr(w, name), getattr(w_t, name)
+            assert np.array_equal(getattr(out, name), a - nu * (a - b))
+        for slab, (a, b) in enumerate(zip(w.products, w_t.products)):
+            assert np.array_equal(out.products[slab], a - nu * (a - b))
+        # The corrected products are the products of the corrected iterate.
+        np.testing.assert_allclose(
+            out.products, constraint_products(sys, out.Y, out.U), rtol=0, atol=1e-12
+        )
+        assert np.array_equal(w.z, z0) and np.array_equal(w.products, p0)
+
+    def test_products_only_when_both_carry_them(self):
+        sys, w, w_t = self._pair()
+        w_t.products = constraint_products(sys, w_t.Y, w_t.U)
+        assert iterate_diff(w, w_t).products is None
+        assert iterate_diff(w_t, w).products is None
+        w.products = constraint_products(sys, w.Y, w.U)
+        assert correct(w, iterate_diff(w, Iterate(w_t.z)), 0.5).products is None
 
 
 class TestHNorm:
@@ -212,7 +259,7 @@ class TestHNorm:
     def test_multiplier_only(self):
         sys = random_system(1, n=2, M=2)
         lam = np.random.default_rng(0).standard_normal((sys.ndof, 2))
-        v = Iterate(U=np.zeros_like(lam), Y=np.zeros_like(lam), lam=lam)
+        v = Iterate.of(np.zeros_like(lam), np.zeros_like(lam), lam)
         assert h_norm_sq(sys, v, 0.5) == pytest.approx((lam**2).sum() / 0.5, rel=1e-13)
 
     @pytest.mark.parametrize("seed,n,M", CASES)
@@ -265,7 +312,7 @@ class TestSolve:
         sys = random_system(1, n=2, M=3)
         config = _config(sys, beta=0.8)
         star = solve_kkt(sys, sys.alpha)
-        w_star = Iterate(U=star.U_star, Y=star.Y_star, lam=star.lambda_star)
+        w_star = Iterate.of(star.U_star, star.Y_star, star.lambda_star)
         w_t = predict(sys, w_star, config, PredictionFactors.build(sys, config))
         scale = max(np.abs(star.U_star).max(), np.abs(star.Y_star).max(), np.abs(star.lambda_star).max())
         assert np.allclose(w_t.U, w_star.U, atol=1e-9 * scale)
@@ -276,7 +323,7 @@ class TestSolve:
         sys = random_system(2, n=2, M=2)
         config = _config(sys, beta=1.0, epsilon=0.0, k_max=40)
         star = solve_kkt(sys, sys.alpha)
-        w_star = Iterate(U=star.U_star, Y=star.Y_star, lam=star.lambda_star)
+        w_star = Iterate.of(star.U_star, star.Y_star, star.lambda_star)
         dists = []
         solve(sys, config, monitor=lambda k, w: dists.append(
             h_norm_sq(sys, iterate_diff(w, w_star), config.beta)
