@@ -7,6 +7,7 @@ control are evaluated at the midpoint t_{m-1/2}.  Trajectories are stored as
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,10 @@ class TimeGrid:
     M: int
 
     def __post_init__(self):
+        try:
+            operator.index(self.M)
+        except TypeError:
+            raise ValueError(f"step count must be an integer, got M={self.M!r}") from None
         if self.M < 1:
             raise ValueError(f"need at least one time step, got M={self.M}")
         if not 0.0 < self.T < np.inf:

@@ -1,8 +1,6 @@
-"""One symmetry check, SPD factorization and multi-RHS solves on sparse matrices."""
+"""One symmetry check, SPD factorization and batched multi-RHS solves on sparse matrices."""
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import scipy.sparse as sp
@@ -83,38 +81,34 @@ def factorize(m: sp.spmatrix) -> CholFactor:
 _CHUNK_COLS = 8
 
 
-def solve_multi(f: CholFactor, rhs: np.ndarray, thread_count: int = 1) -> np.ndarray:
-    """Solve one system per column of ``rhs``.
+def _solve_into(f: CholFactor, rhs: np.ndarray, out: np.ndarray) -> None:
+    out[...] = f.solve(rhs)
 
-    Columns are split into fixed-width chunks determined by the column count
-    alone; ``thread_count`` only sets how many chunks run concurrently.  The
-    backend's multi-RHS triangular solve is batch-width sensitive at the last
-    bit, so identical chunking is what makes results independent of the
-    thread count.
+
+def solve_multi(jobs, pool=None) -> None:
+    """Solve a batch of ``(factor, rhs, out)`` jobs, writing each solution into ``out``.
+
+    A 2-D ``rhs`` holds one system per column.  Each job's columns are split
+    into fixed-width chunks determined by its column count alone, and every
+    chunk is one task on ``pool``; None runs the tasks inline.  Waits for
+    every task.  The splitting solver opens one pool per solve, with
+    ``thread_count`` workers capped at the CPUs the process may run on.  The
+    backend's multi-RHS triangular solve is batch-width sensitive at the
+    last bit, so identical chunking is what makes results, and so the
+    solver's iterates, bit-identical for every thread count.
     """
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.ndim == 1:
-        return f.solve(rhs)
-    if rhs.shape[0] != f.dimension:
-        raise ValueError(f"rhs has {rhs.shape[0]} rows, factor dimension is {f.dimension}")
-    ncols = rhs.shape[1]
-    if ncols <= _CHUNK_COLS:
-        return f.solve(rhs)
-
-    out = np.empty_like(rhs)
-    bounds = list(range(0, ncols, _CHUNK_COLS)) + [ncols]
-    chunks = list(zip(bounds[:-1], bounds[1:]))
-
-    def run(lo, hi):
-        out[:, lo:hi] = f.solve(rhs[:, lo:hi])
-
-    if thread_count <= 1:
-        for lo, hi in chunks:
-            run(lo, hi)
-        return out
-    with ThreadPoolExecutor(max_workers=min(thread_count, len(chunks))) as pool:
-        futures = [pool.submit(run, lo, hi) for lo, hi in chunks]
-        for fut in futures:
-            fut.result()
-    return out
-
+    tasks = []
+    for f, rhs, out in jobs:
+        if rhs.shape[0] != f.dimension:
+            raise ValueError(f"rhs has {rhs.shape[0]} rows, factor dimension is {f.dimension}")
+        if rhs.ndim == 1:
+            tasks.append((f, rhs, out))
+        else:
+            chunks = [slice(lo, lo + _CHUNK_COLS) for lo in range(0, rhs.shape[1], _CHUNK_COLS)]
+            tasks += [(f, rhs[:, c], out[:, c]) for c in chunks]
+    if pool is None:
+        for task in tasks:
+            _solve_into(*task)
+        return
+    for future in [pool.submit(_solve_into, *task) for task in tasks]:
+        future.result()

@@ -17,12 +17,21 @@ its products.  An iteration then forms five sparse products: three for the
 predicted iterate's products and two for the state right-hand sides.  The
 control solves use the mass shift alpha I + beta tau A, the control normal
 matrix alpha tau A + beta tau^2 A A with its SPD factor tau A cancelled.
+
+``thread_count`` sets the workers of one thread pool opened per solve,
+capped at the CPUs the process may run on; a single thread runs every solve
+inline.  Each iteration hands its control, interior-state and terminal solves
+to the pool as one batch, split into column chunks fixed by M alone, so the
+iterates are bit-identical for every thread count.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,8 +186,9 @@ def predict_controls(
     q: np.ndarray,
     config: SolverConfig,
     factors: PredictionFactors,
-) -> np.ndarray:
-    """Closed-form control subproblem solves, all M columns at once.
+    out: np.ndarray,
+) -> list:
+    """The control subproblem solves, all M columns as one ``solve_multi`` job into ``out``.
 
     The first-order conditions of the odd-index subproblems read
     (alpha*tau*A + beta*tau^2*A*A) U~ = beta*(tau^2*A*A U + tau*A q).  Both
@@ -188,7 +198,7 @@ def predict_controls(
     carries the control with a negative block.)
     """
     rhs = config.beta * (sys.grid.tau * _products(sys, w)[0] + q)
-    return solve_multi(factors.control, rhs, config.thread_count)
+    return [(factors.control, rhs, out)]
 
 
 def _state_rhs(sys: DiscreteSystem, w: Iterate, q: np.ndarray, config: SolverConfig):
@@ -215,15 +225,13 @@ def predict_states(
     q: np.ndarray,
     config: SolverConfig,
     factors: PredictionFactors,
-) -> np.ndarray:
-    """Closed-form state subproblem solves: one multi-RHS batch for the
-    interior steps and a separate solve for the terminal step."""
+    out: np.ndarray,
+) -> list:
+    """The state subproblem solves as ``solve_multi`` jobs into ``out``: one
+    multi-RHS job for the interior steps and one for the terminal step."""
     rhs = _state_rhs(sys, w, q, config)
-    out = np.empty_like(rhs)
-    if sys.grid.M > 1:
-        out[:, :-1] = solve_multi(factors.state, rhs[:, :-1], config.thread_count)
-    out[:, -1] = factors.terminal.solve(rhs[:, -1])
-    return out
+    jobs = [(factors.state, rhs[:, :-1], out[:, :-1])] if sys.grid.M > 1 else []
+    return jobs + [(factors.terminal, rhs[:, -1], out[:, -1])]
 
 
 def predict_multiplier(
@@ -234,12 +242,18 @@ def predict_multiplier(
 
 
 def predict(
-    sys: DiscreteSystem, w: Iterate, config: SolverConfig, factors: PredictionFactors
+    sys: DiscreteSystem,
+    w: Iterate,
+    config: SolverConfig,
+    factors: PredictionFactors,
+    pool=None,
 ) -> Iterate:
     """One full prediction sweep; all subproblems read the same w and q.
 
-    Uses the products w carries, forming them first when it carries none.
-    The predicted iterate is returned with its own products.
+    The control and state solves run as one ``solve_multi`` batch on
+    ``pool`` (None: inline).  Uses the products w carries, forming them
+    first when it carries none.  The predicted iterate is returned with its
+    own products.
     """
     if w.products is None:
         w = Iterate(w.z, constraint_products(sys, w.Y, w.U))
@@ -247,8 +261,9 @@ def predict(
     q = compute_q(sys, w, beta)
     box = config.bounds is not None
     z_t = np.empty((5 if box else 3,) + w.U.shape)
-    z_t[0] = predict_controls(sys, w, q, config, factors)
-    z_t[1] = predict_states(sys, w, q, config, factors)
+    jobs = predict_controls(sys, w, q, config, factors, z_t[0])
+    jobs += predict_states(sys, w, q, config, factors, z_t[1])
+    solve_multi(jobs, pool)
     products_t = constraint_products(sys, z_t[1], z_t[0])
     z_t[2] = predict_multiplier(sys, w, products_t, beta)
     if box:
@@ -257,11 +272,16 @@ def predict(
     return Iterate(z_t, products_t)
 
 
-def iterate_diff(a: Iterate, b: Iterate) -> Iterate:
-    """a - b, with the difference of the products when both carry them."""
+def iterate_diff(a: Iterate, b: Iterate, out: Iterate | None = None) -> Iterate:
+    """a - b, with the difference of the products when both carry them.
+
+    With ``out`` (which may be a or b itself) the difference is written into
+    out's arrays; without it, a and b are left unchanged.
+    """
+    z = np.subtract(a.z, b.z, out=None if out is None else out.z)
     if a.products is None or b.products is None:
-        return Iterate(a.z - b.z)
-    return Iterate(a.z - b.z, a.products - b.products)
+        return Iterate(z)
+    return Iterate(z, np.subtract(a.products, b.products, out=None if out is None else out.products))
 
 
 def correct(w: Iterate, d: Iterate, nu: float) -> Iterate:
@@ -301,6 +321,15 @@ def h_norm_sq(sys: DiscreteSystem, v: Iterate, beta: float) -> float:
     return float(beta * (per_block + total_sum) + mult / beta)
 
 
+def _worker_pool(thread_count: int):
+    """One executor for a whole solve, with at most one worker per usable
+    CPU; a null context (inline solves) for a single thread."""
+    if thread_count == 1:
+        return nullcontext()
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return ThreadPoolExecutor(min(thread_count, cpus))
+
+
 def _run(sys: DiscreteSystem, config: SolverConfig, monitor=None) -> tuple[Iterate, SolveReport]:
     if config.alpha != sys.alpha:
         raise ValueError(f"config alpha {config.alpha} does not match the system's alpha {sys.alpha}")
@@ -321,30 +350,30 @@ def _run(sys: DiscreteSystem, config: SolverConfig, monitor=None) -> tuple[Itera
     t_correct = 0.0
     t0 = time.perf_counter()
     k = 0
-    while k < config.k_max:
-        k += 1
-        if monitor is not None:
-            monitor(k, w)
-        t1 = time.perf_counter()
-        w_tilde = predict(sys, w, config, factors)
-        t2 = time.perf_counter()
-        d = iterate_diff(w, w_tilde)
-        del w_tilde  # frees the prediction before the next one is formed
-        # w - w_next = nu d, and the H-norm is quadratic.
-        inc = nu * nu * h_norm_sq(sys, d, config.beta)
-        w = correct(w, d, nu)
-        t3 = time.perf_counter()
-        t_predict += t2 - t1
-        t_correct += t3 - t2
-        increments.append(inc)
-        if box:
-            gaps.append(float(np.linalg.norm(w.Y - w.P)))
-        if not math.isfinite(inc):
-            stop_reason = "non_finite"
-            break
-        if inc <= config.epsilon:
-            stop_reason = "converged"
-            break
+    with _worker_pool(config.thread_count) as pool:
+        while k < config.k_max:
+            k += 1
+            if monitor is not None:
+                monitor(k, w)
+            t1 = time.perf_counter()
+            w_tilde = predict(sys, w, config, factors, pool)
+            t2 = time.perf_counter()
+            d = iterate_diff(w, w_tilde, out=w_tilde)  # the prediction is not read again
+            # w - w_next = nu d, and the H-norm is quadratic.
+            inc = nu * nu * h_norm_sq(sys, d, config.beta)
+            w = correct(w, d, nu)
+            t3 = time.perf_counter()
+            t_predict += t2 - t1
+            t_correct += t3 - t2
+            increments.append(inc)
+            if box:
+                gaps.append(float(np.linalg.norm(w.Y - w.P)))
+            if not math.isfinite(inc):
+                stop_reason = "non_finite"
+                break
+            if inc <= config.epsilon:
+                stop_reason = "converged"
+                break
 
     residual = constraint_residual(sys, w.Y, w.U)
     drift = np.linalg.norm(w.products[3] - sys.rhs - residual) / max(1.0, np.linalg.norm(sys.rhs))

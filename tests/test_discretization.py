@@ -33,6 +33,9 @@ class TestTimeGrid:
         for T in (0.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="positive and finite"):
                 TimeGrid(T=T, M=3)
+        with pytest.raises(ValueError, match="integer"):
+            TimeGrid(T=1.0, M=2.5)
+        assert TimeGrid(T=1.0, M=np.int64(4)).times.shape == (5,)
 
 
 class TestBuildSystem:

@@ -1,3 +1,5 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -82,16 +84,23 @@ class TestFactorize:
         assert np.linalg.norm(m @ x - b) <= 1e-10 * max(1.0, np.linalg.norm(b))
 
 
+def _solved(jobs, pool=None):
+    """solve_multi over (factor, rhs) pairs; returns the filled outputs."""
+    outs = [np.full_like(rhs, np.nan) for _, rhs in jobs]
+    solve_multi([(f, rhs, out) for (f, rhs), out in zip(jobs, outs)], pool)
+    return outs
+
+
 class TestSolveMulti:
     def test_identity_passthrough(self):
         f = factorize(sp.identity(4))
         rhs = np.arange(12.0).reshape(4, 3)
-        assert np.array_equal(solve_multi(f, rhs), rhs)
+        assert np.array_equal(_solved([(f, rhs)])[0], rhs)
 
     def test_diagonal_two(self):
         f = factorize(2.0 * sp.identity(1))
         rhs = np.array([[2.0, 4.0, 6.0]])
-        assert np.allclose(solve_multi(f, rhs), [[1.0, 2.0, 3.0]])
+        assert np.allclose(_solved([(f, rhs)])[0], [[1.0, 2.0, 3.0]])
 
     def test_matches_serial_exactly(self):
         rng = np.random.default_rng(7)
@@ -99,14 +108,30 @@ class TestSolveMulti:
         f = factorize(m)
         rhs = rng.standard_normal((10, 5))
         serial = np.column_stack([f.solve(rhs[:, j]) for j in range(5)])
-        for threads in (1, 2, 4, 8):
-            assert np.array_equal(solve_multi(f, rhs, thread_count=threads), serial)
+        assert np.array_equal(_solved([(f, rhs)])[0], serial)
+        for workers in (2, 4):
+            with ThreadPoolExecutor(workers) as pool:
+                assert np.array_equal(_solved([(f, rhs)], pool)[0], serial)
 
     def test_single_column_vector(self):
         f = factorize(2.0 * sp.identity(3))
-        assert np.allclose(solve_multi(f, np.ones(3)), 0.5 * np.ones(3))
+        assert np.allclose(_solved([(f, np.ones(3))])[0], 0.5 * np.ones(3))
 
     def test_dimension_mismatch(self):
         f = factorize(sp.identity(3))
-        with pytest.raises(ValueError, match="dimension"):
-            solve_multi(f, np.ones((4, 2)), thread_count=2)
+        with ThreadPoolExecutor(2) as pool:
+            with pytest.raises(ValueError, match="dimension"):
+                _solved([(f, np.ones((4, 2)))], pool)
+
+    def test_mixed_batch_matches_column_solves(self):
+        rng = np.random.default_rng(8)
+        factors = [factorize(_random_spd(rng, 10)) for _ in range(3)]
+        rhs = [rng.standard_normal(10), rng.standard_normal((10, 5)), rng.standard_normal((10, 19))]
+        jobs = list(zip(factors, rhs))
+        expected = [factors[0].solve(rhs[0])] + [
+            np.column_stack([f.solve(b[:, j]) for j in range(b.shape[1])]) for f, b in jobs[1:]
+        ]
+        with ThreadPoolExecutor(2) as pool:
+            for run in (_solved(jobs), _solved(jobs, pool)):
+                for got, want in zip(run, expected):
+                    assert np.array_equal(got, want)

@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -32,9 +35,7 @@ from parasplit.splitting_solver import (
     h_norm_sq,
     iterate_diff,
     predict,
-    predict_controls,
     predict_multiplier,
-    predict_states,
     solve,
     solve_box,
 )
@@ -144,7 +145,7 @@ class TestPrediction:
         w = random_iterate(6, sys)
         config = _config(sys, beta=0.8)
         q = compute_q(sys, w, config.beta)
-        U_t = predict_controls(sys, w, q, config, PredictionFactors.build(sys, config))
+        U_t = predict(sys, w, config, PredictionFactors.build(sys, config)).U
         A = sys.mass.toarray()
         tau = sys.grid.tau
         lhs = config.alpha * tau * (A @ U_t) + config.beta * tau * tau * (A @ (A @ U_t))
@@ -156,7 +157,7 @@ class TestPrediction:
         w = random_iterate(8, sys)
         config = _config(sys, beta=1.3)
         q = compute_q(sys, w, config.beta)
-        Y_t = predict_states(sys, w, q, config, PredictionFactors.build(sys, config))
+        Y_t = predict(sys, w, config, PredictionFactors.build(sys, config)).Y
         tau = sys.grid.tau
         A = sys.mass.toarray()
         cp = sys.step_plus.toarray()
@@ -240,6 +241,20 @@ class TestCorrect:
         np.testing.assert_allclose(
             out.products, constraint_products(sys, out.Y, out.U), rtol=0, atol=1e-12
         )
+        assert np.array_equal(w.z, z0) and np.array_equal(w.products, p0)
+
+    @pytest.mark.parametrize("box", [False, True])
+    def test_diff_into_second_argument(self, box):
+        sys, w, w_t = self._pair(box)
+        w.products = constraint_products(sys, w.Y, w.U)
+        w_t.products = constraint_products(sys, w_t.Y, w_t.U)
+        z0, p0, zt0, pt0 = w.z.copy(), w.products.copy(), w_t.z.copy(), w_t.products.copy()
+        fresh = iterate_diff(w, w_t)
+        for a, b in ((w.z, z0), (w.products, p0), (w_t.z, zt0), (w_t.products, pt0)):
+            assert np.array_equal(a, b)
+        d = iterate_diff(w, w_t, out=w_t)
+        assert d.z is w_t.z and d.products is w_t.products
+        assert np.array_equal(d.z, fresh.z) and np.array_equal(d.products, fresh.products)
         assert np.array_equal(w.z, z0) and np.array_equal(w.products, p0)
 
     def test_products_only_when_both_carry_them(self):
@@ -342,6 +357,57 @@ class TestSolve:
         assert np.array_equal(results[0].U, results[1].U)
         assert np.array_equal(results[0].Y, results[1].Y)
         assert np.array_equal(results[0].lam, results[1].lam)
+
+    @pytest.mark.parametrize("box", [False, True])
+    def test_thread_count_bitwise_across_chunks(self, box):
+        # M = 21: 21 control and 20 interior-state columns, neither a multiple
+        # of the 8-column chunk.  On this system the multi-RHS solves of both
+        # runs depend on the batch width in the last bits (on coarse meshes
+        # they do not), so chunking that followed the thread count would show.
+        sys = random_system(11, n=28, M=21)
+        entry = solve_box if box else solve
+        bounds = (-0.5, 0.5) if box else None
+        runs = []
+        for threads in (1, 2, 8):
+            config = _config(sys, beta=0.5, epsilon=0.0, k_max=15, thread_count=threads, bounds=bounds)
+            runs.append(entry(sys, config))
+        for w, report in runs[1:]:
+            assert np.array_equal(w.z, runs[0][0].z)
+            assert np.array_equal(report.increment_history, runs[0][1].increment_history)
+
+    def test_one_pool_per_threaded_solve(self, monkeypatch):
+        workers = []
+        init = ThreadPoolExecutor.__init__
+
+        def counting_init(self, max_workers=None, *args, **kwargs):
+            workers.append(max_workers)
+            init(self, max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(ThreadPoolExecutor, "__init__", counting_init)
+        sys = random_system(12, n=2, M=19)
+        solve(sys, _config(sys, epsilon=0.0, k_max=4))
+        assert workers == []
+        solve(sys, _config(sys, epsilon=0.0, k_max=4, thread_count=8))
+        assert workers == [min(8, len(os.sched_getaffinity(0)))]
+
+    def test_pool_threads_end_with_the_solve(self):
+        sys = random_system(13, n=2, M=19)
+        config = _config(sys, epsilon=0.0, k_max=5, bounds=(-0.5, 0.5), thread_count=2)
+        before = threading.active_count()
+        solve_box(sys, config)
+        assert threading.active_count() == before
+
+        during = []
+
+        def monitor(k, w):
+            during.append(threading.active_count())
+            if k == 3:
+                raise RuntimeError("stop at k=3")
+
+        with pytest.raises(RuntimeError, match="k=3"):
+            solve_box(sys, config, monitor=monitor)
+        assert max(during) > before  # the pool's workers were alive mid-solve
+        assert threading.active_count() == before
 
     def test_bounds_routed_to_box_solver(self):
         sys = random_system(4, n=2, M=2)
