@@ -125,7 +125,8 @@ def cmd_box(args) -> None:
         f"iterations={report.iterations} converged={report.converged} "
         f"stop_reason={report.stop_reason} "
         f"P_range=[{_fmt(y_min)}, {_fmt(y_max)}] "
-        f"final_gap={_fmt(float(np.linalg.norm(w.Y - w.P)))}"
+        f"final_gap={_fmt(float(np.linalg.norm(w.Y - w.P)))} "
+        f"factor_nnz={','.join(f'{k}:{v}' for k, v in report.factor_nnz.items())}"
     )
 
 

@@ -119,11 +119,12 @@ def build_system(problem, space: FemSpace, grid: TimeGrid) -> DiscreteSystem:
     y0_nodal = interpolate_nodal(space, problem.y0)
 
     M = grid.M
+    mids, times = grid.midpoints, grid.times
     rhs = np.empty((space.ndof, M))
     desired = np.empty((space.ndof, M))
     for m in range(M):
-        t_mid = grid.midpoints[m]
-        t_node = grid.times[m + 1]
+        t_mid = mids[m]
+        t_node = times[m + 1]
         rhs[:, m] = load_vector(space, lambda x1, x2: problem.f(x1, x2, t_mid), scale=tau)
         desired[:, m] = load_vector(space, lambda x1, x2: problem.y_d(x1, x2, t_node))
     rhs[:, 0] += step_minus @ y0_nodal
@@ -170,6 +171,21 @@ def constraint_products(sys: DiscreteSystem, Y: np.ndarray, U: np.ndarray) -> np
     out[2] = sys.step_minus @ Y
     np.subtract(out[1], sys.grid.tau * out[0], out=out[3])
     out[3, :, 1:] -= out[2, :, :-1]
+    return out
+
+
+def constraint_adjoint(sys: DiscreteSystem, lam: np.ndarray) -> np.ndarray:
+    """The transpose of the constraint map applied to lam: shape (2, ndof, M).
+
+    Slab 0 is the control part -tau A lam_m, slab 1 the state part
+    step_plus lam_m - step_minus lam_{m+1} (no step_minus term for m = M).
+    The operators are symmetric, so this is the adjoint of
+    ``constraint_products``' slab Cz: <Cz, lam> = <U, out[0]> + <Y, out[1]>.
+    """
+    out = np.empty((2,) + lam.shape)
+    out[0] = -sys.grid.tau * (sys.mass @ lam)
+    out[1] = sys.step_plus @ lam
+    out[1, :, :-1] -= sys.step_minus @ lam[:, 1:]
     return out
 
 

@@ -194,15 +194,15 @@ def error_y_final(space: FemSpace, Y_M: np.ndarray, problem: ManufacturedProblem
     return l2_error(space, Y_M, lambda x1, x2: problem.y_star(x1, x2, problem.T))
 
 
-def _control_interpolant(grid: TimeGrid, U: np.ndarray, t: float) -> np.ndarray:
-    """Piecewise-linear interpolation of the midpoint control snapshots.
+def _control_interpolant(mids: np.ndarray, U: np.ndarray, t: float) -> np.ndarray:
+    """Piecewise-linear interpolation of the control snapshots at the time
+    midpoints ``mids``.
 
     On the half-intervals before the first midpoint and after the last one
     the nearest linear segment is extended (extrapolated), which preserves
     second-order accuracy up to the ends.  With a single snapshot the
     interpolant is constant.
     """
-    mids = grid.midpoints
     if len(mids) == 1:
         return U[:, 0]
     j = int(np.clip(np.searchsorted(mids, t) - 1, 0, len(mids) - 2))
@@ -221,7 +221,8 @@ def error_u_spacetime(
     """
     if problem.u_star is None:
         raise ValueError(f"problem {problem.name!r} has no exact control")
-    breaks = np.concatenate([[0.0], grid.midpoints, [grid.T]])
+    mids = grid.midpoints
+    breaks = np.concatenate([[0.0], mids, [grid.T]])
     gauss = (np.array([-1.0, 1.0]) / math.sqrt(3.0) + 1.0) / 2.0
     total = 0.0
     for lo, hi in zip(breaks[:-1], breaks[1:]):
@@ -230,7 +231,7 @@ def error_u_spacetime(
             continue
         for gp in gauss:
             t = lo + gp * width
-            coeffs = _control_interpolant(grid, U, t)
+            coeffs = _control_interpolant(mids, U, t)
             err = l2_error(space, coeffs, lambda x1, x2: problem.u_star(x1, x2, t))
             total += 0.5 * width * err**2
     return math.sqrt(total)

@@ -1,7 +1,10 @@
 """Linear-element assembly on triangles: mass/stiffness matrices, loads, norms.
 
 Quadrature for load vectors and L2 errors is the 3-point edge-midpoint rule
-(degree 2, exact for products of linear functions).
+(degree 2, exact for products of linear functions).  Element coordinates,
+areas and quadrature points come from the mesh's ``geometry``, computed once
+per mesh, so a load vector or an error norm costs one function evaluation
+and one scatter or sum.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import TriMesh, _check_bc, node_classification, triangle_areas
+from .mesh import TriMesh, _check_bc, node_classification
 
 
 @dataclass(frozen=True)
@@ -39,11 +42,6 @@ def make_space(mesh: TriMesh, bc: str) -> FemSpace:
     node_to_dof = np.full(mesh.num_nodes, -1, dtype=np.int64)
     node_to_dof[dof_nodes] = np.arange(dof_nodes.size)
     return FemSpace(mesh=mesh, bc=bc, dof_nodes=dof_nodes, node_to_dof=node_to_dof)
-
-
-def _element_geometry(mesh: TriMesh):
-    xy = mesh.element_coords()
-    return xy, triangle_areas(xy)
 
 
 def _p1_gradients(xy: np.ndarray, area: np.ndarray) -> np.ndarray:
@@ -80,7 +78,7 @@ def _assemble_global(mesh: TriMesh, local: np.ndarray) -> sp.csr_matrix:
 
 def assemble_mass(space: FemSpace) -> sp.csr_matrix:
     """Gram matrix of the nodal basis under the L2 inner product."""
-    _, area = _element_geometry(space.mesh)
+    area = space.mesh.geometry.areas
     base = (np.ones((3, 3)) + np.eye(3)) / 12.0
     local = area[:, None, None] * base[None, :, :]
     return _restrict(_assemble_global(space.mesh, local), space)
@@ -88,18 +86,11 @@ def assemble_mass(space: FemSpace) -> sp.csr_matrix:
 
 def assemble_stiffness(space: FemSpace) -> sp.csr_matrix:
     """Gram matrix of the nodal basis gradients (H1 seminorm)."""
-    xy, area = _element_geometry(space.mesh)
-    grads = _p1_gradients(xy, area)
+    geo = space.mesh.geometry
+    area = geo.areas
+    grads = _p1_gradients(geo.xy, area)
     local = np.einsum("eid,ejd,e->eij", grads, grads, area)
     return _restrict(_assemble_global(space.mesh, local), space)
-
-
-def _edge_midpoints(xy: np.ndarray) -> np.ndarray:
-    """Quadrature points (ne, 3, 2): midpoint of the edge opposite vertex k."""
-    mids = np.empty_like(xy)
-    for k in range(3):
-        mids[:, k] = 0.5 * (xy[:, (k + 1) % 3] + xy[:, (k + 2) % 3])
-    return mids
 
 
 def _eval_checked(g, points: np.ndarray) -> np.ndarray:
@@ -117,8 +108,9 @@ def load_vector(space: FemSpace, g, scale: float = 1.0) -> np.ndarray:
     ``g`` is called as g(x1, x2) on arrays of coordinates.
     """
     mesh = space.mesh
-    xy, area = _element_geometry(mesh)
-    gvals = _eval_checked(g, _edge_midpoints(xy))
+    geo = mesh.geometry
+    area = geo.areas
+    gvals = _eval_checked(g, geo.midpoints)
     # basis k is 1/2 at the two adjacent midpoints, 0 at the opposite one
     contrib = (area / 3.0)[:, None] * 0.5 * (gvals.sum(axis=1, keepdims=True) - gvals)
     out = np.zeros(mesh.num_nodes)
@@ -146,9 +138,9 @@ def l2_error(space: FemSpace, coeffs: np.ndarray, g) -> float:
     In Dirichlet mode the expansion is zero on the boundary nodes.
     """
     mesh = space.mesh
-    xy, area = _element_geometry(mesh)
-    mids = _edge_midpoints(xy)
-    gvals = _eval_checked(g, mids)
+    geo = mesh.geometry
+    area = geo.areas
+    gvals = _eval_checked(g, geo.midpoints)
     nodal = _nodal_values(space, coeffs)[mesh.elements]
     # u_h at the midpoint opposite vertex k is the mean of the other two values
     uh = 0.5 * (nodal.sum(axis=1, keepdims=True) - nodal)

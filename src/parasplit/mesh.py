@@ -1,8 +1,9 @@
-"""Structured triangulations of the unit square."""
+"""Structured triangulations of the unit square and their element geometry."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,7 +24,9 @@ class TriMesh:
     """Conforming triangulation of [0,1]^2 with boundary/interior node sets.
 
     Nodes are 2D coordinates, elements are counterclockwise vertex-index
-    triples.  ``h`` is the maximum element diameter.
+    triples.  ``h`` is the maximum element diameter.  ``geometry`` (vertex
+    coordinates, signed areas, edge-midpoint quadrature points) is computed
+    on first use and kept for the mesh's lifetime.
     """
 
     nodes: np.ndarray
@@ -44,12 +47,35 @@ class TriMesh:
     def num_elements(self) -> int:
         return self.elements.shape[0]
 
-    def element_coords(self) -> np.ndarray:
-        """Vertex coordinates per element, shape (num_elements, 3, 2)."""
-        return self.nodes[self.elements]
+    @cached_property
+    def geometry(self) -> ElementGeometry:
+        """The element geometry, computed on first use."""
+        xy = self.nodes[self.elements]
+        mids = np.empty_like(xy)
+        for k in range(3):
+            mids[:, k] = 0.5 * (xy[:, (k + 1) % 3] + xy[:, (k + 2) % 3])
+        return ElementGeometry(xy=xy, areas=triangle_areas(xy), midpoints=mids)
 
     def signed_areas(self) -> np.ndarray:
-        return triangle_areas(self.element_coords())
+        return self.geometry.areas
+
+
+@dataclass(frozen=True)
+class ElementGeometry:
+    """Per-element geometry of a mesh, read-only.
+
+    ``xy`` holds the vertex coordinates (ne, 3, 2), ``areas`` the signed
+    areas (ne,), and ``midpoints`` the quadrature points (ne, 3, 2):
+    ``midpoints[:, k]`` is the midpoint of the edge opposite vertex k.
+    """
+
+    xy: np.ndarray
+    areas: np.ndarray
+    midpoints: np.ndarray
+
+    def __post_init__(self):
+        for arr in (self.xy, self.areas, self.midpoints):
+            arr.flags.writeable = False
 
 
 def triangle_areas(xy: np.ndarray) -> np.ndarray:
@@ -71,18 +97,12 @@ def uniform_unit_square(n: int) -> TriMesh:
     x1, x2 = np.meshgrid(grid, grid, indexing="xy")
     nodes = np.column_stack([x1.ravel(), x2.ravel()])
 
-    def nid(i, j):
-        return j * (n + 1) + i
-
-    elements = []
-    for j in range(n):
-        for i in range(n):
-            v00, v10 = nid(i, j), nid(i + 1, j)
-            v01, v11 = nid(i, j + 1), nid(i + 1, j + 1)
-            # split along the (v00, v11) diagonal, counterclockwise
-            elements.append((v00, v10, v11))
-            elements.append((v00, v11, v01))
-    elements = np.asarray(elements, dtype=np.int64)
+    # lower-left node of cell (i, j), cells in row-major order (j outer)
+    v00 = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
+    v10, v01 = v00 + 1, v00 + (n + 1)
+    v11 = v01 + 1
+    # each cell splits along the (v00, v11) diagonal into two counterclockwise triangles
+    elements = np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(-1, 3)
 
     on_boundary = (
         (np.abs(nodes[:, 0]) < _BOUNDARY_TOL)

@@ -50,6 +50,15 @@ class CholFactor:
         self._lu = lu
         self.dimension = dimension
 
+    @property
+    def nnz(self) -> int:
+        """Stored nonzeros of the factors, nnz(L) + nnz(U).
+
+        SuperLU's own ``nnz`` counts its supernodal storage, explicit zeros
+        included, so it can exceed this on small matrices.
+        """
+        return self._lu.L.nnz + self._lu.U.nnz
+
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=float)
         if b.shape[0] != self.dimension:

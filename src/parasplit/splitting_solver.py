@@ -120,7 +120,9 @@ class SolveReport:
     "k_max" (the iteration cap was hit) or "non_finite" (the increment was
     NaN or infinite; the loop stops at the first such one).  ``residual_drift`` is
     the gap between the carried constraint residual and the one recomputed
-    from the final iterate, relative to max(1, ||rhs||).
+    from the final iterate, relative to max(1, ||rhs||).  ``factor_nnz`` maps
+    each prediction factor ("control", "state" unless M == 1, "terminal") to
+    its nnz(L) + nnz(U).
     """
 
     iterations: int
@@ -132,6 +134,7 @@ class SolveReport:
     seconds_total: float
     seconds_predict: float
     seconds_correct: float
+    factor_nnz: dict[str, int]
     gap_history: np.ndarray | None = None  # box runs: ||Y - P|| per iteration
 
 
@@ -388,6 +391,7 @@ def _run(sys: DiscreteSystem, config: SolverConfig, monitor=None) -> tuple[Itera
         seconds_total=time.perf_counter() - t0,
         seconds_predict=t_predict,
         seconds_correct=t_correct,
+        factor_nnz={name: f.nnz for name, f in vars(factors).items() if f is not None},
         gap_history=None if gaps is None else np.asarray(gaps),
     )
     return w, report

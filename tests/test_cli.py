@@ -110,3 +110,4 @@ class TestBox:
         text = capsys.readouterr().out
         assert "P_range=" in text and "iterations=" in text
         assert "stop_reason=" in text
+        assert "factor_nnz=control:" in text and ",terminal:" in text

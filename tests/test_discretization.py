@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import dense_block_columns, dense_constraint, flat, random_system, toy_problem
 from parasplit.discretization import (
     TimeGrid,
     build_system,
+    constraint_adjoint,
+    constraint_products,
     constraint_residual,
     objective_constant_terms,
     objective_quadrature,
@@ -128,6 +131,31 @@ class TestConstraintResidual:
         full = np.hstack(controls + states)
         s = np.linalg.svd(full, compute_uv=False)
         assert s.min() > 1e-8
+
+
+class TestConstraintAdjoint:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=10_000),
+        st.sampled_from([DIRICHLET, NEUMANN]),
+        st.integers(min_value=2, max_value=3),
+        st.integers(min_value=1, max_value=4),
+    )
+    def test_transpose_of_dense_constraint(self, seed, bc, n, M):
+        sys = random_system(seed, n=n, M=M, bc=bc)
+        rng = np.random.default_rng(seed + 1)
+        Y, U, lam = (rng.standard_normal((sys.ndof, M)) for _ in range(3))
+        A_cal, B_cal, _ = dense_constraint(sys)
+        got = constraint_adjoint(sys, lam)
+        assert got.shape == (2, sys.ndof, M)
+        tol = 1e-12 * max(1.0, np.abs(lam).max())
+        assert np.allclose(flat(got[0]), B_cal.T @ flat(lam), rtol=0.0, atol=tol)
+        assert np.allclose(flat(got[1]), A_cal.T @ flat(lam), rtol=0.0, atol=tol)
+        # adjoint of the forward map: <Cz, lam> = <U, (C^T lam)_U> + <Y, (C^T lam)_Y>
+        lhs = np.vdot(constraint_products(sys, Y, U)[3], lam)
+        rhs = np.vdot(U, got[0]) + np.vdot(Y, got[1])
+        scale = np.linalg.norm(lam) * (np.linalg.norm(U) + np.linalg.norm(Y))
+        assert abs(lhs - rhs) <= 1e-12 * scale
 
 
 class TestObjectives:

@@ -17,6 +17,7 @@ from parasplit.experiments import (
     pde_residual,
     steps_for_level,
 )
+from parasplit import mesh
 from parasplit.fem_assembly import interpolate_nodal
 
 
@@ -111,6 +112,22 @@ class TestErrorNorms:
             U = _exact_snapshots(sys, prob.u_star, sys.grid.midpoints)
             errs.append(error_u_spacetime(sys.space, sys.grid, U, prob))
         assert 3.0 < errs[0] / errs[1] < 5.0
+
+    @pytest.mark.parametrize("name", ["5.1", "5.2"])
+    def test_geometry_computed_once_per_mesh(self, monkeypatch, name):
+        calls = []
+        real = mesh.triangle_areas
+
+        def counted(xy):
+            calls.append(xy.shape[0])
+            return real(xy)
+
+        monkeypatch.setattr(mesh, "triangle_areas", counted)
+        prob = get_example(name)
+        sys = build_level(prob, 4)
+        error_y_final(sys.space, np.zeros(sys.ndof), prob)
+        error_u_spacetime(sys.space, sys.grid, np.zeros((sys.ndof, sys.grid.M)), prob)
+        assert calls == [sys.space.mesh.num_elements]
 
     def test_missing_exact_solution_rejected(self):
         prob = get_example("5.1")

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from parasplit.mesh import DIRICHLET, NEUMANN, node_classification, uniform_unit_square
+from parasplit.mesh import (
+    DIRICHLET,
+    NEUMANN,
+    node_classification,
+    triangle_areas,
+    uniform_unit_square,
+)
 
 
 def test_single_cell():
@@ -92,3 +98,34 @@ def test_classification_n3_dirichlet():
 def test_classification_rejects_unknown_mode():
     with pytest.raises(ValueError):
         node_classification(uniform_unit_square(2), "robin")
+
+
+def _loop_elements(n):
+    """The element array built cell by cell, the reference for the vectorised builder."""
+    elements = []
+    for j in range(n):
+        for i in range(n):
+            v00, v10 = j * (n + 1) + i, j * (n + 1) + i + 1
+            v01, v11 = (j + 1) * (n + 1) + i, (j + 1) * (n + 1) + i + 1
+            elements.append((v00, v10, v11))
+            elements.append((v00, v11, v01))
+    return np.asarray(elements, dtype=np.int64)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_elements_match_loop_reference(n):
+    elements = uniform_unit_square(n).elements
+    assert elements.dtype == np.int64
+    assert np.array_equal(elements, _loop_elements(n))
+
+
+def test_geometry_kept_and_read_only():
+    mesh = uniform_unit_square(3)
+    geo = mesh.geometry
+    assert mesh.geometry is geo
+    assert np.array_equal(geo.xy, mesh.nodes[mesh.elements])
+    assert np.array_equal(geo.areas, triangle_areas(geo.xy))
+    assert np.allclose(geo.midpoints[:, 0], 0.5 * (geo.xy[:, 1] + geo.xy[:, 2]))
+    for arr in (geo.xy, geo.areas, geo.midpoints):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0

@@ -468,6 +468,19 @@ class TestSolve:
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
         np.testing.assert_allclose(report.increment_history, increments_ref, rtol=1e-10)
 
+    @pytest.mark.parametrize("M,box", [(1, False), (3, False), (3, True)])
+    def test_factor_nnz_reported(self, M, box):
+        sys = random_system(8, n=3, M=M)
+        bounds = (-1.0, 1.0) if box else None
+        config = SolverConfig(alpha=sys.alpha, beta=1.0, k_max=1, bounds=bounds)
+        _, report = (solve_box if box else solve)(sys, config)
+        factors = PredictionFactors.build(sys, config)
+        expected = {
+            name: f._lu.L.nnz + f._lu.U.nnz for name, f in vars(factors).items() if f is not None
+        }
+        assert set(expected) == ({"control", "terminal"} if M == 1 else {"control", "state", "terminal"})
+        assert report.factor_nnz == expected
+
     def test_alpha_mismatch_rejected(self):
         sys = random_system(5, n=2, M=2)
         config = SolverConfig(alpha=2.0 * sys.alpha, beta=1.0)
