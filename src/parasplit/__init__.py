@@ -33,7 +33,6 @@ from .splitting_solver import (
     correction_factor,
     h_norm_sq,
     solve,
-    solve_box,
 )
 from .kkt_oracle import KktSolution, solve_kkt
 from .experiments import (

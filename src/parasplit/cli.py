@@ -15,7 +15,7 @@ from .experiments import (
     get_example,
     iteration_history,
 )
-from .splitting_solver import SolverConfig, solve_box
+from .splitting_solver import SolverConfig, solve
 
 
 def _fmt(value) -> str:
@@ -110,7 +110,7 @@ def cmd_box(args) -> None:
     problem = get_example(args.example, alpha=args.alpha)
     config = _config_from(args, problem, bounds=(args.lower, args.upper))
     system = build_level(problem, args.n)
-    w, report = solve_box(system, config)
+    w, report = solve(system, config)
     _write_csv(
         args.out,
         ["k", "hnorm_increment_sq", "y_minus_p_norm"],

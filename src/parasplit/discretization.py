@@ -63,11 +63,7 @@ class DiscreteSystem:
     ``rhs`` holds the M constraint right-hand blocks (the first block
     already includes the step_minus @ y0 contribution), ``desired_loads``
     the M load vectors of the desired state.  The operators are CSR
-    matrices; the precomputed ones back the closed-form state subproblem
-    solves (the control solves need only the mass matrix):
-
-      state_gram     2 A A + tau^2/2 * B B  (= step_plus^2 + step_minus^2)
-      terminal_gram  step_plus^T step_plus
+    matrices.
     """
 
     space: FemSpace
@@ -81,8 +77,6 @@ class DiscreteSystem:
     y0_nodal: np.ndarray
     alpha: float
     desired_state: object  # callable (x1, x2, t) -> values
-    state_gram: sp.csr_matrix
-    terminal_gram: sp.csr_matrix
 
     @property
     def ndof(self) -> int:
@@ -94,12 +88,6 @@ class DiscreteSystem:
         k = np.ones(self.grid.M)
         k[-1] = 0.5
         return k
-
-
-def _gram(a: sp.csr_matrix, b: sp.csr_matrix) -> sp.csr_matrix:
-    """Symmetrized product a^T b + b^T a, halved."""
-    prod = a.T @ b
-    return sp.csr_matrix(0.5 * (prod + prod.T))
 
 
 def build_system(problem, space: FemSpace, grid: TimeGrid) -> DiscreteSystem:
@@ -125,12 +113,10 @@ def build_system(problem, space: FemSpace, grid: TimeGrid) -> DiscreteSystem:
     for m in range(M):
         t_mid = mids[m]
         t_node = times[m + 1]
-        rhs[:, m] = load_vector(space, lambda x1, x2: problem.f(x1, x2, t_mid), scale=tau)
+        rhs[:, m] = tau * load_vector(space, lambda x1, x2: problem.f(x1, x2, t_mid))
         desired[:, m] = load_vector(space, lambda x1, x2: problem.y_d(x1, x2, t_node))
     rhs[:, 0] += step_minus @ y0_nodal
 
-    mass2 = _gram(mass, mass)
-    stiff2 = _gram(stiffness, stiffness)
     return DiscreteSystem(
         space=space,
         grid=grid,
@@ -143,8 +129,6 @@ def build_system(problem, space: FemSpace, grid: TimeGrid) -> DiscreteSystem:
         y0_nodal=y0_nodal,
         alpha=problem.alpha,
         desired_state=problem.y_d,
-        state_gram=2.0 * mass2 + (tau * tau / 2.0) * stiff2,
-        terminal_gram=_gram(step_plus, step_plus),
     )
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -282,8 +282,8 @@ def convergence_study(
     """
     if mode not in ("oracle", "splitting"):
         raise ValueError(f"mode must be 'oracle' or 'splitting', got {mode!r}")
-    if list(levels) != sorted(levels):
-        raise ValueError("levels must be ascending")
+    if any(a >= b for a, b in zip(levels, levels[1:])):
+        raise ValueError(f"levels must be strictly ascending, got {list(levels)}")
     config = _solver_config(problem, config)
     rows: list[ConvergenceRow] = []
     for n in levels:
@@ -367,15 +367,7 @@ def benchmark(
     reference: Iterate | None = None
     serial_seconds = None
     for threads in thread_counts:
-        cfg = SolverConfig(
-            alpha=base.alpha,
-            beta=base.beta,
-            gamma=base.gamma,
-            epsilon=0.0,
-            k_max=k,
-            thread_count=threads,
-        )
-        w, report = solve(sys, cfg)
+        w, report = solve(sys, replace(base, epsilon=0.0, k_max=k, thread_count=threads))
         if reference is None:
             reference = w
             serial_seconds = report.seconds_total

@@ -21,15 +21,12 @@ from .mesh import TriMesh, _check_bc, node_classification
 class FemSpace:
     """Piecewise-linear finite element space with a fixed DOF ordering.
 
-    ``dof_nodes[k]`` is the mesh node carrying DOF k; ``node_to_dof`` maps
-    node index to DOF index (-1 for constrained boundary nodes in Dirichlet
-    mode).
+    ``dof_nodes[k]`` is the mesh node carrying DOF k.
     """
 
     mesh: TriMesh
     bc: str
     dof_nodes: np.ndarray
-    node_to_dof: np.ndarray
 
     @property
     def ndof(self) -> int:
@@ -38,10 +35,7 @@ class FemSpace:
 
 def make_space(mesh: TriMesh, bc: str) -> FemSpace:
     _check_bc(bc)
-    dof_nodes = node_classification(mesh, bc)
-    node_to_dof = np.full(mesh.num_nodes, -1, dtype=np.int64)
-    node_to_dof[dof_nodes] = np.arange(dof_nodes.size)
-    return FemSpace(mesh=mesh, bc=bc, dof_nodes=dof_nodes, node_to_dof=node_to_dof)
+    return FemSpace(mesh=mesh, bc=bc, dof_nodes=node_classification(mesh, bc))
 
 
 def _p1_gradients(xy: np.ndarray, area: np.ndarray) -> np.ndarray:
@@ -102,8 +96,8 @@ def _eval_checked(g, points: np.ndarray) -> np.ndarray:
     return vals
 
 
-def load_vector(space: FemSpace, g, scale: float = 1.0) -> np.ndarray:
-    """DOF vector with entries scale * integral of g * basis_k.
+def load_vector(space: FemSpace, g) -> np.ndarray:
+    """DOF vector with entries integral of g * basis_k.
 
     ``g`` is called as g(x1, x2) on arrays of coordinates.
     """
@@ -115,7 +109,7 @@ def load_vector(space: FemSpace, g, scale: float = 1.0) -> np.ndarray:
     contrib = (area / 3.0)[:, None] * 0.5 * (gvals.sum(axis=1, keepdims=True) - gvals)
     out = np.zeros(mesh.num_nodes)
     np.add.at(out, mesh.elements.ravel(), contrib.ravel())
-    return scale * out[space.dof_nodes]
+    return out[space.dof_nodes]
 
 
 def interpolate_nodal(space: FemSpace, g) -> np.ndarray:

@@ -56,9 +56,6 @@ class TriMesh:
             mids[:, k] = 0.5 * (xy[:, (k + 1) % 3] + xy[:, (k + 2) % 3])
         return ElementGeometry(xy=xy, areas=triangle_areas(xy), midpoints=mids)
 
-    def signed_areas(self) -> np.ndarray:
-        return self.geometry.areas
-
 
 @dataclass(frozen=True)
 class ElementGeometry:

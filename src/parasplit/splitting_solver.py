@@ -6,6 +6,11 @@ update the multiplier, then apply the constant-step correction
 w^{k+1} = w^k - nu (w^k - w~^k).  Monitoring uses the weighted norm under
 which the corrected iteration contracts.
 
+``solve`` is the one entry point: it runs the box variant (projected state
+copies) exactly when the config has bounds.  ``PredictionFactors.build``
+forms and factors the subproblems' normal matrices from the system's mass,
+stiffness and step matrices; the discretization holds none of them.
+
 An iterate is one stacked array: the slabs U, Y, lam and, in the box
 variant, P and mu.  The constraint map is linear, so the loop carries the
 iterate's constraint products (A U, step_plus Y, step_minus Y and the
@@ -28,6 +33,7 @@ iterates are bit-identical for every thread count.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -104,6 +110,11 @@ class SolverConfig:
             raise ValueError(f"gamma must lie in (0, 2), got {self.gamma}")
         if not self.epsilon >= 0.0:
             raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
+        for name in ("k_max", "thread_count"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
         if self.k_max < 1:
             raise ValueError(f"k_max must be >= 1, got {self.k_max}")
         if self.bounds is not None and not self.bounds[0] < self.bounds[1]:
@@ -159,6 +170,12 @@ def compute_q(sys: DiscreteSystem, w: Iterate, beta: float) -> np.ndarray:
     return _products(sys, w)[3] - sys.rhs - w.lam / beta
 
 
+def _gram(a: sp.csr_matrix, b: sp.csr_matrix) -> sp.csr_matrix:
+    """Symmetrized product a^T b + b^T a, halved."""
+    prod = a.T @ b
+    return sp.csr_matrix(0.5 * (prod + prod.T))
+
+
 @dataclass(frozen=True)
 class PredictionFactors:
     """One-time factorizations reused every iteration."""
@@ -169,6 +186,10 @@ class PredictionFactors:
 
     @staticmethod
     def build(sys: DiscreteSystem, config: SolverConfig) -> "PredictionFactors":
+        """Factor the control mass shift and the state normal matrices
+        tau A + beta (step_plus^2 + step_minus^2) = tau A + beta (2 A A
+        + tau^2/2 B B) and (tau/2) A + beta step_plus^2, each plus beta I
+        from the state-copy constraint row in the box variant."""
         tau = sys.grid.tau
         alpha, beta = config.alpha, config.beta
         shift = 0.0
@@ -178,8 +199,11 @@ class PredictionFactors:
         control = factorize(alpha * eye + (beta * tau) * sys.mass)
         state = None
         if sys.grid.M > 1:
-            state = factorize(tau * sys.mass + beta * sys.state_gram + shift * eye)
-        terminal = factorize((tau / 2.0) * sys.mass + beta * sys.terminal_gram + shift * eye)
+            mass2, stiff2 = _gram(sys.mass, sys.mass), _gram(sys.stiffness, sys.stiffness)
+            state_gram = 2.0 * mass2 + (tau * tau / 2.0) * stiff2
+            state = factorize(tau * sys.mass + beta * state_gram + shift * eye)
+        terminal_gram = _gram(sys.step_plus, sys.step_plus)
+        terminal = factorize((tau / 2.0) * sys.mass + beta * terminal_gram + shift * eye)
         return PredictionFactors(control=control, state=state, terminal=terminal)
 
 
@@ -209,9 +233,10 @@ def _state_rhs(sys: DiscreteSystem, w: Iterate, q: np.ndarray, config: SolverCon
 
     Block m is tau*kappa_m*d_m + beta*[step_plus (step_plus Y_m - q_m)
     + step_minus (step_minus Y_m + q_{m+1})], without the step_minus term at
-    the terminal step.  Since state_gram = step_plus^2 + step_minus^2 and
-    terminal_gram = step_plus^2, this is the normal-equation right-hand side;
-    the inner products step_plus Y and step_minus Y come from w's products.
+    the terminal step.  The normal matrices ``PredictionFactors`` factors
+    carry step_plus^2 + step_minus^2 (interior) and step_plus^2 (terminal),
+    so this is the normal-equation right-hand side; the inner products
+    step_plus Y and step_minus Y come from w's products.
     """
     _, PY, MY, _ = _products(sys, w)
     coupled = sys.step_plus @ (PY - q)
@@ -333,7 +358,18 @@ def _worker_pool(thread_count: int):
     return ThreadPoolExecutor(min(thread_count, cpus))
 
 
-def _run(sys: DiscreteSystem, config: SolverConfig, monitor=None) -> tuple[Iterate, SolveReport]:
+def solve(sys: DiscreteSystem, config: SolverConfig, monitor=None) -> tuple[Iterate, SolveReport]:
+    """Run the corrected splitting iteration from the all-zeros iterate.
+
+    Without ``config.bounds`` the iterate is (U, Y, lam) and the correction
+    step counts 2 blocks per time step.  With bounds it is the box variant:
+    auxiliary state copies P, projected onto the bounds each iteration, and
+    their multiplier mu join the iterate, and the step counts 3 blocks per
+    time step.  Stops when the squared increment in the contraction norm
+    drops to the configured tolerance, at the iteration cap, or at the
+    first non-finite increment (reported, not raised).  ``monitor(k, w)`` is
+    called with each iterate before it is advanced.
+    """
     if config.alpha != sys.alpha:
         raise ValueError(f"config alpha {config.alpha} does not match the system's alpha {sys.alpha}")
     box = config.bounds is not None
@@ -397,22 +433,4 @@ def _run(sys: DiscreteSystem, config: SolverConfig, monitor=None) -> tuple[Itera
     return w, report
 
 
-def solve(sys: DiscreteSystem, config: SolverConfig, monitor=None) -> tuple[Iterate, SolveReport]:
-    """Run the corrected splitting iteration from the all-zeros iterate.
-
-    Stops when the squared increment in the contraction norm drops to the
-    configured tolerance, or at the iteration cap (reported, not raised).
-    ``monitor(k, w)`` is called with each iterate before it is advanced.
-    """
-    if config.bounds is not None:
-        raise ValueError("config has bounds set; use solve_box")
-    return _run(sys, config, monitor)
-
-
-def solve_box(sys: DiscreteSystem, config: SolverConfig, monitor=None) -> tuple[Iterate, SolveReport]:
-    """Box-constrained variant: auxiliary state copies are projected onto
-    the bounds each iteration, and the correction step uses the extended
-    block count (3 blocks per time step)."""
-    if config.bounds is None:
-        raise ValueError("solve_box requires bounds in the config")
-    return _run(sys, config, monitor)
+solve_box = solve  # the box variant's former entry name, which bench/ still calls and traces

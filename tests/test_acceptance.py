@@ -37,7 +37,6 @@ from parasplit.splitting_solver import (
     iterate_diff,
     predict,
     solve,
-    solve_box,
 )
 
 ORDER_BAND = (1.8, 2.2)
@@ -189,14 +188,14 @@ def test_criterion_7_box_variant():
     config = SolverConfig(
         alpha=prob.alpha, beta=0.3, gamma=1.5, bounds=(lo, hi), epsilon=1e-12, k_max=60000
     )
-    w, report = solve_box(sys, config, monitor=monitor)
+    w, report = solve(sys, config, monitor=monitor)
     gap = float(np.linalg.norm(w.Y - w.P))
     rel_gap = gap / np.linalg.norm(w.Y)
     part_a = report.converged and bound_violation[0] == 0.0 and rel_gap < 1e-4
 
     tight = dict(alpha=prob.alpha, beta=0.3, gamma=1.5, epsilon=1e-22, k_max=200000)
     w_unc, rep_u = solve(sys, SolverConfig(**tight))
-    w_wide, rep_w = solve_box(sys, SolverConfig(**tight, bounds=(-1e6, 1e6)))
+    w_wide, rep_w = solve(sys, SolverConfig(**tight, bounds=(-1e6, 1e6)))
     diff = Iterate(w_unc.z - w_wide.z[:3])
     h_dist = math.sqrt(h_norm_sq(sys, diff, 0.3))
     part_b = rep_u.converged and rep_w.converged and h_dist <= 1e-6

@@ -62,12 +62,13 @@ class TestConverge:
 
     def test_error_is_one_line_and_exit_one(self, tmp_path, capsys):
         out = tmp_path / "conv.csv"
-        code = main(["converge", "--example", "5.1", "--levels", "4,2", "--out", str(out)])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert err.strip().count("\n") == 0
-        assert not out.exists()
+        for levels in ("4,2", "4,4"):
+            code = main(["converge", "--example", "5.1", "--levels", levels, "--out", str(out)])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "ascending" in err
+            assert err.strip().count("\n") == 0
+            assert not out.exists()
 
 
 class TestIterate:

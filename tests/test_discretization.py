@@ -70,13 +70,6 @@ class TestBuildSystem:
         assert np.allclose(sys.step_minus.toarray(), A - 0.5 * tau * B, atol=1e-15)
         factorize(sys.step_plus)  # must be positive definite
 
-    def test_precomputed_grams(self):
-        for seed, n, M, bc in [(0, 2, 2, NEUMANN), (1, 3, 1, NEUMANN), (2, 2, 3, DIRICHLET)]:
-            sys = random_system(seed, n=n, M=M, bc=bc)
-            cp, cm = sys.step_plus.toarray(), sys.step_minus.toarray()
-            assert np.allclose(sys.state_gram.toarray(), cp.T @ cp + cm.T @ cm, atol=1e-13)
-            assert np.allclose(sys.terminal_gram.toarray(), cp.T @ cp, atol=1e-14)
-
     def test_kappa_weights(self):
         sys = random_system(0, n=1, M=4)
         assert np.array_equal(sys.kappa, [1.0, 1.0, 1.0, 0.5])

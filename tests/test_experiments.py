@@ -17,7 +17,7 @@ from parasplit.experiments import (
     pde_residual,
     steps_for_level,
 )
-from parasplit import mesh
+from parasplit import experiments, mesh
 from parasplit.fem_assembly import interpolate_nodal
 
 
@@ -150,8 +150,9 @@ class TestConvergenceStudy:
         assert rows[0].tau == pytest.approx(0.25)
 
     def test_levels_must_ascend(self):
-        with pytest.raises(ValueError, match="ascending"):
-            convergence_study(get_example("5.1"), [8, 4])
+        for levels in ([8, 4], [4, 4]):
+            with pytest.raises(ValueError, match="ascending"):
+                convergence_study(get_example("5.1"), levels)
 
     def test_mode_validated(self):
         with pytest.raises(ValueError, match="mode"):
@@ -217,3 +218,13 @@ class TestBenchmark:
         for row in rows:
             assert row.psf > 0.0
             assert row.seconds_total >= row.seconds_predict >= 0.0
+
+    def test_bounds_reach_the_solver(self, monkeypatch):
+        configs = []
+        real = experiments.solve
+        monkeypatch.setattr(experiments, "solve", lambda sys, cfg: configs.append(cfg) or real(sys, cfg))
+        prob = get_example("5.1")
+        config = SolverConfig(alpha=prob.alpha, beta=1.0, bounds=(0.0, 0.8))
+        benchmark(prob, config, 2, [1, 2], k=3)
+        assert [c.bounds for c in configs] == [(0.0, 0.8)] * 2
+        assert [(c.epsilon, c.k_max, c.thread_count) for c in configs] == [(0.0, 3, 1), (0.0, 3, 2)]

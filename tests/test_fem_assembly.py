@@ -127,11 +127,6 @@ class TestLoadVector:
         rhs = assemble_mass(space) @ interpolate_nodal(space, g)
         assert np.allclose(lhs, rhs, atol=1e-14)
 
-    def test_scale_argument(self):
-        space = _space(2, NEUMANN)
-        g = lambda x1, x2: x1 + x2
-        assert np.allclose(load_vector(space, g, scale=2.5), 2.5 * load_vector(space, g))
-
     def test_nonfinite_reports_point(self):
         space = _space(2, NEUMANN)
         bad = lambda x1, x2: np.where(x1 > 0.9, np.nan, 1.0)

@@ -29,7 +29,7 @@ def test_n2_counts():
 
 def test_total_area():
     mesh = uniform_unit_square(4)
-    assert mesh.signed_areas().sum() == pytest.approx(1.0, abs=1e-12)
+    assert mesh.geometry.areas.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_rejects_zero_subdivisions():
@@ -43,7 +43,7 @@ def test_counts_and_orientation(n):
     assert mesh.num_elements == 2 * n * n
     assert mesh.num_nodes == (n + 1) ** 2
     assert len(mesh.interior_nodes) == (n - 1) ** 2
-    areas = mesh.signed_areas()
+    areas = mesh.geometry.areas
     assert np.all(areas > 0)
     assert areas.sum() == pytest.approx(1.0, abs=1e-12)
     # partition of the node set

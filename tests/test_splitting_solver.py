@@ -24,6 +24,7 @@ from parasplit.discretization import constraint_products, constraint_residual
 from parasplit.experiments import build_level, get_example
 from parasplit.kkt_oracle import solve_kkt
 from parasplit.mesh import DIRICHLET, NEUMANN
+from parasplit import splitting_solver
 from parasplit.sparse_linalg import factorize
 from parasplit.splitting_solver import (
     Iterate,
@@ -37,7 +38,6 @@ from parasplit.splitting_solver import (
     predict,
     predict_multiplier,
     solve,
-    solve_box,
 )
 
 CASES = [(0, 2, 1), (1, 2, 2), (2, 2, 3), (3, 3, 2)]
@@ -167,6 +167,29 @@ class TestPrediction:
             + config.beta * (cp.T @ (cp @ w.Y[:, 0] - q[:, 0]))
         )
         assert np.allclose(lhs_mat @ Y_t[:, 0], rhs, atol=1e-10 * max(1.0, np.abs(rhs).max()))
+
+    def test_factored_normal_matrices(self, monkeypatch):
+        factored = []
+        real = splitting_solver.factorize
+        monkeypatch.setattr(
+            splitting_solver, "factorize", lambda mat: factored.append(mat.toarray()) or real(mat)
+        )
+        for seed, n, M, bc in [(0, 2, 2, NEUMANN), (1, 3, 1, NEUMANN), (2, 2, 3, DIRICHLET)]:
+            sys = random_system(seed, n=n, M=M, bc=bc)
+            tau, A = sys.grid.tau, sys.mass.toarray()
+            cp, cm = sys.step_plus.toarray(), sys.step_minus.toarray()
+            for bounds in (None, (0.0, 1.0)):
+                config = _config(sys, beta=2.5, bounds=bounds)
+                shift = config.beta * np.eye(sys.ndof) if bounds else 0.0
+                factored.clear()
+                PredictionFactors.build(sys, config)
+                *state, terminal = factored[1:]  # factored[0] is the control mass shift
+                assert len(state) == (M > 1)
+                for mat in state:
+                    want = tau * A + config.beta * (cp.T @ cp + cm.T @ cm) + shift
+                    assert np.allclose(mat, want, atol=1e-13)
+                want = 0.5 * tau * A + config.beta * (cp.T @ cp) + shift
+                assert np.allclose(terminal, want, atol=1e-14)
 
     def test_multiplier_update(self):
         sys = random_system(9, n=2, M=2)
@@ -365,12 +388,11 @@ class TestSolve:
         # runs depend on the batch width in the last bits (on coarse meshes
         # they do not), so chunking that followed the thread count would show.
         sys = random_system(11, n=28, M=21)
-        entry = solve_box if box else solve
         bounds = (-0.5, 0.5) if box else None
         runs = []
         for threads in (1, 2, 8):
             config = _config(sys, beta=0.5, epsilon=0.0, k_max=15, thread_count=threads, bounds=bounds)
-            runs.append(entry(sys, config))
+            runs.append(solve(sys, config))
         for w, report in runs[1:]:
             assert np.array_equal(w.z, runs[0][0].z)
             assert np.array_equal(report.increment_history, runs[0][1].increment_history)
@@ -394,7 +416,7 @@ class TestSolve:
         sys = random_system(13, n=2, M=19)
         config = _config(sys, epsilon=0.0, k_max=5, bounds=(-0.5, 0.5), thread_count=2)
         before = threading.active_count()
-        solve_box(sys, config)
+        solve(sys, config)
         assert threading.active_count() == before
 
         during = []
@@ -405,16 +427,19 @@ class TestSolve:
                 raise RuntimeError("stop at k=3")
 
         with pytest.raises(RuntimeError, match="k=3"):
-            solve_box(sys, config, monitor=monitor)
+            solve(sys, config, monitor=monitor)
         assert max(during) > before  # the pool's workers were alive mid-solve
         assert threading.active_count() == before
 
-    def test_bounds_routed_to_box_solver(self):
+    def test_one_entry_point(self):
         sys = random_system(4, n=2, M=2)
-        with pytest.raises(ValueError, match="solve_box"):
-            solve(sys, _config(sys, bounds=(0.0, 1.0)))
-        with pytest.raises(ValueError, match="bounds"):
-            solve_box(sys, _config(sys))
+        w, report = solve(sys, _config(sys, k_max=3, bounds=(0.0, 1.0)))
+        assert w.z.shape == (5, sys.ndof, 2)
+        assert report.gap_history is not None and len(report.gap_history) == report.iterations
+        w, report = solve(sys, _config(sys, k_max=3))
+        assert w.z.shape == (3, sys.ndof, 2)
+        assert report.gap_history is None
+        assert splitting_solver.solve_box is splitting_solver.solve
 
     def test_non_finite_data_stops_at_first_iteration(self):
         sys = random_system(8, n=2, M=3)
@@ -459,7 +484,7 @@ class TestSolve:
         sys = random_system(seed, n=n, M=M, bc=bc)
         bounds = (-0.5, 0.5) if box else None
         config = _config(sys, beta=beta, epsilon=0.0, k_max=K, bounds=bounds)
-        w, report = (solve_box if box else solve)(sys, config)
+        w, report = solve(sys, config)
         w_ref, increments_ref = reference_loop(sys, config, K)
         assert report.iterations == K and report.stop_reason == "k_max"
         names = ("U", "Y", "lam", "P", "mu") if box else ("U", "Y", "lam")
@@ -473,7 +498,7 @@ class TestSolve:
         sys = random_system(8, n=3, M=M)
         bounds = (-1.0, 1.0) if box else None
         config = SolverConfig(alpha=sys.alpha, beta=1.0, k_max=1, bounds=bounds)
-        _, report = (solve_box if box else solve)(sys, config)
+        _, report = solve(sys, config)
         factors = PredictionFactors.build(sys, config)
         expected = {
             name: f._lu.L.nnz + f._lu.U.nnz for name, f in vars(factors).items() if f is not None
@@ -487,7 +512,7 @@ class TestSolve:
         with pytest.raises(ValueError, match="alpha"):
             solve(sys, config)
         with pytest.raises(ValueError, match="alpha"):
-            solve_box(sys, SolverConfig(alpha=2.0 * sys.alpha, beta=1.0, bounds=(0.0, 1.0)))
+            solve(sys, SolverConfig(alpha=2.0 * sys.alpha, beta=1.0, bounds=(0.0, 1.0)))
 
 
 class TestSolveBox:
@@ -505,7 +530,7 @@ class TestSolveBox:
         # still converges to a feasible point of the equality constraint
         sys = random_system(6, n=2, M=2)
         config = _config(sys, beta=1.0, bounds=(-1e9, 1e9), epsilon=1e-22, k_max=30000)
-        w, report = solve_box(sys, config)
+        w, report = solve(sys, config)
         assert report.converged
         assert report.gap_history is not None
         assert report.gap_history[-1] <= 1e-8
@@ -516,7 +541,7 @@ class TestSolveBox:
         sys = random_system(7, n=2, M=2)
         lo, hi = -0.05, 0.05
         config = _config(sys, beta=1.0, bounds=(lo, hi), epsilon=1e-24, k_max=5000)
-        w, _ = solve_box(sys, config)
+        w, _ = solve(sys, config)
         assert w.P.min() >= lo - 1e-12
         assert w.P.max() <= hi + 1e-12
 
@@ -538,7 +563,9 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match="bound"):
                 SolverConfig(alpha=1.0, beta=1.0, bounds=bounds)
         SolverConfig(alpha=1.0, beta=1.0, bounds=(-math.inf, math.inf))
-        with pytest.raises(ValueError, match="k_max"):
-            SolverConfig(alpha=1.0, beta=1.0, k_max=0)
-        with pytest.raises(ValueError, match="thread_count"):
-            SolverConfig(alpha=1.0, beta=1.0, thread_count=0)
+        for bad in (0, 2.5):
+            with pytest.raises(ValueError, match="k_max"):
+                SolverConfig(alpha=1.0, beta=1.0, k_max=bad)
+        for bad in (0, 1.5):
+            with pytest.raises(ValueError, match="thread_count"):
+                SolverConfig(alpha=1.0, beta=1.0, thread_count=bad)
