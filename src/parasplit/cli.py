@@ -157,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--example", required=True, choices=["5.1", "5.2"])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=100)
-    p.add_argument("--threads", default="1,2,4,8", help="comma-separated thread counts")
+    p.add_argument("--threads", default="1,2,4,8", help="comma-separated thread counts, 1 included")
     _add_solver_args(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_bench)

@@ -153,9 +153,18 @@ def constraint_products(sys: DiscreteSystem, Y: np.ndarray, U: np.ndarray) -> np
     out[0] = sys.mass @ U
     out[1] = sys.step_plus @ Y
     out[2] = sys.step_minus @ Y
-    np.subtract(out[1], sys.grid.tau * out[0], out=out[3])
-    out[3, :, 1:] -= out[2, :, :-1]
-    return out
+    return fill_constraint_map(sys, out)
+
+
+def fill_constraint_map(sys: DiscreteSystem, products: np.ndarray) -> np.ndarray:
+    """Write slab 3 (Cz) of a ``constraint_products`` array from its slabs 0-2.
+
+    Block m of Cz reads the step_minus product of column m - 1, so this is
+    the one step that couples the columns.  Returns ``products``.
+    """
+    np.subtract(products[1], sys.grid.tau * products[0], out=products[3])
+    products[3, :, 1:] -= products[2, :, :-1]
+    return products
 
 
 def constraint_adjoint(sys: DiscreteSystem, lam: np.ndarray) -> np.ndarray:

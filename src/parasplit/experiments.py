@@ -348,6 +348,9 @@ class BenchmarkRow:
     psf: float
 
 
+WARM_ITERATIONS = 5  # untimed iterations at each thread count before its timed run
+
+
 def benchmark(
     problem: ManufacturedProblem,
     config: SolverConfig | None,
@@ -357,29 +360,34 @@ def benchmark(
 ) -> list[BenchmarkRow]:
     """Fixed-iteration timing per thread count, with an iterate-equality check.
 
-    The parallel speedup factor is serial wall-clock over parallel
-    wall-clock for the identical computation.  Raises if any thread count
-    produces a different iterate.
+    Each thread count first runs an untimed solve of at most WARM_ITERATIONS
+    iterations, so no timed run pays for cold caches or allocations, then
+    the timed k-iteration solve.  The parallel speedup factor is the
+    1-thread run's wall-clock over each run's, for the identical
+    computation.  Raises ValueError when ``thread_counts`` lacks 1, and
+    RuntimeError if any thread count produces an iterate other than the
+    1-thread run's.
     """
-    base = _solver_config(problem, config)
+    if 1 not in thread_counts:
+        raise ValueError(f"thread counts must include 1, the speedup's baseline; got {thread_counts}")
+    base = replace(_solver_config(problem, config), epsilon=0.0)
     sys = build_level(problem, n)
-    rows: list[BenchmarkRow] = []
-    reference: Iterate | None = None
-    serial_seconds = None
+    runs = []
     for threads in thread_counts:
-        w, report = solve(sys, replace(base, epsilon=0.0, k_max=k, thread_count=threads))
-        if reference is None:
-            reference = w
-            serial_seconds = report.seconds_total
-        elif not np.array_equal(w.z, reference.z):
-            raise RuntimeError(f"iterate with {threads} threads differs from the reference run")
+        solve(sys, replace(base, k_max=min(k, WARM_ITERATIONS), thread_count=threads))
+        runs.append((threads, *solve(sys, replace(base, k_max=k, thread_count=threads))))
+    serial_w, serial = next((w, report) for threads, w, report in runs if threads == 1)
+    rows: list[BenchmarkRow] = []
+    for threads, w, report in runs:
+        if not np.array_equal(w.z, serial_w.z):
+            raise RuntimeError(f"iterate with {threads} threads differs from the 1-thread run")
         rows.append(
             BenchmarkRow(
                 threads=threads,
                 seconds_total=report.seconds_total,
                 seconds_predict=report.seconds_predict,
                 seconds_correct=report.seconds_correct,
-                psf=serial_seconds / report.seconds_total,
+                psf=serial.seconds_total / report.seconds_total,
             )
         )
     return rows

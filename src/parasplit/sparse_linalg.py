@@ -1,4 +1,4 @@
-"""One symmetry check, SPD factorization and batched multi-RHS solves on sparse matrices."""
+"""One symmetry check, SPD factorization and batched solve tasks on sparse matrices."""
 
 from __future__ import annotations
 
@@ -87,37 +87,26 @@ def factorize(m: sp.spmatrix) -> CholFactor:
     return CholFactor(lu, mat.shape[0])
 
 
-_CHUNK_COLS = 8
+def solve_multi(tasks, pool=None) -> None:
+    """Run a batch of solve tasks, zero-argument callables that each write
+    their own outputs, and wait for every one.
 
-
-def _solve_into(f: CholFactor, rhs: np.ndarray, out: np.ndarray) -> None:
-    out[...] = f.solve(rhs)
-
-
-def solve_multi(jobs, pool=None) -> None:
-    """Solve a batch of ``(factor, rhs, out)`` jobs, writing each solution into ``out``.
-
-    A 2-D ``rhs`` holds one system per column.  Each job's columns are split
-    into fixed-width chunks determined by its column count alone, and every
-    chunk is one task on ``pool``; None runs the tasks inline.  Waits for
-    every task.  The splitting solver opens one pool per solve, with
-    ``thread_count`` workers capped at the CPUs the process may run on.  The
-    backend's multi-RHS triangular solve is batch-width sensitive at the
-    last bit, so identical chunking is what makes results, and so the
-    solver's iterates, bit-identical for every thread count.
+    Each task is one unit of ``pool`` (None runs them inline, in order); the
+    first exception a task raised is raised here.  The splitting solver
+    opens one pool per solve, with ``thread_count`` workers capped at the
+    CPUs the process may run on, and makes each time-slice chunk of a
+    prediction one task: the chunk's right-hand sides, its control and
+    state solves and its predicted products.  What couples the chunks (the
+    shifted residual before the batch; the constraint map, the multiplier
+    and the box copies after it) stays on the calling thread.  The
+    backend's triangular solve can differ in the last bit with the batch
+    width (a one-column solve from a multi-column one), so the chunks are
+    fixed by the step count alone, which makes the solver's iterates
+    bit-identical for every thread count.
     """
-    tasks = []
-    for f, rhs, out in jobs:
-        if rhs.shape[0] != f.dimension:
-            raise ValueError(f"rhs has {rhs.shape[0]} rows, factor dimension is {f.dimension}")
-        if rhs.ndim == 1:
-            tasks.append((f, rhs, out))
-        else:
-            chunks = [slice(lo, lo + _CHUNK_COLS) for lo in range(0, rhs.shape[1], _CHUNK_COLS)]
-            tasks += [(f, rhs[:, c], out[:, c]) for c in chunks]
     if pool is None:
         for task in tasks:
-            _solve_into(*task)
+            task()
         return
-    for future in [pool.submit(_solve_into, *task) for task in tasks]:
+    for future in [pool.submit(task) for task in tasks]:
         future.result()

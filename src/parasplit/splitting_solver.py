@@ -24,21 +24,29 @@ control solves use the mass shift alpha I + beta tau A, the control normal
 matrix alpha tau A + beta tau^2 A A with its SPD factor tau A cancelled.
 
 ``thread_count`` sets the workers of one thread pool opened per solve,
-capped at the CPUs the process may run on; a single thread runs every solve
-inline.  Each iteration hands its control, interior-state and terminal solves
-to the pool as one batch, split into column chunks fixed by M alone, so the
-iterates are bit-identical for every thread count.
+capped at the CPUs the process may run on; a single thread runs every task
+inline.  Each prediction is one ``solve_multi`` batch with one task per
+chunk of CHUNK_COLS time steps.  A task forms its steps' control and state
+right-hand sides, solves them (the interior states against the state
+factor, step M against the terminal factor) and forms the predicted
+products A U~, step_plus Y~ and step_minus Y~ of its columns.  The calling
+thread keeps what couples the chunks: q before the batch; C z~, the
+multiplier, the box projection and mu~ after it; and the correction.  The
+chunks are fixed by M alone, so the iterates are bit-identical for every
+thread count.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -47,6 +55,7 @@ from .discretization import (  # noqa: F401  constraint_linear_map: bench/tracin
     constraint_linear_map,
     constraint_products,
     constraint_residual,
+    fill_constraint_map,
 )
 from .sparse_linalg import CholFactor, factorize, solve_multi
 
@@ -117,8 +126,13 @@ class SolverConfig:
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
         if self.k_max < 1:
             raise ValueError(f"k_max must be >= 1, got {self.k_max}")
-        if self.bounds is not None and not self.bounds[0] < self.bounds[1]:
-            raise ValueError(f"lower bound must be below upper bound, got {self.bounds}")
+        if self.bounds is not None:
+            try:
+                lower, upper = self.bounds
+            except (TypeError, ValueError):
+                raise ValueError(f"bounds must be a (lower, upper) pair, got {self.bounds!r}") from None
+            if not all(isinstance(b, numbers.Real) for b in (lower, upper)) or not lower < upper:
+                raise ValueError(f"bounds must be reals with lower below upper, got {self.bounds!r}")
         if self.thread_count < 1:
             raise ValueError(f"thread_count must be >= 1, got {self.thread_count}")
 
@@ -213,37 +227,45 @@ def predict_controls(
     q: np.ndarray,
     config: SolverConfig,
     factors: PredictionFactors,
-    out: np.ndarray,
-) -> list:
-    """The control subproblem solves, all M columns as one ``solve_multi`` job into ``out``.
+    cols: slice,
+    U_t: np.ndarray,
+    AU_t: np.ndarray,
+) -> None:
+    """The control subproblems of the time steps ``cols``: U~ into
+    ``U_t[:, cols]`` and its mass product A U~ into ``AU_t[:, cols]``.
 
     The first-order conditions of the odd-index subproblems read
     (alpha*tau*A + beta*tau^2*A*A) U~ = beta*(tau^2*A*A U + tau*A q).  Both
     sides carry the SPD factor tau*A, so U~ solves the mass shift
     (alpha*I + beta*tau*A) U~ = beta*(tau*A U + q).  (The sign of the q term
     follows from the subproblem optimality conditions; the constraint
-    carries the control with a negative block.)
+    carries the control with a negative block.)  A U comes from w's products.
     """
-    rhs = config.beta * (sys.grid.tau * _products(sys, w)[0] + q)
-    return [(factors.control, rhs, out)]
+    rhs = config.beta * (sys.grid.tau * w.products[0][:, cols] + q[:, cols])
+    U = factors.control.solve(rhs)
+    U_t[:, cols] = U
+    AU_t[:, cols] = sys.mass @ U
 
 
-def _state_rhs(sys: DiscreteSystem, w: Iterate, q: np.ndarray, config: SolverConfig):
-    """Right-hand sides of the state subproblems.
+def _state_rhs(sys: DiscreteSystem, w: Iterate, q: np.ndarray, config: SolverConfig, cols: slice):
+    """Right-hand sides of the state subproblems of the time steps ``cols``.
 
     Block m is tau*kappa_m*d_m + beta*[step_plus (step_plus Y_m - q_m)
     + step_minus (step_minus Y_m + q_{m+1})], without the step_minus term at
     the terminal step.  The normal matrices ``PredictionFactors`` factors
     carry step_plus^2 + step_minus^2 (interior) and step_plus^2 (terminal),
     so this is the normal-equation right-hand side; the inner products
-    step_plus Y and step_minus Y come from w's products.
+    step_plus Y and step_minus Y come from w's products.  The step_minus
+    term reads q one column past the chunk.
     """
-    _, PY, MY, _ = _products(sys, w)
-    coupled = sys.step_plus @ (PY - q)
-    coupled[:, :-1] += sys.step_minus @ (MY[:, :-1] + q[:, 1:])
-    rhs = (sys.grid.tau * sys.kappa) * sys.desired_loads + config.beta * coupled
+    _, PY, MY, _ = w.products
+    lo, inner = cols.start, min(cols.stop, sys.grid.M - 1)
+    coupled = sys.step_plus @ (PY[:, cols] - q[:, cols])
+    if inner > lo:
+        coupled[:, : inner - lo] += sys.step_minus @ (MY[:, lo:inner] + q[:, lo + 1 : inner + 1])
+    rhs = (sys.grid.tau * sys.kappa[cols]) * sys.desired_loads[:, cols] + config.beta * coupled
     if config.bounds is not None:
-        rhs += config.beta * w.P + w.mu
+        rhs += config.beta * w.P[:, cols] + w.mu[:, cols]
     return rhs
 
 
@@ -253,13 +275,25 @@ def predict_states(
     q: np.ndarray,
     config: SolverConfig,
     factors: PredictionFactors,
-    out: np.ndarray,
-) -> list:
-    """The state subproblem solves as ``solve_multi`` jobs into ``out``: one
-    multi-RHS job for the interior steps and one for the terminal step."""
-    rhs = _state_rhs(sys, w, q, config)
-    jobs = [(factors.state, rhs[:, :-1], out[:, :-1])] if sys.grid.M > 1 else []
-    return jobs + [(factors.terminal, rhs[:, -1], out[:, -1])]
+    cols: slice,
+    Y_t: np.ndarray,
+    products_t: np.ndarray,
+) -> None:
+    """The state subproblems of the time steps ``cols``: Y~ into ``Y_t[:, cols]``
+    and its products step_plus Y~, step_minus Y~ into slabs 1 and 2 of
+    ``products_t``.  The interior steps solve against the state factor; a
+    chunk that ends at step M solves its last column against the terminal
+    factor."""
+    M = sys.grid.M
+    lo, inner = cols.start, min(cols.stop, M - 1)
+    rhs = _state_rhs(sys, w, q, config, cols)
+    if inner > lo:
+        Y_t[:, lo:inner] = factors.state.solve(rhs[:, : inner - lo])
+    if cols.stop == M:
+        Y_t[:, M - 1] = factors.terminal.solve(rhs[:, -1])
+    Y = Y_t[:, cols]
+    products_t[1][:, cols] = sys.step_plus @ Y
+    products_t[2][:, cols] = sys.step_minus @ Y
 
 
 def predict_multiplier(
@@ -267,6 +301,14 @@ def predict_multiplier(
 ) -> np.ndarray:
     """lam~ = lam - beta * (C z~ - rhs), from the predicted pair's products."""
     return w.lam - beta * (products_tilde[3] - sys.rhs)
+
+
+CHUNK_COLS = 32  # time steps per pool task; a fixed width keeps iterates independent of threads
+
+
+def _chunks(M: int) -> list[slice]:
+    """The column chunks of M time steps: CHUNK_COLS wide, the last one partial."""
+    return [slice(lo, min(lo + CHUNK_COLS, M)) for lo in range(0, M, CHUNK_COLS)]
 
 
 def predict(
@@ -278,10 +320,14 @@ def predict(
 ) -> Iterate:
     """One full prediction sweep; all subproblems read the same w and q.
 
-    The control and state solves run as one ``solve_multi`` batch on
-    ``pool`` (None: inline).  Uses the products w carries, forming them
-    first when it carries none.  The predicted iterate is returned with its
-    own products.
+    Each column chunk of time steps is one task of a ``solve_multi`` batch
+    on ``pool`` (None: inline): the control and state solves of its steps
+    with their right-hand sides and the predicted products A U~,
+    step_plus Y~ and step_minus Y~.  The calling thread forms q before the
+    batch and, after it, what couples the columns: C z~, the multiplier and
+    the box copies.  Uses the products w carries, forming them first when
+    it carries none.  The predicted iterate is returned with its own
+    products.
     """
     if w.products is None:
         w = Iterate(w.z, constraint_products(sys, w.Y, w.U))
@@ -289,10 +335,14 @@ def predict(
     q = compute_q(sys, w, beta)
     box = config.bounds is not None
     z_t = np.empty((5 if box else 3,) + w.U.shape)
-    jobs = predict_controls(sys, w, q, config, factors, z_t[0])
-    jobs += predict_states(sys, w, q, config, factors, z_t[1])
-    solve_multi(jobs, pool)
-    products_t = constraint_products(sys, z_t[1], z_t[0])
+    products_t = np.empty((4,) + w.U.shape)
+
+    def chunk(cols: slice) -> None:
+        predict_controls(sys, w, q, config, factors, cols, z_t[0], products_t[0])
+        predict_states(sys, w, q, config, factors, cols, z_t[1], products_t)
+
+    solve_multi([partial(chunk, cols) for cols in _chunks(sys.grid.M)], pool)
+    fill_constraint_map(sys, products_t)
     z_t[2] = predict_multiplier(sys, w, products_t, beta)
     if box:
         np.clip(w.Y - w.mu / beta, *config.bounds, out=z_t[3])

@@ -224,7 +224,9 @@ def prediction_row_residuals(sys: DiscreteSystem, w: Iterate, w_tilde: Iterate, 
     + (beta/2) ||M_l(chi - chi^k) + r^k||^2 with r^k the full constraint
     residual at w^k; its optimality row reads
     theta_l'(chi~) + beta M_l^T (M_l (chi~ - chi^k) + q) = 0 with the
-    shifted residual q = r^k - lam^k / beta.
+    shifted residual q = r^k - lam^k / beta.  For a box iterate the state
+    subproblems also carry the copy constraint Y - P = 0 with multiplier mu,
+    which adds beta (Y~ - P^k) - mu^k to their rows.
     """
     N, M = sys.ndof, sys.grid.M
     tau = sys.grid.tau
@@ -247,7 +249,9 @@ def prediction_row_residuals(sys: DiscreteSystem, w: Iterate, w_tilde: Iterate, 
             kappa * tau * (A @ w_tilde.Y[:, m] - sys.desired_loads[:, m]),
             beta * (Sm.T @ (Sm @ (w_tilde.Y[:, m] - w.Y[:, m]) + q)),
         ]
-        res = terms[0] + terms[1]
+        if w.is_box:
+            terms.append(beta * (w_tilde.Y[:, m] - w.P[:, m]) - w.mu[:, m])
+        res = sum(terms)
         scale = max(1.0, max(np.linalg.norm(t) for t in terms))
         out.append(np.linalg.norm(res) / scale)
     return np.asarray(out)

@@ -96,6 +96,21 @@ class TestBench:
         assert [r[0] for r in rows] == ["1", "2"]
         assert float(rows[0][4]) == 1.0
 
+    def test_speedup_against_the_serial_run(self, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        base = ["bench", "--example", "5.1", "--n", "2", "--k", "3", "--beta", "1", "--out", str(out)]
+        assert main(base + ["--threads", "2,1"]) == 0
+        _, rows = _read(out)
+        assert [r[0] for r in rows] == ["2", "1"]
+        assert float(rows[1][4]) == 1.0
+        capsys.readouterr()
+        for threads in ("2", ""):
+            out.unlink(missing_ok=True)
+            assert main(base + ["--threads", threads]) == 1
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "must include 1" in err
+            assert not out.exists()
+
 
 class TestBox:
     def test_box_run_csv(self, tmp_path, capsys):

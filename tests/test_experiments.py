@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from parasplit.experiments import (
+    WARM_ITERATIONS,
     SolverConfig,
     adjoint_residual,
     benchmark,
@@ -225,6 +226,20 @@ class TestBenchmark:
         monkeypatch.setattr(experiments, "solve", lambda sys, cfg: configs.append(cfg) or real(sys, cfg))
         prob = get_example("5.1")
         config = SolverConfig(alpha=prob.alpha, beta=1.0, bounds=(0.0, 0.8))
-        benchmark(prob, config, 2, [1, 2], k=3)
-        assert [c.bounds for c in configs] == [(0.0, 0.8)] * 2
-        assert [(c.epsilon, c.k_max, c.thread_count) for c in configs] == [(0.0, 3, 1), (0.0, 3, 2)]
+        benchmark(prob, config, 2, [1, 2], k=20)
+        assert [c.bounds for c in configs] == [(0.0, 0.8)] * 4
+        # An untimed warm-up solve precedes each timed one.
+        assert [(c.epsilon, c.k_max, c.thread_count) for c in configs] == [
+            (0.0, WARM_ITERATIONS, 1), (0.0, 20, 1), (0.0, WARM_ITERATIONS, 2), (0.0, 20, 2)
+        ]
+
+    def test_speedup_baseline_is_the_serial_run(self):
+        prob = get_example("5.1")
+        config = SolverConfig(alpha=prob.alpha, beta=1.0)
+        rows = benchmark(prob, config, 2, [2, 1], k=3)
+        assert [r.threads for r in rows] == [2, 1]
+        assert rows[1].psf == 1.0
+        assert rows[0].psf == rows[1].seconds_total / rows[0].seconds_total
+        for threads in ([2], [], [2, 4]):
+            with pytest.raises(ValueError, match="must include 1"):
+                benchmark(prob, config, 2, threads, k=3)

@@ -1,4 +1,5 @@
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
@@ -85,9 +86,13 @@ class TestFactorize:
 
 
 def _solved(jobs, pool=None):
-    """solve_multi over (factor, rhs) pairs; returns the filled outputs."""
+    """solve_multi over (factor, rhs) pairs, one task each; returns the filled outputs."""
     outs = [np.full_like(rhs, np.nan) for _, rhs in jobs]
-    solve_multi([(f, rhs, out) for (f, rhs), out in zip(jobs, outs)], pool)
+
+    def task(f, rhs, out):
+        out[...] = f.solve(rhs)
+
+    solve_multi([partial(task, f, rhs, out) for (f, rhs), out in zip(jobs, outs)], pool)
     return outs
 
 

@@ -140,6 +140,23 @@ class TestPrediction:
         res = prediction_row_residuals(sys, w, w_t, config.alpha, config.beta)
         assert res.max() <= 1e-9
 
+    @pytest.mark.parametrize("box", [False, True])
+    def test_chunked_prediction(self, box):
+        # Two full chunks and a partial one: the chunk boundaries, the q column
+        # read past each chunk and a terminal step in the partial chunk.
+        M = 2 * splitting_solver.CHUNK_COLS + 5
+        sys = random_system(14, n=2, M=M)
+        w = random_iterate(15, sys, box)
+        config = _config(sys, beta=0.7, bounds=(-0.5, 0.5) if box else None)
+        factors = PredictionFactors.build(sys, config)
+        inline = predict(sys, w, config, factors)
+        with ThreadPoolExecutor(2) as pool:
+            pooled = predict(sys, w, config, factors, pool)
+        for w_t in (inline, pooled):
+            assert prediction_row_residuals(sys, w, w_t, config.alpha, config.beta).max() <= 1e-9
+            assert np.array_equal(w_t.products, constraint_products(sys, w_t.Y, w_t.U))
+        assert np.array_equal(pooled.z, inline.z)
+
     def test_control_row_direct_substitution(self):
         sys = random_system(5, n=2, M=3)
         w = random_iterate(6, sys)
@@ -383,11 +400,11 @@ class TestSolve:
 
     @pytest.mark.parametrize("box", [False, True])
     def test_thread_count_bitwise_across_chunks(self, box):
-        # M = 21: 21 control and 20 interior-state columns, neither a multiple
-        # of the 8-column chunk.  On this system the multi-RHS solves of both
-        # runs depend on the batch width in the last bits (on coarse meshes
-        # they do not), so chunking that followed the thread count would show.
-        sys = random_system(11, n=28, M=21)
+        # Two full chunks and a partial one, whose last column is the terminal
+        # step.  On this mesh a one-column solve differs from a multi-column
+        # one in the last bits (on coarse meshes it does not), so chunking
+        # that followed the thread count down to single columns would show.
+        sys = random_system(11, n=28, M=2 * splitting_solver.CHUNK_COLS + 5)
         bounds = (-0.5, 0.5) if box else None
         runs = []
         for threads in (1, 2, 8):
@@ -559,7 +576,7 @@ class TestConfigValidation:
         for bad in (-1e-3, math.nan):
             with pytest.raises(ValueError, match="epsilon"):
                 SolverConfig(alpha=1.0, beta=1.0, epsilon=bad)
-        for bounds in ((1.0, 0.0), (math.nan, 1.0), (0.0, math.nan)):
+        for bounds in ((1.0, 0.0), (math.nan, 1.0), (0.0, math.nan), (0.0,), (0, 1, 2), ("0", "1"), 0.5):
             with pytest.raises(ValueError, match="bound"):
                 SolverConfig(alpha=1.0, beta=1.0, bounds=bounds)
         SolverConfig(alpha=1.0, beta=1.0, bounds=(-math.inf, math.inf))
