@@ -126,7 +126,8 @@ def cmd_box(args) -> None:
         f"stop_reason={report.stop_reason} "
         f"P_range=[{_fmt(y_min)}, {_fmt(y_max)}] "
         f"final_gap={_fmt(float(np.linalg.norm(w.Y - w.P)))} "
-        f"factor_nnz={','.join(f'{k}:{v}' for k, v in report.factor_nnz.items())}"
+        f"factor_nnz={','.join(f'{k}:{v}' for k, v in report.factor_nnz.items())} "
+        f"dense_factors={','.join(report.dense_factors)}"
     )
 
 

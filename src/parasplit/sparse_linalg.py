@@ -1,4 +1,18 @@
-"""One symmetry check, SPD factorization and batched solve tasks on sparse matrices."""
+"""One finiteness and symmetry check, SPD factorization and batched solve
+tasks on sparse matrices.
+
+``factorize`` is the one place that knows the backend: SuperLU in symmetric
+mode, whose pivots expose positive definiteness.  A factor of dimension at
+most ``DENSE_MAX_NDOF`` is also inverted once, and its solves are one dense
+matrix product each (a GEMM for a block of right-hand sides, a GEMV for
+one): on such small systems SuperLU's sparse triangular sweeps run up to
+several times slower than one dense product against the inverse.  Above
+the cap the dense product is no longer faster for every factor, and forming
+the inverse costs tens of milliseconds, so SuperLU does the solves
+(``tools/dense_sweep.py`` measures both sides).  A solve through the
+explicit inverse has a forward error of the same order, cond(S) * eps, as
+a backward-stable one.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +21,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 _SYMMETRY_TOL = 1e-14
+DENSE_MAX_NDOF = 640  # largest dimension applied as a dense inverse; see tools/dense_sweep.py
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -18,7 +33,8 @@ class NotPositiveDefiniteError(ValueError):
 
 
 class SparseSpd:
-    """A square sparse matrix checked for symmetry, in duplicate-free CSR.
+    """A square sparse matrix checked for finite entries and symmetry, in
+    duplicate-free CSR.
 
     ``factorize`` builds one from its argument; the operators themselves are
     plain scipy matrices.  Positive definiteness is checked by the
@@ -30,6 +46,11 @@ class SparseSpd:
         if mat.shape[0] != mat.shape[1]:
             raise ValueError(f"matrix must be square, got shape {mat.shape}")
         mat.sum_duplicates()
+        bad = np.flatnonzero(~np.isfinite(mat.data))
+        if bad.size:
+            k = bad[0]
+            row = np.searchsorted(mat.indptr, k, side="right") - 1
+            raise ValueError(f"matrix entry ({row}, {mat.indices[k]}) is {mat.data[k]}, not finite")
         scale = max(1.0, abs(mat).max() if mat.nnz else 0.0)
         asym = abs(mat - mat.T)
         if asym.nnz and asym.max() > _SYMMETRY_TOL * scale:
@@ -42,13 +63,23 @@ class CholFactor:
 
     Backed by a fill-reducing LU kept in symmetric mode (no row pivoting),
     so the pivots expose positive definiteness and the factorization is
-    deterministic for a fixed matrix.  Immutable and safe to share across
-    threads; column solves are independent.
+    deterministic for a fixed matrix.  A small factor (``dense``) also holds
+    the inverse, and solves are one dense product with it.  Immutable and
+    safe to share across threads.  A solve is deterministic for a fixed
+    right-hand-side shape, but its columns are not independent bit for bit:
+    a one-column solve can differ in the last bits from the same column
+    solved within a block.
     """
 
-    def __init__(self, lu, dimension: int):
+    def __init__(self, lu, dimension: int, inverse: np.ndarray | None = None):
         self._lu = lu
+        self._inverse = inverse
         self.dimension = dimension
+
+    @property
+    def dense(self) -> bool:
+        """Whether solves apply the dense inverse instead of the LU factors."""
+        return self._inverse is not None
 
     @property
     def nnz(self) -> int:
@@ -63,15 +94,18 @@ class CholFactor:
         b = np.asarray(b, dtype=float)
         if b.shape[0] != self.dimension:
             raise ValueError(f"rhs has {b.shape[0]} rows, factor dimension is {self.dimension}")
+        if self._inverse is not None:
+            return self._inverse @ b
         return self._lu.solve(b)
 
 
 def factorize(m: sp.spmatrix) -> CholFactor:
     """Factor a sparse SPD matrix for repeated solves.
 
-    Raises ValueError when ``m`` is not square or not symmetric, and
-    NotPositiveDefiniteError (with the offending pivot index) when a
-    non-positive pivot appears.
+    Raises ValueError when ``m`` is not square, has a non-finite entry or
+    is not symmetric, and NotPositiveDefiniteError (with the offending pivot
+    index) when a non-positive pivot appears.  At most ``DENSE_MAX_NDOF``
+    rows, the factor also forms the inverse, once, from the LU factors.
     """
     mat = SparseSpd(m).mat
     lu = spla.splu(
@@ -84,7 +118,9 @@ def factorize(m: sp.spmatrix) -> CholFactor:
     bad = np.flatnonzero(pivots <= 0.0)
     if bad.size:
         raise NotPositiveDefiniteError(bad[0])
-    return CholFactor(lu, mat.shape[0])
+    n = mat.shape[0]
+    inverse = np.ascontiguousarray(lu.solve(np.eye(n))) if n <= DENSE_MAX_NDOF else None
+    return CholFactor(lu, n, inverse)
 
 
 def solve_multi(tasks, pool=None) -> None:
@@ -98,10 +134,10 @@ def solve_multi(tasks, pool=None) -> None:
     prediction one task: the chunk's right-hand sides, its control and
     state solves and its predicted products.  What couples the chunks (the
     shifted residual before the batch; the constraint map, the multiplier
-    and the box copies after it) stays on the calling thread.  The
-    backend's triangular solve can differ in the last bit with the batch
-    width (a one-column solve from a multi-column one), so the chunks are
-    fixed by the step count alone, which makes the solver's iterates
+    and the box copies after it) stays on the calling thread.  A solve can
+    differ in the last bit with the batch width (SuperLU's one-column sweep
+    from a multi-column one, a GEMV from a GEMM), so the chunks are fixed
+    by the step count alone, which makes the solver's iterates
     bit-identical for every thread count.
     """
     if pool is None:

@@ -9,7 +9,11 @@ which the corrected iteration contracts.
 ``solve`` is the one entry point: it runs the box variant (projected state
 copies) exactly when the config has bounds.  ``PredictionFactors.build``
 forms and factors the subproblems' normal matrices from the system's mass,
-stiffness and step matrices; the discretization holds none of them.
+stiffness and step matrices; the discretization holds none of them.  On
+small levels (at most ``sparse_linalg.DENSE_MAX_NDOF`` unknowns per time
+step) ``factorize`` also inverts each factor once, so a chunk's control or
+state solve is one dense matrix product; ``SolveReport.dense_factors``
+names the factors applied that way.
 
 An iterate is one stacked array: the slabs U, Y, lam and, in the box
 variant, P and mu.  The constraint map is linear, so the loop carries the
@@ -147,7 +151,9 @@ class SolveReport:
     the gap between the carried constraint residual and the one recomputed
     from the final iterate, relative to max(1, ||rhs||).  ``factor_nnz`` maps
     each prediction factor ("control", "state" unless M == 1, "terminal") to
-    its nnz(L) + nnz(U).
+    its nnz(L) + nnz(U).  ``dense_factors`` names, in the same order, the
+    factors whose solves apply a dense inverse (every factor when ndof is at
+    most ``sparse_linalg.DENSE_MAX_NDOF``, none above it).
     """
 
     iterations: int
@@ -160,6 +166,7 @@ class SolveReport:
     seconds_predict: float
     seconds_correct: float
     factor_nnz: dict[str, int]
+    dense_factors: tuple[str, ...]
     gap_history: np.ndarray | None = None  # box runs: ||Y - P|| per iteration
 
 
@@ -478,6 +485,7 @@ def solve(sys: DiscreteSystem, config: SolverConfig, monitor=None) -> tuple[Iter
         seconds_predict=t_predict,
         seconds_correct=t_correct,
         factor_nnz={name: f.nnz for name, f in vars(factors).items() if f is not None},
+        dense_factors=tuple(name for name, f in vars(factors).items() if f is not None and f.dense),
         gap_history=None if gaps is None else np.asarray(gaps),
     )
     return w, report

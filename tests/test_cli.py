@@ -127,3 +127,4 @@ class TestBox:
         assert "P_range=" in text and "iterations=" in text
         assert "stop_reason=" in text
         assert "factor_nnz=control:" in text and ",terminal:" in text
+        assert text.rstrip().endswith(" dense_factors=control,state,terminal")

@@ -6,8 +6,15 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from parasplit import sparse_linalg
 from parasplit.experiments import build_level, example_5_1
-from parasplit.sparse_linalg import NotPositiveDefiniteError, SparseSpd, factorize, solve_multi
+from parasplit.sparse_linalg import (
+    DENSE_MAX_NDOF,
+    NotPositiveDefiniteError,
+    SparseSpd,
+    factorize,
+    solve_multi,
+)
 from parasplit.splitting_solver import PredictionFactors, SolverConfig
 
 
@@ -16,8 +23,23 @@ def _random_spd(rng, dim):
     return sp.csr_matrix(m @ m.T + dim * np.eye(dim))
 
 
+def _sparse_spd(rng, dim):
+    """A random sparse SPD matrix, cheap to factor at any dimension."""
+    r = sp.random(dim, dim, density=min(1.0, 3.0 / dim), random_state=rng)
+    return sp.csr_matrix(r @ r.T + 4.0 * sp.identity(dim))
+
+
+def _assert_matches_columns(f, got, want):
+    """A block solve against column-by-column solves: bit for bit through
+    SuperLU; through a dense inverse, a GEMM and a GEMV may round apart."""
+    if f.dense:
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+    else:
+        assert np.array_equal(got, want)
+
+
 class TestSparseSpd:
-    """The one symmetry check, as ``factorize`` runs it on its argument."""
+    """The one finiteness and symmetry check, as ``factorize`` runs it on its argument."""
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError, match="square"):
@@ -30,6 +52,20 @@ class TestSparseSpd:
     def test_sums_duplicates(self):
         coo = sp.coo_matrix(([1.0, 1.0], ([0, 0], [0, 0])), shape=(1, 1))
         assert factorize(coo).solve(np.array([4.0])) == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("dim", [4, DENSE_MAX_NDOF + 1])
+    @pytest.mark.parametrize(
+        "entry,value", [((1, 1), np.nan), ((0, 1), np.inf)], ids=["nan-diagonal", "inf-offdiagonal"]
+    )
+    def test_rejects_non_finite(self, monkeypatch, dim, entry, value):
+        def no_factoring(*args, **kwargs):
+            raise AssertionError("a non-finite matrix reached the factorization")
+
+        monkeypatch.setattr(sparse_linalg.spla, "splu", no_factoring)
+        m = sp.lil_matrix(_sparse_spd(np.random.default_rng(dim), dim))
+        m[entry] = m[entry[::-1]] = value
+        with pytest.raises(ValueError, match=rf"entry \({entry[0]}, {entry[1]}\) is {value}, not finite"):
+            factorize(m)
 
     def test_checked_once_per_factorization(self, monkeypatch):
         shapes = []
@@ -75,6 +111,15 @@ class TestFactorize:
         with pytest.raises(ValueError, match="dimension"):
             f.solve(np.ones(4))
 
+    def test_dense_cap_boundary(self):
+        rng = np.random.default_rng(3)
+        for dim, dense in ((DENSE_MAX_NDOF, True), (DENSE_MAX_NDOF + 1, False)):
+            m = _sparse_spd(rng, dim)
+            f = factorize(m)
+            assert f.dense is dense
+            b = rng.standard_normal((dim, 3))
+            assert np.linalg.norm(m @ f.solve(b) - b) <= 1e-10 * np.linalg.norm(b)
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=12))
     def test_residual_property(self, seed, dim):
@@ -109,14 +154,14 @@ class TestSolveMulti:
 
     def test_matches_serial_exactly(self):
         rng = np.random.default_rng(7)
-        m = _random_spd(rng, 10)
-        f = factorize(m)
-        rhs = rng.standard_normal((10, 5))
-        serial = np.column_stack([f.solve(rhs[:, j]) for j in range(5)])
-        assert np.array_equal(_solved([(f, rhs)])[0], serial)
-        for workers in (2, 4):
-            with ThreadPoolExecutor(workers) as pool:
-                assert np.array_equal(_solved([(f, rhs)], pool)[0], serial)
+        for f in (factorize(_random_spd(rng, 10)), factorize(_sparse_spd(rng, DENSE_MAX_NDOF + 1))):
+            rhs = rng.standard_normal((f.dimension, 5))
+            serial = np.column_stack([f.solve(rhs[:, j]) for j in range(5)])
+            inline = _solved([(f, rhs)])[0]
+            _assert_matches_columns(f, inline, serial)
+            for workers in (2, 4):
+                with ThreadPoolExecutor(workers) as pool:
+                    assert np.array_equal(_solved([(f, rhs)], pool)[0], inline)
 
     def test_single_column_vector(self):
         f = factorize(2.0 * sp.identity(3))
@@ -130,13 +175,17 @@ class TestSolveMulti:
 
     def test_mixed_batch_matches_column_solves(self):
         rng = np.random.default_rng(8)
-        factors = [factorize(_random_spd(rng, 10)) for _ in range(3)]
-        rhs = [rng.standard_normal(10), rng.standard_normal((10, 5)), rng.standard_normal((10, 19))]
+        big = DENSE_MAX_NDOF + 1
+        factors = [factorize(_random_spd(rng, 10)), factorize(_sparse_spd(rng, big)),
+                   factorize(_random_spd(rng, 10))]
+        rhs = [rng.standard_normal(10), rng.standard_normal((big, 5)), rng.standard_normal((10, 19))]
         jobs = list(zip(factors, rhs))
         expected = [factors[0].solve(rhs[0])] + [
             np.column_stack([f.solve(b[:, j]) for j in range(b.shape[1])]) for f, b in jobs[1:]
         ]
+        inline = _solved(jobs)
+        for f, got, want in zip(factors, inline, expected):
+            _assert_matches_columns(f, got, want)
         with ThreadPoolExecutor(2) as pool:
-            for run in (_solved(jobs), _solved(jobs, pool)):
-                for got, want in zip(run, expected):
-                    assert np.array_equal(got, want)
+            for got, want in zip(_solved(jobs, pool), inline):
+                assert np.array_equal(got, want)

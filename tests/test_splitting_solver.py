@@ -24,8 +24,8 @@ from parasplit.discretization import constraint_products, constraint_residual
 from parasplit.experiments import build_level, get_example
 from parasplit.kkt_oracle import solve_kkt
 from parasplit.mesh import DIRICHLET, NEUMANN
-from parasplit import splitting_solver
-from parasplit.sparse_linalg import factorize
+from parasplit import sparse_linalg, splitting_solver
+from parasplit.sparse_linalg import DENSE_MAX_NDOF, factorize
 from parasplit.splitting_solver import (
     Iterate,
     PredictionFactors,
@@ -398,21 +398,38 @@ class TestSolve:
         assert np.array_equal(results[0].Y, results[1].Y)
         assert np.array_equal(results[0].lam, results[1].lam)
 
-    @pytest.mark.parametrize("box", [False, True])
-    def test_thread_count_bitwise_across_chunks(self, box):
-        # Two full chunks and a partial one, whose last column is the terminal
-        # step.  On this mesh a one-column solve differs from a multi-column
-        # one in the last bits (on coarse meshes it does not), so chunking
-        # that followed the thread count down to single columns would show.
-        sys = random_system(11, n=28, M=2 * splitting_solver.CHUNK_COLS + 5)
+    @staticmethod
+    def _assert_bitwise_across_threads(sys, box, dense):
+        """Two full chunks and a partial one, whose last column is the
+        terminal step, give the same iterates at 1, 2 and 8 threads."""
         bounds = (-0.5, 0.5) if box else None
         runs = []
         for threads in (1, 2, 8):
             config = _config(sys, beta=0.5, epsilon=0.0, k_max=15, thread_count=threads, bounds=bounds)
             runs.append(solve(sys, config))
+        assert bool(runs[0][1].dense_factors) is dense
         for w, report in runs[1:]:
             assert np.array_equal(w.z, runs[0][0].z)
             assert np.array_equal(report.increment_history, runs[0][1].increment_history)
+
+    @pytest.mark.parametrize("box", [False, True])
+    def test_thread_count_bitwise_across_chunks(self, box):
+        # On this mesh (above the dense cap) SuperLU's one-column solve differs
+        # from a multi-column one in the last bits (on coarse meshes it does
+        # not), so chunking that followed the thread count down to single
+        # columns would show.
+        sys = random_system(11, n=28, M=2 * splitting_solver.CHUNK_COLS + 5)
+        assert sys.ndof > DENSE_MAX_NDOF
+        self._assert_bitwise_across_threads(sys, box, dense=False)
+
+    @pytest.mark.parametrize("box", [False, True])
+    def test_thread_count_bitwise_across_chunks_dense(self, box):
+        # Under the dense cap a solve is a product with the inverse, and on
+        # this mesh a one-column product (GEMV) rounds differently from a
+        # block one (GEMM), so thread-dependent chunking would show here too.
+        sys = random_system(11, n=12, M=2 * splitting_solver.CHUNK_COLS + 5)
+        assert sys.ndof <= DENSE_MAX_NDOF
+        self._assert_bitwise_across_threads(sys, box, dense=True)
 
     def test_one_pool_per_threaded_solve(self, monkeypatch):
         workers = []
@@ -522,6 +539,29 @@ class TestSolve:
         }
         assert set(expected) == ({"control", "terminal"} if M == 1 else {"control", "state", "terminal"})
         assert report.factor_nnz == expected
+
+    def test_dense_factors_reported(self, monkeypatch):
+        sys = random_system(8, n=3, M=3)
+        config = SolverConfig(alpha=sys.alpha, beta=1.0, k_max=1)
+        _, report = solve(sys, config)
+        assert report.dense_factors == ("control", "state", "terminal")
+        monkeypatch.setattr(sparse_linalg, "DENSE_MAX_NDOF", sys.ndof - 1)
+        _, report = solve(sys, config)
+        assert report.dense_factors == ()
+        assert set(report.factor_nnz) == {"control", "state", "terminal"}
+
+    @pytest.mark.parametrize("example", ["5.1", "5.2"])
+    def test_dense_inverse_matches_superlu(self, example):
+        prob = get_example(example)
+        sys = build_level(prob, 16)
+        config = SolverConfig(alpha=prob.alpha, beta=prob.beta)
+        factors = PredictionFactors.build(sys, config)
+        rhs = np.random.default_rng(5).standard_normal((sys.ndof, splitting_solver.CHUNK_COLS))
+        for name, f in vars(factors).items():
+            assert f.dense, name
+            for b in (rhs, rhs[:, 0]):
+                want = f._lu.solve(b)
+                np.testing.assert_allclose(f.solve(b), want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
     def test_alpha_mismatch_rejected(self):
         sys = random_system(5, n=2, M=2)
