@@ -5,13 +5,16 @@ tasks on sparse matrices.
 mode, whose pivots expose positive definiteness.  A factor of dimension at
 most ``DENSE_MAX_NDOF`` is also inverted once, and its solves are one dense
 matrix product each (a GEMM for a block of right-hand sides, a GEMV for
-one): on such small systems SuperLU's sparse triangular sweeps run up to
-several times slower than one dense product against the inverse.  Above
-the cap the dense product is no longer faster for every factor, and forming
-the inverse costs tens of milliseconds, so SuperLU does the solves
-(``tools/dense_sweep.py`` measures both sides).  A solve through the
-explicit inverse has a forward error of the same order, cond(S) * eps, as
-a backward-stable one.
+one): on such small systems SuperLU's sparse triangular sweeps run several
+times slower than one dense product against the inverse.  The inverse is
+formed once, so the dense path pays only on runs long enough to repay it:
+at the cap, the splitting solver's three inverses cost what 20 to 40 of
+its predictions save (fewer on finer time grids, which solve more columns
+per prediction).  Above the cap the payback grows fast, and from ndof ~530
+the dense product is no faster at some widths a prediction uses, so SuperLU
+does the solves (``tools/dense_sweep.py`` measures both sides).  A solve
+through the explicit inverse has a forward error of the same order,
+cond(S) * eps, as a backward-stable one.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 _SYMMETRY_TOL = 1e-14
-DENSE_MAX_NDOF = 640  # largest dimension applied as a dense inverse; see tools/dense_sweep.py
+DENSE_MAX_NDOF = 225  # largest dimension applied as a dense inverse; see tools/dense_sweep.py
 
 
 class NotPositiveDefiniteError(ValueError):

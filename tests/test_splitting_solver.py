@@ -552,8 +552,10 @@ class TestSolve:
 
     @pytest.mark.parametrize("example", ["5.1", "5.2"])
     def test_dense_inverse_matches_superlu(self, example):
+        # the largest dense factors: both levels have ndof == DENSE_MAX_NDOF
         prob = get_example(example)
-        sys = build_level(prob, 16)
+        sys = build_level(prob, {"5.1": 16, "5.2": 14}[example])
+        assert sys.ndof == DENSE_MAX_NDOF
         config = SolverConfig(alpha=prob.alpha, beta=prob.beta)
         factors = PredictionFactors.build(sys, config)
         rhs = np.random.default_rng(5).standard_normal((sys.ndof, splitting_solver.CHUNK_COLS))

@@ -17,25 +17,16 @@ for bit, and the 2-thread speedup (1-thread median over 2-thread median)
 per mesh and width.
 """
 
-import os
-import sys
+import sweep_common
 
-THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
-              "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 if __name__ == "__main__":
-    os.environ.update({k: "1" for k in THREAD_ENV})
+    sweep_common.pin_blas()
 
 import argparse
 import json
-import platform
-import statistics
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
-
 import numpy as np
-import scipy
 
 from parasplit import experiments, splitting_solver
 from parasplit.splitting_solver import SolverConfig
@@ -55,11 +46,6 @@ def timed_solve(sys_, problem, width: int, threads: int):
     splitting_solver.CHUNK_COLS = width
     w, report = splitting_solver.solve(sys_, config(problem, threads))
     return report.seconds_total, w.z
-
-
-def quartiles(samples: list[float]) -> tuple[float, float, float]:
-    q1, q2, q3 = statistics.quantiles(samples, n=4, method="inclusive")
-    return q1, q2, q3
 
 
 def sweep(repeats: int) -> dict:
@@ -84,9 +70,8 @@ def sweep(repeats: int) -> dict:
         splitting_solver.CHUNK_COLS = default
     runs = []
     for n, width, threads in cells:
-        q1, med, q3 = quartiles(times[n, width, threads])
         runs.append({"n": n, "M": systems[n].grid.M, "width": width, "threads": threads,
-                     "median_s": med, "q1_s": q1, "q3_s": q3,
+                     **sweep_common.quartiles(times[n, width, threads]),
                      "samples_s": times[n, width, threads],
                      "equals_width8": equal[n, width, threads]})
     median = {(r["n"], r["width"], r["threads"]): r["median_s"] for r in runs}
@@ -96,13 +81,7 @@ def sweep(repeats: int) -> dict:
         "what": "splitting_solver.solve, example 5.1, box [0, 0.8], beta 0.3, gamma 1.5, "
                 f"{ITERATIONS} iterations; seconds are SolveReport.seconds_total",
         "command": "python3 tools/chunk_sweep.py --repeats " + str(repeats),
-        "environment": {
-            "nproc": len(os.sched_getaffinity(0)),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-            "thread_env": {k: os.environ.get(k) for k in THREAD_ENV},
-        },
+        "environment": sweep_common.environment(),
         "repeats": repeats,
         "default_width": default,
         "runs": runs,
@@ -113,7 +92,7 @@ def sweep(repeats: int) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_chunks.json")
+    parser.add_argument("--out", type=Path, default=sweep_common.ROOT / "BENCH_chunks.json")
     args = parser.parse_args(argv)
     if args.repeats < 2:
         parser.error("--repeats must be at least 2 (quartiles need two samples)")

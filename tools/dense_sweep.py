@@ -1,57 +1,55 @@
-"""Time a prediction factor's solve through SuperLU and through a dense inverse.
+"""Time the prediction factors' solves through SuperLU and through a dense inverse.
 
     python3 tools/dense_sweep.py [--repeats 7] [--out BENCH_dense.json]
 
 Run from the repository root; parasplit is imported from ``src/``.  BLAS is
 pinned to one thread before numpy loads, as in the solver's benchmark.  For
-examples 5.1 and 5.2 at mesh n in {8, 12, 16, 20, 24, 28, 32}, the tool
-builds the level and the splitting solver's prediction factors (the
-example's beta, no bounds), and times, for the control and the state factor:
+examples 5.1 and 5.2 at mesh n in {8, 12, 14, 16, 20, 24, 28, 32}, the tool
+builds the level and the splitting solver's three prediction factors (the
+example's beta, no bounds) and times, per factor:
 
-  superlu   the factor's SuperLU solve of one chunk, 32 right-hand columns
-  dense     the product of the inverse with the same 32 columns
+  superlu   one SuperLU solve, at every right-hand-side width one prediction
+            uses (``predict``'s chunks of M steps: the control and state
+            chunks, full and partial, and the terminal factor's single
+            column), and at a full chunk of CHUNK_COLS columns
+  dense     the product of the inverse with the same right-hand sides
   inverse   forming the inverse from the LU factors, lu.solve(I), stored
             C-contiguous, as ``sparse_linalg.factorize`` does under its cap
 
 A per-solve time is the mean of a batch of solves sized to take ~20 ms, so
-it resolves microseconds; every repeat times all three once for every cell,
-so slow stretches of a shared host fall on all cells alike.  The output
-holds, per cell, the median and quartiles of the repeats, the speedup
-(SuperLU median over dense median), how many 32-column solves repay forming
-the inverse, and whether the cell's ndof is at most the module's
-``DENSE_MAX_NDOF`` (the tool reads that cap; it does not set it); and the
-largest ndof at which the dense product was faster for every factor and the
-smallest at which it was not, between which the cap should fall.
+it resolves microseconds; every repeat times every cell once, so slow
+stretches of a shared host fall on all cells alike.  The output holds the
+median and quartiles of the repeats per cell and, per level, the solve time
+of one prediction on each path (the per-width medians weighted by how often
+a prediction solves at that width), the time to form all three inverses and
+the payback: the iterations after which the dense path has saved what its
+inverses cost.  The dense path pays on a level when it is no slower at
+every width a prediction uses and repays within PAYBACK_ITERATIONS
+iterations; the output names the largest ndof where it pays and the
+smallest where it does not, between which ``DENSE_MAX_NDOF`` should fall.
+The tool reads that cap; it does not set it.
 """
 
-import os
-import sys
+import sweep_common
 
-THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
-              "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 if __name__ == "__main__":
-    os.environ.update({k: "1" for k in THREAD_ENV})
+    sweep_common.pin_blas()
 
 import argparse
 import json
-import platform
-import statistics
 import time
+from collections import Counter
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
-
 import numpy as np
-import scipy
 
 from parasplit import experiments, sparse_linalg
-from parasplit.splitting_solver import CHUNK_COLS, PredictionFactors, SolverConfig
+from parasplit.splitting_solver import CHUNK_COLS, PredictionFactors, SolverConfig, _chunks
 
 EXAMPLES = ("5.1", "5.2")
-MESHES = (8, 12, 16, 20, 24, 28, 32)
-FACTORS = ("control", "state")
+MESHES = (8, 12, 14, 16, 20, 24, 28, 32)
 BATCH_SECONDS = 0.02
+PAYBACK_ITERATIONS = 50  # a 100-iteration run keeps at least half of the dense path's saving
 
 
 def per_call(fn) -> float:
@@ -70,63 +68,97 @@ def inverse(lu, ndof: int) -> np.ndarray:
     return np.ascontiguousarray(lu.solve(np.eye(ndof)))
 
 
-def quartiles(samples: list[float]) -> dict[str, float]:
-    q1, q2, q3 = statistics.quantiles(samples, n=4, method="inclusive")
-    return {"median_s": q2, "q1_s": q1, "q3_s": q3}
+def prediction_widths(M: int) -> dict[str, Counter]:
+    """How many solves of each width one prediction makes per factor.
+
+    Width 0 stands for the terminal factor's one right-hand side, a vector.
+    """
+    chunks = _chunks(M)
+    state = Counter(min(c.stop, M - 1) - c.start for c in chunks if min(c.stop, M - 1) > c.start)
+    return {"control": Counter(c.stop - c.start for c in chunks), "state": state,
+            "terminal": Counter({0: 1})}
 
 
 def sweep(repeats: int) -> dict:
-    cells = {}
+    levels, cells = {}, {}
     for example in EXAMPLES:
         problem = experiments.get_example(example)
         for n in MESHES:
             sys_ = experiments.build_level(problem, n)
             factors = PredictionFactors.build(sys_, SolverConfig(alpha=problem.alpha, beta=problem.beta))
-            rhs = np.random.default_rng(n).standard_normal((sys_.ndof, CHUNK_COLS))
-            for name in FACTORS:
+            widths = prediction_widths(sys_.grid.M)
+            rng = np.random.default_rng(n)
+            levels[example, n] = (sys_.ndof, sys_.grid.M, widths)
+            for name, counts in widths.items():
                 lu = getattr(factors, name)._lu
-                cells[example, n, name] = (sys_.ndof, lu, inverse(lu, sys_.ndof), rhs)
-    times = {cell: {"superlu": [], "dense": [], "inverse": []} for cell in cells}
+                timed = set(counts) | ({CHUNK_COLS} if name != "terminal" else set())
+                rhs = {w: rng.standard_normal((sys_.ndof, w) if w else sys_.ndof) for w in sorted(timed)}
+                cells[example, n, name] = (lu, inverse(lu, sys_.ndof), rhs)
+    times = {cell: {"inverse": [], **{w: {"superlu": [], "dense": []} for w in rhs}}
+             for cell, (_, _, rhs) in cells.items()}
     for _ in range(repeats):
-        for cell, (ndof, lu, inv, rhs) in cells.items():
-            times[cell]["superlu"].append(per_call(lambda: lu.solve(rhs)))
-            times[cell]["dense"].append(per_call(lambda: inv @ rhs))
+        for cell, (lu, inv, rhs) in cells.items():
+            for w, b in rhs.items():
+                times[cell][w]["superlu"].append(per_call(lambda: lu.solve(b)))
+                times[cell][w]["dense"].append(per_call(lambda: inv @ b))
             t0 = time.perf_counter()
-            inverse(lu, ndof)
+            inverse(lu, inv.shape[0])
             times[cell]["inverse"].append(time.perf_counter() - t0)
-    cap = sparse_linalg.DENSE_MAX_NDOF
-    runs = []
-    for (example, n, name), (ndof, lu, _, _) in cells.items():
-        t = {k: quartiles(v) for k, v in times[example, n, name].items()}
-        saving = t["superlu"]["median_s"] - t["dense"]["median_s"]
-        runs.append({
-            "example": example, "n": n, "ndof": ndof, "factor": name,
-            "factor_nnz": lu.L.nnz + lu.U.nnz,
-            "superlu": t["superlu"], "dense": t["dense"], "inverse": t["inverse"],
-            "speedup": t["superlu"]["median_s"] / t["dense"]["median_s"],
-            "payback_solves": t["inverse"]["median_s"] / saving if saving > 0 else None,
-            "dense_in_module": ndof <= cap,
-            "samples_s": times[example, n, name],
+
+    quartiles = sweep_common.quartiles
+    runs, summary = [], []
+    for (example, n), (ndof, M, widths) in levels.items():
+        per_iteration = {"superlu": 0.0, "dense": 0.0}
+        inverses, no_slower = 0.0, True
+        for name, counts in widths.items():
+            lu, _, rhs = cells[example, n, name]
+            t = times[example, n, name]
+            inv = quartiles(t["inverse"])
+            inverses += inv["median_s"]
+            for w in rhs:
+                superlu, dense = quartiles(t[w]["superlu"]), quartiles(t[w]["dense"])
+                for path, q in (("superlu", superlu), ("dense", dense)):
+                    per_iteration[path] += counts[w] * q["median_s"]
+                no_slower &= not counts[w] or dense["median_s"] <= superlu["median_s"]
+                runs.append({
+                    "example": example, "n": n, "ndof": ndof, "M": M, "factor": name,
+                    "columns": w or 1, "vector": not w, "solves_per_prediction": counts[w],
+                    "factor_nnz": lu.L.nnz + lu.U.nnz,
+                    "superlu": superlu, "dense": dense, "inverse": inv,
+                    "speedup": superlu["median_s"] / dense["median_s"],
+                    "samples_s": {"superlu": t[w]["superlu"], "dense": t[w]["dense"],
+                                  "inverse": t["inverse"]},
+                })
+        saving = per_iteration["superlu"] - per_iteration["dense"]
+        payback = inverses / saving if saving > 0 else None
+        summary.append({
+            "example": example, "n": n, "ndof": ndof, "M": M,
+            "prediction_superlu_s": per_iteration["superlu"],
+            "prediction_dense_s": per_iteration["dense"],
+            "inverses_s": inverses,
+            "payback_iterations": payback,
+            "dense_no_slower_at_every_width": no_slower,
+            "dense_pays": no_slower and payback is not None and payback <= PAYBACK_ITERATIONS,
+            "dense_in_module": ndof <= sparse_linalg.DENSE_MAX_NDOF,
         })
-    ndofs = sorted({r["ndof"] for r in runs})
-    all_faster = {d: all(r["speedup"] > 1.0 for r in runs if r["ndof"] == d) for d in ndofs}
+    pays = {}
+    for s in summary:
+        pays[s["ndof"]] = pays.get(s["ndof"], True) and s["dense_pays"]
+    smallest = min((d for d, ok in pays.items() if not ok), default=None)
+    largest = max((d for d in pays if smallest is None or d < smallest), default=None)
     return {
-        "what": "one solve of a splitting-solver prediction factor against "
-                f"{CHUNK_COLS} right-hand columns: SuperLU against the dense inverse, "
-                "and the time to form that inverse",
+        "what": "solves of the splitting solver's prediction factors at the widths one "
+                "prediction uses (and a full chunk of CHUNK_COLS columns): SuperLU against "
+                "the dense inverse, and the time to form the inverses",
         "command": "python3 tools/dense_sweep.py --repeats " + str(repeats),
-        "environment": {
-            "nproc": len(os.sched_getaffinity(0)),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-            "thread_env": {k: os.environ.get(k) for k in THREAD_ENV},
-        },
+        "environment": sweep_common.environment(),
         "repeats": repeats,
-        "columns": CHUNK_COLS,
-        "dense_max_ndof": cap,
-        "largest_ndof_dense_faster_on_every_factor": max((d for d in ndofs if all_faster[d]), default=None),
-        "smallest_ndof_dense_slower_on_some_factor": min((d for d in ndofs if not all_faster[d]), default=None),
+        "chunk_cols": CHUNK_COLS,
+        "payback_iterations_bound": PAYBACK_ITERATIONS,
+        "dense_max_ndof": sparse_linalg.DENSE_MAX_NDOF,
+        "largest_ndof_dense_pays": largest,
+        "smallest_ndof_dense_does_not_pay": smallest,
+        "levels": summary,
         "runs": runs,
     }
 
@@ -134,18 +166,27 @@ def sweep(repeats: int) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=7)
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_dense.json")
+    parser.add_argument("--out", type=Path, default=sweep_common.ROOT / "BENCH_dense.json")
     args = parser.parse_args(argv)
     if args.repeats < 5:
         parser.error("--repeats must be at least 5")
     result = sweep(args.repeats)
     args.out.write_text(json.dumps(result, indent=1) + "\n")
-    print(f"DENSE_MAX_NDOF={result['dense_max_ndof']}")
     for r in result["runs"]:
-        print(f"{r['example']} n={r['n']:2d} ndof={r['ndof']:4d} {r['factor']:7s} "
-              f"superlu={1e6 * r['superlu']['median_s']:8.1f}us dense={1e6 * r['dense']['median_s']:8.1f}us "
-              f"x{r['speedup']:.2f} inverse={1e3 * r['inverse']['median_s']:7.2f}ms "
-              f"{'dense' if r['dense_in_module'] else 'superlu'}")
+        print(f"{r['example']} n={r['n']:2d} ndof={r['ndof']:4d} {r['factor']:8s} "
+              f"cols={r['columns']:2d}{'v' if r['vector'] else ' '} x{r['solves_per_prediction']} "
+              f"superlu={1e6 * r['superlu']['median_s']:8.1f}us "
+              f"dense={1e6 * r['dense']['median_s']:8.1f}us x{r['speedup']:.2f}")
+    for s in result["levels"]:
+        payback = s["payback_iterations"]
+        print(f"{s['example']} n={s['n']:2d} ndof={s['ndof']:4d} M={s['M']:2d} prediction "
+              f"superlu={1e6 * s['prediction_superlu_s']:8.1f}us dense={1e6 * s['prediction_dense_s']:8.1f}us "
+              f"inverses={1e3 * s['inverses_s']:6.2f}ms payback="
+              f"{'never' if payback is None else f'{payback:.1f}'} "
+              f"{'pays' if s['dense_pays'] else 'does not pay'}; "
+              f"{'dense' if s['dense_in_module'] else 'superlu'} in the module")
+    print(f"DENSE_MAX_NDOF={result['dense_max_ndof']}: dense pays up to ndof "
+          f"{result['largest_ndof_dense_pays']}, not from {result['smallest_ndof_dense_does_not_pay']}")
     return 0
 
 
