@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys as _sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -41,15 +42,7 @@ def _int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part]
 
 
-def _add_solver_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--alpha", type=float, default=None, help="regularization weight")
-    parser.add_argument("--beta", type=float, default=None, help="penalty parameter")
-    parser.add_argument("--gamma", type=float, default=1.0, help="correction relaxation in (0,2)")
-    parser.add_argument("--eps", type=float, default=1e-12, help="squared-increment stop tolerance")
-    parser.add_argument("--kmax", type=int, default=20000, help="iteration cap")
-
-
-def _config_from(args, problem, **overrides) -> SolverConfig:
+def _config_from(args, problem) -> SolverConfig:
     # alpha comes from the problem alone, so the solver, the oracle and the
     # manufactured solution all use the one the example was built with.
     return SolverConfig(
@@ -58,13 +51,10 @@ def _config_from(args, problem, **overrides) -> SolverConfig:
         gamma=args.gamma,
         epsilon=args.eps,
         k_max=args.kmax,
-        **overrides,
     )
 
 
-def cmd_converge(args) -> None:
-    problem = get_example(args.example, alpha=args.alpha)
-    config = _config_from(args, problem)
+def cmd_converge(args, problem, config) -> None:
     rows = convergence_study(problem, _int_list(args.levels), config=config, mode=args.mode)
     _write_csv(
         args.out,
@@ -81,9 +71,7 @@ def cmd_converge(args) -> None:
         )
 
 
-def cmd_iterate(args) -> None:
-    problem = get_example(args.example, alpha=args.alpha)
-    config = _config_from(args, problem)
+def cmd_iterate(args, problem, config) -> None:
     records = iteration_history(problem, config, args.n)
     _write_csv(
         args.out,
@@ -93,9 +81,7 @@ def cmd_iterate(args) -> None:
     print(f"wrote {len(records)} iteration records to {args.out}")
 
 
-def cmd_bench(args) -> None:
-    problem = get_example(args.example, alpha=args.alpha)
-    config = _config_from(args, problem)
+def cmd_bench(args, problem, config) -> None:
     rows = benchmark(problem, config, args.n, _int_list(args.threads), k=args.k)
     _write_csv(
         args.out,
@@ -106,11 +92,9 @@ def cmd_bench(args) -> None:
         print(f"threads={r.threads} total={_fmt(r.seconds_total)}s psf={_fmt(r.psf)}")
 
 
-def cmd_box(args) -> None:
-    problem = get_example(args.example, alpha=args.alpha)
-    config = _config_from(args, problem, bounds=(args.lower, args.upper))
+def cmd_box(args, problem, config) -> None:
     system = build_level(problem, args.n)
-    w, report = solve(system, config)
+    w, report = solve(system, replace(config, bounds=(args.lower, args.upper)))
     _write_csv(
         args.out,
         ["k", "hnorm_increment_sq", "y_minus_p_norm"],
@@ -137,39 +121,37 @@ def build_parser() -> argparse.ArgumentParser:
         description="Parabolic optimal control via Crank-Nicolson finite elements "
         "and a corrected parallel splitting method.",
     )
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--example", required=True, choices=["5.1", "5.2"])
+    common.add_argument("--alpha", type=float, default=None, help="regularization weight")
+    common.add_argument("--beta", type=float, default=None, help="penalty parameter")
+    common.add_argument("--gamma", type=float, default=1.0, help="correction relaxation in (0,2)")
+    common.add_argument("--eps", type=float, default=1e-12, help="squared-increment stop tolerance")
+    common.add_argument("--kmax", type=int, default=20000, help="iteration cap")
+    common.add_argument("--out", required=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("converge", help="convergence study over refinement levels")
-    p.add_argument("--example", required=True, choices=["5.1", "5.2"])
+    p = sub.add_parser("converge", parents=[common], help="convergence study over refinement levels")
     p.add_argument("--levels", required=True, help="comma-separated subdivision counts")
     p.add_argument("--mode", default="oracle", choices=["oracle", "splitting"])
-    _add_solver_args(p)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_converge)
 
-    p = sub.add_parser("iterate", help="per-iteration error trace")
-    p.add_argument("--example", required=True, choices=["5.1", "5.2"])
+    p = sub.add_parser("iterate", parents=[common], help="per-iteration error trace")
     p.add_argument("--n", type=int, required=True)
-    _add_solver_args(p)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_iterate)
 
-    p = sub.add_parser("bench", help="serial-vs-threaded timing at a fixed iteration count")
-    p.add_argument("--example", required=True, choices=["5.1", "5.2"])
+    p = sub.add_parser(
+        "bench", parents=[common], help="serial-vs-threaded timing at a fixed iteration count"
+    )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=100)
     p.add_argument("--threads", default="1,2,4,8", help="comma-separated thread counts, 1 included")
-    _add_solver_args(p)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("box", help="box-constrained state run")
-    p.add_argument("--example", required=True, choices=["5.1", "5.2"])
+    p = sub.add_parser("box", parents=[common], help="box-constrained state run")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--lower", type=float, required=True)
     p.add_argument("--upper", type=float, required=True)
-    _add_solver_args(p)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_box)
     return parser
 
@@ -177,7 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.func(args)
+        problem = get_example(args.example, alpha=args.alpha)
+        args.func(args, problem, _config_from(args, problem))
     except Exception as exc:  # one-line diagnostic, nonzero exit
         print(f"error: {exc}", file=_sys.stderr)
         return 1

@@ -19,7 +19,6 @@ from .fem_assembly import (
     assemble_stiffness,
     interpolate_nodal,
     l2_error,
-    l2_norm_of,
     load_vector,
 )
 
@@ -98,6 +97,8 @@ def build_system(problem, space: FemSpace, grid: TimeGrid) -> DiscreteSystem:
     """
     if problem.bc != space.bc:
         raise ValueError(f"problem boundary mode {problem.bc!r} does not match space {space.bc!r}")
+    if space.ndof == 0:
+        raise ValueError(f"the {space.bc} space has no unknowns: every mesh node is a boundary node")
     tau = grid.tau
     mass = assemble_mass(space)
     stiffness = assemble_stiffness(space)
@@ -237,16 +238,9 @@ def objective_quadrature(sys: DiscreteSystem, Y: np.ndarray, U: np.ndarray) -> f
 def objective_constant_terms(sys: DiscreteSystem) -> float:
     """Constant terms dropped by the vector objective form.
 
-    Adding these to objective_vec reproduces objective_quadrature.
+    Adding these to objective_vec reproduces objective_quadrature.  Since
+    objective_vec vanishes at the zero trajectory, they are the quadrature
+    objective there: the t = 0 misfit and tau-weighted ||y_d(., t_m)||^2.
     """
-    tau = sys.grid.tau
-    y_d = sys.desired_state
-    times = sys.grid.times
-    total = (tau / 4.0) * l2_error(
-        sys.space, sys.y0_nodal, lambda x1, x2: y_d(x1, x2, times[0])
-    ) ** 2
-    for m in range(1, sys.grid.M + 1):
-        w = 0.25 if m == sys.grid.M else 0.5
-        t = times[m]
-        total += w * tau * l2_norm_of(sys.space, lambda x1, x2: y_d(x1, x2, t)) ** 2
-    return float(total)
+    Z = np.zeros((sys.ndof, sys.grid.M))
+    return objective_quadrature(sys, Z, Z)

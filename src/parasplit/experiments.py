@@ -282,6 +282,8 @@ def convergence_study(
     """
     if mode not in ("oracle", "splitting"):
         raise ValueError(f"mode must be 'oracle' or 'splitting', got {mode!r}")
+    if not levels:
+        raise ValueError("levels must name at least one refinement level")
     if any(a >= b for a, b in zip(levels, levels[1:])):
         raise ValueError(f"levels must be strictly ascending, got {list(levels)}")
     config = _solver_config(problem, config)
@@ -348,9 +350,6 @@ class BenchmarkRow:
     psf: float
 
 
-WARM_ITERATIONS = 5  # untimed iterations at each thread count before its timed run
-
-
 def benchmark(
     problem: ManufacturedProblem,
     config: SolverConfig | None,
@@ -360,22 +359,20 @@ def benchmark(
 ) -> list[BenchmarkRow]:
     """Fixed-iteration timing per thread count, with an iterate-equality check.
 
-    Each thread count first runs an untimed solve of at most WARM_ITERATIONS
-    iterations, so no timed run pays for cold caches or allocations, then
-    the timed k-iteration solve.  The parallel speedup factor is the
-    1-thread run's wall-clock over each run's, for the identical
-    computation.  Raises ValueError when ``thread_counts`` lacks 1, and
-    RuntimeError if any thread count produces an iterate other than the
-    1-thread run's.
+    Each thread count runs one timed k-iteration solve.  The parallel
+    speedup factor is the 1-thread run's wall-clock over each run's, for
+    the identical computation.  Raises ValueError when ``thread_counts``
+    lacks 1, and RuntimeError if any thread count produces an iterate
+    other than the 1-thread run's.
     """
     if 1 not in thread_counts:
         raise ValueError(f"thread counts must include 1, the speedup's baseline; got {thread_counts}")
     base = replace(_solver_config(problem, config), epsilon=0.0)
     sys = build_level(problem, n)
-    runs = []
-    for threads in thread_counts:
-        solve(sys, replace(base, k_max=min(k, WARM_ITERATIONS), thread_count=threads))
-        runs.append((threads, *solve(sys, replace(base, k_max=k, thread_count=threads))))
+    runs = [
+        (threads, *solve(sys, replace(base, k_max=k, thread_count=threads)))
+        for threads in thread_counts
+    ]
     serial_w, serial = next((w, report) for threads, w, report in runs if threads == 1)
     rows: list[BenchmarkRow] = []
     for threads, w, report in runs:

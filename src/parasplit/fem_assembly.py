@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import TriMesh, _check_bc, node_classification
+from .mesh import TriMesh, node_classification
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,6 @@ class FemSpace:
 
 
 def make_space(mesh: TriMesh, bc: str) -> FemSpace:
-    _check_bc(bc)
     return FemSpace(mesh=mesh, bc=bc, dof_nodes=node_classification(mesh, bc))
 
 
@@ -140,8 +139,3 @@ def l2_error(space: FemSpace, coeffs: np.ndarray, g) -> float:
     uh = 0.5 * (nodal.sum(axis=1, keepdims=True) - nodal)
     sq = ((uh - gvals) ** 2 * (area / 3.0)[:, None]).sum()
     return float(np.sqrt(sq))
-
-
-def l2_norm_of(space: FemSpace, g) -> float:
-    """Quadrature L2(Omega) norm of a plain function."""
-    return l2_error(space, np.zeros(space.ndof), g)

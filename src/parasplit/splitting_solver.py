@@ -157,7 +157,6 @@ class SolveReport:
     """
 
     iterations: int
-    converged: bool
     stop_reason: str
     increment_history: np.ndarray
     final_constraint_norm: float
@@ -168,6 +167,10 @@ class SolveReport:
     factor_nnz: dict[str, int]
     dense_factors: tuple[str, ...]
     gap_history: np.ndarray | None = None  # box runs: ||Y - P|| per iteration
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
 
 
 def correction_factor(M: int, gamma: float, blocks_per_step: int = 2) -> float:
@@ -476,7 +479,6 @@ def solve(sys: DiscreteSystem, config: SolverConfig, monitor=None) -> tuple[Iter
     w.products = None  # the caller may change w; carried products would go stale
     report = SolveReport(
         iterations=k,
-        converged=stop_reason == "converged",
         stop_reason=stop_reason,
         increment_history=np.asarray(increments),
         final_constraint_norm=float(np.linalg.norm(residual)),

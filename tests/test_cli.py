@@ -70,6 +70,13 @@ class TestConverge:
             assert err.strip().count("\n") == 0
             assert not out.exists()
 
+    def test_empty_level_list_is_an_error(self, tmp_path, capsys):
+        out = tmp_path / "conv.csv"
+        assert main(["converge", "--example", "5.1", "--levels", "", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestIterate:
     def test_history_csv(self, tmp_path):
@@ -128,3 +135,11 @@ class TestBox:
         assert "stop_reason=" in text
         assert "factor_nnz=control:" in text and ",terminal:" in text
         assert text.rstrip().endswith(" dense_factors=control,state,terminal")
+
+    def test_no_unknowns_is_an_error(self, tmp_path, capsys):
+        out = tmp_path / "box.csv"
+        args = ["box", "--example", "5.1", "--n", "1", "--lower", "0", "--upper", "1", "--out", str(out)]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "no unknowns" in err and err.count("\n") == 1
+        assert not out.exists()

@@ -57,6 +57,11 @@ class TestBuildSystem:
         expected = sys.step_minus @ interpolate_nodal(space, prob.y0)
         assert np.allclose(sys.rhs[:, 0], expected, atol=1e-15)
 
+    def test_no_unknowns_rejected(self):
+        # Dirichlet mode at n = 1: every node is on the boundary.
+        with pytest.raises(ValueError, match="no unknowns"):
+            build_level(get_example("5.1"), 1)
+
     def test_bc_mismatch_rejected(self):
         space = make_space(uniform_unit_square(2), NEUMANN)
         with pytest.raises(ValueError, match="boundary"):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from parasplit.experiments import (
-    WARM_ITERATIONS,
     SolverConfig,
     adjoint_residual,
     benchmark,
@@ -155,6 +154,10 @@ class TestConvergenceStudy:
             with pytest.raises(ValueError, match="ascending"):
                 convergence_study(get_example("5.1"), levels)
 
+    def test_empty_level_list_rejected(self):
+        with pytest.raises(ValueError, match="at least one refinement level"):
+            convergence_study(get_example("5.1"), [])
+
     def test_mode_validated(self):
         with pytest.raises(ValueError, match="mode"):
             convergence_study(get_example("5.1"), [4], mode="exact")
@@ -227,11 +230,8 @@ class TestBenchmark:
         prob = get_example("5.1")
         config = SolverConfig(alpha=prob.alpha, beta=1.0, bounds=(0.0, 0.8))
         benchmark(prob, config, 2, [1, 2], k=20)
-        assert [c.bounds for c in configs] == [(0.0, 0.8)] * 4
-        # An untimed warm-up solve precedes each timed one.
-        assert [(c.epsilon, c.k_max, c.thread_count) for c in configs] == [
-            (0.0, WARM_ITERATIONS, 1), (0.0, 20, 1), (0.0, WARM_ITERATIONS, 2), (0.0, 20, 2)
-        ]
+        assert [c.bounds for c in configs] == [(0.0, 0.8)] * 2
+        assert [(c.epsilon, c.k_max, c.thread_count) for c in configs] == [(0.0, 20, 1), (0.0, 20, 2)]
 
     def test_speedup_baseline_is_the_serial_run(self):
         prob = get_example("5.1")

@@ -7,7 +7,6 @@ from parasplit.fem_assembly import (
     assemble_stiffness,
     interpolate_nodal,
     l2_error,
-    l2_norm_of,
     load_vector,
     make_space,
 )
@@ -29,6 +28,11 @@ def _reference_triangle() -> TriMesh:
 
 def _space(n: int, bc: str):
     return make_space(uniform_unit_square(n), bc)
+
+
+def test_make_space_rejects_unknown_mode():
+    with pytest.raises(ValueError, match="unknown boundary-condition mode"):
+        _space(2, "robin")
 
 
 class TestReferenceTriangle:
@@ -165,7 +169,7 @@ class TestL2Norms:
     def test_norm_of_product_sine(self):
         space = _space(32, NEUMANN)
         g = lambda x1, x2: np.sin(np.pi * x1) * np.sin(np.pi * x2)
-        assert l2_norm_of(space, g) == pytest.approx(0.5, abs=2e-3)
+        assert l2_error(space, np.zeros(space.ndof), g) == pytest.approx(0.5, abs=2e-3)
 
     def test_interpolation_error_second_order(self):
         g = lambda x1, x2: np.sin(np.pi * x1) * np.sin(np.pi * x2)
