@@ -5,11 +5,14 @@ from __future__ import annotations
 import argparse
 import csv
 import sys as _sys
-from dataclasses import replace
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 
 from .experiments import (
+    BenchmarkRow,
+    ConvergenceRow,
+    IterationRecord,
     benchmark,
     build_level,
     convergence_study,
@@ -30,12 +33,17 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: str, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
+
+
+def _write_records(path: str, record_type, records) -> None:
+    """One column per field of the dataclass ``record_type``, in field order."""
+    _write_csv(path, [f.name for f in fields(record_type)], map(astuple, records))
 
 
 def _int_list(text: str) -> list[int]:
@@ -56,14 +64,7 @@ def _config_from(args, problem) -> SolverConfig:
 
 def cmd_converge(args, problem, config) -> None:
     rows = convergence_study(problem, _int_list(args.levels), config=config, mode=args.mode)
-    _write_csv(
-        args.out,
-        ["level", "h", "tau", "dof", "err_y_final", "err_u_spacetime", "order_y", "order_u"],
-        [
-            [r.level, r.h, r.tau, r.dof, r.err_y_final, r.err_u_spacetime, r.order_y, r.order_u]
-            for r in rows
-        ],
-    )
+    _write_records(args.out, ConvergenceRow, rows)
     for r in rows:
         print(
             f"n={r.level} dof={r.dof} err_y={_fmt(r.err_y_final)} err_u={_fmt(r.err_u_spacetime)}"
@@ -73,21 +74,13 @@ def cmd_converge(args, problem, config) -> None:
 
 def cmd_iterate(args, problem, config) -> None:
     records = iteration_history(problem, config, args.n)
-    _write_csv(
-        args.out,
-        ["k", "hnorm_to_star", "hnorm_increment_sq"],
-        [[r.k, r.hnorm_to_star, r.hnorm_increment_sq] for r in records],
-    )
+    _write_records(args.out, IterationRecord, records)
     print(f"wrote {len(records)} iteration records to {args.out}")
 
 
 def cmd_bench(args, problem, config) -> None:
     rows = benchmark(problem, config, args.n, _int_list(args.threads), k=args.k)
-    _write_csv(
-        args.out,
-        ["threads", "seconds_total", "seconds_predict", "seconds_correct", "psf"],
-        [[r.threads, r.seconds_total, r.seconds_predict, r.seconds_correct, r.psf] for r in rows],
-    )
+    _write_records(args.out, BenchmarkRow, rows)
     for r in rows:
         print(f"threads={r.threads} total={_fmt(r.seconds_total)}s psf={_fmt(r.psf)}")
 
@@ -110,8 +103,7 @@ def cmd_box(args, problem, config) -> None:
         f"stop_reason={report.stop_reason} "
         f"P_range=[{_fmt(y_min)}, {_fmt(y_max)}] "
         f"final_gap={_fmt(float(np.linalg.norm(w.Y - w.P)))} "
-        f"factor_nnz={','.join(f'{k}:{v}' for k, v in report.factor_nnz.items())} "
-        f"dense_factors={','.join(report.dense_factors)}"
+        f"factor_nnz={','.join(f'{k}:{v}' for k, v in report.factor_nnz.items())}"
     )
 
 
@@ -125,9 +117,13 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--example", required=True, choices=["5.1", "5.2"])
     common.add_argument("--alpha", type=float, default=None, help="regularization weight")
     common.add_argument("--beta", type=float, default=None, help="penalty parameter")
-    common.add_argument("--gamma", type=float, default=1.0, help="correction relaxation in (0,2)")
-    common.add_argument("--eps", type=float, default=1e-12, help="squared-increment stop tolerance")
-    common.add_argument("--kmax", type=int, default=20000, help="iteration cap")
+    common.add_argument(
+        "--gamma", type=float, default=SolverConfig.gamma, help="correction relaxation in (0,2)"
+    )
+    common.add_argument(
+        "--eps", type=float, default=SolverConfig.epsilon, help="squared-increment stop tolerance"
+    )
+    common.add_argument("--kmax", type=int, default=SolverConfig.k_max, help="iteration cap")
     common.add_argument("--out", required=True)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -61,8 +62,9 @@ class DiscreteSystem:
 
     ``rhs`` holds the M constraint right-hand blocks (the first block
     already includes the step_minus @ y0 contribution), ``desired_loads``
-    the M load vectors of the desired state.  The operators are CSR
-    matrices.
+    the M load vectors of the desired state, and ``tracking_loads`` those
+    loads weighted by tau * kappa_m: the linear term of the objective.  The
+    operators are CSR matrices.
     """
 
     space: FemSpace
@@ -87,6 +89,12 @@ class DiscreteSystem:
         k = np.ones(self.grid.M)
         k[-1] = 0.5
         return k
+
+    @cached_property
+    def tracking_loads(self) -> np.ndarray:
+        """The trapezoid-weighted desired loads (tau * kappa_m) d_m, formed on
+        first use; ``dataclasses.replace`` makes a copy that forms its own."""
+        return (self.grid.tau * self.kappa) * self.desired_loads
 
 
 def build_system(problem, space: FemSpace, grid: TimeGrid) -> DiscreteSystem:
@@ -201,8 +209,8 @@ def objective_vec(sys: DiscreteSystem, Y: np.ndarray, U: np.ndarray) -> float:
     U = _check_trajectory(sys, U, "U")
     tau = sys.grid.tau
     AY = sys.mass @ Y
-    state_terms = np.einsum("im,im->m", Y, AY) - 2.0 * np.einsum("im,im->m", sys.desired_loads, Y)
-    value = (tau / 2.0) * (sys.kappa * state_terms).sum()
+    value = (tau / 2.0) * np.einsum("m,im,im->", sys.kappa, Y, AY)
+    value -= np.einsum("im,im->", sys.tracking_loads, Y)
     AU = sys.mass @ U
     value += (sys.alpha * tau / 2.0) * np.einsum("im,im->", U, AU)
     return float(value)

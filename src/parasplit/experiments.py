@@ -178,9 +178,9 @@ def example_5_2(alpha: float = 1e-3, beta: float = 100.0) -> ManufacturedProblem
 
 def get_example(name: str, alpha: float | None = None) -> ManufacturedProblem:
     """A built-in example by name, with its default alpha unless one is given."""
-    if name in ("5.1", "5_1"):
+    if name == "5.1":
         make = example_5_1
-    elif name in ("5.2", "5_2"):
+    elif name == "5.2":
         make = example_5_2
     else:
         raise ValueError(f"unknown example {name!r} (expected '5.1' or '5.2')")
@@ -227,8 +227,6 @@ def error_u_spacetime(
     total = 0.0
     for lo, hi in zip(breaks[:-1], breaks[1:]):
         width = hi - lo
-        if width <= 0.0:
-            continue
         for gp in gauss:
             t = lo + gp * width
             coeffs = _control_interpolant(mids, U, t)
@@ -355,7 +353,7 @@ def benchmark(
     config: SolverConfig | None,
     n: int,
     thread_counts: list[int],
-    k: int = 100,
+    k: int,
 ) -> list[BenchmarkRow]:
     """Fixed-iteration timing per thread count, with an iterate-equality check.
 

@@ -70,7 +70,7 @@ def _solve_modal(sys: DiscreteSystem):
     diag = kt[:, None] + rho * a * a + rho * b * b
     diag[-1] -= rho * b * b
     off = -rho * a * b  # couples steps m-1 and m
-    r = (kt * (V.T @ sys.desired_loads)).T + rho * a * f.T
+    r = (V.T @ sys.tracking_loads).T + rho * a * f.T
     r[:-1] -= rho * b * f[:, 1:].T
 
     # Forward elimination and back substitution, all modes at once.
@@ -110,12 +110,11 @@ def solve_kkt(sys: DiscreteSystem, alpha: float) -> KktSolution:
 
     Y, U, lam = _solve_modal(sys)
 
-    kt = sys.kappa * tau
-    b = sys.desired_loads * kt
+    b = sys.tracking_loads
     # Q z - b - C^T lambda, control rows then state rows
     grad = constraint_adjoint(sys, lam)
     np.subtract(alpha * tau * (sys.mass @ U), grad[0], out=grad[0])
-    np.subtract(kt * (sys.mass @ Y) - b, grad[1], out=grad[1])
+    np.subtract((sys.kappa * tau) * (sys.mass @ Y) - b, grad[1], out=grad[1])
     fvec = sys.rhs.T.ravel()
 
     stat = np.linalg.norm(grad) / (1.0 + np.linalg.norm(b))

@@ -131,17 +131,8 @@ def solve_multi(tasks, pool=None) -> None:
     their own outputs, and wait for every one.
 
     Each task is one unit of ``pool`` (None runs them inline, in order); the
-    first exception a task raised is raised here.  The splitting solver
-    opens one pool per solve, with ``thread_count`` workers capped at the
-    CPUs the process may run on, and makes each time-slice chunk of a
-    prediction one task: the chunk's right-hand sides, its control and
-    state solves and its predicted products.  What couples the chunks (the
-    shifted residual before the batch; the constraint map, the multiplier
-    and the box copies after it) stays on the calling thread.  A solve can
-    differ in the last bit with the batch width (SuperLU's one-column sweep
-    from a multi-column one, a GEMV from a GEMM), so the chunks are fixed
-    by the step count alone, which makes the solver's iterates
-    bit-identical for every thread count.
+    first exception a task raised is raised here.  ``splitting_solver``'s
+    module docstring says how a prediction splits into tasks.
     """
     if pool is None:
         for task in tasks:

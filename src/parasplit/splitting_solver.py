@@ -12,8 +12,7 @@ forms and factors the subproblems' normal matrices from the system's mass,
 stiffness and step matrices; the discretization holds none of them.  On
 small levels (at most ``sparse_linalg.DENSE_MAX_NDOF`` unknowns per time
 step) ``factorize`` also inverts each factor once, so a chunk's control or
-state solve is one dense matrix product; ``SolveReport.dense_factors``
-names the factors applied that way.
+state solve is one dense matrix product.
 
 An iterate is one stacked array: the slabs U, Y, lam and, in the box
 variant, P and mu.  The constraint map is linear, so the loop carries the
@@ -151,9 +150,7 @@ class SolveReport:
     the gap between the carried constraint residual and the one recomputed
     from the final iterate, relative to max(1, ||rhs||).  ``factor_nnz`` maps
     each prediction factor ("control", "state" unless M == 1, "terminal") to
-    its nnz(L) + nnz(U).  ``dense_factors`` names, in the same order, the
-    factors whose solves apply a dense inverse (every factor when ndof is at
-    most ``sparse_linalg.DENSE_MAX_NDOF``, none above it).
+    its nnz(L) + nnz(U).
     """
 
     iterations: int
@@ -165,7 +162,6 @@ class SolveReport:
     seconds_predict: float
     seconds_correct: float
     factor_nnz: dict[str, int]
-    dense_factors: tuple[str, ...]
     gap_history: np.ndarray | None = None  # box runs: ||Y - P|| per iteration
 
     @property
@@ -194,9 +190,9 @@ def compute_q(sys: DiscreteSystem, w: Iterate, beta: float) -> np.ndarray:
     return _products(sys, w)[3] - sys.rhs - w.lam / beta
 
 
-def _gram(a: sp.csr_matrix, b: sp.csr_matrix) -> sp.csr_matrix:
-    """Symmetrized product a^T b + b^T a, halved."""
-    prod = a.T @ b
+def _gram(a: sp.csr_matrix) -> sp.csr_matrix:
+    """a^T a, symmetrized against rounding."""
+    prod = a.T @ a
     return sp.csr_matrix(0.5 * (prod + prod.T))
 
 
@@ -223,10 +219,10 @@ class PredictionFactors:
         control = factorize(alpha * eye + (beta * tau) * sys.mass)
         state = None
         if sys.grid.M > 1:
-            mass2, stiff2 = _gram(sys.mass, sys.mass), _gram(sys.stiffness, sys.stiffness)
+            mass2, stiff2 = _gram(sys.mass), _gram(sys.stiffness)
             state_gram = 2.0 * mass2 + (tau * tau / 2.0) * stiff2
             state = factorize(tau * sys.mass + beta * state_gram + shift * eye)
-        terminal_gram = _gram(sys.step_plus, sys.step_plus)
+        terminal_gram = _gram(sys.step_plus)
         terminal = factorize((tau / 2.0) * sys.mass + beta * terminal_gram + shift * eye)
         return PredictionFactors(control=control, state=state, terminal=terminal)
 
@@ -257,28 +253,6 @@ def predict_controls(
     AU_t[:, cols] = sys.mass @ U
 
 
-def _state_rhs(sys: DiscreteSystem, w: Iterate, q: np.ndarray, config: SolverConfig, cols: slice):
-    """Right-hand sides of the state subproblems of the time steps ``cols``.
-
-    Block m is tau*kappa_m*d_m + beta*[step_plus (step_plus Y_m - q_m)
-    + step_minus (step_minus Y_m + q_{m+1})], without the step_minus term at
-    the terminal step.  The normal matrices ``PredictionFactors`` factors
-    carry step_plus^2 + step_minus^2 (interior) and step_plus^2 (terminal),
-    so this is the normal-equation right-hand side; the inner products
-    step_plus Y and step_minus Y come from w's products.  The step_minus
-    term reads q one column past the chunk.
-    """
-    _, PY, MY, _ = w.products
-    lo, inner = cols.start, min(cols.stop, sys.grid.M - 1)
-    coupled = sys.step_plus @ (PY[:, cols] - q[:, cols])
-    if inner > lo:
-        coupled[:, : inner - lo] += sys.step_minus @ (MY[:, lo:inner] + q[:, lo + 1 : inner + 1])
-    rhs = (sys.grid.tau * sys.kappa[cols]) * sys.desired_loads[:, cols] + config.beta * coupled
-    if config.bounds is not None:
-        rhs += config.beta * w.P[:, cols] + w.mu[:, cols]
-    return rhs
-
-
 def predict_states(
     sys: DiscreteSystem,
     w: Iterate,
@@ -293,10 +267,25 @@ def predict_states(
     and its products step_plus Y~, step_minus Y~ into slabs 1 and 2 of
     ``products_t``.  The interior steps solve against the state factor; a
     chunk that ends at step M solves its last column against the terminal
-    factor."""
+    factor.
+
+    The right-hand side of step m is (tau kappa_m) d_m + beta [step_plus
+    (step_plus Y_m - q_m) + step_minus (step_minus Y_m + q_{m+1})], without
+    the step_minus term at the terminal step: the normal matrices
+    ``PredictionFactors`` factors carry step_plus^2 + step_minus^2
+    (interior) and step_plus^2 (terminal).  The first term is the system's
+    ``tracking_loads``, the products step_plus Y and step_minus Y come from
+    w's products, and the step_minus term reads q one column past the chunk.
+    """
     M = sys.grid.M
+    _, PY, MY, _ = w.products
     lo, inner = cols.start, min(cols.stop, M - 1)
-    rhs = _state_rhs(sys, w, q, config, cols)
+    coupled = sys.step_plus @ (PY[:, cols] - q[:, cols])
+    if inner > lo:
+        coupled[:, : inner - lo] += sys.step_minus @ (MY[:, lo:inner] + q[:, lo + 1 : inner + 1])
+    rhs = sys.tracking_loads[:, cols] + config.beta * coupled
+    if config.bounds is not None:
+        rhs += config.beta * w.P[:, cols] + w.mu[:, cols]
     if inner > lo:
         Y_t[:, lo:inner] = factors.state.solve(rhs[:, : inner - lo])
     if cols.stop == M:
@@ -487,7 +476,6 @@ def solve(sys: DiscreteSystem, config: SolverConfig, monitor=None) -> tuple[Iter
         seconds_predict=t_predict,
         seconds_correct=t_correct,
         factor_nnz={name: f.nnz for name, f in vars(factors).items() if f is not None},
-        dense_factors=tuple(name for name, f in vars(factors).items() if f is not None and f.dense),
         gap_history=None if gaps is None else np.asarray(gaps),
     )
     return w, report

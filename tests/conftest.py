@@ -8,7 +8,16 @@ solver's one-step pieces with no carried products.
 """
 
 import dataclasses
+import os
 from types import SimpleNamespace
+
+# One BLAS thread, set before numpy loads the library, as bench/run.py and
+# tools/sweep_common.py do.  Unpinned, OpenBLAS wakes its worker threads for
+# long vector products and SuperLU's BLAS calls, and they compete with the
+# solver's own threads for the CPUs.
+THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+              "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+os.environ.update({k: "1" for k in THREAD_ENV})
 
 import numpy as np
 import scipy.linalg

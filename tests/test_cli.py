@@ -134,7 +134,6 @@ class TestBox:
         assert "P_range=" in text and "iterations=" in text
         assert "stop_reason=" in text
         assert "factor_nnz=control:" in text and ",terminal:" in text
-        assert text.rstrip().endswith(" dense_factors=control,state,terminal")
 
     def test_no_unknowns_is_an_error(self, tmp_path, capsys):
         out = tmp_path / "box.csv"

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -78,6 +80,15 @@ class TestBuildSystem:
     def test_kappa_weights(self):
         sys = random_system(0, n=1, M=4)
         assert np.array_equal(sys.kappa, [1.0, 1.0, 1.0, 0.5])
+
+    def test_tracking_loads(self):
+        sys = random_system(0, n=2, M=4)
+        expected = (sys.grid.tau * sys.kappa) * sys.desired_loads
+        assert np.array_equal(sys.tracking_loads, expected)
+        # a copy forms its own loads instead of reading the original's cache
+        # (tau * kappa is a power of two here, so tripling commutes exactly)
+        tripled = dataclasses.replace(sys, desired_loads=3.0 * sys.desired_loads)
+        assert np.array_equal(tripled.tracking_loads, 3.0 * expected)
 
     def test_truncation_residual_decays(self):
         # exact-solution samples leave a residual that shrinks by ~2^3 per

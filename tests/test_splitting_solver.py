@@ -407,7 +407,7 @@ class TestSolve:
         for threads in (1, 2, 8):
             config = _config(sys, beta=0.5, epsilon=0.0, k_max=15, thread_count=threads, bounds=bounds)
             runs.append(solve(sys, config))
-        assert bool(runs[0][1].dense_factors) is dense
+        assert PredictionFactors.build(sys, config).control.dense is dense
         for w, report in runs[1:]:
             assert np.array_equal(w.z, runs[0][0].z)
             assert np.array_equal(report.increment_history, runs[0][1].increment_history)
@@ -540,15 +540,14 @@ class TestSolve:
         assert set(expected) == ({"control", "terminal"} if M == 1 else {"control", "state", "terminal"})
         assert report.factor_nnz == expected
 
-    def test_dense_factors_reported(self, monkeypatch):
+    def test_factor_nnz_reported_on_both_paths(self, monkeypatch):
         sys = random_system(8, n=3, M=3)
         config = SolverConfig(alpha=sys.alpha, beta=1.0, k_max=1)
-        _, report = solve(sys, config)
-        assert report.dense_factors == ("control", "state", "terminal")
+        _, dense = solve(sys, config)
         monkeypatch.setattr(sparse_linalg, "DENSE_MAX_NDOF", sys.ndof - 1)
-        _, report = solve(sys, config)
-        assert report.dense_factors == ()
-        assert set(report.factor_nnz) == {"control", "state", "terminal"}
+        _, sparse = solve(sys, config)
+        assert set(sparse.factor_nnz) == {"control", "state", "terminal"}
+        assert sparse.factor_nnz == dense.factor_nnz
 
     @pytest.mark.parametrize("example", ["5.1", "5.2"])
     def test_dense_inverse_matches_superlu(self, example):
