@@ -69,6 +69,7 @@ def cmd_converge(args, problem, config) -> None:
         print(
             f"n={r.level} dof={r.dof} err_y={_fmt(r.err_y_final)} err_u={_fmt(r.err_u_spacetime)}"
             + (f" order_y={_fmt(r.order_y)} order_u={_fmt(r.order_u)}" if r.order_y is not None else "")
+            + f" solve_s={r.solve_s:.4g}"
         )
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -243,8 +244,9 @@ class ConvergenceRow:
     dof: int
     err_y_final: float
     err_u_spacetime: float
-    order_y: float | None = None
-    order_u: float | None = None
+    order_y: float | None
+    order_u: float | None
+    solve_s: float  # wall time of the level's oracle or splitting solve
 
 
 def steps_for_level(problem: ManufacturedProblem, n: int) -> int:
@@ -276,7 +278,8 @@ def convergence_study(
     """Error table over nested refinement levels with observed orders.
 
     ``mode`` selects the trajectory source: the direct saddle-point solve
-    ("oracle") or the splitting iteration ("splitting").
+    ("oracle") or the splitting iteration ("splitting").  Each row records
+    the wall time of its level's solve.
     """
     if mode not in ("oracle", "splitting"):
         raise ValueError(f"mode must be 'oracle' or 'splitting', got {mode!r}")
@@ -288,12 +291,14 @@ def convergence_study(
     rows: list[ConvergenceRow] = []
     for n in levels:
         sys = build_level(problem, n)
+        t0 = time.perf_counter()
         if mode == "oracle":
             sol = solve_kkt(sys, config.alpha)
             Y, U = sol.Y_star, sol.U_star
         else:
             w, _ = solve(sys, config)
             Y, U = w.Y, w.U
+        solve_s = time.perf_counter() - t0
         rows.append(
             ConvergenceRow(
                 level=n,
@@ -302,6 +307,9 @@ def convergence_study(
                 dof=sys.ndof,
                 err_y_final=error_y_final(sys.space, Y[:, -1], problem),
                 err_u_spacetime=error_u_spacetime(sys.space, sys.grid, U, problem),
+                order_y=None,
+                order_u=None,
+                solve_s=solve_s,
             )
         )
     for prev, cur in zip(rows[:-1], rows[1:]):

@@ -30,8 +30,8 @@ matrix alpha tau A + beta tau^2 A A with its SPD factor tau A cancelled.
 capped at the CPUs the process may run on; a single thread runs every task
 inline.  Each prediction is one ``solve_multi`` batch with one task per
 chunk of CHUNK_COLS time steps.  A task forms its steps' control and state
-right-hand sides, solves them (the interior states against the state
-factor, step M against the terminal factor) and forms the predicted
+right-hand sides, solves them (every state column against the state factor,
+then step M again against the terminal factor) and forms the predicted
 products A U~, step_plus Y~ and step_minus Y~ of its columns.  The calling
 thread keeps what couples the chunks: q before the batch; C z~, the
 multiplier, the box projection and mu~ after it; and the correction.  The
@@ -265,9 +265,10 @@ def predict_states(
 ) -> None:
     """The state subproblems of the time steps ``cols``: Y~ into ``Y_t[:, cols]``
     and its products step_plus Y~, step_minus Y~ into slabs 1 and 2 of
-    ``products_t``.  The interior steps solve against the state factor; a
-    chunk that ends at step M solves its last column against the terminal
-    factor.
+    ``products_t``.  Every column solves against the state factor, at the
+    chunk's full width (a dense product at an odd width costs more than at
+    the full one); a chunk that ends at step M then overwrites its last
+    column with the terminal factor's solve.
 
     The right-hand side of step m is (tau kappa_m) d_m + beta [step_plus
     (step_plus Y_m - q_m) + step_minus (step_minus Y_m + q_{m+1})], without
@@ -286,8 +287,8 @@ def predict_states(
     rhs = sys.tracking_loads[:, cols] + config.beta * coupled
     if config.bounds is not None:
         rhs += config.beta * w.P[:, cols] + w.mu[:, cols]
-    if inner > lo:
-        Y_t[:, lo:inner] = factors.state.solve(rhs[:, : inner - lo])
+    if factors.state is not None:
+        Y_t[:, cols] = factors.state.solve(rhs)
     if cols.stop == M:
         Y_t[:, M - 1] = factors.terminal.solve(rhs[:, -1])
     Y = Y_t[:, cols]

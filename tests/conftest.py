@@ -3,8 +3,10 @@
 Everything here is built independently of the solver's fast paths: block
 matrices are materialized explicitly with numpy kron, so the sparse and
 matrix-free implementations can be checked against plain dense algebra.
-The one exception, ``reference_loop``, rebuilds the iteration from the
-solver's one-step pieces with no carried products.
+Two references reuse solver pieces: ``reference_loop`` rebuilds the
+iteration from the solver's one-step pieces with no carried products, and
+``full_pencil_solution`` runs the oracle's modal sweep on one plain
+eigendecomposition of the whole pencil.
 """
 
 import dataclasses
@@ -24,6 +26,7 @@ import scipy.linalg
 
 from parasplit.discretization import DiscreteSystem, TimeGrid, build_system
 from parasplit.fem_assembly import make_space
+from parasplit.kkt_oracle import modal_sweep
 from parasplit.mesh import NEUMANN, uniform_unit_square
 from parasplit.splitting_solver import (
     Iterate,
@@ -117,6 +120,16 @@ def dense_kkt_solution(sys: DiscreteSystem):
     sol = scipy.linalg.solve(kkt, rhs)
     U, Y, lam = (sol[i * N * M : (i + 1) * N * M].reshape(M, N).T for i in range(3))
     return Y, U, lam
+
+
+def full_pencil_solution(sys: DiscreteSystem):
+    """The oracle's modal sweep on the whole pencil, returned as (Y, U, lambda).
+
+    One plain dense generalised eigendecomposition of (stiffness, mass), with
+    no mirror blocks: the reference the blocked oracle must reproduce.
+    """
+    mu, V = scipy.linalg.eigh(sys.stiffness.toarray(), sys.mass.toarray())
+    return modal_sweep(sys, mu, lambda X: V.T @ X, lambda x: V @ x)
 
 
 def dense_block_columns(sys: DiscreteSystem):

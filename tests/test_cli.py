@@ -42,13 +42,16 @@ class TestConverge:
             "err_u_spacetime",
             "order_y",
             "order_u",
+            "solve_s",
         ]
         assert len(rows) == 2
         assert rows[0][0] == "2" and rows[1][0] == "4"
         assert rows[0][6] == ""  # first level has no observed order
         assert float(rows[1][6]) > 0.0
         assert float(rows[0][4]) > float(rows[1][4])
-        assert "n=4" in capsys.readouterr().out
+        assert all(float(r[8]) > 0.0 for r in rows)
+        out = capsys.readouterr().out
+        assert "n=4" in out and out.count("solve_s=") == 2
 
     def test_alpha_reaches_problem_and_oracle(self, tmp_path):
         # The manufactured solution depends on alpha; a study whose oracle

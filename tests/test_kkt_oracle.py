@@ -2,14 +2,16 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from conftest import dense_kkt_solution, random_system, toy_problem
+from conftest import dense_kkt_solution, full_pencil_solution, random_system, toy_problem
 from parasplit.discretization import TimeGrid, build_system, objective_vec
 from parasplit.experiments import build_level, get_example
 from parasplit.fem_assembly import make_space
 from parasplit import kkt_oracle
-from parasplit.kkt_oracle import solve_kkt
+from parasplit.kkt_oracle import mirror_basis, solve_kkt
 from parasplit.mesh import DIRICHLET, NEUMANN, uniform_unit_square
 from parasplit.sparse_linalg import factorize
 
@@ -112,3 +114,108 @@ class TestSolveKkt:
             for bc in (NEUMANN, DIRICHLET):
                 ndof = make_space(uniform_unit_square(n), bc).ndof
                 assert (ndof <= kkt_oracle.MAX_NDOF) == admitted
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
+
+
+def _basis_matrix(basis):
+    """Q as a dense matrix, its columns block by block."""
+    eye = np.eye(sum(basis.sizes))
+    return basis.expand(np.split(eye, np.cumsum(basis.sizes)[:-1]))
+
+
+class TestMirrorBlocks:
+    """The mirror-split pencil against the whole one."""
+
+    @pytest.mark.parametrize("n", [8, 9])  # the centre node is a DOF only at even n
+    @pytest.mark.parametrize("name", ["5.1", "5.2"])
+    def test_basis_orthonormal_and_pencil_block_diagonal(self, name, n):
+        sys = build_level(get_example(name), n)
+        basis = mirror_basis(sys)
+        assert len(basis.sizes) == 4 and sum(basis.sizes) == sys.ndof
+        Q = _basis_matrix(basis)
+        assert (np.count_nonzero(Q, axis=0) <= 4).all()
+        assert np.abs(Q.T @ Q - np.eye(sys.ndof)).max() <= 1e-15
+        X = np.random.default_rng(n).standard_normal((sys.ndof, 3))
+        ends = np.cumsum([0] + basis.sizes)
+        for c, proj in enumerate(basis.project(X)):
+            assert np.abs(proj - Q[:, ends[c] : ends[c + 1]].T @ X).max() <= 1e-14
+        for mat in (sys.stiffness, sys.mass):
+            dense = mat.toarray()
+            projected = Q.T @ dense @ Q
+            scale = np.abs(dense).max()
+            for c, block in enumerate(basis.blocks(mat)):
+                inner = slice(ends[c], ends[c + 1])
+                assert np.abs(block - projected[inner, inner]).max() <= 1e-14 * scale
+                projected[inner, inner] = 0.0
+            assert np.abs(projected).max() <= 1e-14 * scale
+
+    @pytest.mark.parametrize("n", [8, 9])
+    @pytest.mark.parametrize("name", ["5.1", "5.2"])
+    def test_matches_full_pencil(self, name, n):
+        sys = build_level(get_example(name), n)
+        basis = mirror_basis(sys)
+        blocked = np.sort(np.concatenate(
+            [scipy.linalg.eigh(k, m, eigvals_only=True)
+             for k, m in zip(basis.blocks(sys.stiffness), basis.blocks(sys.mass))]
+        ))
+        full = scipy.linalg.eigh(sys.stiffness.toarray(), sys.mass.toarray(), eigvals_only=True)
+        assert np.abs(blocked - full).max() <= 1e-12 * full.max()
+        sol = solve_kkt(sys, sys.alpha)
+        Y, U, lam = full_pencil_solution(sys)
+        assert _rel(sol.Y_star, Y) <= 1e-12
+        assert _rel(sol.U_star, U) <= 1e-12
+        assert _rel(sol.lambda_star, lam) <= 1e-12
+
+    @pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN])
+    @pytest.mark.parametrize("dof,kept", [(0, 1), (1, 0)])
+    def test_broken_mirror_falls_back_to_fewer_blocks(self, bc, dof, kept):
+        # At n = 3 the first DOF lies on the diagonal x1 = x2, which the
+        # coordinate swap fixes; the second lies on no mirror's fixed set.
+        sys = random_system(11, n=3, M=3, bc=bc)
+        whole = mirror_basis(sys)
+        assert whole.orbits.shape[0] == 4  # both mirrors kept
+        tau = sys.grid.tau
+        bump = sp.csr_matrix(([1e-3 * sys.stiffness[dof, dof]], ([dof], [dof])), shape=sys.stiffness.shape)
+        stiffness = sys.stiffness + bump
+        broken = dataclasses.replace(
+            sys,
+            stiffness=stiffness,
+            step_plus=sys.mass + (tau / 2.0) * stiffness,
+            step_minus=sys.mass - (tau / 2.0) * stiffness,
+        )
+        basis = mirror_basis(broken)
+        assert basis.orbits.shape[0] == 2**kept
+        assert len(basis.sizes) < len(whole.sizes) and sum(basis.sizes) == sys.ndof
+        self._assert_matches_dense(broken)
+
+    def test_moved_node_keeps_one_block(self):
+        sys = random_system(12, n=3, M=2, bc=DIRICHLET)
+        mesh = sys.space.mesh
+        nodes = mesh.nodes.copy()
+        nodes[sys.space.dof_nodes[0], 0] += 1e-3
+        space = dataclasses.replace(sys.space, mesh=dataclasses.replace(mesh, nodes=nodes))
+        basis = mirror_basis(dataclasses.replace(sys, space=space))
+        assert basis.sizes == [sys.ndof]
+        assert np.array_equal(_basis_matrix(basis), np.eye(sys.ndof))
+
+    def test_single_dof(self):
+        sys = random_system(13, n=2, M=3, bc=DIRICHLET)
+        assert sys.ndof == 1
+        basis = mirror_basis(sys)
+        assert basis.sizes == [1]
+        assert np.array_equal(_basis_matrix(basis), np.ones((1, 1)))
+        self._assert_matches_dense(sys)
+
+    @staticmethod
+    def _assert_matches_dense(sys):
+        Y, U, lam = dense_kkt_solution(sys)
+        sol = solve_kkt(sys, sys.alpha)
+        scale = max(1.0, np.abs(Y).max(), np.abs(lam).max())
+        assert np.allclose(sol.Y_star, Y, atol=1e-10 * scale)
+        assert np.allclose(sol.U_star, U, atol=1e-10 * scale)
+        assert np.allclose(sol.lambda_star, lam, atol=1e-10 * scale)
+        assert sol.stationarity_residual <= 1e-9
+        assert sol.feasibility_residual <= 1e-9

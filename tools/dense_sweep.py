@@ -48,20 +48,7 @@ from parasplit.splitting_solver import CHUNK_COLS, PredictionFactors, SolverConf
 
 EXAMPLES = ("5.1", "5.2")
 MESHES = (8, 12, 14, 16, 20, 24, 28, 32)
-BATCH_SECONDS = 0.02
 PAYBACK_ITERATIONS = 50  # a 100-iteration run keeps at least half of the dense path's saving
-
-
-def per_call(fn) -> float:
-    """Mean seconds of one call of ``fn``, over a batch that takes ~BATCH_SECONDS."""
-    t0 = time.perf_counter()
-    fn()
-    once = time.perf_counter() - t0
-    calls = max(1, int(BATCH_SECONDS / max(once, 1e-7)))
-    t0 = time.perf_counter()
-    for _ in range(calls):
-        fn()
-    return (time.perf_counter() - t0) / calls
 
 
 def inverse(lu, ndof: int) -> np.ndarray:
@@ -73,9 +60,8 @@ def prediction_widths(M: int) -> dict[str, Counter]:
 
     Width 0 stands for the terminal factor's one right-hand side, a vector.
     """
-    chunks = _chunks(M)
-    state = Counter(min(c.stop, M - 1) - c.start for c in chunks if min(c.stop, M - 1) > c.start)
-    return {"control": Counter(c.stop - c.start for c in chunks), "state": state,
+    widths = Counter(c.stop - c.start for c in _chunks(M))
+    return {"control": widths, "state": widths if M > 1 else Counter(),
             "terminal": Counter({0: 1})}
 
 
@@ -99,8 +85,8 @@ def sweep(repeats: int) -> dict:
     for _ in range(repeats):
         for cell, (lu, inv, rhs) in cells.items():
             for w, b in rhs.items():
-                times[cell][w]["superlu"].append(per_call(lambda: lu.solve(b)))
-                times[cell][w]["dense"].append(per_call(lambda: inv @ b))
+                times[cell][w]["superlu"].append(sweep_common.per_call(lambda: lu.solve(b)))
+                times[cell][w]["dense"].append(sweep_common.per_call(lambda: inv @ b))
             t0 = time.perf_counter()
             inverse(lu, inv.shape[0])
             times[cell]["inverse"].append(time.perf_counter() - t0)
