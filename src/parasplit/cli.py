@@ -7,8 +7,6 @@ import csv
 import sys as _sys
 from dataclasses import astuple, fields, replace
 
-import numpy as np
-
 from .experiments import (
     BenchmarkRow,
     ConvergenceRow,
@@ -103,7 +101,7 @@ def cmd_box(args, problem, config) -> None:
         f"iterations={report.iterations} converged={report.converged} "
         f"stop_reason={report.stop_reason} "
         f"P_range=[{_fmt(y_min)}, {_fmt(y_max)}] "
-        f"final_gap={_fmt(float(np.linalg.norm(w.Y - w.P)))} "
+        f"final_gap={_fmt(float(report.gap_history[-1]))} "
         f"factor_nnz={','.join(f'{k}:{v}' for k, v in report.factor_nnz.items())}"
     )
 

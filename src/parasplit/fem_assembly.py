@@ -4,12 +4,15 @@ Quadrature for load vectors and L2 errors is the 3-point edge-midpoint rule
 (degree 2, exact for products of linear functions).  Element coordinates,
 areas and quadrature points come from the mesh's ``geometry``, computed once
 per mesh, so a load vector or an error norm costs one function evaluation
-and one scatter or sum.
+and one scatter or sum.  Every node-to-DOF conversion goes through the
+space's ``element_dofs`` table: the matrices are assembled, the loads
+scattered and the vertex values gathered on the unknowns directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,6 +35,17 @@ class FemSpace:
     def ndof(self) -> int:
         return self.dof_nodes.shape[0]
 
+    @cached_property
+    def element_dofs(self) -> np.ndarray:
+        """The DOF of each element vertex, (ne, 3), read-only; ``ndof`` where
+        the vertex carries none (a Dirichlet boundary node).  Formed on first
+        use."""
+        dof_of_node = np.full(self.mesh.num_nodes, self.ndof, dtype=np.int64)
+        dof_of_node[self.dof_nodes] = np.arange(self.ndof)
+        table = dof_of_node[self.mesh.elements]
+        table.flags.writeable = False
+        return table
+
 
 def make_space(mesh: TriMesh, bc: str) -> FemSpace:
     return FemSpace(mesh=mesh, bc=bc, dof_nodes=node_classification(mesh, bc))
@@ -49,24 +63,14 @@ def _p1_gradients(xy: np.ndarray, area: np.ndarray) -> np.ndarray:
     return grads
 
 
-def _restrict(global_mat: sp.csr_matrix, space: FemSpace) -> sp.csr_matrix:
-    """The DOF rows and columns in canonical CSR form.  Neumann DOFs are not
-    in node order, so the column indices must be sorted again."""
-    idx = space.dof_nodes
-    mat = global_mat[np.ix_(idx, idx)]
-    mat.sort_indices()
-    return mat
-
-
-def _assemble_global(mesh: TriMesh, local: np.ndarray) -> sp.csr_matrix:
-    ne = mesh.num_elements
-    rows = np.repeat(mesh.elements, 3, axis=1).ravel()
-    cols = np.tile(mesh.elements, (1, 3)).ravel()
-    mat = sp.coo_matrix(
-        (local.reshape(ne, 9).ravel(), (rows, cols)),
-        shape=(mesh.num_nodes, mesh.num_nodes),
-    )
-    return mat.tocsr()
+def _assemble(space: FemSpace, local: np.ndarray) -> sp.csr_matrix:
+    """The DOF matrix, in canonical CSR form, from the element matrices
+    ``local`` (ne, 3, 3): the entries whose row and column are both DOFs."""
+    dofs, n = space.element_dofs, space.ndof
+    rows = np.repeat(dofs, 3, axis=1).ravel()
+    cols = np.tile(dofs, (1, 3)).ravel()
+    keep = (rows < n) & (cols < n)
+    return sp.coo_matrix((local.ravel()[keep], (rows[keep], cols[keep])), shape=(n, n)).tocsr()
 
 
 def assemble_mass(space: FemSpace) -> sp.csr_matrix:
@@ -74,7 +78,7 @@ def assemble_mass(space: FemSpace) -> sp.csr_matrix:
     area = space.mesh.geometry.areas
     base = (np.ones((3, 3)) + np.eye(3)) / 12.0
     local = area[:, None, None] * base[None, :, :]
-    return _restrict(_assemble_global(space.mesh, local), space)
+    return _assemble(space, local)
 
 
 def assemble_stiffness(space: FemSpace) -> sp.csr_matrix:
@@ -83,7 +87,7 @@ def assemble_stiffness(space: FemSpace) -> sp.csr_matrix:
     area = geo.areas
     grads = _p1_gradients(geo.xy, area)
     local = np.einsum("eid,ejd,e->eij", grads, grads, area)
-    return _restrict(_assemble_global(space.mesh, local), space)
+    return _assemble(space, local)
 
 
 def _eval_checked(g, points: np.ndarray) -> np.ndarray:
@@ -100,15 +104,14 @@ def load_vector(space: FemSpace, g) -> np.ndarray:
 
     ``g`` is called as g(x1, x2) on arrays of coordinates.
     """
-    mesh = space.mesh
-    geo = mesh.geometry
+    geo = space.mesh.geometry
     area = geo.areas
     gvals = _eval_checked(g, geo.midpoints)
     # basis k is 1/2 at the two adjacent midpoints, 0 at the opposite one
     contrib = (area / 3.0)[:, None] * 0.5 * (gvals.sum(axis=1, keepdims=True) - gvals)
-    out = np.zeros(mesh.num_nodes)
-    np.add.at(out, mesh.elements.ravel(), contrib.ravel())
-    return out[space.dof_nodes]
+    # the last slot collects the vertices that carry no DOF
+    out = np.bincount(space.element_dofs.ravel(), weights=contrib.ravel(), minlength=space.ndof + 1)
+    return out[:-1]
 
 
 def interpolate_nodal(space: FemSpace, g) -> np.ndarray:
@@ -116,25 +119,18 @@ def interpolate_nodal(space: FemSpace, g) -> np.ndarray:
     return _eval_checked(g, space.mesh.nodes[space.dof_nodes]).copy()
 
 
-def _nodal_values(space: FemSpace, coeffs: np.ndarray) -> np.ndarray:
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape[0] != space.ndof:
-        raise ValueError(f"coefficient length {coeffs.shape[0]} != ndof {space.ndof}")
-    full = np.zeros(space.mesh.num_nodes)
-    full[space.dof_nodes] = coeffs
-    return full
-
-
 def l2_error(space: FemSpace, coeffs: np.ndarray, g) -> float:
     """L2(Omega) norm of (basis expansion of coeffs) - g.
 
     In Dirichlet mode the expansion is zero on the boundary nodes.
     """
-    mesh = space.mesh
-    geo = mesh.geometry
+    coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.shape != (space.ndof,):
+        raise ValueError(f"coefficient shape {coeffs.shape} != (ndof,) = ({space.ndof},)")
+    geo = space.mesh.geometry
     area = geo.areas
     gvals = _eval_checked(g, geo.midpoints)
-    nodal = _nodal_values(space, coeffs)[mesh.elements]
+    nodal = np.append(coeffs, 0.0)[space.element_dofs]
     # u_h at the midpoint opposite vertex k is the mean of the other two values
     uh = 0.5 * (nodal.sum(axis=1, keepdims=True) - nodal)
     sq = ((uh - gvals) ** 2 * (area / 3.0)[:, None]).sum()

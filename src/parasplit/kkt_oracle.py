@@ -16,6 +16,7 @@ of freedom is still capped.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
@@ -258,13 +259,16 @@ def modal_sweep(sys: DiscreteSystem, mu: np.ndarray, to_modes, from_modes):
 def solve_kkt(sys: DiscreteSystem, alpha: float) -> KktSolution:
     """Solve the stationarity system of the equality-constrained QP directly.
 
-    ``alpha`` must equal ``sys.alpha``, the weight the system was built
-    with.  The solution comes from the modal solve.  Its residuals are then
+    ``alpha`` must be positive and finite (the QP is then strictly convex)
+    and equal ``sys.alpha``, the weight the system was built with.  The
+    solution comes from the modal solve.  Its residuals are then
     measured from sparse products, without assembling any block matrix:
     Q z from two mass products, C^T lambda from three (the control part
     -tau A lambda; the state part step_plus lambda_m - step_minus
     lambda_{m+1}), and the constraint residual from the step products.
     """
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     if alpha != sys.alpha:
         raise ValueError(f"alpha {alpha} does not match the system's alpha {sys.alpha}")
     ndof, tau = sys.ndof, sys.grid.tau

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -88,8 +89,12 @@ def uniform_unit_square(n: int) -> TriMesh:
     Nodes are ordered lexicographically by (x2, x1) so runs are reproducible
     across refinement levels.
     """
+    try:
+        operator.index(n)
+    except TypeError:
+        raise ValueError(f"subdivision count must be an integer, got n={n!r}") from None
     if n < 1:
-        raise ValueError(f"subdivision count must be >= 1, got {n}")
+        raise ValueError(f"subdivision count must be >= 1, got n={n}")
     grid = np.linspace(0.0, 1.0, n + 1)
     x1, x2 = np.meshgrid(grid, grid, indexing="xy")
     nodes = np.column_stack([x1.ravel(), x2.ravel()])
@@ -122,8 +127,8 @@ def node_classification(mesh: TriMesh, bc: str) -> np.ndarray:
     """Ordered degree-of-freedom map: node indices in DOF order.
 
     Dirichlet mode keeps the interior nodes only; Neumann mode lists the
-    interior nodes first and the boundary nodes after them, matching the
-    interior/boundary block ordering of the assembled matrices.
+    interior nodes first and the boundary nodes after them, so the Dirichlet
+    DOFs of a mesh are the leading Neumann ones.
     """
     _check_bc(bc)
     if bc == DIRICHLET:

@@ -1,15 +1,27 @@
-"""The benchmark's tracer replaces parasplit functions by name.
+"""The benchmark and the sweep tools reach into parasplit by name.
 
 ``bench/tracing.py`` looks every name in its ``PATCHES`` up in the owner's
-``__dict__``; a rename in the package would break the traced benchmark runs
-only.  This keeps such a rename visible in the regular suite.
+``__dict__``, and the sweeps under ``tools/`` read or swap private names; a
+rename in the package would break those runs only.  The benchmark, the
+sweeps and this suite each pin BLAS to one thread from their own list of
+environment variables.  These tests keep a rename, or a drift between the
+lists, visible in the regular suite.
 """
 
+import ast
 import importlib.util
 import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+import pytest
+import scipy.sparse as sp
+
+import conftest
+from parasplit import kkt_oracle, sparse_linalg, splitting_solver
+from parasplit.experiments import build_level, get_example
+
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "bench" / "tracing.py"
 
 
 def _load_tracing():
@@ -29,3 +41,35 @@ def test_every_patched_name_exists():
         if p.attr not in vars(p.owner)
     ]
     assert missing == []
+
+
+def _module_constant(path: Path, name: str):
+    """The literal a module assigns to ``name`` at top level, read without
+    importing the module."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{path} assigns no {name}")
+
+
+@pytest.mark.parametrize("path", ["bench/run.py", "tools/sweep_common.py"])
+def test_blas_thread_list_matches_the_suite(path):
+    assert _module_constant(ROOT / path, "THREAD_ENV") == conftest.THREAD_ENV
+
+
+def test_private_names_the_sweeps_use_exist():
+    # tools/oracle_sweep.py swaps _solve_modal and calls modal_sweep and a
+    # basis's sizes and blocks; tools/chunk_sweep.py and tools/dense_sweep.py
+    # set CHUNK_COLS, split M with _chunks, read DENSE_MAX_NDOF and time a
+    # factor's SuperLU object _lu
+    assert callable(kkt_oracle._solve_modal) and callable(kkt_oracle.modal_sweep)
+    sys_ = build_level(get_example("5.1"), 4)
+    basis = kkt_oracle.mirror_basis(sys_)
+    assert sum(basis.sizes) == sys_.ndof
+    assert [k.shape[0] for k in basis.blocks(sys_.stiffness)] == basis.sizes
+    assert isinstance(splitting_solver.CHUNK_COLS, int)
+    chunks = list(splitting_solver._chunks(2 * splitting_solver.CHUNK_COLS + 1))
+    assert [c.stop - c.start for c in chunks] == [splitting_solver.CHUNK_COLS] * 2 + [1]
+    assert isinstance(sparse_linalg.DENSE_MAX_NDOF, int)
+    factor = sparse_linalg.factorize(sp.identity(3, format="csc"))
+    assert callable(factor._lu.solve)

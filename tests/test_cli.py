@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from parasplit.cli import _fmt, main
+from parasplit.experiments import build_level, get_example
+from parasplit.splitting_solver import SolverConfig, solve
 
 
 def _read(path):
@@ -133,10 +135,19 @@ class TestBox:
         header, rows = _read(out)
         assert header == ["k", "hnorm_increment_sq", "y_minus_p_norm"]
         assert len(rows) >= 1
-        text = capsys.readouterr().out
-        assert "P_range=" in text and "iterations=" in text
-        assert "stop_reason=" in text
-        assert "factor_nnz=control:" in text and ",terminal:" in text
+        # the summary line of a fresh solve; the printed gap is the last
+        # recorded one, which is ||Y - P|| of the returned iterate
+        problem = get_example("5.1")
+        config = SolverConfig(alpha=problem.alpha, beta=1.0, epsilon=1e-14, k_max=200, bounds=(0.0, 0.5))
+        w, report = solve(build_level(problem, 2), config)
+        nnz = ",".join(f"{k}:{v}" for k, v in report.factor_nnz.items())
+        assert capsys.readouterr().out == (
+            f"iterations={report.iterations} converged={report.converged} "
+            f"stop_reason={report.stop_reason} "
+            f"P_range=[{_fmt(float(w.P.min()))}, {_fmt(float(w.P.max()))}] "
+            f"final_gap={_fmt(float(np.linalg.norm(w.Y - w.P)))} factor_nnz={nnz}\n"
+        )
+        assert nnz.startswith("control:") and ",terminal:" in nnz
 
     def test_no_unknowns_is_an_error(self, tmp_path, capsys):
         out = tmp_path / "box.csv"

@@ -35,6 +35,29 @@ def test_make_space_rejects_unknown_mode():
         _space(2, "robin")
 
 
+class TestElementDofs:
+    @pytest.mark.parametrize("bc", [NEUMANN, DIRICHLET])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_table_maps_vertices_to_dofs(self, n, bc):
+        space = _space(n, bc)
+        mesh = space.mesh
+        table = space.element_dofs
+        assert table.shape == (mesh.num_elements, 3) and table.dtype == np.int64
+        carries = table < space.ndof
+        assert np.array_equal(space.dof_nodes[table[carries]], mesh.elements[carries])
+        # the vertices without a DOF are the Dirichlet boundary's, marked ndof
+        no_dof = np.isin(mesh.elements, mesh.boundary_nodes) if bc == DIRICHLET else False
+        assert np.array_equal(~carries, np.broadcast_to(no_dof, table.shape))
+        assert np.all(table[~carries] == space.ndof)
+
+    def test_kept_and_read_only(self):
+        space = _space(3, DIRICHLET)
+        table = space.element_dofs
+        assert space.element_dofs is table
+        with pytest.raises(ValueError):
+            table[0, 0] = 0
+
+
 class TestReferenceTriangle:
     def test_local_mass(self):
         space = make_space(_reference_triangle(), NEUMANN)
@@ -131,6 +154,19 @@ class TestLoadVector:
         rhs = assemble_mass(space) @ interpolate_nodal(space, g)
         assert np.allclose(lhs, rhs, atol=1e-14)
 
+    @pytest.mark.parametrize("bc", [NEUMANN, DIRICHLET])
+    def test_equals_the_nodal_scatter_on_the_dofs(self, bc):
+        # the same sums, in the same order, as scattering to every mesh node
+        # and keeping the DOF nodes' entries
+        space = _space(5, bc)
+        g = lambda x1, x2: np.exp(x1) * np.cos(3.0 * x2)
+        geo = space.mesh.geometry
+        gv = g(geo.midpoints[..., 0], geo.midpoints[..., 1])
+        contrib = (geo.areas / 3.0)[:, None] * 0.5 * (gv.sum(axis=1, keepdims=True) - gv)
+        nodal = np.zeros(space.mesh.num_nodes)
+        np.add.at(nodal, space.mesh.elements.ravel(), contrib.ravel())
+        assert np.array_equal(load_vector(space, g), nodal[space.dof_nodes])
+
     def test_nonfinite_reports_point(self):
         space = _space(2, NEUMANN)
         bad = lambda x1, x2: np.where(x1 > 0.9, np.nan, 1.0)
@@ -183,6 +219,8 @@ class TestL2Norms:
         space = _space(2, NEUMANN)
         with pytest.raises(ValueError, match="ndof"):
             l2_error(space, np.zeros(space.ndof + 1), lambda x1, x2: 0.0 * x1)
+        with pytest.raises(ValueError, match="ndof"):
+            l2_error(space, np.zeros((space.ndof, 1)), lambda x1, x2: 0.0 * x1)
 
     def test_expansion_norm_matches_mass_quadratic_form(self):
         # quadrature is exact for products of linears, so the L2 norm of a

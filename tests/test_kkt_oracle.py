@@ -101,6 +101,15 @@ class TestSolveKkt:
         with pytest.raises(ValueError, match="alpha"):
             solve_kkt(sys, 2.0 * sys.alpha)
 
+    @pytest.mark.parametrize("alpha", [0.0, -1e-2, np.nan, np.inf])
+    def test_alpha_outside_positive_reals_rejected(self, alpha):
+        # at alpha = 0 the modal solve divides by zero; below it the QP is
+        # not convex and a stationary point is no minimiser
+        sys = dataclasses.replace(build_level(get_example("5.1"), 4), alpha=alpha)
+        with pytest.raises(ValueError, match="alpha must be positive and finite") as err:
+            solve_kkt(sys, alpha)
+        assert "\n" not in str(err.value)
+
     def test_dimension_cap(self, monkeypatch):
         sys = random_system(6, n=2, M=2)
         monkeypatch.setattr(kkt_oracle, "MAX_NDOF", sys.ndof - 1)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from parasplit.experiments import build_level, example_5_1
 from parasplit.mesh import (
     DIRICHLET,
     NEUMANN,
@@ -33,8 +34,25 @@ def test_total_area():
 
 
 def test_rejects_zero_subdivisions():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n=0"):
         uniform_unit_square(0)
+
+
+@pytest.mark.parametrize("n", [2.5, 2.0, "4", None])
+def test_rejects_non_integer_subdivisions(n):
+    with pytest.raises(ValueError, match="subdivision count must be an integer") as err:
+        uniform_unit_square(n)
+    assert f"n={n!r}" in str(err.value) and "\n" not in str(err.value)
+
+
+def test_build_level_rejects_non_integer_n():
+    # T * n = 5 is a whole number of time steps; the mesh size is still no integer
+    with pytest.raises(ValueError, match="n=2.5"):
+        build_level(example_5_1(), 2.5)
+
+
+def test_numpy_integer_subdivisions_accepted():
+    assert uniform_unit_square(np.int64(3)).num_nodes == 16
 
 
 @given(st.integers(min_value=1, max_value=12))
