@@ -14,6 +14,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
+from . import mirrors
 from .fem_assembly import (
     FemSpace,
     assemble_mass,
@@ -64,7 +65,8 @@ class DiscreteSystem:
     already includes the step_minus @ y0 contribution), ``desired_loads``
     the M load vectors of the desired state, and ``tracking_loads`` those
     loads weighted by tau * kappa_m: the linear term of the objective.  The
-    operators are CSR matrices.
+    operators are CSR matrices.  ``tracking_loads`` and ``mirror_basis`` are
+    formed on first use.
     """
 
     space: FemSpace
@@ -95,6 +97,13 @@ class DiscreteSystem:
         """The trapezoid-weighted desired loads (tau * kappa_m) d_m, formed on
         first use; ``dataclasses.replace`` makes a copy that forms its own."""
         return (self.grid.tau * self.kappa) * self.desired_loads
+
+    @cached_property
+    def mirror_basis(self) -> mirrors.MirrorBasis:
+        """The symmetry-adapted basis of the mirrors that map stiffness and
+        mass onto themselves (``mirrors.mirror_basis``), formed on first use
+        and shared by the oracle and the splitting solver's factors."""
+        return mirrors.mirror_basis(self)
 
 
 def build_system(problem, space: FemSpace, grid: TimeGrid) -> DiscreteSystem:

@@ -9,10 +9,14 @@ which the corrected iteration contracts.
 ``solve`` is the one entry point: it runs the box variant (projected state
 copies) exactly when the config has bounds.  ``PredictionFactors.build``
 forms and factors the subproblems' normal matrices from the system's mass,
-stiffness and step matrices; the discretization holds none of them.  On
-small levels (at most ``sparse_linalg.DENSE_MAX_NDOF`` unknowns per time
-step) ``factorize`` also inverts each factor once, so a chunk's control or
-state solve is one dense matrix product.
+stiffness and step matrices; the discretization holds none of them.  It
+hands ``factorize`` the system's mirror basis, and all three factors take
+the same path (``sparse_linalg``): the whole inverse up to
+``DENSE_MAX_NDOF`` unknowns per time step, one inverse per mirror block
+above it, SuperLU's factors without a usable basis.  On the blocked path a
+chunk's control, state and terminal columns share one pass through the
+basis (``sparse_linalg.solve_blocked``), in arrays the chunk reuses every
+iteration (``chunk_buffers``).
 
 An iterate is one stacked array: the slabs U, Y, lam and, in the box
 variant, P and mu.  The constraint map is linear, so the loop carries the
@@ -30,9 +34,10 @@ matrix alpha tau A + beta tau^2 A A with its SPD factor tau A cancelled.
 capped at the CPUs the process may run on; a single thread runs every task
 inline.  Each prediction is one ``solve_multi`` batch with one task per
 chunk of CHUNK_COLS time steps.  A task forms its steps' control and state
-right-hand sides, solves them (every state column against the state factor,
-then step M again against the terminal factor) and forms the predicted
-products A U~, step_plus Y~ and step_minus Y~ of its columns.  The calling
+right-hand sides in its chunk's buffer, solves them (every state column
+against the state factor, then step M again against the terminal factor)
+and forms the predicted products A U~, step_plus Y~ and step_minus Y~ of
+its columns.  The calling
 thread keeps what couples the chunks: q before the batch; C z~, the
 multiplier, the box projection and mu~ after it; and the correction.  The
 chunks are fixed by M alone, so the iterates are bit-identical for every
@@ -60,7 +65,7 @@ from .discretization import (  # noqa: F401  constraint_linear_map: bench/tracin
     constraint_residual,
     fill_constraint_map,
 )
-from .sparse_linalg import CholFactor, factorize, solve_multi
+from .sparse_linalg import BlockedWork, CholFactor, factorize, solve_blocked, solve_multi
 
 import scipy.sparse as sp
 
@@ -150,7 +155,9 @@ class SolveReport:
     the gap between the carried constraint residual and the one recomputed
     from the final iterate, relative to max(1, ||rhs||).  ``factor_nnz`` maps
     each prediction factor ("control", "state" unless M == 1, "terminal") to
-    its nnz(L) + nnz(U).
+    its stored entries: nnz(L) + nnz(U) of SuperLU's factors, or the entries
+    of its dense inverses (sum of size^2 over the whole inverse or the
+    mirror blocks).
     """
 
     iterations: int
@@ -198,7 +205,12 @@ def _gram(a: sp.csr_matrix) -> sp.csr_matrix:
 
 @dataclass(frozen=True)
 class PredictionFactors:
-    """One-time factorizations reused every iteration."""
+    """One-time factorizations reused every iteration.
+
+    The three matrices have the same dimension and are factored against the
+    system's one mirror basis, so all three take the same ``factorize``
+    path.
+    """
 
     control: CholFactor
     state: CholFactor | None  # interior steps; None when M == 1
@@ -215,30 +227,53 @@ class PredictionFactors:
         shift = 0.0
         if config.bounds is not None:
             shift = beta  # extra beta * I from the state-copy constraint row
+        basis = sys.mirror_basis
         eye = sp.identity(sys.ndof, format="csr")
-        control = factorize(alpha * eye + (beta * tau) * sys.mass)
+        control = factorize(alpha * eye + (beta * tau) * sys.mass, basis)
         state = None
         if sys.grid.M > 1:
             mass2, stiff2 = _gram(sys.mass), _gram(sys.stiffness)
             state_gram = 2.0 * mass2 + (tau * tau / 2.0) * stiff2
-            state = factorize(tau * sys.mass + beta * state_gram + shift * eye)
+            state = factorize(tau * sys.mass + beta * state_gram + shift * eye, basis)
         terminal_gram = _gram(sys.step_plus)
-        terminal = factorize((tau / 2.0) * sys.mass + beta * terminal_gram + shift * eye)
+        terminal = factorize((tau / 2.0) * sys.mass + beta * terminal_gram + shift * eye, basis)
         return PredictionFactors(control=control, state=state, terminal=terminal)
+
+    def solve(
+        self, rhs: np.ndarray, last: bool, work: BlockedWork | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """U~ and Y~ of one chunk of k steps from its right-hand sides ``rhs``,
+        shape (2, ndof, k): the control slab, then the state slab.
+
+        Every state column solves against the state factor, at the chunk's
+        full width (a dense product at an odd width costs more than at the
+        full one); when ``last`` (the chunk ends at step M) the last state
+        column's right-hand side is also solved against the terminal factor,
+        whose solution replaces it.  Blocked factors share one basis: all
+        the chunk's columns take one pass through it, in ``work`` (or in
+        arrays allocated here), and the solutions overwrite ``rhs``.
+        """
+        basis = self.control.basis
+        if basis is None:
+            U = self.control.solve(rhs[0])
+            Y = self.state.solve(rhs[1]) if self.state is not None else np.empty_like(rhs[1])
+            if last:
+                Y[:, -1] = self.terminal.solve(rhs[1][:, -1])
+            return U, Y
+        jobs = [(self.control, 0, slice(None))]
+        if self.state is not None:
+            jobs.append((self.state, 1, slice(None)))
+        if last:
+            jobs.append((self.terminal, 1, -1))
+        solve_blocked(basis, jobs, rhs, work if work is not None else BlockedWork(basis, 2, rhs.shape[2]))
+        return rhs[0], rhs[1]
 
 
 def predict_controls(
-    sys: DiscreteSystem,
-    w: Iterate,
-    q: np.ndarray,
-    config: SolverConfig,
-    factors: PredictionFactors,
-    cols: slice,
-    U_t: np.ndarray,
-    AU_t: np.ndarray,
+    sys: DiscreteSystem, w: Iterate, q: np.ndarray, config: SolverConfig, cols: slice, out: np.ndarray
 ) -> None:
-    """The control subproblems of the time steps ``cols``: U~ into
-    ``U_t[:, cols]`` and its mass product A U~ into ``AU_t[:, cols]``.
+    """The right-hand sides of the control subproblems of the time steps
+    ``cols``, into ``out``.
 
     The first-order conditions of the odd-index subproblems read
     (alpha*tau*A + beta*tau^2*A*A) U~ = beta*(tau^2*A*A U + tau*A q).  Both
@@ -247,28 +282,16 @@ def predict_controls(
     follows from the subproblem optimality conditions; the constraint
     carries the control with a negative block.)  A U comes from w's products.
     """
-    rhs = config.beta * (sys.grid.tau * w.products[0][:, cols] + q[:, cols])
-    U = factors.control.solve(rhs)
-    U_t[:, cols] = U
-    AU_t[:, cols] = sys.mass @ U
+    np.multiply(sys.grid.tau, w.products[0][:, cols], out=out)
+    out += q[:, cols]
+    out *= config.beta
 
 
 def predict_states(
-    sys: DiscreteSystem,
-    w: Iterate,
-    q: np.ndarray,
-    config: SolverConfig,
-    factors: PredictionFactors,
-    cols: slice,
-    Y_t: np.ndarray,
-    products_t: np.ndarray,
+    sys: DiscreteSystem, w: Iterate, q: np.ndarray, config: SolverConfig, cols: slice, out: np.ndarray
 ) -> None:
-    """The state subproblems of the time steps ``cols``: Y~ into ``Y_t[:, cols]``
-    and its products step_plus Y~, step_minus Y~ into slabs 1 and 2 of
-    ``products_t``.  Every column solves against the state factor, at the
-    chunk's full width (a dense product at an odd width costs more than at
-    the full one); a chunk that ends at step M then overwrites its last
-    column with the terminal factor's solve.
+    """The right-hand sides of the state subproblems of the time steps
+    ``cols``, into ``out``.
 
     The right-hand side of step m is (tau kappa_m) d_m + beta [step_plus
     (step_plus Y_m - q_m) + step_minus (step_minus Y_m + q_{m+1})], without
@@ -284,16 +307,10 @@ def predict_states(
     coupled = sys.step_plus @ (PY[:, cols] - q[:, cols])
     if inner > lo:
         coupled[:, : inner - lo] += sys.step_minus @ (MY[:, lo:inner] + q[:, lo + 1 : inner + 1])
-    rhs = sys.tracking_loads[:, cols] + config.beta * coupled
+    np.multiply(config.beta, coupled, out=out)
+    out += sys.tracking_loads[:, cols]
     if config.bounds is not None:
-        rhs += config.beta * w.P[:, cols] + w.mu[:, cols]
-    if factors.state is not None:
-        Y_t[:, cols] = factors.state.solve(rhs)
-    if cols.stop == M:
-        Y_t[:, M - 1] = factors.terminal.solve(rhs[:, -1])
-    Y = Y_t[:, cols]
-    products_t[1][:, cols] = sys.step_plus @ Y
-    products_t[2][:, cols] = sys.step_minus @ Y
+        out += config.beta * w.P[:, cols] + w.mu[:, cols]
 
 
 def predict_multiplier(
@@ -311,12 +328,25 @@ def _chunks(M: int) -> list[slice]:
     return [slice(lo, min(lo + CHUNK_COLS, M)) for lo in range(0, M, CHUNK_COLS)]
 
 
+def chunk_buffers(sys: DiscreteSystem, factors: PredictionFactors) -> list[tuple]:
+    """The arrays each chunk's task reuses every iteration, in chunk order:
+    its right-hand sides, shape (2, ndof, k), and the blocked solve's work
+    arrays (None unless the factors are blocked)."""
+    basis = factors.control.basis
+    buffers = []
+    for cols in _chunks(sys.grid.M):
+        k = cols.stop - cols.start
+        buffers.append((np.empty((2, sys.ndof, k)), None if basis is None else BlockedWork(basis, 2, k)))
+    return buffers
+
+
 def predict(
     sys: DiscreteSystem,
     w: Iterate,
     config: SolverConfig,
     factors: PredictionFactors,
     pool=None,
+    buffers: list[tuple] | None = None,
 ) -> Iterate:
     """One full prediction sweep; all subproblems read the same w and q.
 
@@ -327,7 +357,8 @@ def predict(
     batch and, after it, what couples the columns: C z~, the multiplier and
     the box copies.  Uses the products w carries, forming them first when
     it carries none.  The predicted iterate is returned with its own
-    products.
+    products.  ``buffers`` (``chunk_buffers``) holds the arrays the tasks
+    work in; without it this prediction allocates its own.
     """
     if w.products is None:
         w = Iterate(w.z, constraint_products(sys, w.Y, w.U))
@@ -336,12 +367,20 @@ def predict(
     box = config.bounds is not None
     z_t = np.empty((5 if box else 3,) + w.U.shape)
     products_t = np.empty((4,) + w.U.shape)
+    if buffers is None:
+        buffers = chunk_buffers(sys, factors)
 
-    def chunk(cols: slice) -> None:
-        predict_controls(sys, w, q, config, factors, cols, z_t[0], products_t[0])
-        predict_states(sys, w, q, config, factors, cols, z_t[1], products_t)
+    def chunk(cols: slice, rhs: np.ndarray, work: BlockedWork | None) -> None:
+        predict_controls(sys, w, q, config, cols, rhs[0])
+        predict_states(sys, w, q, config, cols, rhs[1])
+        U, Y = factors.solve(rhs, cols.stop == sys.grid.M, work)
+        z_t[0][:, cols] = U
+        z_t[1][:, cols] = Y
+        products_t[0][:, cols] = sys.mass @ U
+        products_t[1][:, cols] = sys.step_plus @ Y
+        products_t[2][:, cols] = sys.step_minus @ Y
 
-    solve_multi([partial(chunk, cols) for cols in _chunks(sys.grid.M)], pool)
+    solve_multi([partial(chunk, cols, *buf) for cols, buf in zip(_chunks(sys.grid.M), buffers)], pool)
     fill_constraint_map(sys, products_t)
     z_t[2] = predict_multiplier(sys, w, products_t, beta)
     if box:
@@ -426,6 +465,7 @@ def solve(sys: DiscreteSystem, config: SolverConfig, monitor=None) -> tuple[Iter
     blocks = 3 if box else 2
     nu = correction_factor(sys.grid.M, config.gamma, blocks_per_step=blocks)
     factors = PredictionFactors.build(sys, config)
+    buffers = chunk_buffers(sys, factors)
 
     w = Iterate.zeros(sys.ndof, sys.grid.M, box=box)
     if box:
@@ -445,7 +485,7 @@ def solve(sys: DiscreteSystem, config: SolverConfig, monitor=None) -> tuple[Iter
             if monitor is not None:
                 monitor(k, w)
             t1 = time.perf_counter()
-            w_tilde = predict(sys, w, config, factors, pool)
+            w_tilde = predict(sys, w, config, factors, pool, buffers)
             t2 = time.perf_counter()
             d = iterate_diff(w, w_tilde, out=w_tilde)  # the prediction is not read again
             # w - w_next = nu d, and the H-norm is quadratic.

@@ -17,7 +17,7 @@ import pytest
 import scipy.sparse as sp
 
 import conftest
-from parasplit import kkt_oracle, sparse_linalg, splitting_solver
+from parasplit import kkt_oracle, mirrors, sparse_linalg, splitting_solver
 from parasplit.experiments import build_level, get_example
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -57,19 +57,23 @@ def test_blas_thread_list_matches_the_suite(path):
     assert _module_constant(ROOT / path, "THREAD_ENV") == conftest.THREAD_ENV
 
 
-def test_private_names_the_sweeps_use_exist():
-    # tools/oracle_sweep.py swaps _solve_modal and calls modal_sweep and a
-    # basis's sizes and blocks; tools/chunk_sweep.py and tools/dense_sweep.py
-    # set CHUNK_COLS, split M with _chunks, read DENSE_MAX_NDOF and time a
-    # factor's SuperLU object _lu
+def test_private_names_the_sweeps_use_exist(monkeypatch):
+    # tools/oracle_sweep.py swaps _solve_modal, calls modal_sweep and
+    # mirrors.mirror_basis, and reads a basis's sizes and blocks;
+    # tools/chunk_sweep.py and tools/dense_sweep.py set CHUNK_COLS and split
+    # M with _chunks; tools/dense_sweep.py sets DENSE_MAX_NDOF and
+    # BLOCK_MAX_NDOF to send every factor down one path
     assert callable(kkt_oracle._solve_modal) and callable(kkt_oracle.modal_sweep)
     sys_ = build_level(get_example("5.1"), 4)
-    basis = kkt_oracle.mirror_basis(sys_)
+    basis = mirrors.mirror_basis(sys_)
     assert sum(basis.sizes) == sys_.ndof
     assert [k.shape[0] for k in basis.blocks(sys_.stiffness)] == basis.sizes
     assert isinstance(splitting_solver.CHUNK_COLS, int)
     chunks = list(splitting_solver._chunks(2 * splitting_solver.CHUNK_COLS + 1))
     assert [c.stop - c.start for c in chunks] == [splitting_solver.CHUNK_COLS] * 2 + [1]
-    assert isinstance(sparse_linalg.DENSE_MAX_NDOF, int)
-    factor = sparse_linalg.factorize(sp.identity(3, format="csc"))
-    assert callable(factor._lu.solve)
+    assert isinstance(sparse_linalg.DENSE_MAX_NDOF, int) and isinstance(sparse_linalg.BLOCK_MAX_NDOF, int)
+    for caps, dense, blocked in (((0, 0), False, False), ((10**9, 0), True, False), ((0, 10**9), True, True)):
+        monkeypatch.setattr(sparse_linalg, "DENSE_MAX_NDOF", caps[0])
+        monkeypatch.setattr(sparse_linalg, "BLOCK_MAX_NDOF", caps[1])
+        factor = sparse_linalg.factorize(sys_.mass, basis)
+        assert (factor.dense, factor.basis is not None) == (dense, blocked)

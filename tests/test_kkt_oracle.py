@@ -11,7 +11,8 @@ from parasplit.discretization import TimeGrid, build_system, objective_vec
 from parasplit.experiments import build_level, get_example
 from parasplit.fem_assembly import make_space
 from parasplit import kkt_oracle
-from parasplit.kkt_oracle import mirror_basis, solve_kkt
+from parasplit.kkt_oracle import solve_kkt
+from parasplit.mirrors import mirror_basis
 from parasplit.mesh import DIRICHLET, NEUMANN, uniform_unit_square
 from parasplit.sparse_linalg import factorize
 

@@ -6,6 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
@@ -24,7 +25,7 @@ from parasplit.discretization import constraint_products, constraint_residual
 from parasplit.experiments import build_level, get_example
 from parasplit.kkt_oracle import solve_kkt
 from parasplit.mesh import DIRICHLET, NEUMANN
-from parasplit import sparse_linalg, splitting_solver
+from parasplit import mirrors, sparse_linalg, splitting_solver
 from parasplit.sparse_linalg import DENSE_MAX_NDOF, factorize
 from parasplit.splitting_solver import (
     Iterate,
@@ -45,6 +46,13 @@ CASES = [(0, 2, 1), (1, 2, 2), (2, 2, 3), (3, 3, 2)]
 
 def _config(sys, beta=1.0, **kw):
     return SolverConfig(alpha=sys.alpha, beta=beta, **kw)
+
+
+def _path(f) -> str:
+    """Which ``factorize`` path a factor took."""
+    if not f.dense:
+        return "superlu"
+    return "dense" if f.basis is None else "blocked"
 
 
 class TestCorrectionFactor:
@@ -188,9 +196,11 @@ class TestPrediction:
     def test_factored_normal_matrices(self, monkeypatch):
         factored = []
         real = splitting_solver.factorize
-        monkeypatch.setattr(
-            splitting_solver, "factorize", lambda mat: factored.append(mat.toarray()) or real(mat)
-        )
+        def recording(mat, basis):
+            factored.append(mat.toarray())
+            return real(mat, basis)
+
+        monkeypatch.setattr(splitting_solver, "factorize", recording)
         for seed, n, M, bc in [(0, 2, 2, NEUMANN), (1, 3, 1, NEUMANN), (2, 2, 3, DIRICHLET)]:
             sys = random_system(seed, n=n, M=M, bc=bc)
             tau, A = sys.grid.tau, sys.mass.toarray()
@@ -399,7 +409,7 @@ class TestSolve:
         assert np.array_equal(results[0].lam, results[1].lam)
 
     @staticmethod
-    def _assert_bitwise_across_threads(sys, box, dense):
+    def _assert_bitwise_across_threads(sys, box, path):
         """Two full chunks and a partial one, whose last column is the
         terminal step, give the same iterates at 1, 2 and 8 threads."""
         bounds = (-0.5, 0.5) if box else None
@@ -407,20 +417,21 @@ class TestSolve:
         for threads in (1, 2, 8):
             config = _config(sys, beta=0.5, epsilon=0.0, k_max=15, thread_count=threads, bounds=bounds)
             runs.append(solve(sys, config))
-        assert PredictionFactors.build(sys, config).control.dense is dense
+        assert _path(PredictionFactors.build(sys, config).control) == path
         for w, report in runs[1:]:
             assert np.array_equal(w.z, runs[0][0].z)
             assert np.array_equal(report.increment_history, runs[0][1].increment_history)
 
     @pytest.mark.parametrize("box", [False, True])
-    def test_thread_count_bitwise_across_chunks(self, box):
-        # On this mesh (above the dense cap) SuperLU's one-column solve differs
-        # from a multi-column one in the last bits (on coarse meshes it does
-        # not), so chunking that followed the thread count down to single
-        # columns would show.
+    def test_thread_count_bitwise_across_chunks(self, box, monkeypatch):
+        # On this mesh (above the dense caps) SuperLU's one-column solve
+        # differs from a multi-column one in the last bits (on coarse meshes
+        # it does not), so chunking that followed the thread count down to
+        # single columns would show.
+        monkeypatch.setattr(sparse_linalg, "BLOCK_MAX_NDOF", 0)
         sys = random_system(11, n=28, M=2 * splitting_solver.CHUNK_COLS + 5)
         assert sys.ndof > DENSE_MAX_NDOF
-        self._assert_bitwise_across_threads(sys, box, dense=False)
+        self._assert_bitwise_across_threads(sys, box, "superlu")
 
     @pytest.mark.parametrize("box", [False, True])
     def test_thread_count_bitwise_across_chunks_dense(self, box):
@@ -429,7 +440,15 @@ class TestSolve:
         # block one (GEMM), so thread-dependent chunking would show here too.
         sys = random_system(11, n=12, M=2 * splitting_solver.CHUNK_COLS + 5)
         assert sys.ndof <= DENSE_MAX_NDOF
-        self._assert_bitwise_across_threads(sys, box, dense=True)
+        self._assert_bitwise_across_threads(sys, box, "dense")
+
+    @pytest.mark.parametrize("box", [False, True])
+    def test_thread_count_bitwise_across_chunks_blocked(self, box):
+        # Above the whole-matrix cap the mirror blocks are inverted, and a
+        # chunk projects, multiplies and expands its columns together.
+        sys = random_system(11, n=28, M=2 * splitting_solver.CHUNK_COLS + 5)
+        assert sys.ndof > DENSE_MAX_NDOF
+        self._assert_bitwise_across_threads(sys, box, "blocked")
 
     def test_one_pool_per_threaded_solve(self, monkeypatch):
         workers = []
@@ -529,39 +548,48 @@ class TestSolve:
 
     @pytest.mark.parametrize("M,box", [(1, False), (3, False), (3, True)])
     def test_factor_nnz_reported(self, M, box):
+        # a level under the whole-matrix cap: each factor stores its inverse
         sys = random_system(8, n=3, M=M)
         bounds = (-1.0, 1.0) if box else None
         config = SolverConfig(alpha=sys.alpha, beta=1.0, k_max=1, bounds=bounds)
         _, report = solve(sys, config)
-        factors = PredictionFactors.build(sys, config)
-        expected = {
-            name: f._lu.L.nnz + f._lu.U.nnz for name, f in vars(factors).items() if f is not None
-        }
-        assert set(expected) == ({"control", "terminal"} if M == 1 else {"control", "state", "terminal"})
-        assert report.factor_nnz == expected
+        names = {"control", "terminal"} if M == 1 else {"control", "state", "terminal"}
+        assert report.factor_nnz == {name: sys.ndof**2 for name in names}
 
     def test_factor_nnz_reported_on_both_paths(self, monkeypatch):
+        # the stored entries of each path: the whole inverse, the block
+        # inverses, and SuperLU's nnz(L) + nnz(U)
         sys = random_system(8, n=3, M=3)
         config = SolverConfig(alpha=sys.alpha, beta=1.0, k_max=1)
         _, dense = solve(sys, config)
         monkeypatch.setattr(sparse_linalg, "DENSE_MAX_NDOF", sys.ndof - 1)
+        _, blocked = solve(sys, config)
+        monkeypatch.setattr(sparse_linalg, "BLOCK_MAX_NDOF", 0)
         _, sparse = solve(sys, config)
-        assert set(sparse.factor_nnz) == {"control", "state", "terminal"}
-        assert sparse.factor_nnz == dense.factor_nnz
+        factors = PredictionFactors.build(sys, config)
+        sizes = sys.mirror_basis.sizes
+        assert len(sizes) == 4
+        for name, f in vars(factors).items():
+            assert dense.factor_nnz[name] == sys.ndof**2
+            assert blocked.factor_nnz[name] == sum(k * k for k in sizes)
+            assert sparse.factor_nnz[name] == f._lu.L.nnz + f._lu.U.nnz
 
     @pytest.mark.parametrize("example", ["5.1", "5.2"])
-    def test_dense_inverse_matches_superlu(self, example):
+    def test_dense_inverse_matches_superlu(self, example, monkeypatch):
         # the largest dense factors: both levels have ndof == DENSE_MAX_NDOF
         prob = get_example(example)
         sys = build_level(prob, {"5.1": 16, "5.2": 14}[example])
         assert sys.ndof == DENSE_MAX_NDOF
         config = SolverConfig(alpha=prob.alpha, beta=prob.beta)
         factors = PredictionFactors.build(sys, config)
+        monkeypatch.setattr(sparse_linalg, "DENSE_MAX_NDOF", 0)
+        monkeypatch.setattr(sparse_linalg, "BLOCK_MAX_NDOF", 0)
+        superlu = PredictionFactors.build(sys, config)
         rhs = np.random.default_rng(5).standard_normal((sys.ndof, splitting_solver.CHUNK_COLS))
         for name, f in vars(factors).items():
-            assert f.dense, name
+            assert _path(f) == "dense" and _path(getattr(superlu, name)) == "superlu", name
             for b in (rhs, rhs[:, 0]):
-                want = f._lu.solve(b)
+                want = getattr(superlu, name).solve(b)
                 np.testing.assert_allclose(f.solve(b), want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
     def test_alpha_mismatch_rejected(self):
@@ -627,3 +655,125 @@ class TestConfigValidation:
         for bad in (0, 1.5):
             with pytest.raises(ValueError, match="thread_count"):
                 SolverConfig(alpha=1.0, beta=1.0, thread_count=bad)
+
+
+def _superlu_factors(sys, config, monkeypatch):
+    """The prediction factors with both dense caps closed: SuperLU's."""
+    with monkeypatch.context() as m:
+        m.setattr(sparse_linalg, "DENSE_MAX_NDOF", 0)
+        m.setattr(sparse_linalg, "BLOCK_MAX_NDOF", 0)
+        return PredictionFactors.build(sys, config)
+
+
+def _assert_close(got, want):
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+class TestBlockedFactors:
+    """Factors above the whole-matrix cap, inverted block by block in the
+    system's mirror basis, against SuperLU."""
+
+    @staticmethod
+    def _assert_matches(sys, config, superlu):
+        factors = PredictionFactors.build(sys, config)
+        rhs = np.random.default_rng(sys.ndof).standard_normal((2, sys.ndof, splitting_solver.CHUNK_COLS))
+        rhs_u, rhs_y = rhs
+        for name, f in vars(factors).items():
+            for b in (rhs_u, rhs_u[:, 0]):
+                _assert_close(f.solve(b), getattr(superlu, name).solve(b))
+        # a chunk's control and state solves together, the terminal column included
+        for got, want in zip(factors.solve(rhs.copy(), True), superlu.solve(rhs.copy(), True)):
+            _assert_close(got, want)
+        return factors
+
+    @pytest.mark.parametrize("box", [False, True])
+    @pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN])
+    @pytest.mark.parametrize("example", ["5.1", "5.2"])
+    def test_matches_superlu(self, example, bc, box, monkeypatch):
+        prob = dataclasses.replace(get_example(example), bc=bc)
+        sys = build_level(prob, 20)
+        assert sys.ndof > DENSE_MAX_NDOF
+        config = SolverConfig(alpha=prob.alpha, beta=prob.beta, bounds=(0.0, 1.0) if box else None)
+        superlu = _superlu_factors(sys, config, monkeypatch)
+        factors = self._assert_matches(sys, config, superlu)
+        for f in vars(factors).values():
+            assert _path(f) == "blocked"
+            assert [inv.shape[0] for inv in f.inverses] == sys.mirror_basis.sizes
+
+    @pytest.mark.parametrize("M,box", [(1, False), (3, False), (3, True)])
+    def test_iterates_match_superlu_path(self, M, box, monkeypatch):
+        # the single-step level has no state factor: its one column is the terminal step
+        sys = random_system(12, n=20, M=M)
+        config = _config(sys, beta=2.0, epsilon=0.0, k_max=5, bounds=(-0.5, 0.5) if box else None)
+        assert _path(PredictionFactors.build(sys, config).control) == "blocked"
+        w, _ = solve(sys, config)
+        monkeypatch.setattr(sparse_linalg, "BLOCK_MAX_NDOF", 0)
+        w_ref, _ = solve(sys, config)
+        _assert_close(w.z, w_ref.z)
+
+    @pytest.mark.parametrize("dof,blocks", [(0, 2), (1, 1)])
+    def test_broken_mirror_falls_back(self, dof, blocks, monkeypatch):
+        # The first DOF lies on the diagonal x1 = x2, which the coordinate
+        # swap fixes; the second lies on no mirror's fixed set.
+        sys = random_system(11, n=20, M=3, bc=NEUMANN)
+        assert len(sys.mirror_basis.sizes) == 4
+        tau = sys.grid.tau
+        bump = sp.csr_matrix(([1e-3 * sys.stiffness[dof, dof]], ([dof], [dof])), shape=sys.stiffness.shape)
+        stiffness = sys.stiffness + bump
+        broken = dataclasses.replace(
+            sys,
+            stiffness=stiffness,
+            step_plus=sys.mass + (tau / 2.0) * stiffness,
+            step_minus=sys.mass - (tau / 2.0) * stiffness,
+        )
+        assert len(broken.mirror_basis.sizes) == blocks
+        config = _config(broken, beta=10.0)
+        factors = self._assert_matches(broken, config, _superlu_factors(broken, config, monkeypatch))
+        assert _path(factors.control) == ("blocked" if blocks > 1 else "superlu")
+
+    def test_indefinite_raises(self, monkeypatch):
+        shapes = []
+        init = sparse_linalg.SparseSpd.__init__
+
+        def counting_init(self, mat):
+            shapes.append(mat.shape)
+            init(self, mat)
+
+        def no_superlu(*args, **kwargs):
+            raise AssertionError("the blocked path reached SuperLU")
+
+        monkeypatch.setattr(sparse_linalg.SparseSpd, "__init__", counting_init)
+        monkeypatch.setattr(sparse_linalg.spla, "splu", no_superlu)
+        sys = build_level(get_example("5.1"), 20)
+        # mirror-invariant, with the generalised eigenvalues of the pencil
+        # below 100 (the lowest is about 2 pi^2) turned negative
+        mat = sys.stiffness - 100.0 * sys.mass
+        with pytest.raises(sparse_linalg.NotPositiveDefiniteError):
+            factorize(mat, sys.mirror_basis)
+        assert shapes == [(sys.ndof, sys.ndof)]
+
+    def test_box_workload_level_is_blocked(self):
+        # the benchmark's box level; a cap that sends it back to SuperLU fails here
+        prob = get_example("5.1")
+        sys = build_level(prob, 32)
+        factors = PredictionFactors.build(sys, SolverConfig(alpha=prob.alpha, beta=0.3, bounds=(0.0, 0.8)))
+        for f in vars(factors).values():
+            assert _path(f) == "blocked"
+            assert [inv.shape[0] for inv in f.inverses] == [256, 240, 225, 240]
+
+    def test_mirror_basis_formed_once_per_system(self, monkeypatch):
+        calls = []
+        formed = mirrors.mirror_basis
+
+        def counting(sys):
+            calls.append(sys)
+            return formed(sys)
+
+        monkeypatch.setattr(mirrors, "mirror_basis", counting)
+        prob = get_example("5.1")
+        sys = build_level(prob, 20)
+        assert calls == []  # building the level forms none
+        solve_kkt(sys, sys.alpha)
+        solve_kkt(sys, sys.alpha)
+        PredictionFactors.build(sys, SolverConfig(alpha=prob.alpha, beta=prob.beta))
+        assert len(calls) == 1 and calls[0] is sys

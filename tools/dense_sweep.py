@@ -1,33 +1,48 @@
-"""Time the prediction factors' solves through SuperLU and through a dense inverse.
+"""Time the prediction factors' chunk solves on each ``factorize`` path.
 
     python3 tools/dense_sweep.py [--repeats 7] [--out BENCH_dense.json]
 
 Run from the repository root; parasplit is imported from ``src/``.  BLAS is
 pinned to one thread before numpy loads, as in the solver's benchmark.  For
-examples 5.1 and 5.2 at mesh n in {8, 12, 14, 16, 20, 24, 28, 32}, the tool
-builds the level and the splitting solver's three prediction factors (the
-example's beta, no bounds) and times, per factor:
+examples 5.1 and 5.2 at mesh n in MESHES, the tool builds the level and,
+with the example's beta and no bounds, the splitting solver's three
+prediction factors on each path (the module's caps set, inside this tool,
+so that every factor takes it):
 
-  superlu   one SuperLU solve, at every right-hand-side width one prediction
-            uses (``predict``'s chunks of M steps: the control and state
-            chunks, full and partial, and the terminal factor's single
-            column), and at a full chunk of CHUNK_COLS columns
-  dense     the product of the inverse with the same right-hand sides
-  inverse   forming the inverse from the LU factors, lu.solve(I), stored
-            C-contiguous, as ``sparse_linalg.factorize`` does under its cap
+  superlu   SuperLU's sparse factors
+  whole     the whole inverse (levels up to WHOLE_MAX_NDOF unknowns)
+  blocked   one inverse per mirror block, in the system's mirror basis
 
-A per-solve time is the mean of a batch of solves sized to take ~20 ms, so
-it resolves microseconds; every repeat times every cell once, so slow
-stretches of a shared host fall on all cells alike.  The output holds the
-median and quartiles of the repeats per cell and, per level, the solve time
-of one prediction on each path (the per-width medians weighted by how often
-a prediction solves at that width), the time to form all three inverses and
-the payback: the iterations after which the dense path has saved what its
-inverses cost.  The dense path pays on a level when it is no slower at
-every width a prediction uses and repays within PAYBACK_ITERATIONS
-iterations; the output names the largest ndof where it pays and the
-smallest where it does not, between which ``DENSE_MAX_NDOF`` should fall.
-The tool reads that cap; it does not set it.
+and times, per path:
+
+  build     ``PredictionFactors.build``: the three factorizations
+  chunk     ``PredictionFactors.solve`` on one chunk's right-hand sides,
+            for every chunk shape one prediction solves (``predict``'s
+            chunks of M steps: their widths, and whether the chunk ends at
+            step M and so also solves its last column against the terminal
+            factor), and for a full chunk of CHUNK_COLS columns.  Each call
+            first copies the right-hand sides into the chunk's buffer, as
+            the solver forms them there, and solves with the chunk's reused
+            work arrays.
+
+A per-call time is the mean of a batch of calls sized to take ~20 ms, so
+it resolves microseconds.  The levels are swept one at a time, and every
+repeat times every path of the level once, so slow stretches of a shared
+host fall on all paths alike.  The output holds the median and quartiles
+of the repeats per cell and, per level, the block sizes, each path's
+stored entries (``CholFactor.nnz`` summed over the factors), its solve time
+of one prediction (the chunk medians summed over a prediction's chunks),
+and, for the two dense paths, the payback against SuperLU: the iterations
+after which the faster solves have saved the extra build time.  A dense
+path pays on a level when it is no slower than SuperLU at every chunk a
+prediction solves and repays within PAYBACK_ITERATIONS iterations.  The
+output names the largest ndof where the whole inverse pays and the
+smallest where it does not, between which ``DENSE_MAX_NDOF`` should fall;
+the largest block where the blocked path pays and the smallest where it
+does not, on the levels above ``DENSE_MAX_NDOF``, between which
+``BLOCK_MAX_NDOF`` should fall; and the smallest
+ndof from which the blocked path's predictions are faster than the whole
+inverse's.  The tool reads the caps; it does not set them.
 """
 
 import sweep_common
@@ -39,6 +54,7 @@ import argparse
 import json
 import time
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -47,104 +63,150 @@ from parasplit import experiments, sparse_linalg
 from parasplit.splitting_solver import CHUNK_COLS, PredictionFactors, SolverConfig, _chunks
 
 EXAMPLES = ("5.1", "5.2")
-MESHES = (8, 12, 14, 16, 20, 24, 28, 32)
-PAYBACK_ITERATIONS = 50  # a 100-iteration run keeps at least half of the dense path's saving
+MESHES = (8, 12, 14, 16, 20, 24, 28, 32, 40, 48, 56, 64)
+WHOLE_MAX_NDOF = 1100  # n <= 32: the whole inverse of larger levels costs seconds to form
+PAYBACK_ITERATIONS = 50  # a 100-iteration run keeps at least half of a dense path's saving
+# (DENSE_MAX_NDOF, BLOCK_MAX_NDOF) that send every factor of a level down one path
+PATHS = {"superlu": (0, 0), "whole": (10**9, 0), "blocked": (0, 10**9)}
 
 
-def inverse(lu, ndof: int) -> np.ndarray:
-    return np.ascontiguousarray(lu.solve(np.eye(ndof)))
+@contextmanager
+def caps(path: str):
+    saved = sparse_linalg.DENSE_MAX_NDOF, sparse_linalg.BLOCK_MAX_NDOF
+    sparse_linalg.DENSE_MAX_NDOF, sparse_linalg.BLOCK_MAX_NDOF = PATHS[path]
+    try:
+        yield
+    finally:
+        sparse_linalg.DENSE_MAX_NDOF, sparse_linalg.BLOCK_MAX_NDOF = saved
 
 
-def prediction_widths(M: int) -> dict[str, Counter]:
-    """How many solves of each width one prediction makes per factor.
+def chunk_shapes(M: int) -> Counter:
+    """How many chunks of each (width, ends at step M) one prediction solves."""
+    return Counter((c.stop - c.start, c.stop == M) for c in _chunks(M))
 
-    Width 0 stands for the terminal factor's one right-hand side, a vector.
-    """
-    widths = Counter(c.stop - c.start for c in _chunks(M))
-    return {"control": widths, "state": widths if M > 1 else Counter(),
-            "terminal": Counter({0: 1})}
+
+def sweep_level(sys_, config, repeats: int, rng) -> tuple[dict, dict]:
+    """Build and chunk-solve times of each path on one level."""
+    shapes = chunk_shapes(sys_.grid.M)
+    timed = set(shapes) | {(CHUNK_COLS, False)}
+    paths = [p for p in PATHS if p != "whole" or sys_.ndof <= WHOLE_MAX_NDOF]
+    rhs = {shape: rng.standard_normal((2, sys_.ndof, shape[0])) for shape in timed}
+    cells = {}
+    for path in paths:
+        with caps(path):
+            factors = PredictionFactors.build(sys_, config)
+        basis = factors.control.basis
+        work = {shape: None if basis is None else sparse_linalg.BlockedWork(basis, 2, shape[0]) for shape in timed}
+        cells[path] = (factors, work)
+    times = {path: {"build": [], **{shape: [] for shape in timed}} for path in paths}
+    for _ in range(repeats):
+        for path, (factors, work) in cells.items():
+            with caps(path):
+                t0 = time.perf_counter()
+                PredictionFactors.build(sys_, config)
+                times[path]["build"].append(time.perf_counter() - t0)
+            for shape, b in rhs.items():
+                buf = np.empty_like(b)
+
+                def call():
+                    np.copyto(buf, b)
+                    factors.solve(buf, shape[1], work[shape])
+
+                times[path][shape].append(sweep_common.per_call(call))
+    nnz = {path: sum(f.nnz for f in vars(factors).values() if f is not None)
+           for path, (factors, _) in cells.items()}
+    return times, nnz
 
 
 def sweep(repeats: int) -> dict:
-    levels, cells = {}, {}
+    quartiles = sweep_common.quartiles
+    runs, levels = [], []
     for example in EXAMPLES:
         problem = experiments.get_example(example)
+        config = SolverConfig(alpha=problem.alpha, beta=problem.beta)
         for n in MESHES:
             sys_ = experiments.build_level(problem, n)
-            factors = PredictionFactors.build(sys_, SolverConfig(alpha=problem.alpha, beta=problem.beta))
-            widths = prediction_widths(sys_.grid.M)
-            rng = np.random.default_rng(n)
-            levels[example, n] = (sys_.ndof, sys_.grid.M, widths)
-            for name, counts in widths.items():
-                lu = getattr(factors, name)._lu
-                timed = set(counts) | ({CHUNK_COLS} if name != "terminal" else set())
-                rhs = {w: rng.standard_normal((sys_.ndof, w) if w else sys_.ndof) for w in sorted(timed)}
-                cells[example, n, name] = (lu, inverse(lu, sys_.ndof), rhs)
-    times = {cell: {"inverse": [], **{w: {"superlu": [], "dense": []} for w in rhs}}
-             for cell, (_, _, rhs) in cells.items()}
-    for _ in range(repeats):
-        for cell, (lu, inv, rhs) in cells.items():
-            for w, b in rhs.items():
-                times[cell][w]["superlu"].append(sweep_common.per_call(lambda: lu.solve(b)))
-                times[cell][w]["dense"].append(sweep_common.per_call(lambda: inv @ b))
-            t0 = time.perf_counter()
-            inverse(lu, inv.shape[0])
-            times[cell]["inverse"].append(time.perf_counter() - t0)
+            M, ndof = sys_.grid.M, sys_.ndof
+            shapes = chunk_shapes(M)
+            times, nnz = sweep_level(sys_, config, repeats, np.random.default_rng(n))
+            summary = {}
+            for path, t in times.items():
+                chunk = {shape: quartiles(s) for shape, s in t.items() if shape != "build"}
+                summary[path] = {
+                    "build": quartiles(t["build"]),
+                    "prediction_s": sum(count * chunk[shape]["median_s"] for shape, count in shapes.items()),
+                    "stored_entries": nnz[path],
+                    "chunks": chunk,
+                }
+                for shape, q in chunk.items():
+                    runs.append({
+                        "example": example, "n": n, "ndof": ndof, "M": M, "path": path,
+                        "columns": shape[0], "terminal": shape[1],
+                        "chunks_per_prediction": shapes[shape], **q, "samples_s": t[shape],
+                    })
+            superlu = summary["superlu"]
+            level = {"example": example, "n": n, "ndof": ndof, "M": M,
+                     "block_sizes": sys_.mirror_basis.sizes}
+            for path in ("whole", "blocked"):
+                if path not in summary:
+                    continue
+                s = summary[path]
+                saving = superlu["prediction_s"] - s["prediction_s"]
+                extra = s["build"]["median_s"] - superlu["build"]["median_s"]
+                payback = max(extra, 0.0) / saving if saving > 0 else None
+                no_slower = all(s["chunks"][shape]["median_s"] <= superlu["chunks"][shape]["median_s"]
+                                for shape in shapes)
+                level[f"{path}_payback_iterations"] = payback
+                level[f"{path}_no_slower_at_every_chunk"] = no_slower
+                level[f"{path}_pays"] = no_slower and payback is not None and payback <= PAYBACK_ITERATIONS
+            if "whole" in summary:
+                level["blocked_faster_than_whole"] = (
+                    summary["blocked"]["prediction_s"] < summary["whole"]["prediction_s"])
+            level["path_in_module"] = (
+                "whole" if ndof <= sparse_linalg.DENSE_MAX_NDOF
+                else "blocked" if max(level["block_sizes"]) <= sparse_linalg.BLOCK_MAX_NDOF
+                else "superlu")
+            level["paths"] = {path: {k: v for k, v in s.items() if k != "chunks"} for path, s in summary.items()}
+            levels.append(level)
+            print(f"{example} n={n:2d} ndof={ndof:4d} M={M:3d} blocks={level['block_sizes']} prediction "
+                  + " ".join(f"{p}={1e6 * s['prediction_s']:8.1f}us/build {1e3 * s['build']['median_s']:6.1f}ms"
+                             for p, s in summary.items())
+                  + "".join(f" {p}:payback={level.get(p + '_payback_iterations')},pays={level.get(p + '_pays')}"
+                            for p in ("whole", "blocked") if p in summary),
+                  flush=True)
 
-    quartiles = sweep_common.quartiles
-    runs, summary = [], []
-    for (example, n), (ndof, M, widths) in levels.items():
-        per_iteration = {"superlu": 0.0, "dense": 0.0}
-        inverses, no_slower = 0.0, True
-        for name, counts in widths.items():
-            lu, _, rhs = cells[example, n, name]
-            t = times[example, n, name]
-            inv = quartiles(t["inverse"])
-            inverses += inv["median_s"]
-            for w in rhs:
-                superlu, dense = quartiles(t[w]["superlu"]), quartiles(t[w]["dense"])
-                for path, q in (("superlu", superlu), ("dense", dense)):
-                    per_iteration[path] += counts[w] * q["median_s"]
-                no_slower &= not counts[w] or dense["median_s"] <= superlu["median_s"]
-                runs.append({
-                    "example": example, "n": n, "ndof": ndof, "M": M, "factor": name,
-                    "columns": w or 1, "vector": not w, "solves_per_prediction": counts[w],
-                    "factor_nnz": lu.L.nnz + lu.U.nnz,
-                    "superlu": superlu, "dense": dense, "inverse": inv,
-                    "speedup": superlu["median_s"] / dense["median_s"],
-                    "samples_s": {"superlu": t[w]["superlu"], "dense": t[w]["dense"],
-                                  "inverse": t["inverse"]},
-                })
-        saving = per_iteration["superlu"] - per_iteration["dense"]
-        payback = inverses / saving if saving > 0 else None
-        summary.append({
-            "example": example, "n": n, "ndof": ndof, "M": M,
-            "prediction_superlu_s": per_iteration["superlu"],
-            "prediction_dense_s": per_iteration["dense"],
-            "inverses_s": inverses,
-            "payback_iterations": payback,
-            "dense_no_slower_at_every_width": no_slower,
-            "dense_pays": no_slower and payback is not None and payback <= PAYBACK_ITERATIONS,
-            "dense_in_module": ndof <= sparse_linalg.DENSE_MAX_NDOF,
-        })
-    pays = {}
-    for s in summary:
-        pays[s["ndof"]] = pays.get(s["ndof"], True) and s["dense_pays"]
-    smallest = min((d for d, ok in pays.items() if not ok), default=None)
-    largest = max((d for d in pays if smallest is None or d < smallest), default=None)
+    def bounds(pays: dict):
+        smallest = min((d for d, ok in pays.items() if not ok), default=None)
+        largest = max((d for d in pays if smallest is None or d < smallest), default=None)
+        return largest, smallest
+
+    whole, blocked = {}, {}
+    for s in levels:
+        if "whole_pays" in s:
+            whole[s["ndof"]] = whole.get(s["ndof"], True) and s["whole_pays"]
+        if s["ndof"] > sparse_linalg.DENSE_MAX_NDOF:  # below it the whole inverse is the candidate
+            size = max(s["block_sizes"])
+            blocked[size] = blocked.get(size, True) and s["blocked_pays"]
+    faster = {s["ndof"]: s["blocked_faster_than_whole"] for s in levels if "blocked_faster_than_whole" in s}
+    crossover = min((d for d in faster if all(faster[e] for e in faster if e >= d)), default=None)
     return {
-        "what": "solves of the splitting solver's prediction factors at the widths one "
-                "prediction uses (and a full chunk of CHUNK_COLS columns): SuperLU against "
-                "the dense inverse, and the time to form the inverses",
+        "what": "the splitting solver's prediction factors on each factorize path (SuperLU, the "
+                "whole inverse, one inverse per mirror block): chunk solves at every chunk shape "
+                "one prediction uses and a full chunk of CHUNK_COLS columns, the build time of "
+                "the three factors and the stored entries",
         "command": "python3 tools/dense_sweep.py --repeats " + str(repeats),
         "environment": sweep_common.environment(),
         "repeats": repeats,
         "chunk_cols": CHUNK_COLS,
         "payback_iterations_bound": PAYBACK_ITERATIONS,
         "dense_max_ndof": sparse_linalg.DENSE_MAX_NDOF,
-        "largest_ndof_dense_pays": largest,
-        "smallest_ndof_dense_does_not_pay": smallest,
-        "levels": summary,
+        "block_max_ndof": sparse_linalg.BLOCK_MAX_NDOF,
+        "whole_pays_up_to_ndof": bounds(whole)[0],
+        "whole_does_not_pay_from_ndof": bounds(whole)[1],
+        "blocked_pays_up_to_block": bounds(blocked)[0],
+        "blocked_does_not_pay_from_block": bounds(blocked)[1],
+        "blocked_faster_than_whole_from_ndof": crossover,
+        "levels": levels,
         "runs": runs,
     }
 
@@ -158,21 +220,12 @@ def main(argv=None) -> int:
         parser.error("--repeats must be at least 5")
     result = sweep(args.repeats)
     args.out.write_text(json.dumps(result, indent=1) + "\n")
-    for r in result["runs"]:
-        print(f"{r['example']} n={r['n']:2d} ndof={r['ndof']:4d} {r['factor']:8s} "
-              f"cols={r['columns']:2d}{'v' if r['vector'] else ' '} x{r['solves_per_prediction']} "
-              f"superlu={1e6 * r['superlu']['median_s']:8.1f}us "
-              f"dense={1e6 * r['dense']['median_s']:8.1f}us x{r['speedup']:.2f}")
-    for s in result["levels"]:
-        payback = s["payback_iterations"]
-        print(f"{s['example']} n={s['n']:2d} ndof={s['ndof']:4d} M={s['M']:2d} prediction "
-              f"superlu={1e6 * s['prediction_superlu_s']:8.1f}us dense={1e6 * s['prediction_dense_s']:8.1f}us "
-              f"inverses={1e3 * s['inverses_s']:6.2f}ms payback="
-              f"{'never' if payback is None else f'{payback:.1f}'} "
-              f"{'pays' if s['dense_pays'] else 'does not pay'}; "
-              f"{'dense' if s['dense_in_module'] else 'superlu'} in the module")
-    print(f"DENSE_MAX_NDOF={result['dense_max_ndof']}: dense pays up to ndof "
-          f"{result['largest_ndof_dense_pays']}, not from {result['smallest_ndof_dense_does_not_pay']}")
+    print(f"DENSE_MAX_NDOF={result['dense_max_ndof']}: the whole inverse pays up to ndof "
+          f"{result['whole_pays_up_to_ndof']}, not from {result['whole_does_not_pay_from_ndof']}")
+    print(f"BLOCK_MAX_NDOF={result['block_max_ndof']}: the blocked path pays up to blocks of "
+          f"{result['blocked_pays_up_to_block']}, not from {result['blocked_does_not_pay_from_block']}")
+    print(f"blocked predictions are faster than the whole inverse's from ndof "
+          f"{result['blocked_faster_than_whole_from_ndof']}")
     return 0
 
 
