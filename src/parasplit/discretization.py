@@ -178,10 +178,22 @@ def fill_constraint_map(sys: DiscreteSystem, products: np.ndarray) -> np.ndarray
     """Write slab 3 (Cz) of a ``constraint_products`` array from its slabs 0-2.
 
     Block m of Cz reads the step_minus product of column m - 1, so this is
-    the one step that couples the columns.  Returns ``products``.
+    the one step that couples the columns; each row is still its own, so
+    ``products`` may be a row block (``products[:, rows]``) of a larger
+    array.  Its slabs must be C-contiguous, as a whole array's and a row
+    block's are; a non-contiguous Cz raises.  Works in place.  Returns
+    ``products``.
     """
-    np.subtract(products[1], sys.grid.tau * products[0], out=products[3])
-    products[3, :, 1:] -= products[2, :, :-1]
+    Cz, MY = products[3], products[2]
+    np.multiply(sys.grid.tau, products[0], out=Cz)
+    np.subtract(products[1], Cz, out=Cz)
+    # The shift as one contiguous pass: it also takes each row's last
+    # step_minus column from the next row's column 0, which is put back.
+    first = Cz[:, 0].copy()
+    flat = Cz.view()
+    flat.shape = -1  # raises where reshape would copy and lose the shift
+    flat[1:] -= MY.reshape(-1)[:-1]
+    Cz[:, 0] = first
     return products
 
 

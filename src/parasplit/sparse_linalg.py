@@ -249,12 +249,13 @@ def factorize(m: sp.spmatrix, basis: MirrorBasis | None = None) -> CholFactor:
 
 
 def solve_multi(tasks, pool=None) -> None:
-    """Run a batch of solve tasks, zero-argument callables that each write
-    their own outputs, and wait for every one.
+    """Run a batch of tasks (an iteration's chunk solves, or its row
+    blocks), zero-argument callables that each write their own outputs,
+    and wait for every one.
 
     Each task is one unit of ``pool`` (None runs them inline, in order); the
     first exception a task raised is raised here.  ``splitting_solver``'s
-    module docstring says how a prediction splits into tasks.
+    module docstring says how an iteration splits into tasks.
     """
     if pool is None:
         for task in tasks:

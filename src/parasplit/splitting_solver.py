@@ -30,18 +30,33 @@ predicted iterate's products and two for the state right-hand sides.  The
 control solves use the mass shift alpha I + beta tau A, the control normal
 matrix alpha tau A + beta tau^2 A A with its SPD factor tau A cancelled.
 
-``thread_count`` sets the workers of one thread pool opened per solve,
-capped at the CPUs the process may run on; a single thread runs every task
-inline.  Each prediction is one ``solve_multi`` batch with one task per
-chunk of CHUNK_COLS time steps.  A task forms its steps' control and state
-right-hand sides in its chunk's buffer, solves them (every state column
-against the state factor, then step M again against the terminal factor)
-and forms the predicted products A U~, step_plus Y~ and step_minus Y~ of
-its columns.  The calling
-thread keeps what couples the chunks: q before the batch; C z~, the
-multiplier, the box projection and mu~ after it; and the correction.  The
-chunks are fixed by M alone, so the iterates are bit-identical for every
-thread count.
+``solve`` allocates its storage once: two iterates with their products,
+which swap roles every iteration (the prediction is written into the spare
+one, then overwritten in place by the difference and the correction), q,
+the chunks' buffers and one slab of scratch.  ``thread_count`` sets the
+workers of one thread pool opened per solve, capped at the CPUs the process
+may run on; a single thread runs every task inline.  An iteration is two
+``solve_multi`` batches:
+
+- one task per chunk of CHUNK_COLS time steps (``predict``): the steps'
+  control and state right-hand sides in the chunk's buffer, their solves
+  (every state column against the state factor, then step M again against
+  the terminal factor) and the predicted products A U~, step_plus Y~ and
+  step_minus Y~ of its columns;
+- one task per row block of the (slabs, ndof, M) arrays, as many blocks as
+  chunks (``advance_rows``): C z~, the multiplier and the box copies
+  (``couple``), the difference, its H-norm terms and the box gap, the
+  correction and the next iteration's q, all for the block's rows.  Every
+  one of them is row-local (C z~'s shift by one time step stays within a
+  row), and a row block of a C-order slab is contiguous.  (Column blocks
+  of these arrays are strided, and a tail split by time columns ran slower
+  than the serial one.)
+
+The calling thread keeps the monitor and the sum of the row blocks'
+partial norms, in block order.  Chunks and row blocks are fixed by M alone,
+so the iterates, increments and gaps are bit-identical for every thread
+count; at M <= CHUNK_COLS there is one row block, and its norms are summed
+exactly as over the whole arrays.
 """
 
 from __future__ import annotations
@@ -97,6 +112,10 @@ class Iterate:
 
     def copy(self) -> "Iterate":
         return Iterate(self.z.copy())
+
+    def rows(self, rows: slice) -> "Iterate":
+        """The rows ``rows`` of every slab and product, as views."""
+        return Iterate(self.z[:, rows], None if self.products is None else self.products[:, rows])
 
     @staticmethod
     def of(U, Y, lam, P=None, mu=None) -> "Iterate":
@@ -157,7 +176,9 @@ class SolveReport:
     each prediction factor ("control", "state" unless M == 1, "terminal") to
     its stored entries: nnz(L) + nnz(U) of SuperLU's factors, or the entries
     of its dense inverses (sum of size^2 over the whole inverse or the
-    mirror blocks).
+    mirror blocks).  ``seconds_predict`` is the time in the chunk batches
+    (``predict``), ``seconds_correct`` the time in the row passes and the
+    sums of their norms (``advance_rows``).
     """
 
     iterations: int
@@ -192,9 +213,16 @@ def _products(sys: DiscreteSystem, w: Iterate) -> np.ndarray:
     return w.products if w.products is not None else constraint_products(sys, w.Y, w.U)
 
 
-def compute_q(sys: DiscreteSystem, w: Iterate, beta: float) -> np.ndarray:
-    """Shifted constraint residual Cz - rhs - lam / beta, one column per step."""
-    return _products(sys, w)[3] - sys.rhs - w.lam / beta
+def compute_q(
+    sys: DiscreteSystem, w: Iterate, beta: float, rows: slice = slice(None), out=None, work=None
+) -> np.ndarray:
+    """Shifted constraint residual Cz - rhs - lam / beta of the rows
+    ``rows`` (all by default), one column per step: into ``out``, with
+    lam / beta in ``work`` (arrays of those rows' shape), or into new
+    arrays."""
+    out = np.subtract(_products(sys, w)[3][rows], sys.rhs[rows], out=out)
+    out -= np.divide(w.lam[rows], beta, out=work)
+    return out
 
 
 def _gram(a: sp.csr_matrix) -> sp.csr_matrix:
@@ -314,10 +342,44 @@ def predict_states(
 
 
 def predict_multiplier(
-    sys: DiscreteSystem, w: Iterate, products_tilde: np.ndarray, beta: float
+    sys: DiscreteSystem,
+    w: Iterate,
+    products_tilde: np.ndarray,
+    beta: float,
+    rows: slice = slice(None),
+    out=None,
 ) -> np.ndarray:
-    """lam~ = lam - beta * (C z~ - rhs), from the predicted pair's products."""
-    return w.lam - beta * (products_tilde[3] - sys.rhs)
+    """lam~ = lam - beta * (C z~ - rhs) of the rows ``rows`` (all by
+    default), from the predicted pair's products; into ``out`` when given."""
+    out = np.subtract(products_tilde[3][rows], sys.rhs[rows], out=out)
+    out *= beta
+    return np.subtract(w.lam[rows], out, out=out)
+
+
+def couple(
+    sys: DiscreteSystem, w: Iterate, w_t: Iterate, config: SolverConfig, rows: slice = slice(None)
+) -> None:
+    """Complete the prediction w_t of w on the rows ``rows`` (all by
+    default) from its U~, Y~ and their products A U~, step_plus Y~ and
+    step_minus Y~: C z~, the multiplier lam~ and, in the box variant, the
+    projected copies P~ = clip(Y - mu / beta) and their multiplier
+    mu~ = mu - beta (Y~ - P~).
+
+    These couple the prediction's columns (C z~ reads the previous step's
+    product), but each is row-local, so row blocks are independent.
+    Works in w_t's arrays, with no temporary larger than one column.
+    """
+    beta = config.beta
+    fill_constraint_map(sys, w_t.products[:, rows])
+    predict_multiplier(sys, w, w_t.products, beta, rows, out=w_t.lam[rows])
+    if config.bounds is not None:
+        P, mu = w_t.P[rows], w_t.mu[rows]
+        np.divide(w.mu[rows], beta, out=P)
+        np.subtract(w.Y[rows], P, out=P)
+        np.clip(P, *config.bounds, out=P)
+        np.subtract(w_t.Y[rows], P, out=mu)
+        mu *= beta
+        np.subtract(w.mu[rows], mu, out=mu)
 
 
 CHUNK_COLS = 32  # time steps per pool task; a fixed width keeps iterates independent of threads
@@ -326,6 +388,13 @@ CHUNK_COLS = 32  # time steps per pool task; a fixed width keeps iterates indepe
 def _chunks(M: int) -> list[slice]:
     """The column chunks of M time steps: CHUNK_COLS wide, the last one partial."""
     return [slice(lo, min(lo + CHUNK_COLS, M)) for lo in range(0, M, CHUNK_COLS)]
+
+
+def _row_blocks(ndof: int, M: int) -> list[slice]:
+    """The row blocks of the iteration's tail, one per chunk of M time steps:
+    contiguous, as even as ndof allows, and like the chunks fixed by M."""
+    n = len(_chunks(M))
+    return [slice(ndof * i // n, ndof * (i + 1) // n) for i in range(n)]
 
 
 def chunk_buffers(sys: DiscreteSystem, factors: PredictionFactors) -> list[tuple]:
@@ -347,26 +416,35 @@ def predict(
     factors: PredictionFactors,
     pool=None,
     buffers: list[tuple] | None = None,
+    q: np.ndarray | None = None,
+    out: Iterate | None = None,
 ) -> Iterate:
     """One full prediction sweep; all subproblems read the same w and q.
 
     Each column chunk of time steps is one task of a ``solve_multi`` batch
     on ``pool`` (None: inline): the control and state solves of its steps
     with their right-hand sides and the predicted products A U~,
-    step_plus Y~ and step_minus Y~.  The calling thread forms q before the
-    batch and, after it, what couples the columns: C z~, the multiplier and
-    the box copies.  Uses the products w carries, forming them first when
-    it carries none.  The predicted iterate is returned with its own
-    products.  ``buffers`` (``chunk_buffers``) holds the arrays the tasks
-    work in; without it this prediction allocates its own.
+    step_plus Y~ and step_minus Y~.  After the batch ``couple`` forms what
+    couples the columns: C z~, the multiplier and the box copies.  Uses the
+    products w carries, forming them first when it carries none, and w's
+    shifted residual ``q``, formed first when not given.  The predicted
+    iterate is returned with its own products.  ``buffers``
+    (``chunk_buffers``) holds the arrays the tasks work in; without it this
+    prediction allocates its own.
+
+    With ``out``, an iterate with products, the chunk batch writes into it
+    and ``out`` is returned without the coupling: ``solve`` forms that in
+    its row pass (``advance_rows``), together with the rest of the
+    iteration.
     """
     if w.products is None:
         w = Iterate(w.z, constraint_products(sys, w.Y, w.U))
-    beta = config.beta
-    q = compute_q(sys, w, beta)
-    box = config.bounds is not None
-    z_t = np.empty((5 if box else 3,) + w.U.shape)
-    products_t = np.empty((4,) + w.U.shape)
+    if q is None:
+        q = compute_q(sys, w, config.beta)
+    w_t = out
+    if w_t is None:
+        shape = w.U.shape
+        w_t = Iterate(np.empty((3 if config.bounds is None else 5,) + shape), np.empty((4,) + shape))
     if buffers is None:
         buffers = chunk_buffers(sys, factors)
 
@@ -374,19 +452,25 @@ def predict(
         predict_controls(sys, w, q, config, cols, rhs[0])
         predict_states(sys, w, q, config, cols, rhs[1])
         U, Y = factors.solve(rhs, cols.stop == sys.grid.M, work)
-        z_t[0][:, cols] = U
-        z_t[1][:, cols] = Y
-        products_t[0][:, cols] = sys.mass @ U
-        products_t[1][:, cols] = sys.step_plus @ Y
-        products_t[2][:, cols] = sys.step_minus @ Y
+        w_t.U[:, cols] = U
+        w_t.Y[:, cols] = Y
+        w_t.products[0][:, cols] = sys.mass @ U
+        w_t.products[1][:, cols] = sys.step_plus @ Y
+        w_t.products[2][:, cols] = sys.step_minus @ Y
 
     solve_multi([partial(chunk, cols, *buf) for cols, buf in zip(_chunks(sys.grid.M), buffers)], pool)
-    fill_constraint_map(sys, products_t)
-    z_t[2] = predict_multiplier(sys, w, products_t, beta)
-    if box:
-        np.clip(w.Y - w.mu / beta, *config.bounds, out=z_t[3])
-        z_t[4] = w.mu - beta * (z_t[1] - z_t[3])
-    return Iterate(z_t, products_t)
+    if out is None:
+        couple(sys, w, w_t, config)
+    return w_t
+
+
+def _slabs(*iterates: Iterate):
+    """The slabs of iterates of one shape, zipped for elementwise work: z's,
+    then the products' where all carry them.  A slab of a row block
+    (``Iterate.rows``) is contiguous where the block is not, and numpy's
+    ufuncs buffer small non-contiguous operands in fresh arrays."""
+    carried = all(v.products is not None for v in iterates)
+    return zip(*[[*v.z, *v.products] if carried else [*v.z] for v in iterates])
 
 
 def iterate_diff(a: Iterate, b: Iterate, out: Iterate | None = None) -> Iterate:
@@ -395,10 +479,13 @@ def iterate_diff(a: Iterate, b: Iterate, out: Iterate | None = None) -> Iterate:
     With ``out`` (which may be a or b itself) the difference is written into
     out's arrays; without it, a and b are left unchanged.
     """
-    z = np.subtract(a.z, b.z, out=None if out is None else out.z)
-    if a.products is None or b.products is None:
-        return Iterate(z)
-    return Iterate(z, np.subtract(a.products, b.products, out=None if out is None else out.products))
+    carried = a.products is not None and b.products is not None
+    if out is None:
+        out = Iterate(np.empty_like(a.z), np.empty_like(a.products) if carried else None)
+    d = Iterate(out.z, out.products if carried else None)
+    for x, y, o in _slabs(a, b, d):
+        np.subtract(x, y, out=o)
+    return d
 
 
 def correct(w: Iterate, d: Iterate, nu: float) -> Iterate:
@@ -408,13 +495,49 @@ def correct(w: Iterate, d: Iterate, nu: float) -> Iterate:
     carries products when both w and d do.  Since d is the very difference
     w - w~, this is w - nu (w - w~) to the last bit.
     """
-    d.z *= nu
-    np.subtract(w.z, d.z, out=d.z)
-    if w.products is None or d.products is None:
-        return Iterate(d.z)
-    d.products *= nu
-    np.subtract(w.products, d.products, out=d.products)
-    return d
+    for x, o in _slabs(w, d):
+        o *= nu
+        np.subtract(x, o, out=o)
+    return d if w.products is not None and d.products is not None else Iterate(d.z)
+
+
+def _sq(x: np.ndarray):
+    return np.vdot(x, x)
+
+
+def h_norm_terms(sys: DiscreteSystem, v: Iterate, work: np.ndarray | None = None) -> list:
+    """The squared norms ``h_norm_sq`` combines, in order: A U, step_plus Y,
+    step_minus Y without its last column, C z and lam; for a box iterate
+    also Y, P, Y - P and mu.
+
+    Each one sums over rows, so the terms of a row block (``Iterate.rows``,
+    carrying its products) add up with the other blocks' to the whole's.
+    ``work``, an array of one slab's shape, holds the two temporaries.
+    """
+    AU, PY, MY, Cz = _products(sys, v)
+    if work is None:
+        work = np.empty_like(AU)
+    inner = MY[:, :-1]
+    head = work.reshape(-1)[: inner.size].reshape(inner.shape)
+    np.copyto(head, inner)  # np.vdot would copy the strided view into a new array
+    terms = [_sq(AU), _sq(PY), _sq(head), _sq(Cz), _sq(v.lam)]
+    if v.is_box:
+        terms += [_sq(v.Y), _sq(v.P), _sq(np.subtract(v.Y, v.P, out=work)), _sq(v.mu)]
+    return terms
+
+
+def _h_norm(tau: float, terms, beta: float) -> float:
+    """v^T H v from v's ``h_norm_terms``."""
+    AU, PY, MY, Cz, lam, *box = terms
+    per_block = tau**2 * AU + PY + MY
+    total_sum = Cz
+    mult = lam
+    if box:
+        Y, P, Y_P, mu = box
+        per_block += Y + P
+        total_sum += Y_P
+        mult += mu
+    return float(beta * (per_block + total_sum) + mult / beta)
 
 
 def h_norm_sq(sys: DiscreteSystem, v: Iterate, beta: float) -> float:
@@ -426,16 +549,40 @@ def h_norm_sq(sys: DiscreteSystem, v: Iterate, beta: float) -> float:
     the identity rows of the state-copy constraint.  The block products
     M_l v_l and their sum are v's products (formed when v carries none).
     """
-    AU, PY, MY, Cz = _products(sys, v)
-    sq = lambda x: np.vdot(x, x)
-    per_block = sys.grid.tau**2 * sq(AU) + sq(PY) + sq(MY[:, :-1])
-    total_sum = sq(Cz)
-    mult = sq(v.lam)
-    if v.is_box:
-        per_block += sq(v.Y) + sq(v.P)
-        total_sum += sq(v.Y - v.P)
-        mult += sq(v.mu)
-    return float(beta * (per_block + total_sum) + mult / beta)
+    return _h_norm(sys.grid.tau, h_norm_terms(sys, v), beta)
+
+
+def advance_rows(
+    sys: DiscreteSystem,
+    w: Iterate,
+    w_t: Iterate,
+    q: np.ndarray,
+    config: SolverConfig,
+    nu: float,
+    rows: slice,
+    work: np.ndarray,
+    block_terms: list,
+    block: int,
+) -> None:
+    """The iteration's tail on the rows ``rows``, after the chunk batch has
+    written U~, Y~ and their products into w_t.
+
+    In turn: ``couple`` completes the prediction; the difference
+    d = w - w~ overwrites it, over the iterate and its products; the
+    corrected iterate w - nu d overwrites d; and the rows of ``q`` receive
+    its shifted residual.  ``block_terms[block]`` receives d's
+    ``h_norm_terms`` followed by the corrected iterate's ||Y - P||^2 (0 in
+    the plain variant).  ``work`` (the rows of a slab-shaped array) holds
+    the temporaries.
+    """
+    couple(sys, w, w_t, config, rows)
+    w_rows, d = w.rows(rows), w_t.rows(rows)
+    iterate_diff(w_rows, d, out=d)
+    terms = h_norm_terms(sys, d, work)
+    correct(w_rows, d, nu)
+    gap_sq = _sq(np.subtract(d.Y, d.P, out=work)) if d.is_box else 0.0
+    block_terms[block] = terms + [gap_sq]
+    compute_q(sys, w_t, config.beta, rows, out=q[rows], work=work)
 
 
 def _worker_pool(thread_count: int):
@@ -456,8 +603,12 @@ def solve(sys: DiscreteSystem, config: SolverConfig, monitor=None) -> tuple[Iter
     their multiplier mu join the iterate, and the step counts 3 blocks per
     time step.  Stops when the squared increment in the contraction norm
     drops to the configured tolerance, at the iteration cap, or at the
-    first non-finite increment (reported, not raised).  ``monitor(k, w)`` is
-    called with each iterate before it is advanced.
+    first non-finite increment (reported, not raised).
+
+    ``monitor(k, w)`` is called with each iterate before it is advanced.
+    That iterate is the solver's working storage: the monitor may read it
+    during the call and must copy it to keep it (``Iterate.copy``).  It must
+    not change it, since the next prediction's q is already formed from it.
     """
     if config.alpha != sys.alpha:
         raise ValueError(f"config alpha {config.alpha} does not match the system's alpha {sys.alpha}")
@@ -471,6 +622,11 @@ def solve(sys: DiscreteSystem, config: SolverConfig, monitor=None) -> tuple[Iter
     if box:
         np.clip(w.P, *config.bounds, out=w.P)
     w.products = constraint_products(sys, w.Y, w.U)
+    spare = Iterate(np.empty_like(w.z), np.empty_like(w.products))
+    q = compute_q(sys, w, config.beta)
+    work = np.empty_like(q)
+    row_blocks = _row_blocks(sys.ndof, sys.grid.M)
+    block_terms = [None] * len(row_blocks)
 
     increments: list[float] = []
     gaps: list[float] = [] if box else None
@@ -485,18 +641,21 @@ def solve(sys: DiscreteSystem, config: SolverConfig, monitor=None) -> tuple[Iter
             if monitor is not None:
                 monitor(k, w)
             t1 = time.perf_counter()
-            w_tilde = predict(sys, w, config, factors, pool, buffers)
+            predict(sys, w, config, factors, pool, buffers, q=q, out=spare)
             t2 = time.perf_counter()
-            d = iterate_diff(w, w_tilde, out=w_tilde)  # the prediction is not read again
+            tasks = [partial(advance_rows, sys, w, spare, q, config, nu, rows, work[rows], block_terms, i)
+                     for i, rows in enumerate(row_blocks)]
+            solve_multi(tasks, pool)
+            w, spare = spare, w
+            *terms, gap_sq = [sum(c) for c in zip(*block_terms)]  # in block order, whatever the thread count
             # w - w_next = nu d, and the H-norm is quadratic.
-            inc = nu * nu * h_norm_sq(sys, d, config.beta)
-            w = correct(w, d, nu)
+            inc = nu * nu * _h_norm(sys.grid.tau, terms, config.beta)
             t3 = time.perf_counter()
             t_predict += t2 - t1
             t_correct += t3 - t2
             increments.append(inc)
             if box:
-                gaps.append(float(np.linalg.norm(w.Y - w.P)))
+                gaps.append(math.sqrt(gap_sq))
             if not math.isfinite(inc):
                 stop_reason = "non_finite"
                 break

@@ -11,6 +11,7 @@ from parasplit.discretization import (
     constraint_adjoint,
     constraint_products,
     constraint_residual,
+    fill_constraint_map,
     objective_constant_terms,
     objective_quadrature,
     objective_vec,
@@ -140,6 +141,20 @@ class TestConstraintResidual:
         full = np.hstack(controls + states)
         s = np.linalg.svd(full, compute_uv=False)
         assert s.min() > 1e-8
+
+    def test_fill_rows_in_place(self):
+        # Cz of a row block equals those rows of the whole array's, and a
+        # Cz slab that is not contiguous is refused rather than left unshifted.
+        sys = random_system(5, n=3, M=4)
+        rng = np.random.default_rng(5)
+        whole = constraint_products(sys, rng.standard_normal((sys.ndof, 4)), rng.standard_normal((sys.ndof, 4)))
+        block = whole.copy()
+        block[3] = 0.0
+        rows = slice(1, sys.ndof - 1)
+        fill_constraint_map(sys, block[:, rows])
+        assert np.array_equal(block[3, rows], whole[3, rows])
+        with pytest.raises(AttributeError):
+            fill_constraint_map(sys, whole[:, :, 1:])
 
 
 class TestConstraintAdjoint:

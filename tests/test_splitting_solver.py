@@ -2,6 +2,7 @@ import dataclasses
 import math
 import os
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -421,6 +422,7 @@ class TestSolve:
         for w, report in runs[1:]:
             assert np.array_equal(w.z, runs[0][0].z)
             assert np.array_equal(report.increment_history, runs[0][1].increment_history)
+            assert not box or np.array_equal(report.gap_history, runs[0][1].gap_history)
 
     @pytest.mark.parametrize("box", [False, True])
     def test_thread_count_bitwise_across_chunks(self, box, monkeypatch):
@@ -545,6 +547,56 @@ class TestSolve:
             got, want = getattr(w, name), getattr(w_ref, name)
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
         np.testing.assert_allclose(report.increment_history, increments_ref, rtol=1e-10)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("box", [False, True])
+    def test_row_blocks_match_from_scratch_loop(self, box, threads):
+        # Three chunks, so the tail runs as three row blocks whose partial
+        # norms add up; the hypothesis test above reaches only one block.
+        M = 2 * splitting_solver.CHUNK_COLS + 5
+        sys = random_system(16, n=3, M=M)
+        assert len(splitting_solver._row_blocks(sys.ndof, M)) == 3
+        K = 6
+        config = _config(sys, beta=0.8, epsilon=0.0, k_max=K, thread_count=threads,
+                         bounds=(-0.5, 0.5) if box else None)
+        seen = []
+        w, report = solve(sys, config, monitor=lambda k, w: seen.append(w.copy()))
+        w_ref, increments_ref = reference_loop(sys, config, K)
+        for got, want in zip(w.z, w_ref.z):
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
+        np.testing.assert_allclose(report.increment_history, increments_ref, rtol=1e-10)
+        if box:
+            # gap k is that of iterate k + 1: the next monitor's, the last one returned
+            gaps = [np.linalg.norm(v.Y - v.P) for v in seen[1:] + [w]]
+            np.testing.assert_allclose(report.gap_history, gaps, rtol=1e-14, atol=0)
+        else:
+            assert report.gap_history is None
+
+    def test_loop_allocates_no_iterate(self):
+        # The loop works in storage allocated once per solve: from the third
+        # monitor call on, the live numpy arrays stay the same, and no
+        # iteration's peak rises by a whole iterate above its start (a fresh
+        # prediction alone would).
+        M = 2 * splitting_solver.CHUNK_COLS + 5
+        sys = random_system(17, n=3, M=M)
+        config = _config(sys, beta=0.8, epsilon=0.0, k_max=8, bounds=(-0.5, 0.5))
+        arrays_only = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+        arrays, rises, start = [], [], [0]
+
+        def monitor(k, w):
+            rises.append(tracemalloc.get_traced_memory()[1] - start[0])
+            arrays.append(sum(t.size for t in tracemalloc.take_snapshot().filter_traces(arrays_only).traces))
+            tracemalloc.reset_peak()
+            start[0] = tracemalloc.get_traced_memory()[0]
+
+        tracemalloc.start()
+        try:
+            w, _ = solve(sys, config, monitor=monitor)
+        finally:
+            tracemalloc.stop()
+        assert len(arrays) == 8
+        assert arrays[2:] == [arrays[2]] * 6
+        assert max(rises[3:]) < w.z.nbytes
 
     @pytest.mark.parametrize("M,box", [(1, False), (3, False), (3, True)])
     def test_factor_nnz_reported(self, M, box):

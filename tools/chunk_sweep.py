@@ -9,12 +9,17 @@ beta 0.3, gamma 1.5, bounds [0, 0.8], epsilon 0 and 100 iterations, timed
 by its ``SolveReport.seconds_total`` (the iteration loop; the factorizations
 before it do not depend on the width or the threads).  The grid is mesh n
 in {32, 48} (M = 2n time steps) x chunk width in {8, 16, 32, 64} x threads
-in {1, 2}; the width is set through ``splitting_solver.CHUNK_COLS``.  Every
-repeat runs the whole grid once, so slow stretches of a shared host fall on
-all cells alike.  The output holds, per run, the median and quartiles of
-the repeats, whether its iterate equals the width-8 single-thread run's bit
-for bit, and the 2-thread speedup (1-thread median over 2-thread median)
-per mesh and width.
+in {1, 2}; the width is set through ``splitting_solver.CHUNK_COLS`` (and
+with it the number of row blocks).  Every repeat runs the whole grid once,
+so slow stretches of a shared host fall on all cells alike.  The output
+holds, per run, the median and quartiles of the repeats, whether its
+iterate equals the width-8 single-thread run's bit for bit, the medians of
+``SolveReport.seconds_predict`` and ``seconds_correct`` per iteration in
+milliseconds, and the minor page faults per iteration (``getrusage``) of
+one more solve in a new interpreter, between the monitor calls of
+iterations 2 and 100 (which leaves out the solve's one-time allocations);
+plus the 2-thread speedup (1-thread median over 2-thread median) per mesh
+and width.
 """
 
 import sweep_common
@@ -24,6 +29,9 @@ if __name__ == "__main__":
 
 import argparse
 import json
+import multiprocessing
+import resource
+import statistics
 from pathlib import Path
 
 import numpy as np
@@ -43,9 +51,39 @@ def config(problem, threads: int) -> SolverConfig:
 
 
 def timed_solve(sys_, problem, width: int, threads: int):
+    """The solve's seconds, its predict and correct milliseconds per
+    iteration, and its iterate."""
     splitting_solver.CHUNK_COLS = width
     w, report = splitting_solver.solve(sys_, config(problem, threads))
-    return report.seconds_total, w.z
+    per_iteration = {"predict_ms_per_iteration": 1e3 * report.seconds_predict / ITERATIONS,
+                     "correct_ms_per_iteration": 1e3 * report.seconds_correct / ITERATIONS}
+    return report.seconds_total, per_iteration, w.z
+
+
+def steady_faults(n: int, width: int, threads: int) -> float:
+    """Minor page faults of this process per iteration of one solve, from
+    the monitor call of iteration 2 to that of the last."""
+    problem = experiments.example_5_1()
+    sys_ = experiments.build_level(problem, n)
+    splitting_solver.CHUNK_COLS = width
+    faults = {}
+
+    def monitor(k, w):
+        if k in (2, ITERATIONS):
+            faults[k] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+    splitting_solver.solve(sys_, config(problem, threads), monitor=monitor)
+    return (faults[ITERATIONS] - faults[2]) / (ITERATIONS - 2)
+
+
+def fresh_faults(cells) -> dict:
+    """``steady_faults`` of each cell, each in a new interpreter.  How much
+    of what an iteration frees the allocator returns to the system, to be
+    faulted in again, depends on the sizes the process freed before (glibc
+    adapts its mmap and trim thresholds to them), so in one process a
+    cell's count would depend on the cells run before it."""
+    with multiprocessing.get_context("spawn").Pool(1, maxtasksperchild=1) as pool:
+        return {cell: pool.apply(steady_faults, cell) for cell in cells}
 
 
 def sweep(repeats: int) -> dict:
@@ -54,6 +92,7 @@ def sweep(repeats: int) -> dict:
     systems = {n: experiments.build_level(problem, n) for n in MESHES}
     cells = [(n, width, threads) for n in MESHES for width in WIDTHS for threads in THREADS]
     times = {cell: [] for cell in cells}
+    layers = {cell: [] for cell in cells}
     equal = {cell: True for cell in cells}
     reference = {}
     try:
@@ -62,24 +101,32 @@ def sweep(repeats: int) -> dict:
                 timed_solve(systems[n], problem, default, threads)
         for _ in range(repeats):
             for n, width, threads in cells:
-                seconds, z = timed_solve(systems[n], problem, width, threads)
+                seconds, per_iteration, z = timed_solve(systems[n], problem, width, threads)
                 times[n, width, threads].append(seconds)
+                layers[n, width, threads].append(per_iteration)
                 ref = reference.setdefault(n, z) if (width, threads) == (WIDTHS[0], 1) else reference[n]
                 equal[n, width, threads] &= bool(np.array_equal(z, ref))
     finally:
         splitting_solver.CHUNK_COLS = default
+    faults = fresh_faults(cells)
     runs = []
     for n, width, threads in cells:
         runs.append({"n": n, "M": systems[n].grid.M, "width": width, "threads": threads,
                      **sweep_common.quartiles(times[n, width, threads]),
                      "samples_s": times[n, width, threads],
+                     **{name: statistics.median(x[name] for x in layers[n, width, threads])
+                        for name in layers[n, width, threads][0]},
+                     "minor_faults_per_iteration": faults[n, width, threads],
                      "equals_width8": equal[n, width, threads]})
     median = {(r["n"], r["width"], r["threads"]): r["median_s"] for r in runs}
     speedup = {f"n{n}": {str(width): median[n, width, 1] / median[n, width, 2] for width in WIDTHS}
                for n in MESHES}
     return {
         "what": "splitting_solver.solve, example 5.1, box [0, 0.8], beta 0.3, gamma 1.5, "
-                f"{ITERATIONS} iterations; seconds are SolveReport.seconds_total",
+                f"{ITERATIONS} iterations; seconds are SolveReport.seconds_total; per iteration: "
+                "the medians of SolveReport.seconds_predict and seconds_correct, and the minor "
+                "page faults of one solve in a new interpreter from the monitor call of "
+                f"iteration 2 to that of {ITERATIONS}",
         "command": "python3 tools/chunk_sweep.py --repeats " + str(repeats),
         "environment": sweep_common.environment(),
         "repeats": repeats,
