@@ -4,31 +4,34 @@ tasks on sparse matrices.
 ``factorize`` is the one place that knows the backend.  It takes one of
 three paths per matrix, all after the same symmetry check:
 
-- At most ``DENSE_MAX_NDOF`` rows, the whole inverse: SuperLU in symmetric
-  mode, whose pivots expose positive definiteness, factors the matrix,
-  which is then inverted once.  A solve is one dense product (a GEMM for a
-  block of right-hand sides, a GEMV for one); on such small systems
-  SuperLU's sparse triangular sweeps run several times slower.
+- At most ``DENSE_MAX_NDOF`` rows, the whole inverse: the matrix, made
+  dense, is inverted once from its Cholesky factor (LAPACK ``dpotrf`` and
+  ``dpotri``), whose pivots expose positive definiteness.  A solve is one
+  dense product (a GEMM for a block of right-hand sides, a GEMV for one);
+  on such small systems SuperLU's sparse triangular sweeps run several
+  times slower.
 - Above it, given a mirror basis (``mirrors``) of two or more blocks of at
   most ``BLOCK_MAX_NDOF`` rows, one inverse per block: each diagonal block
-  of the matrix in the symmetry-adapted basis is inverted from its dense
-  Cholesky factor.  The four inverses hold a quarter of one whole
+  of the matrix in the symmetry-adapted basis is inverted by the same
+  Cholesky routine.  The four inverses hold a quarter of one whole
   inverse's entries and cost about a sixteenth of its flops to form and a
   quarter to apply; a solve is one gather, one GEMM per block and one
   scatter (``solve_blocked``).
-- Otherwise SuperLU's factors: a matrix without a mirror, or with blocks
-  above the cap.
+- Otherwise SuperLU's factors, the only sparse path: a matrix without a
+  mirror, or with blocks above the cap.
 
 An inverse is formed once, so a dense path pays only on runs long enough
 to repay it.  ``tools/dense_sweep.py`` times every path on the splitting
 solver's factors (``BENCH_dense.json``).  There the whole inverse repays
-its build within 50 iterations up to ndof 225 and not from 289.  The
-blocked path repays within 6 iterations up to blocks of 256 (5.1 at
-n = 32: a prediction takes 4.2 ms against SuperLU's 9.7 ms) and within 13
-up to blocks of 400; from blocks of 441 it needs more than 50, and from
-blocks of about 780 its predictions are slower than SuperLU's.  Whole and
-blocked predictions cross at ndof 225, each ahead on one example there;
-the whole inverse keeps the levels up to it.  A solve through an explicit
+its build within 50 iterations above the cap, up to ndof 361 (289 in an
+earlier sweep), but from 289 the blocked path predicts faster than the
+whole inverse and builds in less time; at 225 each is ahead on one
+example.  ``DENSE_MAX_NDOF`` rests on that crossover, not on the whole
+inverse's payback.  The blocked path repays within 6 iterations up to
+blocks of 256 (5.1 at n = 32: a prediction takes 2.6 ms against SuperLU's
+5.3 ms) and within 17 up to blocks of 400 (52 in an earlier sweep); from
+blocks of 441 it needs more than 50, and from blocks of about 600 its
+predictions are slower than SuperLU's.  A solve through an explicit
 inverse has a forward error of the same order, cond(S) * eps, as a
 backward-stable one.
 """
@@ -88,15 +91,15 @@ class CholFactor:
     """Factorization of an SPD matrix S for repeated solves, on one of three
     paths (``factorize`` chooses).
 
+    - Whole inverse: ``inverses`` holds S^-1, formed from S's dense
+      Cholesky factor, and a solve is one dense product with it.
+    - Blocked: ``basis`` is a ``mirrors.MirrorBasis`` whose mirrors map S
+      onto itself, and ``inverses`` holds, per block c, the inverse of the
+      diagonal block Q_c^T S Q_c, formed by the same Cholesky routine, with
+      the basis's orbit weights folded in (``solve_blocked`` applies them).
     - SuperLU: a fill-reducing LU kept in symmetric mode (no row pivoting),
       so the pivots expose positive definiteness and the factorization is
       deterministic for a fixed matrix.
-    - Whole inverse: ``inverses`` holds S^-1, and a solve is one dense
-      product with it.
-    - Blocked: ``basis`` is a ``mirrors.MirrorBasis`` whose mirrors map S
-      onto itself, and ``inverses`` holds, per block c, the inverse of the
-      diagonal block Q_c^T S Q_c with the basis's orbit weights folded in
-      (``solve_blocked`` applies them).
 
     Immutable and safe to share across threads.  A solve is deterministic
     for a fixed right-hand-side shape, but its columns are not independent
@@ -194,9 +197,9 @@ def solve_blocked(basis: MirrorBasis, jobs, X: np.ndarray, work: BlockedWork) ->
 
 
 def _block_inverse(block: np.ndarray, offset: int) -> np.ndarray:
-    """The inverse of a dense SPD block by its Cholesky factor, symmetric;
-    NotPositiveDefiniteError (pivot ``offset`` + the block's pivot) when the
-    factorization fails."""
+    """The inverse of a dense SPD matrix (a whole matrix, or one mirror
+    block) by its Cholesky factor, symmetric; NotPositiveDefiniteError
+    (pivot ``offset`` + the block's pivot) when the factorization fails."""
     factor, info = scipy.linalg.lapack.dpotrf(block, lower=True)
     if info > 0:
         raise NotPositiveDefiniteError(offset + info - 1)
@@ -216,16 +219,20 @@ def factorize(m: sp.spmatrix, basis: MirrorBasis | None = None) -> CholFactor:
     stiffness).
 
     At most ``DENSE_MAX_NDOF`` rows, the factor is the whole inverse, formed
-    once from SuperLU's factors.  Above it, with a basis of two or more
-    blocks of at most ``BLOCK_MAX_NDOF`` rows each, it is the blocked
-    inverse, each block inverted from its dense Cholesky factor (a pivot
-    index then counts in the symmetry-adapted basis, block by block).
-    Otherwise it is SuperLU's factors.
+    once from the dense Cholesky factor.  Above it, with a basis of two or
+    more blocks of at most ``BLOCK_MAX_NDOF`` rows each, it is the blocked
+    inverse, each block inverted by the same routine.  Otherwise it is
+    SuperLU's factors.  A pivot index counts in each path's own basis: the
+    matrix's rows on the whole path, the symmetry-adapted basis, block by
+    block, on the blocked path, and SuperLU's fill-reducing order on the
+    sparse path.
     """
     mat = SparseSpd(m).mat
     n = mat.shape[0]
-    blocked = basis is not None and 1 < len(basis.sizes) and max(basis.sizes) <= BLOCK_MAX_NDOF
-    if n > DENSE_MAX_NDOF and blocked:
+    if n <= DENSE_MAX_NDOF:
+        # in C order: a GEMM with LAPACK's Fortran-order result runs slower
+        return CholFactor(n, inverses=[np.ascontiguousarray(_block_inverse(mat.toarray(), 0))])
+    if basis is not None and 1 < len(basis.sizes) and max(basis.sizes) <= BLOCK_MAX_NDOF:
         offsets = np.cumsum([0] + basis.sizes)
         weight_in = 1.0 / (len(basis.orbits) * basis.scale)
         inverses = [
@@ -243,8 +250,6 @@ def factorize(m: sp.spmatrix, basis: MirrorBasis | None = None) -> CholFactor:
     bad = np.flatnonzero(pivots <= 0.0)
     if bad.size:
         raise NotPositiveDefiniteError(bad[0])
-    if n <= DENSE_MAX_NDOF:
-        return CholFactor(n, inverses=[np.ascontiguousarray(lu.solve(np.eye(n)))])
     return CholFactor(n, lu=lu)
 
 

@@ -45,7 +45,7 @@ may run on; a single thread runs every task inline.  An iteration is two
   step_minus Y~ of its columns;
 - one task per row block of the (slabs, ndof, M) arrays, as many blocks as
   chunks (``advance_rows``): C z~, the multiplier and the box copies
-  (``couple``), the difference, its H-norm terms and the box gap, the
+  (``couple``), the difference, its H-norm and the box gap, the
   correction and the next iteration's q, all for the block's rows.  Every
   one of them is row-local (C z~'s shift by one time step stays within a
   row), and a row block of a C-order slab is contiguous.  (Column blocks
@@ -53,10 +53,11 @@ may run on; a single thread runs every task inline.  An iteration is two
   than the serial one.)
 
 The calling thread keeps the monitor and the sum of the row blocks'
-partial norms, in block order.  Chunks and row blocks are fixed by M alone,
-so the iterates, increments and gaps are bit-identical for every thread
-count; at M <= CHUNK_COLS there is one row block, and its norms are summed
-exactly as over the whole arrays.
+partial norms, in block order: each squared norm sums over rows, so a
+block's norm is its share of the whole's.  Chunks and row blocks are fixed
+by M alone, so the iterates, increments and gaps are bit-identical for
+every thread count; at M <= CHUNK_COLS there is one row block, and its
+norms are those of the whole arrays.
 """
 
 from __future__ import annotations
@@ -505,13 +506,19 @@ def _sq(x: np.ndarray):
     return np.vdot(x, x)
 
 
-def h_norm_terms(sys: DiscreteSystem, v: Iterate, work: np.ndarray | None = None) -> list:
-    """The squared norms ``h_norm_sq`` combines, in order: A U, step_plus Y,
-    step_minus Y without its last column, C z and lam; for a box iterate
-    also Y, P, Y - P and mu.
+def h_norm_sq(sys: DiscreteSystem, v: Iterate, beta: float, work: np.ndarray | None = None) -> float:
+    """v^T H v without materializing H.
 
-    Each one sums over rows, so the terms of a row block (``Iterate.rows``,
-    carrying its products) add up with the other blocks' to the whole's.
+    Uses the identity v^T H v = beta * [ sum_l ||M_l v_l||^2
+    + ||sum_l M_l v_l||^2 ] + (1/beta) ||v_lam||^2, where M_l are the block
+    columns of the constraint matrix.  Box iterates extend the columns with
+    the identity rows of the state-copy constraint.  The block products
+    M_l v_l and their sum are v's products (formed when v carries none):
+    A U, step_plus Y, step_minus Y without its last column and C z; a box
+    iterate adds Y, P, Y - P and mu.
+
+    Every squared norm sums over rows, so the value of a row block
+    (``Iterate.rows``, carrying its products) is its share of the whole's.
     ``work``, an array of one slab's shape, holds the two temporaries.
     """
     AU, PY, MY, Cz = _products(sys, v)
@@ -520,36 +527,14 @@ def h_norm_terms(sys: DiscreteSystem, v: Iterate, work: np.ndarray | None = None
     inner = MY[:, :-1]
     head = work.reshape(-1)[: inner.size].reshape(inner.shape)
     np.copyto(head, inner)  # np.vdot would copy the strided view into a new array
-    terms = [_sq(AU), _sq(PY), _sq(head), _sq(Cz), _sq(v.lam)]
+    per_block = sys.grid.tau**2 * _sq(AU) + _sq(PY) + _sq(head)
+    total_sum = _sq(Cz)
+    mult = _sq(v.lam)
     if v.is_box:
-        terms += [_sq(v.Y), _sq(v.P), _sq(np.subtract(v.Y, v.P, out=work)), _sq(v.mu)]
-    return terms
-
-
-def _h_norm(tau: float, terms, beta: float) -> float:
-    """v^T H v from v's ``h_norm_terms``."""
-    AU, PY, MY, Cz, lam, *box = terms
-    per_block = tau**2 * AU + PY + MY
-    total_sum = Cz
-    mult = lam
-    if box:
-        Y, P, Y_P, mu = box
-        per_block += Y + P
-        total_sum += Y_P
-        mult += mu
+        per_block += _sq(v.Y) + _sq(v.P)
+        total_sum += _sq(np.subtract(v.Y, v.P, out=work))
+        mult += _sq(v.mu)
     return float(beta * (per_block + total_sum) + mult / beta)
-
-
-def h_norm_sq(sys: DiscreteSystem, v: Iterate, beta: float) -> float:
-    """v^T H v without materializing H.
-
-    Uses the identity v^T H v = beta * [ sum_l ||M_l v_l||^2
-    + ||sum_l M_l v_l||^2 ] + (1/beta) ||v_lam||^2, where M_l are the block
-    columns of the constraint matrix.  Box iterates extend the columns with
-    the identity rows of the state-copy constraint.  The block products
-    M_l v_l and their sum are v's products (formed when v carries none).
-    """
-    return _h_norm(sys.grid.tau, h_norm_terms(sys, v), beta)
 
 
 def advance_rows(
@@ -561,7 +546,7 @@ def advance_rows(
     nu: float,
     rows: slice,
     work: np.ndarray,
-    block_terms: list,
+    block_norms: list,
     block: int,
 ) -> None:
     """The iteration's tail on the rows ``rows``, after the chunk batch has
@@ -570,18 +555,18 @@ def advance_rows(
     In turn: ``couple`` completes the prediction; the difference
     d = w - w~ overwrites it, over the iterate and its products; the
     corrected iterate w - nu d overwrites d; and the rows of ``q`` receive
-    its shifted residual.  ``block_terms[block]`` receives d's
-    ``h_norm_terms`` followed by the corrected iterate's ||Y - P||^2 (0 in
-    the plain variant).  ``work`` (the rows of a slab-shaped array) holds
-    the temporaries.
+    its shifted residual.  ``block_norms[block]`` receives the rows' share
+    of d^T H d and of the corrected iterate's ||Y - P||^2 (0 in the plain
+    variant).  ``work`` (the rows of a slab-shaped array) holds the
+    temporaries.
     """
     couple(sys, w, w_t, config, rows)
     w_rows, d = w.rows(rows), w_t.rows(rows)
     iterate_diff(w_rows, d, out=d)
-    terms = h_norm_terms(sys, d, work)
+    h_sq = h_norm_sq(sys, d, config.beta, work)
     correct(w_rows, d, nu)
     gap_sq = _sq(np.subtract(d.Y, d.P, out=work)) if d.is_box else 0.0
-    block_terms[block] = terms + [gap_sq]
+    block_norms[block] = (h_sq, gap_sq)
     compute_q(sys, w_t, config.beta, rows, out=q[rows], work=work)
 
 
@@ -626,7 +611,7 @@ def solve(sys: DiscreteSystem, config: SolverConfig, monitor=None) -> tuple[Iter
     q = compute_q(sys, w, config.beta)
     work = np.empty_like(q)
     row_blocks = _row_blocks(sys.ndof, sys.grid.M)
-    block_terms = [None] * len(row_blocks)
+    block_norms = [None] * len(row_blocks)
 
     increments: list[float] = []
     gaps: list[float] = [] if box else None
@@ -643,13 +628,13 @@ def solve(sys: DiscreteSystem, config: SolverConfig, monitor=None) -> tuple[Iter
             t1 = time.perf_counter()
             predict(sys, w, config, factors, pool, buffers, q=q, out=spare)
             t2 = time.perf_counter()
-            tasks = [partial(advance_rows, sys, w, spare, q, config, nu, rows, work[rows], block_terms, i)
+            tasks = [partial(advance_rows, sys, w, spare, q, config, nu, rows, work[rows], block_norms, i)
                      for i, rows in enumerate(row_blocks)]
             solve_multi(tasks, pool)
             w, spare = spare, w
-            *terms, gap_sq = [sum(c) for c in zip(*block_terms)]  # in block order, whatever the thread count
+            h_sq, gap_sq = [sum(c) for c in zip(*block_norms)]  # in block order, whatever the thread count
             # w - w_next = nu d, and the H-norm is quadratic.
-            inc = nu * nu * _h_norm(sys.grid.tau, terms, config.beta)
+            inc = nu * nu * h_sq
             t3 = time.perf_counter()
             t_predict += t2 - t1
             t_correct += t3 - t2

@@ -111,11 +111,17 @@ class TestFactorize:
         with pytest.raises(ValueError, match="dimension"):
             f.solve(np.ones(4))
 
-    def test_dense_cap_boundary(self):
+    def test_dense_cap_boundary(self, monkeypatch):
+        def no_superlu(*args, **kwargs):
+            raise AssertionError("the whole path reached SuperLU")
+
         rng = np.random.default_rng(3)
         for dim, dense in ((DENSE_MAX_NDOF, True), (DENSE_MAX_NDOF + 1, False)):
             m = _sparse_spd(rng, dim)
-            f = factorize(m)
+            with monkeypatch.context() as patch:
+                if dense:
+                    patch.setattr(sparse_linalg.spla, "splu", no_superlu)
+                f = factorize(m)
             assert f.dense is dense
             b = rng.standard_normal((dim, 3))
             assert np.linalg.norm(m @ f.solve(b) - b) <= 1e-10 * np.linalg.norm(b)

@@ -553,24 +553,26 @@ class TestSolve:
     def test_row_blocks_match_from_scratch_loop(self, box, threads):
         # Three chunks, so the tail runs as three row blocks whose partial
         # norms add up; the hypothesis test above reaches only one block.
-        M = 2 * splitting_solver.CHUNK_COLS + 5
-        sys = random_system(16, n=3, M=M)
-        assert len(splitting_solver._row_blocks(sys.ndof, M)) == 3
-        K = 6
-        config = _config(sys, beta=0.8, epsilon=0.0, k_max=K, thread_count=threads,
-                         bounds=(-0.5, 0.5) if box else None)
-        seen = []
-        w, report = solve(sys, config, monitor=lambda k, w: seen.append(w.copy()))
-        w_ref, increments_ref = reference_loop(sys, config, K)
-        for got, want in zip(w.z, w_ref.z):
-            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
-        np.testing.assert_allclose(report.increment_history, increments_ref, rtol=1e-10)
-        if box:
-            # gap k is that of iterate k + 1: the next monitor's, the last one returned
-            gaps = [np.linalg.norm(v.Y - v.P) for v in seen[1:] + [w]]
-            np.testing.assert_allclose(report.gap_history, gaps, rtol=1e-14, atol=0)
-        else:
-            assert report.gap_history is None
+        # The system with one unknown has two empty blocks before its last.
+        M, K = 2 * splitting_solver.CHUNK_COLS + 5, 6
+        for sys in (random_system(16, n=3, M=M), random_system(16, n=2, M=M, bc=DIRICHLET)):
+            blocks = splitting_solver._row_blocks(sys.ndof, M)
+            assert len(blocks) == 3
+            assert sys.ndof > 1 or [b.stop - b.start for b in blocks] == [0, 0, 1]
+            config = _config(sys, beta=0.8, epsilon=0.0, k_max=K, thread_count=threads,
+                             bounds=(-0.5, 0.5) if box else None)
+            seen = []
+            w, report = solve(sys, config, monitor=lambda k, w: seen.append(w.copy()))
+            w_ref, increments_ref = reference_loop(sys, config, K)
+            for got, want in zip(w.z, w_ref.z):
+                np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
+            np.testing.assert_allclose(report.increment_history, increments_ref, rtol=1e-10)
+            if box:
+                # gap k is that of iterate k + 1: the next monitor's, the last one returned
+                gaps = [np.linalg.norm(v.Y - v.P) for v in seen[1:] + [w]]
+                np.testing.assert_allclose(report.gap_history, gaps, rtol=1e-14, atol=0)
+            else:
+                assert report.gap_history is None
 
     def test_loop_allocates_no_iterate(self):
         # The loop works in storage allocated once per solve: from the third

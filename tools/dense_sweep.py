@@ -37,12 +37,16 @@ after which the faster solves have saved the extra build time.  A dense
 path pays on a level when it is no slower than SuperLU at every chunk a
 prediction solves and repays within PAYBACK_ITERATIONS iterations.  The
 output names the largest ndof where the whole inverse pays and the
-smallest where it does not, between which ``DENSE_MAX_NDOF`` should fall;
-the largest block where the blocked path pays and the smallest where it
-does not, on the levels above ``DENSE_MAX_NDOF``, between which
-``BLOCK_MAX_NDOF`` should fall; and the smallest
-ndof from which the blocked path's predictions are faster than the whole
-inverse's.  The tool reads the caps; it does not set them.
+smallest where it does not; the largest block where the blocked path pays
+and the smallest where it does not, on the levels above
+``DENSE_MAX_NDOF``, between which ``BLOCK_MAX_NDOF`` should fall; and the
+smallest ndof from which the blocked path's predictions are faster than
+the whole inverse's.  ``DENSE_MAX_NDOF`` should fall below both that
+crossover and the smallest ndof where the whole inverse does not pay:
+since the whole inverse is formed by Cholesky it repays above the cap (up
+to ndof 289 or 361, sweep to sweep), and the cap rests on the crossover
+(289).  The tool reads
+the caps; it does not set them.
 """
 
 import sweep_common
