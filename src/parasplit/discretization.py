@@ -8,7 +8,7 @@ control are evaluated at the midpoint t_{m-1/2}.  Trajectories are stored as
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -67,6 +67,10 @@ class DiscreteSystem:
     loads weighted by tau * kappa_m: the linear term of the objective.  The
     operators are CSR matrices.  ``tracking_loads`` and ``mirror_basis`` are
     formed on first use.
+
+    ``basis`` is None for a system in node coordinates, as ``build_system``
+    makes it.  ``in_mirror_basis`` gives the same system in the stacked
+    block coordinates of its mirror basis, with that basis here.
     """
 
     space: FemSpace
@@ -80,10 +84,17 @@ class DiscreteSystem:
     y0_nodal: np.ndarray
     alpha: float
     desired_state: object  # callable (x1, x2, t) -> values
+    basis: mirrors.MirrorBasis | None = None  # the coordinates of the operators and vectors
 
     @property
     def ndof(self) -> int:
         return self.space.ndof
+
+    @property
+    def block_sizes(self) -> list[int]:
+        """The contiguous diagonal blocks of the operators: the basis's
+        blocks, or in node coordinates one block of every unknown."""
+        return [self.ndof] if self.basis is None else self.basis.sizes
 
     @property
     def kappa(self) -> np.ndarray:
@@ -102,8 +113,34 @@ class DiscreteSystem:
     def mirror_basis(self) -> mirrors.MirrorBasis:
         """The symmetry-adapted basis of the mirrors that map stiffness and
         mass onto themselves (``mirrors.mirror_basis``), formed on first use
-        and shared by the oracle and the splitting solver's factors."""
+        and shared by the oracle and the splitting solver
+        (``in_mirror_basis``)."""
         return mirrors.mirror_basis(self)
+
+    def in_mirror_basis(self) -> DiscreteSystem:
+        """This system in the stacked block coordinates of its mirror basis
+        Q (``mirrors``).  Mass and stiffness become block-diagonal CSR
+        matrices, their blocks Q_c^T A Q_c in row order, and the step
+        matrices are formed from them as ``build_system`` forms them.
+        ``rhs`` and ``desired_loads`` are projected (Q^T).  Q is orthogonal,
+        so every Euclidean inner product is kept.  ``space``, ``y0_nodal``
+        and ``desired_state`` stay in node terms.  A system whose basis has
+        one block (no mirror kept, Q = I) is returned as it is."""
+        if self.basis is not None or len(self.mirror_basis.sizes) == 1:
+            return self
+        basis = self.mirror_basis
+        half_tau = self.grid.tau / 2.0
+        mass, stiffness = basis.block_diagonal(self.mass), basis.block_diagonal(self.stiffness)
+        return replace(
+            self,
+            mass=mass,
+            stiffness=stiffness,
+            step_plus=mass + half_tau * stiffness,
+            step_minus=mass - half_tau * stiffness,
+            rhs=basis.project_stacked(self.rhs),
+            desired_loads=basis.project_stacked(self.desired_loads),
+            basis=basis,
+        )
 
 
 def build_system(problem, space: FemSpace, grid: TimeGrid) -> DiscreteSystem:

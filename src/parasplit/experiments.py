@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .discretization import DiscreteSystem, TimeGrid, build_system, constraint_products
+from .discretization import DiscreteSystem, TimeGrid, build_system
 from .fem_assembly import FemSpace, l2_error, make_space
 from .kkt_oracle import solve_kkt
 from .mesh import DIRICHLET, NEUMANN, uniform_unit_square
@@ -334,8 +334,6 @@ def iteration_history(
     sys = build_level(problem, n)
     sol = solve_kkt(sys, config.alpha)
     w_star = Iterate.of(sol.U_star, sol.Y_star, sol.lambda_star)
-    # formed once; every distance reads them beside the iterate's own
-    w_star.products = constraint_products(sys, w_star.Y, w_star.U)
 
     distances: list[float] = []
 

@@ -2,12 +2,16 @@
 
 On the uniform meshes the point reflection through the centre and the swap
 of the coordinates map the DOF set, the stiffness and the mass onto
-themselves.  So does every polynomial in them: the oracle's pencil and the
-splitting solver's prediction matrices.  In the symmetry-adapted basis such
-an operator is block diagonal, with up to four blocks of about ndof / 4.
-``DiscreteSystem.mirror_basis`` forms the basis once per system, on first
-use; the oracle splits its eigenproblem with it and ``sparse_linalg``
-inverts the prediction matrices block by block.
+themselves.  So does every polynomial in them: the oracle's pencil and
+every operator of the splitting iteration.  In the symmetry-adapted basis
+such an operator is block diagonal, with up to four blocks of about
+ndof / 4.  ``DiscreteSystem.mirror_basis`` forms the basis once per system,
+on first use.  The oracle splits its eigenproblem with it (``blocks``,
+``project``, ``expand``).  The splitting solver runs its whole iteration in
+it (``DiscreteSystem.in_mirror_basis``): the operators as one
+block-diagonal matrix each (``block_diagonal``), the vectors in the
+stacked block coordinates (``project_stacked``, ``expand_stacked``), with
+block c in one contiguous run of rows.
 """
 
 from __future__ import annotations
@@ -54,10 +58,9 @@ class MirrorBasis:
     def sizes(self) -> list[int]:
         return [int(k) for k in self.present.sum(axis=1)]
 
-    @cached_property
-    def rows(self) -> list[np.ndarray]:
-        """The orbits of each block (where ``present``), as indices."""
-        return [np.flatnonzero(keep) for keep in self.present]
+    @property
+    def ndof(self) -> int:
+        return int(self.orbits.max()) + 1
 
     def project(self, X: np.ndarray) -> list[np.ndarray]:
         """Q_c^T X for each block c, X of shape (ndof, k)."""
@@ -102,6 +105,76 @@ class MirrorBasis:
         for ph, keep in zip(phase, self.present):
             full = np.bincount(pairs, ph[rows] * ph[cols] * mat.data, minlength=n_orb * n_orb)
             yield full.reshape(n_orb, n_orb)[np.ix_(keep, keep)]
+
+    def block_diagonal(self, mat: sp.csr_matrix) -> sp.csr_matrix:
+        """The diagonal blocks Q_c^T mat Q_c as one sparse block-diagonal
+        matrix in the stacked block coordinates (``project_stacked``).  The
+        blocks are as sparse as mat: an entry couples two orbits that
+        neighbour each other.  For an operator the kept mirrors map onto
+        itself the rest of Q^T mat Q is round-off."""
+        orbit, phase = self._dof_phases
+        rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+        cols = mat.indices
+        row = np.full(self.present.shape, -1)  # each (block, orbit)'s stacked row
+        row[self.present] = np.arange(self.ndof)
+        into, onto = row[:, orbit[rows]], row[:, orbit[cols]]
+        keep = (into >= 0) & (onto >= 0)
+        data = (phase[:, rows] * phase[:, cols] * mat.data)[keep]
+        out = sp.csr_matrix((data, (into[keep], onto[keep])), shape=mat.shape)  # sums the repeats
+        out.eliminate_zeros()
+        return out
+
+    @cached_property
+    def _stacked(self) -> tuple[np.ndarray, ...]:
+        """The index tables of the stacked block coordinates: each row's
+        flat (block, orbit) slot, the slots no row takes, each DOF's flat
+        (element, orbit) place in ``orbits``, the orbit weight of a row on
+        the way in and that of a DOF on the way out."""
+        group, n_orb = self.orbits.shape
+        slots = np.flatnonzero(self.present)
+        reach = np.empty(self.ndof, dtype=np.intp)
+        reach[self.orbits.reshape(-1)] = np.arange(group * n_orb)  # any element reaching the DOF
+        weight_in = 1.0 / (group * self.scale[slots % n_orb])
+        return slots, np.flatnonzero(~self.present), reach, weight_in, self.scale[reach % n_orb]
+
+    def work(self, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """Scratch for ``project_stacked`` and ``expand_stacked`` of arrays of
+        ``shape`` (..., ndof, k): the orbit values and their character sums.
+        For one caller at a time."""
+        group, n_orb = self.orbits.shape
+        *lead, _, k = shape
+        return np.empty((*lead, group * n_orb, k)), np.empty((*lead, len(self.sizes) * n_orb, k))
+
+    def project_stacked(self, X: np.ndarray, out=None, work=None) -> np.ndarray:
+        """Q^T X along axis -2 of X, shape (..., ndof, k), the blocks'
+        coordinates stacked in block order: block c takes rows
+        sum(sizes[:c]) to sum(sizes[:c+1]).  Into ``out`` when given
+        (C-contiguous; it may be X), in ``work`` (``work(X.shape)``) when
+        given."""
+        slots, _, _, weight_in, _ = self._stacked
+        lead = X.shape[:-2]
+        values, sums = work if work is not None else self.work(X.shape)
+        np.take(X, self.orbits.reshape(-1), axis=-2, out=values, mode="clip")  # the indices are in range
+        np.matmul(self.characters, values.reshape(*lead, len(self.orbits), -1),
+                  out=sums.reshape(*lead, len(self.sizes), -1))
+        out = np.take(sums, slots, axis=-2, out=out, mode="clip")
+        out *= weight_in[:, None]
+        return out
+
+    def expand_stacked(self, X: np.ndarray, out=None, work=None) -> np.ndarray:
+        """Q X along axis -2 of X, shape (..., ndof, k), in the stacked block
+        coordinates: the inverse of ``project_stacked``; ``out`` and
+        ``work`` as there."""
+        slots, absent, reach, _, weight_out = self._stacked
+        lead = X.shape[:-2]
+        values, sums = work if work is not None else self.work(X.shape)
+        sums[..., absent, :] = 0.0  # orbits without a vector of the block
+        sums[..., slots, :] = X
+        np.matmul(self.characters.T, sums.reshape(*lead, len(self.sizes), -1),
+                  out=values.reshape(*lead, len(self.orbits), -1))
+        out = np.take(values, reach, axis=-2, out=out, mode="clip")
+        out *= weight_out[:, None]
+        return out
 
 
 def _matching(X: np.ndarray, image: np.ndarray) -> np.ndarray | None:

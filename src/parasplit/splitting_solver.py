@@ -7,16 +7,23 @@ w^{k+1} = w^k - nu (w^k - w~^k).  Monitoring uses the weighted norm under
 which the corrected iteration contracts.
 
 ``solve`` is the one entry point: it runs the box variant (projected state
-copies) exactly when the config has bounds.  ``PredictionFactors.build``
-forms and factors the subproblems' normal matrices from the system's mass,
-stiffness and step matrices; the discretization holds none of them.  It
-hands ``factorize`` the system's mirror basis, and all three factors take
-the same path (``sparse_linalg``): the whole inverse up to
-``DENSE_MAX_NDOF`` unknowns per time step, one inverse per mirror block
-above it, SuperLU's factors without a usable basis.  On the blocked path a
-chunk's control, state and terminal columns share one pass through the
-basis (``sparse_linalg.solve_blocked``), in arrays the chunk reuses every
-iteration (``chunk_buffers``).
+copies) exactly when the config has bounds.  It changes the system into its
+mirror basis once (``DiscreteSystem.in_mirror_basis``), runs the loop there
+and expands the result back to node coordinates.  Every operator the loop
+touches is a polynomial in the mass and stiffness, so in that basis it is
+block diagonal, with up to four blocks of about ndof / 4 in contiguous runs
+of rows; Q is orthogonal, so every norm the loop forms is the node-space
+one up to round-off.  A system without a mirror is one block, and its loop
+runs in node coordinates.  The loop's functions take any system, in node
+coordinates or in the basis.  ``PredictionFactors.build`` forms and factors
+the subproblems' normal matrices from the system's mass, stiffness and step
+matrices, block by block (``sparse_linalg.factorize``): a dense inverse per
+block of at most ``BLOCK_MAX_NDOF`` unknowns, SuperLU's factors above.  A
+chunk's solve is then one dense product per block and factor, on a
+contiguous row slice of the chunk's buffer (``chunk_buffers``).  The box
+variant's projection onto the bounds holds in node coordinates: each chunk
+expands its columns of Y - mu / beta, clips them and projects them back, in
+arrays it reuses every iteration.
 
 An iterate is one stacked array: the slabs U, Y, lam and, in the box
 variant, P and mu.  The constraint map is linear, so the loop carries the
@@ -25,10 +32,11 @@ constraint map Cz, stacked as ``constraint_products`` returns them) beside
 it.  Each iteration forms the difference d = w - w~ once, over the iterate
 and its products together: the H-norm increment nu^2 ||d||_H^2 reads d's
 products, and ``correct(w, d, nu)`` = w - nu d is the corrected iterate with
-its products.  An iteration then forms five sparse products: three for the
-predicted iterate's products and two for the state right-hand sides.  The
-control solves use the mass shift alpha I + beta tau A, the control normal
-matrix alpha tau A + beta tau^2 A A with its SPD factor tau A cancelled.
+its products.  An iteration then forms four sparse products: two for the
+predicted iterate's products and two for the state right-hand sides; A U~
+comes from the control equation.  The control solves use the mass shift
+alpha I + beta tau A, the control normal matrix alpha tau A + beta tau^2 A A
+with its SPD factor tau A cancelled.
 
 ``solve`` allocates its storage once: two iterates with their products,
 which swap roles every iteration (the prediction is written into the spare
@@ -41,16 +49,16 @@ may run on; a single thread runs every task inline.  An iteration is two
 - one task per chunk of CHUNK_COLS time steps (``predict``): the steps'
   control and state right-hand sides in the chunk's buffer, their solves
   (every state column against the state factor, then step M again against
-  the terminal factor) and the predicted products A U~, step_plus Y~ and
-  step_minus Y~ of its columns;
+  the terminal factor), the predicted products A U~, step_plus Y~ and
+  step_minus Y~ of its columns and the box variant's projected copies P~;
 - one task per row block of the (slabs, ndof, M) arrays, as many blocks as
-  chunks (``advance_rows``): C z~, the multiplier and the box copies
-  (``couple``), the difference, its H-norm and the box gap, the
-  correction and the next iteration's q, all for the block's rows.  Every
-  one of them is row-local (C z~'s shift by one time step stays within a
-  row), and a row block of a C-order slab is contiguous.  (Column blocks
-  of these arrays are strided, and a tail split by time columns ran slower
-  than the serial one.)
+  chunks (``advance_rows``): C z~, the multipliers (``couple``), the
+  difference, its H-norm and the box gap, the correction and the next
+  iteration's q, all for the block's rows.  Every one of them is
+  row-local (C z~'s shift by one time step stays within a row), and a row
+  block of a C-order slab is contiguous.  (Column blocks of these arrays
+  are strided, and a tail split by time columns ran slower than the serial
+  one.)
 
 The calling thread keeps the monitor and the sum of the row blocks'
 partial norms, in block order: each squared norm sums over rows, so a
@@ -70,7 +78,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -81,7 +89,8 @@ from .discretization import (  # noqa: F401  constraint_linear_map: bench/tracin
     constraint_residual,
     fill_constraint_map,
 )
-from .sparse_linalg import BlockedWork, CholFactor, factorize, solve_blocked, solve_multi
+from .mirrors import MirrorBasis
+from .sparse_linalg import CholFactor, factorize, solve_multi
 
 import scipy.sparse as sp
 
@@ -175,9 +184,9 @@ class SolveReport:
     the gap between the carried constraint residual and the one recomputed
     from the final iterate, relative to max(1, ||rhs||).  ``factor_nnz`` maps
     each prediction factor ("control", "state" unless M == 1, "terminal") to
-    its stored entries: nnz(L) + nnz(U) of SuperLU's factors, or the entries
-    of its dense inverses (sum of size^2 over the whole inverse or the
-    mirror blocks).  ``seconds_predict`` is the time in the chunk batches
+    its stored entries, summed over its blocks: size^2 for a block's dense
+    inverse, nnz(L) + nnz(U) for SuperLU's factors of a block.
+    ``seconds_predict`` is the time in the chunk batches
     (``predict``), ``seconds_correct`` the time in the row passes and the
     sums of their norms (``advance_rows``).
     """
@@ -236,9 +245,9 @@ def _gram(a: sp.csr_matrix) -> sp.csr_matrix:
 class PredictionFactors:
     """One-time factorizations reused every iteration.
 
-    The three matrices have the same dimension and are factored against the
-    system's one mirror basis, so all three take the same ``factorize``
-    path.
+    The three matrices are polynomials in the system's mass and stiffness,
+    so they share its block structure: all three are factored block by
+    block over ``DiscreteSystem.block_sizes``.
     """
 
     control: CholFactor
@@ -256,46 +265,34 @@ class PredictionFactors:
         shift = 0.0
         if config.bounds is not None:
             shift = beta  # extra beta * I from the state-copy constraint row
-        basis = sys.mirror_basis
+        sizes = sys.block_sizes
         eye = sp.identity(sys.ndof, format="csr")
-        control = factorize(alpha * eye + (beta * tau) * sys.mass, basis)
+        control = factorize(alpha * eye + (beta * tau) * sys.mass, sizes)
         state = None
         if sys.grid.M > 1:
             mass2, stiff2 = _gram(sys.mass), _gram(sys.stiffness)
             state_gram = 2.0 * mass2 + (tau * tau / 2.0) * stiff2
-            state = factorize(tau * sys.mass + beta * state_gram + shift * eye, basis)
+            state = factorize(tau * sys.mass + beta * state_gram + shift * eye, sizes)
         terminal_gram = _gram(sys.step_plus)
-        terminal = factorize((tau / 2.0) * sys.mass + beta * terminal_gram + shift * eye, basis)
+        terminal = factorize((tau / 2.0) * sys.mass + beta * terminal_gram + shift * eye, sizes)
         return PredictionFactors(control=control, state=state, terminal=terminal)
 
-    def solve(
-        self, rhs: np.ndarray, last: bool, work: BlockedWork | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def solve(self, rhs: np.ndarray, last: bool, out: np.ndarray) -> None:
         """U~ and Y~ of one chunk of k steps from its right-hand sides ``rhs``,
-        shape (2, ndof, k): the control slab, then the state slab.
+        shape (2, ndof, k): the control slab, then the state slab; into
+        ``out``, an array of rhs's shape.
 
         Every state column solves against the state factor, at the chunk's
         full width (a dense product at an odd width costs more than at the
         full one); when ``last`` (the chunk ends at step M) the last state
         column's right-hand side is also solved against the terminal factor,
-        whose solution replaces it.  Blocked factors share one basis: all
-        the chunk's columns take one pass through it, in ``work`` (or in
-        arrays allocated here), and the solutions overwrite ``rhs``.
+        whose solution replaces it.
         """
-        basis = self.control.basis
-        if basis is None:
-            U = self.control.solve(rhs[0])
-            Y = self.state.solve(rhs[1]) if self.state is not None else np.empty_like(rhs[1])
-            if last:
-                Y[:, -1] = self.terminal.solve(rhs[1][:, -1])
-            return U, Y
-        jobs = [(self.control, 0, slice(None))]
+        self.control.solve(rhs[0], out=out[0])
         if self.state is not None:
-            jobs.append((self.state, 1, slice(None)))
+            self.state.solve(rhs[1], out=out[1])
         if last:
-            jobs.append((self.terminal, 1, -1))
-        solve_blocked(basis, jobs, rhs, work if work is not None else BlockedWork(basis, 2, rhs.shape[2]))
-        return rhs[0], rhs[1]
+            self.terminal.solve(rhs[1][:, -1], out=out[1][:, -1])
 
 
 def predict_controls(
@@ -317,7 +314,13 @@ def predict_controls(
 
 
 def predict_states(
-    sys: DiscreteSystem, w: Iterate, q: np.ndarray, config: SolverConfig, cols: slice, out: np.ndarray
+    sys: DiscreteSystem,
+    w: Iterate,
+    q: np.ndarray,
+    config: SolverConfig,
+    cols: slice,
+    out: np.ndarray,
+    work: np.ndarray | None = None,
 ) -> None:
     """The right-hand sides of the state subproblems of the time steps
     ``cols``, into ``out``.
@@ -329,17 +332,23 @@ def predict_states(
     (interior) and step_plus^2 (terminal).  The first term is the system's
     ``tracking_loads``, the products step_plus Y and step_minus Y come from
     w's products, and the step_minus term reads q one column past the chunk.
+    The sparse products read their arguments from ``work``, two arrays of
+    out's shape (allocated here when not given), where they are contiguous.
     """
     M = sys.grid.M
     _, PY, MY, _ = w.products
     lo, inner = cols.start, min(cols.stop, M - 1)
-    coupled = sys.step_plus @ (PY[:, cols] - q[:, cols])
+    shifted, term = work if work is not None else np.empty((2,) + out.shape)
+    coupled = sys.step_plus @ np.subtract(PY[:, cols], q[:, cols], out=shifted)
     if inner > lo:
-        coupled[:, : inner - lo] += sys.step_minus @ (MY[:, lo:inner] + q[:, lo + 1 : inner + 1])
+        head = term.reshape(-1)[: sys.ndof * (inner - lo)].reshape(sys.ndof, inner - lo)  # contiguous
+        coupled[:, : inner - lo] += sys.step_minus @ np.add(MY[:, lo:inner], q[:, lo + 1 : inner + 1], out=head)
     np.multiply(config.beta, coupled, out=out)
     out += sys.tracking_loads[:, cols]
     if config.bounds is not None:
-        out += config.beta * w.P[:, cols] + w.mu[:, cols]
+        np.multiply(config.beta, w.P[:, cols], out=shifted)
+        shifted += w.mu[:, cols]
+        out += shifted
 
 
 def predict_multiplier(
@@ -361,10 +370,10 @@ def couple(
     sys: DiscreteSystem, w: Iterate, w_t: Iterate, config: SolverConfig, rows: slice = slice(None)
 ) -> None:
     """Complete the prediction w_t of w on the rows ``rows`` (all by
-    default) from its U~, Y~ and their products A U~, step_plus Y~ and
-    step_minus Y~: C z~, the multiplier lam~ and, in the box variant, the
-    projected copies P~ = clip(Y - mu / beta) and their multiplier
-    mu~ = mu - beta (Y~ - P~).
+    default) from what the chunk tasks wrote: U~, Y~, their products A U~,
+    step_plus Y~ and step_minus Y~, and the box variant's projected copies
+    P~.  Forms C z~, the multiplier lam~ and, in the box variant, the
+    copies' multiplier mu~ = mu - beta (Y~ - P~).
 
     These couple the prediction's columns (C z~ reads the previous step's
     product), but each is row-local, so row blocks are independent.
@@ -374,13 +383,39 @@ def couple(
     fill_constraint_map(sys, w_t.products[:, rows])
     predict_multiplier(sys, w, w_t.products, beta, rows, out=w_t.lam[rows])
     if config.bounds is not None:
-        P, mu = w_t.P[rows], w_t.mu[rows]
-        np.divide(w.mu[rows], beta, out=P)
-        np.subtract(w.Y[rows], P, out=P)
-        np.clip(P, *config.bounds, out=P)
-        np.subtract(w_t.Y[rows], P, out=mu)
+        mu = w_t.mu[rows]
+        np.subtract(w_t.Y[rows], w_t.P[rows], out=mu)
         mu *= beta
         np.subtract(w.mu[rows], mu, out=mu)
+
+
+def control_product(sys: DiscreteSystem, config: SolverConfig, rhs: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """A U~ of a chunk's control solutions U~ from the chunk's right-hand
+    sides ``rhs``, shape (2, ndof, k): in place of the control slab rhs[0]
+    (``predict_controls``), with the state slab as scratch.  The control
+    solve is (alpha I + beta tau A) U~ = rhs[0], so
+    A U~ = (rhs[0] - alpha U~) / (beta tau), with no sparse product."""
+    b, scratch = rhs
+    np.multiply(U, config.alpha, out=scratch)
+    b -= scratch
+    b /= config.beta * sys.grid.tau
+    return b
+
+
+def project_copies(sys: DiscreteSystem, w: Iterate, config: SolverConfig, cols: slice, out, Z, work) -> None:
+    """The box variant's copies P~ = clip(Y - mu / beta) of the time steps
+    ``cols``, into ``out``, formed in Z, a C-contiguous (ndof, k) array.
+    The bounds hold in node coordinates, so in the mirror basis the columns
+    are expanded, clipped and projected back, in ``work``
+    (``MirrorBasis.work``; unused in node coordinates)."""
+    np.divide(w.mu[:, cols], config.beta, out=Z)
+    np.subtract(w.Y[:, cols], Z, out=Z)
+    if sys.basis is None:
+        np.clip(Z, *config.bounds, out=out)
+        return
+    sys.basis.expand_stacked(Z, out=Z, work=work)
+    np.clip(Z, *config.bounds, out=Z)
+    out[...] = sys.basis.project_stacked(Z, out=Z, work=work)
 
 
 CHUNK_COLS = 32  # time steps per pool task; a fixed width keeps iterates independent of threads
@@ -398,15 +433,16 @@ def _row_blocks(ndof: int, M: int) -> list[slice]:
     return [slice(ndof * i // n, ndof * (i + 1) // n) for i in range(n)]
 
 
-def chunk_buffers(sys: DiscreteSystem, factors: PredictionFactors) -> list[tuple]:
+def chunk_buffers(sys: DiscreteSystem, box: bool) -> list[tuple]:
     """The arrays each chunk's task reuses every iteration, in chunk order:
-    its right-hand sides, shape (2, ndof, k), and the blocked solve's work
-    arrays (None unless the factors are blocked)."""
-    basis = factors.control.basis
+    its right-hand sides and its solutions, each of shape (2, ndof, k), and
+    the basis's work arrays for ``project_copies`` (None unless the box
+    variant runs in a mirror basis)."""
     buffers = []
     for cols in _chunks(sys.grid.M):
         k = cols.stop - cols.start
-        buffers.append((np.empty((2, sys.ndof, k)), None if basis is None else BlockedWork(basis, 2, k)))
+        work = sys.basis.work((sys.ndof, k)) if box and sys.basis is not None else None
+        buffers.append((np.empty((2, sys.ndof, k)), np.empty((2, sys.ndof, k)), work))
     return buffers
 
 
@@ -424,20 +460,22 @@ def predict(
 
     Each column chunk of time steps is one task of a ``solve_multi`` batch
     on ``pool`` (None: inline): the control and state solves of its steps
-    with their right-hand sides and the predicted products A U~,
-    step_plus Y~ and step_minus Y~.  After the batch ``couple`` forms what
-    couples the columns: C z~, the multiplier and the box copies.  Uses the
-    products w carries, forming them first when it carries none, and w's
-    shifted residual ``q``, formed first when not given.  The predicted
-    iterate is returned with its own products.  ``buffers``
-    (``chunk_buffers``) holds the arrays the tasks work in; without it this
-    prediction allocates its own.
+    with their right-hand sides, the predicted products A U~ (from the
+    control equation, ``control_product``), step_plus Y~ and step_minus Y~,
+    and in the box variant the projected copies P~ (``project_copies``).
+    After the batch ``couple`` forms what couples the columns: C z~, the
+    multiplier and the copies' multiplier.  Uses the products w carries,
+    forming them first when it carries none, and w's shifted residual
+    ``q``, formed first when not given.  The predicted iterate is returned
+    with its own products.  ``buffers`` (``chunk_buffers``) holds the
+    arrays the tasks work in; without it this prediction allocates its own.
 
     With ``out``, an iterate with products, the chunk batch writes into it
     and ``out`` is returned without the coupling: ``solve`` forms that in
     its row pass (``advance_rows``), together with the rest of the
     iteration.
     """
+    box = config.bounds is not None
     if w.products is None:
         w = Iterate(w.z, constraint_products(sys, w.Y, w.U))
     if q is None:
@@ -445,19 +483,23 @@ def predict(
     w_t = out
     if w_t is None:
         shape = w.U.shape
-        w_t = Iterate(np.empty((3 if config.bounds is None else 5,) + shape), np.empty((4,) + shape))
+        w_t = Iterate(np.empty((5 if box else 3,) + shape), np.empty((4,) + shape))
     if buffers is None:
-        buffers = chunk_buffers(sys, factors)
+        buffers = chunk_buffers(sys, box)
 
-    def chunk(cols: slice, rhs: np.ndarray, work: BlockedWork | None) -> None:
+    def chunk(cols: slice, rhs: np.ndarray, sol: np.ndarray, work: tuple | None) -> None:
+        # contiguous buffers, each copied once into the strided columns of w_t
         predict_controls(sys, w, q, config, cols, rhs[0])
-        predict_states(sys, w, q, config, cols, rhs[1])
-        U, Y = factors.solve(rhs, cols.stop == sys.grid.M, work)
+        predict_states(sys, w, q, config, cols, rhs[1], work=sol)
+        factors.solve(rhs, cols.stop == sys.grid.M, sol)
+        U, Y = sol
         w_t.U[:, cols] = U
         w_t.Y[:, cols] = Y
-        w_t.products[0][:, cols] = sys.mass @ U
+        w_t.products[0][:, cols] = control_product(sys, config, rhs, U)
         w_t.products[1][:, cols] = sys.step_plus @ Y
         w_t.products[2][:, cols] = sys.step_minus @ Y
+        if box:
+            project_copies(sys, w, config, cols, w_t.P[:, cols], rhs[0], work)
 
     solve_multi([partial(chunk, cols, *buf) for cols, buf in zip(_chunks(sys.grid.M), buffers)], pool)
     if out is None:
@@ -579,6 +621,27 @@ def _worker_pool(thread_count: int):
     return ThreadPoolExecutor(min(thread_count, cpus))
 
 
+def _to_nodes(basis: MirrorBasis, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The slabs of an iterate z, shape (slabs, ndof, M) in the stacked
+    block coordinates of ``basis``, in node coordinates: into ``out`` (z's
+    shape, not z itself), or a new array.  The one change of basis of
+    whole iterates."""
+    return basis.expand_stacked(z, out=out)
+
+
+class _NodeView(Iterate):
+    """An iterate in the stacked block coordinates of ``basis``, seen in
+    node coordinates without products: ``z`` is expanded on first read."""
+
+    def __init__(self, basis: MirrorBasis, z: np.ndarray):
+        self._source = (basis, z)
+        self.products = None
+
+    @cached_property
+    def z(self) -> np.ndarray:
+        return _to_nodes(*self._source)
+
+
 def solve(sys: DiscreteSystem, config: SolverConfig, monitor=None) -> tuple[Iterate, SolveReport]:
     """Run the corrected splitting iteration from the all-zeros iterate.
 
@@ -590,22 +653,36 @@ def solve(sys: DiscreteSystem, config: SolverConfig, monitor=None) -> tuple[Iter
     drops to the configured tolerance, at the iteration cap, or at the
     first non-finite increment (reported, not raised).
 
-    ``monitor(k, w)`` is called with each iterate before it is advanced.
-    That iterate is the solver's working storage: the monitor may read it
-    during the call and must copy it to keep it (``Iterate.copy``).  It must
-    not change it, since the next prediction's q is already formed from it.
+    The loop runs on the system in its mirror basis
+    (``DiscreteSystem.in_mirror_basis``), formed once per solve: there
+    every operator is block diagonal, and every norm the loop forms is the
+    node-space one up to round-off.  The returned iterate is in node
+    coordinates, its P (box variant) clipped to the bounds once more after
+    the change of basis.
+
+    ``monitor(k, w)`` is called with each iterate before it is advanced,
+    in node coordinates and without products.  Its arrays are formed from
+    the solver's working storage when the monitor first reads them (a
+    monitor that reads none costs no change of basis), so the monitor
+    must read them during the call, and must not change them.
     """
     if config.alpha != sys.alpha:
         raise ValueError(f"config alpha {config.alpha} does not match the system's alpha {sys.alpha}")
+    if sys.basis is not None:
+        raise ValueError("solve takes a system in node coordinates and changes its basis itself")
+    node, sys = sys, sys.in_mirror_basis()
+    basis = sys.basis
     box = config.bounds is not None
     blocks = 3 if box else 2
     nu = correction_factor(sys.grid.M, config.gamma, blocks_per_step=blocks)
     factors = PredictionFactors.build(sys, config)
-    buffers = chunk_buffers(sys, factors)
+    buffers = chunk_buffers(sys, box)
 
     w = Iterate.zeros(sys.ndof, sys.grid.M, box=box)
     if box:
         np.clip(w.P, *config.bounds, out=w.P)
+        if basis is not None:
+            basis.project_stacked(w.P, out=w.P)
     w.products = constraint_products(sys, w.Y, w.U)
     spare = Iterate(np.empty_like(w.z), np.empty_like(w.products))
     q = compute_q(sys, w, config.beta)
@@ -624,7 +701,7 @@ def solve(sys: DiscreteSystem, config: SolverConfig, monitor=None) -> tuple[Iter
         while k < config.k_max:
             k += 1
             if monitor is not None:
-                monitor(k, w)
+                monitor(k, Iterate(w.z) if basis is None else _NodeView(basis, w.z))
             t1 = time.perf_counter()
             predict(sys, w, config, factors, pool, buffers, q=q, out=spare)
             t2 = time.perf_counter()
@@ -648,9 +725,15 @@ def solve(sys: DiscreteSystem, config: SolverConfig, monitor=None) -> tuple[Iter
                 stop_reason = "converged"
                 break
 
-    residual = constraint_residual(sys, w.Y, w.U)
-    drift = np.linalg.norm(w.products[3] - sys.rhs - residual) / max(1.0, np.linalg.norm(sys.rhs))
-    w.products = None  # the caller may change w; carried products would go stale
+    carried = w.products[3] - sys.rhs
+    w.products = spare.products = None  # the loop's storage goes before the change of basis
+    buffers.clear()
+    result = Iterate(w.z if basis is None else _to_nodes(basis, w.z, out=spare.z))
+    if box:
+        np.clip(result.P, *config.bounds, out=result.P)  # the change of basis rounds
+    residual = constraint_residual(node, result.Y, result.U)
+    recomputed = residual if basis is None else basis.project_stacked(residual)
+    drift = np.linalg.norm(carried - recomputed) / max(1.0, np.linalg.norm(sys.rhs))
     report = SolveReport(
         iterations=k,
         stop_reason=stop_reason,
@@ -663,7 +746,7 @@ def solve(sys: DiscreteSystem, config: SolverConfig, monitor=None) -> tuple[Iter
         factor_nnz={name: f.nnz for name, f in vars(factors).items() if f is not None},
         gap_history=None if gaps is None else np.asarray(gaps),
     )
-    return w, report
+    return result, report
 
 
 solve_box = solve  # the box variant's former entry name, which bench/ still calls and traces

@@ -13,8 +13,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
-import scipy.sparse as sp
 
 import conftest
 from parasplit import kkt_oracle, mirrors, sparse_linalg, splitting_solver
@@ -61,8 +61,9 @@ def test_private_names_the_sweeps_use_exist(monkeypatch):
     # tools/oracle_sweep.py swaps _solve_modal, calls modal_sweep and
     # mirrors.mirror_basis, and reads a basis's sizes and blocks;
     # tools/chunk_sweep.py and tools/dense_sweep.py set CHUNK_COLS and split
-    # M with _chunks; tools/dense_sweep.py sets DENSE_MAX_NDOF and
-    # BLOCK_MAX_NDOF to send every factor down one path
+    # M with _chunks; tools/dense_sweep.py changes a level into its mirror
+    # basis, reads its block_sizes, sets BLOCK_MAX_NDOF to send every block
+    # down one path and solves chunks into a reused array
     assert callable(kkt_oracle._solve_modal) and callable(kkt_oracle.modal_sweep)
     sys_ = build_level(get_example("5.1"), 4)
     basis = mirrors.mirror_basis(sys_)
@@ -71,9 +72,15 @@ def test_private_names_the_sweeps_use_exist(monkeypatch):
     assert isinstance(splitting_solver.CHUNK_COLS, int)
     chunks = list(splitting_solver._chunks(2 * splitting_solver.CHUNK_COLS + 1))
     assert [c.stop - c.start for c in chunks] == [splitting_solver.CHUNK_COLS] * 2 + [1]
-    assert isinstance(sparse_linalg.DENSE_MAX_NDOF, int) and isinstance(sparse_linalg.BLOCK_MAX_NDOF, int)
-    for caps, dense, blocked in (((0, 0), False, False), ((10**9, 0), True, False), ((0, 10**9), True, True)):
-        monkeypatch.setattr(sparse_linalg, "DENSE_MAX_NDOF", caps[0])
-        monkeypatch.setattr(sparse_linalg, "BLOCK_MAX_NDOF", caps[1])
-        factor = sparse_linalg.factorize(sys_.mass, basis)
-        assert (factor.dense, factor.basis is not None) == (dense, blocked)
+    in_basis = sys_.in_mirror_basis()
+    assert in_basis.block_sizes == basis.sizes
+    assert isinstance(sparse_linalg.BLOCK_MAX_NDOF, int)
+    config = splitting_solver.SolverConfig(alpha=sys_.alpha, beta=1.0)
+    rhs = np.ones((2, sys_.ndof, 3))
+    for cap, dense in ((0, False), (10**9, True)):
+        monkeypatch.setattr(sparse_linalg, "BLOCK_MAX_NDOF", cap)
+        factors = splitting_solver.PredictionFactors.build(in_basis, config)
+        assert factors.control.dense is dense and len(factors.control.parts) == len(basis.sizes)
+        out = np.full_like(rhs, np.nan)
+        factors.solve(rhs, True, out)
+        assert np.isfinite(out).all()

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from parasplit import sparse_linalg
 from parasplit.experiments import build_level, example_5_1
 from parasplit.sparse_linalg import (
-    DENSE_MAX_NDOF,
+    BLOCK_MAX_NDOF,
     NotPositiveDefiniteError,
     SparseSpd,
     factorize,
@@ -53,19 +53,22 @@ class TestSparseSpd:
         coo = sp.coo_matrix(([1.0, 1.0], ([0, 0], [0, 0])), shape=(1, 1))
         assert factorize(coo).solve(np.array([4.0])) == pytest.approx(2.0)
 
-    @pytest.mark.parametrize("dim", [4, DENSE_MAX_NDOF + 1])
+    @pytest.mark.parametrize("dim", [4, 226])
     @pytest.mark.parametrize(
         "entry,value", [((1, 1), np.nan), ((0, 1), np.inf)], ids=["nan-diagonal", "inf-offdiagonal"]
     )
     def test_rejects_non_finite(self, monkeypatch, dim, entry, value):
+        # before either path factors a block, as one block or as two
         def no_factoring(*args, **kwargs):
             raise AssertionError("a non-finite matrix reached the factorization")
 
         monkeypatch.setattr(sparse_linalg.spla, "splu", no_factoring)
+        monkeypatch.setattr(sparse_linalg, "_block_inverse", no_factoring)
         m = sp.lil_matrix(_sparse_spd(np.random.default_rng(dim), dim))
         m[entry] = m[entry[::-1]] = value
-        with pytest.raises(ValueError, match=rf"entry \({entry[0]}, {entry[1]}\) is {value}, not finite"):
-            factorize(m)
+        for sizes in (None, [2, dim - 2]):
+            with pytest.raises(ValueError, match=rf"entry \({entry[0]}, {entry[1]}\) is {value}, not finite"):
+                factorize(m, sizes)
 
     def test_checked_once_per_factorization(self, monkeypatch):
         shapes = []
@@ -112,11 +115,13 @@ class TestFactorize:
             f.solve(np.ones(4))
 
     def test_dense_cap_boundary(self, monkeypatch):
+        # a block of at most BLOCK_MAX_NDOF rows is inverted, a larger one
+        # goes to SuperLU: as a whole matrix, and block by block in one
         def no_superlu(*args, **kwargs):
-            raise AssertionError("the whole path reached SuperLU")
+            raise AssertionError("the dense path reached SuperLU")
 
         rng = np.random.default_rng(3)
-        for dim, dense in ((DENSE_MAX_NDOF, True), (DENSE_MAX_NDOF + 1, False)):
+        for dim, dense in ((BLOCK_MAX_NDOF, True), (BLOCK_MAX_NDOF + 1, False)):
             m = _sparse_spd(rng, dim)
             with monkeypatch.context() as patch:
                 if dense:
@@ -125,6 +130,33 @@ class TestFactorize:
             assert f.dense is dense
             b = rng.standard_normal((dim, 3))
             assert np.linalg.norm(m @ f.solve(b) - b) <= 1e-10 * np.linalg.norm(b)
+        sizes = [BLOCK_MAX_NDOF + 1, 3, BLOCK_MAX_NDOF]
+        m = sp.block_diag([_sparse_spd(rng, k) for k in sizes], format="csr")
+        f = factorize(m, sizes)
+        assert [isinstance(part, np.ndarray) for part in f.parts] == [False, True, True]
+        assert [(r.start, r.stop) for r in f.rows] == [(0, 401), (401, 404), (404, 804)]
+        b = rng.standard_normal((m.shape[0], 3))
+        for x in (b, b[:, 0]):
+            got = f.solve(x)
+            assert np.linalg.norm(m @ got - x) <= 1e-10 * np.linalg.norm(x)
+        out = np.full_like(b, np.nan)
+        assert f.solve(b, out=out) is out and np.array_equal(out, f.solve(b))
+
+    def test_blocks_checked(self):
+        m = sp.csr_matrix(np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 2.0]]))
+        assert np.allclose(m @ factorize(m, [2, 1]).solve(np.ones(3)), 1.0)
+        with pytest.raises(ValueError, match="outside its diagonal blocks"):
+            factorize(m, [1, 2])
+        with pytest.raises(ValueError, match="block sizes sum to 2"):
+            factorize(m, [1, 1])
+
+    def test_pivot_counts_the_rows_before_its_block(self, monkeypatch):
+        m = sp.csr_matrix(np.diag([1.0, 2.0, 3.0, -1.0, 5.0]))
+        for cap in (BLOCK_MAX_NDOF, 0):  # the dense path, then SuperLU's
+            monkeypatch.setattr(sparse_linalg, "BLOCK_MAX_NDOF", cap)
+            with pytest.raises(NotPositiveDefiniteError) as exc:
+                factorize(m, [2, 3])
+            assert exc.value.pivot_index == 3
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=12))
@@ -160,7 +192,7 @@ class TestSolveMulti:
 
     def test_matches_serial_exactly(self):
         rng = np.random.default_rng(7)
-        for f in (factorize(_random_spd(rng, 10)), factorize(_sparse_spd(rng, DENSE_MAX_NDOF + 1))):
+        for f in (factorize(_random_spd(rng, 10)), factorize(_sparse_spd(rng, BLOCK_MAX_NDOF + 1))):
             rhs = rng.standard_normal((f.dimension, 5))
             serial = np.column_stack([f.solve(rhs[:, j]) for j in range(5)])
             inline = _solved([(f, rhs)])[0]
@@ -181,7 +213,7 @@ class TestSolveMulti:
 
     def test_mixed_batch_matches_column_solves(self):
         rng = np.random.default_rng(8)
-        big = DENSE_MAX_NDOF + 1
+        big = BLOCK_MAX_NDOF + 1
         factors = [factorize(_random_spd(rng, 10)), factorize(_sparse_spd(rng, big)),
                    factorize(_random_spd(rng, 10))]
         rhs = [rng.standard_normal(10), rng.standard_normal((big, 5)), rng.standard_normal((10, 19))]

@@ -22,12 +22,13 @@ from conftest import (
     random_system,
     reference_loop,
 )
-from parasplit.discretization import constraint_products, constraint_residual
+from parasplit.discretization import TimeGrid, build_system, constraint_products, constraint_residual
 from parasplit.experiments import build_level, get_example
+from parasplit.fem_assembly import make_space
 from parasplit.kkt_oracle import solve_kkt
-from parasplit.mesh import DIRICHLET, NEUMANN
+from parasplit.mesh import DIRICHLET, NEUMANN, uniform_unit_square
 from parasplit import mirrors, sparse_linalg, splitting_solver
-from parasplit.sparse_linalg import DENSE_MAX_NDOF, factorize
+from parasplit.sparse_linalg import BLOCK_MAX_NDOF, factorize
 from parasplit.splitting_solver import (
     Iterate,
     PredictionFactors,
@@ -50,10 +51,27 @@ def _config(sys, beta=1.0, **kw):
 
 
 def _path(f) -> str:
-    """Which ``factorize`` path a factor took."""
+    """Which ``factorize`` path a factor took: SuperLU's, one dense inverse
+    of the whole matrix, or one per mirror block."""
     if not f.dense:
         return "superlu"
-    return "dense" if f.basis is None else "blocked"
+    return "dense" if len(f.parts) == 1 else "blocked"
+
+
+def _without_mirrors(sys, dof=1):
+    """sys with its stiffness bumped at one DOF: a DOF that lies on no
+    mirror's fixed set (DOF 1 of the Neumann meshes) leaves no mirror, so
+    the system is one block; DOF 0, on the diagonal, keeps the coordinate
+    swap and two blocks."""
+    tau = sys.grid.tau
+    bump = sp.csr_matrix(([1e-3 * sys.stiffness[dof, dof]], ([dof], [dof])), shape=sys.stiffness.shape)
+    stiffness = sys.stiffness + bump
+    return dataclasses.replace(
+        sys,
+        stiffness=stiffness,
+        step_plus=sys.mass + (tau / 2.0) * stiffness,
+        step_minus=sys.mass - (tau / 2.0) * stiffness,
+    )
 
 
 class TestCorrectionFactor:
@@ -163,7 +181,11 @@ class TestPrediction:
             pooled = predict(sys, w, config, factors, pool)
         for w_t in (inline, pooled):
             assert prediction_row_residuals(sys, w, w_t, config.alpha, config.beta).max() <= 1e-9
-            assert np.array_equal(w_t.products, constraint_products(sys, w_t.Y, w_t.U))
+            want = constraint_products(sys, w_t.Y, w_t.U)
+            # A U~ from the control equation, and Cz~ from it, round apart
+            assert np.array_equal(w_t.products[1:3], want[1:3])
+            _assert_close(w_t.products[0], want[0])
+            _assert_close(w_t.products[3], want[3])
         assert np.array_equal(pooled.z, inline.z)
 
     def test_control_row_direct_substitution(self):
@@ -197,9 +219,9 @@ class TestPrediction:
     def test_factored_normal_matrices(self, monkeypatch):
         factored = []
         real = splitting_solver.factorize
-        def recording(mat, basis):
+        def recording(mat, sizes):
             factored.append(mat.toarray())
-            return real(mat, basis)
+            return real(mat, sizes)
 
         monkeypatch.setattr(splitting_solver, "factorize", recording)
         for seed, n, M, bc in [(0, 2, 2, NEUMANN), (1, 3, 1, NEUMANN), (2, 2, 3, DIRICHLET)]:
@@ -418,7 +440,7 @@ class TestSolve:
         for threads in (1, 2, 8):
             config = _config(sys, beta=0.5, epsilon=0.0, k_max=15, thread_count=threads, bounds=bounds)
             runs.append(solve(sys, config))
-        assert _path(PredictionFactors.build(sys, config).control) == path
+        assert _path(PredictionFactors.build(sys.in_mirror_basis(), config).control) == path
         for w, report in runs[1:]:
             assert np.array_equal(w.z, runs[0][0].z)
             assert np.array_equal(report.increment_history, runs[0][1].increment_history)
@@ -426,30 +448,31 @@ class TestSolve:
 
     @pytest.mark.parametrize("box", [False, True])
     def test_thread_count_bitwise_across_chunks(self, box, monkeypatch):
-        # On this mesh (above the dense caps) SuperLU's one-column solve
-        # differs from a multi-column one in the last bits (on coarse meshes
-        # it does not), so chunking that followed the thread count down to
-        # single columns would show.
+        # On this mesh SuperLU's one-column solve differs from a
+        # multi-column one in the last bits (on coarse meshes it does not),
+        # so chunking that followed the thread count down to single columns
+        # would show.
         monkeypatch.setattr(sparse_linalg, "BLOCK_MAX_NDOF", 0)
         sys = random_system(11, n=28, M=2 * splitting_solver.CHUNK_COLS + 5)
-        assert sys.ndof > DENSE_MAX_NDOF
         self._assert_bitwise_across_threads(sys, box, "superlu")
 
     @pytest.mark.parametrize("box", [False, True])
     def test_thread_count_bitwise_across_chunks_dense(self, box):
-        # Under the dense cap a solve is a product with the inverse, and on
-        # this mesh a one-column product (GEMV) rounds differently from a
-        # block one (GEMM), so thread-dependent chunking would show here too.
-        sys = random_system(11, n=12, M=2 * splitting_solver.CHUNK_COLS + 5)
-        assert sys.ndof <= DENSE_MAX_NDOF
+        # Without a mirror the system is one block, and under the cap a
+        # solve is a product with its inverse; on this mesh a one-column
+        # product (GEMV) rounds differently from a block one (GEMM), so
+        # thread-dependent chunking would show here too.
+        sys = _without_mirrors(random_system(11, n=12, M=2 * splitting_solver.CHUNK_COLS + 5))
+        assert sys.ndof <= BLOCK_MAX_NDOF
         self._assert_bitwise_across_threads(sys, box, "dense")
 
     @pytest.mark.parametrize("box", [False, True])
     def test_thread_count_bitwise_across_chunks_blocked(self, box):
-        # Above the whole-matrix cap the mirror blocks are inverted, and a
-        # chunk projects, multiplies and expands its columns together.
+        # In the mirror basis each block is inverted, and a chunk's solve
+        # is one product per block; the box chunks also expand, clip and
+        # project their copies.
         sys = random_system(11, n=28, M=2 * splitting_solver.CHUNK_COLS + 5)
-        assert sys.ndof > DENSE_MAX_NDOF
+        assert sys.ndof > BLOCK_MAX_NDOF and len(sys.mirror_basis.sizes) == 4
         self._assert_bitwise_across_threads(sys, box, "blocked")
 
     def test_one_pool_per_threaded_solve(self, monkeypatch):
@@ -602,49 +625,52 @@ class TestSolve:
 
     @pytest.mark.parametrize("M,box", [(1, False), (3, False), (3, True)])
     def test_factor_nnz_reported(self, M, box):
-        # a level under the whole-matrix cap: each factor stores its inverse
+        # a level under the cap: each factor stores one inverse per mirror block
         sys = random_system(8, n=3, M=M)
         bounds = (-1.0, 1.0) if box else None
         config = SolverConfig(alpha=sys.alpha, beta=1.0, k_max=1, bounds=bounds)
         _, report = solve(sys, config)
         names = {"control", "terminal"} if M == 1 else {"control", "state", "terminal"}
-        assert report.factor_nnz == {name: sys.ndof**2 for name in names}
+        assert report.factor_nnz == {name: sum(k * k for k in sys.mirror_basis.sizes) for name in names}
 
     def test_factor_nnz_reported_on_both_paths(self, monkeypatch):
-        # the stored entries of each path: the whole inverse, the block
-        # inverses, and SuperLU's nnz(L) + nnz(U)
+        # the stored entries of each path: the block inverses, one whole
+        # inverse for a system without a mirror, and SuperLU's
+        # nnz(L) + nnz(U) summed over the blocks
         sys = random_system(8, n=3, M=3)
         config = SolverConfig(alpha=sys.alpha, beta=1.0, k_max=1)
-        _, dense = solve(sys, config)
-        monkeypatch.setattr(sparse_linalg, "DENSE_MAX_NDOF", sys.ndof - 1)
         _, blocked = solve(sys, config)
+        _, whole = solve(_without_mirrors(sys), config)
         monkeypatch.setattr(sparse_linalg, "BLOCK_MAX_NDOF", 0)
         _, sparse = solve(sys, config)
-        factors = PredictionFactors.build(sys, config)
+        factors = PredictionFactors.build(sys.in_mirror_basis(), config)
         sizes = sys.mirror_basis.sizes
         assert len(sizes) == 4
         for name, f in vars(factors).items():
-            assert dense.factor_nnz[name] == sys.ndof**2
+            assert whole.factor_nnz[name] == sys.ndof**2
             assert blocked.factor_nnz[name] == sum(k * k for k in sizes)
-            assert sparse.factor_nnz[name] == f._lu.L.nnz + f._lu.U.nnz
+            assert _path(f) == "superlu"
+            assert sparse.factor_nnz[name] == sum(lu.L.nnz + lu.U.nnz for lu in f.parts)
 
     @pytest.mark.parametrize("example", ["5.1", "5.2"])
     def test_dense_inverse_matches_superlu(self, example, monkeypatch):
-        # the largest dense factors: both levels have ndof == DENSE_MAX_NDOF
+        # dense inverses against SuperLU's solves, on both paths: the whole
+        # matrix in node coordinates (one block) and each mirror block
         prob = get_example(example)
         sys = build_level(prob, {"5.1": 16, "5.2": 14}[example])
-        assert sys.ndof == DENSE_MAX_NDOF
+        assert sys.ndof == 225
         config = SolverConfig(alpha=prob.alpha, beta=prob.beta)
-        factors = PredictionFactors.build(sys, config)
-        monkeypatch.setattr(sparse_linalg, "DENSE_MAX_NDOF", 0)
-        monkeypatch.setattr(sparse_linalg, "BLOCK_MAX_NDOF", 0)
-        superlu = PredictionFactors.build(sys, config)
-        rhs = np.random.default_rng(5).standard_normal((sys.ndof, splitting_solver.CHUNK_COLS))
-        for name, f in vars(factors).items():
-            assert _path(f) == "dense" and _path(getattr(superlu, name)) == "superlu", name
-            for b in (rhs, rhs[:, 0]):
-                want = getattr(superlu, name).solve(b)
-                np.testing.assert_allclose(f.solve(b), want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        for sys_, path in ((sys, "dense"), (sys.in_mirror_basis(), "blocked")):
+            factors = PredictionFactors.build(sys_, config)
+            with monkeypatch.context() as m:
+                m.setattr(sparse_linalg, "BLOCK_MAX_NDOF", 0)
+                superlu = PredictionFactors.build(sys_, config)
+            rhs = np.random.default_rng(5).standard_normal((sys.ndof, splitting_solver.CHUNK_COLS))
+            for name, f in vars(factors).items():
+                assert _path(f) == path and _path(getattr(superlu, name)) == "superlu", name
+                for b in (rhs, rhs[:, 0]):
+                    want = getattr(superlu, name).solve(b)
+                    np.testing.assert_allclose(f.solve(b), want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
     def test_alpha_mismatch_rejected(self):
         sys = random_system(5, n=2, M=2)
@@ -653,6 +679,110 @@ class TestSolve:
             solve(sys, config)
         with pytest.raises(ValueError, match="alpha"):
             solve(sys, SolverConfig(alpha=2.0 * sys.alpha, beta=1.0, bounds=(0.0, 1.0)))
+
+
+class TestMirrorBasisLoop:
+    """``solve`` runs its loop on the system in its mirror basis; the
+    one-step pieces and ``reference_loop`` run in node coordinates."""
+
+    @staticmethod
+    def _mirrored(example: str, M: int):
+        # a level with four mirror blocks, at a step count of two chunks
+        prob = get_example(example)
+        sys = build_system(prob, make_space(uniform_unit_square(6), prob.bc), TimeGrid(T=prob.T, M=M))
+        assert len(sys.mirror_basis.sizes) == 4
+        return prob, sys
+
+    def test_system_in_the_basis(self):
+        prob, sys = self._mirrored("5.2", 3)
+        in_basis = sys.in_mirror_basis()
+        basis = in_basis.basis
+        assert basis is sys.mirror_basis and sys.basis is None
+        assert in_basis.in_mirror_basis() is in_basis
+        assert in_basis.block_sizes == basis.sizes and sys.block_sizes == [sys.ndof]
+        X = np.random.default_rng(0).standard_normal((sys.ndof, 3))
+        for name in ("mass", "stiffness", "step_plus", "step_minus"):
+            op, op_b = getattr(sys, name), getattr(in_basis, name)
+            # Q^T A Q X: the operator in the basis, block diagonal in row order
+            _assert_close(op_b @ basis.project_stacked(X), basis.project_stacked(op @ X))
+            offsets = np.cumsum([0] + basis.sizes)
+            inside = sum(op_b[lo:hi, lo:hi].nnz for lo, hi in zip(offsets[:-1], offsets[1:]))
+            assert inside == op_b.nnz
+        for name in ("rhs", "desired_loads", "tracking_loads"):
+            _assert_close(getattr(in_basis, name), basis.project_stacked(getattr(sys, name)))
+        _assert_close(basis.expand_stacked(basis.project_stacked(X)), X)
+        one = _without_mirrors(random_system(3, n=3, M=2))
+        assert one.in_mirror_basis() is one
+        with pytest.raises(ValueError, match="node coordinates"):
+            solve(in_basis, SolverConfig(alpha=prob.alpha, beta=1.0))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("box", [False, True])
+    @pytest.mark.parametrize("example", ["5.1", "5.2"])
+    def test_matches_node_space_loop(self, example, box, threads):
+        K = 8
+        prob, sys = self._mirrored(example, splitting_solver.CHUNK_COLS + 5)
+        bounds = (0.0, 0.8) if box else None
+        config = SolverConfig(alpha=prob.alpha, beta=0.8, epsilon=0.0, k_max=K, bounds=bounds,
+                              thread_count=threads)
+        seen = []
+        w, report = solve(sys, config, monitor=lambda k, v: seen.append(v.copy()))
+        w_ref, increments_ref = reference_loop(sys, config, K)
+        for got, want in zip(w.z, w_ref.z):
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
+        np.testing.assert_allclose(report.increment_history, increments_ref, rtol=1e-10)
+        # the monitor's iterates are in node coordinates: the last is the
+        # node-space loop's after K - 1 iterations
+        w_prev, _ = reference_loop(sys, config, K - 1)
+        for got, want in zip(seen[-1].z, w_prev.z):
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
+        assert all(v.products is None for v in seen)
+        if box:
+            assert bounds[0] <= w.P.min() and w.P.max() <= bounds[1]
+            assert (w.P == bounds[0]).any()  # the bounds bind
+            gaps = [np.linalg.norm(v.Y - v.P) for v in seen[1:] + [w]]
+            np.testing.assert_allclose(report.gap_history, gaps, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("box", [False, True])
+    def test_monitor_that_reads_nothing_costs_no_change_of_basis(self, box, monkeypatch):
+        # the final iterate is expanded once; a monitor's only when it reads it
+        expansions = []
+        real = splitting_solver._to_nodes
+
+        def counting(basis, z, out=None):
+            expansions.append(z.shape)
+            return real(basis, z, out)
+
+        monkeypatch.setattr(splitting_solver, "_to_nodes", counting)
+        prob, sys = self._mirrored("5.1", 4)
+        config = SolverConfig(alpha=prob.alpha, beta=0.8, epsilon=0.0, k_max=6,
+                              bounds=(0.0, 0.8) if box else None)
+        for monitor, count in ((None, 1), (lambda k, v: None, 1), (lambda k, v: v.U, 7)):
+            expansions.clear()
+            w, _ = solve(sys, config, monitor=monitor)
+            assert expansions == [w.z.shape] * count
+
+    @pytest.mark.parametrize("bounds", [None, (0.0, 0.8)])
+    def test_carried_control_product_matches_mass_product(self, bounds, monkeypatch):
+        # A U~ comes from the control equation, not from a sparse product:
+        # in every prediction of a solve it is the mass product to 1e-12
+        deviations = []
+        real = splitting_solver.predict
+
+        def recording(sys_, *args, **kwargs):
+            w_t = real(sys_, *args, **kwargs)
+            AU = sys_.mass @ w_t.U
+            deviations.append(np.abs(w_t.products[0] - AU).max() / np.abs(AU).max())
+            return w_t
+
+        monkeypatch.setattr(splitting_solver, "predict", recording)
+        prob = get_example("5.1")
+        sys = build_level(prob, 8)
+        config = SolverConfig(alpha=prob.alpha, beta=prob.beta if bounds is None else 0.3, bounds=bounds,
+                              k_max=400)
+        _, report = solve(sys, config)
+        assert len(deviations) == report.iterations
+        assert max(deviations) <= 1e-12
 
 
 class TestSolveBox:
@@ -712,9 +842,8 @@ class TestConfigValidation:
 
 
 def _superlu_factors(sys, config, monkeypatch):
-    """The prediction factors with both dense caps closed: SuperLU's."""
+    """The prediction factors with the dense cap closed: SuperLU's."""
     with monkeypatch.context() as m:
-        m.setattr(sparse_linalg, "DENSE_MAX_NDOF", 0)
         m.setattr(sparse_linalg, "BLOCK_MAX_NDOF", 0)
         return PredictionFactors.build(sys, config)
 
@@ -724,20 +853,29 @@ def _assert_close(got, want):
 
 
 class TestBlockedFactors:
-    """Factors above the whole-matrix cap, inverted block by block in the
-    system's mirror basis, against SuperLU."""
+    """Factors of the system in its mirror basis, inverted block by block,
+    against SuperLU's in node coordinates."""
 
     @staticmethod
     def _assert_matches(sys, config, superlu):
-        factors = PredictionFactors.build(sys, config)
+        """The factors of sys in its mirror basis, Q S_b^-1 Q^T b, against
+        node-space ``superlu``'s S^-1 b."""
+        in_basis = sys.in_mirror_basis()
+        factors = PredictionFactors.build(in_basis, config)
+        basis = in_basis.basis
+        project = (lambda x: x) if basis is None else basis.project_stacked
+        expand = (lambda x: x) if basis is None else basis.expand_stacked
         rhs = np.random.default_rng(sys.ndof).standard_normal((2, sys.ndof, splitting_solver.CHUNK_COLS))
-        rhs_u, rhs_y = rhs
+        rhs_b = np.stack([project(x) for x in rhs])
         for name, f in vars(factors).items():
-            for b in (rhs_u, rhs_u[:, 0]):
-                _assert_close(f.solve(b), getattr(superlu, name).solve(b))
+            _assert_close(expand(f.solve(rhs_b[0])), getattr(superlu, name).solve(rhs[0]))
+            _assert_close(f.solve(rhs_b[0][:, 0]), f.solve(rhs_b[0])[:, 0])  # one column
         # a chunk's control and state solves together, the terminal column included
-        for got, want in zip(factors.solve(rhs.copy(), True), superlu.solve(rhs.copy(), True)):
-            _assert_close(got, want)
+        got, want = np.empty_like(rhs), np.empty_like(rhs)
+        factors.solve(rhs_b, True, got)
+        superlu.solve(rhs, True, want)
+        for g, w in zip(got, want):
+            _assert_close(expand(g), w)
         return factors
 
     @pytest.mark.parametrize("box", [False, True])
@@ -746,20 +884,20 @@ class TestBlockedFactors:
     def test_matches_superlu(self, example, bc, box, monkeypatch):
         prob = dataclasses.replace(get_example(example), bc=bc)
         sys = build_level(prob, 20)
-        assert sys.ndof > DENSE_MAX_NDOF
         config = SolverConfig(alpha=prob.alpha, beta=prob.beta, bounds=(0.0, 1.0) if box else None)
         superlu = _superlu_factors(sys, config, monkeypatch)
+        assert _path(superlu.control) == "superlu" and len(superlu.control.parts) == 1
         factors = self._assert_matches(sys, config, superlu)
         for f in vars(factors).values():
             assert _path(f) == "blocked"
-            assert [inv.shape[0] for inv in f.inverses] == sys.mirror_basis.sizes
+            assert [inv.shape[0] for inv in f.parts] == sys.mirror_basis.sizes
 
     @pytest.mark.parametrize("M,box", [(1, False), (3, False), (3, True)])
     def test_iterates_match_superlu_path(self, M, box, monkeypatch):
         # the single-step level has no state factor: its one column is the terminal step
         sys = random_system(12, n=20, M=M)
         config = _config(sys, beta=2.0, epsilon=0.0, k_max=5, bounds=(-0.5, 0.5) if box else None)
-        assert _path(PredictionFactors.build(sys, config).control) == "blocked"
+        assert _path(PredictionFactors.build(sys.in_mirror_basis(), config).control) == "blocked"
         w, _ = solve(sys, config)
         monkeypatch.setattr(sparse_linalg, "BLOCK_MAX_NDOF", 0)
         w_ref, _ = solve(sys, config)
@@ -771,16 +909,9 @@ class TestBlockedFactors:
         # swap fixes; the second lies on no mirror's fixed set.
         sys = random_system(11, n=20, M=3, bc=NEUMANN)
         assert len(sys.mirror_basis.sizes) == 4
-        tau = sys.grid.tau
-        bump = sp.csr_matrix(([1e-3 * sys.stiffness[dof, dof]], ([dof], [dof])), shape=sys.stiffness.shape)
-        stiffness = sys.stiffness + bump
-        broken = dataclasses.replace(
-            sys,
-            stiffness=stiffness,
-            step_plus=sys.mass + (tau / 2.0) * stiffness,
-            step_minus=sys.mass - (tau / 2.0) * stiffness,
-        )
+        broken = _without_mirrors(sys, dof)
         assert len(broken.mirror_basis.sizes) == blocks
+        assert (broken.in_mirror_basis() is broken) == (blocks == 1)
         config = _config(broken, beta=10.0)
         factors = self._assert_matches(broken, config, _superlu_factors(broken, config, monkeypatch))
         assert _path(factors.control) == ("blocked" if blocks > 1 else "superlu")
@@ -801,19 +932,21 @@ class TestBlockedFactors:
         sys = build_level(get_example("5.1"), 20)
         # mirror-invariant, with the generalised eigenvalues of the pencil
         # below 100 (the lowest is about 2 pi^2) turned negative
-        mat = sys.stiffness - 100.0 * sys.mass
+        basis = sys.mirror_basis
+        mat = basis.block_diagonal(sys.stiffness - 100.0 * sys.mass)
         with pytest.raises(sparse_linalg.NotPositiveDefiniteError):
-            factorize(mat, sys.mirror_basis)
+            factorize(mat, basis.sizes)
         assert shapes == [(sys.ndof, sys.ndof)]
 
     def test_box_workload_level_is_blocked(self):
         # the benchmark's box level; a cap that sends it back to SuperLU fails here
         prob = get_example("5.1")
         sys = build_level(prob, 32)
-        factors = PredictionFactors.build(sys, SolverConfig(alpha=prob.alpha, beta=0.3, bounds=(0.0, 0.8)))
+        config = SolverConfig(alpha=prob.alpha, beta=0.3, bounds=(0.0, 0.8))
+        factors = PredictionFactors.build(sys.in_mirror_basis(), config)
         for f in vars(factors).values():
             assert _path(f) == "blocked"
-            assert [inv.shape[0] for inv in f.inverses] == [256, 240, 225, 240]
+            assert [inv.shape[0] for inv in f.parts] == [256, 240, 225, 240]
 
     def test_mirror_basis_formed_once_per_system(self, monkeypatch):
         calls = []
@@ -829,5 +962,5 @@ class TestBlockedFactors:
         assert calls == []  # building the level forms none
         solve_kkt(sys, sys.alpha)
         solve_kkt(sys, sys.alpha)
-        PredictionFactors.build(sys, SolverConfig(alpha=prob.alpha, beta=prob.beta))
+        solve(sys, SolverConfig(alpha=prob.alpha, beta=prob.beta, k_max=2))
         assert len(calls) == 1 and calls[0] is sys

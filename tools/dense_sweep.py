@@ -4,14 +4,15 @@
 
 Run from the repository root; parasplit is imported from ``src/``.  BLAS is
 pinned to one thread before numpy loads, as in the solver's benchmark.  For
-examples 5.1 and 5.2 at mesh n in MESHES, the tool builds the level and,
-with the example's beta and no bounds, the splitting solver's three
-prediction factors on each path (the module's caps set, inside this tool,
-so that every factor takes it):
+examples 5.1 and 5.2 at mesh n in MESHES, the tool builds the level, changes
+it into its mirror basis as ``splitting_solver.solve`` does
+(``DiscreteSystem.in_mirror_basis``) and builds, with the example's beta
+and no bounds, the splitting solver's three prediction factors there on
+each path (the module's cap set, inside this tool, so that every block
+takes it):
 
-  superlu   SuperLU's sparse factors
-  whole     the whole inverse (levels up to WHOLE_MAX_NDOF unknowns)
-  blocked   one inverse per mirror block, in the system's mirror basis
+  superlu   SuperLU's sparse factors of each mirror block
+  blocked   one dense inverse per mirror block
 
 and times, per path:
 
@@ -20,33 +21,23 @@ and times, per path:
             for every chunk shape one prediction solves (``predict``'s
             chunks of M steps: their widths, and whether the chunk ends at
             step M and so also solves its last column against the terminal
-            factor), and for a full chunk of CHUNK_COLS columns.  Each call
-            first copies the right-hand sides into the chunk's buffer, as
-            the solver forms them there, and solves with the chunk's reused
-            work arrays.
+            factor), and for a full chunk of CHUNK_COLS columns, into the
+            chunk's reused solution array.
 
 A per-call time is the mean of a batch of calls sized to take ~20 ms, so
 it resolves microseconds.  The levels are swept one at a time, and every
-repeat times every path of the level once, so slow stretches of a shared
-host fall on all paths alike.  The output holds the median and quartiles
-of the repeats per cell and, per level, the block sizes, each path's
-stored entries (``CholFactor.nnz`` summed over the factors), its solve time
-of one prediction (the chunk medians summed over a prediction's chunks),
-and, for the two dense paths, the payback against SuperLU: the iterations
-after which the faster solves have saved the extra build time.  A dense
-path pays on a level when it is no slower than SuperLU at every chunk a
-prediction solves and repays within PAYBACK_ITERATIONS iterations.  The
-output names the largest ndof where the whole inverse pays and the
-smallest where it does not; the largest block where the blocked path pays
-and the smallest where it does not, on the levels above
-``DENSE_MAX_NDOF``, between which ``BLOCK_MAX_NDOF`` should fall; and the
-smallest ndof from which the blocked path's predictions are faster than
-the whole inverse's.  ``DENSE_MAX_NDOF`` should fall below both that
-crossover and the smallest ndof where the whole inverse does not pay:
-since the whole inverse is formed by Cholesky it repays above the cap (up
-to ndof 289 or 361, sweep to sweep), and the cap rests on the crossover
-(289).  The tool reads
-the caps; it does not set them.
+repeat times both paths of the level once, so slow stretches of a shared
+host fall on both alike.  The output holds the median and quartiles of the
+repeats per cell and, per level, the block sizes, each path's stored
+entries (``CholFactor.nnz`` summed over the factors), its solve time of one
+prediction (the chunk medians summed over a prediction's chunks), and the
+blocked path's payback against SuperLU: the iterations after which its
+faster solves have saved its extra build time.  The blocked path pays on a
+level when it is no slower than SuperLU at every chunk a prediction solves
+and repays within PAYBACK_ITERATIONS iterations.  The output names the
+largest block where it pays and the smallest where it does not, between
+which ``BLOCK_MAX_NDOF`` should fall.  The tool reads the cap; it does not
+set it.
 """
 
 import sweep_common
@@ -59,6 +50,7 @@ import json
 import time
 from collections import Counter
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -68,20 +60,18 @@ from parasplit.splitting_solver import CHUNK_COLS, PredictionFactors, SolverConf
 
 EXAMPLES = ("5.1", "5.2")
 MESHES = (8, 12, 14, 16, 20, 24, 28, 32, 40, 48, 56, 64)
-WHOLE_MAX_NDOF = 1100  # n <= 32: the whole inverse of larger levels costs seconds to form
 PAYBACK_ITERATIONS = 50  # a 100-iteration run keeps at least half of a dense path's saving
-# (DENSE_MAX_NDOF, BLOCK_MAX_NDOF) that send every factor of a level down one path
-PATHS = {"superlu": (0, 0), "whole": (10**9, 0), "blocked": (0, 10**9)}
+PATHS = {"superlu": 0, "blocked": 10**9}  # the BLOCK_MAX_NDOF that sends every block down one path
 
 
 @contextmanager
-def caps(path: str):
-    saved = sparse_linalg.DENSE_MAX_NDOF, sparse_linalg.BLOCK_MAX_NDOF
-    sparse_linalg.DENSE_MAX_NDOF, sparse_linalg.BLOCK_MAX_NDOF = PATHS[path]
+def cap(path: str):
+    saved = sparse_linalg.BLOCK_MAX_NDOF
+    sparse_linalg.BLOCK_MAX_NDOF = PATHS[path]
     try:
         yield
     finally:
-        sparse_linalg.DENSE_MAX_NDOF, sparse_linalg.BLOCK_MAX_NDOF = saved
+        sparse_linalg.BLOCK_MAX_NDOF = saved
 
 
 def chunk_shapes(M: int) -> Counter:
@@ -90,35 +80,25 @@ def chunk_shapes(M: int) -> Counter:
 
 
 def sweep_level(sys_, config, repeats: int, rng) -> tuple[dict, dict]:
-    """Build and chunk-solve times of each path on one level."""
+    """Build and chunk-solve times of each path on one level, in its mirror basis."""
     shapes = chunk_shapes(sys_.grid.M)
     timed = set(shapes) | {(CHUNK_COLS, False)}
-    paths = [p for p in PATHS if p != "whole" or sys_.ndof <= WHOLE_MAX_NDOF]
     rhs = {shape: rng.standard_normal((2, sys_.ndof, shape[0])) for shape in timed}
-    cells = {}
-    for path in paths:
-        with caps(path):
-            factors = PredictionFactors.build(sys_, config)
-        basis = factors.control.basis
-        work = {shape: None if basis is None else sparse_linalg.BlockedWork(basis, 2, shape[0]) for shape in timed}
-        cells[path] = (factors, work)
-    times = {path: {"build": [], **{shape: [] for shape in timed}} for path in paths}
+    factors = {}
+    for path in PATHS:
+        with cap(path):
+            factors[path] = PredictionFactors.build(sys_, config)
+    times = {path: {"build": [], **{shape: [] for shape in timed}} for path in PATHS}
     for _ in range(repeats):
-        for path, (factors, work) in cells.items():
-            with caps(path):
+        for path, f in factors.items():
+            with cap(path):
                 t0 = time.perf_counter()
                 PredictionFactors.build(sys_, config)
                 times[path]["build"].append(time.perf_counter() - t0)
             for shape, b in rhs.items():
-                buf = np.empty_like(b)
-
-                def call():
-                    np.copyto(buf, b)
-                    factors.solve(buf, shape[1], work[shape])
-
-                times[path][shape].append(sweep_common.per_call(call))
-    nnz = {path: sum(f.nnz for f in vars(factors).values() if f is not None)
-           for path, (factors, _) in cells.items()}
+                out = np.empty_like(b)
+                times[path][shape].append(sweep_common.per_call(partial(f.solve, b, shape[1], out)))
+    nnz = {path: sum(x.nnz for x in vars(f).values() if x is not None) for path, f in factors.items()}
     return times, nnz
 
 
@@ -129,7 +109,7 @@ def sweep(repeats: int) -> dict:
         problem = experiments.get_example(example)
         config = SolverConfig(alpha=problem.alpha, beta=problem.beta)
         for n in MESHES:
-            sys_ = experiments.build_level(problem, n)
+            sys_ = experiments.build_level(problem, n).in_mirror_basis()
             M, ndof = sys_.grid.M, sys_.ndof
             shapes = chunk_shapes(M)
             times, nnz = sweep_level(sys_, config, repeats, np.random.default_rng(n))
@@ -148,35 +128,24 @@ def sweep(repeats: int) -> dict:
                         "columns": shape[0], "terminal": shape[1],
                         "chunks_per_prediction": shapes[shape], **q, "samples_s": t[shape],
                     })
-            superlu = summary["superlu"]
-            level = {"example": example, "n": n, "ndof": ndof, "M": M,
-                     "block_sizes": sys_.mirror_basis.sizes}
-            for path in ("whole", "blocked"):
-                if path not in summary:
-                    continue
-                s = summary[path]
-                saving = superlu["prediction_s"] - s["prediction_s"]
-                extra = s["build"]["median_s"] - superlu["build"]["median_s"]
-                payback = max(extra, 0.0) / saving if saving > 0 else None
-                no_slower = all(s["chunks"][shape]["median_s"] <= superlu["chunks"][shape]["median_s"]
-                                for shape in shapes)
-                level[f"{path}_payback_iterations"] = payback
-                level[f"{path}_no_slower_at_every_chunk"] = no_slower
-                level[f"{path}_pays"] = no_slower and payback is not None and payback <= PAYBACK_ITERATIONS
-            if "whole" in summary:
-                level["blocked_faster_than_whole"] = (
-                    summary["blocked"]["prediction_s"] < summary["whole"]["prediction_s"])
-            level["path_in_module"] = (
-                "whole" if ndof <= sparse_linalg.DENSE_MAX_NDOF
-                else "blocked" if max(level["block_sizes"]) <= sparse_linalg.BLOCK_MAX_NDOF
-                else "superlu")
-            level["paths"] = {path: {k: v for k, v in s.items() if k != "chunks"} for path, s in summary.items()}
+            superlu, blocked = summary["superlu"], summary["blocked"]
+            saving = superlu["prediction_s"] - blocked["prediction_s"]
+            extra = blocked["build"]["median_s"] - superlu["build"]["median_s"]
+            payback = max(extra, 0.0) / saving if saving > 0 else None
+            no_slower = all(blocked["chunks"][shape]["median_s"] <= superlu["chunks"][shape]["median_s"]
+                            for shape in shapes)
+            level = {"example": example, "n": n, "ndof": ndof, "M": M, "block_sizes": sys_.block_sizes,
+                     "blocked_payback_iterations": payback,
+                     "blocked_no_slower_at_every_chunk": no_slower,
+                     "blocked_pays": no_slower and payback is not None and payback <= PAYBACK_ITERATIONS,
+                     "path_in_module": ("blocked" if max(sys_.block_sizes) <= sparse_linalg.BLOCK_MAX_NDOF
+                                        else "superlu"),
+                     "paths": {path: {k: v for k, v in s.items() if k != "chunks"} for path, s in summary.items()}}
             levels.append(level)
             print(f"{example} n={n:2d} ndof={ndof:4d} M={M:3d} blocks={level['block_sizes']} prediction "
                   + " ".join(f"{p}={1e6 * s['prediction_s']:8.1f}us/build {1e3 * s['build']['median_s']:6.1f}ms"
                              for p, s in summary.items())
-                  + "".join(f" {p}:payback={level.get(p + '_payback_iterations')},pays={level.get(p + '_pays')}"
-                            for p in ("whole", "blocked") if p in summary),
+                  + f" payback={payback} pays={level['blocked_pays']}",
                   flush=True)
 
     def bounds(pays: dict):
@@ -184,32 +153,23 @@ def sweep(repeats: int) -> dict:
         largest = max((d for d in pays if smallest is None or d < smallest), default=None)
         return largest, smallest
 
-    whole, blocked = {}, {}
+    blocked = {}
     for s in levels:
-        if "whole_pays" in s:
-            whole[s["ndof"]] = whole.get(s["ndof"], True) and s["whole_pays"]
-        if s["ndof"] > sparse_linalg.DENSE_MAX_NDOF:  # below it the whole inverse is the candidate
-            size = max(s["block_sizes"])
-            blocked[size] = blocked.get(size, True) and s["blocked_pays"]
-    faster = {s["ndof"]: s["blocked_faster_than_whole"] for s in levels if "blocked_faster_than_whole" in s}
-    crossover = min((d for d in faster if all(faster[e] for e in faster if e >= d)), default=None)
+        size = max(s["block_sizes"])
+        blocked[size] = blocked.get(size, True) and s["blocked_pays"]
     return {
-        "what": "the splitting solver's prediction factors on each factorize path (SuperLU, the "
-                "whole inverse, one inverse per mirror block): chunk solves at every chunk shape "
-                "one prediction uses and a full chunk of CHUNK_COLS columns, the build time of "
-                "the three factors and the stored entries",
+        "what": "the splitting solver's prediction factors in the mirror basis on each factorize "
+                "path (SuperLU per block, one dense inverse per block): chunk solves at every "
+                "chunk shape one prediction uses and a full chunk of CHUNK_COLS columns, the build "
+                "time of the three factors and the stored entries",
         "command": "python3 tools/dense_sweep.py --repeats " + str(repeats),
         "environment": sweep_common.environment(),
         "repeats": repeats,
         "chunk_cols": CHUNK_COLS,
         "payback_iterations_bound": PAYBACK_ITERATIONS,
-        "dense_max_ndof": sparse_linalg.DENSE_MAX_NDOF,
         "block_max_ndof": sparse_linalg.BLOCK_MAX_NDOF,
-        "whole_pays_up_to_ndof": bounds(whole)[0],
-        "whole_does_not_pay_from_ndof": bounds(whole)[1],
         "blocked_pays_up_to_block": bounds(blocked)[0],
         "blocked_does_not_pay_from_block": bounds(blocked)[1],
-        "blocked_faster_than_whole_from_ndof": crossover,
         "levels": levels,
         "runs": runs,
     }
@@ -224,12 +184,8 @@ def main(argv=None) -> int:
         parser.error("--repeats must be at least 5")
     result = sweep(args.repeats)
     args.out.write_text(json.dumps(result, indent=1) + "\n")
-    print(f"DENSE_MAX_NDOF={result['dense_max_ndof']}: the whole inverse pays up to ndof "
-          f"{result['whole_pays_up_to_ndof']}, not from {result['whole_does_not_pay_from_ndof']}")
     print(f"BLOCK_MAX_NDOF={result['block_max_ndof']}: the blocked path pays up to blocks of "
           f"{result['blocked_pays_up_to_block']}, not from {result['blocked_does_not_pay_from_block']}")
-    print(f"blocked predictions are faster than the whole inverse's from ndof "
-          f"{result['blocked_faster_than_whole_from_ndof']}")
     return 0
 
 
