@@ -5,14 +5,15 @@ contraction tests of the iterative solver.  The solve is modal (fast
 diagonalisation): generalised eigendecompositions of the stiffness-mass
 pencil turn the reduced state system into independent scalar tridiagonal
 systems in time, one per mode.  The pencil is first split by the mesh's
-mirror symmetries (``DiscreteSystem.mirror_basis``, formed once per system;
-see ``mirrors``): on the uniform meshes the point reflection through the
-centre and the swap of the coordinates map the operators onto themselves,
-and the symmetry-adapted basis splits the pencil into four diagonal blocks
-of about ndof / 4 each, one dense eigenproblem per block.  Memory is the
-dense blocks and their eigenvectors, about a quarter of one dense
-ndof x ndof matrix, so the number of spatial degrees of freedom is still
-capped.
+mirror symmetries (see ``mirrors``): on the uniform meshes the point
+reflection through the centre and the swap of the coordinates map the
+operators onto themselves.  The oracle changes the system into the
+symmetry-adapted basis once (``DiscreteSystem.in_mirror_basis``, as the
+splitting solver does), where the pencil is block diagonal with four
+blocks of about ndof / 4 each, and solves one dense eigenproblem per block
+(``block_eigh``).  Memory is the dense blocks and their eigenvectors,
+about a quarter of one dense ndof x ndof matrix, so the number of spatial
+degrees of freedom is still capped.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from .discretization import DiscreteSystem, constraint_adjoint, constraint_residual
+from .sparse_linalg import block_rows, dense_block
 
 # Admits n = 64 (ndof 4225: a convergence study over n = 16, 32, 64 took
 # 2.6 s and peaked at 0.19 GB RSS), rejects n = 128 (ndof 16 641: scaled by
@@ -56,23 +58,37 @@ def constraint_blocks(sys: DiscreteSystem) -> tuple[sp.spmatrix, sp.spmatrix]:
     return state_part.tocsr(), control_part.tocsr()
 
 
+def block_eigh(sys: DiscreteSystem) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The generalised eigenpairs (mu_c, W_c) of each diagonal block of the
+    pencil (stiffness, mass) of a system in its mirror basis
+    (``DiscreteSystem.in_mirror_basis``), or of the whole pencil in node
+    coordinates, with W_c^T mass_c W_c = I: one dense ``eigh`` per block."""
+    return [
+        scipy.linalg.eigh(dense_block(sys.stiffness, rows), dense_block(sys.mass, rows))
+        for rows in block_rows(sys.block_sizes)
+    ]
+
+
 def _solve_modal(sys: DiscreteSystem):
     """The modal solve with the pencil split by the system's mirror basis.
 
-    The eigenvectors are block diagonal in the mirror basis, V = Q diag(W_c),
-    one generalised eigenproblem (Q_c^T B Q_c, Q_c^T A Q_c) per block, so
-    neither V nor the dense pencil is formed, and a block's pencil is freed
-    once its eigenproblem is solved.
+    The system is changed into its basis Q once, where its operators are
+    block diagonal.  So are the eigenvectors, V = Q diag(W_c), one
+    generalised eigenproblem per block (``block_eigh``): the modal
+    coordinates of a block are W_c^T applied to its contiguous rows, and
+    neither V nor the dense pencil is formed.  Y and lambda come back to node
+    coordinates with one ``expand_stacked`` each.
     """
-    basis = sys.mirror_basis
-    eig = [scipy.linalg.eigh(k, m) for k, m in zip(basis.blocks(sys.stiffness), basis.blocks(sys.mass))]
-    splits = np.cumsum(basis.sizes)[:-1]
+    sys = sys.in_mirror_basis()
+    eig = block_eigh(sys)
+    rows = block_rows(sys.block_sizes)
 
     def to_modes(X):
-        return np.concatenate([W.T @ x for (_, W), x in zip(eig, basis.project(X))])
+        return np.concatenate([W.T @ X[r] for (_, W), r in zip(eig, rows)])
 
     def from_modes(x):
-        return basis.expand([W @ part for (_, W), part in zip(eig, np.split(x, splits))])
+        out = np.concatenate([W @ x[r] for (_, W), r in zip(eig, rows)])
+        return out if sys.basis is None else sys.basis.expand_stacked(out, out=out)
 
     return modal_sweep(sys, np.concatenate([mu for mu, _ in eig]), to_modes, from_modes)
 
@@ -134,6 +150,8 @@ def solve_kkt(sys: DiscreteSystem, alpha: float) -> KktSolution:
     -tau A lambda; the state part step_plus lambda_m - step_minus
     lambda_{m+1}), and the constraint residual from the step products.
     """
+    if sys.basis is not None:
+        raise ValueError("solve_kkt takes a system in node coordinates and changes its basis itself")
     if not 0.0 < alpha < math.inf:
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
     if alpha != sys.alpha:

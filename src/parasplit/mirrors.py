@@ -6,17 +6,16 @@ themselves.  So does every polynomial in them: the oracle's pencil and
 every operator of the splitting iteration.  In the symmetry-adapted basis
 such an operator is block diagonal, with up to four blocks of about
 ndof / 4.  ``DiscreteSystem.mirror_basis`` forms the basis once per system,
-on first use.  The oracle splits its eigenproblem with it (``blocks``,
-``project``, ``expand``).  The splitting solver runs its whole iteration in
-it (``DiscreteSystem.in_mirror_basis``): the operators as one
-block-diagonal matrix each (``block_diagonal``), the vectors in the
-stacked block coordinates (``project_stacked``, ``expand_stacked``), with
-block c in one contiguous run of rows.
+on first use.  The oracle and the splitting solver both change their
+system into it once (``DiscreteSystem.in_mirror_basis``): the operators
+become one block-diagonal matrix each (``block_diagonal``), the vectors
+take the stacked block coordinates (``project_stacked``), with block c in
+one contiguous run of rows, and a result comes back to node coordinates
+with ``expand_stacked``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -62,57 +61,18 @@ class MirrorBasis:
     def ndof(self) -> int:
         return int(self.orbits.max()) + 1
 
-    def project(self, X: np.ndarray) -> list[np.ndarray]:
-        """Q_c^T X for each block c, X of shape (ndof, k)."""
-        group = self.orbits.shape[0]
-        H = np.tensordot(self.characters, X[self.orbits], axes=1)
-        # each DOF of an orbit recurs |stabiliser| = group * scale**2 times
-        H /= (group * self.scale)[:, None]
-        return [h[keep] for h, keep in zip(H, self.present)]
-
-    def expand(self, blocks: list[np.ndarray]) -> np.ndarray:
-        """sum_c Q_c x_c, the inverse of ``project``."""
-        coeffs = np.zeros(self.present.shape + blocks[0].shape[1:])
-        for c, x in enumerate(blocks):
-            coeffs[c, self.present[c]] = x
-        values = np.tensordot(self.characters.T, coeffs, axes=1)
-        values *= self.scale[:, None]
-        X = np.empty((self.orbits.max() + 1,) + values.shape[2:])
-        X[self.orbits] = values  # the repeats of a DOF carry equal values
-        return X
-
-    @cached_property
-    def _dof_phases(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each DOF's orbit, and its entry in each block's vector of that orbit
-        (0 where the block has none)."""
-        group, n_orb = self.orbits.shape
-        ndof = self.orbits.max() + 1
-        orbit = np.empty(ndof, dtype=np.intp)
-        element = np.empty(ndof, dtype=np.intp)
-        orbit[self.orbits] = np.arange(n_orb)
-        element[self.orbits] = np.arange(group)[:, None]  # any g reaching the DOF
-        return orbit, self.characters[:, element] * (self.scale * self.present)[:, orbit]
-
-    def blocks(self, mat: sp.csr_matrix) -> Iterator[np.ndarray]:
-        """The dense diagonal blocks Q_c^T mat Q_c, one at a time; the rest of
-        Q^T mat Q is round-off for an operator the kept mirrors map onto
-        itself."""
-        orbit, phase = self._dof_phases
-        n_orb = self.orbits.shape[1]
-        rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
-        cols = mat.indices
-        pairs = orbit[rows] * n_orb + orbit[cols]
-        for ph, keep in zip(phase, self.present):
-            full = np.bincount(pairs, ph[rows] * ph[cols] * mat.data, minlength=n_orb * n_orb)
-            yield full.reshape(n_orb, n_orb)[np.ix_(keep, keep)]
-
     def block_diagonal(self, mat: sp.csr_matrix) -> sp.csr_matrix:
         """The diagonal blocks Q_c^T mat Q_c as one sparse block-diagonal
         matrix in the stacked block coordinates (``project_stacked``).  The
         blocks are as sparse as mat: an entry couples two orbits that
         neighbour each other.  For an operator the kept mirrors map onto
         itself the rest of Q^T mat Q is round-off."""
-        orbit, phase = self._dof_phases
+        _, _, reach, _, _ = self._stacked
+        n_orb = self.orbits.shape[1]
+        orbit = reach % n_orb
+        # each DOF's entry in each block's vector of its orbit (0 where the
+        # block has none); every element reaching the DOF gives the same sign
+        phase = self.characters[:, reach // n_orb] * (self.scale * self.present)[:, orbit]
         rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
         cols = mat.indices
         row = np.full(self.present.shape, -1)  # each (block, orbit)'s stacked row

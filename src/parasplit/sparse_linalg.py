@@ -120,6 +120,24 @@ class CholFactor:
         return out
 
 
+def block_rows(sizes: list[int]) -> list[slice]:
+    """The rows of contiguous diagonal blocks of the given sizes, in row order."""
+    bounds = np.cumsum([0, *sizes])
+    return [slice(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def dense_block(mat: sp.csr_matrix, rows: slice) -> np.ndarray:
+    """The diagonal block mat[rows, rows] of a duplicate-free CSR matrix
+    with no entry outside its diagonal blocks, made dense: the rows' run of
+    ``indices`` and ``data`` scattered into a zeroed array, at about a third
+    of the cost of scipy's 2-D slice."""
+    lo, hi = rows.start, rows.stop
+    run = slice(mat.indptr[lo], mat.indptr[hi])
+    block = np.zeros((hi - lo, hi - lo))
+    block[np.repeat(np.arange(hi - lo), np.diff(mat.indptr[lo : hi + 1])), mat.indices[run] - lo] = mat.data[run]
+    return block
+
+
 def _block_inverse(block: np.ndarray, offset: int) -> np.ndarray:
     """The inverse of a dense SPD block by its Cholesky factor, symmetric
     and in C order (a GEMM with LAPACK's Fortran-order result runs slower);
@@ -165,15 +183,15 @@ def factorize(m: sp.spmatrix, sizes: list[int] | None = None) -> CholFactor:
     """
     mat = SparseSpd(m).mat
     n = mat.shape[0]
-    bounds = np.cumsum([0, *([n] if sizes is None else sizes)])
-    if bounds[-1] != n:
-        raise ValueError(f"block sizes sum to {bounds[-1]}, the matrix has {n} rows")
-    rows = [slice(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    sizes = [n] if sizes is None else sizes
+    if sum(sizes) != n:
+        raise ValueError(f"block sizes sum to {sum(sizes)}, the matrix has {n} rows")
+    rows = block_rows(sizes)
     blocks = [mat[r, r] for r in rows]
     if sum(block.count_nonzero() for block in blocks) != mat.count_nonzero():
         raise ValueError("matrix has entries outside its diagonal blocks")
     parts = [
-        _block_inverse(block.toarray(), r.start) if r.stop - r.start <= BLOCK_MAX_NDOF
+        _block_inverse(dense_block(mat, r), r.start) if r.stop - r.start <= BLOCK_MAX_NDOF
         else _superlu(block, r.start)
         for block, r in zip(blocks, rows)
     ]

@@ -58,8 +58,9 @@ def test_blas_thread_list_matches_the_suite(path):
 
 
 def test_private_names_the_sweeps_use_exist(monkeypatch):
-    # tools/oracle_sweep.py swaps _solve_modal, calls modal_sweep and
-    # mirrors.mirror_basis, and reads a basis's sizes and blocks;
+    # tools/oracle_sweep.py swaps _solve_modal, calls modal_sweep and the
+    # per-block eigensolve block_eigh on a level in its mirror basis, and
+    # reads a basis's sizes;
     # tools/chunk_sweep.py and tools/dense_sweep.py set CHUNK_COLS and split
     # M with _chunks; tools/dense_sweep.py changes a level into its mirror
     # basis, reads its block_sizes, sets BLOCK_MAX_NDOF to send every block
@@ -68,11 +69,11 @@ def test_private_names_the_sweeps_use_exist(monkeypatch):
     sys_ = build_level(get_example("5.1"), 4)
     basis = mirrors.mirror_basis(sys_)
     assert sum(basis.sizes) == sys_.ndof
-    assert [k.shape[0] for k in basis.blocks(sys_.stiffness)] == basis.sizes
+    in_basis = sys_.in_mirror_basis()
+    assert [len(mu) for mu, _ in kkt_oracle.block_eigh(in_basis)] == basis.sizes
     assert isinstance(splitting_solver.CHUNK_COLS, int)
     chunks = list(splitting_solver._chunks(2 * splitting_solver.CHUNK_COLS + 1))
     assert [c.stop - c.start for c in chunks] == [splitting_solver.CHUNK_COLS] * 2 + [1]
-    in_basis = sys_.in_mirror_basis()
     assert in_basis.block_sizes == basis.sizes
     assert isinstance(sparse_linalg.BLOCK_MAX_NDOF, int)
     config = splitting_solver.SolverConfig(alpha=sys_.alpha, beta=1.0)

@@ -14,7 +14,7 @@ from parasplit import kkt_oracle
 from parasplit.kkt_oracle import solve_kkt
 from parasplit.mirrors import mirror_basis
 from parasplit.mesh import DIRICHLET, NEUMANN, uniform_unit_square
-from parasplit.sparse_linalg import factorize
+from parasplit.sparse_linalg import block_rows, factorize
 
 
 class TestSolveKkt:
@@ -111,6 +111,12 @@ class TestSolveKkt:
             solve_kkt(sys, alpha)
         assert "\n" not in str(err.value)
 
+    def test_system_in_mirror_basis_rejected(self):
+        sys = build_level(get_example("5.1"), 4)
+        with pytest.raises(ValueError, match="takes a system in node coordinates") as err:
+            solve_kkt(sys.in_mirror_basis(), sys.alpha)
+        assert "\n" not in str(err.value)
+
     def test_dimension_cap(self, monkeypatch):
         sys = random_system(6, n=2, M=2)
         monkeypatch.setattr(kkt_oracle, "MAX_NDOF", sys.ndof - 1)
@@ -132,8 +138,7 @@ def _rel(a, b):
 
 def _basis_matrix(basis):
     """Q as a dense matrix, its columns block by block."""
-    eye = np.eye(sum(basis.sizes))
-    return basis.expand(np.split(eye, np.cumsum(basis.sizes)[:-1]))
+    return basis.expand_stacked(np.eye(basis.ndof))
 
 
 class TestMirrorBlocks:
@@ -149,28 +154,23 @@ class TestMirrorBlocks:
         assert (np.count_nonzero(Q, axis=0) <= 4).all()
         assert np.abs(Q.T @ Q - np.eye(sys.ndof)).max() <= 1e-15
         X = np.random.default_rng(n).standard_normal((sys.ndof, 3))
-        ends = np.cumsum([0] + basis.sizes)
-        for c, proj in enumerate(basis.project(X)):
-            assert np.abs(proj - Q[:, ends[c] : ends[c + 1]].T @ X).max() <= 1e-14
+        assert np.abs(basis.project_stacked(X) - Q.T @ X).max() <= 1e-14
         for mat in (sys.stiffness, sys.mass):
             dense = mat.toarray()
             projected = Q.T @ dense @ Q
+            blocked = basis.block_diagonal(mat).toarray()
             scale = np.abs(dense).max()
-            for c, block in enumerate(basis.blocks(mat)):
-                inner = slice(ends[c], ends[c + 1])
-                assert np.abs(block - projected[inner, inner]).max() <= 1e-14 * scale
-                projected[inner, inner] = 0.0
-            assert np.abs(projected).max() <= 1e-14 * scale
+            for inner in block_rows(basis.sizes):
+                assert np.abs(blocked[inner, inner] - projected[inner, inner]).max() <= 1e-14 * scale
+                blocked[inner, inner] = projected[inner, inner] = 0.0
+            assert not blocked.any()  # block_diagonal keeps the diagonal blocks only
+            assert np.abs(projected).max() <= 1e-14 * scale  # what it drops is round-off
 
     @pytest.mark.parametrize("n", [8, 9])
     @pytest.mark.parametrize("name", ["5.1", "5.2"])
     def test_matches_full_pencil(self, name, n):
         sys = build_level(get_example(name), n)
-        basis = mirror_basis(sys)
-        blocked = np.sort(np.concatenate(
-            [scipy.linalg.eigh(k, m, eigvals_only=True)
-             for k, m in zip(basis.blocks(sys.stiffness), basis.blocks(sys.mass))]
-        ))
+        blocked = np.sort(np.concatenate([mu for mu, _ in kkt_oracle.block_eigh(sys.in_mirror_basis())]))
         full = scipy.linalg.eigh(sys.stiffness.toarray(), sys.mass.toarray(), eigvals_only=True)
         assert np.abs(blocked - full).max() <= 1e-12 * full.max()
         sol = solve_kkt(sys, sys.alpha)

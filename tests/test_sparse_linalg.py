@@ -12,6 +12,8 @@ from parasplit.sparse_linalg import (
     BLOCK_MAX_NDOF,
     NotPositiveDefiniteError,
     SparseSpd,
+    block_rows,
+    dense_block,
     factorize,
     solve_multi,
 )
@@ -149,6 +151,13 @@ class TestFactorize:
             factorize(m, [1, 2])
         with pytest.raises(ValueError, match="block sizes sum to 2"):
             factorize(m, [1, 1])
+
+    def test_dense_block_matches_the_slice(self):
+        rng = np.random.default_rng(3)
+        sizes = [4, 1, 6]
+        m = sp.block_diag([_sparse_spd(rng, k) for k in sizes], format="csr")
+        for rows in block_rows(sizes):
+            assert np.array_equal(dense_block(m, rows), m[rows, rows].toarray())
 
     def test_pivot_counts_the_rows_before_its_block(self, monkeypatch):
         m = sp.csr_matrix(np.diag([1.0, 2.0, 3.0, -1.0, 5.0]))

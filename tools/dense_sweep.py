@@ -25,19 +25,23 @@ and times, per path:
             chunk's reused solution array.
 
 A per-call time is the mean of a batch of calls sized to take ~20 ms, so
-it resolves microseconds.  The levels are swept one at a time, and every
-repeat times both paths of the level once, so slow stretches of a shared
-host fall on both alike.  The output holds the median and quartiles of the
-repeats per cell and, per level, the block sizes, each path's stored
-entries (``CholFactor.nnz`` summed over the factors), its solve time of one
-prediction (the chunk medians summed over a prediction's chunks), and the
-blocked path's payback against SuperLU: the iterations after which its
-faster solves have saved its extra build time.  The blocked path pays on a
+it resolves microseconds.  Every level and its factors on both paths are
+built first; then every repeat times every level, both paths of it in
+turn, so a slow stretch of a shared host falls on all levels and both
+paths alike instead of on whole levels.  The output holds the median and
+quartiles of the repeats per cell and, per level, the block sizes, each
+path's stored entries (``CholFactor.nnz`` summed over the factors), its
+solve time of one prediction (the chunk medians summed over a prediction's
+chunks), and the blocked path's payback against SuperLU: the iterations
+after which its faster solves have saved its extra build time, taken in
+each repeat from that repeat's samples, as the median and quartiles over
+the repeats (None where it never repays).  The blocked path pays on a
 level when it is no slower than SuperLU at every chunk a prediction solves
-and repays within PAYBACK_ITERATIONS iterations.  The output names the
-largest block where it pays and the smallest where it does not, between
-which ``BLOCK_MAX_NDOF`` should fall.  The tool reads the cap; it does not
-set it.
+and its median payback is within PAYBACK_ITERATIONS iterations.  The
+output names the largest block where it pays and the smallest where it
+does not, between which ``BLOCK_MAX_NDOF`` should fall.  The tool reads
+the cap; it does not set it.  All levels' factors are held at once: the
+sweep peaks at about 0.9 GB resident.
 """
 
 import sweep_common
@@ -47,6 +51,7 @@ if __name__ == "__main__":
 
 import argparse
 import json
+import math
 import time
 from collections import Counter
 from contextlib import contextmanager
@@ -79,74 +84,102 @@ def chunk_shapes(M: int) -> Counter:
     return Counter((c.stop - c.start, c.stop == M) for c in _chunks(M))
 
 
-def sweep_level(sys_, config, repeats: int, rng) -> tuple[dict, dict]:
-    """Build and chunk-solve times of each path on one level, in its mirror basis."""
+def prepare_level(example: str, n: int) -> dict:
+    """A level in its mirror basis, its chunk right-hand sides, each path's
+    factors and empty sample lists."""
+    problem = experiments.get_example(example)
+    config = SolverConfig(alpha=problem.alpha, beta=problem.beta)
+    sys_ = experiments.build_level(problem, n).in_mirror_basis()
     shapes = chunk_shapes(sys_.grid.M)
     timed = set(shapes) | {(CHUNK_COLS, False)}
+    rng = np.random.default_rng(n)
     rhs = {shape: rng.standard_normal((2, sys_.ndof, shape[0])) for shape in timed}
     factors = {}
     for path in PATHS:
         with cap(path):
             factors[path] = PredictionFactors.build(sys_, config)
     times = {path: {"build": [], **{shape: [] for shape in timed}} for path in PATHS}
-    for _ in range(repeats):
-        for path, f in factors.items():
-            with cap(path):
-                t0 = time.perf_counter()
-                PredictionFactors.build(sys_, config)
-                times[path]["build"].append(time.perf_counter() - t0)
-            for shape, b in rhs.items():
-                out = np.empty_like(b)
-                times[path][shape].append(sweep_common.per_call(partial(f.solve, b, shape[1], out)))
-    nnz = {path: sum(x.nnz for x in vars(f).values() if x is not None) for path, f in factors.items()}
-    return times, nnz
+    return {"example": example, "n": n, "sys": sys_, "config": config, "shapes": shapes,
+            "rhs": rhs, "factors": factors, "times": times}
+
+
+def time_level(level: dict) -> None:
+    """One repeat of a level: both paths' build and chunk solves, one sample each."""
+    sys_, config, times = level["sys"], level["config"], level["times"]
+    for path, f in level["factors"].items():
+        with cap(path):
+            t0 = time.perf_counter()
+            PredictionFactors.build(sys_, config)
+            times[path]["build"].append(time.perf_counter() - t0)
+        for shape, b in level["rhs"].items():
+            out = np.empty_like(b)
+            times[path][shape].append(sweep_common.per_call(partial(f.solve, b, shape[1], out)))
+
+
+def paybacks(times: dict, shapes: Counter) -> list[float]:
+    """The blocked path's payback in each repeat, from that repeat's samples
+    of both paths: its extra build time over its saving per prediction
+    (inf when it saves nothing)."""
+    out = []
+    for r in range(len(times["blocked"]["build"])):
+        prediction = {path: sum(count * t[shape][r] for shape, count in shapes.items())
+                      for path, t in times.items()}
+        saving = prediction["superlu"] - prediction["blocked"]
+        extra = times["blocked"]["build"][r] - times["superlu"]["build"][r]
+        out.append(max(extra, 0.0) / saving if saving > 0 else math.inf)
+    return out
+
+
+def finite(x: float) -> float | None:
+    return None if math.isinf(x) else float(x)
 
 
 def sweep(repeats: int) -> dict:
     quartiles = sweep_common.quartiles
-    runs, levels = [], []
-    for example in EXAMPLES:
-        problem = experiments.get_example(example)
-        config = SolverConfig(alpha=problem.alpha, beta=problem.beta)
-        for n in MESHES:
-            sys_ = experiments.build_level(problem, n).in_mirror_basis()
-            M, ndof = sys_.grid.M, sys_.ndof
-            shapes = chunk_shapes(M)
-            times, nnz = sweep_level(sys_, config, repeats, np.random.default_rng(n))
-            summary = {}
-            for path, t in times.items():
-                chunk = {shape: quartiles(s) for shape, s in t.items() if shape != "build"}
-                summary[path] = {
-                    "build": quartiles(t["build"]),
-                    "prediction_s": sum(count * chunk[shape]["median_s"] for shape, count in shapes.items()),
-                    "stored_entries": nnz[path],
-                    "chunks": chunk,
-                }
-                for shape, q in chunk.items():
-                    runs.append({
-                        "example": example, "n": n, "ndof": ndof, "M": M, "path": path,
-                        "columns": shape[0], "terminal": shape[1],
-                        "chunks_per_prediction": shapes[shape], **q, "samples_s": t[shape],
-                    })
-            superlu, blocked = summary["superlu"], summary["blocked"]
-            saving = superlu["prediction_s"] - blocked["prediction_s"]
-            extra = blocked["build"]["median_s"] - superlu["build"]["median_s"]
-            payback = max(extra, 0.0) / saving if saving > 0 else None
-            no_slower = all(blocked["chunks"][shape]["median_s"] <= superlu["chunks"][shape]["median_s"]
-                            for shape in shapes)
-            level = {"example": example, "n": n, "ndof": ndof, "M": M, "block_sizes": sys_.block_sizes,
-                     "blocked_payback_iterations": payback,
-                     "blocked_no_slower_at_every_chunk": no_slower,
-                     "blocked_pays": no_slower and payback is not None and payback <= PAYBACK_ITERATIONS,
-                     "path_in_module": ("blocked" if max(sys_.block_sizes) <= sparse_linalg.BLOCK_MAX_NDOF
-                                        else "superlu"),
-                     "paths": {path: {k: v for k, v in s.items() if k != "chunks"} for path, s in summary.items()}}
-            levels.append(level)
-            print(f"{example} n={n:2d} ndof={ndof:4d} M={M:3d} blocks={level['block_sizes']} prediction "
-                  + " ".join(f"{p}={1e6 * s['prediction_s']:8.1f}us/build {1e3 * s['build']['median_s']:6.1f}ms"
-                             for p, s in summary.items())
-                  + f" payback={payback} pays={level['blocked_pays']}",
-                  flush=True)
+    levels = [prepare_level(example, n) for example in EXAMPLES for n in MESHES]
+    for _ in range(repeats):
+        for level in levels:
+            time_level(level)
+
+    runs, summaries = [], []
+    for level in levels:
+        example, n, sys_, shapes, times = (level[k] for k in ("example", "n", "sys", "shapes", "times"))
+        M, ndof = sys_.grid.M, sys_.ndof
+        nnz = {path: sum(x.nnz for x in vars(f).values() if x is not None)
+               for path, f in level["factors"].items()}
+        summary = {}
+        for path, t in times.items():
+            chunk = {shape: quartiles(s) for shape, s in t.items() if shape != "build"}
+            summary[path] = {
+                "build": quartiles(t["build"]),
+                "prediction_s": sum(count * chunk[shape]["median_s"] for shape, count in shapes.items()),
+                "stored_entries": nnz[path],
+                "chunks": chunk,
+            }
+            for shape, q in chunk.items():
+                runs.append({
+                    "example": example, "n": n, "ndof": ndof, "M": M, "path": path,
+                    "columns": shape[0], "terminal": shape[1],
+                    "chunks_per_prediction": shapes[shape], **q, "samples_s": t[shape],
+                })
+        superlu, blocked = summary["superlu"], summary["blocked"]
+        q1, payback, q3 = np.quantile(paybacks(times, shapes), [0.25, 0.5, 0.75], method="nearest")
+        no_slower = all(blocked["chunks"][shape]["median_s"] <= superlu["chunks"][shape]["median_s"]
+                        for shape in shapes)
+        summaries.append({
+            "example": example, "n": n, "ndof": ndof, "M": M, "block_sizes": sys_.block_sizes,
+            "blocked_payback_iterations": finite(payback),
+            "blocked_payback_quartiles": [finite(q1), finite(q3)],
+            "blocked_no_slower_at_every_chunk": no_slower,
+            "blocked_pays": bool(no_slower and payback <= PAYBACK_ITERATIONS),
+            "path_in_module": ("blocked" if max(sys_.block_sizes) <= sparse_linalg.BLOCK_MAX_NDOF
+                               else "superlu"),
+            "paths": {path: {k: v for k, v in s.items() if k != "chunks"} for path, s in summary.items()},
+        })
+        print(f"{example} n={n:2d} ndof={ndof:4d} M={M:3d} blocks={sys_.block_sizes} prediction "
+              + " ".join(f"{p}={1e6 * s['prediction_s']:8.1f}us/build {1e3 * s['build']['median_s']:6.1f}ms"
+                         for p, s in summary.items())
+              + f" payback={payback:.3g} [{q1:.3g}, {q3:.3g}] pays={summaries[-1]['blocked_pays']}")
 
     def bounds(pays: dict):
         smallest = min((d for d, ok in pays.items() if not ok), default=None)
@@ -154,7 +187,7 @@ def sweep(repeats: int) -> dict:
         return largest, smallest
 
     blocked = {}
-    for s in levels:
+    for s in summaries:
         size = max(s["block_sizes"])
         blocked[size] = blocked.get(size, True) and s["blocked_pays"]
     return {
@@ -170,7 +203,7 @@ def sweep(repeats: int) -> dict:
         "block_max_ndof": sparse_linalg.BLOCK_MAX_NDOF,
         "blocked_pays_up_to_block": bounds(blocked)[0],
         "blocked_does_not_pay_from_block": bounds(blocked)[1],
-        "levels": levels,
+        "levels": summaries,
         "runs": runs,
     }
 
