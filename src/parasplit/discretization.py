@@ -65,8 +65,10 @@ class DiscreteSystem:
     already includes the step_minus @ y0 contribution), ``desired_loads``
     the M load vectors of the desired state, and ``tracking_loads`` those
     loads weighted by tau * kappa_m: the linear term of the objective.  The
-    operators are CSR matrices.  ``tracking_loads`` and ``mirror_basis`` are
-    formed on first use.
+    operators are CSR matrices.  The Crank-Nicolson step matrices
+    ``step_plus`` and ``step_minus``, ``tracking_loads`` and
+    ``mirror_basis`` are derived from the fields on first use, so
+    ``dataclasses.replace`` makes a copy that derives its own.
 
     ``basis`` is None for a system in node coordinates, as ``build_system``
     makes it.  ``in_mirror_basis`` gives the same system in the stacked
@@ -77,8 +79,6 @@ class DiscreteSystem:
     grid: TimeGrid
     mass: sp.csr_matrix
     stiffness: sp.csr_matrix
-    step_plus: sp.csr_matrix
-    step_minus: sp.csr_matrix
     rhs: np.ndarray
     desired_loads: np.ndarray
     y0_nodal: np.ndarray
@@ -104,6 +104,16 @@ class DiscreteSystem:
         return k
 
     @cached_property
+    def step_plus(self) -> sp.csr_matrix:
+        """The Crank-Nicolson step matrix of the new state Y_m."""
+        return self.mass + (self.grid.tau / 2.0) * self.stiffness
+
+    @cached_property
+    def step_minus(self) -> sp.csr_matrix:
+        """The Crank-Nicolson step matrix of the previous state Y_{m-1}."""
+        return self.mass - (self.grid.tau / 2.0) * self.stiffness
+
+    @cached_property
     def tracking_loads(self) -> np.ndarray:
         """The trapezoid-weighted desired loads (tau * kappa_m) d_m, formed on
         first use; ``dataclasses.replace`` makes a copy that forms its own."""
@@ -120,23 +130,20 @@ class DiscreteSystem:
     def in_mirror_basis(self) -> DiscreteSystem:
         """This system in the stacked block coordinates of its mirror basis
         Q (``mirrors``).  Mass and stiffness become block-diagonal CSR
-        matrices, their blocks Q_c^T A Q_c in row order, and the step
-        matrices are formed from them as ``build_system`` forms them.
-        ``rhs`` and ``desired_loads`` are projected (Q^T).  Q is orthogonal,
-        so every Euclidean inner product is kept.  ``space``, ``y0_nodal``
-        and ``desired_state`` stay in node terms.  A system whose basis has
-        one block (no mirror kept, Q = I) is returned as it is."""
-        if self.basis is not None or len(self.mirror_basis.sizes) == 1:
+        matrices, their blocks Q_c^T A Q_c in row order, from which the
+        step matrices are derived.  ``rhs`` and ``desired_loads`` are
+        projected (Q^T).  Q is orthogonal, so every Euclidean inner product
+        is kept.  ``space``, ``y0_nodal`` and ``desired_state`` stay in node
+        terms.  A system without a mirror gets the one-block basis, Q = I,
+        whose change of basis copies every entry unchanged.  A system
+        already in its basis is returned as it is."""
+        if self.basis is not None:
             return self
         basis = self.mirror_basis
-        half_tau = self.grid.tau / 2.0
-        mass, stiffness = basis.block_diagonal(self.mass), basis.block_diagonal(self.stiffness)
         return replace(
             self,
-            mass=mass,
-            stiffness=stiffness,
-            step_plus=mass + half_tau * stiffness,
-            step_minus=mass - half_tau * stiffness,
+            mass=basis.block_diagonal(self.mass),
+            stiffness=basis.block_diagonal(self.stiffness),
             rhs=basis.project_stacked(self.rhs),
             desired_loads=basis.project_stacked(self.desired_loads),
             basis=basis,
@@ -154,11 +161,6 @@ def build_system(problem, space: FemSpace, grid: TimeGrid) -> DiscreteSystem:
     if space.ndof == 0:
         raise ValueError(f"the {space.bc} space has no unknowns: every mesh node is a boundary node")
     tau = grid.tau
-    mass = assemble_mass(space)
-    stiffness = assemble_stiffness(space)
-    step_plus = mass + (tau / 2.0) * stiffness
-    step_minus = mass - (tau / 2.0) * stiffness
-
     y0_nodal = interpolate_nodal(space, problem.y0)
 
     M = grid.M
@@ -170,21 +172,20 @@ def build_system(problem, space: FemSpace, grid: TimeGrid) -> DiscreteSystem:
         t_node = times[m + 1]
         rhs[:, m] = tau * load_vector(space, lambda x1, x2: problem.f(x1, x2, t_mid))
         desired[:, m] = load_vector(space, lambda x1, x2: problem.y_d(x1, x2, t_node))
-    rhs[:, 0] += step_minus @ y0_nodal
 
-    return DiscreteSystem(
+    sys = DiscreteSystem(
         space=space,
         grid=grid,
-        mass=mass,
-        stiffness=stiffness,
-        step_plus=step_plus,
-        step_minus=step_minus,
+        mass=assemble_mass(space),
+        stiffness=assemble_stiffness(space),
         rhs=rhs,
         desired_loads=desired,
         y0_nodal=y0_nodal,
         alpha=problem.alpha,
         desired_state=problem.y_d,
     )
+    rhs[:, 0] += sys.step_minus @ y0_nodal  # rhs is the system's array
+    return sys
 
 
 def _check_trajectory(sys: DiscreteSystem, arr: np.ndarray, name: str) -> np.ndarray:

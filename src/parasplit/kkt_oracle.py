@@ -73,11 +73,13 @@ def _solve_modal(sys: DiscreteSystem):
     """The modal solve with the pencil split by the system's mirror basis.
 
     The system is changed into its basis Q once, where its operators are
-    block diagonal.  So are the eigenvectors, V = Q diag(W_c), one
-    generalised eigenproblem per block (``block_eigh``): the modal
-    coordinates of a block are W_c^T applied to its contiguous rows, and
-    neither V nor the dense pencil is formed.  Y and lambda come back to node
-    coordinates with one ``expand_stacked`` each.
+    block diagonal; a system without a mirror gets the one-block basis,
+    Q = I, and one eigenproblem of the whole pencil.  The eigenvectors are
+    V = Q diag(W_c), one generalised eigenproblem per block
+    (``block_eigh``): the modal coordinates of a block are W_c^T applied to
+    its contiguous rows, and neither V nor the dense pencil is formed.  Y
+    and lambda come back to node coordinates with one ``expand_stacked``
+    each.
     """
     sys = sys.in_mirror_basis()
     eig = block_eigh(sys)
@@ -88,7 +90,7 @@ def _solve_modal(sys: DiscreteSystem):
 
     def from_modes(x):
         out = np.concatenate([W @ x[r] for (_, W), r in zip(eig, rows)])
-        return out if sys.basis is None else sys.basis.expand_stacked(out, out=out)
+        return sys.basis.expand_stacked(out, out=out)
 
     return modal_sweep(sys, np.concatenate([mu for mu, _ in eig]), to_modes, from_modes)
 

@@ -175,7 +175,8 @@ def factorize(m: sp.spmatrix, sizes: list[int] | None = None) -> CholFactor:
     factor; a larger one gets SuperLU's factors.
 
     Raises ValueError when ``m`` is not square, has a non-finite entry, is
-    not symmetric, or has an entry outside its blocks, and
+    not symmetric, or has a nonzero entry outside its blocks (a stored zero
+    there is dropped), and
     NotPositiveDefiniteError (with the offending pivot index) when a
     non-positive pivot appears.  A pivot index counts the block's rows
     before it, then the rows of a dense block, or SuperLU's fill-reducing
@@ -186,14 +187,18 @@ def factorize(m: sp.spmatrix, sizes: list[int] | None = None) -> CholFactor:
     sizes = [n] if sizes is None else sizes
     if sum(sizes) != n:
         raise ValueError(f"block sizes sum to {sum(sizes)}, the matrix has {n} rows")
-    rows = block_rows(sizes)
-    blocks = [mat[r, r] for r in rows]
-    if sum(block.count_nonzero() for block in blocks) != mat.count_nonzero():
+    block = np.repeat(np.arange(len(sizes)), sizes)  # each row's (and column's) block
+    outside = np.repeat(block, np.diff(mat.indptr)) != block[mat.indices]
+    if mat.data[outside].any():
         raise ValueError("matrix has entries outside its diagonal blocks")
+    if outside.any():  # stored zeros only, which a block must not take
+        mat = mat.copy()
+        mat.eliminate_zeros()
+    rows = block_rows(sizes)
     parts = [
         _block_inverse(dense_block(mat, r), r.start) if r.stop - r.start <= BLOCK_MAX_NDOF
-        else _superlu(block, r.start)
-        for block, r in zip(blocks, rows)
+        else _superlu(mat[r, r], r.start)
+        for r in rows
     ]
     return CholFactor(rows, parts)
 

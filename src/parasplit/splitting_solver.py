@@ -13,17 +13,17 @@ and expands the result back to node coordinates.  Every operator the loop
 touches is a polynomial in the mass and stiffness, so in that basis it is
 block diagonal, with up to four blocks of about ndof / 4 in contiguous runs
 of rows; Q is orthogonal, so every norm the loop forms is the node-space
-one up to round-off.  A system without a mirror is one block, and its loop
-runs in node coordinates.  The loop's functions take any system, in node
-coordinates or in the basis.  ``PredictionFactors.build`` forms and factors
-the subproblems' normal matrices from the system's mass, stiffness and step
-matrices, block by block (``sparse_linalg.factorize``): a dense inverse per
-block of at most ``BLOCK_MAX_NDOF`` unknowns, SuperLU's factors above.  A
-chunk's solve is then one dense product per block and factor, on a
-contiguous row slice of the chunk's buffer (``chunk_buffers``).  The box
-variant's projection onto the bounds holds in node coordinates: each chunk
-expands its columns of Y - mu / beta, clips them and projects them back, in
-arrays it reuses every iteration.
+one up to round-off.  A system without a mirror gets the one-block basis
+(Q = I), so every solve runs the same loop.  The loop's functions take any
+system, in node coordinates or in the basis.  ``PredictionFactors.build``
+forms and factors the subproblems' normal matrices from the system's mass,
+stiffness and step matrices, block by block (``sparse_linalg.factorize``):
+a dense inverse per block of at most ``BLOCK_MAX_NDOF`` unknowns,
+SuperLU's factors above.  A chunk's solve is then one dense product per
+block and factor, on a contiguous row slice of the chunk's buffer
+(``chunk_buffers``).  The box variant's projection onto the bounds holds in
+node coordinates: each chunk expands its columns of Y - mu / beta, clips
+them and projects them back, in arrays it reuses every iteration.
 
 An iterate is one stacked array: the slabs U, Y, lam and, in the box
 variant, P and mu.  The constraint map is linear, so the loop carries the
@@ -405,12 +405,14 @@ def control_product(sys: DiscreteSystem, config: SolverConfig, rhs: np.ndarray, 
 def project_copies(sys: DiscreteSystem, w: Iterate, config: SolverConfig, cols: slice, out, Z, work) -> None:
     """The box variant's copies P~ = clip(Y - mu / beta) of the time steps
     ``cols``, into ``out``, formed in Z, a C-contiguous (ndof, k) array.
-    The bounds hold in node coordinates, so in the mirror basis the columns
-    are expanded, clipped and projected back, in ``work``
-    (``MirrorBasis.work``; unused in node coordinates)."""
+    The bounds hold in node coordinates, so in a mirror basis of several
+    blocks the columns are expanded, clipped and projected back, in
+    ``work`` (``MirrorBasis.work``).  With one block, in node coordinates
+    or in the basis of a system without a mirror (Q = I), they are clipped
+    as they are."""
     np.divide(w.mu[:, cols], config.beta, out=Z)
     np.subtract(w.Y[:, cols], Z, out=Z)
-    if sys.basis is None:
+    if len(sys.block_sizes) == 1:
         np.clip(Z, *config.bounds, out=out)
         return
     sys.basis.expand_stacked(Z, out=Z, work=work)
@@ -437,11 +439,11 @@ def chunk_buffers(sys: DiscreteSystem, box: bool) -> list[tuple]:
     """The arrays each chunk's task reuses every iteration, in chunk order:
     its right-hand sides and its solutions, each of shape (2, ndof, k), and
     the basis's work arrays for ``project_copies`` (None unless the box
-    variant runs in a mirror basis)."""
+    variant runs in a mirror basis of several blocks)."""
     buffers = []
     for cols in _chunks(sys.grid.M):
         k = cols.stop - cols.start
-        work = sys.basis.work((sys.ndof, k)) if box and sys.basis is not None else None
+        work = sys.basis.work((sys.ndof, k)) if box and len(sys.block_sizes) > 1 else None
         buffers.append((np.empty((2, sys.ndof, k)), np.empty((2, sys.ndof, k)), work))
     return buffers
 
@@ -621,25 +623,17 @@ def _worker_pool(thread_count: int):
     return ThreadPoolExecutor(min(thread_count, cpus))
 
 
-def _to_nodes(basis: MirrorBasis, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The slabs of an iterate z, shape (slabs, ndof, M) in the stacked
-    block coordinates of ``basis``, in node coordinates: into ``out`` (z's
-    shape, not z itself), or a new array.  The one change of basis of
-    whole iterates."""
-    return basis.expand_stacked(z, out=out)
-
-
 class _NodeView(Iterate):
     """An iterate in the stacked block coordinates of ``basis``, seen in
     node coordinates without products: ``z`` is expanded on first read."""
 
     def __init__(self, basis: MirrorBasis, z: np.ndarray):
-        self._source = (basis, z)
+        self._expand = partial(basis.expand_stacked, z)
         self.products = None
 
     @cached_property
     def z(self) -> np.ndarray:
-        return _to_nodes(*self._source)
+        return self._expand()
 
 
 def solve(sys: DiscreteSystem, config: SolverConfig, monitor=None) -> tuple[Iterate, SolveReport]:
@@ -681,8 +675,7 @@ def solve(sys: DiscreteSystem, config: SolverConfig, monitor=None) -> tuple[Iter
     w = Iterate.zeros(sys.ndof, sys.grid.M, box=box)
     if box:
         np.clip(w.P, *config.bounds, out=w.P)
-        if basis is not None:
-            basis.project_stacked(w.P, out=w.P)
+        basis.project_stacked(w.P, out=w.P)
     w.products = constraint_products(sys, w.Y, w.U)
     spare = Iterate(np.empty_like(w.z), np.empty_like(w.products))
     q = compute_q(sys, w, config.beta)
@@ -701,7 +694,7 @@ def solve(sys: DiscreteSystem, config: SolverConfig, monitor=None) -> tuple[Iter
         while k < config.k_max:
             k += 1
             if monitor is not None:
-                monitor(k, Iterate(w.z) if basis is None else _NodeView(basis, w.z))
+                monitor(k, _NodeView(basis, w.z))
             t1 = time.perf_counter()
             predict(sys, w, config, factors, pool, buffers, q=q, out=spare)
             t2 = time.perf_counter()
@@ -728,12 +721,11 @@ def solve(sys: DiscreteSystem, config: SolverConfig, monitor=None) -> tuple[Iter
     carried = w.products[3] - sys.rhs
     w.products = spare.products = None  # the loop's storage goes before the change of basis
     buffers.clear()
-    result = Iterate(w.z if basis is None else _to_nodes(basis, w.z, out=spare.z))
+    result = Iterate(basis.expand_stacked(w.z, out=spare.z))
     if box:
         np.clip(result.P, *config.bounds, out=result.P)  # the change of basis rounds
     residual = constraint_residual(node, result.Y, result.U)
-    recomputed = residual if basis is None else basis.project_stacked(residual)
-    drift = np.linalg.norm(carried - recomputed) / max(1.0, np.linalg.norm(sys.rhs))
+    drift = np.linalg.norm(carried - basis.project_stacked(residual)) / max(1.0, np.linalg.norm(sys.rhs))
     report = SolveReport(
         iterations=k,
         stop_reason=stop_reason,

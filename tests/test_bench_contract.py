@@ -5,7 +5,8 @@
 rename in the package would break those runs only.  The benchmark, the
 sweeps and this suite each pin BLAS to one thread from their own list of
 environment variables.  These tests keep a rename, or a drift between the
-lists, visible in the regular suite.
+lists, visible in the regular suite, and run the sweeps' oracle cells and
+one repeat of the dense sweep on a small level.
 """
 
 import ast
@@ -24,12 +25,16 @@ ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "bench" / "tracing.py"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+def _load(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses resolve their module by name
     spec.loader.exec_module(module)
     return module
+
+
+def _load_tracing():
+    return _load("bench_tracing", TRACING)
 
 
 def test_every_patched_name_exists():
@@ -85,3 +90,37 @@ def test_private_names_the_sweeps_use_exist(monkeypatch):
         out = np.full_like(rhs, np.nan)
         factors.solve(rhs, True, out)
         assert np.isfinite(out).all()
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """tools/oracle_sweep.py and tools/dense_sweep.py, loaded by path as
+    their own directory would import them (they import ``sweep_common``)."""
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    return {name: _load(f"tools_{name}", ROOT / "tools" / f"{name}.py") for name in ("oracle_sweep", "dense_sweep")}
+
+
+@pytest.mark.parametrize("example", ["5.1", "5.2"])
+def test_oracle_sweep_cells_run(sweeps, example):
+    # every timed cell on a small level; the whole-pencil solve agrees with the package's
+    oracle_sweep = sweeps["oracle_sweep"]
+    sys_ = build_level(get_example(example), 4)
+    results = {cell: fn(sys_) for cell, fn in oracle_sweep.CELLS.items()}
+    blocked, full = results["solve_kkt"], results["solve_kkt_full"]
+    for name in ("Y_star", "U_star", "lambda_star"):
+        want = getattr(blocked, name)
+        assert np.linalg.norm(getattr(full, name) - want) <= 1e-10 * np.linalg.norm(want), name
+    assert kkt_oracle._solve_modal is not oracle_sweep.full_pencil_modal  # the swap is undone
+
+
+def test_dense_sweep_times_a_level(sweeps):
+    # one repeat of every cell on both paths, and the module's cap put back
+    dense_sweep = sweeps["dense_sweep"]
+    cap = sparse_linalg.BLOCK_MAX_NDOF
+    level = dense_sweep.prepare_level("5.1", 4)
+    dense_sweep.time_level(level)
+    assert level["times"].keys() == dense_sweep.PATHS.keys()
+    for path, times in level["times"].items():
+        assert times.keys() == {"build", *level["rhs"]}, path
+        assert all(len(t) == 1 and t[0] > 0.0 for t in times.values()), path
+    assert sparse_linalg.BLOCK_MAX_NDOF == cap

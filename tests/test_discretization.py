@@ -57,8 +57,8 @@ class TestBuildSystem:
         prob = toy_problem(NEUMANN)
         prob.y0 = lambda x1, x2: 1.0 + x1 - x2
         sys = build_system(prob, space, TimeGrid(T=1.0, M=1))
-        expected = sys.step_minus @ interpolate_nodal(space, prob.y0)
-        assert np.allclose(sys.rhs[:, 0], expected, atol=1e-15)
+        # the source is zero, so the first block is the step_minus product alone
+        assert np.array_equal(sys.rhs[:, 0], sys.step_minus @ interpolate_nodal(space, prob.y0))
 
     def test_no_unknowns_rejected(self):
         # Dirichlet mode at n = 1: every node is on the boundary.
@@ -70,13 +70,30 @@ class TestBuildSystem:
         with pytest.raises(ValueError, match="boundary"):
             build_system(toy_problem(DIRICHLET), space, TimeGrid(T=1.0, M=1))
 
+    @staticmethod
+    def _assert_step_pair(sys, mass, stiffness):
+        """The Crank-Nicolson step matrices average to the mass and differ
+        by tau times the stiffness."""
+        plus, minus = sys.step_plus.toarray(), sys.step_minus.toarray()
+        assert np.allclose((plus + minus) / 2.0, mass.toarray(), rtol=0, atol=1e-15)
+        assert np.allclose((plus - minus) / sys.grid.tau, stiffness.toarray(), rtol=0, atol=1e-14)
+
     def test_step_matrices(self):
         sys = random_system(0, n=2, M=2)
-        tau = sys.grid.tau
-        A, B = sys.mass.toarray(), sys.stiffness.toarray()
-        assert np.allclose(sys.step_plus.toarray(), A + 0.5 * tau * B, atol=1e-15)
-        assert np.allclose(sys.step_minus.toarray(), A - 0.5 * tau * B, atol=1e-15)
+        self._assert_step_pair(sys, sys.mass, sys.stiffness)
         factorize(sys.step_plus)  # must be positive definite
+
+    def test_step_matrices_follow_a_replaced_operator(self):
+        # they are derived from the copy's own fields, not carried over from
+        # the system it was replaced from (which formed its pair first)
+        sys = random_system(0, n=2, M=2)
+        sys.step_plus, sys.step_minus
+        stiffness = 2.0 * sys.stiffness
+        stiffer = dataclasses.replace(sys, stiffness=stiffness)
+        self._assert_step_pair(stiffer, sys.mass, stiffness)
+        finer = dataclasses.replace(sys, grid=TimeGrid(T=sys.grid.T, M=4 * sys.grid.M))
+        self._assert_step_pair(finer, sys.mass, sys.stiffness)
+        assert not np.allclose(finer.step_plus.toarray(), sys.step_plus.toarray())
 
     def test_kappa_weights(self):
         sys = random_system(0, n=1, M=4)

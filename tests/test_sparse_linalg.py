@@ -152,6 +152,18 @@ class TestFactorize:
         with pytest.raises(ValueError, match="block sizes sum to 2"):
             factorize(m, [1, 1])
 
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_stored_zero_outside_the_blocks_accepted(self, dense, monkeypatch):
+        # a stored entry counts only when it is nonzero, on both paths
+        monkeypatch.setattr(sparse_linalg, "BLOCK_MAX_NDOF", BLOCK_MAX_NDOF if dense else 0)
+        data, indices, indptr = [2.0, 1.0, 0.0, 1.0, 2.0, 0.0, 2.0], [0, 1, 2, 0, 1, 0, 2], [0, 3, 5, 7]
+        m = sp.csr_matrix((data, indices, indptr), shape=(3, 3))
+        assert m.nnz == 7 and m.count_nonzero() == 5
+        f = factorize(m, [2, 1])
+        assert f.dense is dense
+        np.testing.assert_allclose(m @ f.solve(np.ones(3)), 1.0, rtol=1e-14)
+        assert m.nnz == 7  # the caller's matrix keeps its stored zeros
+
     def test_dense_block_matches_the_slice(self):
         rng = np.random.default_rng(3)
         sizes = [4, 1, 6]
