@@ -196,42 +196,36 @@ def _check_trajectory(sys: DiscreteSystem, arr: np.ndarray, name: str) -> np.nda
 
 
 def constraint_products(sys: DiscreteSystem, Y: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """The constraint map and its sparse products, stacked: shape (4, ndof, M).
+    """The constraint map and its sparse products by block row, stacked:
+    shape (4, ndof, M).
 
-    The slabs are A U, step_plus Y, step_minus Y and the homogeneous
-    constraint map Cz, whose block m is step_plus Y_m - tau A U_m
-    - step_minus Y_{m-1} (no step_minus term for m = 1); the last column of
-    step_minus Y enters no block.  All four are linear in (U, Y), so the
+    Block m of the homogeneous constraint map Cz is step_plus Y_m
+    - tau A U_m - step_minus Y_{m-1}, and the slabs are its terms in the
+    block row they enter: A U, step_plus Y, step_minus Y shifted one step
+    (column m holds step_minus Y_{m-1}; column 0 is zero, as block 1 has
+    no step_minus term) and Cz.  All four are linear in (U, Y), so the
     products of a combination of trajectories are the same combination of
     their products.
     """
     out = np.empty((4,) + U.shape)
     out[0] = sys.mass @ U
     out[1] = sys.step_plus @ Y
-    out[2] = sys.step_minus @ Y
+    out[2, :, 0] = 0.0
+    out[2, :, 1:] = sys.step_minus @ Y[:, :-1]
     return fill_constraint_map(sys, out)
 
 
 def fill_constraint_map(sys: DiscreteSystem, products: np.ndarray) -> np.ndarray:
-    """Write slab 3 (Cz) of a ``constraint_products`` array from its slabs 0-2.
-
-    Block m of Cz reads the step_minus product of column m - 1, so this is
-    the one step that couples the columns; each row is still its own, so
-    ``products`` may be a row block (``products[:, rows]``) of a larger
-    array.  Its slabs must be C-contiguous, as a whole array's and a row
-    block's are; a non-contiguous Cz raises.  Works in place.  Returns
-    ``products``.
+    """Write slab 3 (Cz) of a ``constraint_products`` array from its slabs
+    0-2: Cz = step_plus Y - tau A U - slab 2, elementwise, since slab 2
+    already holds each block row's step_minus term.  ``products`` may be
+    any block of rows and columns of a larger array.  Works in place.
+    Returns ``products``.
     """
-    Cz, MY = products[3], products[2]
+    Cz = products[3]
     np.multiply(sys.grid.tau, products[0], out=Cz)
     np.subtract(products[1], Cz, out=Cz)
-    # The shift as one contiguous pass: it also takes each row's last
-    # step_minus column from the next row's column 0, which is put back.
-    first = Cz[:, 0].copy()
-    flat = Cz.view()
-    flat.shape = -1  # raises where reshape would copy and lose the shift
-    flat[1:] -= MY.reshape(-1)[:-1]
-    Cz[:, 0] = first
+    np.subtract(Cz, products[2], out=Cz)
     return products
 
 

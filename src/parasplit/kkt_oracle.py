@@ -169,10 +169,9 @@ def solve_kkt(sys: DiscreteSystem, alpha: float) -> KktSolution:
     grad = constraint_adjoint(sys, lam)
     np.subtract(alpha * tau * (sys.mass @ U), grad[0], out=grad[0])
     np.subtract((sys.kappa * tau) * (sys.mass @ Y) - b, grad[1], out=grad[1])
-    fvec = sys.rhs.T.ravel()
 
     stat = np.linalg.norm(grad) / (1.0 + np.linalg.norm(b))
-    feas = np.linalg.norm(constraint_residual(sys, Y, U)) / (1.0 + np.linalg.norm(fvec))
+    feas = np.linalg.norm(constraint_residual(sys, Y, U)) / (1.0 + np.linalg.norm(sys.rhs))
     return KktSolution(
         Y_star=Y,
         U_star=U,

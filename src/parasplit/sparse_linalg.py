@@ -203,18 +203,16 @@ def factorize(m: sp.spmatrix, sizes: list[int] | None = None) -> CholFactor:
     return CholFactor(rows, parts)
 
 
-def solve_multi(tasks, pool=None) -> None:
+def solve_multi(tasks, pool=None) -> list:
     """Run a batch of tasks (an iteration's chunk solves, or its row
-    blocks), zero-argument callables that each write their own outputs,
-    and wait for every one.
+    blocks), zero-argument callables, wait for every one and return their
+    results in task order, whichever finished first.
 
     Each task is one unit of ``pool`` (None runs them inline, in order); the
-    first exception a task raised is raised here.  ``splitting_solver``'s
-    module docstring says how an iteration splits into tasks.
+    first exception a task raised, in task order, is raised here.
+    ``splitting_solver``'s module docstring says how an iteration splits
+    into tasks.
     """
     if pool is None:
-        for task in tasks:
-            task()
-        return
-    for future in [pool.submit(task) for task in tasks]:
-        future.result()
+        return [task() for task in tasks]
+    return [future.result() for future in [pool.submit(task) for task in tasks]]

@@ -27,12 +27,13 @@ them and projects them back, in arrays it reuses every iteration.
 
 An iterate is one stacked array: the slabs U, Y, lam and, in the box
 variant, P and mu.  The constraint map is linear, so the loop carries the
-iterate's constraint products (A U, step_plus Y, step_minus Y and the
-constraint map Cz, stacked as ``constraint_products`` returns them) beside
-it.  Each iteration forms the difference d = w - w~ once, over the iterate
-and its products together: the H-norm increment nu^2 ||d||_H^2 reads d's
-products, and ``correct(w, d, nu)`` = w - nu d is the corrected iterate with
-its products.  An iteration then forms four sparse products: two for the
+iterate's constraint products beside it, stacked as ``constraint_products``
+returns them: A U, step_plus Y, step_minus Y and the constraint map Cz, each
+term in the block row it enters, so step_minus Y_m sits in column m + 1 and
+column 0 of that slab is zero.  Each iteration forms the difference
+d = w - w~ once, over the iterate and its products together: the H-norm
+increment nu^2 ||d||_H^2 reads d's products, and ``correct(w, d, nu)``
+= w - nu d is the corrected iterate with its products.  An iteration then forms four sparse products: two for the
 predicted iterate's products and two for the state right-hand sides; A U~
 comes from the control equation.  The control solves use the mass shift
 alpha I + beta tau A, the control normal matrix alpha tau A + beta tau^2 A A
@@ -49,20 +50,21 @@ may run on; a single thread runs every task inline.  An iteration is two
 - one task per chunk of CHUNK_COLS time steps (``predict``): the steps'
   control and state right-hand sides in the chunk's buffer, their solves
   (every state column against the state factor, then step M again against
-  the terminal factor), the predicted products A U~, step_plus Y~ and
-  step_minus Y~ of its columns and the box variant's projected copies P~;
+  the terminal factor), the predicted products A U~ and step_plus Y~ of
+  its columns, step_minus Y~ of its columns one column on (the last
+  step's enters no block row), and the box variant's projected copies P~;
 - one task per row block of the (slabs, ndof, M) arrays, as many blocks as
   chunks (``advance_rows``): C z~, the multipliers (``couple``), the
   difference, its H-norm and the box gap, the correction and the next
-  iteration's q, all for the block's rows.  Every one of them is
-  row-local (C z~'s shift by one time step stays within a row), and a row
-  block of a C-order slab is contiguous.  (Column blocks of these arrays
-  are strided, and a tail split by time columns ran slower than the serial
-  one.)
+  iteration's q, all for the block's rows, and its return value is the
+  rows' share of the H-norm and the gap.  Every one of them is row-local
+  (C z~ is elementwise in the products), and a row block of a C-order
+  slab is contiguous.  (Column blocks of these arrays are strided, and a
+  tail split by time columns ran slower than the serial one.)
 
-The calling thread keeps the monitor and the sum of the row blocks'
-partial norms, in block order: each squared norm sums over rows, so a
-block's norm is its share of the whole's.  Chunks and row blocks are fixed
+The calling thread keeps the monitor and sums the row blocks' partial
+norms, which ``solve_multi`` returns in block order: each squared norm sums
+over rows, so a block's norm is its share of the whole's.  Chunks and row blocks are fixed
 by M alone, so the iterates, increments and gaps are bit-identical for
 every thread count; at M <= CHUNK_COLS there is one row block, and its
 norms are those of the whole arrays.
@@ -103,8 +105,9 @@ class Iterate:
     columns Y and the multiplier block lam.  Box-constrained runs add the
     auxiliary state copies P and their multiplier mu, for shape
     (5, ndof, M); elsewhere ``P`` and ``mu`` are None.  ``products`` holds
-    the constraint products of (U, Y) while the solver carries them, and is
-    None elsewhere (``copy`` leaves them out).
+    the constraint products of (U, Y) while the solver carries them, each
+    term in the block row it enters (``constraint_products``), and is None
+    elsewhere (``copy`` leaves them out).
     """
 
     z: np.ndarray
@@ -330,19 +333,20 @@ def predict_states(
     the step_minus term at the terminal step: the normal matrices
     ``PredictionFactors`` factors carry step_plus^2 + step_minus^2
     (interior) and step_plus^2 (terminal).  The first term is the system's
-    ``tracking_loads``, the products step_plus Y and step_minus Y come from
-    w's products, and the step_minus term reads q one column past the chunk.
-    The sparse products read their arguments from ``work``, two arrays of
-    out's shape (allocated here when not given), where they are contiguous.
+    ``tracking_loads``, and the products step_plus Y and step_minus Y come
+    from w's products.  step_minus Y_m enters block row m + 1, where w's
+    products keep it, so the step_minus term reads the products and q
+    through one column slice, one step past the chunk's.  The sparse
+    products read their arguments from ``work``, two arrays of out's shape
+    (allocated here when not given), where they are contiguous.
     """
-    M = sys.grid.M
     _, PY, MY, _ = w.products
-    lo, inner = cols.start, min(cols.stop, M - 1)
+    ahead = slice(cols.start + 1, cols.stop + 1)  # ends at M: the terminal step has no step_minus term
     shifted, term = work if work is not None else np.empty((2,) + out.shape)
     coupled = sys.step_plus @ np.subtract(PY[:, cols], q[:, cols], out=shifted)
-    if inner > lo:
-        head = term.reshape(-1)[: sys.ndof * (inner - lo)].reshape(sys.ndof, inner - lo)  # contiguous
-        coupled[:, : inner - lo] += sys.step_minus @ np.add(MY[:, lo:inner], q[:, lo + 1 : inner + 1], out=head)
+    k = MY[:, ahead].shape[1]
+    head = term.reshape(-1)[: sys.ndof * k].reshape(sys.ndof, k)  # contiguous
+    coupled[:, :k] += sys.step_minus @ np.add(MY[:, ahead], q[:, ahead], out=head)
     np.multiply(config.beta, coupled, out=out)
     out += sys.tracking_loads[:, cols]
     if config.bounds is not None:
@@ -375,9 +379,9 @@ def couple(
     P~.  Forms C z~, the multiplier lam~ and, in the box variant, the
     copies' multiplier mu~ = mu - beta (Y~ - P~).
 
-    These couple the prediction's columns (C z~ reads the previous step's
-    product), but each is row-local, so row blocks are independent.
-    Works in w_t's arrays, with no temporary larger than one column.
+    Each is elementwise (the chunk tasks wrote step_minus Y~ in the block
+    row it enters), so row blocks are independent.  Works in place in
+    w_t's arrays.
     """
     beta = config.beta
     fill_constraint_map(sys, w_t.products[:, rows])
@@ -472,8 +476,9 @@ def predict(
     with its own products.  ``buffers`` (``chunk_buffers``) holds the
     arrays the tasks work in; without it this prediction allocates its own.
 
-    With ``out``, an iterate with products, the chunk batch writes into it
-    and ``out`` is returned without the coupling: ``solve`` forms that in
+    With ``out``, an iterate with products whose step_minus slab has a zero
+    column 0 (no chunk writes it), the chunk batch writes into it and
+    ``out`` is returned without the coupling: ``solve`` forms that in
     its row pass (``advance_rows``), together with the rest of the
     iteration.
     """
@@ -485,7 +490,7 @@ def predict(
     w_t = out
     if w_t is None:
         shape = w.U.shape
-        w_t = Iterate(np.empty((5 if box else 3,) + shape), np.empty((4,) + shape))
+        w_t = Iterate(np.empty((5 if box else 3,) + shape), np.zeros((4,) + shape))  # zero step_minus column 0
     if buffers is None:
         buffers = chunk_buffers(sys, box)
 
@@ -499,7 +504,8 @@ def predict(
         w_t.Y[:, cols] = Y
         w_t.products[0][:, cols] = control_product(sys, config, rhs, U)
         w_t.products[1][:, cols] = sys.step_plus @ Y
-        w_t.products[2][:, cols] = sys.step_minus @ Y
+        MY = w_t.products[2][:, cols.start + 1 : cols.stop + 1]  # by block row; the last step's enters none
+        MY[...] = (sys.step_minus @ Y)[:, : MY.shape[1]]
         if box:
             project_copies(sys, w, config, cols, w_t.P[:, cols], rhs[0], work)
 
@@ -557,21 +563,16 @@ def h_norm_sq(sys: DiscreteSystem, v: Iterate, beta: float, work: np.ndarray | N
     + ||sum_l M_l v_l||^2 ] + (1/beta) ||v_lam||^2, where M_l are the block
     columns of the constraint matrix.  Box iterates extend the columns with
     the identity rows of the state-copy constraint.  The block products
-    M_l v_l and their sum are v's products (formed when v carries none):
-    A U, step_plus Y, step_minus Y without its last column and C z; a box
-    iterate adds Y, P, Y - P and mu.
+    M_l v_l and their sum are v's products (formed when v carries none), by
+    block row: A U, step_plus Y, step_minus Y (its column 0 zero) and C z;
+    a box iterate adds Y, P, Y - P and mu.
 
     Every squared norm sums over rows, so the value of a row block
     (``Iterate.rows``, carrying its products) is its share of the whole's.
-    ``work``, an array of one slab's shape, holds the two temporaries.
+    ``work``, an array of one slab's shape, holds the box variant's Y - P.
     """
     AU, PY, MY, Cz = _products(sys, v)
-    if work is None:
-        work = np.empty_like(AU)
-    inner = MY[:, :-1]
-    head = work.reshape(-1)[: inner.size].reshape(inner.shape)
-    np.copyto(head, inner)  # np.vdot would copy the strided view into a new array
-    per_block = sys.grid.tau**2 * _sq(AU) + _sq(PY) + _sq(head)
+    per_block = sys.grid.tau**2 * _sq(AU) + _sq(PY) + _sq(MY)
     total_sum = _sq(Cz)
     mult = _sq(v.lam)
     if v.is_box:
@@ -590,19 +591,16 @@ def advance_rows(
     nu: float,
     rows: slice,
     work: np.ndarray,
-    block_norms: list,
-    block: int,
-) -> None:
+) -> tuple[float, float]:
     """The iteration's tail on the rows ``rows``, after the chunk batch has
     written U~, Y~ and their products into w_t.
 
     In turn: ``couple`` completes the prediction; the difference
     d = w - w~ overwrites it, over the iterate and its products; the
     corrected iterate w - nu d overwrites d; and the rows of ``q`` receive
-    its shifted residual.  ``block_norms[block]`` receives the rows' share
-    of d^T H d and of the corrected iterate's ||Y - P||^2 (0 in the plain
-    variant).  ``work`` (the rows of a slab-shaped array) holds the
-    temporaries.
+    its shifted residual.  Returns the rows' share of d^T H d and of the
+    corrected iterate's ||Y - P||^2 (0 in the plain variant).  ``work``
+    (the rows of a slab-shaped array) holds the temporaries.
     """
     couple(sys, w, w_t, config, rows)
     w_rows, d = w.rows(rows), w_t.rows(rows)
@@ -610,8 +608,8 @@ def advance_rows(
     h_sq = h_norm_sq(sys, d, config.beta, work)
     correct(w_rows, d, nu)
     gap_sq = _sq(np.subtract(d.Y, d.P, out=work)) if d.is_box else 0.0
-    block_norms[block] = (h_sq, gap_sq)
     compute_q(sys, w_t, config.beta, rows, out=q[rows], work=work)
+    return h_sq, gap_sq
 
 
 def _worker_pool(thread_count: int):
@@ -677,11 +675,10 @@ def solve(sys: DiscreteSystem, config: SolverConfig, monitor=None) -> tuple[Iter
         np.clip(w.P, *config.bounds, out=w.P)
         basis.project_stacked(w.P, out=w.P)
     w.products = constraint_products(sys, w.Y, w.U)
-    spare = Iterate(np.empty_like(w.z), np.empty_like(w.products))
+    spare = Iterate(np.empty_like(w.z), np.zeros_like(w.products))  # step_minus column 0 stays zero
     q = compute_q(sys, w, config.beta)
     work = np.empty_like(q)
     row_blocks = _row_blocks(sys.ndof, sys.grid.M)
-    block_norms = [None] * len(row_blocks)
 
     increments: list[float] = []
     gaps: list[float] = [] if box else None
@@ -698,11 +695,9 @@ def solve(sys: DiscreteSystem, config: SolverConfig, monitor=None) -> tuple[Iter
             t1 = time.perf_counter()
             predict(sys, w, config, factors, pool, buffers, q=q, out=spare)
             t2 = time.perf_counter()
-            tasks = [partial(advance_rows, sys, w, spare, q, config, nu, rows, work[rows], block_norms, i)
-                     for i, rows in enumerate(row_blocks)]
-            solve_multi(tasks, pool)
+            tasks = [partial(advance_rows, sys, w, spare, q, config, nu, rows, work[rows]) for rows in row_blocks]
+            h_sq, gap_sq = [sum(c) for c in zip(*solve_multi(tasks, pool))]  # in block order, whatever the thread count
             w, spare = spare, w
-            h_sq, gap_sq = [sum(c) for c in zip(*block_norms)]  # in block order, whatever the thread count
             # w - w_next = nu d, and the H-norm is quadratic.
             inc = nu * nu * h_sq
             t3 = time.perf_counter()

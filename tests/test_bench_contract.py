@@ -6,7 +6,8 @@ rename in the package would break those runs only.  The benchmark, the
 sweeps and this suite each pin BLAS to one thread from their own list of
 environment variables.  These tests keep a rename, or a drift between the
 lists, visible in the regular suite, and run the sweeps' oracle cells and
-one repeat of the dense sweep on a small level.
+one repeat of the dense sweep on a small level.  The last test counts the
+code lines of a small module with ``tools/code_lines.py``.
 """
 
 import ast
@@ -124,3 +125,28 @@ def test_dense_sweep_times_a_level(sweeps):
         assert times.keys() == {"build", *level["rhs"]}, path
         assert all(len(t) == 1 and t[0] > 0.0 for t in times.values()), path
     assert sparse_linalg.BLOCK_MAX_NDOF == cap
+
+
+def test_code_lines_counts_a_module(tmp_path, capsys):
+    # docstrings, comments and blank lines are not code; a wrapped statement,
+    # and a string that is no docstring, count every line they span
+    code_lines = _load("tools_code_lines", ROOT / "tools" / "code_lines.py")
+    (tmp_path / "toy.py").write_text(
+        '"""Module docstring,\n\nover three lines."""\n'
+        "\n"
+        "import os  # a comment\n"
+        "# a comment line\n"
+        "\n"
+        "\n"
+        "class A:\n"
+        '    """Class docstring."""\n'
+        "\n"
+        "    def f(self):\n"
+        "        '''Function docstring.'''\n"
+        "        return (1,\n"
+        "                2)\n"
+        'TEXT = """not a\n'
+        'docstring"""\n'
+    )
+    code_lines.main([str(tmp_path)])
+    assert capsys.readouterr().out.split() == ["toy.py", "7", "17", "total", "7", "17"]

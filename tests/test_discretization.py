@@ -142,6 +142,17 @@ class TestConstraintResidual:
         expected = A_cal @ flat(Y) + B_cal @ flat(U) - F
         got = flat(constraint_residual(sys, Y, U))
         assert np.allclose(got, expected, atol=1e-12 * max(1.0, np.abs(expected).max()))
+        # Each product sits in the block row it enters: A U and step_plus Y
+        # block-diagonally, step_minus Y_{m-1} in row m, nothing in row 1.
+        AU, PY, MY, _ = constraint_products(sys, Y, U)
+        eye = np.eye(M)
+        for slab, blocks, X in ((AU, np.kron(eye, sys.mass.toarray()), U),
+                                (PY, np.kron(eye, sys.step_plus.toarray()), Y),
+                                (MY, np.kron(np.eye(M, k=-1), sys.step_minus.toarray()), Y)):
+            want = blocks @ flat(X)
+            assert np.allclose(flat(slab), want, rtol=0.0, atol=1e-12 * max(1.0, np.abs(want).max()))
+        assert not MY[:, 0].any()
+        assert np.allclose(flat(PY - MY), A_cal @ flat(Y), rtol=0.0, atol=1e-12 * max(1.0, np.abs(PY).max()))
 
     def test_shape_validation(self):
         sys = random_system(0, n=2, M=2)
@@ -160,18 +171,20 @@ class TestConstraintResidual:
         assert s.min() > 1e-8
 
     def test_fill_rows_in_place(self):
-        # Cz of a row block equals those rows of the whole array's, and a
-        # Cz slab that is not contiguous is refused rather than left unshifted.
+        # Cz of a row block, and of a strided column block, equals those
+        # entries of the whole array's.
         sys = random_system(5, n=3, M=4)
         rng = np.random.default_rng(5)
         whole = constraint_products(sys, rng.standard_normal((sys.ndof, 4)), rng.standard_normal((sys.ndof, 4)))
-        block = whole.copy()
-        block[3] = 0.0
         rows = slice(1, sys.ndof - 1)
-        fill_constraint_map(sys, block[:, rows])
-        assert np.array_equal(block[3, rows], whole[3, rows])
-        with pytest.raises(AttributeError):
-            fill_constraint_map(sys, whole[:, :, 1:])
+        for part in ((slice(None), rows), (slice(None), slice(None), slice(1, 3))):
+            block = whole.copy()
+            block[3] = 0.0
+            fill_constraint_map(sys, block[part])
+            assert np.array_equal(block[part][3], whole[part][3])
+            outside = np.ones(block[3].shape, dtype=bool)
+            outside[part[1:]] = False
+            assert not block[3][outside].any()  # and nothing outside it is written
 
 
 class TestConstraintAdjoint:

@@ -1,4 +1,6 @@
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from functools import partial
 
 import numpy as np
@@ -190,17 +192,28 @@ class TestFactorize:
 
 
 def _solved(jobs, pool=None):
-    """solve_multi over (factor, rhs) pairs, one task each; returns the filled outputs."""
-    outs = [np.full_like(rhs, np.nan) for _, rhs in jobs]
-
-    def task(f, rhs, out):
-        out[...] = f.solve(rhs)
-
-    solve_multi([partial(task, f, rhs, out) for (f, rhs), out in zip(jobs, outs)], pool)
-    return outs
+    """solve_multi over (factor, rhs) pairs, one task each; returns the solutions."""
+    return solve_multi([partial(f.solve, rhs) for f, rhs in jobs], pool)
 
 
 class TestSolveMulti:
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_results_in_task_order(self, workers):
+        # On the pool, task 0 waits until the last task has run, so it finishes last.
+        finished, last_ran = [], threading.Event()
+
+        def task(i):
+            if i == 0 and workers:
+                assert last_ran.wait(timeout=30)
+            finished.append(i)
+            if i == 3:
+                last_ran.set()
+            return 10 * i
+
+        with ThreadPoolExecutor(workers) if workers else nullcontext() as pool:
+            assert solve_multi([partial(task, i) for i in range(4)], pool) == [0, 10, 20, 30]
+        assert finished == ([1, 2, 3, 0] if workers else [0, 1, 2, 3])
+
     def test_identity_passthrough(self):
         f = factorize(sp.identity(4))
         rhs = np.arange(12.0).reshape(4, 3)
