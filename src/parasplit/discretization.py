@@ -136,9 +136,9 @@ class DiscreteSystem:
         is kept.  ``space``, ``y0_nodal`` and ``desired_state`` stay in node
         terms.  A system without a mirror gets the one-block basis, Q = I,
         whose change of basis copies every entry unchanged.  A system
-        already in its basis is returned as it is."""
+        already in its basis is rejected."""
         if self.basis is not None:
-            return self
+            raise ValueError("in_mirror_basis takes a system in node coordinates, not one in its basis")
         basis = self.mirror_basis
         return replace(
             self,
@@ -205,14 +205,26 @@ def constraint_products(sys: DiscreteSystem, Y: np.ndarray, U: np.ndarray) -> np
     (column m holds step_minus Y_{m-1}; column 0 is zero, as block 1 has
     no step_minus term) and Cz.  All four are linear in (U, Y), so the
     products of a combination of trajectories are the same combination of
-    their products.
+    their products.  Slabs 0-2 come from ``write_products``.
     """
-    out = np.empty((4,) + U.shape)
-    out[0] = sys.mass @ U
-    out[1] = sys.step_plus @ Y
-    out[2, :, 0] = 0.0
-    out[2, :, 1:] = sys.step_minus @ Y[:, :-1]
+    out = np.zeros((4,) + U.shape)
+    write_products(sys, Y, U, out)
     return fill_constraint_map(sys, out)
+
+
+def write_products(sys: DiscreteSystem, Y: np.ndarray, U: np.ndarray, products: np.ndarray,
+                   cols: slice = slice(None)) -> None:
+    """Write slabs 0-2 of a ``constraint_products`` array for the time steps
+    ``cols`` (all by default), from those steps' columns Y and U: A U and
+    step_plus Y into columns ``cols``, step_minus Y one column on, into the
+    block row it enters.  The last step's step_minus product enters no
+    block row and is dropped, and column 0 of slab 2 is never written.
+    """
+    start, stop, _ = cols.indices(products.shape[-1])
+    products[0][:, cols] = sys.mass @ U
+    products[1][:, cols] = sys.step_plus @ Y
+    MY = products[2][:, start + 1 : stop + 1]
+    MY[...] = (sys.step_minus @ Y)[:, : MY.shape[1]]
 
 
 def fill_constraint_map(sys: DiscreteSystem, products: np.ndarray) -> np.ndarray:

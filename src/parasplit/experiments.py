@@ -269,6 +269,16 @@ def _solver_config(problem: ManufacturedProblem, config: SolverConfig | None) ->
     return SolverConfig(alpha=problem.alpha, beta=problem.beta)
 
 
+def _oracle_config(problem: ManufacturedProblem, config: SolverConfig | None, caller: str) -> SolverConfig:
+    """``_solver_config`` for a study that measures against the oracle,
+    which solves the problem without bounds: a config with bounds is
+    rejected."""
+    config = _solver_config(problem, config)
+    if config.bounds is not None:
+        raise ValueError(f"{caller} measures against the oracle, which has no bounds; got bounds {config.bounds}")
+    return config
+
+
 def convergence_study(
     problem: ManufacturedProblem,
     levels: list[int],
@@ -279,7 +289,8 @@ def convergence_study(
 
     ``mode`` selects the trajectory source: the direct saddle-point solve
     ("oracle") or the splitting iteration ("splitting").  Each row records
-    the wall time of its level's solve.
+    the wall time of its level's solve.  The errors are those of the
+    problem without bounds, so a config with bounds is rejected.
     """
     if mode not in ("oracle", "splitting"):
         raise ValueError(f"mode must be 'oracle' or 'splitting', got {mode!r}")
@@ -287,7 +298,7 @@ def convergence_study(
         raise ValueError("levels must name at least one refinement level")
     if any(a >= b for a, b in zip(levels, levels[1:])):
         raise ValueError(f"levels must be strictly ascending, got {list(levels)}")
-    config = _solver_config(problem, config)
+    config = _oracle_config(problem, config, "convergence_study")
     rows: list[ConvergenceRow] = []
     for n in levels:
         sys = build_level(problem, n)
@@ -329,8 +340,9 @@ class IterationRecord:
 def iteration_history(
     problem: ManufacturedProblem, config: SolverConfig | None, n: int
 ) -> list[IterationRecord]:
-    """Per-iteration distances to the exact solution and squared increments."""
-    config = _solver_config(problem, config)
+    """Per-iteration distances to the exact solution and squared increments.
+    Rejects a config with bounds."""
+    config = _oracle_config(problem, config, "iteration_history")
     sys = build_level(problem, n)
     sol = solve_kkt(sys, config.alpha)
     w_star = Iterate.of(sol.U_star, sol.Y_star, sol.lambda_star)

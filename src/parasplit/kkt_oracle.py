@@ -145,15 +145,14 @@ def solve_kkt(sys: DiscreteSystem, alpha: float) -> KktSolution:
     """Solve the stationarity system of the equality-constrained QP directly.
 
     ``alpha`` must be positive and finite (the QP is then strictly convex)
-    and equal ``sys.alpha``, the weight the system was built with.  The
+    and equal ``sys.alpha``, the weight the system was built with, and
+    ``sys`` must be in node coordinates (``in_mirror_basis``).  The
     solution comes from the modal solve.  Its residuals are then
     measured from sparse products, without assembling any block matrix:
     Q z from two mass products, C^T lambda from three (the control part
     -tau A lambda; the state part step_plus lambda_m - step_minus
     lambda_{m+1}), and the constraint residual from the step products.
     """
-    if sys.basis is not None:
-        raise ValueError("solve_kkt takes a system in node coordinates and changes its basis itself")
     if not 0.0 < alpha < math.inf:
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
     if alpha != sys.alpha:

@@ -33,11 +33,13 @@ term in the block row it enters, so step_minus Y_m sits in column m + 1 and
 column 0 of that slab is zero.  Each iteration forms the difference
 d = w - w~ once, over the iterate and its products together: the H-norm
 increment nu^2 ||d||_H^2 reads d's products, and ``correct(w, d, nu)``
-= w - nu d is the corrected iterate with its products.  An iteration then forms four sparse products: two for the
-predicted iterate's products and two for the state right-hand sides; A U~
-comes from the control equation.  The control solves use the mass shift
-alpha I + beta tau A, the control normal matrix alpha tau A + beta tau^2 A A
-with its SPD factor tau A cancelled.
+= w - nu d is the corrected iterate with its products.  An iteration then
+forms five sparse products: two for the state right-hand sides and three
+for the predicted iterate's products, all three written by
+``write_products``, the writer of ``constraint_products``, so the carried
+products are exactly the sparse products of the carried trajectory.  The
+control solves use the mass shift alpha I + beta tau A, the control normal
+matrix alpha tau A + beta tau^2 A A with its SPD factor tau A cancelled.
 
 ``solve`` allocates its storage once: two iterates with their products,
 which swap roles every iteration (the prediction is written into the spare
@@ -50,9 +52,10 @@ may run on; a single thread runs every task inline.  An iteration is two
 - one task per chunk of CHUNK_COLS time steps (``predict``): the steps'
   control and state right-hand sides in the chunk's buffer, their solves
   (every state column against the state factor, then step M again against
-  the terminal factor), the predicted products A U~ and step_plus Y~ of
-  its columns, step_minus Y~ of its columns one column on (the last
-  step's enters no block row), and the box variant's projected copies P~;
+  the terminal factor), the predicted products of its columns
+  (``write_products``: A U~ and step_plus Y~, and step_minus Y~ one column
+  on, in the block row it enters) and the box variant's projected copies
+  P~;
 - one task per row block of the (slabs, ndof, M) arrays, as many blocks as
   chunks (``advance_rows``): C z~, the multipliers (``couple``), the
   difference, its H-norm and the box gap, the correction and the next
@@ -90,6 +93,7 @@ from .discretization import (  # noqa: F401  constraint_linear_map: bench/tracin
     constraint_products,
     constraint_residual,
     fill_constraint_map,
+    write_products,
 )
 from .mirrors import MirrorBasis
 from .sparse_linalg import CholFactor, factorize, solve_multi
@@ -186,7 +190,7 @@ class SolveReport:
     NaN or infinite; the loop stops at the first such one).  ``residual_drift`` is
     the gap between the carried constraint residual and the one recomputed
     from the final iterate, relative to max(1, ||rhs||).  ``factor_nnz`` maps
-    each prediction factor ("control", "state" unless M == 1, "terminal") to
+    each prediction factor ("control", "state", "terminal") to
     its stored entries, summed over its blocks: size^2 for a block's dense
     inverse, nnz(L) + nnz(U) for SuperLU's factors of a block.
     ``seconds_predict`` is the time in the chunk batches
@@ -254,7 +258,7 @@ class PredictionFactors:
     """
 
     control: CholFactor
-    state: CholFactor | None  # interior steps; None when M == 1
+    state: CholFactor  # every step; the terminal factor re-solves step M
     terminal: CholFactor
 
     @staticmethod
@@ -271,11 +275,8 @@ class PredictionFactors:
         sizes = sys.block_sizes
         eye = sp.identity(sys.ndof, format="csr")
         control = factorize(alpha * eye + (beta * tau) * sys.mass, sizes)
-        state = None
-        if sys.grid.M > 1:
-            mass2, stiff2 = _gram(sys.mass), _gram(sys.stiffness)
-            state_gram = 2.0 * mass2 + (tau * tau / 2.0) * stiff2
-            state = factorize(tau * sys.mass + beta * state_gram + shift * eye, sizes)
+        state_gram = 2.0 * _gram(sys.mass) + (tau * tau / 2.0) * _gram(sys.stiffness)
+        state = factorize(tau * sys.mass + beta * state_gram + shift * eye, sizes)
         terminal_gram = _gram(sys.step_plus)
         terminal = factorize((tau / 2.0) * sys.mass + beta * terminal_gram + shift * eye, sizes)
         return PredictionFactors(control=control, state=state, terminal=terminal)
@@ -292,8 +293,7 @@ class PredictionFactors:
         whose solution replaces it.
         """
         self.control.solve(rhs[0], out=out[0])
-        if self.state is not None:
-            self.state.solve(rhs[1], out=out[1])
+        self.state.solve(rhs[1], out=out[1])
         if last:
             self.terminal.solve(rhs[1][:, -1], out=out[1][:, -1])
 
@@ -393,19 +393,6 @@ def couple(
         np.subtract(w.mu[rows], mu, out=mu)
 
 
-def control_product(sys: DiscreteSystem, config: SolverConfig, rhs: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """A U~ of a chunk's control solutions U~ from the chunk's right-hand
-    sides ``rhs``, shape (2, ndof, k): in place of the control slab rhs[0]
-    (``predict_controls``), with the state slab as scratch.  The control
-    solve is (alpha I + beta tau A) U~ = rhs[0], so
-    A U~ = (rhs[0] - alpha U~) / (beta tau), with no sparse product."""
-    b, scratch = rhs
-    np.multiply(U, config.alpha, out=scratch)
-    b -= scratch
-    b /= config.beta * sys.grid.tau
-    return b
-
-
 def project_copies(sys: DiscreteSystem, w: Iterate, config: SolverConfig, cols: slice, out, Z, work) -> None:
     """The box variant's copies P~ = clip(Y - mu / beta) of the time steps
     ``cols``, into ``out``, formed in Z, a C-contiguous (ndof, k) array.
@@ -466,14 +453,16 @@ def predict(
 
     Each column chunk of time steps is one task of a ``solve_multi`` batch
     on ``pool`` (None: inline): the control and state solves of its steps
-    with their right-hand sides, the predicted products A U~ (from the
-    control equation, ``control_product``), step_plus Y~ and step_minus Y~,
-    and in the box variant the projected copies P~ (``project_copies``).
-    After the batch ``couple`` forms what couples the columns: C z~, the
-    multiplier and the copies' multiplier.  Uses the products w carries,
-    forming them first when it carries none, and w's shifted residual
-    ``q``, formed first when not given.  The predicted iterate is returned
-    with its own products.  ``buffers`` (``chunk_buffers``) holds the
+    with their right-hand sides, the predicted products A U~, step_plus Y~
+    and step_minus Y~, and in the box variant the projected copies P~
+    (``project_copies``).  That is five sparse products in all: two in the
+    state right-hand sides (``predict_states``) and the three predicted
+    ones, written by ``write_products``, the writer of
+    ``constraint_products``.  After the batch ``couple`` forms what couples
+    the columns: C z~, the multiplier and the copies' multiplier.  Uses the
+    products w carries, forming them first when it carries none, and w's
+    shifted residual ``q``, formed first when not given.  The predicted
+    iterate is returned with its own products.  ``buffers`` (``chunk_buffers``) holds the
     arrays the tasks work in; without it this prediction allocates its own.
 
     With ``out``, an iterate with products whose step_minus slab has a zero
@@ -502,10 +491,7 @@ def predict(
         U, Y = sol
         w_t.U[:, cols] = U
         w_t.Y[:, cols] = Y
-        w_t.products[0][:, cols] = control_product(sys, config, rhs, U)
-        w_t.products[1][:, cols] = sys.step_plus @ Y
-        MY = w_t.products[2][:, cols.start + 1 : cols.stop + 1]  # by block row; the last step's enters none
-        MY[...] = (sys.step_minus @ Y)[:, : MY.shape[1]]
+        write_products(sys, Y, U, w_t.products, cols)
         if box:
             project_copies(sys, w, config, cols, w_t.P[:, cols], rhs[0], work)
 
@@ -519,7 +505,11 @@ def _slabs(*iterates: Iterate):
     """The slabs of iterates of one shape, zipped for elementwise work: z's,
     then the products' where all carry them.  A slab of a row block
     (``Iterate.rows``) is contiguous where the block is not, and numpy's
-    ufuncs buffer small non-contiguous operands in fresh arrays."""
+    ufuncs buffer small non-contiguous operands in fresh arrays.  Iterates
+    of different shapes (a box and a plain one, say) are rejected."""
+    shapes = list(dict.fromkeys(v.z.shape for v in iterates))
+    if len(shapes) > 1:
+        raise ValueError(f"iterates of different shapes: {' and '.join(map(str, shapes))}")
     carried = all(v.products is not None for v in iterates)
     return zip(*[[*v.z, *v.products] if carried else [*v.z] for v in iterates])
 
@@ -660,8 +650,6 @@ def solve(sys: DiscreteSystem, config: SolverConfig, monitor=None) -> tuple[Iter
     """
     if config.alpha != sys.alpha:
         raise ValueError(f"config alpha {config.alpha} does not match the system's alpha {sys.alpha}")
-    if sys.basis is not None:
-        raise ValueError("solve takes a system in node coordinates and changes its basis itself")
     node, sys = sys, sys.in_mirror_basis()
     basis = sys.basis
     box = config.bounds is not None
@@ -730,7 +718,7 @@ def solve(sys: DiscreteSystem, config: SolverConfig, monitor=None) -> tuple[Iter
         seconds_total=time.perf_counter() - t0,
         seconds_predict=t_predict,
         seconds_correct=t_correct,
-        factor_nnz={name: f.nnz for name, f in vars(factors).items() if f is not None},
+        factor_nnz={name: f.nnz for name, f in vars(factors).items()},
         gap_history=None if gaps is None else np.asarray(gaps),
     )
     return result, report

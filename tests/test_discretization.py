@@ -15,6 +15,7 @@ from parasplit.discretization import (
     objective_constant_terms,
     objective_quadrature,
     objective_vec,
+    write_products,
 )
 from parasplit.experiments import build_level, get_example
 from parasplit.fem_assembly import interpolate_nodal, make_space
@@ -185,6 +186,19 @@ class TestConstraintResidual:
             outside = np.ones(block[3].shape, dtype=bool)
             outside[part[1:]] = False
             assert not block[3][outside].any()  # and nothing outside it is written
+
+    def test_write_products_in_column_runs(self):
+        # two full runs of three steps and a partial last one, each written
+        # from its own contiguous columns, as the solver's chunk tasks do
+        sys = random_system(6, n=3, M=8)
+        rng = np.random.default_rng(6)
+        Y, U = rng.standard_normal((2, sys.ndof, 8))
+        out = np.zeros((4, sys.ndof, 8))
+        for cols in (slice(0, 3), slice(3, 6), slice(6, 8)):
+            write_products(sys, np.ascontiguousarray(Y[:, cols]), np.ascontiguousarray(U[:, cols]), out, cols)
+        assert np.array_equal(out[:3], constraint_products(sys, Y, U)[:3])
+        assert not out[2, :, 0].any()
+        assert not out[3].any()  # and nothing else is written
 
 
 class TestConstraintAdjoint:

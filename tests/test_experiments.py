@@ -164,6 +164,15 @@ class TestConvergenceStudy:
             convergence_study(get_example("5.1"), [4], mode="exact")
 
     @pytest.mark.parametrize("mode", ["oracle", "splitting"])
+    def test_bounds_rejected(self, mode):
+        # the errors are those of the problem without bounds, in both modes
+        prob = get_example("5.1")
+        config = SolverConfig(alpha=prob.alpha, beta=1.0, bounds=(0.0, 0.1))
+        with pytest.raises(ValueError, match="bounds") as err:
+            convergence_study(prob, [4, 8], config=config, mode=mode)
+        assert "\n" not in str(err.value)
+
+    @pytest.mark.parametrize("mode", ["oracle", "splitting"])
     def test_alpha_mismatch_rejected(self, mode):
         config = SolverConfig(alpha=0.1, beta=1.0)
         with pytest.raises(ValueError, match="alpha"):
@@ -227,6 +236,14 @@ class TestIterationHistory:
         got = [r.hnorm_to_star for r in records]
         assert len(got) == 25
         assert np.allclose(got, expected, rtol=1e-12, atol=0.0)
+
+    def test_bounds_rejected(self):
+        # box iterates have no distance to the unconstrained oracle's point
+        prob = get_example("5.1")
+        config = SolverConfig(alpha=prob.alpha, beta=1.0, k_max=5, bounds=(0.0, 0.1))
+        with pytest.raises(ValueError, match="bounds") as err:
+            iteration_history(prob, config, 2)
+        assert "\n" not in str(err.value)
 
 
 class TestBenchmark:

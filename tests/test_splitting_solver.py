@@ -226,11 +226,9 @@ class TestPrediction:
                 shift = config.beta * np.eye(sys.ndof) if bounds else 0.0
                 factored.clear()
                 PredictionFactors.build(sys, config)
-                *state, terminal = factored[1:]  # factored[0] is the control mass shift
-                assert len(state) == (M > 1)
-                for mat in state:
-                    want = tau * A + config.beta * (cp.T @ cp + cm.T @ cm) + shift
-                    assert np.allclose(mat, want, atol=1e-13)
+                state, terminal = factored[1:]  # factored[0] is the control mass shift; every M has all three
+                want = tau * A + config.beta * (cp.T @ cp + cm.T @ cm) + shift
+                assert np.allclose(state, want, atol=1e-13)
                 want = 0.5 * tau * A + config.beta * (cp.T @ cp) + shift
                 assert np.allclose(terminal, want, atol=1e-14)
 
@@ -330,6 +328,15 @@ class TestCorrect:
         assert iterate_diff(w_t, w).products is None
         w.products = constraint_products(sys, w.Y, w.U)
         assert correct(w, iterate_diff(w, Iterate(w_t.z)), 0.5).products is None
+
+    def test_iterates_of_different_kinds_rejected(self):
+        # a box iterate has five slabs, a plain one three: zipping them
+        # would stop after three and leave P and mu unwritten
+        box, plain = Iterate(np.ones((5, 3, 2))), Iterate(np.zeros((3, 3, 2)))
+        for call in (lambda: iterate_diff(box, plain), lambda: correct(box, plain, 0.5)):
+            with pytest.raises(ValueError, match=r"\(5, 3, 2\) and \(3, 3, 2\)") as err:
+                call()
+            assert "\n" not in str(err.value)
 
 
 class TestHNorm:
@@ -623,7 +630,9 @@ class TestSolve:
         bounds = (-1.0, 1.0) if box else None
         config = SolverConfig(alpha=sys.alpha, beta=1.0, k_max=1, bounds=bounds)
         _, report = solve(sys, config)
-        names = {"control", "terminal"} if M == 1 else {"control", "state", "terminal"}
+        # the same three factors for every M (at M == 1 the terminal solve
+        # overwrites the state factor's one column)
+        names = ("control", "state", "terminal")
         assert report.factor_nnz == {name: sum(k * k for k in sys.mirror_basis.sizes) for name in names}
 
     def test_factor_nnz_reported_on_both_paths(self, monkeypatch):
@@ -691,7 +700,8 @@ class TestMirrorBasisLoop:
         in_basis = sys.in_mirror_basis()
         basis = in_basis.basis
         assert basis is sys.mirror_basis and sys.basis is None
-        assert in_basis.in_mirror_basis() is in_basis
+        with pytest.raises(ValueError, match="node coordinates"):
+            in_basis.in_mirror_basis()
         assert in_basis.block_sizes == basis.sizes and sys.block_sizes == [sys.ndof]
         X = np.random.default_rng(0).standard_normal((sys.ndof, 3))
         for name in ("mass", "stiffness", "step_plus", "step_minus"):
@@ -713,7 +723,8 @@ class TestMirrorBasisLoop:
         in_basis = sys.in_mirror_basis()
         assert in_basis is not sys and in_basis.basis is sys.mirror_basis
         assert in_basis.basis.sizes == in_basis.block_sizes == [sys.ndof]
-        assert in_basis.in_mirror_basis() is in_basis
+        with pytest.raises(ValueError, match="node coordinates"):
+            in_basis.in_mirror_basis()
         for name in ("mass", "stiffness", "step_plus", "step_minus"):
             op, op_b = getattr(sys, name), getattr(in_basis, name)
             for part in ("indptr", "indices", "data"):
@@ -772,25 +783,24 @@ class TestMirrorBasisLoop:
 
     @pytest.mark.parametrize("bounds", [None, (0.0, 0.8)])
     def test_carried_control_product_matches_mass_product(self, bounds, monkeypatch):
-        # A U~ comes from the control equation, not from a sparse product:
-        # in every prediction of a solve it is the mass product to 1e-12
-        deviations = []
+        # the chunk tasks write A U~ with constraint_products' writer: in
+        # every prediction of a solve it is the mass product, bit for bit
+        matches = []
         real = splitting_solver.predict
 
         def recording(sys_, *args, **kwargs):
             w_t = real(sys_, *args, **kwargs)
-            AU = sys_.mass @ w_t.U
-            deviations.append(np.abs(w_t.products[0] - AU).max() / np.abs(AU).max())
+            matches.append(np.array_equal(w_t.products[0], sys_.mass @ w_t.U))
             return w_t
 
         monkeypatch.setattr(splitting_solver, "predict", recording)
         prob = get_example("5.1")
-        sys = build_level(prob, 8)
         config = SolverConfig(alpha=prob.alpha, beta=prob.beta if bounds is None else 0.3, bounds=bounds,
                               k_max=400)
-        _, report = solve(sys, config)
-        assert len(deviations) == report.iterations
-        assert max(deviations) <= 1e-12
+        for n in (8, 16):
+            matches.clear()
+            _, report = solve(build_level(prob, n), config)
+            assert len(matches) == report.iterations and all(matches), n
 
 
 class TestSolveBox:
