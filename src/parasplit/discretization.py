@@ -154,24 +154,18 @@ def build_system(problem, space: FemSpace, grid: TimeGrid) -> DiscreteSystem:
     """Assemble the full Crank-Nicolson block system for a problem instance.
 
     ``problem`` provides callables f(x1, x2, t), y_d(x1, x2, t), y0(x1, x2)
-    and a boundary mode that must match the space's.
+    and a boundary mode that must match the space's.  f and y_d take an
+    array of time levels (``load_vector``): f is evaluated once over the M
+    midpoints t_{m-1/2} and y_d once over the M nodes t_1..t_M.
     """
     if problem.bc != space.bc:
         raise ValueError(f"problem boundary mode {problem.bc!r} does not match space {space.bc!r}")
     if space.ndof == 0:
         raise ValueError(f"the {space.bc} space has no unknowns: every mesh node is a boundary node")
-    tau = grid.tau
     y0_nodal = interpolate_nodal(space, problem.y0)
-
-    M = grid.M
-    mids, times = grid.midpoints, grid.times
-    rhs = np.empty((space.ndof, M))
-    desired = np.empty((space.ndof, M))
-    for m in range(M):
-        t_mid = mids[m]
-        t_node = times[m + 1]
-        rhs[:, m] = tau * load_vector(space, lambda x1, x2: problem.f(x1, x2, t_mid))
-        desired[:, m] = load_vector(space, lambda x1, x2: problem.y_d(x1, x2, t_node))
+    rhs = load_vector(space, problem.f, grid.midpoints)
+    rhs *= grid.tau
+    desired = load_vector(space, problem.y_d, grid.times[1:])
 
     sys = DiscreteSystem(
         space=space,
@@ -286,26 +280,17 @@ def objective_quadrature(sys: DiscreteSystem, Y: np.ndarray, U: np.ndarray) -> f
 
     State misfits are L2(Omega) norms against the continuous desired state,
     evaluated with the element quadrature rule; the state trajectory at
-    t = 0 is the basis expansion of the initial nodal vector.
+    t = 0 is the basis expansion of the initial nodal vector.  The M + 1
+    misfits and the M control norms are one batched ``l2_error`` call each.
     """
     Y = _check_trajectory(sys, Y, "Y")
     U = _check_trajectory(sys, U, "U")
     tau = sys.grid.tau
-    y_d = sys.desired_state
-    times = sys.grid.times
-
-    def misfit_sq(coeffs, t):
-        return l2_error(sys.space, coeffs, lambda x1, x2: y_d(x1, x2, t)) ** 2
-
-    total = 0.5 * tau * misfit_sq(sys.y0_nodal, times[0])
-    for m in range(1, sys.grid.M + 1):
-        w = 0.5 if m == sys.grid.M else 1.0
-        total += w * tau * misfit_sq(Y[:, m - 1], times[m])
-    total *= 0.5
-
-    for m in range(sys.grid.M):
-        total += (sys.alpha * tau / 2.0) * l2_error(sys.space, U[:, m], lambda x1, x2: 0.0) ** 2
-    return float(total)
+    states = np.column_stack([sys.y0_nodal, Y])
+    misfits = l2_error(sys.space, states, sys.desired_state, sys.grid.times) ** 2
+    trapezoid = tau * np.concatenate([[0.5], sys.kappa])
+    controls = l2_error(sys.space, U, lambda x1, x2, t: 0.0, sys.grid.midpoints) ** 2
+    return float(0.5 * (trapezoid @ misfits) + (sys.alpha * tau / 2.0) * controls.sum())
 
 
 def objective_constant_terms(sys: DiscreteSystem) -> float:

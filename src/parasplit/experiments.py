@@ -26,8 +26,11 @@ class ManufacturedProblem:
     """Problem instance with callable data and, optionally, exact solutions.
 
     All space-time callables take (x1, x2, t) with array-valued coordinates
-    and scalar t; ``y0`` takes (x1, x2).  The *_dt / *_lap companions are the
-    analytic time derivatives and Laplacians used by the consistency checks.
+    and a scalar or array t that broadcasts against them, so that one call
+    evaluates many time levels (as ``fem_assembly.load_vector`` and
+    ``l2_error`` make it); ``y0`` takes (x1, x2).  The *_dt / *_lap
+    companions are the analytic time derivatives and Laplacians used by the
+    consistency checks.
     """
 
     name: str
@@ -87,20 +90,20 @@ def example_5_1(alpha: float = 1e-2, beta: float = 10.0) -> ManufacturedProblem:
         alpha=alpha,
         beta=beta,
         f=lambda x1, x2, t: (
-            2 * pi**2 * math.cos(pi * t) - pi * math.sin(pi * t) - math.sin(pi * t)
+            2 * pi**2 * np.cos(pi * t) - pi * np.sin(pi * t) - np.sin(pi * t)
         )
         * S(x1, x2),
         y_d=lambda x1, x2, t: (
-            math.cos(pi * t) - alpha * pi * math.cos(pi * t) + 2 * alpha * pi**2 * math.sin(pi * t)
+            np.cos(pi * t) - alpha * pi * np.cos(pi * t) + 2 * alpha * pi**2 * np.sin(pi * t)
         )
         * S(x1, x2),
         y0=lambda x1, x2: S(x1, x2),
-        y_star=lambda x1, x2, t: math.cos(pi * t) * S(x1, x2),
-        u_star=lambda x1, x2, t: math.sin(pi * t) * S(x1, x2),
-        y_star_dt=lambda x1, x2, t: -pi * math.sin(pi * t) * S(x1, x2),
-        y_star_lap=lambda x1, x2, t: -2 * pi**2 * math.cos(pi * t) * S(x1, x2),
-        u_star_dt=lambda x1, x2, t: pi * math.cos(pi * t) * S(x1, x2),
-        u_star_lap=lambda x1, x2, t: -2 * pi**2 * math.sin(pi * t) * S(x1, x2),
+        y_star=lambda x1, x2, t: np.cos(pi * t) * S(x1, x2),
+        u_star=lambda x1, x2, t: np.sin(pi * t) * S(x1, x2),
+        y_star_dt=lambda x1, x2, t: -pi * np.sin(pi * t) * S(x1, x2),
+        y_star_lap=lambda x1, x2, t: -2 * pi**2 * np.cos(pi * t) * S(x1, x2),
+        u_star_dt=lambda x1, x2, t: pi * np.cos(pi * t) * S(x1, x2),
+        u_star_lap=lambda x1, x2, t: -2 * pi**2 * np.sin(pi * t) * S(x1, x2),
     )
 
 
@@ -128,8 +131,8 @@ class _CosineModes:
         self.terms = list(terms)
 
     def __call__(self, x1, x2, t):
-        amp = sum(coef * math.exp(rate * t) for coef, rate in self.terms)
-        return amp * np.cos(math.pi * x1) * np.cos(math.pi * x2)
+        amp = sum(coef * np.exp(rate * t) for coef, rate in self.terms)
+        return amp * (np.cos(math.pi * x1) * np.cos(math.pi * x2))
 
     def dt(self) -> "_CosineModes":
         return _CosineModes([(coef * rate, rate) for coef, rate in self.terms])
@@ -165,7 +168,7 @@ def example_5_2(alpha: float = 1e-3, beta: float = 100.0) -> ManufacturedProblem
         bc=NEUMANN,
         alpha=alpha,
         beta=beta,
-        f=lambda x1, x2, t: np.zeros_like(np.asarray(x1, dtype=float)),
+        f=lambda x1, x2, t: np.zeros(np.broadcast(x1, x2, t).shape),
         y_d=y_des,
         y0=lambda x1, x2: y_star(x1, x2, 0.0),
         y_star=y_star,
@@ -195,20 +198,26 @@ def error_y_final(space: FemSpace, Y_M: np.ndarray, problem: ManufacturedProblem
     return l2_error(space, Y_M, lambda x1, x2: problem.y_star(x1, x2, problem.T))
 
 
-def _control_interpolant(mids: np.ndarray, U: np.ndarray, t: float) -> np.ndarray:
-    """Piecewise-linear interpolation of the control snapshots at the time
-    midpoints ``mids``.
+def _control_interpolation(mids: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """The (M, T) weights of the piecewise-linear interpolation of the M
+    control snapshots at the time midpoints ``mids``: column i of U @ W is
+    the interpolant at times[i].
 
     On the half-intervals before the first midpoint and after the last one
     the nearest linear segment is extended (extrapolated), which preserves
     second-order accuracy up to the ends.  With a single snapshot the
     interpolant is constant.
     """
+    W = np.zeros((len(mids), len(times)))
     if len(mids) == 1:
-        return U[:, 0]
-    j = int(np.clip(np.searchsorted(mids, t) - 1, 0, len(mids) - 2))
-    w = (t - mids[j]) / (mids[j + 1] - mids[j])
-    return (1.0 - w) * U[:, j] + w * U[:, j + 1]
+        W[0] = 1.0
+        return W
+    j = np.clip(np.searchsorted(mids, times) - 1, 0, len(mids) - 2)
+    w = (times - mids[j]) / (mids[j + 1] - mids[j])
+    cols = np.arange(len(times))
+    W[j, cols] = 1.0 - w
+    W[j + 1, cols] = w
+    return W
 
 
 def error_u_spacetime(
@@ -218,22 +227,18 @@ def error_u_spacetime(
 
     The squared spatial error is integrated in time with a 2-point Gauss
     rule on every subinterval of the midpoint grid (plus the two
-    extrapolated end pieces).
+    extrapolated end pieces): one batched ``l2_error`` over the 2(M + 1)
+    Gauss times.
     """
     if problem.u_star is None:
         raise ValueError(f"problem {problem.name!r} has no exact control")
     mids = grid.midpoints
     breaks = np.concatenate([[0.0], mids, [grid.T]])
+    lo, width = breaks[:-1], np.diff(breaks)
     gauss = (np.array([-1.0, 1.0]) / math.sqrt(3.0) + 1.0) / 2.0
-    total = 0.0
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
-        width = hi - lo
-        for gp in gauss:
-            t = lo + gp * width
-            coeffs = _control_interpolant(mids, U, t)
-            err = l2_error(space, coeffs, lambda x1, x2: problem.u_star(x1, x2, t))
-            total += 0.5 * width * err**2
-    return math.sqrt(total)
+    times = (lo[:, None] + gauss * width[:, None]).ravel()
+    errs = l2_error(space, U @ _control_interpolation(mids, times), problem.u_star, times)
+    return math.sqrt(np.repeat(0.5 * width, 2) @ errs**2)
 
 
 @dataclass

@@ -18,7 +18,7 @@ from parasplit.discretization import (
     write_products,
 )
 from parasplit.experiments import build_level, get_example
-from parasplit.fem_assembly import interpolate_nodal, make_space
+from parasplit.fem_assembly import TIME_BLOCK, interpolate_nodal, load_vector, make_space
 from parasplit.mesh import DIRICHLET, NEUMANN, uniform_unit_square
 from parasplit.sparse_linalg import factorize
 
@@ -60,6 +60,33 @@ class TestBuildSystem:
         sys = build_system(prob, space, TimeGrid(T=1.0, M=1))
         # the source is zero, so the first block is the step_minus product alone
         assert np.array_equal(sys.rhs[:, 0], sys.step_minus @ interpolate_nodal(space, prob.y0))
+
+    @pytest.mark.parametrize("name", ["5.1", "5.2"])
+    def test_loads_equal_a_per_step_reference(self, name):
+        # one batched evaluation per callable, over more steps than one block
+        prob = get_example(name)
+        space = make_space(uniform_unit_square(3), prob.bc)
+        grid = TimeGrid(T=prob.T, M=2 * TIME_BLOCK + 1)
+        sys = build_system(prob, space, grid)
+        rhs = np.column_stack(
+            [grid.tau * load_vector(space, lambda x1, x2, t=t: prob.f(x1, x2, t)) for t in grid.midpoints]
+        )
+        rhs[:, 0] += sys.step_minus @ interpolate_nodal(space, prob.y0)
+        desired = np.column_stack(
+            [load_vector(space, lambda x1, x2, t=t: prob.y_d(x1, x2, t)) for t in grid.times[1:]]
+        )
+        for got, want in ((sys.rhs, rhs), (sys.desired_loads, desired)):
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_nonfinite_source_fails_fast(self):
+        space = make_space(uniform_unit_square(2), NEUMANN)
+        grid = TimeGrid(T=1.0, M=4)
+        prob = toy_problem(NEUMANN)
+        bad_t = grid.midpoints[2]
+        prob.f = lambda x1, x2, t: np.where(t == bad_t, np.nan, 0.0 * x1)
+        with pytest.raises(ValueError, match=rf"non-finite function value at point \[.*\], time {bad_t}") as err:
+            build_system(prob, space, grid)
+        assert "\n" not in str(err.value)
 
     def test_no_unknowns_rejected(self):
         # Dirichlet mode at n = 1: every node is on the boundary.
@@ -284,7 +311,7 @@ class TestObjectives:
         )
         assert control_part == pytest.approx(direct, rel=1e-10)
 
-    @pytest.mark.parametrize("seed,n,M", [(0, 2, 1), (1, 2, 3), (2, 3, 2)])
+    @pytest.mark.parametrize("seed,n,M", [(0, 2, 1), (1, 2, 3), (2, 3, 2), (3, 2, 2 * TIME_BLOCK + 1)])
     def test_cross_form_identity(self, seed, n, M):
         prob = get_example("5.1")
         space = make_space(uniform_unit_square(n), prob.bc)

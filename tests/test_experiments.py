@@ -19,7 +19,8 @@ from parasplit.experiments import (
 )
 from parasplit import experiments, kkt_oracle, mesh, splitting_solver
 from parasplit.splitting_solver import Iterate, h_norm_sq, iterate_diff
-from parasplit.fem_assembly import interpolate_nodal
+from parasplit.discretization import TimeGrid
+from parasplit.fem_assembly import TIME_BLOCK, interpolate_nodal, l2_error, make_space
 
 
 def _exact_snapshots(sys, func, times):
@@ -62,6 +63,20 @@ class TestExamples:
         for t in rng.uniform(0, prob.T, 5):
             assert np.abs(pde_residual(prob, x1, x2, t)).max() <= 1e-8
             assert np.abs(adjoint_residual(prob, x1, x2, t)).max() <= 1e-8
+
+    @pytest.mark.parametrize("name", ["5.1", "5.2"])
+    def test_callables_take_a_vector_of_times(self, name):
+        # one call over many time levels equals the stack of scalar-t calls
+        prob = get_example(name)
+        rng = np.random.default_rng(1)
+        x1, x2 = rng.uniform(0, 1, 30), rng.uniform(0, 1, 30)
+        times = np.linspace(0.0, prob.T, 9)
+        for field in ("f", "y_d", "y_star", "u_star", "y_star_dt", "y_star_lap", "u_star_dt", "u_star_lap"):
+            func = getattr(prob, field)
+            batched = func(x1[:, None], x2[:, None], times)
+            stacked = np.column_stack([func(x1, x2, t) for t in times])
+            assert batched.shape == stacked.shape, field
+            assert np.max(np.abs(batched - stacked)) <= 1e-15 * max(np.max(np.abs(stacked)), 1e-300), field
 
     def test_coefficients(self):
         c = example_5_2_coefficients(1e-3)
@@ -113,6 +128,30 @@ class TestErrorNorms:
             U = _exact_snapshots(sys, prob.u_star, sys.grid.midpoints)
             errs.append(error_u_spacetime(sys.space, sys.grid, U, prob))
         assert 3.0 < errs[0] / errs[1] < 5.0
+
+    @pytest.mark.parametrize("name", ["5.1", "5.2"])
+    @pytest.mark.parametrize("M", [1, 2, 2 * TIME_BLOCK])
+    def test_control_error_equals_a_per_gauss_time_loop(self, name, M):
+        prob = get_example(name)
+        space = make_space(mesh.uniform_unit_square(3), prob.bc)
+        grid = TimeGrid(T=prob.T, M=M)
+        U = np.random.default_rng(M).standard_normal((space.ndof, M))
+        mids = grid.midpoints
+        breaks = np.concatenate([[0.0], mids, [grid.T]])
+        total = 0.0
+        for lo, hi in zip(breaks[:-1], breaks[1:]):
+            for gp in (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0)):
+                t = lo + gp * (hi - lo)
+                if M == 1:
+                    coeffs = U[:, 0]
+                else:
+                    j = int(np.clip(np.searchsorted(mids, t) - 1, 0, M - 2))
+                    w = (t - mids[j]) / (mids[j + 1] - mids[j])
+                    coeffs = (1.0 - w) * U[:, j] + w * U[:, j + 1]
+                err = l2_error(space, coeffs, lambda x1, x2: prob.u_star(x1, x2, t))
+                total += 0.5 * (hi - lo) * err**2
+        want = math.sqrt(total)
+        assert error_u_spacetime(space, grid, U, prob) == pytest.approx(want, rel=1e-14, abs=0)
 
     @pytest.mark.parametrize("name", ["5.1", "5.2"])
     def test_geometry_computed_once_per_mesh(self, monkeypatch, name):

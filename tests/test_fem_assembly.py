@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from parasplit.fem_assembly import (
+    TIME_BLOCK,
     assemble_mass,
     assemble_stiffness,
     interpolate_nodal,
@@ -231,3 +232,58 @@ class TestL2Norms:
             norm = l2_error(space, c, lambda x1, x2: 0.0 * x1)
             exact = np.sqrt(c @ (assemble_mass(space) @ c))
             assert norm == pytest.approx(exact, rel=1e-12)
+
+
+def _rel(a, b) -> float:
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+class TestBatchedQuadrature:
+    """A trailing axis of time levels: one call equals a call per level."""
+
+    # not separable in space and time, and more levels than one block holds
+    g = staticmethod(lambda x1, x2, t: np.exp(x1 * t) * np.cos(3.0 * x2 - t) + t)
+    t = np.linspace(0.0, 2.0, 2 * TIME_BLOCK + 3)
+
+    @pytest.mark.parametrize("bc", [NEUMANN, DIRICHLET])
+    def test_loads_equal_the_per_level_calls(self, bc):
+        space = _space(5, bc)
+        batched = load_vector(space, self.g, self.t)
+        assert batched.shape == (space.ndof, len(self.t))
+        per_level = np.column_stack(
+            [load_vector(space, lambda x1, x2, tk=tk: self.g(x1, x2, tk)) for tk in self.t]
+        )
+        assert _rel(batched, per_level) <= 1e-14
+
+    @pytest.mark.parametrize("bc", [NEUMANN, DIRICHLET])
+    def test_errors_equal_the_per_level_calls(self, bc):
+        space = _space(5, bc)
+        coeffs = np.random.default_rng(2).standard_normal((space.ndof, len(self.t)))
+        batched = l2_error(space, coeffs, self.g, self.t)
+        assert batched.shape == (len(self.t),)
+        per_level = [
+            l2_error(space, coeffs[:, k], lambda x1, x2, tk=tk: self.g(x1, x2, tk))
+            for k, tk in enumerate(self.t)
+        ]
+        assert _rel(batched, np.array(per_level)) <= 1e-14
+
+    def test_no_levels(self):
+        space = _space(2, NEUMANN)
+        assert load_vector(space, self.g, []).shape == (space.ndof, 0)
+        assert l2_error(space, np.zeros((space.ndof, 0)), self.g, []).shape == (0,)
+
+    def test_shapes_checked(self):
+        space = _space(2, NEUMANN)
+        with pytest.raises(ValueError, match="1-D"):
+            load_vector(space, self.g, np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="ndof"):
+            l2_error(space, np.zeros(space.ndof), self.g, self.t)
+        with pytest.raises(ValueError, match="ndof"):
+            l2_error(space, np.zeros((space.ndof, 2)), self.g, self.t)
+
+    def test_nonfinite_names_point_and_time(self):
+        space = _space(2, NEUMANN)
+        bad = lambda x1, x2, t: np.where((x1 > 0.9) & (t == self.t[-1]), np.nan, 1.0)
+        with pytest.raises(ValueError, match=r"non-finite function value at point \[.*\], time 2\.0") as err:
+            load_vector(space, bad, self.t)
+        assert "\n" not in str(err.value)
