@@ -66,9 +66,9 @@ class DiscreteSystem:
     the M load vectors of the desired state, and ``tracking_loads`` those
     loads weighted by tau * kappa_m: the linear term of the objective.  The
     operators are CSR matrices.  The Crank-Nicolson step matrices
-    ``step_plus`` and ``step_minus``, ``tracking_loads`` and
-    ``mirror_basis`` are derived from the fields on first use, so
-    ``dataclasses.replace`` makes a copy that derives its own.
+    ``step_plus`` and ``step_minus``, their pair ``step_pair``,
+    ``tracking_loads`` and ``mirror_basis`` are derived from the fields on
+    first use, so ``dataclasses.replace`` makes a copy that derives its own.
 
     ``basis`` is None for a system in node coordinates, as ``build_system``
     makes it.  ``in_mirror_basis`` gives the same system in the stacked
@@ -112,6 +112,12 @@ class DiscreteSystem:
     def step_minus(self) -> sp.csr_matrix:
         """The Crank-Nicolson step matrix of the previous state Y_{m-1}."""
         return self.mass - (self.grid.tau / 2.0) * self.stiffness
+
+    @cached_property
+    def step_pair(self) -> sp.csr_matrix:
+        """[step_plus step_minus], shape (ndof, 2 ndof): one sparse product
+        of it applies both step matrices and adds the results."""
+        return sp.hstack([self.step_plus, self.step_minus], format="csr")
 
     @cached_property
     def tracking_loads(self) -> np.ndarray:

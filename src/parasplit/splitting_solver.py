@@ -25,24 +25,27 @@ block and factor, on a contiguous row slice of the chunk's buffer
 node coordinates: each chunk expands its columns of Y - mu / beta, clips
 them and projects them back, in arrays it reuses every iteration.
 
-An iterate is one stacked array: the slabs U, Y, lam and, in the box
-variant, P and mu.  The constraint map is linear, so the loop carries the
-iterate's constraint products beside it, stacked as ``constraint_products``
-returns them: A U, step_plus Y, step_minus Y and the constraint map Cz, each
-term in the block row it enters, so step_minus Y_m sits in column m + 1 and
-column 0 of that slab is zero.  Each iteration forms the difference
-d = w - w~ once, over the iterate and its products together: the H-norm
+An iterate is the slabs U, Y, lam and, in the box variant, P and mu.  The
+constraint map is linear, so the loop carries the iterate's constraint
+products beside it, stacked as ``constraint_products`` returns them: A U,
+step_plus Y, step_minus Y and the constraint map Cz, each term in the block
+row it enters, so step_minus Y_m sits in column m + 1 and column 0 of that
+slab is zero.  The slabs and the products are one C-order backing array
+(``Iterate.data``, S + 4 slabs with S = 3, or 5 in the box variant).  Each
+iteration forms the difference d = w - w~ once, over the iterate and its
+products together, as one ufunc call over the backing arrays: the H-norm
 increment nu^2 ||d||_H^2 reads d's products, and ``correct(w, d, nu)``
-= w - nu d is the corrected iterate with its products.  An iteration then
-forms five sparse products: two for the state right-hand sides and three
-for the predicted iterate's products, all three written by
-``write_products``, the writer of ``constraint_products``, so the carried
-products are exactly the sparse products of the carried trajectory.  The
-control solves use the mass shift alpha I + beta tau A, the control normal
-matrix alpha tau A + beta tau^2 A A with its SPD factor tau A cancelled.
+= w - nu d, two ufunc calls, is the corrected iterate with its products.
+An iteration then forms four sparse products: one of ``step_pair``
+= [step_plus step_minus] for the state right-hand sides and three for the
+predicted iterate's products, all three written by ``write_products``, the
+writer of ``constraint_products``, so the carried products are exactly the
+sparse products of the carried trajectory.  The control solves use the mass
+shift alpha I + beta tau A, the control normal matrix alpha tau A + beta
+tau^2 A A with its SPD factor tau A cancelled.
 
-``solve`` allocates its storage once: two iterates with their products,
-which swap roles every iteration (the prediction is written into the spare
+``solve`` allocates its storage once: two zeroed backing arrays, the
+iterates with their products, which swap roles every iteration (the prediction is written into the spare
 one, then overwritten in place by the difference and the correction), q,
 the chunks' buffers and one slab of scratch.  ``thread_count`` sets the
 workers of one thread pool opened per solve, capped at the CPUs the process
@@ -62,8 +65,12 @@ may run on; a single thread runs every task inline.  An iteration is two
   iteration's q, all for the block's rows, and its return value is the
   rows' share of the H-norm and the gap.  Every one of them is row-local
   (C z~ is elementwise in the products), and a row block of a C-order
-  slab is contiguous.  (Column blocks of these arrays are strided, and a
-  tail split by time columns ran slower than the serial one.)
+  slab is contiguous.  With one row block (M <= CHUNK_COLS) the block is
+  the whole backing array, and the difference and the correction are one
+  and two ufunc calls; with several, a block is contiguous slab by slab
+  only, and they run slab by slab.  (Column blocks of these arrays are
+  strided, and a tail split by time columns ran slower than the serial
+  one.)
 
 The calling thread keeps the monitor and sums the row blocks' partial
 norms, which ``solve_multi`` returns in block order: each squared norm sums
@@ -101,21 +108,26 @@ from .sparse_linalg import CholFactor, factorize, solve_multi
 import scipy.sparse as sp
 
 
-@dataclass
 class Iterate:
-    """Full splitting iterate, stored as the slabs of one array ``z``.
+    """Full splitting iterate, stored as the slabs of one backing array ``data``.
 
     ``z`` has shape (3, ndof, M): the M control columns U, the M state
     columns Y and the multiplier block lam.  Box-constrained runs add the
     auxiliary state copies P and their multiplier mu, for shape
-    (5, ndof, M); elsewhere ``P`` and ``mu`` are None.  ``products`` holds
-    the constraint products of (U, Y) while the solver carries them, each
-    term in the block row it enters (``constraint_products``), and is None
-    elsewhere (``copy`` leaves them out).
+    (5, ndof, M); elsewhere ``P`` and ``mu`` are None.  While the solver
+    carries the constraint products of (U, Y), each term in the block row
+    it enters (``constraint_products``), ``data`` has S + 4 slabs (S = 3,
+    or 5 in the box variant): ``z`` is its first S and ``products`` its last
+    four, both views, so one ufunc call covers the iterate and its
+    products.  Elsewhere ``products`` is None and ``data`` is ``z``.
+    ``Iterate(data, S)`` is the iterate over such a backing array,
+    ``Iterate(z)`` one without products.
     """
 
-    z: np.ndarray
-    products: np.ndarray | None = None
+    def __init__(self, data: np.ndarray, slabs: int | None = None):
+        self.data = data
+        self.z = data if slabs is None else data[:slabs]
+        self.products = None if slabs is None else data[slabs:]
 
     U = property(lambda self: self.z[0])
     Y = property(lambda self: self.z[1])
@@ -131,8 +143,12 @@ class Iterate:
         return Iterate(self.z.copy())
 
     def rows(self, rows: slice) -> "Iterate":
-        """The rows ``rows`` of every slab and product, as views."""
-        return Iterate(self.z[:, rows], None if self.products is None else self.products[:, rows])
+        """The rows ``rows`` of every slab and product: views of ``data``."""
+        return Iterate(self.data[:, rows], None if self.products is None else len(self.z))
+
+    def with_products(self, sys: DiscreteSystem) -> "Iterate":
+        """This iterate and its products, in a new backing array."""
+        return Iterate(np.concatenate((self.z, constraint_products(sys, self.Y, self.U))), len(self.z))
 
     @staticmethod
     def of(U, Y, lam, P=None, mu=None) -> "Iterate":
@@ -140,8 +156,10 @@ class Iterate:
         return Iterate(np.stack((U, Y, lam) if P is None else (U, Y, lam, P, mu)))
 
     @staticmethod
-    def zeros(ndof: int, M: int, box: bool = False) -> "Iterate":
-        return Iterate(np.zeros((5 if box else 3, ndof, M)))
+    def zeros(ndof: int, M: int, box: bool = False, products: bool = False) -> "Iterate":
+        """The zero iterate, with room for its (zero) products when ``products``."""
+        slabs = 5 if box else 3
+        return Iterate(np.zeros((slabs + 4 * products, ndof, M)), slabs if products else None)
 
 
 @dataclass(frozen=True)
@@ -336,17 +354,21 @@ def predict_states(
     ``tracking_loads``, and the products step_plus Y and step_minus Y come
     from w's products.  step_minus Y_m enters block row m + 1, where w's
     products keep it, so the step_minus term reads the products and q
-    through one column slice, one step past the chunk's.  The sparse
-    products read their arguments from ``work``, two arrays of out's shape
-    (allocated here when not given), where they are contiguous.
+    through one column slice, one step past the chunk's.  The two
+    arguments are stacked in ``work``, a C-contiguous array of shape
+    (2, ndof, k) (allocated here when not given), the terminal step's
+    column of the second zero, and one sparse product of
+    ``sys.step_pair`` = [step_plus step_minus] applies and adds both.
     """
     _, PY, MY, _ = w.products
     ahead = slice(cols.start + 1, cols.stop + 1)  # ends at M: the terminal step has no step_minus term
-    shifted, term = work if work is not None else np.empty((2,) + out.shape)
-    coupled = sys.step_plus @ np.subtract(PY[:, cols], q[:, cols], out=shifted)
+    work = work if work is not None else np.empty((2,) + out.shape)
+    shifted, term = work
+    np.subtract(PY[:, cols], q[:, cols], out=shifted)
     k = MY[:, ahead].shape[1]
-    head = term.reshape(-1)[: sys.ndof * k].reshape(sys.ndof, k)  # contiguous
-    coupled[:, :k] += sys.step_minus @ np.add(MY[:, ahead], q[:, ahead], out=head)
+    np.add(MY[:, ahead], q[:, ahead], out=term[:, :k])
+    term[:, k:] = 0.0
+    coupled = sys.step_pair @ work.reshape(-1, work.shape[-1])
     np.multiply(config.beta, coupled, out=out)
     out += sys.tracking_loads[:, cols]
     if config.bounds is not None:
@@ -455,9 +477,9 @@ def predict(
     on ``pool`` (None: inline): the control and state solves of its steps
     with their right-hand sides, the predicted products A U~, step_plus Y~
     and step_minus Y~, and in the box variant the projected copies P~
-    (``project_copies``).  That is five sparse products in all: two in the
-    state right-hand sides (``predict_states``) and the three predicted
-    ones, written by ``write_products``, the writer of
+    (``project_copies``).  That is four sparse products in all: one of
+    ``step_pair`` for the state right-hand sides (``predict_states``) and
+    the three predicted ones, written by ``write_products``, the writer of
     ``constraint_products``.  After the batch ``couple`` forms what couples
     the columns: C z~, the multiplier and the copies' multiplier.  Uses the
     products w carries, forming them first when it carries none, and w's
@@ -473,13 +495,10 @@ def predict(
     """
     box = config.bounds is not None
     if w.products is None:
-        w = Iterate(w.z, constraint_products(sys, w.Y, w.U))
+        w = w.with_products(sys)
     if q is None:
         q = compute_q(sys, w, config.beta)
-    w_t = out
-    if w_t is None:
-        shape = w.U.shape
-        w_t = Iterate(np.empty((5 if box else 3,) + shape), np.zeros((4,) + shape))  # zero step_minus column 0
+    w_t = out if out is not None else Iterate.zeros(*w.U.shape, box=box, products=True)
     if buffers is None:
         buffers = chunk_buffers(sys, box)
 
@@ -501,32 +520,38 @@ def predict(
     return w_t
 
 
-def _slabs(*iterates: Iterate):
-    """The slabs of iterates of one shape, zipped for elementwise work: z's,
-    then the products' where all carry them.  A slab of a row block
-    (``Iterate.rows``) is contiguous where the block is not, and numpy's
-    ufuncs buffer small non-contiguous operands in fresh arrays.  Iterates
-    of different shapes (a box and a plain one, say) are rejected."""
+def _operands(*iterates: Iterate) -> tuple[list[tuple[np.ndarray, ...]], bool]:
+    """The operands of elementwise work on iterates of one shape, and
+    whether they hold the products.  The arrays are the backing arrays
+    where all carry products, else the z's: one operand tuple of the whole
+    arrays when they are contiguous, else one per slab.  (A row block
+    (``Iterate.rows``) is contiguous slab by slab only, and numpy buffers
+    a ufunc's operands whose contiguous runs are short in fresh arrays up
+    to the block's size.)  Iterates of different shapes (a box and a plain
+    one, say) are rejected."""
     shapes = list(dict.fromkeys(v.z.shape for v in iterates))
     if len(shapes) > 1:
         raise ValueError(f"iterates of different shapes: {' and '.join(map(str, shapes))}")
     carried = all(v.products is not None for v in iterates)
-    return zip(*[[*v.z, *v.products] if carried else [*v.z] for v in iterates])
+    arrays = [v.data if carried else v.z for v in iterates]
+    whole = all(x.flags.c_contiguous for x in arrays)
+    return [arrays] if whole else list(zip(*arrays)), carried
 
 
 def iterate_diff(a: Iterate, b: Iterate, out: Iterate | None = None) -> Iterate:
     """a - b, with the difference of the products when both carry them.
 
     With ``out`` (which may be a or b itself) the difference is written into
-    out's arrays; without it, a and b are left unchanged.
+    out's arrays; without it, a and b are left unchanged.  On contiguous
+    iterates, one ufunc call over the backing arrays (or the z's).
     """
-    carried = a.products is not None and b.products is not None
     if out is None:
-        out = Iterate(np.empty_like(a.z), np.empty_like(a.products) if carried else None)
-    d = Iterate(out.z, out.products if carried else None)
-    for x, y, o in _slabs(a, b, d):
+        carried = a.products is not None and b.products is not None
+        out = Iterate(np.empty_like(a.data if carried else a.z), len(a.z) if carried else None)
+    operands, carried = _operands(a, b, out)
+    for x, y, o in operands:
         np.subtract(x, y, out=o)
-    return d
+    return out if carried else Iterate(out.z)
 
 
 def correct(w: Iterate, d: Iterate, nu: float) -> Iterate:
@@ -534,12 +559,14 @@ def correct(w: Iterate, d: Iterate, nu: float) -> Iterate:
 
     The result takes d's storage (d is used up); w is left unchanged.  It
     carries products when both w and d do.  Since d is the very difference
-    w - w~, this is w - nu (w - w~) to the last bit.
+    w - w~, this is w - nu (w - w~) to the last bit.  On contiguous
+    iterates, two ufunc calls over the backing arrays (or the z's).
     """
-    for x, o in _slabs(w, d):
+    operands, carried = _operands(w, d)
+    for x, o in operands:
         o *= nu
         np.subtract(x, o, out=o)
-    return d if w.products is not None and d.products is not None else Iterate(d.z)
+    return d if carried else Iterate(d.z)
 
 
 def _sq(x: np.ndarray):
@@ -623,6 +650,8 @@ class _NodeView(Iterate):
     def z(self) -> np.ndarray:
         return self._expand()
 
+    data = property(lambda self: self.z)
+
 
 def solve(sys: DiscreteSystem, config: SolverConfig, monitor=None) -> tuple[Iterate, SolveReport]:
     """Run the corrected splitting iteration from the all-zeros iterate.
@@ -658,12 +687,12 @@ def solve(sys: DiscreteSystem, config: SolverConfig, monitor=None) -> tuple[Iter
     factors = PredictionFactors.build(sys, config)
     buffers = chunk_buffers(sys, box)
 
-    w = Iterate.zeros(sys.ndof, sys.grid.M, box=box)
+    # The zero trajectory's products are zero; step_minus column 0 stays zero.
+    w = Iterate.zeros(sys.ndof, sys.grid.M, box=box, products=True)
+    spare = Iterate.zeros(sys.ndof, sys.grid.M, box=box, products=True)
     if box:
         np.clip(w.P, *config.bounds, out=w.P)
         basis.project_stacked(w.P, out=w.P)
-    w.products = constraint_products(sys, w.Y, w.U)
-    spare = Iterate(np.empty_like(w.z), np.zeros_like(w.products))  # step_minus column 0 stays zero
     q = compute_q(sys, w, config.beta)
     work = np.empty_like(q)
     row_blocks = _row_blocks(sys.ndof, sys.grid.M)
@@ -683,8 +712,9 @@ def solve(sys: DiscreteSystem, config: SolverConfig, monitor=None) -> tuple[Iter
             t1 = time.perf_counter()
             predict(sys, w, config, factors, pool, buffers, q=q, out=spare)
             t2 = time.perf_counter()
-            tasks = [partial(advance_rows, sys, w, spare, q, config, nu, rows, work[rows]) for rows in row_blocks]
-            h_sq, gap_sq = [sum(c) for c in zip(*solve_multi(tasks, pool))]  # in block order, whatever the thread count
+            norms = solve_multi([partial(advance_rows, sys, w, spare, q, config, nu, rows, work[rows])
+                                 for rows in row_blocks], pool)
+            h_sq, gap_sq = [sum(c) for c in zip(*norms)]  # in block order, whatever the thread count
             w, spare = spare, w
             # w - w_next = nu d, and the H-norm is quadratic.
             inc = nu * nu * h_sq
@@ -701,10 +731,14 @@ def solve(sys: DiscreteSystem, config: SolverConfig, monitor=None) -> tuple[Iter
                 stop_reason = "converged"
                 break
 
+    # The loop's storage goes before the change of basis, the spare iterate
+    # before z is copied out of w.
     carried = w.products[3] - sys.rhs
-    w.products = spare.products = None  # the loop's storage goes before the change of basis
     buffers.clear()
-    result = Iterate(basis.expand_stacked(w.z, out=spare.z))
+    spare = None
+    z = w.z.copy()
+    w = None
+    result = Iterate(basis.expand_stacked(z, out=z))
     if box:
         np.clip(result.P, *config.bounds, out=result.P)  # the change of basis rounds
     residual = constraint_residual(node, result.Y, result.U)

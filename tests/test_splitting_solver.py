@@ -40,6 +40,7 @@ from parasplit.splitting_solver import (
     iterate_diff,
     predict,
     predict_multiplier,
+    predict_states,
     solve,
 )
 
@@ -232,6 +233,34 @@ class TestPrediction:
                 want = 0.5 * tau * A + config.beta * (cp.T @ cp) + shift
                 assert np.allclose(terminal, want, atol=1e-14)
 
+    @pytest.mark.parametrize("bc", [NEUMANN, DIRICHLET])
+    @pytest.mark.parametrize("box", [False, True])
+    def test_state_right_hand_sides(self, bc, box):
+        # one sparse product of [step_plus step_minus] against the chunk's
+        # stacked columns is beta (step_plus a + step_minus b) + tau kappa d,
+        # a = step_plus Y_m - q_m and b = step_minus Y_m + q_{m+1} (zero at
+        # step M), plus beta P + mu in the box variant; on a chunk that ends
+        # at step M and one that does not
+        M = splitting_solver.CHUNK_COLS + 5
+        sys = random_system(12, n=3, M=M, bc=bc)
+        config = _config(sys, beta=0.7, bounds=(-0.5, 0.5) if box else None)
+        w = random_iterate(13, sys, box).with_products(sys)
+        q = compute_q(sys, w, config.beta)
+        cp, cm = sys.step_plus.toarray(), sys.step_minus.toarray()
+        b_all = np.zeros_like(q)
+        b_all[:, :-1] = cm @ w.Y[:, :-1] + q[:, 1:]
+        chunks = splitting_solver._chunks(M)
+        assert len(chunks) == 2 and chunks[-1].stop == M
+        for cols in chunks:
+            k = cols.stop - cols.start
+            out = np.empty((sys.ndof, k))
+            predict_states(sys, w, q, config, cols, out, np.full((2, sys.ndof, k), np.nan))
+            a = cp @ w.Y[:, cols] - q[:, cols]
+            want = config.beta * (cp @ a + cm @ b_all[:, cols]) + sys.tracking_loads[:, cols]
+            if box:
+                want += config.beta * w.P[:, cols] + w.mu[:, cols]
+            assert np.abs(out - want).max() <= 1e-14 * np.abs(want).max()
+
     def test_multiplier_update(self):
         sys = random_system(9, n=2, M=2)
         w = random_iterate(10, sys)
@@ -284,8 +313,7 @@ class TestCorrect:
     @pytest.mark.parametrize("box", [False, True])
     def test_every_block_and_product(self, box):
         sys, w, w_t = self._pair(box)
-        w.products = constraint_products(sys, w.Y, w.U)
-        w_t.products = constraint_products(sys, w_t.Y, w_t.U)
+        w, w_t = w.with_products(sys), w_t.with_products(sys)
         z0, p0 = w.z.copy(), w.products.copy()
         names = self.BOX_BLOCKS if box else self.BLOCKS
         nu = 0.3
@@ -310,8 +338,7 @@ class TestCorrect:
     @pytest.mark.parametrize("box", [False, True])
     def test_diff_into_second_argument(self, box):
         sys, w, w_t = self._pair(box)
-        w.products = constraint_products(sys, w.Y, w.U)
-        w_t.products = constraint_products(sys, w_t.Y, w_t.U)
+        w, w_t = w.with_products(sys), w_t.with_products(sys)
         z0, p0, zt0, pt0 = w.z.copy(), w.products.copy(), w_t.z.copy(), w_t.products.copy()
         fresh = iterate_diff(w, w_t)
         for a, b in ((w.z, z0), (w.products, p0), (w_t.z, zt0), (w_t.products, pt0)):
@@ -323,10 +350,10 @@ class TestCorrect:
 
     def test_products_only_when_both_carry_them(self):
         sys, w, w_t = self._pair()
-        w_t.products = constraint_products(sys, w_t.Y, w_t.U)
+        w_t = w_t.with_products(sys)
         assert iterate_diff(w, w_t).products is None
         assert iterate_diff(w_t, w).products is None
-        w.products = constraint_products(sys, w.Y, w.U)
+        w = w.with_products(sys)
         assert correct(w, iterate_diff(w, Iterate(w_t.z)), 0.5).products is None
 
     def test_iterates_of_different_kinds_rejected(self):
@@ -337,6 +364,52 @@ class TestCorrect:
             with pytest.raises(ValueError, match=r"\(5, 3, 2\) and \(3, 3, 2\)") as err:
                 call()
             assert "\n" not in str(err.value)
+
+
+    @pytest.mark.parametrize("box", [False, True])
+    def test_backing_array_matches_slab_arithmetic(self, box):
+        # one ufunc call over the backing array, or over a row block of it,
+        # is the slab-by-slab arithmetic bit for bit
+        sys = random_system(3, n=3, M=5)
+        w = random_iterate(4, sys, box).with_products(sys)
+        w_t = random_iterate(5, sys, box).with_products(sys)
+        nu = 0.3
+        rows = slice(2, sys.ndof - 3)
+        for a, b in ((w, w_t), (w.rows(rows), w_t.rows(rows))):
+            diff = [x - y for x, y in zip(a.data, b.data)]
+            d = iterate_diff(a, b)
+            assert all(np.array_equal(got, want) for got, want in zip(d.data, diff))
+            out = correct(a, d, nu)
+            assert all(np.array_equal(got, x - nu * dx) for got, x, dx in zip(out.data, a.data, diff))
+            b0 = b.data.copy()
+            d = iterate_diff(a, b, out=b)  # in place, as the row pass does
+            assert d is b and all(np.array_equal(got, want) for got, want in zip(b.data, diff))
+            b.data[...] = b0
+
+    @pytest.mark.parametrize("box", [False, True])
+    def test_difference_of_z_only_without_both_products(self, box):
+        sys = random_system(6, n=2, M=3)
+        w, w_t = random_iterate(7, sys, box).with_products(sys), random_iterate(8, sys, box)
+        for a, b in ((w, w_t), (w_t, w)):
+            d = iterate_diff(a, b)
+            assert d.products is None and d.data is d.z
+            assert np.array_equal(d.z, a.z - b.z)
+            out = correct(a, iterate_diff(a, b), 0.5)
+            assert out.products is None and np.array_equal(out.z, a.z - 0.5 * (a.z - b.z))
+
+    def test_rows_are_views_of_the_backing_array(self):
+        sys = random_system(9, n=3, M=4)
+        w = random_iterate(10, sys, box=True).with_products(sys)
+        assert w.data.shape == (9, sys.ndof, 4) and w.data.flags.c_contiguous
+        assert np.shares_memory(w.z, w.data) and np.shares_memory(w.products, w.data)
+        rows = slice(1, 4)
+        block = w.rows(rows)
+        assert np.shares_memory(block.data, w.data)
+        assert np.array_equal(block.data, w.data[:, rows])
+        assert np.array_equal(block.z, w.z[:, rows]) and np.array_equal(block.products, w.products[:, rows])
+        plain = Iterate(w.z.copy())
+        assert plain.data is plain.z and plain.products is None
+        assert np.shares_memory(plain.rows(rows).data, plain.z)
 
 
 class TestHNorm:
@@ -536,6 +609,17 @@ class TestSolve:
         assert report.stop_reason == "k_max"
         assert not report.converged
         assert len(report.increment_history) == 7
+
+    def test_benchmark_stop(self):
+        # the benchmark's time-to-tolerance solve: a change of round-off that
+        # moves its iteration count shows here first
+        prob = get_example("5.1")
+        sys = build_level(prob, 16)
+        w, report = solve(sys, SolverConfig(alpha=prob.alpha, beta=prob.beta))
+        assert report.stop_reason == "converged" and report.iterations == 2038
+        star = solve_kkt(sys, prob.alpha)
+        for got, want in ((w.Y, star.Y_star), (w.U, star.U_star)):
+            assert np.linalg.norm(got - want) <= 5e-3 * np.linalg.norm(want)
 
     def test_carried_residual_does_not_drift(self):
         prob = get_example("5.1")
