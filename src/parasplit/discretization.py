@@ -201,42 +201,67 @@ def constraint_products(sys: DiscreteSystem, Y: np.ndarray, U: np.ndarray) -> np
 
     Block m of the homogeneous constraint map Cz is step_plus Y_m
     - tau A U_m - step_minus Y_{m-1}, and the slabs are its terms in the
-    block row they enter: A U, step_plus Y, step_minus Y shifted one step
-    (column m holds step_minus Y_{m-1}; column 0 is zero, as block 1 has
-    no step_minus term) and Cz.  All four are linear in (U, Y), so the
-    products of a combination of trajectories are the same combination of
-    their products.  Slabs 0-2 come from ``write_products``.
+    block row they enter: tau A U (the control term, which the row
+    subtracts), step_plus Y, step_minus Y shifted one step (column m holds
+    step_minus Y_{m-1}; column 0 is zero, as block 1 has no step_minus
+    term) and Cz.  All four are linear in (U, Y), so the products of a
+    combination of trajectories, such as the difference of two, are the
+    same combination of their products.  Slabs 0-2 come from
+    ``write_products``.
     """
     out = np.zeros((4,) + U.shape)
     write_products(sys, Y, U, out)
-    return fill_constraint_map(sys, out)
+    return fill_constraint_map(out)
+
+
+def one_step_on(start: int, chunk: np.ndarray, *wide: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Views pairing column j of ``chunk``, shape (n, k), which holds time
+    steps start .. start + k - 1, with column start + j + 1 of each (n, M)
+    array in ``wide``, as far as column M - 1: step m against step m + 1.
+
+    When the chunk spans all M steps and every array is C-contiguous, the
+    views are the flat runs chunk.ravel()[:-1] and x.ravel()[1:], so one
+    ufunc call runs over contiguous memory; then the last column of each
+    row of ``chunk`` pairs with column 0 of the next row of ``wide``, and
+    the caller re-zeroes the one of the two it wrote.  Otherwise they are
+    the 2-D windows of the chunk's first k' columns and columns
+    start + 1 .. start + k' of ``wide``, with k' = min(k, M - 1 - start).
+    """
+    M = wide[0].shape[1]
+    if start == 0 and chunk.shape[1] == M and all(x.flags.c_contiguous for x in (chunk, *wide)):
+        return (chunk.reshape(-1)[:-1], *(x.reshape(-1)[1:] for x in wide))
+    k = min(chunk.shape[1], M - 1 - start)
+    return (chunk[:, :k], *(x[:, start + 1 : start + 1 + k] for x in wide))
 
 
 def write_products(sys: DiscreteSystem, Y: np.ndarray, U: np.ndarray, products: np.ndarray,
                    cols: slice = slice(None)) -> None:
     """Write slabs 0-2 of a ``constraint_products`` array for the time steps
-    ``cols`` (all by default), from those steps' columns Y and U: A U and
-    step_plus Y into columns ``cols``, step_minus Y one column on, into the
-    block row it enters.  The last step's step_minus product enters no
-    block row and is dropped, and column 0 of slab 2 is never written.
+    ``cols`` (all by default), from those steps' columns Y and U: tau A U
+    and step_plus Y into columns ``cols``, step_minus Y one column on, into
+    the block row it enters (``one_step_on``).  The last step's step_minus
+    product enters no block row and is dropped; column 0 of slab 2 is
+    zeroed by the run that starts at step 1.
     """
-    start, stop, _ = cols.indices(products.shape[-1])
-    products[0][:, cols] = sys.mass @ U
+    start = cols.indices(products.shape[-1])[0]
+    np.multiply(sys.grid.tau, sys.mass @ U, out=products[0][:, cols])
     products[1][:, cols] = sys.step_plus @ Y
-    MY = products[2][:, start + 1 : stop + 1]
-    MY[...] = (sys.step_minus @ Y)[:, : MY.shape[1]]
+    MY, ahead = one_step_on(start, sys.step_minus @ Y, products[2])
+    ahead[...] = MY
+    if start == 0:
+        products[2][:, 0] = 0.0
 
 
-def fill_constraint_map(sys: DiscreteSystem, products: np.ndarray) -> np.ndarray:
+def fill_constraint_map(products: np.ndarray) -> np.ndarray:
     """Write slab 3 (Cz) of a ``constraint_products`` array from its slabs
-    0-2: Cz = step_plus Y - tau A U - slab 2, elementwise, since slab 2
-    already holds each block row's step_minus term.  ``products`` may be
-    any block of rows and columns of a larger array.  Works in place.
-    Returns ``products``.
+    0-2: Cz = step_plus Y - slab 0 - slab 2, elementwise, since slab 0
+    holds tau A U and slab 2 each block row's step_minus term.
+    ``products`` may be any block of rows and columns of a larger array,
+    and the products of any trajectory, such as the difference of two
+    iterates.  Works in place.  Returns ``products``.
     """
     Cz = products[3]
-    np.multiply(sys.grid.tau, products[0], out=Cz)
-    np.subtract(products[1], Cz, out=Cz)
+    np.subtract(products[1], products[0], out=Cz)
     np.subtract(Cz, products[2], out=Cz)
     return products
 

@@ -27,50 +27,53 @@ them and projects them back, in arrays it reuses every iteration.
 
 An iterate is the slabs U, Y, lam and, in the box variant, P and mu.  The
 constraint map is linear, so the loop carries the iterate's constraint
-products beside it, stacked as ``constraint_products`` returns them: A U,
-step_plus Y, step_minus Y and the constraint map Cz, each term in the block
-row it enters, so step_minus Y_m sits in column m + 1 and column 0 of that
-slab is zero.  The slabs and the products are one C-order backing array
-(``Iterate.data``, S + 4 slabs with S = 3, or 5 in the box variant).  Each
-iteration forms the difference d = w - w~ once, over the iterate and its
-products together, as one ufunc call over the backing arrays: the H-norm
+products beside it, stacked as ``constraint_products`` returns them:
+tau A U, step_plus Y, step_minus Y and the constraint map Cz, each term in
+the block row it enters, so step_minus Y_m sits in column m + 1 and column
+0 of that slab is zero.  The slabs and the products are one C-order
+backing array (``Iterate.data``, S + 4 slabs with S = 3, or 5 in the box
+variant).  The loop never forms the predicted iterate w~ itself: the
+prediction writes the difference d = w - w~ with its products, the H-norm
 increment nu^2 ||d||_H^2 reads d's products, and ``correct(w, d, nu)``
-= w - nu d, two ufunc calls, is the corrected iterate with its products.
-An iteration then forms four sparse products: one of ``step_pair``
-= [step_plus step_minus] for the state right-hand sides and three for the
-predicted iterate's products, all three written by ``write_products``, the
-writer of ``constraint_products``, so the carried products are exactly the
-sparse products of the carried trajectory.  The control solves use the mass
-shift alpha I + beta tau A, the control normal matrix alpha tau A + beta
-tau^2 A A with its SPD factor tau A cancelled.
+= w - nu d, two ufunc calls over the backing arrays, is the corrected
+iterate with its products.  An iteration forms four sparse products: one
+of ``step_pair`` = [step_plus step_minus] for the state right-hand sides
+and three of d, all three written by ``write_products``, the writer of
+``constraint_products``, so d's products are sparse products of d.  The
+subproblems' normal matrices and right-hand sides are divided by beta once
+per solve (``PredictionFactors``), so no iteration multiplies by it; the
+control solves use the mass shift (alpha / beta) I + tau A, the control
+normal matrix alpha tau A + beta tau^2 A A with its SPD factor beta tau A
+cancelled.  The multipliers keep their meaning: lam and mu, not over beta.
 
 ``solve`` allocates its storage once: two zeroed backing arrays, the
-iterates with their products, which swap roles every iteration (the prediction is written into the spare
-one, then overwritten in place by the difference and the correction), q,
-the chunks' buffers and one slab of scratch.  ``thread_count`` sets the
-workers of one thread pool opened per solve, capped at the CPUs the process
-may run on; a single thread runs every task inline.  An iteration is two
-``solve_multi`` batches:
+iterates with their products, which swap roles every iteration (the
+difference is written into the spare one, then overwritten in place by the
+correction), q, the chunks' buffers and one slab of scratch.
+``thread_count`` sets the workers of one thread pool opened per solve,
+capped at the CPUs the process may run on; a single thread runs every task
+inline.  An iteration is two ``solve_multi`` batches:
 
 - one task per chunk of CHUNK_COLS time steps (``predict``): the steps'
   control and state right-hand sides in the chunk's buffer, their solves
   (every state column against the state factor, then step M again against
-  the terminal factor), the predicted products of its columns
-  (``write_products``: A U~ and step_plus Y~, and step_minus Y~ one column
-  on, in the block row it enters) and the box variant's projected copies
-  P~;
+  the terminal factor), the difference (d_U, d_Y) of its columns in one
+  ufunc call, d's products there (``write_products``: tau A d_U and
+  step_plus d_Y, and step_minus d_Y one column on, in the block row it
+  enters) and the box variant's d_P from the projected copies P~.  A
+  chunk of all M steps reads and writes the one-column shifts as flat
+  runs of contiguous memory (``one_step_on``);
 - one task per row block of the (slabs, ndof, M) arrays, as many blocks as
-  chunks (``advance_rows``): C z~, the multipliers (``couple``), the
-  difference, its H-norm and the box gap, the correction and the next
-  iteration's q, all for the block's rows, and its return value is the
-  rows' share of the H-norm and the gap.  Every one of them is row-local
-  (C z~ is elementwise in the products), and a row block of a C-order
-  slab is contiguous.  With one row block (M <= CHUNK_COLS) the block is
-  the whole backing array, and the difference and the correction are one
-  and two ufunc calls; with several, a block is contiguous slab by slab
-  only, and they run slab by slab.  (Column blocks of these arrays are
-  strided, and a tail split by time columns ran slower than the serial
-  one.)
+  chunks (``advance_rows``): C d and the multipliers' differences
+  (``couple_difference``), d's H-norm and the box gap, the correction and
+  the next iteration's q, all for the block's rows, and its return value
+  is the rows' share of the H-norm and the gap.  Every one of them is
+  row-local (C d is elementwise in the products), and a row block of a
+  C-order slab is contiguous.  With one row block (M <= CHUNK_COLS) the
+  block is the whole backing array, and the correction is two ufunc
+  calls; with several, a block is contiguous slab by slab only, and it
+  runs slab by slab.  (Column blocks of these arrays are strided, and a
+  tail split by time columns ran slower than the serial one.)
 
 The calling thread keeps the monitor and sums the row blocks' partial
 norms, which ``solve_multi`` returns in block order: each squared norm sums
@@ -100,6 +103,7 @@ from .discretization import (  # noqa: F401  constraint_linear_map: bench/tracin
     constraint_products,
     constraint_residual,
     fill_constraint_map,
+    one_step_on,
     write_products,
 )
 from .mirrors import MirrorBasis
@@ -268,36 +272,47 @@ def _gram(a: sp.csr_matrix) -> sp.csr_matrix:
 
 @dataclass(frozen=True)
 class PredictionFactors:
-    """One-time factorizations reused every iteration.
+    """What the prediction reuses every iteration, formed once per solve:
+    three factorizations and the state right-hand sides' constant term.
 
-    The three matrices are polynomials in the system's mass and stiffness,
-    so they share its block structure: all three are factored block by
-    block over ``DiscreteSystem.block_sizes``.
+    The subproblems' normal matrices and right-hand sides are divided by
+    beta, so no iteration multiplies by it.  The three matrices are
+    polynomials in the system's mass and stiffness, so they share its
+    block structure: all three are factored block by block over
+    ``DiscreteSystem.block_sizes``.
     """
 
     control: CholFactor
     state: CholFactor  # every step; the terminal factor re-solves step M
     terminal: CholFactor
+    loads: np.ndarray  # the tracking loads (tau kappa_m) d_m over beta
 
     @staticmethod
     def build(sys: DiscreteSystem, config: SolverConfig) -> "PredictionFactors":
-        """Factor the control mass shift and the state normal matrices
-        tau A + beta (step_plus^2 + step_minus^2) = tau A + beta (2 A A
-        + tau^2/2 B B) and (tau/2) A + beta step_plus^2, each plus beta I
-        from the state-copy constraint row in the box variant."""
+        """Factor the control mass shift (alpha / beta) I + tau A and the
+        state normal matrices over beta: (tau / beta) A + step_plus^2
+        + step_minus^2 = (tau / beta) A + 2 A A + tau^2/2 B B and
+        (tau / (2 beta)) A + step_plus^2, each plus I from the state-copy
+        constraint row in the box variant."""
         tau = sys.grid.tau
         alpha, beta = config.alpha, config.beta
         shift = 0.0
         if config.bounds is not None:
-            shift = beta  # extra beta * I from the state-copy constraint row
+            shift = 1.0  # I from the state-copy constraint row
         sizes = sys.block_sizes
         eye = sp.identity(sys.ndof, format="csr")
-        control = factorize(alpha * eye + (beta * tau) * sys.mass, sizes)
+        control = factorize((alpha / beta) * eye + tau * sys.mass, sizes)
         state_gram = 2.0 * _gram(sys.mass) + (tau * tau / 2.0) * _gram(sys.stiffness)
-        state = factorize(tau * sys.mass + beta * state_gram + shift * eye, sizes)
+        state = factorize((tau / beta) * sys.mass + state_gram + shift * eye, sizes)
         terminal_gram = _gram(sys.step_plus)
-        terminal = factorize((tau / 2.0) * sys.mass + beta * terminal_gram + shift * eye, sizes)
-        return PredictionFactors(control=control, state=state, terminal=terminal)
+        terminal = factorize((tau / (2.0 * beta)) * sys.mass + terminal_gram + shift * eye, sizes)
+        return PredictionFactors(control=control, state=state, terminal=terminal,
+                                 loads=sys.tracking_loads / beta)
+
+    @property
+    def named(self) -> dict[str, CholFactor]:
+        """The three factorizations by name."""
+        return {"control": self.control, "state": self.state, "terminal": self.terminal}
 
     def solve(self, rhs: np.ndarray, last: bool, out: np.ndarray) -> None:
         """U~ and Y~ of one chunk of k steps from its right-hand sides ``rhs``,
@@ -324,14 +339,13 @@ def predict_controls(
 
     The first-order conditions of the odd-index subproblems read
     (alpha*tau*A + beta*tau^2*A*A) U~ = beta*(tau^2*A*A U + tau*A q).  Both
-    sides carry the SPD factor tau*A, so U~ solves the mass shift
-    (alpha*I + beta*tau*A) U~ = beta*(tau*A U + q).  (The sign of the q term
-    follows from the subproblem optimality conditions; the constraint
-    carries the control with a negative block.)  A U comes from w's products.
+    sides carry the SPD factor tau*A, and dividing by beta tau A leaves the
+    mass shift ((alpha/beta)*I + tau*A) U~ = tau*A U + q.  (The sign of the
+    q term follows from the subproblem optimality conditions; the
+    constraint carries the control with a negative block.)  tau A U comes
+    from w's products.
     """
-    np.multiply(sys.grid.tau, w.products[0][:, cols], out=out)
-    out += q[:, cols]
-    out *= config.beta
+    np.add(w.products[0][:, cols], q[:, cols], out=out)
 
 
 def predict_states(
@@ -339,41 +353,40 @@ def predict_states(
     w: Iterate,
     q: np.ndarray,
     config: SolverConfig,
+    loads: np.ndarray,
     cols: slice,
     out: np.ndarray,
     work: np.ndarray | None = None,
 ) -> None:
     """The right-hand sides of the state subproblems of the time steps
-    ``cols``, into ``out``.
+    ``cols``, into ``out``, divided by beta as ``PredictionFactors``'
+    normal matrices are.
 
-    The right-hand side of step m is (tau kappa_m) d_m + beta [step_plus
-    (step_plus Y_m - q_m) + step_minus (step_minus Y_m + q_{m+1})], without
-    the step_minus term at the terminal step: the normal matrices
-    ``PredictionFactors`` factors carry step_plus^2 + step_minus^2
-    (interior) and step_plus^2 (terminal).  The first term is the system's
-    ``tracking_loads``, and the products step_plus Y and step_minus Y come
-    from w's products.  step_minus Y_m enters block row m + 1, where w's
-    products keep it, so the step_minus term reads the products and q
-    through one column slice, one step past the chunk's.  The two
-    arguments are stacked in ``work``, a C-contiguous array of shape
-    (2, ndof, k) (allocated here when not given), the terminal step's
-    column of the second zero, and one sparse product of
-    ``sys.step_pair`` = [step_plus step_minus] applies and adds both.
+    The right-hand side of step m is (tau kappa_m) d_m / beta + step_plus
+    (step_plus Y_m - q_m) + step_minus (step_minus Y_m + q_{m+1}), without
+    the step_minus term at the terminal step: the normal matrices carry
+    step_plus^2 + step_minus^2 (interior) and step_plus^2 (terminal).  The
+    first term is ``loads`` (``PredictionFactors.loads``), and the products
+    step_plus Y and step_minus Y come from w's products.  step_minus Y_m
+    enters block row m + 1, where w's products keep it, so the step_minus
+    term reads the products and q one step past the chunk's columns
+    (``one_step_on``).  The two arguments are stacked in ``work``, a
+    C-contiguous array of shape (2, ndof, k) (allocated here when not
+    given), the terminal step's column of the second zero, and one sparse
+    product of ``sys.step_pair`` = [step_plus step_minus] applies and adds
+    both.  The box variant adds P + mu / beta.
     """
     _, PY, MY, _ = w.products
-    ahead = slice(cols.start + 1, cols.stop + 1)  # ends at M: the terminal step has no step_minus term
     work = work if work is not None else np.empty((2,) + out.shape)
     shifted, term = work
     np.subtract(PY[:, cols], q[:, cols], out=shifted)
-    k = MY[:, ahead].shape[1]
-    np.add(MY[:, ahead], q[:, ahead], out=term[:, :k])
-    term[:, k:] = 0.0
-    coupled = sys.step_pair @ work.reshape(-1, work.shape[-1])
-    np.multiply(config.beta, coupled, out=out)
-    out += sys.tracking_loads[:, cols]
+    behind, MY_ahead, q_ahead = one_step_on(cols.start, term, MY, q)
+    np.add(MY_ahead, q_ahead, out=behind)
+    term[:, sys.grid.M - 1 - cols.start :] = 0.0  # the terminal step has no step_minus term
+    np.add(sys.step_pair @ work.reshape(-1, work.shape[-1]), loads[:, cols], out=out)
     if config.bounds is not None:
-        np.multiply(config.beta, w.P[:, cols], out=shifted)
-        shifted += w.mu[:, cols]
+        np.divide(w.mu[:, cols], config.beta, out=shifted)
+        shifted += w.P[:, cols]
         out += shifted
 
 
@@ -392,45 +405,50 @@ def predict_multiplier(
     return np.subtract(w.lam[rows], out, out=out)
 
 
-def couple(
-    sys: DiscreteSystem, w: Iterate, w_t: Iterate, config: SolverConfig, rows: slice = slice(None)
+def couple_difference(
+    w: Iterate, d: Iterate, q: np.ndarray, config: SolverConfig, work: np.ndarray | None = None
 ) -> None:
-    """Complete the prediction w_t of w on the rows ``rows`` (all by
-    default) from what the chunk tasks wrote: U~, Y~, their products A U~,
-    step_plus Y~ and step_minus Y~, and the box variant's projected copies
-    P~.  Forms C z~, the multiplier lam~ and, in the box variant, the
-    copies' multiplier mu~ = mu - beta (Y~ - P~).
+    """Complete the difference d = w - w~ from what the chunk tasks wrote:
+    d_U, d_Y, their products tau A d_U, step_plus d_Y and step_minus d_Y,
+    and the box variant's d_P.  Forms C d, the multiplier slab
+    lam - lam~ = beta (q - C d) + lam and, in the box variant,
+    mu - mu~ = beta ((Y - P) - (d_Y - d_P)).
 
-    Each is elementwise (the chunk tasks wrote step_minus Y~ in the block
-    row it enters), so row blocks are independent.  Works in place in
-    w_t's arrays.
+    These follow from lam~ = lam - beta (C z~ - rhs), C z~ = C z - C d,
+    q = C z - rhs - lam / beta (w's shifted residual) and
+    mu~ = mu - beta (Y~ - P~).  Each is elementwise (the chunk tasks wrote
+    step_minus d_Y in the block row it enters), so w, d and q may be any
+    block of rows (``Iterate.rows``).  Works in place in d's arrays;
+    ``work``, an array of one slab's shape, holds the box variant's
+    d_Y - d_P (allocated here when not given).
     """
     beta = config.beta
-    fill_constraint_map(sys, w_t.products[:, rows])
-    predict_multiplier(sys, w, w_t.products, beta, rows, out=w_t.lam[rows])
+    Cd = fill_constraint_map(d.products)[3]
+    e = np.subtract(q, Cd, out=d.lam)
+    e *= beta
+    e += w.lam
     if config.bounds is not None:
-        mu = w_t.mu[rows]
-        np.subtract(w_t.Y[rows], w_t.P[rows], out=mu)
-        mu *= beta
-        np.subtract(w.mu[rows], mu, out=mu)
+        f = np.subtract(w.Y, w.P, out=d.mu)
+        f -= np.subtract(d.Y, d.P, out=work)
+        f *= beta
 
 
-def project_copies(sys: DiscreteSystem, w: Iterate, config: SolverConfig, cols: slice, out, Z, work) -> None:
+def project_copies(sys: DiscreteSystem, w: Iterate, config: SolverConfig, cols: slice, Z, work) -> None:
     """The box variant's copies P~ = clip(Y - mu / beta) of the time steps
-    ``cols``, into ``out``, formed in Z, a C-contiguous (ndof, k) array.
-    The bounds hold in node coordinates, so in a mirror basis of several
-    blocks the columns are expanded, clipped and projected back, in
-    ``work`` (``MirrorBasis.work``).  With one block, in node coordinates
-    or in the basis of a system without a mirror (Q = I), they are clipped
-    as they are."""
+    ``cols``, into Z, a C-contiguous (ndof, k) array.  The bounds hold in
+    node coordinates, so in a mirror basis of several blocks the columns
+    are expanded, clipped and projected back, in ``work``
+    (``MirrorBasis.work``).  With one block, in node coordinates or in the
+    basis of a system without a mirror (Q = I), they are clipped as they
+    are."""
     np.divide(w.mu[:, cols], config.beta, out=Z)
     np.subtract(w.Y[:, cols], Z, out=Z)
     if len(sys.block_sizes) == 1:
-        np.clip(Z, *config.bounds, out=out)
+        np.clip(Z, *config.bounds, out=Z)
         return
     sys.basis.expand_stacked(Z, out=Z, work=work)
     np.clip(Z, *config.bounds, out=Z)
-    out[...] = sys.basis.project_stacked(Z, out=Z, work=work)
+    sys.basis.project_stacked(Z, out=Z, work=work)
 
 
 CHUNK_COLS = 32  # time steps per pool task; a fixed width keeps iterates independent of threads
@@ -475,22 +493,23 @@ def predict(
 
     Each column chunk of time steps is one task of a ``solve_multi`` batch
     on ``pool`` (None: inline): the control and state solves of its steps
-    with their right-hand sides, the predicted products A U~, step_plus Y~
-    and step_minus Y~, and in the box variant the projected copies P~
-    (``project_copies``).  That is four sparse products in all: one of
+    with their right-hand sides, then the difference of their columns
+    d = w - w~, the products of d: tau A d_U, step_plus d_Y and
+    step_minus d_Y, and in the box variant d_P from the projected copies
+    P~ (``project_copies``).  That is four sparse products in all: one of
     ``step_pair`` for the state right-hand sides (``predict_states``) and
-    the three predicted ones, written by ``write_products``, the writer of
-    ``constraint_products``.  After the batch ``couple`` forms what couples
-    the columns: C z~, the multiplier and the copies' multiplier.  Uses the
-    products w carries, forming them first when it carries none, and w's
-    shifted residual ``q``, formed first when not given.  The predicted
-    iterate is returned with its own products.  ``buffers`` (``chunk_buffers``) holds the
-    arrays the tasks work in; without it this prediction allocates its own.
+    the three of d, written by ``write_products``, the writer of
+    ``constraint_products``.  After the batch ``couple_difference`` forms
+    what couples the columns: C d and the multipliers' differences.  Uses
+    the products w carries, forming them first when it carries none, and
+    w's shifted residual ``q``, formed first when not given.  The predicted
+    iterate w - d is returned with its products.  ``buffers``
+    (``chunk_buffers``) holds the arrays the tasks work in; without it this
+    prediction allocates its own.
 
-    With ``out``, an iterate with products whose step_minus slab has a zero
-    column 0 (no chunk writes it), the chunk batch writes into it and
-    ``out`` is returned without the coupling: ``solve`` forms that in
-    its row pass (``advance_rows``), together with the rest of the
+    With ``out``, an iterate with products, the chunk batch writes d into
+    it and ``out`` is returned without the coupling: ``solve`` forms that
+    in its row pass (``advance_rows``), together with the rest of the
     iteration.
     """
     box = config.bounds is not None
@@ -498,26 +517,27 @@ def predict(
         w = w.with_products(sys)
     if q is None:
         q = compute_q(sys, w, config.beta)
-    w_t = out if out is not None else Iterate.zeros(*w.U.shape, box=box, products=True)
+    d = out if out is not None else Iterate.zeros(*w.U.shape, box=box, products=True)
     if buffers is None:
         buffers = chunk_buffers(sys, box)
 
     def chunk(cols: slice, rhs: np.ndarray, sol: np.ndarray, work: tuple | None) -> None:
-        # contiguous buffers, each copied once into the strided columns of w_t
+        # contiguous buffers, copied once into the strided columns of d
         predict_controls(sys, w, q, config, cols, rhs[0])
-        predict_states(sys, w, q, config, cols, rhs[1], work=sol)
+        predict_states(sys, w, q, config, factors.loads, cols, rhs[1], work=sol)
         factors.solve(rhs, cols.stop == sys.grid.M, sol)
-        U, Y = sol
-        w_t.U[:, cols] = U
-        w_t.Y[:, cols] = Y
-        write_products(sys, Y, U, w_t.products, cols)
+        np.subtract(w.z[:2, :, cols], sol, out=sol)
+        d.z[:2, :, cols] = sol
+        write_products(sys, sol[1], sol[0], d.products, cols)
         if box:
-            project_copies(sys, w, config, cols, w_t.P[:, cols], rhs[0], work)
+            project_copies(sys, w, config, cols, rhs[0], work)
+            np.subtract(w.P[:, cols], rhs[0], out=d.P[:, cols])
 
     solve_multi([partial(chunk, cols, *buf) for cols, buf in zip(_chunks(sys.grid.M), buffers)], pool)
-    if out is None:
-        couple(sys, w, w_t, config)
-    return w_t
+    if out is not None:
+        return d
+    couple_difference(w, d, q, config)
+    return iterate_diff(w, d, out=d)
 
 
 def _operands(*iterates: Iterate) -> tuple[list[tuple[np.ndarray, ...]], bool]:
@@ -581,15 +601,15 @@ def h_norm_sq(sys: DiscreteSystem, v: Iterate, beta: float, work: np.ndarray | N
     columns of the constraint matrix.  Box iterates extend the columns with
     the identity rows of the state-copy constraint.  The block products
     M_l v_l and their sum are v's products (formed when v carries none), by
-    block row: A U, step_plus Y, step_minus Y (its column 0 zero) and C z;
-    a box iterate adds Y, P, Y - P and mu.
+    block row and up to sign: tau A U, step_plus Y, step_minus Y (its
+    column 0 zero) and C z; a box iterate adds Y, P, Y - P and mu.
 
     Every squared norm sums over rows, so the value of a row block
     (``Iterate.rows``, carrying its products) is its share of the whole's.
     ``work``, an array of one slab's shape, holds the box variant's Y - P.
     """
     AU, PY, MY, Cz = _products(sys, v)
-    per_block = sys.grid.tau**2 * _sq(AU) + _sq(PY) + _sq(MY)
+    per_block = _sq(AU) + _sq(PY) + _sq(MY)
     total_sum = _sq(Cz)
     mult = _sq(v.lam)
     if v.is_box:
@@ -610,18 +630,18 @@ def advance_rows(
     work: np.ndarray,
 ) -> tuple[float, float]:
     """The iteration's tail on the rows ``rows``, after the chunk batch has
-    written U~, Y~ and their products into w_t.
+    written the difference d = w - w~ of the columns into w_t: d_U, d_Y,
+    their products and the box variant's d_P.
 
-    In turn: ``couple`` completes the prediction; the difference
-    d = w - w~ overwrites it, over the iterate and its products; the
-    corrected iterate w - nu d overwrites d; and the rows of ``q`` receive
-    its shifted residual.  Returns the rows' share of d^T H d and of the
-    corrected iterate's ||Y - P||^2 (0 in the plain variant).  ``work``
-    (the rows of a slab-shaped array) holds the temporaries.
+    In turn: ``couple_difference`` completes d; the corrected iterate
+    w - nu d overwrites it, over the iterate and its products; and the
+    rows of ``q`` receive its shifted residual.  Returns the rows' share
+    of d^T H d and of the corrected iterate's ||Y - P||^2 (0 in the plain
+    variant).  ``work`` (the rows of a slab-shaped array) holds the
+    temporaries.
     """
-    couple(sys, w, w_t, config, rows)
     w_rows, d = w.rows(rows), w_t.rows(rows)
-    iterate_diff(w_rows, d, out=d)
+    couple_difference(w_rows, d, q[rows], config, work)
     h_sq = h_norm_sq(sys, d, config.beta, work)
     correct(w_rows, d, nu)
     gap_sq = _sq(np.subtract(d.Y, d.P, out=work)) if d.is_box else 0.0
@@ -752,7 +772,7 @@ def solve(sys: DiscreteSystem, config: SolverConfig, monitor=None) -> tuple[Iter
         seconds_total=time.perf_counter() - t0,
         seconds_predict=t_predict,
         seconds_correct=t_correct,
-        factor_nnz={name: f.nnz for name, f in vars(factors).items()},
+        factor_nnz={name: f.nnz for name, f in factors.named.items()},
         gap_history=None if gaps is None else np.asarray(gaps),
     )
     return result, report

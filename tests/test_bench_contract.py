@@ -6,12 +6,15 @@ rename in the package would break those runs only.  The benchmark, the
 sweeps and this suite each pin BLAS to one thread from their own list of
 environment variables.  These tests keep a rename, or a drift between the
 lists, visible in the regular suite, and run the sweeps' oracle cells and
-one repeat of the dense sweep on a small level.  The last test counts the
-code lines of a small module with ``tools/code_lines.py``.
+one repeat of the dense sweep on a small level.  Two tests count the
+code lines of a small module with ``tools/code_lines.py`` and run
+``tools/ab.py``'s cells on HEAD against itself.
 """
 
 import ast
+import dataclasses
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -150,3 +153,29 @@ def test_code_lines_counts_a_module(tmp_path, capsys):
     )
     code_lines.main([str(tmp_path)])
     assert capsys.readouterr().out.split() == ["toy.py", "7", "17", "total", "7", "17"]
+
+
+def test_ab_runs_head_against_itself(tmp_path, monkeypatch):
+    # the interleaved harness at n = 4: HEAD's package imported twice, as two
+    # distinct module sets, gives bit-identical iterates in every cell
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    ab = _load("tools_ab", ROOT / "tools" / "ab.py")
+    try:
+        src = ab.export("HEAD", tmp_path)
+    except (OSError, subprocess.CalledProcessError) as err:
+        pytest.skip(f"no git checkout to export HEAD from: {err}")
+    aliases = ("parasplit_ab_test_base", "parasplit_ab_test_change")
+    try:
+        base, change = (ab.load(alias, src) for alias in aliases)
+        assert base.splitting_solver is not change.splitting_solver
+        cells = [dataclasses.replace(c, n=4, config={**c.config, "k_max": 20}) for c in ab.CELLS]
+        out = ab.compare(base, change, cells, rounds=2)
+    finally:
+        for name in [m for m in sys.modules if m.split(".")[0] in aliases]:
+            del sys.modules[name]
+    assert list(out) == [c.name for c in ab.CELLS]
+    for name, cell in out.items():
+        assert cell["iterations"] == {"base": 20, "change": 20}, name
+        assert cell["identical"] and not any(cell["max_rel_diff_per_slab"]), name
+        for side in ("base", "change"):
+            assert 0.0 < cell[side]["sum_of_minima_s"] <= cell[side]["q1_s"] <= cell[side]["q3_s"], name

@@ -170,11 +170,11 @@ class TestConstraintResidual:
         expected = A_cal @ flat(Y) + B_cal @ flat(U) - F
         got = flat(constraint_residual(sys, Y, U))
         assert np.allclose(got, expected, atol=1e-12 * max(1.0, np.abs(expected).max()))
-        # Each product sits in the block row it enters: A U and step_plus Y
+        # Each product sits in the block row it enters: tau A U and step_plus Y
         # block-diagonally, step_minus Y_{m-1} in row m, nothing in row 1.
-        AU, PY, MY, _ = constraint_products(sys, Y, U)
+        tAU, PY, MY, _ = constraint_products(sys, Y, U)
         eye = np.eye(M)
-        for slab, blocks, X in ((AU, np.kron(eye, sys.mass.toarray()), U),
+        for slab, blocks, X in ((tAU, np.kron(eye, sys.grid.tau * sys.mass.toarray()), U),
                                 (PY, np.kron(eye, sys.step_plus.toarray()), Y),
                                 (MY, np.kron(np.eye(M, k=-1), sys.step_minus.toarray()), Y)):
             want = blocks @ flat(X)
@@ -208,7 +208,7 @@ class TestConstraintResidual:
         for part in ((slice(None), rows), (slice(None), slice(None), slice(1, 3))):
             block = whole.copy()
             block[3] = 0.0
-            fill_constraint_map(sys, block[part])
+            fill_constraint_map(block[part])
             assert np.array_equal(block[part][3], whole[part][3])
             outside = np.ones(block[3].shape, dtype=bool)
             outside[part[1:]] = False

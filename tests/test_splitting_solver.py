@@ -22,7 +22,14 @@ from conftest import (
     random_system,
     reference_loop,
 )
-from parasplit.discretization import TimeGrid, build_system, constraint_products, constraint_residual
+from parasplit.discretization import (
+    TimeGrid,
+    build_system,
+    constraint_products,
+    constraint_residual,
+    one_step_on,
+    write_products,
+)
 from parasplit.experiments import build_level, get_example
 from parasplit.fem_assembly import make_space
 from parasplit.kkt_oracle import solve_kkt
@@ -175,12 +182,15 @@ class TestPrediction:
             pooled = predict(sys, w, config, factors, pool)
         for w_t in (inline, pooled):
             assert prediction_row_residuals(sys, w, w_t, config.alpha, config.beta).max() <= 1e-9
-            want = constraint_products(sys, w_t.Y, w_t.U)
-            # A U~ from the control equation, and Cz~ from it, round apart
-            assert np.array_equal(w_t.products[1:3], want[1:3])
-            _assert_close(w_t.products[0], want[0])
-            _assert_close(w_t.products[3], want[3])
+            # w~'s products are w's minus d's, so round apart from w~'s own
+            for got, want in zip(w_t.products, constraint_products(sys, w_t.Y, w_t.U)):
+                _assert_close(got, want)
         assert np.array_equal(pooled.z, inline.z)
+        # The chunk tasks write the difference d = w - w~ and its products
+        # with constraint_products' writer, bit for bit.
+        d = predict(sys, w, config, factors, out=Iterate.zeros(sys.ndof, M, box=box, products=True))
+        assert np.array_equal(inline.z[:2], w.z[:2] - d.z[:2])
+        assert np.array_equal(d.products[:3], constraint_products(sys, d.Y, d.U)[:3])
 
     def test_control_row_direct_substitution(self):
         sys = random_system(5, n=2, M=3)
@@ -224,28 +234,33 @@ class TestPrediction:
             cp, cm = sys.step_plus.toarray(), sys.step_minus.toarray()
             for bounds in (None, (0.0, 1.0)):
                 config = _config(sys, beta=2.5, bounds=bounds)
-                shift = config.beta * np.eye(sys.ndof) if bounds else 0.0
+                shift = np.eye(sys.ndof) if bounds else 0.0
                 factored.clear()
                 PredictionFactors.build(sys, config)
-                state, terminal = factored[1:]  # factored[0] is the control mass shift; every M has all three
-                want = tau * A + config.beta * (cp.T @ cp + cm.T @ cm) + shift
+                control, state, terminal = factored  # every M has all three
+                # the normal matrices over beta
+                want = (config.alpha / config.beta) * np.eye(sys.ndof) + tau * A
+                assert np.allclose(control, want, atol=1e-14)
+                want = (tau / config.beta) * A + (cp.T @ cp + cm.T @ cm) + shift
                 assert np.allclose(state, want, atol=1e-13)
-                want = 0.5 * tau * A + config.beta * (cp.T @ cp) + shift
+                want = (0.5 * tau / config.beta) * A + (cp.T @ cp) + shift
                 assert np.allclose(terminal, want, atol=1e-14)
 
     @pytest.mark.parametrize("bc", [NEUMANN, DIRICHLET])
     @pytest.mark.parametrize("box", [False, True])
     def test_state_right_hand_sides(self, bc, box):
         # one sparse product of [step_plus step_minus] against the chunk's
-        # stacked columns is beta (step_plus a + step_minus b) + tau kappa d,
+        # stacked columns is step_plus a + step_minus b + tau kappa d / beta,
         # a = step_plus Y_m - q_m and b = step_minus Y_m + q_{m+1} (zero at
-        # step M), plus beta P + mu in the box variant; on a chunk that ends
-        # at step M and one that does not
+        # step M), plus P + mu / beta in the box variant: the subproblems'
+        # own over beta, as the factors are; on a chunk that ends at step M
+        # and one that does not
         M = splitting_solver.CHUNK_COLS + 5
         sys = random_system(12, n=3, M=M, bc=bc)
         config = _config(sys, beta=0.7, bounds=(-0.5, 0.5) if box else None)
         w = random_iterate(13, sys, box).with_products(sys)
         q = compute_q(sys, w, config.beta)
+        loads = PredictionFactors.build(sys, config).loads
         cp, cm = sys.step_plus.toarray(), sys.step_minus.toarray()
         b_all = np.zeros_like(q)
         b_all[:, :-1] = cm @ w.Y[:, :-1] + q[:, 1:]
@@ -254,12 +269,41 @@ class TestPrediction:
         for cols in chunks:
             k = cols.stop - cols.start
             out = np.empty((sys.ndof, k))
-            predict_states(sys, w, q, config, cols, out, np.full((2, sys.ndof, k), np.nan))
+            predict_states(sys, w, q, config, loads, cols, out, np.full((2, sys.ndof, k), np.nan))
             a = cp @ w.Y[:, cols] - q[:, cols]
-            want = config.beta * (cp @ a + cm @ b_all[:, cols]) + sys.tracking_loads[:, cols]
+            want = cp @ a + cm @ b_all[:, cols] + sys.tracking_loads[:, cols] / config.beta
             if box:
-                want += config.beta * w.P[:, cols] + w.mu[:, cols]
+                want += w.P[:, cols] + w.mu[:, cols] / config.beta
             assert np.abs(out - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("box", [False, True])
+    def test_full_width_shift_is_flat(self, box):
+        # A chunk of all M steps reads and writes the one-step shifts as flat
+        # runs of C-contiguous arrays; the same calls on non-contiguous
+        # copies take the 2-D windows, and agree bit for bit.
+        M = 6
+        sys = random_system(18, n=3, M=M)
+        config = _config(sys, beta=0.7, bounds=(-0.5, 0.5) if box else None)
+        w = random_iterate(19, sys, box).with_products(sys)
+        q = compute_q(sys, w, config.beta)
+        loads = PredictionFactors.build(sys, config).loads
+        strided = Iterate(np.asfortranarray(w.data), len(w.z))
+        cols = slice(0, M)
+        outs, works = [], []
+        for v, q_v, runs_flat in ((w, q, True), (strided, np.asfortranarray(q), False)):
+            out, work = np.empty((sys.ndof, M)), np.full((2, sys.ndof, M), np.nan)
+            assert (one_step_on(0, work[1], v.products[2], q_v)[0].ndim == 1) == runs_flat
+            predict_states(sys, v, q_v, config, loads, cols, out, work)
+            outs.append(out)
+            works.append(work)
+        assert np.array_equal(outs[0], outs[1]) and np.array_equal(works[0], works[1])
+        assert not works[0][1][:, -1].any()  # the terminal step's argument
+        Y, U = np.random.default_rng(20).standard_normal((2, sys.ndof, M))
+        contiguous, windowed = np.full((4, sys.ndof, M), np.nan), np.asfortranarray(np.full((4, sys.ndof, M), np.nan))
+        for products in (contiguous, windowed):
+            write_products(sys, Y, U, products)
+        assert np.array_equal(contiguous[:3], windowed[:3])
+        assert not contiguous[2][:, 0].any()  # block row 1 has no step_minus term
 
     def test_multiplier_update(self):
         sys = random_system(9, n=2, M=2)
@@ -271,6 +315,47 @@ class TestPrediction:
         expected = w.lam - beta * constraint_residual(sys, Y_t, U_t)
         products_t = constraint_products(sys, Y_t, U_t)
         assert np.allclose(predict_multiplier(sys, w, products_t, beta), expected, atol=1e-13)
+
+
+class TestDifference:
+    @pytest.mark.parametrize("M", [3, splitting_solver.CHUNK_COLS + 5])
+    @pytest.mark.parametrize("box", [False, True])
+    @pytest.mark.parametrize("bc", [NEUMANN, DIRICHLET])
+    def test_loop_difference_matches_prediction(self, bc, box, M, monkeypatch):
+        # The difference d = w - w~ the loop corrects with, every iteration,
+        # against w - predict(w) of the iterate it advances (in the mirror
+        # basis, with its carried products), over every slab and product;
+        # at M > CHUNK_COLS the row blocks' parts are joined in order.  The
+        # prediction's multipliers, which both complete from the difference,
+        # are checked against their definitions from w~ itself.
+        sys = random_system(21, n=3, M=M, bc=bc)
+        config = _config(sys, beta=0.8, epsilon=0.0, k_max=4, bounds=(-0.5, 0.5) if box else None)
+        seen = []
+        real = splitting_solver.correct
+
+        def recording(w, d, nu):
+            seen.append((w.data.copy(), d.data.copy()))
+            return real(w, d, nu)
+
+        monkeypatch.setattr(splitting_solver, "correct", recording)
+        solve(sys, config)
+        in_basis = sys.in_mirror_basis()
+        factors = PredictionFactors.build(in_basis, config)
+        blocks = len(splitting_solver._row_blocks(sys.ndof, M))
+        assert blocks == len(splitting_solver._chunks(M)) and len(seen) == config.k_max * blocks
+        for k in range(config.k_max):
+            parts = seen[k * blocks : (k + 1) * blocks]
+            w = Iterate(np.concatenate([w_rows for w_rows, _ in parts], axis=1), 5 if box else 3)
+            d = np.concatenate([d_rows for _, d_rows in parts], axis=1)
+            w_t = predict(in_basis, w, config, factors)
+            residual = constraint_products(in_basis, w_t.Y, w_t.U)[3] - in_basis.rhs
+            _assert_close(w_t.lam, w.lam - config.beta * residual)
+            if box:
+                _assert_close(w_t.mu, w.mu - config.beta * (w_t.Y - w_t.P))
+            want = iterate_diff(w, w_t)
+            assert want.data.shape == d.shape
+            for got, slab in zip(d, want.data):
+                np.testing.assert_allclose(got, slab, rtol=1e-12, atol=1e-12 * np.abs(slab).max())
 
 
 class TestCorrect:
@@ -732,7 +817,7 @@ class TestSolve:
         factors = PredictionFactors.build(sys.in_mirror_basis(), config)
         sizes = sys.mirror_basis.sizes
         assert len(sizes) == 4
-        for name, f in vars(factors).items():
+        for name, f in factors.named.items():
             assert whole.factor_nnz[name] == sys.ndof**2
             assert blocked.factor_nnz[name] == sum(k * k for k in sizes)
             assert _path(f) == "superlu"
@@ -752,7 +837,7 @@ class TestSolve:
                 m.setattr(sparse_linalg, "BLOCK_MAX_NDOF", 0)
                 superlu = PredictionFactors.build(sys_, config)
             rhs = np.random.default_rng(5).standard_normal((sys.ndof, splitting_solver.CHUNK_COLS))
-            for name, f in vars(factors).items():
+            for name, f in factors.named.items():
                 assert _path(f) == path and _path(getattr(superlu, name)) == "superlu", name
                 for b in (rhs, rhs[:, 0]):
                     want = getattr(superlu, name).solve(b)
@@ -867,14 +952,15 @@ class TestMirrorBasisLoop:
 
     @pytest.mark.parametrize("bounds", [None, (0.0, 0.8)])
     def test_carried_control_product_matches_mass_product(self, bounds, monkeypatch):
-        # the chunk tasks write A U~ with constraint_products' writer: in
-        # every prediction of a solve it is the mass product, bit for bit
+        # the chunk tasks write tau A d_U with constraint_products' writer:
+        # in every prediction of a solve it is tau times the mass product of
+        # the difference, bit for bit
         matches = []
         real = splitting_solver.predict
 
         def recording(sys_, *args, **kwargs):
             w_t = real(sys_, *args, **kwargs)
-            matches.append(np.array_equal(w_t.products[0], sys_.mass @ w_t.U))
+            matches.append(np.array_equal(w_t.products[0], sys_.grid.tau * (sys_.mass @ w_t.U)))
             return w_t
 
         monkeypatch.setattr(splitting_solver, "predict", recording)
@@ -967,7 +1053,7 @@ class TestBlockedFactors:
         project, expand = in_basis.basis.project_stacked, in_basis.basis.expand_stacked
         rhs = np.random.default_rng(sys.ndof).standard_normal((2, sys.ndof, splitting_solver.CHUNK_COLS))
         rhs_b = np.stack([project(x) for x in rhs])
-        for name, f in vars(factors).items():
+        for name, f in factors.named.items():
             _assert_close(expand(f.solve(rhs_b[0])), getattr(superlu, name).solve(rhs[0]))
             _assert_close(f.solve(rhs_b[0][:, 0]), f.solve(rhs_b[0])[:, 0])  # one column
         # a chunk's control and state solves together, the terminal column included
@@ -988,7 +1074,7 @@ class TestBlockedFactors:
         superlu = _superlu_factors(sys, config, monkeypatch)
         assert _path(superlu.control) == "superlu" and len(superlu.control.parts) == 1
         factors = self._assert_matches(sys, config, superlu)
-        for f in vars(factors).values():
+        for f in factors.named.values():
             assert _path(f) == "blocked"
             assert [inv.shape[0] for inv in f.parts] == sys.mirror_basis.sizes
 
@@ -1044,7 +1130,7 @@ class TestBlockedFactors:
         sys = build_level(prob, 32)
         config = SolverConfig(alpha=prob.alpha, beta=0.3, bounds=(0.0, 0.8))
         factors = PredictionFactors.build(sys.in_mirror_basis(), config)
-        for f in vars(factors).values():
+        for f in factors.named.values():
             assert _path(f) == "blocked"
             assert [inv.shape[0] for inv in f.parts] == [256, 240, 225, 240]
 

@@ -1,0 +1,191 @@
+"""Time this tree's solver against a git revision's, interleaved in one process.
+
+    python3 tools/ab.py REV [--rounds 10] [--out BENCH_ab.json]
+
+Run from the repository root.  The tool exports ``git archive REV`` into a
+temporary directory and imports both ``src/parasplit`` trees side by side
+under two aliases (every import inside the package is relative): REV's as
+the base, this tree's as the change.  BLAS is pinned to one thread before
+numpy loads.  Each round runs every cell on both trees, alternating which
+tree goes first, so slow stretches of a shared host fall on both alike.  A
+cell is one ``splitting_solver.solve`` on a level each tree builds once,
+timed iteration by iteration from the monitor's timestamps (the monitor
+reads no array, so it costs no change of basis; the last iteration, which
+no monitor call ends, is not timed):
+
+  tol-5.1-n16     example 5.1, n = 16, the example's config: solve to
+                  epsilon 1e-12 at 1 thread (the benchmark's time to
+                  tolerance)
+  box-5.1-n8      example 5.1, n = 8, bounds [0, 0.8], beta 0.3, gamma 1.5,
+                  2000 iterations at 1 thread (acceptance criterion 7's
+                  level)
+  box-5.1-n32-t2  the same bounds and parameters at n = 32, 100 iterations
+                  at 2 threads (the benchmark's box workload)
+
+Per cell and tree the output holds the sum over iterations of each
+iteration's fastest time across the rounds (as ``bench/run.py`` forms
+``solve_s``), and the median and quartiles of the per-round sums; per cell,
+the rounds in which the change's sum was the lower, the iteration counts,
+and whether the two final iterates are equal bit for bit, with the largest
+difference per slab relative to the base slab's largest entry.  Each run
+appends one record to ``--out``.
+"""
+
+import sweep_common
+
+if __name__ == "__main__":
+    sweep_common.pin_blas()
+
+import argparse
+import gc
+import importlib.util
+import io
+import json
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+from dataclasses import dataclass, field
+from pathlib import Path
+
+import numpy as np
+
+BOX = {"beta": 0.3, "gamma": 1.5, "epsilon": 0.0, "bounds": (0.0, 0.8)}
+
+
+@dataclass(frozen=True)
+class Cell:
+    name: str
+    n: int
+    config: dict = field(default_factory=dict)  # SolverConfig fields beside the example's alpha and beta
+
+
+CELLS = (
+    Cell("tol-5.1-n16", 16),
+    Cell("box-5.1-n8", 8, {**BOX, "k_max": 2000}),
+    Cell("box-5.1-n32-t2", 32, {**BOX, "k_max": 100, "thread_count": 2}),
+)
+
+
+def export(rev: str, dest: Path) -> Path:
+    """``git archive rev`` unpacked into ``dest``; returns its ``src``."""
+    tar = subprocess.run(["git", "archive", "--format=tar", rev], cwd=sweep_common.ROOT,
+                         capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(dest, filter="data")
+    return dest / "src"
+
+
+def load(alias: str, src: Path):
+    """The ``parasplit`` package under ``src``, imported as ``alias``."""
+    root = src / "parasplit"
+    spec = importlib.util.spec_from_file_location(alias, root / "__init__.py",
+                                                  submodule_search_locations=[str(root)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[alias] = package
+    spec.loader.exec_module(package)
+    return package
+
+
+class Tree:
+    """One tree's package, with each cell's level built once."""
+
+    def __init__(self, package, cells):
+        self.package = package
+        self.problem = package.experiments.example_5_1()
+        self.levels = {cell.n: package.experiments.build_level(self.problem, cell.n) for cell in cells}
+
+    def run(self, cell: Cell) -> tuple[list[float], int, np.ndarray]:
+        """One solve of ``cell``: its iterations' seconds, its iteration
+        count and its final iterate's slabs."""
+        config = self.package.SolverConfig(**{"alpha": self.problem.alpha, "beta": self.problem.beta,
+                                              **cell.config})
+        stamps = []
+        w, report = self.package.solve(self.levels[cell.n], config,
+                                       monitor=lambda k, v: stamps.append(time.perf_counter()))
+        return np.diff(stamps).tolist(), report.iterations, w.z
+
+
+def _summary(sums: list[float], per_iteration: list[list[float]]) -> dict:
+    q1, median, q3 = statistics.quantiles(sums, n=4, method="inclusive")
+    return {"sum_of_minima_s": float(np.min(per_iteration, axis=0).sum()),
+            "median_s": median, "q1_s": q1, "q3_s": q3}
+
+
+def compare(base, change, cells=CELLS, rounds: int = 10) -> dict:
+    """Run every cell ``rounds`` (at least 2) times on the packages
+    ``base`` and ``change``, alternating which goes first; per cell, the
+    timings of both, the rounds the change won, the iteration counts and
+    the final iterates' difference."""
+    trees = {"base": Tree(base, cells), "change": Tree(change, cells)}
+    for tree in trees.values():  # untimed: caches, allocator and pool start-up
+        tree.run(Cell("warm-up", cells[0].n, {**cells[0].config, "epsilon": 0.0, "k_max": 5}))
+    times = {cell.name: {side: [] for side in trees} for cell in cells}
+    last = {}
+    for r in range(rounds):
+        order = ("base", "change") if r % 2 == 0 else ("change", "base")
+        gc.collect()
+        for cell in cells:
+            for side in order:
+                seconds, iterations, z = trees[side].run(cell)
+                times[cell.name][side].append(seconds)
+                last[cell.name, side] = iterations, z
+    out = {}
+    for cell in cells:
+        t = times[cell.name]
+        sums = {side: [sum(s) for s in t[side]] for side in trees}
+        (k_base, z_base), (k_change, z_change) = last[cell.name, "base"], last[cell.name, "change"]
+        out[cell.name] = {
+            "n": cell.n,
+            "config": cell.config,
+            **{side: _summary(sums[side], t[side]) for side in trees},
+            "change_won_rounds": sum(c < b for b, c in zip(sums["base"], sums["change"])),
+            "iterations": {"base": k_base, "change": k_change},
+            "identical": bool(np.array_equal(z_base, z_change)),
+            "max_rel_diff_per_slab": [float(np.abs(a - b).max() / max(np.abs(b).max(), np.finfo(float).tiny))
+                                      for a, b in zip(z_change, z_base)],
+        }
+    return out
+
+
+def _git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=sweep_common.ROOT, capture_output=True, text=True,
+                          check=True).stdout.strip()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("rev", help="the base revision, e.g. HEAD or a commit")
+    parser.add_argument("--rounds", type=int, default=10)
+    parser.add_argument("--out", type=Path, default=sweep_common.ROOT / "BENCH_ab.json")
+    args = parser.parse_args(argv)
+    if args.rounds < 2:
+        parser.error("--rounds must be at least 2 (quartiles need two samples)")
+    with tempfile.TemporaryDirectory() as tmp:
+        base = load("parasplit_ab_base", export(args.rev, Path(tmp)))
+        change = load("parasplit_ab_change", sweep_common.ROOT / "src")
+        cells = compare(base, change, rounds=args.rounds)
+    record = {
+        "command": f"python3 tools/ab.py {args.rev} --rounds {args.rounds}",
+        "base": _git("rev-parse", args.rev),
+        "change": {"head": _git("rev-parse", "HEAD"),
+                   "uncommitted_src": bool(_git("status", "--porcelain", "--", "src"))},
+        "environment": sweep_common.environment(),
+        "rounds": args.rounds,
+        "cells": cells,
+    }
+    records = json.loads(args.out.read_text()) if args.out.exists() else []
+    args.out.write_text(json.dumps(records + [record], indent=1) + "\n")
+    for name, c in cells.items():
+        b, ch = c["base"]["sum_of_minima_s"], c["change"]["sum_of_minima_s"]
+        print(f"{name}: {b:.3f} -> {ch:.3f} s ({100 * (ch / b - 1):+.1f}%), median "
+              f"{c['base']['median_s']:.3f} -> {c['change']['median_s']:.3f} s, won "
+              f"{c['change_won_rounds']}/{args.rounds}, iterations {c['iterations']}, "
+              f"identical {c['identical']}, max rel diff {max(c['max_rel_diff_per_slab']):.1e}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

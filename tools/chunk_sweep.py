@@ -1,6 +1,6 @@
 """Sweep the prediction's chunk width: 100-iteration box solves at 1 and 2 threads.
 
-    python3 tools/chunk_sweep.py [--repeats 5] [--out BENCH_chunks.json] [--baseline OLD.json]
+    python3 tools/chunk_sweep.py [--repeats 5] [--out BENCH_chunks.json]
 
 Run from the repository root; parasplit is imported from ``src/``.  BLAS is
 pinned to one thread before numpy loads, so ``thread_count`` is the only
@@ -19,10 +19,8 @@ milliseconds, and the minor page faults per iteration (``getrusage``) of
 one more solve in a new interpreter, between the monitor calls of
 iterations 2 and 100 (which leaves out the solve's one-time allocations);
 plus the 2-thread speedup (1-thread median over 2-thread median) per mesh
-and width.  With ``--baseline``, the output of an earlier sweep (say, of
-the parent commit's tree, run just before), each run also records that
-sweep's median solve and per-iteration milliseconds for the same cell,
-under ``before``.
+and width.  Two sweeps run minutes apart differ by the host's drift, so
+they compare no two trees; ``tools/ab.py`` times two trees interleaved.
 """
 
 import sweep_common
@@ -89,19 +87,6 @@ def fresh_faults(cells) -> dict:
         return {cell: pool.apply(steady_faults, cell) for cell in cells}
 
 
-def with_baseline(result: dict, baseline: dict) -> dict:
-    """``result`` with each run's cell in ``baseline`` (an earlier sweep's
-    output) recorded under ``before``."""
-    fields = ("median_s", "predict_ms_per_iteration", "correct_ms_per_iteration", "minor_faults_per_iteration")
-    old = {(r["n"], r["width"], r["threads"]): r for r in baseline["runs"]}
-    for run in result["runs"]:
-        cell = old.get((run["n"], run["width"], run["threads"]))
-        if cell is not None:
-            run["before"] = {name: cell[name] for name in fields if name in cell}
-    result["baseline"] = {"command": baseline.get("command"), "environment": baseline.get("environment")}
-    return result
-
-
 def sweep(repeats: int) -> dict:
     problem = experiments.example_5_1()
     default = splitting_solver.CHUNK_COLS
@@ -156,13 +141,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--out", type=Path, default=sweep_common.ROOT / "BENCH_chunks.json")
-    parser.add_argument("--baseline", type=Path, help="an earlier sweep's output to record as 'before'")
     args = parser.parse_args(argv)
     if args.repeats < 2:
         parser.error("--repeats must be at least 2 (quartiles need two samples)")
     result = sweep(args.repeats)
-    if args.baseline is not None:
-        result = with_baseline(result, json.loads(args.baseline.read_text()))
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     for n, row in result["speedup_2t"].items():
         print(n, " ".join(f"w{w}={s:.2f}" for w, s in row.items()))

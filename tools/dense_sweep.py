@@ -145,7 +145,7 @@ def sweep(repeats: int) -> dict:
     for level in levels:
         example, n, sys_, shapes, times = (level[k] for k in ("example", "n", "sys", "shapes", "times"))
         M, ndof = sys_.grid.M, sys_.ndof
-        nnz = {path: sum(x.nnz for x in vars(f).values() if x is not None)
+        nnz = {path: sum(x.nnz for x in f.named.values() if x is not None)
                for path, f in level["factors"].items()}
         summary = {}
         for path, t in times.items():
