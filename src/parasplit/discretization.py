@@ -214,42 +214,35 @@ def constraint_products(sys: DiscreteSystem, Y: np.ndarray, U: np.ndarray) -> np
     return fill_constraint_map(out)
 
 
-def one_step_on(start: int, chunk: np.ndarray, *wide: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Views pairing column j of ``chunk``, shape (n, k), which holds time
-    steps start .. start + k - 1, with column start + j + 1 of each (n, M)
-    array in ``wide``, as far as column M - 1: step m against step m + 1.
+def one_step_on(behind: np.ndarray, *ahead: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Flat views pairing step m of ``behind`` with step m + 1 of each array
+    in ``ahead``: C-contiguous arrays of one shape (n, M), one column per
+    time step.
 
-    When the chunk spans all M steps and every array is C-contiguous, the
-    views are the flat runs chunk.ravel()[:-1] and x.ravel()[1:], so one
-    ufunc call runs over contiguous memory; then the last column of each
-    row of ``chunk`` pairs with column 0 of the next row of ``wide``, and
-    the caller re-zeroes the one of the two it wrote.  Otherwise they are
-    the 2-D windows of the chunk's first k' columns and columns
-    start + 1 .. start + k' of ``wide``, with k' = min(k, M - 1 - start).
+    The views are the runs behind.ravel()[:-1] and x.ravel()[1:], so one
+    ufunc call runs over contiguous memory.  The last column of each row of
+    ``behind`` pairs with column 0 of the next row of ``ahead``; the caller
+    re-zeroes the one of the two it wrote.  An array that is not
+    C-contiguous, whose flat view would be a copy, raises ValueError.
     """
-    M = wide[0].shape[1]
-    if start == 0 and chunk.shape[1] == M and all(x.flags.c_contiguous for x in (chunk, *wide)):
-        return (chunk.reshape(-1)[:-1], *(x.reshape(-1)[1:] for x in wide))
-    k = min(chunk.shape[1], M - 1 - start)
-    return (chunk[:, :k], *(x[:, start + 1 : start + 1 + k] for x in wide))
+    return (behind.reshape(-1, copy=False)[:-1], *(x.reshape(-1, copy=False)[1:] for x in ahead))
 
 
-def write_products(sys: DiscreteSystem, Y: np.ndarray, U: np.ndarray, products: np.ndarray,
-                   cols: slice = slice(None)) -> None:
-    """Write slabs 0-2 of a ``constraint_products`` array for the time steps
-    ``cols`` (all by default), from those steps' columns Y and U: tau A U
-    and step_plus Y into columns ``cols``, step_minus Y one column on, into
-    the block row it enters (``one_step_on``).  The last step's step_minus
-    product enters no block row and is dropped; column 0 of slab 2 is
-    zeroed by the run that starts at step 1.
+def write_products(sys: DiscreteSystem, Y: np.ndarray, U: np.ndarray, products: np.ndarray) -> None:
+    """Write slabs 0-2 of a ``constraint_products`` array from the
+    trajectories Y and U: tau A U and step_plus Y, and step_minus Y one
+    column on, into the block row it enters (``one_step_on``).  The last
+    step's step_minus product enters no block row and is dropped; column 0
+    of slab 2 is zeroed.  Each slab of ``products`` is C-contiguous.
+    ``sys`` needs only its grid and its operators, so it may also be a
+    group of a block-diagonal system's rows (``splitting_solver.Group``),
+    with Y, U and ``products`` those rows.
     """
-    start = cols.indices(products.shape[-1])[0]
-    np.multiply(sys.grid.tau, sys.mass @ U, out=products[0][:, cols])
-    products[1][:, cols] = sys.step_plus @ Y
-    MY, ahead = one_step_on(start, sys.step_minus @ Y, products[2])
+    np.multiply(sys.grid.tau, sys.mass @ U, out=products[0])
+    products[1] = sys.step_plus @ Y
+    MY, ahead = one_step_on(sys.step_minus @ Y, products[2])
     ahead[...] = MY
-    if start == 0:
-        products[2][:, 0] = 0.0
+    products[2][:, 0] = 0.0
 
 
 def fill_constraint_map(products: np.ndarray) -> np.ndarray:

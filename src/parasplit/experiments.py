@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import statistics
 import time
 from dataclasses import dataclass, replace
 
@@ -382,32 +383,30 @@ def benchmark(
 ) -> list[BenchmarkRow]:
     """Fixed-iteration timing per thread count, with an iterate-equality check.
 
-    Each thread count runs one timed k-iteration solve.  The parallel
-    speedup factor is the 1-thread run's wall-clock over each run's, for
-    the identical computation.  Raises ValueError when ``thread_counts``
-    lacks 1, and RuntimeError if any thread count produces an iterate
-    other than the 1-thread run's.
+    Three rounds each run one timed k-iteration solve per thread
+    count, in the given order (1, 2, 4, 1, 2, 4, ... for [1, 2, 4]), so a
+    slow stretch of a shared host falls on every thread count alike.  A
+    row holds the median of its thread count's rounds for each time.  The
+    parallel speedup factor is the 1-thread median wall-clock over each
+    thread count's, for the identical computation.  Raises ValueError when
+    ``thread_counts`` lacks 1, and RuntimeError if, in any round, a thread
+    count produces an iterate other than that round's 1-thread run's.
     """
     if 1 not in thread_counts:
         raise ValueError(f"thread counts must include 1, the speedup's baseline; got {thread_counts}")
     base = replace(_solver_config(problem, config), epsilon=0.0)
     sys = build_level(problem, n)
-    runs = [
-        (threads, *solve(sys, replace(base, k_max=k, thread_count=threads)))
-        for threads in thread_counts
-    ]
-    serial_w, serial = next((w, report) for threads, w, report in runs if threads == 1)
-    rows: list[BenchmarkRow] = []
-    for threads, w, report in runs:
-        if not np.array_equal(w.z, serial_w.z):
-            raise RuntimeError(f"iterate with {threads} threads differs from the 1-thread run")
-        rows.append(
-            BenchmarkRow(
-                threads=threads,
-                seconds_total=report.seconds_total,
-                seconds_predict=report.seconds_predict,
-                seconds_correct=report.seconds_correct,
-                psf=serial.seconds_total / report.seconds_total,
-            )
-        )
-    return rows
+    reports = {threads: [] for threads in thread_counts}
+    for _ in range(3):
+        runs = [(threads, *solve(sys, replace(base, k_max=k, thread_count=threads))) for threads in thread_counts]
+        serial_w = next(w for threads, w, _ in runs if threads == 1)
+        for threads, w, report in runs:
+            if not np.array_equal(w.z, serial_w.z):
+                raise RuntimeError(f"iterate with {threads} threads differs from the 1-thread run")
+            reports[threads].append(report)
+    median = {threads: {name: statistics.median(getattr(r, name) for r in rounds)
+                        for name in ("seconds_total", "seconds_predict", "seconds_correct")}
+              for threads, rounds in reports.items()}
+    return [BenchmarkRow(threads=threads, **median[threads],
+                         psf=median[1]["seconds_total"] / median[threads]["seconds_total"])
+            for threads in thread_counts]

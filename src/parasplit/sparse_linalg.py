@@ -104,6 +104,13 @@ class CholFactor:
         """
         return sum(p.size if isinstance(p, np.ndarray) else p.L.nnz + p.U.nnz for p in self.parts)
 
+    def blocks(self, first: int, stop: int) -> "CholFactor":
+        """The factor of the diagonal blocks ``first`` to ``stop`` - 1 alone:
+        their parts, on rows counted from the first block's first row."""
+        offset = self.rows[first].start
+        rows = [slice(r.start - offset, r.stop - offset) for r in self.rows[first:stop]]
+        return CholFactor(rows, self.parts[first:stop])
+
     def solve(self, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """S^-1 b for b of shape (dimension,) or (dimension, k), one block's
         rows at a time; into ``out`` (b's shape, not b itself) when given."""
@@ -204,9 +211,10 @@ def factorize(m: sp.spmatrix, sizes: list[int] | None = None) -> CholFactor:
 
 
 def solve_multi(tasks, pool=None) -> list:
-    """Run a batch of tasks (an iteration's chunk solves, or its row
-    blocks), zero-argument callables, wait for every one and return their
-    results in task order, whichever finished first.
+    """Run a batch of tasks (one per group of an iteration's rows, or the
+    box variant's projection chunks), zero-argument callables, wait for
+    every one and return their results in task order, whichever finished
+    first.
 
     Each task is one unit of ``pool`` (None runs them inline, in order); the
     first exception a task raised, in task order, is raised here.

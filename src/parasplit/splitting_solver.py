@@ -19,11 +19,9 @@ system, in node coordinates or in the basis.  ``PredictionFactors.build``
 forms and factors the subproblems' normal matrices from the system's mass,
 stiffness and step matrices, block by block (``sparse_linalg.factorize``):
 a dense inverse per block of at most ``BLOCK_MAX_NDOF`` unknowns,
-SuperLU's factors above.  A chunk's solve is then one dense product per
-block and factor, on a contiguous row slice of the chunk's buffer
-(``chunk_buffers``).  The box variant's projection onto the bounds holds in
-node coordinates: each chunk expands its columns of Y - mu / beta, clips
-them and projects them back, in arrays it reuses every iteration.
+SuperLU's factors above.  The box variant's projection onto the bounds
+holds in node coordinates: it expands columns of Y - mu / beta, clips them
+and projects them back.
 
 An iterate is the slabs U, Y, lam and, in the box variant, P and mu.  The
 constraint map is linear, so the loop carries the iterate's constraint
@@ -35,52 +33,57 @@ backing array (``Iterate.data``, S + 4 slabs with S = 3, or 5 in the box
 variant).  The loop never forms the predicted iterate w~ itself: the
 prediction writes the difference d = w - w~ with its products, the H-norm
 increment nu^2 ||d||_H^2 reads d's products, and ``correct(w, d, nu)``
-= w - nu d, two ufunc calls over the backing arrays, is the corrected
-iterate with its products.  An iteration forms four sparse products: one
-of ``step_pair`` = [step_plus step_minus] for the state right-hand sides
-and three of d, all three written by ``write_products``, the writer of
-``constraint_products``, so d's products are sparse products of d.  The
-subproblems' normal matrices and right-hand sides are divided by beta once
-per solve (``PredictionFactors``), so no iteration multiplies by it; the
-control solves use the mass shift (alpha / beta) I + tau A, the control
-normal matrix alpha tau A + beta tau^2 A A with its SPD factor beta tau A
+= w - nu d is the corrected iterate with its products.  An iteration forms
+four sparse products per group (below): one of ``step_pair`` =
+[step_plus step_minus] for the state right-hand sides and three of d, all
+three written by ``write_products``, the writer of ``constraint_products``,
+so d's products are sparse products of d.  The subproblems' normal
+matrices and right-hand sides are divided by beta once per solve
+(``PredictionFactors``), so no iteration multiplies by it; the control
+solves use the mass shift (alpha / beta) I + tau A, the control normal
+matrix alpha tau A + beta tau^2 A A with its SPD factor beta tau A
 cancelled.  The multipliers keep their meaning: lam and mu, not over beta.
 
 ``solve`` allocates its storage once: two zeroed backing arrays, the
 iterates with their products, which swap roles every iteration (the
 difference is written into the spare one, then overwritten in place by the
-correction), q, the chunks' buffers and one slab of scratch.
+correction), q, one slab of scratch and each group's right-hand sides.
 ``thread_count`` sets the workers of one thread pool opened per solve,
 capped at the CPUs the process may run on; a single thread runs every task
-inline.  An iteration is two ``solve_multi`` batches:
+inline.  An iteration is one ``solve_multi`` batch: one task per group of
+whole mirror blocks (``Group``, ``group_blocks``), a contiguous run of
+rows, at all M time steps.  In the mirror basis every operator the
+prediction applies is block diagonal and every other step is elementwise,
+so a group's rows need no other rows.  Its task runs, on its rows:
 
-- one task per chunk of CHUNK_COLS time steps (``predict``): the steps'
-  control and state right-hand sides in the chunk's buffer, their solves
-  (every state column against the state factor, then step M again against
-  the terminal factor), the difference (d_U, d_Y) of its columns in one
-  ufunc call, d's products there (``write_products``: tau A d_U and
-  step_plus d_Y, and step_minus d_Y one column on, in the block row it
-  enters) and the box variant's d_P from the projected copies P~.  A
-  chunk of all M steps reads and writes the one-column shifts as flat
-  runs of contiguous memory (``one_step_on``);
-- one task per row block of the (slabs, ndof, M) arrays, as many blocks as
-  chunks (``advance_rows``): C d and the multipliers' differences
+- ``predict_rows``: the control and state right-hand sides, their solves
+  against the group's blocks of the factors (every state column against
+  the state factor, then step M again against the terminal factor), the
+  difference (d_U, d_Y) in one ufunc call, d's products
+  (``write_products``: tau A d_U and step_plus d_Y, and step_minus d_Y one
+  column on, in the block row it enters) and the box variant's d_P.  Every
+  one-step shift runs over the flat rows (``one_step_on``);
+- ``advance_rows``: C d and the multipliers' differences
   (``couple_difference``), d's H-norm and the box gap, the correction and
-  the next iteration's q, all for the block's rows, and its return value
-  is the rows' share of the H-norm and the gap.  Every one of them is
-  row-local (C d is elementwise in the products), and a row block of a
-  C-order slab is contiguous.  With one row block (M <= CHUNK_COLS) the
-  block is the whole backing array, and the correction is two ufunc
-  calls; with several, a block is contiguous slab by slab only, and it
-  runs slab by slab.  (Column blocks of these arrays are strided, and a
-  tail split by time columns ran slower than the serial one.)
+  the next iteration's q.  Its return value is the rows' share of the
+  H-norm and the gap.
 
-The calling thread keeps the monitor and sums the row blocks' partial
-norms, which ``solve_multi`` returns in block order: each squared norm sums
-over rows, so a block's norm is its share of the whole's.  Chunks and row blocks are fixed
-by M alone, so the iterates, increments and gaps are bit-identical for
-every thread count; at M <= CHUNK_COLS there is one row block, and its
-norms are those of the whole arrays.
+A group's rows of a C-order slab are contiguous, so every call runs on
+contiguous runs of each slab.  With one group (M <= CHUNK_COLS, or a
+system of one block) the group is the whole backing array, and the
+correction is two ufunc calls; with several, it runs slab by slab.
+(Column blocks of these arrays are strided, and a tail split by time
+columns ran slower than the serial one.)  The box variant's projection
+mixes the blocks, so it runs first, as a batch of its own: one task per
+chunk of CHUNK_COLS time steps (``project_copies``) writes its columns of
+P~ into the spare iterate's P slab, which the group tasks then turn into
+d_P = P - P~.
+
+The calling thread keeps the monitor and sums the groups' partial norms,
+which ``solve_multi`` returns in group order: each squared norm sums over
+rows, so a group's norm is its share of the whole's.  Groups and chunks
+are fixed by M and the block sizes alone, so the iterates, increments and
+gaps are bit-identical for every thread count.
 """
 
 from __future__ import annotations
@@ -89,6 +92,7 @@ import math
 import numbers
 import operator
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -99,6 +103,7 @@ import numpy as np
 
 from .discretization import (  # noqa: F401  constraint_linear_map: bench/tracing.py patches it here
     DiscreteSystem,
+    TimeGrid,
     constraint_linear_map,
     constraint_products,
     constraint_residual,
@@ -215,9 +220,14 @@ class SolveReport:
     each prediction factor ("control", "state", "terminal") to
     its stored entries, summed over its blocks: size^2 for a block's dense
     inverse, nnz(L) + nnz(U) for SuperLU's factors of a block.
-    ``seconds_predict`` is the time in the chunk batches
-    (``predict``), ``seconds_correct`` the time in the row passes and the
-    sums of their norms (``advance_rows``).
+    ``seconds_predict`` and ``seconds_correct`` are measured where the work
+    runs: each group's task times its ``predict_rows`` and its
+    ``advance_rows``.  Per iteration they are the two times of the thread
+    busiest in the batch (its groups' times summed, as its tasks run one
+    after another), summed over iterations; the box variant's projection
+    batch adds to ``seconds_predict``.  At 1 thread every task runs on the
+    calling thread, so they are the phases' exact times; with several, the
+    times of the phases' longest path through the pool.
     """
 
     iterations: int
@@ -314,28 +324,23 @@ class PredictionFactors:
         """The three factorizations by name."""
         return {"control": self.control, "state": self.state, "terminal": self.terminal}
 
-    def solve(self, rhs: np.ndarray, last: bool, out: np.ndarray) -> None:
-        """U~ and Y~ of one chunk of k steps from its right-hand sides ``rhs``,
-        shape (2, ndof, k): the control slab, then the state slab; into
-        ``out``, an array of rhs's shape.
+    def solve(self, rhs: np.ndarray, out: np.ndarray) -> None:
+        """U~ and Y~ of all M steps from their right-hand sides ``rhs``,
+        shape (2, n, M): the control slab, then the state slab; into
+        ``out``, an array of rhs's shape (not rhs itself).
 
-        Every state column solves against the state factor, at the chunk's
-        full width (a dense product at an odd width costs more than at the
-        full one); when ``last`` (the chunk ends at step M) the last state
-        column's right-hand side is also solved against the terminal factor,
-        whose solution replaces it.
+        Every state column solves against the state factor, at the full
+        width M (a dense product at an odd width costs more than at the
+        full one); the last column's right-hand side, step M's, is also
+        solved against the terminal factor, whose solution replaces it.
         """
         self.control.solve(rhs[0], out=out[0])
         self.state.solve(rhs[1], out=out[1])
-        if last:
-            self.terminal.solve(rhs[1][:, -1], out=out[1][:, -1])
+        self.terminal.solve(rhs[1][:, -1], out=out[1][:, -1])
 
 
-def predict_controls(
-    sys: DiscreteSystem, w: Iterate, q: np.ndarray, config: SolverConfig, cols: slice, out: np.ndarray
-) -> None:
-    """The right-hand sides of the control subproblems of the time steps
-    ``cols``, into ``out``.
+def predict_controls(w: Iterate, q: np.ndarray, out: np.ndarray) -> None:
+    """The right-hand sides of the control subproblems, into ``out``.
 
     The first-order conditions of the odd-index subproblems read
     (alpha*tau*A + beta*tau^2*A*A) U~ = beta*(tau^2*A*A U + tau*A q).  Both
@@ -345,7 +350,7 @@ def predict_controls(
     constraint carries the control with a negative block.)  tau A U comes
     from w's products.
     """
-    np.add(w.products[0][:, cols], q[:, cols], out=out)
+    np.add(w.products[0], q, out=out)
 
 
 def predict_states(
@@ -354,13 +359,11 @@ def predict_states(
     q: np.ndarray,
     config: SolverConfig,
     loads: np.ndarray,
-    cols: slice,
     out: np.ndarray,
     work: np.ndarray | None = None,
 ) -> None:
-    """The right-hand sides of the state subproblems of the time steps
-    ``cols``, into ``out``, divided by beta as ``PredictionFactors``'
-    normal matrices are.
+    """The right-hand sides of the state subproblems, into ``out``, divided
+    by beta as ``PredictionFactors``' normal matrices are.
 
     The right-hand side of step m is (tau kappa_m) d_m / beta + step_plus
     (step_plus Y_m - q_m) + step_minus (step_minus Y_m + q_{m+1}), without
@@ -369,24 +372,26 @@ def predict_states(
     first term is ``loads`` (``PredictionFactors.loads``), and the products
     step_plus Y and step_minus Y come from w's products.  step_minus Y_m
     enters block row m + 1, where w's products keep it, so the step_minus
-    term reads the products and q one step past the chunk's columns
-    (``one_step_on``).  The two arguments are stacked in ``work``, a
-    C-contiguous array of shape (2, ndof, k) (allocated here when not
-    given), the terminal step's column of the second zero, and one sparse
+    term reads the products and q one step on (``one_step_on``).  The two
+    arguments are stacked in ``work``, a C-contiguous array of shape
+    (2, n, M) (allocated here when not given; ``out`` may be its second
+    slab), the terminal step's column of the second zero, and one sparse
     product of ``sys.step_pair`` = [step_plus step_minus] applies and adds
-    both.  The box variant adds P + mu / beta.
+    both.  The box variant adds P + mu / beta.  ``sys`` may be a group of
+    the system's rows (``Group``), with w, q, ``loads`` and ``out`` those
+    rows.
     """
     _, PY, MY, _ = w.products
     work = work if work is not None else np.empty((2,) + out.shape)
     shifted, term = work
-    np.subtract(PY[:, cols], q[:, cols], out=shifted)
-    behind, MY_ahead, q_ahead = one_step_on(cols.start, term, MY, q)
+    np.subtract(PY, q, out=shifted)
+    behind, MY_ahead, q_ahead = one_step_on(term, MY, q)
     np.add(MY_ahead, q_ahead, out=behind)
-    term[:, sys.grid.M - 1 - cols.start :] = 0.0  # the terminal step has no step_minus term
-    np.add(sys.step_pair @ work.reshape(-1, work.shape[-1]), loads[:, cols], out=out)
+    term[:, -1] = 0.0  # the terminal step has no step_minus term
+    np.add(sys.step_pair @ work.reshape(-1, work.shape[-1]), loads, out=out)
     if config.bounds is not None:
-        np.divide(w.mu[:, cols], config.beta, out=shifted)
-        shifted += w.P[:, cols]
+        np.divide(w.mu, config.beta, out=shifted)
+        shifted += w.P
         out += shifted
 
 
@@ -408,7 +413,7 @@ def predict_multiplier(
 def couple_difference(
     w: Iterate, d: Iterate, q: np.ndarray, config: SolverConfig, work: np.ndarray | None = None
 ) -> None:
-    """Complete the difference d = w - w~ from what the chunk tasks wrote:
+    """Complete the difference d = w - w~ from what ``predict_rows`` wrote:
     d_U, d_Y, their products tau A d_U, step_plus d_Y and step_minus d_Y,
     and the box variant's d_P.  Forms C d, the multiplier slab
     lam - lam~ = beta (q - C d) + lam and, in the box variant,
@@ -416,7 +421,7 @@ def couple_difference(
 
     These follow from lam~ = lam - beta (C z~ - rhs), C z~ = C z - C d,
     q = C z - rhs - lam / beta (w's shifted residual) and
-    mu~ = mu - beta (Y~ - P~).  Each is elementwise (the chunk tasks wrote
+    mu~ = mu - beta (Y~ - P~).  Each is elementwise (``predict_rows`` wrote
     step_minus d_Y in the block row it enters), so w, d and q may be any
     block of rows (``Iterate.rows``).  Works in place in d's arrays;
     ``work``, an array of one slab's shape, holds the box variant's
@@ -433,11 +438,13 @@ def couple_difference(
         f *= beta
 
 
-def project_copies(sys: DiscreteSystem, w: Iterate, config: SolverConfig, cols: slice, Z, work) -> None:
+def project_copies(sys: DiscreteSystem, w: Iterate, config: SolverConfig, cols: slice, out: np.ndarray,
+                   Z: np.ndarray, work) -> None:
     """The box variant's copies P~ = clip(Y - mu / beta) of the time steps
-    ``cols``, into Z, a C-contiguous (ndof, k) array.  The bounds hold in
-    node coordinates, so in a mirror basis of several blocks the columns
-    are expanded, clipped and projected back, in ``work``
+    ``cols``, into those columns of ``out``, an (ndof, M) slab.  They are
+    formed in Z, a C-contiguous (ndof, k) array.  The bounds hold in node
+    coordinates, so in a mirror basis of several blocks the columns are
+    expanded, clipped and projected back, in ``work``
     (``MirrorBasis.work``).  With one block, in node coordinates or in the
     basis of a system without a mirror (Q = I), they are clipped as they
     are."""
@@ -445,13 +452,14 @@ def project_copies(sys: DiscreteSystem, w: Iterate, config: SolverConfig, cols: 
     np.subtract(w.Y[:, cols], Z, out=Z)
     if len(sys.block_sizes) == 1:
         np.clip(Z, *config.bounds, out=Z)
-        return
-    sys.basis.expand_stacked(Z, out=Z, work=work)
-    np.clip(Z, *config.bounds, out=Z)
-    sys.basis.project_stacked(Z, out=Z, work=work)
+    else:
+        sys.basis.expand_stacked(Z, out=Z, work=work)
+        np.clip(Z, *config.bounds, out=Z)
+        sys.basis.project_stacked(Z, out=Z, work=work)
+    out[:, cols] = Z
 
 
-CHUNK_COLS = 32  # time steps per pool task; a fixed width keeps iterates independent of threads
+CHUNK_COLS = 32  # time steps per chunk; the chunks fix the group count and the projection's tasks
 
 
 def _chunks(M: int) -> list[slice]:
@@ -459,84 +467,120 @@ def _chunks(M: int) -> list[slice]:
     return [slice(lo, min(lo + CHUNK_COLS, M)) for lo in range(0, M, CHUNK_COLS)]
 
 
-def _row_blocks(ndof: int, M: int) -> list[slice]:
-    """The row blocks of the iteration's tail, one per chunk of M time steps:
-    contiguous, as even as ndof allows, and like the chunks fixed by M."""
-    n = len(_chunks(M))
-    return [slice(ndof * i // n, ndof * (i + 1) // n) for i in range(n)]
+def copy_chunks(sys: DiscreteSystem, slab: np.ndarray) -> list[tuple]:
+    """The box variant's projection tasks' arrays, one entry per chunk of
+    M time steps: its steps, its contiguous piece of the (ndof, M) array
+    ``slab`` (the chunks' pieces tile it) and the basis's work arrays for
+    ``project_copies`` (None with one block)."""
+    flat, ndof = slab.reshape(-1), sys.ndof
+    return [(cols, flat[ndof * cols.start : ndof * cols.stop].reshape(ndof, -1),
+             sys.basis.work((ndof, cols.stop - cols.start)) if len(sys.block_sizes) > 1 else None)
+            for cols in _chunks(sys.grid.M)]
 
 
-def chunk_buffers(sys: DiscreteSystem, box: bool) -> list[tuple]:
-    """The arrays each chunk's task reuses every iteration, in chunk order:
-    its right-hand sides and its solutions, each of shape (2, ndof, k), and
-    the basis's work arrays for ``project_copies`` (None unless the box
-    variant runs in a mirror basis of several blocks)."""
-    buffers = []
-    for cols in _chunks(sys.grid.M):
-        k = cols.stop - cols.start
-        work = sys.basis.work((sys.ndof, k)) if box and len(sys.block_sizes) > 1 else None
-        buffers.append((np.empty((2, sys.ndof, k)), np.empty((2, sys.ndof, k)), work))
-    return buffers
+def group_blocks(sizes: list[int], M: int) -> list[slice]:
+    """The groups of an iteration, as ranges of the blocks ``sizes``:
+    contiguous runs of whole blocks, min(len(_chunks(M)), len(sizes)) of
+    them, each ending at the block boundary nearest to its even share of
+    the rows.  Like the chunks, they are fixed by M and the sizes alone."""
+    n = min(len(_chunks(M)), len(sizes))
+    ends = np.cumsum(sizes)
+    bounds = [0]
+    for i in range(1, n):  # group i ends after block j - 1, leaving a block for each later group
+        candidates = range(bounds[-1] + 1, len(sizes) - n + i + 1)
+        bounds.append(min(candidates, key=lambda j: abs(n * ends[j - 1] - i * ends[-1])))
+    bounds.append(len(sizes))
+    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
-def predict(
-    sys: DiscreteSystem,
-    w: Iterate,
-    config: SolverConfig,
-    factors: PredictionFactors,
-    pool=None,
-    buffers: list[tuple] | None = None,
-    q: np.ndarray | None = None,
-    out: Iterate | None = None,
-) -> Iterate:
+@dataclass(frozen=True, eq=False)
+class Group:
+    """One task's share of an iteration: a contiguous run of whole mirror
+    blocks, on the rows ``rows``.  Every operator the prediction applies is
+    block diagonal, so on these rows it is its diagonal block.  The group
+    holds those blocks under the system's names (``grid``, ``mass``,
+    ``step_plus``, ``step_minus``, ``step_pair``), so it stands in for the
+    system in ``predict_states`` and ``write_products``.  It also holds the
+    prediction factors of its blocks (a ``CholFactor.blocks`` each) with
+    its rows of the loads, and ``rhs``, its right-hand sides of shape
+    (2, rows, M), reused every iteration.
+    """
+
+    rows: slice
+    grid: TimeGrid
+    mass: sp.csr_matrix
+    step_plus: sp.csr_matrix
+    step_minus: sp.csr_matrix
+    step_pair: sp.csr_matrix
+    factors: PredictionFactors
+    rhs: np.ndarray
+
+    @staticmethod
+    def partition(sys: DiscreteSystem, factors: PredictionFactors) -> list["Group"]:
+        """The groups of ``sys`` (``group_blocks``) with their operators
+        and factors."""
+        bounds = np.cumsum([0, *sys.block_sizes])
+        groups = []
+        for blocks in group_blocks(sys.block_sizes, sys.grid.M):
+            rows = slice(int(bounds[blocks.start]), int(bounds[blocks.stop]))
+            plus, minus = sys.step_plus[rows, rows], sys.step_minus[rows, rows]
+            named = {name: f.blocks(blocks.start, blocks.stop) for name, f in factors.named.items()}
+            groups.append(Group(rows, sys.grid, sys.mass[rows, rows], plus, minus,
+                                sp.hstack([plus, minus], format="csr"),
+                                PredictionFactors(**named, loads=factors.loads[rows]),
+                                np.empty((2, rows.stop - rows.start, sys.grid.M))))
+        return groups
+
+
+def predict_rows(group: Group, w: Iterate, q: np.ndarray, config: SolverConfig, d: Iterate) -> None:
+    """The prediction on the rows of ``group`` at all M steps, written into
+    those rows of d, an iterate with products, as the difference
+    d = w - w~: d_U and d_Y, their products tau A d_U, step_plus d_Y and
+    step_minus d_Y, and in the box variant d_P = P - P~ from the copies P~
+    that ``project_copies`` left in d's P slab.
+
+    The state and control right-hand sides (``predict_states``,
+    ``predict_controls``) go to the group's ``rhs``, their solves against
+    the group's factors straight into d, the difference in one ufunc call
+    over d_U and d_Y, and d's products come from ``write_products``.  The
+    rest of d, which couples the columns, is ``couple_difference``'s.
+    """
+    rows = group.rows
+    w, d, q = w.rows(rows), d.rows(rows), q[rows]
+    predict_states(group, w, q, config, group.factors.loads, group.rhs[1], work=group.rhs)
+    predict_controls(w, q, group.rhs[0])
+    solved = d.z[:2]
+    group.factors.solve(group.rhs, solved)
+    np.subtract(w.z[:2], solved, out=solved)
+    write_products(group, d.Y, d.U, d.products)
+    if config.bounds is not None:
+        np.subtract(w.P, d.P, out=d.P)
+
+
+def predict(sys: DiscreteSystem, w: Iterate, config: SolverConfig, factors: PredictionFactors,
+            pool=None) -> Iterate:
     """One full prediction sweep; all subproblems read the same w and q.
 
-    Each column chunk of time steps is one task of a ``solve_multi`` batch
-    on ``pool`` (None: inline): the control and state solves of its steps
-    with their right-hand sides, then the difference of their columns
-    d = w - w~, the products of d: tau A d_U, step_plus d_Y and
-    step_minus d_Y, and in the box variant d_P from the projected copies
-    P~ (``project_copies``).  That is four sparse products in all: one of
-    ``step_pair`` for the state right-hand sides (``predict_states``) and
-    the three of d, written by ``write_products``, the writer of
-    ``constraint_products``.  After the batch ``couple_difference`` forms
+    Runs what an iteration of ``solve`` runs before its row pass, on
+    ``pool`` (None: inline): in the box variant the projection batch
+    (``project_copies``), then one ``predict_rows`` task per group of the
+    system's blocks (``Group.partition``); then ``couple_difference`` forms
     what couples the columns: C d and the multipliers' differences.  Uses
     the products w carries, forming them first when it carries none, and
-    w's shifted residual ``q``, formed first when not given.  The predicted
-    iterate w - d is returned with its products.  ``buffers``
-    (``chunk_buffers``) holds the arrays the tasks work in; without it this
-    prediction allocates its own.
-
-    With ``out``, an iterate with products, the chunk batch writes d into
-    it and ``out`` is returned without the coupling: ``solve`` forms that
-    in its row pass (``advance_rows``), together with the rest of the
-    iteration.
+    forms w's shifted residual q.  The predicted iterate w - d is returned
+    with its products.
     """
     box = config.bounds is not None
     if w.products is None:
         w = w.with_products(sys)
-    if q is None:
-        q = compute_q(sys, w, config.beta)
-    d = out if out is not None else Iterate.zeros(*w.U.shape, box=box, products=True)
-    if buffers is None:
-        buffers = chunk_buffers(sys, box)
-
-    def chunk(cols: slice, rhs: np.ndarray, sol: np.ndarray, work: tuple | None) -> None:
-        # contiguous buffers, copied once into the strided columns of d
-        predict_controls(sys, w, q, config, cols, rhs[0])
-        predict_states(sys, w, q, config, factors.loads, cols, rhs[1], work=sol)
-        factors.solve(rhs, cols.stop == sys.grid.M, sol)
-        np.subtract(w.z[:2, :, cols], sol, out=sol)
-        d.z[:2, :, cols] = sol
-        write_products(sys, sol[1], sol[0], d.products, cols)
-        if box:
-            project_copies(sys, w, config, cols, rhs[0], work)
-            np.subtract(w.P[:, cols], rhs[0], out=d.P[:, cols])
-
-    solve_multi([partial(chunk, cols, *buf) for cols, buf in zip(_chunks(sys.grid.M), buffers)], pool)
-    if out is not None:
-        return d
-    couple_difference(w, d, q, config)
+    q = compute_q(sys, w, config.beta)
+    d = Iterate.zeros(*w.U.shape, box=box, products=True)
+    slab = np.empty_like(q)
+    if box:
+        solve_multi([partial(project_copies, sys, w, config, cols, d.P, Z, work)
+                     for cols, Z, work in copy_chunks(sys, slab)], pool)
+    solve_multi([partial(predict_rows, group, w, q, config, d) for group in Group.partition(sys, factors)], pool)
+    couple_difference(w, d, q, config, slab)
     return iterate_diff(w, d, out=d)
 
 
@@ -629,8 +673,8 @@ def advance_rows(
     rows: slice,
     work: np.ndarray,
 ) -> tuple[float, float]:
-    """The iteration's tail on the rows ``rows``, after the chunk batch has
-    written the difference d = w - w~ of the columns into w_t: d_U, d_Y,
+    """The iteration's tail on the rows ``rows``, after ``predict_rows`` has
+    written the difference d = w - w~ of those rows into w_t: d_U, d_Y,
     their products and the box variant's d_P.
 
     In turn: ``couple_difference`` completes d; the corrected iterate
@@ -647,6 +691,37 @@ def advance_rows(
     gap_sq = _sq(np.subtract(d.Y, d.P, out=work)) if d.is_box else 0.0
     compute_q(sys, w_t, config.beta, rows, out=q[rows], work=work)
     return h_sq, gap_sq
+
+
+def advance_group(
+    sys: DiscreteSystem,
+    group: Group,
+    w: Iterate,
+    w_t: Iterate,
+    q: np.ndarray,
+    config: SolverConfig,
+    nu: float,
+    work: np.ndarray,
+) -> tuple[tuple[float, float], tuple[float, float, int]]:
+    """One task of an iteration: ``predict_rows`` on the group's rows into
+    w_t, then ``advance_rows`` on the same rows.  Returns advance_rows'
+    norms, and the seconds of each of the two with the thread that ran
+    them."""
+    t0 = time.perf_counter()
+    predict_rows(group, w, q, config, w_t)
+    t1 = time.perf_counter()
+    norms = advance_rows(sys, w, w_t, q, config, nu, group.rows, work)
+    return norms, (t1 - t0, time.perf_counter() - t1, threading.get_ident())
+
+
+def _busiest(times: list[tuple[float, float, int]]) -> tuple[float, float]:
+    """The prediction and row-pass seconds of the thread busiest in a batch,
+    its tasks' ``advance_group`` times summed."""
+    busy: dict[int, tuple[float, float]] = {}
+    for predict_s, correct_s, thread in times:
+        p, c = busy.get(thread, (0.0, 0.0))
+        busy[thread] = (p + predict_s, c + correct_s)
+    return max(busy.values(), key=sum)
 
 
 def _worker_pool(thread_count: int):
@@ -705,7 +780,7 @@ def solve(sys: DiscreteSystem, config: SolverConfig, monitor=None) -> tuple[Iter
     blocks = 3 if box else 2
     nu = correction_factor(sys.grid.M, config.gamma, blocks_per_step=blocks)
     factors = PredictionFactors.build(sys, config)
-    buffers = chunk_buffers(sys, box)
+    groups = Group.partition(sys, factors)
 
     # The zero trajectory's products are zero; step_minus column 0 stays zero.
     w = Iterate.zeros(sys.ndof, sys.grid.M, box=box, products=True)
@@ -715,7 +790,7 @@ def solve(sys: DiscreteSystem, config: SolverConfig, monitor=None) -> tuple[Iter
         basis.project_stacked(w.P, out=w.P)
     q = compute_q(sys, w, config.beta)
     work = np.empty_like(q)
-    row_blocks = _row_blocks(sys.ndof, sys.grid.M)
+    copies = copy_chunks(sys, work) if box else []
 
     increments: list[float] = []
     gaps: list[float] = [] if box else None
@@ -729,18 +804,20 @@ def solve(sys: DiscreteSystem, config: SolverConfig, monitor=None) -> tuple[Iter
             k += 1
             if monitor is not None:
                 monitor(k, _NodeView(basis, w.z))
-            t1 = time.perf_counter()
-            predict(sys, w, config, factors, pool, buffers, q=q, out=spare)
-            t2 = time.perf_counter()
-            norms = solve_multi([partial(advance_rows, sys, w, spare, q, config, nu, rows, work[rows])
-                                 for rows in row_blocks], pool)
-            h_sq, gap_sq = [sum(c) for c in zip(*norms)]  # in block order, whatever the thread count
+            if box:  # the copies mix the blocks: P~ into spare's P slab, chunk by chunk
+                t1 = time.perf_counter()
+                solve_multi([partial(project_copies, sys, w, config, cols, spare.P, Z, basis_work)
+                             for cols, Z, basis_work in copies], pool)
+                t_predict += time.perf_counter() - t1
+            done = solve_multi([partial(advance_group, sys, group, w, spare, q, config, nu, work[group.rows])
+                                for group in groups], pool)
+            h_sq, gap_sq = [sum(c) for c in zip(*(norms for norms, _ in done))]  # in group order
+            predict_s, correct_s = _busiest([times for _, times in done])
+            t_predict += predict_s
+            t_correct += correct_s
             w, spare = spare, w
             # w - w_next = nu d, and the H-norm is quadratic.
             inc = nu * nu * h_sq
-            t3 = time.perf_counter()
-            t_predict += t2 - t1
-            t_correct += t3 - t2
             increments.append(inc)
             if box:
                 gaps.append(math.sqrt(gap_sq))
@@ -754,8 +831,7 @@ def solve(sys: DiscreteSystem, config: SolverConfig, monitor=None) -> tuple[Iter
     # The loop's storage goes before the change of basis, the spare iterate
     # before z is copied out of w.
     carried = w.products[3] - sys.rhs
-    buffers.clear()
-    spare = None
+    groups = copies = spare = None
     z = w.z.copy()
     w = None
     result = Iterate(basis.expand_stacked(z, out=z))

@@ -70,10 +70,11 @@ def test_private_names_the_sweeps_use_exist(monkeypatch):
     # tools/oracle_sweep.py swaps _solve_modal, calls modal_sweep and the
     # per-block eigensolve block_eigh on a level in its mirror basis, and
     # reads a basis's sizes;
-    # tools/chunk_sweep.py and tools/dense_sweep.py set CHUNK_COLS and split
-    # M with _chunks; tools/dense_sweep.py changes a level into its mirror
-    # basis, reads its block_sizes, sets BLOCK_MAX_NDOF to send every block
-    # down one path and solves chunks into a reused array
+    # tools/chunk_sweep.py sets CHUNK_COLS; tools/dense_sweep.py splits a
+    # level's blocks into groups with group_blocks, changes the level into
+    # its mirror basis, reads its block_sizes, sets BLOCK_MAX_NDOF to send
+    # every block down one path and solves a block at width M into a
+    # reused array
     assert callable(kkt_oracle._solve_modal) and callable(kkt_oracle.modal_sweep)
     sys_ = build_level(get_example("5.1"), 4)
     basis = mirrors.mirror_basis(sys_)
@@ -81,8 +82,8 @@ def test_private_names_the_sweeps_use_exist(monkeypatch):
     in_basis = sys_.in_mirror_basis()
     assert [len(mu) for mu, _ in kkt_oracle.block_eigh(in_basis)] == basis.sizes
     assert isinstance(splitting_solver.CHUNK_COLS, int)
-    chunks = list(splitting_solver._chunks(2 * splitting_solver.CHUNK_COLS + 1))
-    assert [c.stop - c.start for c in chunks] == [splitting_solver.CHUNK_COLS] * 2 + [1]
+    groups = splitting_solver.group_blocks(basis.sizes, 2 * splitting_solver.CHUNK_COLS + 1)
+    assert [(g.start, g.stop) for g in groups] == [(0, 1), (1, 2), (2, 4)]
     assert in_basis.block_sizes == basis.sizes
     assert isinstance(sparse_linalg.BLOCK_MAX_NDOF, int)
     config = splitting_solver.SolverConfig(alpha=sys_.alpha, beta=1.0)
@@ -92,7 +93,7 @@ def test_private_names_the_sweeps_use_exist(monkeypatch):
         factors = splitting_solver.PredictionFactors.build(in_basis, config)
         assert factors.control.dense is dense and len(factors.control.parts) == len(basis.sizes)
         out = np.full_like(rhs, np.nan)
-        factors.solve(rhs, True, out)
+        factors.solve(rhs, out)
         assert np.isfinite(out).all()
 
 
@@ -168,14 +169,19 @@ def test_ab_runs_head_against_itself(tmp_path, monkeypatch):
     try:
         base, change = (ab.load(alias, src) for alias in aliases)
         assert base.splitting_solver is not change.splitting_solver
-        cells = [dataclasses.replace(c, n=4, config={**c.config, "k_max": 20}) for c in ab.CELLS]
+        small = (("5.1", 4), ("5.2", 4))  # the oracle cell on small rungs
+        cells = [dataclasses.replace(c, rungs=small) if c.rungs else
+                 dataclasses.replace(c, n=4, config={**c.config, "k_max": 20}) for c in ab.CELLS]
         out = ab.compare(base, change, cells, rounds=2)
     finally:
         for name in [m for m in sys.modules if m.split(".")[0] in aliases]:
             del sys.modules[name]
-    assert list(out) == [c.name for c in ab.CELLS]
+    assert list(out) == [c.name for c in ab.CELLS] and "oracle-ladder" in out
     for name, cell in out.items():
-        assert cell["iterations"] == {"base": 20, "change": 20}, name
+        count = len(small) if name == "oracle-ladder" else 20  # calls, or iterations
+        slabs = 3 * len(small) if name == "oracle-ladder" else len(cell["max_rel_diff_per_slab"])
+        assert cell["iterations"] == {"base": count, "change": count}, name
+        assert len(cell["max_rel_diff_per_slab"]) == slabs, name
         assert cell["identical"] and not any(cell["max_rel_diff_per_slab"]), name
         for side in ("base", "change"):
             assert 0.0 < cell[side]["sum_of_minima_s"] <= cell[side]["q1_s"] <= cell[side]["q3_s"], name

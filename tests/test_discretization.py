@@ -1,4 +1,5 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -214,15 +215,20 @@ class TestConstraintResidual:
             outside[part[1:]] = False
             assert not block[3][outside].any()  # and nothing outside it is written
 
-    def test_write_products_in_column_runs(self):
-        # two full runs of three steps and a partial last one, each written
-        # from its own contiguous columns, as the solver's chunk tasks do
-        sys = random_system(6, n=3, M=8)
+    def test_write_products_on_block_rows(self):
+        # each mirror block's rows written from their own rows of Y and U,
+        # with the block's operators, as the solver's group tasks do
+        sys = random_system(6, n=3, M=8).in_mirror_basis()
         rng = np.random.default_rng(6)
         Y, U = rng.standard_normal((2, sys.ndof, 8))
         out = np.zeros((4, sys.ndof, 8))
-        for cols in (slice(0, 3), slice(3, 6), slice(6, 8)):
-            write_products(sys, np.ascontiguousarray(Y[:, cols]), np.ascontiguousarray(U[:, cols]), out, cols)
+        bounds = np.cumsum([0, *sys.block_sizes])
+        assert len(sys.block_sizes) == 4
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            rows = slice(lo, hi)
+            block = SimpleNamespace(grid=sys.grid, mass=sys.mass[rows, rows],
+                                    step_plus=sys.step_plus[rows, rows], step_minus=sys.step_minus[rows, rows])
+            write_products(block, Y[rows], U[rows], out[:, rows])
         assert np.array_equal(out[:3], constraint_products(sys, Y, U)[:3])
         assert not out[2, :, 0].any()
         assert not out[3].any()  # and nothing else is written

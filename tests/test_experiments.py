@@ -304,8 +304,27 @@ class TestBenchmark:
         prob = get_example("5.1")
         config = SolverConfig(alpha=prob.alpha, beta=1.0, bounds=(0.0, 0.8))
         benchmark(prob, config, 2, [1, 2], k=20)
-        assert [c.bounds for c in configs] == [(0.0, 0.8)] * 2
-        assert [(c.epsilon, c.k_max, c.thread_count) for c in configs] == [(0.0, 20, 1), (0.0, 20, 2)]
+        # three rounds, the thread counts interleaved
+        assert [c.bounds for c in configs] == [(0.0, 0.8)] * 6
+        assert [(c.epsilon, c.k_max, c.thread_count) for c in configs] == [(0.0, 20, 1), (0.0, 20, 2)] * 3
+
+    def test_every_round_checks_the_iterates(self, monkeypatch):
+        # an iterate that differs in the last round only is caught
+        calls = []
+        real = experiments.solve
+
+        def solve(sys, cfg):
+            w, report = real(sys, cfg)
+            calls.append(cfg.thread_count)
+            if len(calls) == 6:
+                w.z[0, 0, 0] += 1.0
+            return w, report
+
+        monkeypatch.setattr(experiments, "solve", solve)
+        prob = get_example("5.1")
+        with pytest.raises(RuntimeError, match="2 threads differs"):
+            benchmark(prob, SolverConfig(alpha=prob.alpha, beta=1.0), 2, [1, 2], k=3)
+        assert calls == [1, 2] * 3
 
     def test_speedup_baseline_is_the_serial_run(self):
         prob = get_example("5.1")

@@ -37,16 +37,19 @@ from parasplit.mesh import DIRICHLET, NEUMANN, uniform_unit_square
 from parasplit import mirrors, sparse_linalg, splitting_solver
 from parasplit.sparse_linalg import BLOCK_MAX_NDOF, factorize
 from parasplit.splitting_solver import (
+    Group,
     Iterate,
     PredictionFactors,
     SolverConfig,
     compute_q,
     correct,
     correction_factor,
+    group_blocks,
     h_norm_sq,
     iterate_diff,
     predict,
     predict_multiplier,
+    predict_rows,
     predict_states,
     solve,
 )
@@ -64,6 +67,21 @@ def _path(f) -> str:
     if not f.dense:
         return "superlu"
     return "dense" if len(f.parts) == 1 else "blocked"
+
+
+def _group_differences(sys, w, config, factors):
+    """The difference d = w - w~ as an iteration's tasks write it before
+    ``couple_difference``: the box variant's projection chunks, then
+    ``predict_rows`` on every group of ``Group.partition``."""
+    w = w.with_products(sys)
+    q = compute_q(sys, w, config.beta)
+    d = Iterate.zeros(sys.ndof, sys.grid.M, box=w.is_box, products=True)
+    if w.is_box:
+        for cols, Z, work in splitting_solver.copy_chunks(sys, np.empty_like(q)):
+            splitting_solver.project_copies(sys, w, config, cols, d.P, Z, work)
+    for group in Group.partition(sys, factors):
+        predict_rows(group, w, q, config, d)
+    return d
 
 
 def _without_mirrors(sys, dof=1):
@@ -170,13 +188,15 @@ class TestPrediction:
 
     @pytest.mark.parametrize("box", [False, True])
     def test_chunked_prediction(self, box):
-        # Two full chunks and a partial one: the chunk boundaries, the q column
-        # read past each chunk and a terminal step in the partial chunk.
+        # Two full chunks and a partial one: in the mirror basis of four
+        # blocks, three groups of rows and, in the box variant, three
+        # projection chunks, the last with the terminal step.
         M = 2 * splitting_solver.CHUNK_COLS + 5
-        sys = random_system(14, n=2, M=M)
+        sys = random_system(14, n=3, M=M).in_mirror_basis()
         w = random_iterate(15, sys, box)
         config = _config(sys, beta=0.7, bounds=(-0.5, 0.5) if box else None)
         factors = PredictionFactors.build(sys, config)
+        assert len(Group.partition(sys, factors)) == 3
         inline = predict(sys, w, config, factors)
         with ThreadPoolExecutor(2) as pool:
             pooled = predict(sys, w, config, factors, pool)
@@ -186,11 +206,38 @@ class TestPrediction:
             for got, want in zip(w_t.products, constraint_products(sys, w_t.Y, w_t.U)):
                 _assert_close(got, want)
         assert np.array_equal(pooled.z, inline.z)
-        # The chunk tasks write the difference d = w - w~ and its products
+        if box:  # P~ is the projection in node coordinates
+            basis = sys.basis
+            node = basis.expand_stacked(w.Y - w.mu / config.beta)
+            _assert_close(inline.P, basis.project_stacked(np.clip(node, *config.bounds)))
+        # The group tasks write the difference d = w - w~ and its products
         # with constraint_products' writer, bit for bit.
-        d = predict(sys, w, config, factors, out=Iterate.zeros(sys.ndof, M, box=box, products=True))
+        d = _group_differences(sys, w, config, factors)
         assert np.array_equal(inline.z[:2], w.z[:2] - d.z[:2])
         assert np.array_equal(d.products[:3], constraint_products(sys, d.Y, d.U)[:3])
+
+    @pytest.mark.parametrize("box", [False, True])
+    @pytest.mark.parametrize("bc", [NEUMANN, DIRICHLET])
+    def test_group_prediction_matches_whole_system(self, bc, box, monkeypatch):
+        # predict_rows on each group, with the group's blocks of the
+        # operators and factors, writes those rows of what it writes with
+        # one group of every block, bit for bit
+        M = splitting_solver.CHUNK_COLS + 5
+        sys = random_system(22, n=4, M=M, bc=bc).in_mirror_basis()
+        w = random_iterate(23, sys, box)
+        config = _config(sys, beta=0.9, bounds=(-0.5, 0.5) if box else None)
+        factors = PredictionFactors.build(sys, config)
+        groups = Group.partition(sys, factors)
+        assert len(groups) == 2
+        d = _group_differences(sys, w, config, factors)
+        monkeypatch.setattr(splitting_solver, "group_blocks", lambda sizes, M: [slice(0, len(sizes))])
+        (whole,) = Group.partition(sys, factors)
+        assert whole.rows == slice(0, sys.ndof)
+        d_whole = _group_differences(sys, w, config, factors)
+        written = [0, 1, *([3] if box else []), *range(len(w.z), len(w.z) + 3)]  # U, Y, P, products 0-2
+        for group in groups:
+            for slab in written:
+                assert np.array_equal(d.data[slab, group.rows], d_whole.data[slab, group.rows]), (group.rows, slab)
 
     def test_control_row_direct_substitution(self):
         sys = random_system(5, n=2, M=3)
@@ -249,61 +296,60 @@ class TestPrediction:
     @pytest.mark.parametrize("bc", [NEUMANN, DIRICHLET])
     @pytest.mark.parametrize("box", [False, True])
     def test_state_right_hand_sides(self, bc, box):
-        # one sparse product of [step_plus step_minus] against the chunk's
-        # stacked columns is step_plus a + step_minus b + tau kappa d / beta,
+        # one sparse product of [step_plus step_minus] against the stacked
+        # arguments is step_plus a + step_minus b + tau kappa d / beta,
         # a = step_plus Y_m - q_m and b = step_minus Y_m + q_{m+1} (zero at
         # step M), plus P + mu / beta in the box variant: the subproblems'
-        # own over beta, as the factors are; on a chunk that ends at step M
-        # and one that does not
+        # own over beta, as the factors are; on the whole system and on
+        # each group of its rows, with the group's blocks of the operators
         M = splitting_solver.CHUNK_COLS + 5
-        sys = random_system(12, n=3, M=M, bc=bc)
+        sys = random_system(12, n=3, M=M, bc=bc).in_mirror_basis()
         config = _config(sys, beta=0.7, bounds=(-0.5, 0.5) if box else None)
         w = random_iterate(13, sys, box).with_products(sys)
         q = compute_q(sys, w, config.beta)
-        loads = PredictionFactors.build(sys, config).loads
+        factors = PredictionFactors.build(sys, config)
         cp, cm = sys.step_plus.toarray(), sys.step_minus.toarray()
         b_all = np.zeros_like(q)
         b_all[:, :-1] = cm @ w.Y[:, :-1] + q[:, 1:]
-        chunks = splitting_solver._chunks(M)
-        assert len(chunks) == 2 and chunks[-1].stop == M
-        for cols in chunks:
-            k = cols.stop - cols.start
-            out = np.empty((sys.ndof, k))
-            predict_states(sys, w, q, config, loads, cols, out, np.full((2, sys.ndof, k), np.nan))
-            a = cp @ w.Y[:, cols] - q[:, cols]
-            want = cp @ a + cm @ b_all[:, cols] + sys.tracking_loads[:, cols] / config.beta
-            if box:
-                want += w.P[:, cols] + w.mu[:, cols] / config.beta
-            assert np.abs(out - want).max() <= 1e-14 * np.abs(want).max()
+        a = cp @ w.Y - q
+        want = cp @ a + cm @ b_all + sys.tracking_loads / config.beta
+        if box:
+            want += w.P + w.mu / config.beta
+        groups = Group.partition(sys, factors)
+        assert len(groups) == 2
+        for ops, rows in [(sys, slice(None)), *((g, g.rows) for g in groups)]:
+            out = np.empty_like(q[rows])
+            work = np.full((2,) + out.shape, np.nan)
+            predict_states(ops, w.rows(rows), q[rows], config, factors.loads[rows], out, work)
+            assert np.abs(out - want[rows]).max() <= 1e-14 * np.abs(want).max()
 
     @pytest.mark.parametrize("box", [False, True])
     def test_full_width_shift_is_flat(self, box):
-        # A chunk of all M steps reads and writes the one-step shifts as flat
-        # runs of C-contiguous arrays; the same calls on non-contiguous
-        # copies take the 2-D windows, and agree bit for bit.
+        # The one-step shifts read and write flat runs of C-contiguous
+        # arrays, views that equal the 2-D windows' formula bit for bit;
+        # an array that is not C-contiguous, whose flat run would be a
+        # copy, is rejected.
         M = 6
         sys = random_system(18, n=3, M=M)
         config = _config(sys, beta=0.7, bounds=(-0.5, 0.5) if box else None)
         w = random_iterate(19, sys, box).with_products(sys)
         q = compute_q(sys, w, config.beta)
         loads = PredictionFactors.build(sys, config).loads
-        strided = Iterate(np.asfortranarray(w.data), len(w.z))
-        cols = slice(0, M)
-        outs, works = [], []
-        for v, q_v, runs_flat in ((w, q, True), (strided, np.asfortranarray(q), False)):
-            out, work = np.empty((sys.ndof, M)), np.full((2, sys.ndof, M), np.nan)
-            assert (one_step_on(0, work[1], v.products[2], q_v)[0].ndim == 1) == runs_flat
-            predict_states(sys, v, q_v, config, loads, cols, out, work)
-            outs.append(out)
-            works.append(work)
-        assert np.array_equal(outs[0], outs[1]) and np.array_equal(works[0], works[1])
-        assert not works[0][1][:, -1].any()  # the terminal step's argument
+        out, work = np.empty((sys.ndof, M)), np.full((2, sys.ndof, M), np.nan)
+        behind, MY, q_ahead = one_step_on(work[1], w.products[2], q)
+        assert behind.ndim == 1 and np.shares_memory(behind, work[1]) and np.shares_memory(q_ahead, q)
+        predict_states(sys, w, q, config, loads, out, work)
+        assert np.array_equal(work[1][:, :-1], w.products[2][:, 1:] + q[:, 1:])
+        assert not work[1][:, -1].any()  # the terminal step's argument
+        with pytest.raises(ValueError, match="copy"):
+            one_step_on(work[1], np.asfortranarray(w.products[2]))
         Y, U = np.random.default_rng(20).standard_normal((2, sys.ndof, M))
-        contiguous, windowed = np.full((4, sys.ndof, M), np.nan), np.asfortranarray(np.full((4, sys.ndof, M), np.nan))
-        for products in (contiguous, windowed):
-            write_products(sys, Y, U, products)
-        assert np.array_equal(contiguous[:3], windowed[:3])
-        assert not contiguous[2][:, 0].any()  # block row 1 has no step_minus term
+        products = np.full((4, sys.ndof, M), np.nan)
+        write_products(sys, Y, U, products)
+        assert np.array_equal(products[2][:, 1:], (sys.step_minus @ Y)[:, :-1])
+        assert not products[2][:, 0].any()  # block row 1 has no step_minus term
+        with pytest.raises(ValueError, match="copy"):
+            write_products(sys, Y, U, np.asfortranarray(products))
 
     def test_multiplier_update(self):
         sys = random_system(9, n=2, M=2)
@@ -325,7 +371,7 @@ class TestDifference:
         # The difference d = w - w~ the loop corrects with, every iteration,
         # against w - predict(w) of the iterate it advances (in the mirror
         # basis, with its carried products), over every slab and product;
-        # at M > CHUNK_COLS the row blocks' parts are joined in order.  The
+        # at M > CHUNK_COLS the groups' rows are joined in order.  The
         # prediction's multipliers, which both complete from the difference,
         # are checked against their definitions from w~ itself.
         sys = random_system(21, n=3, M=M, bc=bc)
@@ -341,8 +387,9 @@ class TestDifference:
         solve(sys, config)
         in_basis = sys.in_mirror_basis()
         factors = PredictionFactors.build(in_basis, config)
-        blocks = len(splitting_solver._row_blocks(sys.ndof, M))
-        assert blocks == len(splitting_solver._chunks(M)) and len(seen) == config.k_max * blocks
+        blocks = len(Group.partition(in_basis, factors))
+        assert blocks == min(len(splitting_solver._chunks(M)), len(in_basis.block_sizes))
+        assert len(seen) == config.k_max * blocks
         for k in range(config.k_max):
             parts = seen[k * blocks : (k + 1) * blocks]
             w = Iterate(np.concatenate([w_rows for w_rows, _ in parts], axis=1), 5 if box else 3)
@@ -356,6 +403,47 @@ class TestDifference:
             assert want.data.shape == d.shape
             for got, slab in zip(d, want.data):
                 np.testing.assert_allclose(got, slab, rtol=1e-12, atol=1e-12 * np.abs(slab).max())
+
+
+class TestGroups:
+    @pytest.mark.parametrize("M", [1, 32, 33, 64, 69, 200])
+    @pytest.mark.parametrize("sizes", [[961], [256, 240, 225, 240], [6, 4, 2, 4], [2, 1, 1], [1, 1, 9, 1]])
+    def test_partition(self, sizes, M):
+        # contiguous runs of whole blocks that cover every block once, as
+        # many as the chunks allow, none empty
+        groups = group_blocks(sizes, M)
+        assert len(groups) == min(len(splitting_solver._chunks(M)), len(sizes))
+        assert groups[0].start == 0 and groups[-1].stop == len(sizes)
+        assert all(a.stop == b.start for a, b in zip(groups, groups[1:]))
+        assert all(g.stop > g.start for g in groups)
+
+    def test_benchmark_level_gives_two_balanced_groups(self):
+        groups = group_blocks([256, 240, 225, 240], 64)
+        assert [sum([256, 240, 225, 240][g]) for g in groups] == [496, 465]
+        assert [sum([256, 240, 225, 240][g]) for g in group_blocks([256, 240, 225, 240], 32)] == [961]
+        assert [sum([1, 1, 9, 1][g]) for g in group_blocks([1, 1, 9, 1], 96)] == [2, 9, 1]
+
+    @pytest.mark.parametrize("box", [False, True])
+    def test_groups_do_not_follow_the_thread_count(self, box, monkeypatch):
+        # the rows of every task the loop runs, in order, at 1, 2 and 8 threads
+        seen = []
+        real = splitting_solver.predict_rows
+
+        def recording(group, *args):
+            seen.append((group.rows.start, group.rows.stop))
+            return real(group, *args)
+
+        monkeypatch.setattr(splitting_solver, "predict_rows", recording)
+        sys = random_system(24, n=3, M=2 * splitting_solver.CHUNK_COLS + 5)
+        runs = []
+        for threads in (1, 2, 8):
+            seen.clear()
+            solve(sys, _config(sys, epsilon=0.0, k_max=3, thread_count=threads,
+                               bounds=(-0.5, 0.5) if box else None))
+            runs.append(sorted(seen))
+        rows = np.cumsum([0, *sys.mirror_basis.sizes])
+        want = [(int(rows[g.start]), int(rows[g.stop])) for g in group_blocks(sys.mirror_basis.sizes, sys.grid.M)]
+        assert len(want) == 3 and runs == [sorted(want * 3)] * 3
 
 
 class TestCorrect:
@@ -608,7 +696,7 @@ class TestSolve:
     def test_thread_count_bitwise_across_chunks(self, box, monkeypatch):
         # On this mesh SuperLU's one-column solve differs from a
         # multi-column one in the last bits (on coarse meshes it does not),
-        # so chunking that followed the thread count down to single columns
+        # so tasks that followed the thread count down to single columns
         # would show.
         monkeypatch.setattr(sparse_linalg, "BLOCK_MAX_NDOF", 0)
         sys = random_system(11, n=28, M=2 * splitting_solver.CHUNK_COLS + 5)
@@ -619,19 +707,34 @@ class TestSolve:
         # Without a mirror the system is one block, and under the cap a
         # solve is a product with its inverse; on this mesh a one-column
         # product (GEMV) rounds differently from a block one (GEMM), so
-        # thread-dependent chunking would show here too.
+        # thread-dependent tasks would show here too.
         sys = _without_mirrors(random_system(11, n=12, M=2 * splitting_solver.CHUNK_COLS + 5))
         assert sys.ndof <= BLOCK_MAX_NDOF
         self._assert_bitwise_across_threads(sys, box, "dense")
 
     @pytest.mark.parametrize("box", [False, True])
     def test_thread_count_bitwise_across_chunks_blocked(self, box):
-        # In the mirror basis each block is inverted, and a chunk's solve
-        # is one product per block; the box chunks also expand, clip and
-        # project their copies.
+        # In the mirror basis each block is inverted, and three chunks give
+        # three groups of whole blocks, whose solves are one product per
+        # block at width M; the box variant's three projection chunks
+        # expand, clip and project their copies.
         sys = random_system(11, n=28, M=2 * splitting_solver.CHUNK_COLS + 5)
         assert sys.ndof > BLOCK_MAX_NDOF and len(sys.mirror_basis.sizes) == 4
         self._assert_bitwise_across_threads(sys, box, "blocked")
+
+    @pytest.mark.parametrize("box", [False, True])
+    def test_phase_seconds_fit_in_the_total(self, box):
+        # on a level of two groups each task times its two steps; the
+        # busiest thread's times add up to no more than the loop's
+        sys = random_system(25, n=12, M=splitting_solver.CHUNK_COLS + 8)
+        in_basis = sys.in_mirror_basis()
+        assert len(group_blocks(in_basis.block_sizes, in_basis.grid.M)) == 2
+        for threads in (1, 2):
+            config = _config(sys, epsilon=0.0, k_max=20, thread_count=threads,
+                             bounds=(-0.5, 0.5) if box else None)
+            _, report = solve(sys, config)
+            assert 0.0 < report.seconds_predict and 0.0 < report.seconds_correct
+            assert report.seconds_predict + report.seconds_correct <= report.seconds_total, threads
 
     def test_one_pool_per_threaded_solve(self, monkeypatch):
         workers = []
@@ -743,14 +846,14 @@ class TestSolve:
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("box", [False, True])
     def test_row_blocks_match_from_scratch_loop(self, box, threads):
-        # Three chunks, so the tail runs as three row blocks whose partial
-        # norms add up; the hypothesis test above reaches only one block.
-        # The system with one unknown has two empty blocks before its last.
+        # Three chunks and four mirror blocks, so an iteration runs three
+        # groups whose partial norms add up; the hypothesis test above
+        # reaches only one group.  The system with one unknown is one block,
+        # so one group.
         M, K = 2 * splitting_solver.CHUNK_COLS + 5, 6
         for sys in (random_system(16, n=3, M=M), random_system(16, n=2, M=M, bc=DIRICHLET)):
-            blocks = splitting_solver._row_blocks(sys.ndof, M)
-            assert len(blocks) == 3
-            assert sys.ndof > 1 or [b.stop - b.start for b in blocks] == [0, 0, 1]
+            groups = group_blocks(sys.mirror_basis.sizes, M)
+            assert len(groups) == (3 if sys.ndof > 1 else 1)
             config = _config(sys, beta=0.8, epsilon=0.0, k_max=K, thread_count=threads,
                              bounds=(-0.5, 0.5) if box else None)
             seen = []
@@ -952,18 +1055,18 @@ class TestMirrorBasisLoop:
 
     @pytest.mark.parametrize("bounds", [None, (0.0, 0.8)])
     def test_carried_control_product_matches_mass_product(self, bounds, monkeypatch):
-        # the chunk tasks write tau A d_U with constraint_products' writer:
+        # the group tasks write tau A d_U with constraint_products' writer:
         # in every prediction of a solve it is tau times the mass product of
         # the difference, bit for bit
         matches = []
-        real = splitting_solver.predict
+        real = splitting_solver.advance_rows
 
-        def recording(sys_, *args, **kwargs):
-            w_t = real(sys_, *args, **kwargs)
-            matches.append(np.array_equal(w_t.products[0], sys_.grid.tau * (sys_.mass @ w_t.U)))
-            return w_t
+        def recording(sys_, w, d, q, config, nu, rows, work):
+            AdU = sys_.grid.tau * (sys_.mass @ d.U)
+            matches.append(np.array_equal(d.products[0][rows], AdU[rows]))
+            return real(sys_, w, d, q, config, nu, rows, work)
 
-        monkeypatch.setattr(splitting_solver, "predict", recording)
+        monkeypatch.setattr(splitting_solver, "advance_rows", recording)
         prob = get_example("5.1")
         config = SolverConfig(alpha=prob.alpha, beta=prob.beta if bounds is None else 0.3, bounds=bounds,
                               k_max=400)
@@ -1056,10 +1159,10 @@ class TestBlockedFactors:
         for name, f in factors.named.items():
             _assert_close(expand(f.solve(rhs_b[0])), getattr(superlu, name).solve(rhs[0]))
             _assert_close(f.solve(rhs_b[0][:, 0]), f.solve(rhs_b[0])[:, 0])  # one column
-        # a chunk's control and state solves together, the terminal column included
+        # the control and state solves together, the terminal column included
         got, want = np.empty_like(rhs), np.empty_like(rhs)
-        factors.solve(rhs_b, True, got)
-        superlu.solve(rhs, True, want)
+        factors.solve(rhs_b, got)
+        superlu.solve(rhs, want)
         for g, w in zip(got, want):
             _assert_close(expand(g), w)
         return factors

@@ -8,10 +8,13 @@ under two aliases (every import inside the package is relative): REV's as
 the base, this tree's as the change.  BLAS is pinned to one thread before
 numpy loads.  Each round runs every cell on both trees, alternating which
 tree goes first, so slow stretches of a shared host fall on both alike.  A
-cell is one ``splitting_solver.solve`` on a level each tree builds once,
-timed iteration by iteration from the monitor's timestamps (the monitor
-reads no array, so it costs no change of basis; the last iteration, which
-no monitor call ends, is not timed):
+splitting cell is one ``splitting_solver.solve`` on a level each tree
+builds once, timed iteration by iteration from the monitor's timestamps
+(the monitor reads no array, so it costs no change of basis; the last
+iteration, which no monitor call ends, is not timed).  The oracle cell is
+one ``kkt_oracle.solve_kkt`` call per rung, each on a fresh copy of a
+level each tree builds once (``dataclasses.replace``, so the call forms
+the level's mirror basis, as on a newly built level), timed call by call:
 
   tol-5.1-n16     example 5.1, n = 16, the example's config: solve to
                   epsilon 1e-12 at 1 thread (the benchmark's time to
@@ -21,12 +24,16 @@ no monitor call ends, is not timed):
                   level)
   box-5.1-n32-t2  the same bounds and parameters at n = 32, 100 iterations
                   at 2 threads (the benchmark's box workload)
+  oracle-ladder   solve_kkt on examples 5.1 and 5.2 at n = 4, 8, 16 and 24
+                  (the benchmark's oracle ladder, without its level builds
+                  and error norms)
 
-Per cell and tree the output holds the sum over iterations of each
-iteration's fastest time across the rounds (as ``bench/run.py`` forms
+Per cell and tree the output holds the sum over iterations (or calls) of
+each one's fastest time across the rounds (as ``bench/run.py`` forms
 ``solve_s``), and the median and quartiles of the per-round sums; per cell,
-the rounds in which the change's sum was the lower, the iteration counts,
-and whether the two final iterates are equal bit for bit, with the largest
+the rounds in which the change's sum was the lower, the iteration (or
+call) counts, and whether the two results are equal bit for bit: the final
+iterates' slabs, or each rung's Y*, U* and lambda*, with the largest
 difference per slab relative to the base slab's largest entry.  Each run
 appends one record to ``--out``.
 """
@@ -37,6 +44,7 @@ if __name__ == "__main__":
     sweep_common.pin_blas()
 
 import argparse
+import dataclasses
 import gc
 import importlib.util
 import io
@@ -57,15 +65,20 @@ BOX = {"beta": 0.3, "gamma": 1.5, "epsilon": 0.0, "bounds": (0.0, 0.8)}
 
 @dataclass(frozen=True)
 class Cell:
+    """A splitting solve of example 5.1 at mesh n, or, with ``rungs``, the
+    oracle on each (example, n) rung."""
+
     name: str
-    n: int
+    n: int = 0
     config: dict = field(default_factory=dict)  # SolverConfig fields beside the example's alpha and beta
+    rungs: tuple[tuple[str, int], ...] = ()
 
 
 CELLS = (
     Cell("tol-5.1-n16", 16),
     Cell("box-5.1-n8", 8, {**BOX, "k_max": 2000}),
     Cell("box-5.1-n32-t2", 32, {**BOX, "k_max": 100, "thread_count": 2}),
+    Cell("oracle-ladder", rungs=tuple((example, n) for example in ("5.1", "5.2") for n in (4, 8, 16, 24))),
 )
 
 
@@ -90,22 +103,36 @@ def load(alias: str, src: Path):
 
 
 class Tree:
-    """One tree's package, with each cell's level built once."""
+    """One tree's package, with each cell's levels built once."""
 
     def __init__(self, package, cells):
         self.package = package
-        self.problem = package.experiments.example_5_1()
-        self.levels = {cell.n: package.experiments.build_level(self.problem, cell.n) for cell in cells}
+        experiments = package.experiments
+        self.problems = {"5.1": experiments.example_5_1(), "5.2": experiments.example_5_2()}
+        rungs = {rung for cell in cells for rung in cell.rungs or [("5.1", cell.n)]}
+        self.levels = {(e, n): experiments.build_level(self.problems[e], n) for e, n in rungs}
 
-    def run(self, cell: Cell) -> tuple[list[float], int, np.ndarray]:
-        """One solve of ``cell``: its iterations' seconds, its iteration
-        count and its final iterate's slabs."""
-        config = self.package.SolverConfig(**{"alpha": self.problem.alpha, "beta": self.problem.beta,
-                                              **cell.config})
+    def run(self, cell: Cell) -> tuple[list[float], int, list[np.ndarray]]:
+        """One run of ``cell``: its iterations' (or calls') seconds, their
+        count and the result's slabs."""
+        if cell.rungs:
+            return self.run_oracle(cell)
+        problem = self.problems["5.1"]
+        config = self.package.SolverConfig(**{"alpha": problem.alpha, "beta": problem.beta, **cell.config})
         stamps = []
-        w, report = self.package.solve(self.levels[cell.n], config,
+        w, report = self.package.solve(self.levels["5.1", cell.n], config,
                                        monitor=lambda k, v: stamps.append(time.perf_counter()))
-        return np.diff(stamps).tolist(), report.iterations, w.z
+        return np.diff(stamps).tolist(), report.iterations, list(w.z)
+
+    def run_oracle(self, cell: Cell) -> tuple[list[float], int, list[np.ndarray]]:
+        seconds, slabs = [], []
+        for example, n in cell.rungs:
+            level = dataclasses.replace(self.levels[example, n])
+            t0 = time.perf_counter()
+            sol = self.package.solve_kkt(level, self.problems[example].alpha)
+            seconds.append(time.perf_counter() - t0)
+            slabs += [sol.Y_star, sol.U_star, sol.lambda_star]
+        return seconds, len(cell.rungs), slabs
 
 
 def _summary(sums: list[float], per_iteration: list[list[float]]) -> dict:
@@ -121,7 +148,7 @@ def compare(base, change, cells=CELLS, rounds: int = 10) -> dict:
     the final iterates' difference."""
     trees = {"base": Tree(base, cells), "change": Tree(change, cells)}
     for tree in trees.values():  # untimed: caches, allocator and pool start-up
-        tree.run(Cell("warm-up", cells[0].n, {**cells[0].config, "epsilon": 0.0, "k_max": 5}))
+        tree.run(dataclasses.replace(cells[0], config={**cells[0].config, "epsilon": 0.0, "k_max": 5}))
     times = {cell.name: {side: [] for side in trees} for cell in cells}
     last = {}
     for r in range(rounds):
@@ -143,7 +170,7 @@ def compare(base, change, cells=CELLS, rounds: int = 10) -> dict:
             **{side: _summary(sums[side], t[side]) for side in trees},
             "change_won_rounds": sum(c < b for b, c in zip(sums["base"], sums["change"])),
             "iterations": {"base": k_base, "change": k_change},
-            "identical": bool(np.array_equal(z_base, z_change)),
+            "identical": len(z_base) == len(z_change) and all(map(np.array_equal, z_base, z_change)),
             "max_rel_diff_per_slab": [float(np.abs(a - b).max() / max(np.abs(b).max(), np.finfo(float).tiny))
                                       for a, b in zip(z_change, z_base)],
         }

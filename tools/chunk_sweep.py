@@ -1,4 +1,4 @@
-"""Sweep the prediction's chunk width: 100-iteration box solves at 1 and 2 threads.
+"""Sweep CHUNK_COLS, which sets an iteration's tasks: 100-iteration box solves at 1 and 2 threads.
 
     python3 tools/chunk_sweep.py [--repeats 5] [--out BENCH_chunks.json]
 
@@ -9,11 +9,17 @@ beta 0.3, gamma 1.5, bounds [0, 0.8], epsilon 0 and 100 iterations, timed
 by its ``SolveReport.seconds_total`` (the iteration loop; the factorizations
 before it do not depend on the width or the threads).  The grid is mesh n
 in {32, 48} (M = 2n time steps) x chunk width in {8, 16, 32, 64} x threads
-in {1, 2}; the width is set through ``splitting_solver.CHUNK_COLS`` (and
-with it the number of row blocks).  Every repeat runs the whole grid once,
-so slow stretches of a shared host fall on all cells alike.  The output
-holds, per run, the median and quartiles of the repeats, whether its
-iterate equals the width-8 single-thread run's bit for bit, the medians of
+in {1, 2}; the width is set through ``splitting_solver.CHUNK_COLS``.  It
+fixes the number of chunks of M steps, ceil(M / width), and with them an
+iteration's two batches: the box projection runs one task per chunk, and
+the prediction and row pass one task per group of whole mirror blocks,
+min(chunks, blocks) groups (``splitting_solver.group_blocks``).  At n = 32
+and 48 there are four blocks, so the widths that give four chunks or more
+all give four groups and differ only in the projection's chunks.  Every
+repeat runs the whole grid once, so slow stretches of a shared host fall
+on all cells alike.  The output holds, per run, the chunk and group
+counts, the median and quartiles of the repeats, whether its iterate
+equals the width-8 single-thread run's bit for bit, the medians of
 ``SolveReport.seconds_predict`` and ``seconds_correct`` per iteration in
 milliseconds, and the minor page faults per iteration (``getrusage``) of
 one more solve in a new interpreter, between the monitor calls of
@@ -112,7 +118,10 @@ def sweep(repeats: int) -> dict:
     faults = fresh_faults(cells)
     runs = []
     for n, width, threads in cells:
-        runs.append({"n": n, "M": systems[n].grid.M, "width": width, "threads": threads,
+        M = systems[n].grid.M
+        runs.append({"n": n, "M": M, "width": width, "threads": threads,
+                     "projection_chunks": -(-M // width),
+                     "groups": min(-(-M // width), len(systems[n].mirror_basis.sizes)),  # group_blocks' count
                      **sweep_common.quartiles(times[n, width, threads]),
                      "samples_s": times[n, width, threads],
                      **{name: statistics.median(x[name] for x in layers[n, width, threads])
@@ -124,7 +133,8 @@ def sweep(repeats: int) -> dict:
                for n in MESHES}
     return {
         "what": "splitting_solver.solve, example 5.1, box [0, 0.8], beta 0.3, gamma 1.5, "
-                f"{ITERATIONS} iterations; seconds are SolveReport.seconds_total; per iteration: "
+                f"{ITERATIONS} iterations, at chunk widths (CHUNK_COLS) that set the projection's "
+                "chunks and the groups of mirror blocks; seconds are SolveReport.seconds_total; per iteration: "
                 "the medians of SolveReport.seconds_predict and seconds_correct, and the minor "
                 "page faults of one solve in a new interpreter from the monitor call of "
                 f"iteration 2 to that of {ITERATIONS}",

@@ -1,4 +1,4 @@
-"""Time the prediction factors' chunk solves on each ``factorize`` path.
+"""Time the prediction factors' group solves on each ``factorize`` path.
 
     python3 tools/dense_sweep.py [--repeats 7] [--out BENCH_dense.json]
 
@@ -17,12 +17,12 @@ takes it):
 and times, per path:
 
   build     ``PredictionFactors.build``: the three factorizations
-  chunk     ``PredictionFactors.solve`` on one chunk's right-hand sides,
-            for every chunk shape one prediction solves (``predict``'s
-            chunks of M steps: their widths, and whether the chunk ends at
-            step M and so also solves its last column against the terminal
-            factor), and for a full chunk of CHUNK_COLS columns, into the
-            chunk's reused solution array.
+  group     ``PredictionFactors.solve`` of each group of the level's blocks
+            (``splitting_solver.Group.partition``, the rows one task of an
+            iteration predicts) on its right-hand sides at all M steps: the
+            control and state solves, and the last column again against the
+            terminal factor, into a reused solution array.  These are the
+            shapes one prediction solves.
 
 A per-call time is the mean of a batch of calls sized to take ~20 ms, so
 it resolves microseconds.  Every level and its factors on both paths are
@@ -31,12 +31,12 @@ turn, so a slow stretch of a shared host falls on all levels and both
 paths alike instead of on whole levels.  The output holds the median and
 quartiles of the repeats per cell and, per level, the block sizes, each
 path's stored entries (``CholFactor.nnz`` summed over the factors), its
-solve time of one prediction (the chunk medians summed over a prediction's
-chunks), and the blocked path's payback against SuperLU: the iterations
+solve time of one prediction (the group medians summed), and the blocked
+path's payback against SuperLU: the iterations
 after which its faster solves have saved its extra build time, taken in
 each repeat from that repeat's samples, as the median and quartiles over
 the repeats (None where it never repays).  The blocked path pays on a
-level when it is no slower than SuperLU at every chunk a prediction solves
+level when it is no slower than SuperLU at every group a prediction solves
 and its median payback is within PAYBACK_ITERATIONS iterations.  The
 output names the largest block where it pays and the smallest where it
 does not, between which ``BLOCK_MAX_NDOF`` should fall.  The tool reads
@@ -53,7 +53,6 @@ import argparse
 import json
 import math
 import time
-from collections import Counter
 from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
@@ -61,7 +60,7 @@ from pathlib import Path
 import numpy as np
 
 from parasplit import experiments, sparse_linalg
-from parasplit.splitting_solver import CHUNK_COLS, PredictionFactors, SolverConfig, _chunks
+from parasplit.splitting_solver import Group, PredictionFactors, SolverConfig
 
 EXAMPLES = ("5.1", "5.2")
 MESHES = (8, 12, 14, 16, 20, 24, 28, 32, 40, 48, 56, 64)
@@ -79,51 +78,47 @@ def cap(path: str):
         sparse_linalg.BLOCK_MAX_NDOF = saved
 
 
-def chunk_shapes(M: int) -> Counter:
-    """How many chunks of each (width, ends at step M) one prediction solves."""
-    return Counter((c.stop - c.start, c.stop == M) for c in _chunks(M))
-
-
 def prepare_level(example: str, n: int) -> dict:
-    """A level in its mirror basis, its chunk right-hand sides, each path's
-    factors and empty sample lists."""
+    """A level in its mirror basis, each path's factors and those of its
+    groups (keyed by the group's first and last row), one right-hand side
+    per group and empty sample lists."""
     problem = experiments.get_example(example)
     config = SolverConfig(alpha=problem.alpha, beta=problem.beta)
     sys_ = experiments.build_level(problem, n).in_mirror_basis()
-    shapes = chunk_shapes(sys_.grid.M)
-    timed = set(shapes) | {(CHUNK_COLS, False)}
-    rng = np.random.default_rng(n)
-    rhs = {shape: rng.standard_normal((2, sys_.ndof, shape[0])) for shape in timed}
     factors = {}
     for path in PATHS:
         with cap(path):
-            factors[path] = PredictionFactors.build(sys_, config)
-    times = {path: {"build": [], **{shape: [] for shape in timed}} for path in PATHS}
-    return {"example": example, "n": n, "sys": sys_, "config": config, "shapes": shapes,
+            whole = PredictionFactors.build(sys_, config)
+        factors[path] = {"whole": whole, "groups": {(g.rows.start, g.rows.stop): g.factors
+                                                    for g in Group.partition(sys_, whole)}}
+    groups = list(factors["blocked"]["groups"])
+    rng = np.random.default_rng(n)
+    rhs = {rows: rng.standard_normal((2, rows[1] - rows[0], sys_.grid.M)) for rows in groups}
+    times = {path: {"build": [], **{rows: [] for rows in groups}} for path in PATHS}
+    return {"example": example, "n": n, "sys": sys_, "config": config, "groups": groups,
             "rhs": rhs, "factors": factors, "times": times}
 
 
 def time_level(level: dict) -> None:
-    """One repeat of a level: both paths' build and chunk solves, one sample each."""
+    """One repeat of a level: both paths' build and group solves, one sample each."""
     sys_, config, times = level["sys"], level["config"], level["times"]
     for path, f in level["factors"].items():
         with cap(path):
             t0 = time.perf_counter()
             PredictionFactors.build(sys_, config)
             times[path]["build"].append(time.perf_counter() - t0)
-        for shape, b in level["rhs"].items():
+        for rows, b in level["rhs"].items():
             out = np.empty_like(b)
-            times[path][shape].append(sweep_common.per_call(partial(f.solve, b, shape[1], out)))
+            times[path][rows].append(sweep_common.per_call(partial(f["groups"][rows].solve, b, out)))
 
 
-def paybacks(times: dict, shapes: Counter) -> list[float]:
+def paybacks(times: dict, groups: list) -> list[float]:
     """The blocked path's payback in each repeat, from that repeat's samples
     of both paths: its extra build time over its saving per prediction
     (inf when it saves nothing)."""
     out = []
     for r in range(len(times["blocked"]["build"])):
-        prediction = {path: sum(count * t[shape][r] for shape, count in shapes.items())
-                      for path, t in times.items()}
+        prediction = {path: sum(t[rows][r] for rows in groups) for path, t in times.items()}
         saving = prediction["superlu"] - prediction["blocked"]
         extra = times["blocked"]["build"][r] - times["superlu"]["build"][r]
         out.append(max(extra, 0.0) / saving if saving > 0 else math.inf)
@@ -143,38 +138,37 @@ def sweep(repeats: int) -> dict:
 
     runs, summaries = [], []
     for level in levels:
-        example, n, sys_, shapes, times = (level[k] for k in ("example", "n", "sys", "shapes", "times"))
+        example, n, sys_, groups, times = (level[k] for k in ("example", "n", "sys", "groups", "times"))
         M, ndof = sys_.grid.M, sys_.ndof
-        nnz = {path: sum(x.nnz for x in f.named.values() if x is not None)
-               for path, f in level["factors"].items()}
+        nnz = {path: sum(x.nnz for x in f["whole"].named.values()) for path, f in level["factors"].items()}
         summary = {}
         for path, t in times.items():
-            chunk = {shape: quartiles(s) for shape, s in t.items() if shape != "build"}
+            group = {rows: quartiles(t[rows]) for rows in groups}
             summary[path] = {
                 "build": quartiles(t["build"]),
-                "prediction_s": sum(count * chunk[shape]["median_s"] for shape, count in shapes.items()),
+                "prediction_s": sum(q["median_s"] for q in group.values()),
                 "stored_entries": nnz[path],
-                "chunks": chunk,
+                "groups": group,
             }
-            for shape, q in chunk.items():
+            for (lo, hi), q in group.items():
                 runs.append({
                     "example": example, "n": n, "ndof": ndof, "M": M, "path": path,
-                    "columns": shape[0], "terminal": shape[1],
-                    "chunks_per_prediction": shapes[shape], **q, "samples_s": t[shape],
+                    "rows": [lo, hi], "columns": M, **q, "samples_s": t[lo, hi],
                 })
         superlu, blocked = summary["superlu"], summary["blocked"]
-        q1, payback, q3 = np.quantile(paybacks(times, shapes), [0.25, 0.5, 0.75], method="nearest")
-        no_slower = all(blocked["chunks"][shape]["median_s"] <= superlu["chunks"][shape]["median_s"]
-                        for shape in shapes)
+        q1, payback, q3 = np.quantile(paybacks(times, groups), [0.25, 0.5, 0.75], method="nearest")
+        no_slower = all(blocked["groups"][rows]["median_s"] <= superlu["groups"][rows]["median_s"]
+                        for rows in groups)
         summaries.append({
             "example": example, "n": n, "ndof": ndof, "M": M, "block_sizes": sys_.block_sizes,
             "blocked_payback_iterations": finite(payback),
             "blocked_payback_quartiles": [finite(q1), finite(q3)],
-            "blocked_no_slower_at_every_chunk": no_slower,
+            "group_rows": [list(rows) for rows in groups],
+            "blocked_no_slower_at_every_group": no_slower,
             "blocked_pays": bool(no_slower and payback <= PAYBACK_ITERATIONS),
             "path_in_module": ("blocked" if max(sys_.block_sizes) <= sparse_linalg.BLOCK_MAX_NDOF
                                else "superlu"),
-            "paths": {path: {k: v for k, v in s.items() if k != "chunks"} for path, s in summary.items()},
+            "paths": {path: {k: v for k, v in s.items() if k != "groups"} for path, s in summary.items()},
         })
         print(f"{example} n={n:2d} ndof={ndof:4d} M={M:3d} blocks={sys_.block_sizes} prediction "
               + " ".join(f"{p}={1e6 * s['prediction_s']:8.1f}us/build {1e3 * s['build']['median_s']:6.1f}ms"
@@ -192,13 +186,12 @@ def sweep(repeats: int) -> dict:
         blocked[size] = blocked.get(size, True) and s["blocked_pays"]
     return {
         "what": "the splitting solver's prediction factors in the mirror basis on each factorize "
-                "path (SuperLU per block, one dense inverse per block): chunk solves at every "
-                "chunk shape one prediction uses and a full chunk of CHUNK_COLS columns, the build "
-                "time of the three factors and the stored entries",
+                "path (SuperLU per block, one dense inverse per block): the solves of each group "
+                "of blocks at all M steps, as one prediction runs them, the build time of the "
+                "three factors and the stored entries",
         "command": "python3 tools/dense_sweep.py --repeats " + str(repeats),
         "environment": sweep_common.environment(),
         "repeats": repeats,
-        "chunk_cols": CHUNK_COLS,
         "payback_iterations_bound": PAYBACK_ITERATIONS,
         "block_max_ndof": sparse_linalg.BLOCK_MAX_NDOF,
         "blocked_pays_up_to_block": bounds(blocked)[0],
