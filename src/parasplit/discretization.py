@@ -66,9 +66,10 @@ class DiscreteSystem:
     the M load vectors of the desired state, and ``tracking_loads`` those
     loads weighted by tau * kappa_m: the linear term of the objective.  The
     operators are CSR matrices.  The Crank-Nicolson step matrices
-    ``step_plus`` and ``step_minus``, their pair ``step_pair``,
-    ``tracking_loads`` and ``mirror_basis`` are derived from the fields on
-    first use, so ``dataclasses.replace`` makes a copy that derives its own.
+    ``step_plus`` and ``step_minus``, their pair ``step_pair`` and stack
+    ``step_stack``, ``tracking_loads`` and ``mirror_basis`` are derived from
+    the fields on first use, so ``dataclasses.replace`` makes a copy that
+    derives its own.
 
     ``basis`` is None for a system in node coordinates, as ``build_system``
     makes it.  ``in_mirror_basis`` gives the same system in the stacked
@@ -118,6 +119,15 @@ class DiscreteSystem:
         """[step_plus step_minus], shape (ndof, 2 ndof): one sparse product
         of it applies both step matrices and adds the results."""
         return sp.hstack([self.step_plus, self.step_minus], format="csr")
+
+    @cached_property
+    def step_stack(self) -> sp.csr_matrix:
+        """[step_plus; step_minus], shape (2 ndof, ndof): one sparse product
+        of it applies both step matrices to the same trajectory, the two
+        results stacked by rows.  Each row holds the entries of its step
+        matrix's row in their order, so the product equals the two separate
+        ones bit for bit."""
+        return sp.vstack([self.step_plus, self.step_minus], format="csr")
 
     @cached_property
     def tracking_loads(self) -> np.ndarray:
@@ -206,11 +216,12 @@ def constraint_products(sys: DiscreteSystem, Y: np.ndarray, U: np.ndarray) -> np
     step_minus Y_{m-1}; column 0 is zero, as block 1 has no step_minus
     term) and Cz.  All four are linear in (U, Y), so the products of a
     combination of trajectories, such as the difference of two, are the
-    same combination of their products.  Slabs 0-2 come from
+    same combination of their products.  Slabs 1-2 come from
     ``write_products``.
     """
     out = np.zeros((4,) + U.shape)
-    write_products(sys, Y, U, out)
+    np.multiply(sys.grid.tau, sys.mass @ U, out=out[0])
+    write_products(sys, Y, out)
     return fill_constraint_map(out)
 
 
@@ -228,19 +239,20 @@ def one_step_on(behind: np.ndarray, *ahead: np.ndarray) -> tuple[np.ndarray, ...
     return (behind.reshape(-1, copy=False)[:-1], *(x.reshape(-1, copy=False)[1:] for x in ahead))
 
 
-def write_products(sys: DiscreteSystem, Y: np.ndarray, U: np.ndarray, products: np.ndarray) -> None:
-    """Write slabs 0-2 of a ``constraint_products`` array from the
-    trajectories Y and U: tau A U and step_plus Y, and step_minus Y one
-    column on, into the block row it enters (``one_step_on``).  The last
-    step's step_minus product enters no block row and is dropped; column 0
-    of slab 2 is zeroed.  Each slab of ``products`` is C-contiguous.
-    ``sys`` needs only its grid and its operators, so it may also be a
-    group of a block-diagonal system's rows (``splitting_solver.Group``),
-    with Y, U and ``products`` those rows.
+def write_products(sys: DiscreteSystem, Y: np.ndarray, products: np.ndarray) -> None:
+    """Write the state slabs 1-2 of a ``constraint_products`` array from
+    the trajectory Y, both from one sparse product of ``sys.step_stack``:
+    step_plus Y, and step_minus Y one column on, into the block row it
+    enters (``one_step_on``).  The last step's step_minus product enters no
+    block row and is dropped; column 0 of slab 2 is zeroed.  Each slab of
+    ``products`` is C-contiguous.  ``sys`` needs only ``step_stack``, so it
+    may also be a group of a block-diagonal system's rows
+    (``splitting_solver.Group``), with Y and ``products`` those rows.
     """
-    np.multiply(sys.grid.tau, sys.mass @ U, out=products[0])
-    products[1] = sys.step_plus @ Y
-    MY, ahead = one_step_on(sys.step_minus @ Y, products[2])
+    n = Y.shape[0]
+    stacked = sys.step_stack @ Y
+    products[1] = stacked[:n]
+    MY, ahead = one_step_on(stacked[n:], products[2])
     ahead[...] = MY
     products[2][:, 0] = 0.0
 

@@ -1,19 +1,23 @@
 """One finiteness and symmetry check, SPD factorization and batched solve
 tasks on sparse matrices.
 
-``factorize`` is the one place that knows the backend.  It factors a
-matrix that is block diagonal with contiguous diagonal blocks, one block
-at a time, after one symmetry check of the whole.  A matrix in node
+``factorize_stack`` is the one place that knows the backend
+(``factorize`` is its one-matrix case).  It factors matrices that are block
+diagonal with the same contiguous diagonal blocks, one block at a time,
+after one symmetry check of each whole matrix, and keeps each block's
+factors of all the matrices together.  A matrix in node
 coordinates is one block.  The splitting solver's matrices, in the mirror
 basis (``mirrors``), are up to four blocks of about ndof / 4.  Each block
 takes one of two paths:
 
 - At most ``BLOCK_MAX_NDOF`` rows, its inverse: the block, made dense, is
   inverted once from its Cholesky factor (LAPACK ``dpotrf`` and
-  ``dpotri``), whose pivots expose positive definiteness.  A solve is one
-  dense product per block on its contiguous rows (a GEMM for a block of
-  right-hand sides, a GEMV for one); on such small systems SuperLU's
-  sparse triangular sweeps run several times slower.
+  ``dpotri``), whose pivots expose positive definiteness, in place in its
+  slot of one (matrices, size, size) array.  A solve is one dense product
+  per block on its contiguous rows (a GEMM for a block of right-hand
+  sides, a GEMV for one; one batched product applies a block's whole
+  stack); on such small systems SuperLU's sparse triangular sweeps run
+  several times slower.
 - Above it, SuperLU's factors of the block.
 
 An inverse is formed once, so it pays only on runs long enough to repay
@@ -133,29 +137,35 @@ def block_rows(sizes: list[int]) -> list[slice]:
     return [slice(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
-def dense_block(mat: sp.csr_matrix, rows: slice) -> np.ndarray:
+def dense_block(mat: sp.csr_matrix, rows: slice, out: np.ndarray | None = None) -> np.ndarray:
     """The diagonal block mat[rows, rows] of a duplicate-free CSR matrix
     with no entry outside its diagonal blocks, made dense: the rows' run of
-    ``indices`` and ``data`` scattered into a zeroed array, at about a third
-    of the cost of scipy's 2-D slice."""
+    ``indices`` and ``data`` scattered into a zeroed array (``out``, of the
+    block's shape, when given), at about a third of the cost of scipy's 2-D
+    slice."""
     lo, hi = rows.start, rows.stop
     run = slice(mat.indptr[lo], mat.indptr[hi])
-    block = np.zeros((hi - lo, hi - lo))
-    block[np.repeat(np.arange(hi - lo), np.diff(mat.indptr[lo : hi + 1])), mat.indices[run] - lo] = mat.data[run]
-    return block
+    if out is None:
+        out = np.zeros((hi - lo, hi - lo))
+    else:
+        out[...] = 0.0
+    out[np.repeat(np.arange(hi - lo), np.diff(mat.indptr[lo : hi + 1])), mat.indices[run] - lo] = mat.data[run]
+    return out
 
 
-def _block_inverse(block: np.ndarray, offset: int) -> np.ndarray:
-    """The inverse of a dense SPD block by its Cholesky factor, symmetric
-    and in C order (a GEMM with LAPACK's Fortran-order result runs slower);
+def _block_inverse(block: np.ndarray, offset: int) -> None:
+    """Invert a dense SPD block in place by its Cholesky factor.
+    ``block`` is Fortran-contiguous, LAPACK's order, so ``dpotrf`` and
+    ``dpotri`` work in its memory without a copy.  It is the transpose of a
+    C-order array (a GEMM with a Fortran-order operand runs slower), which
+    holds the same inverse, as the inverse is made exactly symmetric.
     NotPositiveDefiniteError (pivot ``offset`` + the block's pivot) when
     the factorization fails."""
-    factor, info = scipy.linalg.lapack.dpotrf(block, lower=True)
+    factor, info = scipy.linalg.lapack.dpotrf(block, lower=True, overwrite_a=True)
     if info > 0:
         raise NotPositiveDefiniteError(offset + info - 1)
     inverse, _ = scipy.linalg.lapack.dpotri(factor, lower=True, overwrite_c=True)
     inverse += np.tril(inverse, -1).T  # dpotri leaves the upper triangle as dpotrf cleaned it
-    return np.ascontiguousarray(inverse)
 
 
 def _superlu(block: sp.csr_matrix, offset: int):
@@ -174,24 +184,56 @@ def _superlu(block: sp.csr_matrix, offset: int):
 
 
 def factorize(m: sp.spmatrix, sizes: list[int] | None = None) -> CholFactor:
-    """Factor a sparse SPD matrix for repeated solves.
+    """Factor a sparse SPD matrix for repeated solves: ``factorize_stack``
+    of the one matrix, its parts the first (only) entry of each block's
+    stack."""
+    rows, stacks = factorize_stack([m], sizes)
+    return CholFactor(rows, [stack[0] for stack in stacks])
 
-    ``sizes`` gives the matrix's contiguous diagonal blocks in row order
+
+def factorize_stack(mats: list[sp.spmatrix], sizes: list[int] | None = None) -> tuple[list[slice], list]:
+    """Factor sparse SPD matrices of the same shape and diagonal blocks for
+    repeated solves.  Returns the blocks' rows and, per block, its factors
+    of every matrix stacked in their order: the dense inverses as one
+    (len(mats), size, size) array, so one batched product applies them
+    all, or a tuple of SuperLU's factors.
+
+    ``sizes`` gives the matrices' contiguous diagonal blocks in row order
     (by default one block of every row).  Each block of at most
     ``BLOCK_MAX_NDOF`` rows is inverted once from its dense Cholesky
-    factor; a larger one gets SuperLU's factors.
+    factor, in place in its slot of the stack; a larger one gets SuperLU's
+    factors.
 
-    Raises ValueError when ``m`` is not square, has a non-finite entry, is
-    not symmetric, or has a nonzero entry outside its blocks (a stored zero
-    there is dropped), and
+    Raises ValueError when a matrix is not square, has a non-finite entry,
+    is not symmetric, or has a nonzero entry outside its blocks (a stored
+    zero there is dropped), and
     NotPositiveDefiniteError (with the offending pivot index) when a
     non-positive pivot appears.  A pivot index counts the block's rows
     before it, then the rows of a dense block, or SuperLU's fill-reducing
-    order within a sparse one.
+    order within a sparse one.  Every matrix is checked before any block
+    is factored.
     """
-    mat = SparseSpd(m).mat
+    checked = [SparseSpd(m).mat for m in mats]
+    sizes = [checked[0].shape[0]] if sizes is None else sizes
+    checked = [_within_blocks(mat, sizes) for mat in checked]
+    rows = block_rows(sizes)
+    stacks = []
+    for r in rows:
+        if r.stop - r.start <= BLOCK_MAX_NDOF:
+            stack = np.empty((len(checked), r.stop - r.start, r.stop - r.start))
+            for mat, slot in zip(checked, stack):
+                _block_inverse(dense_block(mat, r, out=slot.T), r.start)
+            stacks.append(stack)
+        else:
+            stacks.append(tuple(_superlu(mat[r, r], r.start) for mat in checked))
+    return rows, stacks
+
+
+def _within_blocks(mat: sp.csr_matrix, sizes: list[int]) -> sp.csr_matrix:
+    """``mat`` with no entry outside its diagonal blocks of ``sizes``: its
+    stored zeros there dropped, in a copy; ValueError for a nonzero there
+    or sizes that miss its rows."""
     n = mat.shape[0]
-    sizes = [n] if sizes is None else sizes
     if sum(sizes) != n:
         raise ValueError(f"block sizes sum to {sum(sizes)}, the matrix has {n} rows")
     block = np.repeat(np.arange(len(sizes)), sizes)  # each row's (and column's) block
@@ -201,13 +243,7 @@ def factorize(m: sp.spmatrix, sizes: list[int] | None = None) -> CholFactor:
     if outside.any():  # stored zeros only, which a block must not take
         mat = mat.copy()
         mat.eliminate_zeros()
-    rows = block_rows(sizes)
-    parts = [
-        _block_inverse(dense_block(mat, r), r.start) if r.stop - r.start <= BLOCK_MAX_NDOF
-        else _superlu(mat[r, r], r.start)
-        for r in rows
-    ]
-    return CholFactor(rows, parts)
+    return mat
 
 
 def solve_multi(tasks, pool=None) -> list:

@@ -17,7 +17,7 @@ one up to round-off.  A system without a mirror gets the one-block basis
 (Q = I), so every solve runs the same loop.  The loop's functions take any
 system, in node coordinates or in the basis.  ``PredictionFactors.build``
 forms and factors the subproblems' normal matrices from the system's mass,
-stiffness and step matrices, block by block (``sparse_linalg.factorize``):
+stiffness and step matrices, block by block (``sparse_linalg``):
 a dense inverse per block of at most ``BLOCK_MAX_NDOF`` unknowns,
 SuperLU's factors above.  The box variant's projection onto the bounds
 holds in node coordinates: it expands columns of Y - mu / beta, clips them
@@ -33,16 +33,28 @@ backing array (``Iterate.data``, S + 4 slabs with S = 3, or 5 in the box
 variant).  The loop never forms the predicted iterate w~ itself: the
 prediction writes the difference d = w - w~ with its products, the H-norm
 increment nu^2 ||d||_H^2 reads d's products, and ``correct(w, d, nu)``
-= w - nu d is the corrected iterate with its products.  An iteration forms
-four sparse products per group (below): one of ``step_pair`` =
-[step_plus step_minus] for the state right-hand sides and three of d, all
-three written by ``write_products``, the writer of ``constraint_products``,
-so d's products are sparse products of d.  The subproblems' normal
-matrices and right-hand sides are divided by beta once per solve
+= w - nu d is the corrected iterate with its products.  The subproblems'
+normal matrices and right-hand sides are divided by beta once per solve
 (``PredictionFactors``), so no iteration multiplies by it; the control
 solves use the mass shift (alpha / beta) I + tau A, the control normal
 matrix alpha tau A + beta tau^2 A A with its SPD factor beta tau A
 cancelled.  The multipliers keep their meaning: lam and mu, not over beta.
+
+An iteration forms two sparse products per group (below): one of
+``step_pair`` = [step_plus step_minus] for the state right-hand sides, and
+one of ``step_stack`` = [step_plus; step_minus] for d's state products,
+written by ``write_products``, the writer of ``constraint_products``' state
+slabs.  d's control product takes none.  The prediction solves every
+subproblem in closed form against the shared factorizations (He, Hou &
+Yuan, SIAM J. Optim. 25(4), 2015), so each control column satisfies its
+normal equation ((alpha / beta) I + tau A) U~ = tau A U + q
+(``predict_controls``), and tau A d_U = tau A U - tau A U~ =
+(alpha / beta) U~ - q is read off the solve's output.  Its error is
+round-off of its operands q and (alpha / beta) U~.  As d goes to 0 the
+difference cancels, so relative to tau A d_U itself the error grows (about
+3e-12 at convergence on example 5.1, n = 16), while the carried constraint
+residual still agrees with the one recomputed from the iterate to about
+1e-14 (``SolveReport.residual_drift``).
 
 ``solve`` allocates its storage once: two zeroed backing arrays, the
 iterates with their products, which swap roles every iteration (the
@@ -57,12 +69,13 @@ prediction applies is block diagonal and every other step is elementwise,
 so a group's rows need no other rows.  Its task runs, on its rows:
 
 - ``predict_rows``: the control and state right-hand sides, their solves
-  against the group's blocks of the factors (every state column against
-  the state factor, then step M again against the terminal factor), the
-  difference (d_U, d_Y) in one ufunc call, d's products
-  (``write_products``: tau A d_U and step_plus d_Y, and step_minus d_Y one
-  column on, in the block row it enters) and the box variant's d_P.  Every
-  one-step shift runs over the flat rows (``one_step_on``);
+  against the group's blocks of the factors (one batched product per
+  block applies its control and state inverses to both, then step M is
+  solved again against the terminal factor), tau A d_U from the control
+  solve, the difference (d_U, d_Y) in one ufunc call, d's state products
+  (``write_products``: step_plus d_Y, and step_minus d_Y one column on, in
+  the block row it enters) and the box variant's d_P.  Every one-step
+  shift runs over the flat rows (``one_step_on``);
 - ``advance_rows``: C d and the multipliers' differences
   (``couple_difference``), d's H-norm and the box gap, the correction and
   the next iteration's q.  Its return value is the rows' share of the
@@ -103,7 +116,6 @@ import numpy as np
 
 from .discretization import (  # noqa: F401  constraint_linear_map: bench/tracing.py patches it here
     DiscreteSystem,
-    TimeGrid,
     constraint_linear_map,
     constraint_products,
     constraint_residual,
@@ -112,7 +124,7 @@ from .discretization import (  # noqa: F401  constraint_linear_map: bench/tracin
     write_products,
 )
 from .mirrors import MirrorBasis
-from .sparse_linalg import CholFactor, factorize, solve_multi
+from .sparse_linalg import CholFactor, factorize, factorize_stack, solve_multi
 
 import scipy.sparse as sp
 
@@ -289,13 +301,20 @@ class PredictionFactors:
     beta, so no iteration multiplies by it.  The three matrices are
     polynomials in the system's mass and stiffness, so they share its
     block structure: all three are factored block by block over
-    ``DiscreteSystem.block_sizes``.
+    ``DiscreteSystem.block_sizes``, on the same rows.  ``pairs`` holds the
+    control and state factors of each block together
+    (``sparse_linalg.factorize_stack``): their dense inverses as one
+    (2, b, b) array, so one batched product applies both (``solve``), or
+    SuperLU's two factors.  ``control`` and ``state`` are
+    those factors, their ``parts`` views into ``pairs``.
     """
 
-    control: CholFactor
-    state: CholFactor  # every step; the terminal factor re-solves step M
-    terminal: CholFactor
+    pairs: list  # per block: the (2, b, b) control and state inverses, or SuperLU's two factors
+    terminal: CholFactor  # the state normal matrix of step M, which re-solves that step
     loads: np.ndarray  # the tracking loads (tau kappa_m) d_m over beta
+
+    control = property(lambda self: CholFactor(self.terminal.rows, [pair[0] for pair in self.pairs]))
+    state = property(lambda self: CholFactor(self.terminal.rows, [pair[1] for pair in self.pairs]))
 
     @staticmethod
     def build(sys: DiscreteSystem, config: SolverConfig) -> "PredictionFactors":
@@ -311,13 +330,12 @@ class PredictionFactors:
             shift = 1.0  # I from the state-copy constraint row
         sizes = sys.block_sizes
         eye = sp.identity(sys.ndof, format="csr")
-        control = factorize((alpha / beta) * eye + tau * sys.mass, sizes)
         state_gram = 2.0 * _gram(sys.mass) + (tau * tau / 2.0) * _gram(sys.stiffness)
-        state = factorize((tau / beta) * sys.mass + state_gram + shift * eye, sizes)
+        _, pairs = factorize_stack([(alpha / beta) * eye + tau * sys.mass,
+                                    (tau / beta) * sys.mass + state_gram + shift * eye], sizes)
         terminal_gram = _gram(sys.step_plus)
         terminal = factorize((tau / (2.0 * beta)) * sys.mass + terminal_gram + shift * eye, sizes)
-        return PredictionFactors(control=control, state=state, terminal=terminal,
-                                 loads=sys.tracking_loads / beta)
+        return PredictionFactors(pairs, terminal, sys.tracking_loads / beta)
 
     @property
     def named(self) -> dict[str, CholFactor]:
@@ -329,13 +347,21 @@ class PredictionFactors:
         shape (2, n, M): the control slab, then the state slab; into
         ``out``, an array of rhs's shape (not rhs itself).
 
-        Every state column solves against the state factor, at the full
-        width M (a dense product at an odd width costs more than at the
+        Block by block, one batched product of the block's (2, b, b)
+        inverses applies the control and the state inverse to the block's
+        rows of both slabs, each product bit for bit the one
+        ``CholFactor.solve`` forms; a SuperLU block solves its two slabs in
+        turn.  Every state column solves against the state factor, at the
+        full width M (a dense product at an odd width costs more than at the
         full one); the last column's right-hand side, step M's, is also
         solved against the terminal factor, whose solution replaces it.
         """
-        self.control.solve(rhs[0], out=out[0])
-        self.state.solve(rhs[1], out=out[1])
+        for rows, pair in zip(self.terminal.rows, self.pairs):
+            if isinstance(pair, np.ndarray):
+                np.matmul(pair, rhs[:, rows], out=out[:, rows])
+            else:
+                for factor, b, x in zip(pair, rhs[:, rows], out[:, rows]):
+                    x[...] = factor.solve(b)
         self.terminal.solve(rhs[1][:, -1], out=out[1][:, -1])
 
 
@@ -498,20 +524,17 @@ class Group:
     """One task's share of an iteration: a contiguous run of whole mirror
     blocks, on the rows ``rows``.  Every operator the prediction applies is
     block diagonal, so on these rows it is its diagonal block.  The group
-    holds those blocks under the system's names (``grid``, ``mass``,
-    ``step_plus``, ``step_minus``, ``step_pair``), so it stands in for the
+    holds the blocks of the step matrices' pair and stack under the
+    system's names (``step_pair``, ``step_stack``), so it stands in for the
     system in ``predict_states`` and ``write_products``.  It also holds the
-    prediction factors of its blocks (a ``CholFactor.blocks`` each) with
-    its rows of the loads, and ``rhs``, its right-hand sides of shape
-    (2, rows, M), reused every iteration.
+    prediction factors of its blocks with its rows of the loads, and
+    ``rhs``, its right-hand sides of shape (2, rows, M), reused every
+    iteration.
     """
 
     rows: slice
-    grid: TimeGrid
-    mass: sp.csr_matrix
-    step_plus: sp.csr_matrix
-    step_minus: sp.csr_matrix
     step_pair: sp.csr_matrix
+    step_stack: sp.csr_matrix
     factors: PredictionFactors
     rhs: np.ndarray
 
@@ -524,11 +547,10 @@ class Group:
         for blocks in group_blocks(sys.block_sizes, sys.grid.M):
             rows = slice(int(bounds[blocks.start]), int(bounds[blocks.stop]))
             plus, minus = sys.step_plus[rows, rows], sys.step_minus[rows, rows]
-            named = {name: f.blocks(blocks.start, blocks.stop) for name, f in factors.named.items()}
-            groups.append(Group(rows, sys.grid, sys.mass[rows, rows], plus, minus,
-                                sp.hstack([plus, minus], format="csr"),
-                                PredictionFactors(**named, loads=factors.loads[rows]),
-                                np.empty((2, rows.stop - rows.start, sys.grid.M))))
+            own = PredictionFactors(factors.pairs[blocks], factors.terminal.blocks(blocks.start, blocks.stop),
+                                    factors.loads[rows])
+            groups.append(Group(rows, sp.hstack([plus, minus], format="csr"), sp.vstack([plus, minus], format="csr"),
+                                own, np.empty((2, rows.stop - rows.start, sys.grid.M))))
         return groups
 
 
@@ -541,9 +563,11 @@ def predict_rows(group: Group, w: Iterate, q: np.ndarray, config: SolverConfig, 
 
     The state and control right-hand sides (``predict_states``,
     ``predict_controls``) go to the group's ``rhs``, their solves against
-    the group's factors straight into d, the difference in one ufunc call
-    over d_U and d_Y, and d's products come from ``write_products``.  The
-    rest of d, which couples the columns, is ``couple_difference``'s.
+    the group's factors straight into d.  The control solve gives
+    tau A d_U = (alpha / beta) U~ - q (the module docstring), read off U~
+    before the difference over d_U and d_Y is formed in one ufunc call;
+    d's state products come from ``write_products``, one sparse product.
+    The rest of d, which couples the columns, is ``couple_difference``'s.
     """
     rows = group.rows
     w, d, q = w.rows(rows), d.rows(rows), q[rows]
@@ -551,8 +575,10 @@ def predict_rows(group: Group, w: Iterate, q: np.ndarray, config: SolverConfig, 
     predict_controls(w, q, group.rhs[0])
     solved = d.z[:2]
     group.factors.solve(group.rhs, solved)
+    AdU = np.multiply(solved[0], config.alpha / config.beta, out=d.products[0])
+    AdU -= q
     np.subtract(w.z[:2], solved, out=solved)
-    write_products(group, d.Y, d.U, d.products)
+    write_products(group, d.Y, d.products)
     if config.bounds is not None:
         np.subtract(w.P, d.P, out=d.P)
 
@@ -588,11 +614,17 @@ def _operands(*iterates: Iterate) -> tuple[list[tuple[np.ndarray, ...]], bool]:
     """The operands of elementwise work on iterates of one shape, and
     whether they hold the products.  The arrays are the backing arrays
     where all carry products, else the z's: one operand tuple of the whole
-    arrays when they are contiguous, else one per slab.  (A row block
-    (``Iterate.rows``) is contiguous slab by slab only, and numpy buffers
-    a ufunc's operands whose contiguous runs are short in fresh arrays up
-    to the block's size.)  Iterates of different shapes (a box and a plain
-    one, say) are rejected."""
+    arrays when they are contiguous, else one per slab.  A row block
+    (``Iterate.rows``) is contiguous slab by slab only.  numpy buffers a
+    ufunc's operands whose contiguous runs are short in fresh arrays up to
+    the block's size.  Where the runs are long, the slab loop is still the
+    faster, as it makes a caller's passes over one slab while the slab is
+    in cache.  On the groups of example 5.1 at n = 32 (box iterates, runs
+    of 31 744 and 29 760 entries per slab, 2.3 and 2.1 MB per iterate)
+    ``correct`` took 250 and 235 us slab by slab against 309 and 285 us as
+    two whole-group calls, on a 2-core Xeon with 2 MB of L2 cache per core
+    (``tools/group_calls.py``, ``BENCH_groups.json``).  Iterates of
+    different shapes (a box and a plain one, say) are rejected."""
     shapes = list(dict.fromkeys(v.z.shape for v in iterates))
     if len(shapes) > 1:
         raise ValueError(f"iterates of different shapes: {' and '.join(map(str, shapes))}")

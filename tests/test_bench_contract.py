@@ -6,7 +6,8 @@ rename in the package would break those runs only.  The benchmark, the
 sweeps and this suite each pin BLAS to one thread from their own list of
 environment variables.  These tests keep a rename, or a drift between the
 lists, visible in the regular suite, and run the sweeps' oracle cells and
-one repeat of the dense sweep on a small level.  Two tests count the
+one repeat of the dense sweep and of the group-call timing on a small
+level.  Two tests count the
 code lines of a small module with ``tools/code_lines.py`` and run
 ``tools/ab.py``'s cells on HEAD against itself.
 """
@@ -99,10 +100,12 @@ def test_private_names_the_sweeps_use_exist(monkeypatch):
 
 @pytest.fixture
 def sweeps(monkeypatch):
-    """tools/oracle_sweep.py and tools/dense_sweep.py, loaded by path as
-    their own directory would import them (they import ``sweep_common``)."""
+    """tools/oracle_sweep.py, tools/dense_sweep.py and tools/group_calls.py,
+    loaded by path as their own directory would import them (they import
+    ``sweep_common``)."""
     monkeypatch.syspath_prepend(str(ROOT / "tools"))
-    return {name: _load(f"tools_{name}", ROOT / "tools" / f"{name}.py") for name in ("oracle_sweep", "dense_sweep")}
+    return {name: _load(f"tools_{name}", ROOT / "tools" / f"{name}.py")
+            for name in ("oracle_sweep", "dense_sweep", "group_calls")}
 
 
 @pytest.mark.parametrize("example", ["5.1", "5.2"])
@@ -129,6 +132,17 @@ def test_dense_sweep_times_a_level(sweeps):
         assert times.keys() == {"build", *level["rhs"]}, path
         assert all(len(t) == 1 and t[0] > 0.0 for t in times.values()), path
     assert sparse_linalg.BLOCK_MAX_NDOF == cap
+
+
+def test_group_calls_times_a_level(sweeps):
+    # one repeat of both cells on a small level of two groups, which give the same bits
+    group_calls = sweeps["group_calls"]
+    level = group_calls.prepare_level(17)
+    assert len(level["groups"]) == 2 and all(level["same"].values())
+    group_calls.time_level(level, 0)
+    for times in level["times"].values():
+        assert times.keys() == group_calls.CELLS.keys()
+        assert all(len(t) == 1 and t[0] > 0.0 for t in times.values())
 
 
 def test_code_lines_counts_a_module(tmp_path, capsys):

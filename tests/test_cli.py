@@ -1,4 +1,5 @@
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -141,12 +142,21 @@ class TestBox:
         config = SolverConfig(alpha=problem.alpha, beta=1.0, epsilon=1e-14, k_max=200, bounds=(0.0, 0.5))
         w, report = solve(build_level(problem, 2), config)
         nnz = ",".join(f"{k}:{v}" for k, v in report.factor_nnz.items())
-        assert capsys.readouterr().out == (
+        # the phase seconds are the run's own: two positive floats, printed
+        # as _fmt prints them, between the gap and the factors
+        line = capsys.readouterr().out
+        match = re.fullmatch(r"(.*) seconds_predict=(\S+) seconds_correct=(\S+) (factor_nnz=\S+)\n", line)
+        assert match is not None, line
+        head, predict_s, correct_s, tail = match.groups()
+        assert head == (
             f"iterations={report.iterations} converged={report.converged} "
             f"stop_reason={report.stop_reason} "
             f"P_range=[{_fmt(float(w.P.min()))}, {_fmt(float(w.P.max()))}] "
-            f"final_gap={_fmt(float(np.linalg.norm(w.Y - w.P)))} factor_nnz={nnz}\n"
+            f"final_gap={_fmt(float(np.linalg.norm(w.Y - w.P)))}"
         )
+        assert tail == f"factor_nnz={nnz}"
+        for seconds in (predict_s, correct_s):
+            assert 0.0 < float(seconds) < float("inf") and _fmt(float(seconds)) == seconds
         assert nnz.startswith("control:") and ",terminal:" in nnz
 
     def test_no_unknowns_is_an_error(self, tmp_path, capsys):

@@ -3,6 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from conftest import dense_block_columns, dense_constraint, flat, random_system, toy_problem
@@ -216,8 +217,9 @@ class TestConstraintResidual:
             assert not block[3][outside].any()  # and nothing outside it is written
 
     def test_write_products_on_block_rows(self):
-        # each mirror block's rows written from their own rows of Y and U,
-        # with the block's operators, as the solver's group tasks do
+        # each mirror block's rows of the state products written from its
+        # own rows of Y, with the block's stack of the step matrices, as
+        # the solver's group tasks do
         sys = random_system(6, n=3, M=8).in_mirror_basis()
         rng = np.random.default_rng(6)
         Y, U = rng.standard_normal((2, sys.ndof, 8))
@@ -226,12 +228,19 @@ class TestConstraintResidual:
         assert len(sys.block_sizes) == 4
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             rows = slice(lo, hi)
-            block = SimpleNamespace(grid=sys.grid, mass=sys.mass[rows, rows],
-                                    step_plus=sys.step_plus[rows, rows], step_minus=sys.step_minus[rows, rows])
-            write_products(block, Y[rows], U[rows], out[:, rows])
-        assert np.array_equal(out[:3], constraint_products(sys, Y, U)[:3])
+            stack = sp.vstack([sys.step_plus[rows, rows], sys.step_minus[rows, rows]], format="csr")
+            write_products(SimpleNamespace(step_stack=stack), Y[rows], out[:, rows])
+        assert np.array_equal(out[1:3], constraint_products(sys, Y, U)[1:3])
         assert not out[2, :, 0].any()
-        assert not out[3].any()  # and nothing else is written
+        assert not out[[0, 3]].any()  # and nothing else is written
+
+    def test_step_stack_products_match_the_separate_ones(self):
+        # one product of [step_plus; step_minus] is the two products, bit for bit
+        sys = random_system(7, n=4, M=5)
+        Y = np.random.default_rng(7).standard_normal((sys.ndof, 5))
+        stacked = sys.step_stack @ Y
+        assert np.array_equal(stacked[: sys.ndof], sys.step_plus @ Y)
+        assert np.array_equal(stacked[sys.ndof :], sys.step_minus @ Y)
 
 
 class TestConstraintAdjoint:

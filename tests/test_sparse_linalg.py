@@ -17,6 +17,7 @@ from parasplit.sparse_linalg import (
     block_rows,
     dense_block,
     factorize,
+    factorize_stack,
     solve_multi,
 )
 from parasplit.splitting_solver import PredictionFactors, SolverConfig
@@ -146,6 +147,31 @@ class TestFactorize:
         out = np.full_like(b, np.nan)
         assert f.solve(b, out=out) is out and np.array_equal(out, f.solve(b))
 
+    def test_stack_holds_each_matrix_factor(self, monkeypatch):
+        # each block's factors of every matrix, in their order: the dense
+        # inverses, bit for bit those factorize forms alone, in one
+        # C-order array per block; SuperLU's in a tuple.  A matrix that
+        # fails the checks fails the stack before any block is factored.
+        rng = np.random.default_rng(8)
+        sizes = [BLOCK_MAX_NDOF + 1, 3, 5]
+        mats = [sp.block_diag([_sparse_spd(rng, k) for k in sizes], format="csr") for _ in range(3)]
+        rows, stacks = factorize_stack(mats, sizes)
+        assert rows == block_rows(sizes)
+        assert isinstance(stacks[0], tuple) and len(stacks[0]) == 3
+        for i, m in enumerate(mats):
+            alone = factorize(m, sizes).parts
+            for stack, part in zip(stacks[1:], alone[1:]):
+                assert stack.shape == (3, *part.shape) and stack.flags.c_contiguous
+                assert np.array_equal(stack[i], part)
+            b = rng.standard_normal(sum(sizes))
+            assert np.array_equal(stacks[0][i].solve(b[rows[0]]), alone[0].solve(b[rows[0]]))
+        n = sum(sizes)
+        corner = sp.csr_matrix(([1.0, 1.0], ([0, n - 1], [n - 1, 0])), shape=(n, n))
+        monkeypatch.setattr(sparse_linalg, "_block_inverse", None)  # a factored block raises TypeError
+        monkeypatch.setattr(sparse_linalg.spla, "splu", None)
+        with pytest.raises(ValueError, match="outside its diagonal blocks"):
+            factorize_stack([mats[0], mats[1] + corner], sizes)
+
     def test_blocks_checked(self):
         m = sp.csr_matrix(np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 2.0]]))
         assert np.allclose(m @ factorize(m, [2, 1]).solve(np.ones(3)), 1.0)
@@ -172,6 +198,8 @@ class TestFactorize:
         m = sp.block_diag([_sparse_spd(rng, k) for k in sizes], format="csr")
         for rows in block_rows(sizes):
             assert np.array_equal(dense_block(m, rows), m[rows, rows].toarray())
+            slot = np.full((rows.stop - rows.start,) * 2, np.nan).T  # into a Fortran-order array
+            assert dense_block(m, rows, out=slot) is slot and np.array_equal(slot, m[rows, rows].toarray())
 
     def test_pivot_counts_the_rows_before_its_block(self, monkeypatch):
         m = sp.csr_matrix(np.diag([1.0, 2.0, 3.0, -1.0, 5.0]))

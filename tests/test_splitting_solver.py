@@ -84,6 +84,21 @@ def _group_differences(sys, w, config, factors):
     return d
 
 
+CONTROL_PRODUCT_ROUNDING = 16 * np.finfo(float).eps  # observed: at most 2.7 eps
+
+
+def _control_product_error(sys, w, d, q, config):
+    """How far d's slab 0, tau A d_U as the prediction reads it off the
+    control solve, (alpha / beta) U~ - q, is from tau times the mass
+    product of d_U, over the size of its operands, ||q|| + (alpha / beta)
+    ||U~|| with U~ = U - d_U (the identity cancels as d goes to 0, so its
+    own size is no scale).  w, d and q may be the rows of a group, with
+    ``sys`` that of the whole system when they are all rows."""
+    AdU = sys.grid.tau * (sys.mass @ d.U)
+    scale = np.linalg.norm(q) + (config.alpha / config.beta) * np.linalg.norm(w.U - d.U)
+    return np.linalg.norm(d.products[0] - AdU) / scale
+
+
 def _without_mirrors(sys, dof=1):
     """sys with its stiffness bumped at one DOF: a DOF that lies on no
     mirror's fixed set (DOF 1 of the Neumann meshes) leaves no mirror, so
@@ -210,11 +225,14 @@ class TestPrediction:
             basis = sys.basis
             node = basis.expand_stacked(w.Y - w.mu / config.beta)
             _assert_close(inline.P, basis.project_stacked(np.clip(node, *config.bounds)))
-        # The group tasks write the difference d = w - w~ and its products
-        # with constraint_products' writer, bit for bit.
+        # The group tasks write the difference d = w - w~, its state
+        # products with constraint_products' writer, bit for bit, and
+        # tau A d_U from the control solve, to round-off in its operands.
         d = _group_differences(sys, w, config, factors)
         assert np.array_equal(inline.z[:2], w.z[:2] - d.z[:2])
-        assert np.array_equal(d.products[:3], constraint_products(sys, d.Y, d.U)[:3])
+        assert np.array_equal(d.products[1:3], constraint_products(sys, d.Y, d.U)[1:3])
+        q = compute_q(sys, w.with_products(sys), config.beta)
+        assert _control_product_error(sys, w, d, q, config) <= CONTROL_PRODUCT_ROUNDING
 
     @pytest.mark.parametrize("box", [False, True])
     @pytest.mark.parametrize("bc", [NEUMANN, DIRICHLET])
@@ -268,13 +286,21 @@ class TestPrediction:
         assert np.allclose(lhs_mat @ Y_t[:, 0], rhs, atol=1e-10 * max(1.0, np.abs(rhs).max()))
 
     def test_factored_normal_matrices(self, monkeypatch):
+        # the control and state matrices factored as one stack, then the terminal one
         factored = []
-        real = splitting_solver.factorize
+        real, real_stack = splitting_solver.factorize, splitting_solver.factorize_stack
+
         def recording(mat, sizes):
             factored.append(mat.toarray())
             return real(mat, sizes)
 
+        def recording_stack(mats, sizes):
+            assert len(mats) == 2
+            factored.extend(mat.toarray() for mat in mats)
+            return real_stack(mats, sizes)
+
         monkeypatch.setattr(splitting_solver, "factorize", recording)
+        monkeypatch.setattr(splitting_solver, "factorize_stack", recording_stack)
         for seed, n, M, bc in [(0, 2, 2, NEUMANN), (1, 3, 1, NEUMANN), (2, 2, 3, DIRICHLET)]:
             sys = random_system(seed, n=n, M=M, bc=bc)
             tau, A = sys.grid.tau, sys.mass.toarray()
@@ -343,13 +369,13 @@ class TestPrediction:
         assert not work[1][:, -1].any()  # the terminal step's argument
         with pytest.raises(ValueError, match="copy"):
             one_step_on(work[1], np.asfortranarray(w.products[2]))
-        Y, U = np.random.default_rng(20).standard_normal((2, sys.ndof, M))
+        Y = np.random.default_rng(20).standard_normal((sys.ndof, M))
         products = np.full((4, sys.ndof, M), np.nan)
-        write_products(sys, Y, U, products)
+        write_products(sys, Y, products)
         assert np.array_equal(products[2][:, 1:], (sys.step_minus @ Y)[:, :-1])
         assert not products[2][:, 0].any()  # block row 1 has no step_minus term
         with pytest.raises(ValueError, match="copy"):
-            write_products(sys, Y, U, np.asfortranarray(products))
+            write_products(sys, Y, np.asfortranarray(products))
 
     def test_multiplier_update(self):
         sys = random_system(9, n=2, M=2)
@@ -1055,15 +1081,18 @@ class TestMirrorBasisLoop:
 
     @pytest.mark.parametrize("bounds", [None, (0.0, 0.8)])
     def test_carried_control_product_matches_mass_product(self, bounds, monkeypatch):
-        # the group tasks write tau A d_U with constraint_products' writer:
-        # in every prediction of a solve it is tau times the mass product of
-        # the difference, bit for bit
-        matches = []
+        # In every prediction of a solve the group tasks write tau A d_U
+        # as the control solve gives it, (alpha / beta) U~ - q: tau times
+        # the mass product of the difference, to round-off in the
+        # identity's operands; and d's state products with
+        # constraint_products' writer, bit for bit.
+        errors, states = [], []
         real = splitting_solver.advance_rows
 
         def recording(sys_, w, d, q, config, nu, rows, work):
-            AdU = sys_.grid.tau * (sys_.mass @ d.U)
-            matches.append(np.array_equal(d.products[0][rows], AdU[rows]))
+            assert rows == slice(0, sys_.ndof)  # one group at M <= CHUNK_COLS
+            errors.append(_control_product_error(sys_, w, d, q, config))
+            states.append(np.array_equal(d.products[1:3], constraint_products(sys_, d.Y, d.U)[1:3]))
             return real(sys_, w, d, q, config, nu, rows, work)
 
         monkeypatch.setattr(splitting_solver, "advance_rows", recording)
@@ -1071,9 +1100,11 @@ class TestMirrorBasisLoop:
         config = SolverConfig(alpha=prob.alpha, beta=prob.beta if bounds is None else 0.3, bounds=bounds,
                               k_max=400)
         for n in (8, 16):
-            matches.clear()
+            errors.clear()
+            states.clear()
             _, report = solve(build_level(prob, n), config)
-            assert len(matches) == report.iterations and all(matches), n
+            assert len(errors) == report.iterations and all(states), n
+            assert max(errors) <= CONTROL_PRODUCT_ROUNDING, n
 
 
 class TestSolveBox:
@@ -1180,6 +1211,37 @@ class TestBlockedFactors:
         for f in factors.named.values():
             assert _path(f) == "blocked"
             assert [inv.shape[0] for inv in f.parts] == sys.mirror_basis.sizes
+
+    @pytest.mark.parametrize("path,cap", [("blocked", BLOCK_MAX_NDOF), ("superlu", 0)])
+    def test_paired_solve_matches_separate_solves(self, path, cap, monkeypatch):
+        # PredictionFactors.solve, one batched product of each block's
+        # stacked control and state inverses (a SuperLU block's two solves
+        # in the same loop), then the terminal column, against three
+        # CholFactor.solve calls, bit for bit: on the whole system and on
+        # each group of its rows.  The control and state parts are views
+        # into the stacked inverses, not copies.
+        monkeypatch.setattr(sparse_linalg, "BLOCK_MAX_NDOF", cap)
+        M = splitting_solver.CHUNK_COLS + 5
+        sys = random_system(25, n=8, M=M).in_mirror_basis()
+        config = _config(sys, beta=0.9)
+        factors = PredictionFactors.build(sys, config)
+        assert _path(factors.control) == _path(factors.state) == path
+        groups = Group.partition(sys, factors)
+        assert len(groups) == 2
+        rhs = np.random.default_rng(25).standard_normal((2, sys.ndof, M))
+        for f, rows in [(factors, slice(None)), *((g.factors, g.rows) for g in groups)]:
+            b = np.ascontiguousarray(rhs[:, rows])
+            got = np.full_like(b, np.nan)
+            f.solve(b, got)
+            want = np.stack([f.control.solve(b[0]), f.state.solve(b[1])])
+            f.terminal.solve(b[1][:, -1], out=want[1][:, -1])
+            assert np.array_equal(got, want), rows
+        for pair, control, state in zip(factors.pairs, factors.control.parts, factors.state.parts):
+            if path == "blocked":
+                assert pair.shape == (2, *control.shape)
+                assert control.base is pair and state.base is pair
+            else:
+                assert (control, state) == tuple(pair)
 
     @pytest.mark.parametrize("M,box", [(1, False), (3, False), (3, True)])
     def test_iterates_match_superlu_path(self, M, box, monkeypatch):
