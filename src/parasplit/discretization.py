@@ -66,8 +66,8 @@ class DiscreteSystem:
     the M load vectors of the desired state, and ``tracking_loads`` those
     loads weighted by tau * kappa_m: the linear term of the objective.  The
     operators are CSR matrices.  The Crank-Nicolson step matrices
-    ``step_plus`` and ``step_minus``, their pair ``step_pair`` and stack
-    ``step_stack``, ``tracking_loads`` and ``mirror_basis`` are derived from
+    ``step_plus`` and ``step_minus``, their stack ``step_stack``,
+    ``tracking_loads`` and ``mirror_basis`` are derived from
     the fields on first use, so ``dataclasses.replace`` makes a copy that
     derives its own.
 
@@ -113,12 +113,6 @@ class DiscreteSystem:
     def step_minus(self) -> sp.csr_matrix:
         """The Crank-Nicolson step matrix of the previous state Y_{m-1}."""
         return self.mass - (self.grid.tau / 2.0) * self.stiffness
-
-    @cached_property
-    def step_pair(self) -> sp.csr_matrix:
-        """[step_plus step_minus], shape (ndof, 2 ndof): one sparse product
-        of it applies both step matrices and adds the results."""
-        return sp.hstack([self.step_plus, self.step_minus], format="csr")
 
     @cached_property
     def step_stack(self) -> sp.csr_matrix:
@@ -221,7 +215,7 @@ def constraint_products(sys: DiscreteSystem, Y: np.ndarray, U: np.ndarray) -> np
     """
     out = np.zeros((4,) + U.shape)
     np.multiply(sys.grid.tau, sys.mass @ U, out=out[0])
-    write_products(sys, Y, out)
+    write_products(sys.step_stack, Y, out)
     return fill_constraint_map(out)
 
 
@@ -239,18 +233,19 @@ def one_step_on(behind: np.ndarray, *ahead: np.ndarray) -> tuple[np.ndarray, ...
     return (behind.reshape(-1, copy=False)[:-1], *(x.reshape(-1, copy=False)[1:] for x in ahead))
 
 
-def write_products(sys: DiscreteSystem, Y: np.ndarray, products: np.ndarray) -> None:
+def write_products(step_stack: sp.csr_matrix, Y: np.ndarray, products: np.ndarray) -> None:
     """Write the state slabs 1-2 of a ``constraint_products`` array from
-    the trajectory Y, both from one sparse product of ``sys.step_stack``:
-    step_plus Y, and step_minus Y one column on, into the block row it
-    enters (``one_step_on``).  The last step's step_minus product enters no
-    block row and is dropped; column 0 of slab 2 is zeroed.  Each slab of
-    ``products`` is C-contiguous.  ``sys`` needs only ``step_stack``, so it
-    may also be a group of a block-diagonal system's rows
+    the trajectory Y, both from one sparse product of ``step_stack`` =
+    [step_plus; step_minus] (``DiscreteSystem.step_stack``): step_plus Y,
+    and step_minus Y one column on, into the block row it enters
+    (``one_step_on``).  The last step's step_minus product enters no block
+    row and is dropped; column 0 of slab 2 is zeroed.  Each slab of
+    ``products`` is C-contiguous.  ``step_stack`` may also be the diagonal
+    block of a group of a block-diagonal system's rows
     (``splitting_solver.Group``), with Y and ``products`` those rows.
     """
     n = Y.shape[0]
-    stacked = sys.step_stack @ Y
+    stacked = step_stack @ Y
     products[1] = stacked[:n]
     MY, ahead = one_step_on(stacked[n:], products[2])
     ahead[...] = MY

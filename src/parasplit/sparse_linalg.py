@@ -5,8 +5,10 @@ tasks on sparse matrices.
 (``factorize`` is its one-matrix case).  It factors matrices that are block
 diagonal with the same contiguous diagonal blocks, one block at a time,
 after one symmetry check of each whole matrix, and keeps each block's
-factors of all the matrices together.  A matrix in node
-coordinates is one block.  The splitting solver's matrices, in the mirror
+factors of all the matrices together, in one stack (the splitting
+solver's prediction factors its control, state and terminal matrices in
+one call, ``PredictionFactors.stacks``).  A matrix in node coordinates is
+one block.  The splitting solver's matrices, in the mirror
 basis (``mirrors``), are up to four blocks of about ndof / 4.  Each block
 takes one of two paths:
 
@@ -15,9 +17,9 @@ takes one of two paths:
   ``dpotri``), whose pivots expose positive definiteness, in place in its
   slot of one (matrices, size, size) array.  A solve is one dense product
   per block on its contiguous rows (a GEMM for a block of right-hand
-  sides, a GEMV for one; one batched product applies a block's whole
-  stack); on such small systems SuperLU's sparse triangular sweeps run
-  several times slower.
+  sides, a GEMV for one; one batched product applies several inverses of
+  a block's stack); on such small systems SuperLU's sparse triangular
+  sweeps run several times slower.
 - Above it, SuperLU's factors of the block.
 
 An inverse is formed once, so it pays only on runs long enough to repay
@@ -107,13 +109,6 @@ class CholFactor:
         included, so it can exceed nnz(L) + nnz(U) on small matrices.
         """
         return sum(p.size if isinstance(p, np.ndarray) else p.L.nnz + p.U.nnz for p in self.parts)
-
-    def blocks(self, first: int, stop: int) -> "CholFactor":
-        """The factor of the diagonal blocks ``first`` to ``stop`` - 1 alone:
-        their parts, on rows counted from the first block's first row."""
-        offset = self.rows[first].start
-        rows = [slice(r.start - offset, r.stop - offset) for r in self.rows[first:stop]]
-        return CholFactor(rows, self.parts[first:stop])
 
     def solve(self, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """S^-1 b for b of shape (dimension,) or (dimension, k), one block's

@@ -17,9 +17,10 @@ one up to round-off.  A system without a mirror gets the one-block basis
 (Q = I), so every solve runs the same loop.  The loop's functions take any
 system, in node coordinates or in the basis.  ``PredictionFactors.build``
 forms and factors the subproblems' normal matrices from the system's mass,
-stiffness and step matrices, block by block (``sparse_linalg``):
-a dense inverse per block of at most ``BLOCK_MAX_NDOF`` unknowns,
-SuperLU's factors above.  The box variant's projection onto the bounds
+stiffness and step matrices, all three in one call, block by block
+(``sparse_linalg.factorize_stack``): per block, the three dense inverses
+in one stack for a block of at most ``BLOCK_MAX_NDOF`` unknowns, SuperLU's
+three factors above.  The box variant's projection onto the bounds
 holds in node coordinates: it expands columns of Y - mu / beta, clips them
 and projects them back.
 
@@ -40,16 +41,17 @@ solves use the mass shift (alpha / beta) I + tau A, the control normal
 matrix alpha tau A + beta tau^2 A A with its SPD factor beta tau A
 cancelled.  The multipliers keep their meaning: lam and mu, not over beta.
 
-An iteration forms two sparse products per group (below): one of
-``step_pair`` = [step_plus step_minus] for the state right-hand sides, and
-one of ``step_stack`` = [step_plus; step_minus] for d's state products,
-written by ``write_products``, the writer of ``constraint_products``' state
-slabs.  d's control product takes none.  The prediction solves every
-subproblem in closed form against the shared factorizations (He, Hou &
-Yuan, SIAM J. Optim. 25(4), 2015), so each control column satisfies its
-normal equation ((alpha / beta) I + tau A) U~ = tau A U + q
-(``predict_controls``), and tau A d_U = tau A U - tau A U~ =
-(alpha / beta) U~ - q is read off the solve's output.  Its error is
+An iteration forms two sparse products per group (below): one of its
+block of [step_plus step_minus] for the state right-hand sides
+(``predict_states``), and one of its block of ``step_stack`` =
+[step_plus; step_minus] for d's state products, written by
+``write_products``, the writer of ``constraint_products``' state slabs.
+d's control product takes none.  The prediction solves every subproblem
+in closed form against the shared factorizations (He, Hou & Yuan, SIAM J.
+Optim. 25(4), 2015), so each control column satisfies its normal equation
+((alpha / beta) I + tau A) U~ = tau A U + q (``predict_controls``), and
+tau A d_U = tau A U - tau A U~ = (alpha / beta) U~ - q is read off the
+solve's output.  Its error is
 round-off of its operands q and (alpha / beta) U~.  As d goes to 0 the
 difference cancels, so relative to tau A d_U itself the error grows (about
 3e-12 at convergence on example 5.1, n = 16), while the carried constraint
@@ -69,13 +71,13 @@ prediction applies is block diagonal and every other step is elementwise,
 so a group's rows need no other rows.  Its task runs, on its rows:
 
 - ``predict_rows``: the control and state right-hand sides, their solves
-  against the group's blocks of the factors (one batched product per
-  block applies its control and state inverses to both, then step M is
-  solved again against the terminal factor), tau A d_U from the control
-  solve, the difference (d_U, d_Y) in one ufunc call, d's state products
-  (``write_products``: step_plus d_Y, and step_minus d_Y one column on, in
-  the block row it enters) and the box variant's d_P.  Every one-step
-  shift runs over the flat rows (``one_step_on``);
+  against the group's blocks of the factors (per block, one batched
+  product applies its control and state inverses to both, and one more
+  solves step M again against its terminal inverse), tau A d_U from the
+  control solve, the difference (d_U, d_Y) in one ufunc call, d's state
+  products (``write_products``: step_plus d_Y, and step_minus d_Y one
+  column on, in the block row it enters) and the box variant's d_P.  Every
+  one-step shift runs over the flat rows (``one_step_on``);
 - ``advance_rows``: C d and the multipliers' differences
   (``couple_difference``), d's H-norm and the box gap, the correction and
   the next iteration's q.  Its return value is the rows' share of the
@@ -124,7 +126,8 @@ from .discretization import (  # noqa: F401  constraint_linear_map: bench/tracin
     write_products,
 )
 from .mirrors import MirrorBasis
-from .sparse_linalg import CholFactor, factorize, factorize_stack, solve_multi
+# factorize is not called here; bench/tracing.py patches it under this module's name
+from .sparse_linalg import CholFactor, block_rows, factorize, factorize_stack, solve_multi  # noqa: F401
 
 import scipy.sparse as sp
 
@@ -229,9 +232,10 @@ class SolveReport:
     NaN or infinite; the loop stops at the first such one).  ``residual_drift`` is
     the gap between the carried constraint residual and the one recomputed
     from the final iterate, relative to max(1, ||rhs||).  ``factor_nnz`` maps
-    each prediction factor ("control", "state", "terminal") to
-    its stored entries, summed over its blocks: size^2 for a block's dense
-    inverse, nnz(L) + nnz(U) for SuperLU's factors of a block.
+    each prediction factor ("control", "state", "terminal", the slots of
+    each block's stack in ``PredictionFactors.stacks``) to its stored
+    entries, summed over its blocks: size^2 for a block's dense inverse,
+    nnz(L) + nnz(U) for SuperLU's factors of a block.
     ``seconds_predict`` and ``seconds_correct`` are measured where the work
     runs: each group's task times its ``predict_rows`` and its
     ``advance_rows``.  Per iteration they are the two times of the thread
@@ -260,9 +264,12 @@ class SolveReport:
 
 def correction_factor(M: int, gamma: float, blocks_per_step: int = 2) -> float:
     """Constant correction step: gamma * (1 - sqrt(L/(L+1))) with L the
-    number of separable primal blocks (2M, or 3M in the box variant)."""
-    if M < 1:
-        raise ValueError(f"step count must be >= 1, got {M}")
+    number of separable primal blocks (2M, or 3M in the box variant).
+    ValueError for a step count M or ``blocks_per_step`` that is not an
+    integer of at least 1, or gamma outside (0, 2)."""
+    for name, value in (("step count", M), ("blocks_per_step", blocks_per_step)):
+        if not isinstance(value, numbers.Integral) or value < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
     if not 0.0 < gamma < 2.0:
         raise ValueError(f"gamma must lie in (0, 2), got {gamma}")
     L = blocks_per_step * M
@@ -298,71 +305,71 @@ class PredictionFactors:
     three factorizations and the state right-hand sides' constant term.
 
     The subproblems' normal matrices and right-hand sides are divided by
-    beta, so no iteration multiplies by it.  The three matrices are
-    polynomials in the system's mass and stiffness, so they share its
-    block structure: all three are factored block by block over
-    ``DiscreteSystem.block_sizes``, on the same rows.  ``pairs`` holds the
-    control and state factors of each block together
-    (``sparse_linalg.factorize_stack``): their dense inverses as one
-    (2, b, b) array, so one batched product applies both (``solve``), or
-    SuperLU's two factors.  ``control`` and ``state`` are
-    those factors, their ``parts`` views into ``pairs``.
+    beta, so no iteration multiplies by it.  The three matrices, control,
+    state and terminal, are polynomials in the system's mass and
+    stiffness, so they share its block structure: one
+    ``sparse_linalg.factorize_stack`` call factors them block by block over
+    ``DiscreteSystem.block_sizes``, on the rows ``rows``.  ``stacks`` holds
+    each block's three factors together: their dense inverses as one
+    (3, b, b) array, so one batched product applies the control and state
+    inverses (``solve``), or SuperLU's three factors.  ``named`` views
+    them as one ``CholFactor`` per matrix.
     """
 
-    pairs: list  # per block: the (2, b, b) control and state inverses, or SuperLU's two factors
-    terminal: CholFactor  # the state normal matrix of step M, which re-solves that step
+    rows: list[slice]  # the blocks' rows
+    stacks: list  # per block: the (3, b, b) control, state and terminal inverses, or SuperLU's three factors
     loads: np.ndarray  # the tracking loads (tau kappa_m) d_m over beta
-
-    control = property(lambda self: CholFactor(self.terminal.rows, [pair[0] for pair in self.pairs]))
-    state = property(lambda self: CholFactor(self.terminal.rows, [pair[1] for pair in self.pairs]))
 
     @staticmethod
     def build(sys: DiscreteSystem, config: SolverConfig) -> "PredictionFactors":
         """Factor the control mass shift (alpha / beta) I + tau A and the
         state normal matrices over beta: (tau / beta) A + step_plus^2
-        + step_minus^2 = (tau / beta) A + 2 A A + tau^2/2 B B and
-        (tau / (2 beta)) A + step_plus^2, each plus I from the state-copy
-        constraint row in the box variant."""
+        + step_minus^2 = (tau / beta) A + 2 A A + tau^2/2 B B and, for the
+        terminal step, (tau / (2 beta)) A + step_plus^2, each plus I from
+        the state-copy constraint row in the box variant."""
         tau = sys.grid.tau
         alpha, beta = config.alpha, config.beta
         shift = 0.0
         if config.bounds is not None:
             shift = 1.0  # I from the state-copy constraint row
-        sizes = sys.block_sizes
         eye = sp.identity(sys.ndof, format="csr")
         state_gram = 2.0 * _gram(sys.mass) + (tau * tau / 2.0) * _gram(sys.stiffness)
-        _, pairs = factorize_stack([(alpha / beta) * eye + tau * sys.mass,
-                                    (tau / beta) * sys.mass + state_gram + shift * eye], sizes)
-        terminal_gram = _gram(sys.step_plus)
-        terminal = factorize((tau / (2.0 * beta)) * sys.mass + terminal_gram + shift * eye, sizes)
-        return PredictionFactors(pairs, terminal, sys.tracking_loads / beta)
+        rows, stacks = factorize_stack([(alpha / beta) * eye + tau * sys.mass,
+                                        (tau / beta) * sys.mass + state_gram + shift * eye,
+                                        (tau / (2.0 * beta)) * sys.mass + _gram(sys.step_plus) + shift * eye],
+                                       sys.block_sizes)
+        return PredictionFactors(rows, stacks, sys.tracking_loads / beta)
 
     @property
     def named(self) -> dict[str, CholFactor]:
-        """The three factorizations by name."""
-        return {"control": self.control, "state": self.state, "terminal": self.terminal}
+        """The three factorizations by name, their parts views into ``stacks``."""
+        return {name: CholFactor(self.rows, [stack[i] for stack in self.stacks])
+                for i, name in enumerate(("control", "state", "terminal"))}
 
     def solve(self, rhs: np.ndarray, out: np.ndarray) -> None:
         """U~ and Y~ of all M steps from their right-hand sides ``rhs``,
         shape (2, n, M): the control slab, then the state slab; into
         ``out``, an array of rhs's shape (not rhs itself).
 
-        Block by block, one batched product of the block's (2, b, b)
-        inverses applies the control and the state inverse to the block's
-        rows of both slabs, each product bit for bit the one
-        ``CholFactor.solve`` forms; a SuperLU block solves its two slabs in
-        turn.  Every state column solves against the state factor, at the
-        full width M (a dense product at an odd width costs more than at the
-        full one); the last column's right-hand side, step M's, is also
-        solved against the terminal factor, whose solution replaces it.
+        Block by block, one batched product of the block's control and
+        state inverses applies them to the block's rows of both slabs, and
+        one more applies its terminal inverse to its rows of the last state
+        column, each product bit for bit the one ``CholFactor.solve`` forms;
+        a SuperLU block solves the same three in turn.  Every state column
+        solves against the state factor, at the full width M (a dense
+        product at an odd width costs more than at the full one); the last
+        column's right-hand side, step M's, is also solved against the
+        terminal factor, whose solution replaces it.
         """
-        for rows, pair in zip(self.terminal.rows, self.pairs):
-            if isinstance(pair, np.ndarray):
-                np.matmul(pair, rhs[:, rows], out=out[:, rows])
+        for rows, stack in zip(self.rows, self.stacks):
+            b, x = rhs[:, rows], out[:, rows]
+            if isinstance(stack, np.ndarray):
+                np.matmul(stack[:2], b, out=x)
+                np.matmul(stack[2], b[1][:, -1], out=x[1][:, -1])
             else:
-                for factor, b, x in zip(pair, rhs[:, rows], out[:, rows]):
-                    x[...] = factor.solve(b)
-        self.terminal.solve(rhs[1][:, -1], out=out[1][:, -1])
+                for factor, b_slab, x_slab in zip(stack[:2], b, x):
+                    x_slab[...] = factor.solve(b_slab)
+                x[1][:, -1] = stack[2].solve(b[1][:, -1])
 
 
 def predict_controls(w: Iterate, q: np.ndarray, out: np.ndarray) -> None:
@@ -380,7 +387,7 @@ def predict_controls(w: Iterate, q: np.ndarray, out: np.ndarray) -> None:
 
 
 def predict_states(
-    sys: DiscreteSystem,
+    step_row: sp.csr_matrix,
     w: Iterate,
     q: np.ndarray,
     config: SolverConfig,
@@ -402,10 +409,10 @@ def predict_states(
     arguments are stacked in ``work``, a C-contiguous array of shape
     (2, n, M) (allocated here when not given; ``out`` may be its second
     slab), the terminal step's column of the second zero, and one sparse
-    product of ``sys.step_pair`` = [step_plus step_minus] applies and adds
-    both.  The box variant adds P + mu / beta.  ``sys`` may be a group of
-    the system's rows (``Group``), with w, q, ``loads`` and ``out`` those
-    rows.
+    product of ``step_row`` = [step_plus step_minus] applies and adds
+    both.  The box variant adds P + mu / beta.  ``step_row`` may be a
+    group's diagonal block of it (``Group``), with w, q, ``loads`` and
+    ``out`` the group's rows.
     """
     _, PY, MY, _ = w.products
     work = work if work is not None else np.empty((2,) + out.shape)
@@ -414,7 +421,7 @@ def predict_states(
     behind, MY_ahead, q_ahead = one_step_on(term, MY, q)
     np.add(MY_ahead, q_ahead, out=behind)
     term[:, -1] = 0.0  # the terminal step has no step_minus term
-    np.add(sys.step_pair @ work.reshape(-1, work.shape[-1]), loads, out=out)
+    np.add(step_row @ work.reshape(-1, work.shape[-1]), loads, out=out)
     if config.bounds is not None:
         np.divide(w.mu, config.beta, out=shifted)
         shifted += w.P
@@ -524,16 +531,15 @@ class Group:
     """One task's share of an iteration: a contiguous run of whole mirror
     blocks, on the rows ``rows``.  Every operator the prediction applies is
     block diagonal, so on these rows it is its diagonal block.  The group
-    holds the blocks of the step matrices' pair and stack under the
-    system's names (``step_pair``, ``step_stack``), so it stands in for the
-    system in ``predict_states`` and ``write_products``.  It also holds the
-    prediction factors of its blocks with its rows of the loads, and
-    ``rhs``, its right-hand sides of shape (2, rows, M), reused every
-    iteration.
+    holds its blocks of [step_plus step_minus] (``step_row``, for
+    ``predict_states``) and of [step_plus; step_minus] (``step_stack``, for
+    ``write_products``), the prediction factors of its blocks with its rows
+    of the loads, and ``rhs``, its right-hand sides of shape (2, rows, M),
+    reused every iteration.
     """
 
     rows: slice
-    step_pair: sp.csr_matrix
+    step_row: sp.csr_matrix
     step_stack: sp.csr_matrix
     factors: PredictionFactors
     rhs: np.ndarray
@@ -542,13 +548,11 @@ class Group:
     def partition(sys: DiscreteSystem, factors: PredictionFactors) -> list["Group"]:
         """The groups of ``sys`` (``group_blocks``) with their operators
         and factors."""
-        bounds = np.cumsum([0, *sys.block_sizes])
         groups = []
         for blocks in group_blocks(sys.block_sizes, sys.grid.M):
-            rows = slice(int(bounds[blocks.start]), int(bounds[blocks.stop]))
+            rows = slice(factors.rows[blocks.start].start, factors.rows[blocks.stop - 1].stop)
             plus, minus = sys.step_plus[rows, rows], sys.step_minus[rows, rows]
-            own = PredictionFactors(factors.pairs[blocks], factors.terminal.blocks(blocks.start, blocks.stop),
-                                    factors.loads[rows])
+            own = PredictionFactors(block_rows(sys.block_sizes[blocks]), factors.stacks[blocks], factors.loads[rows])
             groups.append(Group(rows, sp.hstack([plus, minus], format="csr"), sp.vstack([plus, minus], format="csr"),
                                 own, np.empty((2, rows.stop - rows.start, sys.grid.M))))
         return groups
@@ -571,14 +575,14 @@ def predict_rows(group: Group, w: Iterate, q: np.ndarray, config: SolverConfig, 
     """
     rows = group.rows
     w, d, q = w.rows(rows), d.rows(rows), q[rows]
-    predict_states(group, w, q, config, group.factors.loads, group.rhs[1], work=group.rhs)
+    predict_states(group.step_row, w, q, config, group.factors.loads, group.rhs[1], work=group.rhs)
     predict_controls(w, q, group.rhs[0])
     solved = d.z[:2]
     group.factors.solve(group.rhs, solved)
     AdU = np.multiply(solved[0], config.alpha / config.beta, out=d.products[0])
     AdU -= q
     np.subtract(w.z[:2], solved, out=solved)
-    write_products(group, d.Y, d.products)
+    write_products(group.step_stack, d.Y, d.products)
     if config.bounds is not None:
         np.subtract(w.P, d.P, out=d.P)
 

@@ -5,9 +5,9 @@
 rename in the package would break those runs only.  The benchmark, the
 sweeps and this suite each pin BLAS to one thread from their own list of
 environment variables.  These tests keep a rename, or a drift between the
-lists, visible in the regular suite, and run the sweeps' oracle cells and
-one repeat of the dense sweep and of the group-call timing on a small
-level.  Two tests count the
+lists, visible in the regular suite, and run the sweeps' oracle cells,
+one repeat of the dense sweep and of the group-call timing, and the chunk
+sweep's timed solve and fault count on a small level.  Two tests count the
 code lines of a small module with ``tools/code_lines.py`` and run
 ``tools/ab.py``'s cells on HEAD against itself.
 """
@@ -92,7 +92,8 @@ def test_private_names_the_sweeps_use_exist(monkeypatch):
     for cap, dense in ((0, False), (10**9, True)):
         monkeypatch.setattr(sparse_linalg, "BLOCK_MAX_NDOF", cap)
         factors = splitting_solver.PredictionFactors.build(in_basis, config)
-        assert factors.control.dense is dense and len(factors.control.parts) == len(basis.sizes)
+        control = factors.named["control"]
+        assert control.dense is dense and len(control.parts) == len(basis.sizes)
         out = np.full_like(rhs, np.nan)
         factors.solve(rhs, out)
         assert np.isfinite(out).all()
@@ -100,12 +101,12 @@ def test_private_names_the_sweeps_use_exist(monkeypatch):
 
 @pytest.fixture
 def sweeps(monkeypatch):
-    """tools/oracle_sweep.py, tools/dense_sweep.py and tools/group_calls.py,
-    loaded by path as their own directory would import them (they import
-    ``sweep_common``)."""
+    """tools/oracle_sweep.py, tools/dense_sweep.py, tools/group_calls.py and
+    tools/chunk_sweep.py, loaded by path as their own directory would import
+    them (they import ``sweep_common``)."""
     monkeypatch.syspath_prepend(str(ROOT / "tools"))
     return {name: _load(f"tools_{name}", ROOT / "tools" / f"{name}.py")
-            for name in ("oracle_sweep", "dense_sweep", "group_calls")}
+            for name in ("oracle_sweep", "dense_sweep", "group_calls", "chunk_sweep")}
 
 
 @pytest.mark.parametrize("example", ["5.1", "5.2"])
@@ -143,6 +144,24 @@ def test_group_calls_times_a_level(sweeps):
     for times in level["times"].values():
         assert times.keys() == group_calls.CELLS.keys()
         assert all(len(t) == 1 and t[0] > 0.0 for t in times.values())
+
+
+def test_chunk_sweep_cells_run(sweeps, monkeypatch):
+    # both cells at n = 4 (M = 8): timed solves at two widths and thread
+    # counts give the same bits, and the fault count runs; the sweep sets
+    # CHUNK_COLS, which monkeypatch puts back
+    chunk_sweep = sweeps["chunk_sweep"]
+    monkeypatch.setattr(splitting_solver, "CHUNK_COLS", splitting_solver.CHUNK_COLS)
+    problem = get_example("5.1")
+    sys_ = build_level(problem, 4)
+    runs = [chunk_sweep.timed_solve(sys_, problem, width, threads) for width, threads in ((8, 1), (2, 2))]
+    for seconds, per_iteration, _ in runs:
+        assert seconds > 0.0
+        assert per_iteration.keys() == {"predict_ms_per_iteration", "correct_ms_per_iteration"}
+        assert all(ms > 0.0 for ms in per_iteration.values())
+    assert np.array_equal(runs[0][2], runs[1][2])
+    assert splitting_solver.CHUNK_COLS == 2
+    assert chunk_sweep.steady_faults(4, 8, 1) >= 0.0
 
 
 def test_code_lines_counts_a_module(tmp_path, capsys):

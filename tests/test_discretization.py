@@ -1,5 +1,4 @@
 import dataclasses
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -101,7 +100,7 @@ class TestBuildSystem:
             build_system(toy_problem(DIRICHLET), space, TimeGrid(T=1.0, M=1))
 
     @staticmethod
-    def _assert_step_pair(sys, mass, stiffness):
+    def _assert_step_matrices(sys, mass, stiffness):
         """The Crank-Nicolson step matrices average to the mass and differ
         by tau times the stiffness."""
         plus, minus = sys.step_plus.toarray(), sys.step_minus.toarray()
@@ -110,7 +109,7 @@ class TestBuildSystem:
 
     def test_step_matrices(self):
         sys = random_system(0, n=2, M=2)
-        self._assert_step_pair(sys, sys.mass, sys.stiffness)
+        self._assert_step_matrices(sys, sys.mass, sys.stiffness)
         factorize(sys.step_plus)  # must be positive definite
 
     def test_step_matrices_follow_a_replaced_operator(self):
@@ -120,9 +119,9 @@ class TestBuildSystem:
         sys.step_plus, sys.step_minus
         stiffness = 2.0 * sys.stiffness
         stiffer = dataclasses.replace(sys, stiffness=stiffness)
-        self._assert_step_pair(stiffer, sys.mass, stiffness)
+        self._assert_step_matrices(stiffer, sys.mass, stiffness)
         finer = dataclasses.replace(sys, grid=TimeGrid(T=sys.grid.T, M=4 * sys.grid.M))
-        self._assert_step_pair(finer, sys.mass, sys.stiffness)
+        self._assert_step_matrices(finer, sys.mass, sys.stiffness)
         assert not np.allclose(finer.step_plus.toarray(), sys.step_plus.toarray())
 
     def test_kappa_weights(self):
@@ -229,7 +228,7 @@ class TestConstraintResidual:
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             rows = slice(lo, hi)
             stack = sp.vstack([sys.step_plus[rows, rows], sys.step_minus[rows, rows]], format="csr")
-            write_products(SimpleNamespace(step_stack=stack), Y[rows], out[:, rows])
+            write_products(stack, Y[rows], out[:, rows])
         assert np.array_equal(out[1:3], constraint_products(sys, Y, U)[1:3])
         assert not out[2, :, 0].any()
         assert not out[[0, 3]].any()  # and nothing else is written

@@ -129,8 +129,13 @@ class TestCorrectionFactor:
                 assert 0.0 < nu < gamma
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="step count"):
-            correction_factor(0, 1.0)
+        for M in (0, -1, 2.5, 2.0, "4"):
+            with pytest.raises(ValueError, match="step count"):
+                correction_factor(M, 1.0)
+        for blocks in (0, -1, 1.5, 2.0):
+            with pytest.raises(ValueError, match="blocks_per_step"):
+                correction_factor(4, 1.0, blocks_per_step=blocks)
+        assert correction_factor(np.int64(4), 1.0, blocks_per_step=np.int64(3)) == correction_factor(4, 1.0, 3)
         with pytest.raises(ValueError, match="gamma"):
             correction_factor(3, 2.0)
         with pytest.raises(ValueError, match="gamma"):
@@ -286,17 +291,17 @@ class TestPrediction:
         assert np.allclose(lhs_mat @ Y_t[:, 0], rhs, atol=1e-10 * max(1.0, np.abs(rhs).max()))
 
     def test_factored_normal_matrices(self, monkeypatch):
-        # the control and state matrices factored as one stack, then the terminal one
-        factored = []
-        real, real_stack = splitting_solver.factorize, splitting_solver.factorize_stack
+        # the control, state and terminal matrices factored as one stack,
+        # in one call, and no matrix factored alone
+        calls = []
+        real_stack = splitting_solver.factorize_stack
 
-        def recording(mat, sizes):
-            factored.append(mat.toarray())
-            return real(mat, sizes)
+        def recording(mat, sizes=None):
+            calls.append(("factorize", [mat.toarray()]))
+            raise AssertionError("a matrix factored alone")
 
         def recording_stack(mats, sizes):
-            assert len(mats) == 2
-            factored.extend(mat.toarray() for mat in mats)
+            calls.append(("factorize_stack", [mat.toarray() for mat in mats]))
             return real_stack(mats, sizes)
 
         monkeypatch.setattr(splitting_solver, "factorize", recording)
@@ -308,8 +313,10 @@ class TestPrediction:
             for bounds in (None, (0.0, 1.0)):
                 config = _config(sys, beta=2.5, bounds=bounds)
                 shift = np.eye(sys.ndof) if bounds else 0.0
-                factored.clear()
+                calls.clear()
                 PredictionFactors.build(sys, config)
+                [(called, factored)] = calls
+                assert called == "factorize_stack"
                 control, state, terminal = factored  # every M has all three
                 # the normal matrices over beta
                 want = (config.alpha / config.beta) * np.eye(sys.ndof) + tau * A
@@ -343,10 +350,11 @@ class TestPrediction:
             want += w.P + w.mu / config.beta
         groups = Group.partition(sys, factors)
         assert len(groups) == 2
-        for ops, rows in [(sys, slice(None)), *((g, g.rows) for g in groups)]:
+        step_row = sp.hstack([sys.step_plus, sys.step_minus], format="csr")
+        for op, rows in [(step_row, slice(None)), *((g.step_row, g.rows) for g in groups)]:
             out = np.empty_like(q[rows])
             work = np.full((2,) + out.shape, np.nan)
-            predict_states(ops, w.rows(rows), q[rows], config, factors.loads[rows], out, work)
+            predict_states(op, w.rows(rows), q[rows], config, factors.loads[rows], out, work)
             assert np.abs(out - want[rows]).max() <= 1e-14 * np.abs(want).max()
 
     @pytest.mark.parametrize("box", [False, True])
@@ -364,18 +372,18 @@ class TestPrediction:
         out, work = np.empty((sys.ndof, M)), np.full((2, sys.ndof, M), np.nan)
         behind, MY, q_ahead = one_step_on(work[1], w.products[2], q)
         assert behind.ndim == 1 and np.shares_memory(behind, work[1]) and np.shares_memory(q_ahead, q)
-        predict_states(sys, w, q, config, loads, out, work)
+        predict_states(sp.hstack([sys.step_plus, sys.step_minus], format="csr"), w, q, config, loads, out, work)
         assert np.array_equal(work[1][:, :-1], w.products[2][:, 1:] + q[:, 1:])
         assert not work[1][:, -1].any()  # the terminal step's argument
         with pytest.raises(ValueError, match="copy"):
             one_step_on(work[1], np.asfortranarray(w.products[2]))
         Y = np.random.default_rng(20).standard_normal((sys.ndof, M))
         products = np.full((4, sys.ndof, M), np.nan)
-        write_products(sys, Y, products)
+        write_products(sys.step_stack, Y, products)
         assert np.array_equal(products[2][:, 1:], (sys.step_minus @ Y)[:, :-1])
         assert not products[2][:, 0].any()  # block row 1 has no step_minus term
         with pytest.raises(ValueError, match="copy"):
-            write_products(sys, Y, np.asfortranarray(products))
+            write_products(sys.step_stack, Y, np.asfortranarray(products))
 
     def test_multiplier_update(self):
         sys = random_system(9, n=2, M=2)
@@ -712,7 +720,7 @@ class TestSolve:
         for threads in (1, 2, 8):
             config = _config(sys, beta=0.5, epsilon=0.0, k_max=15, thread_count=threads, bounds=bounds)
             runs.append(solve(sys, config))
-        assert _path(PredictionFactors.build(sys.in_mirror_basis(), config).control) == path
+        assert _path(PredictionFactors.build(sys.in_mirror_basis(), config).named["control"]) == path
         for w, report in runs[1:]:
             assert np.array_equal(w.z, runs[0][0].z)
             assert np.array_equal(report.increment_history, runs[0][1].increment_history)
@@ -967,9 +975,9 @@ class TestSolve:
                 superlu = PredictionFactors.build(sys_, config)
             rhs = np.random.default_rng(5).standard_normal((sys.ndof, splitting_solver.CHUNK_COLS))
             for name, f in factors.named.items():
-                assert _path(f) == path and _path(getattr(superlu, name)) == "superlu", name
+                assert _path(f) == path and _path(superlu.named[name]) == "superlu", name
                 for b in (rhs, rhs[:, 0]):
-                    want = getattr(superlu, name).solve(b)
+                    want = superlu.named[name].solve(b)
                     np.testing.assert_allclose(f.solve(b), want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
     def test_alpha_mismatch_rejected(self):
@@ -1188,7 +1196,7 @@ class TestBlockedFactors:
         rhs = np.random.default_rng(sys.ndof).standard_normal((2, sys.ndof, splitting_solver.CHUNK_COLS))
         rhs_b = np.stack([project(x) for x in rhs])
         for name, f in factors.named.items():
-            _assert_close(expand(f.solve(rhs_b[0])), getattr(superlu, name).solve(rhs[0]))
+            _assert_close(expand(f.solve(rhs_b[0])), superlu.named[name].solve(rhs[0]))
             _assert_close(f.solve(rhs_b[0][:, 0]), f.solve(rhs_b[0])[:, 0])  # one column
         # the control and state solves together, the terminal column included
         got, want = np.empty_like(rhs), np.empty_like(rhs)
@@ -1206,7 +1214,8 @@ class TestBlockedFactors:
         sys = build_level(prob, 20)
         config = SolverConfig(alpha=prob.alpha, beta=prob.beta, bounds=(0.0, 1.0) if box else None)
         superlu = _superlu_factors(sys, config, monkeypatch)
-        assert _path(superlu.control) == "superlu" and len(superlu.control.parts) == 1
+        control = superlu.named["control"]
+        assert _path(control) == "superlu" and len(control.parts) == 1
         factors = self._assert_matches(sys, config, superlu)
         for f in factors.named.values():
             assert _path(f) == "blocked"
@@ -1214,18 +1223,21 @@ class TestBlockedFactors:
 
     @pytest.mark.parametrize("path,cap", [("blocked", BLOCK_MAX_NDOF), ("superlu", 0)])
     def test_paired_solve_matches_separate_solves(self, path, cap, monkeypatch):
-        # PredictionFactors.solve, one batched product of each block's
-        # stacked control and state inverses (a SuperLU block's two solves
-        # in the same loop), then the terminal column, against three
-        # CholFactor.solve calls, bit for bit: on the whole system and on
-        # each group of its rows.  The control and state parts are views
-        # into the stacked inverses, not copies.
+        # PredictionFactors.solve, per block one batched product of its
+        # stacked control and state inverses and one of its terminal
+        # inverse on the last column (a SuperLU block's three solves in the
+        # same loop), against three CholFactor.solve calls of the named
+        # factors, bit for bit: on the whole system and on each group of
+        # its rows.  The named factors' parts are views into the stacked
+        # inverses, not copies.
         monkeypatch.setattr(sparse_linalg, "BLOCK_MAX_NDOF", cap)
         M = splitting_solver.CHUNK_COLS + 5
         sys = random_system(25, n=8, M=M).in_mirror_basis()
         config = _config(sys, beta=0.9)
         factors = PredictionFactors.build(sys, config)
-        assert _path(factors.control) == _path(factors.state) == path
+        named = factors.named
+        assert list(named) == ["control", "state", "terminal"]
+        assert {_path(f) for f in named.values()} == {path}
         groups = Group.partition(sys, factors)
         assert len(groups) == 2
         rhs = np.random.default_rng(25).standard_normal((2, sys.ndof, M))
@@ -1233,22 +1245,23 @@ class TestBlockedFactors:
             b = np.ascontiguousarray(rhs[:, rows])
             got = np.full_like(b, np.nan)
             f.solve(b, got)
-            want = np.stack([f.control.solve(b[0]), f.state.solve(b[1])])
-            f.terminal.solve(b[1][:, -1], out=want[1][:, -1])
+            control, state, terminal = f.named.values()
+            want = np.stack([control.solve(b[0]), state.solve(b[1])])
+            terminal.solve(b[1][:, -1], out=want[1][:, -1])
             assert np.array_equal(got, want), rows
-        for pair, control, state in zip(factors.pairs, factors.control.parts, factors.state.parts):
+        for stack, *parts in zip(factors.stacks, *(f.parts for f in named.values())):
             if path == "blocked":
-                assert pair.shape == (2, *control.shape)
-                assert control.base is pair and state.base is pair
+                assert stack.shape == (3, *parts[0].shape)
+                assert all(part.base is stack for part in parts)
             else:
-                assert (control, state) == tuple(pair)
+                assert tuple(parts) == tuple(stack)
 
     @pytest.mark.parametrize("M,box", [(1, False), (3, False), (3, True)])
     def test_iterates_match_superlu_path(self, M, box, monkeypatch):
         # the single-step level has no state factor: its one column is the terminal step
         sys = random_system(12, n=20, M=M)
         config = _config(sys, beta=2.0, epsilon=0.0, k_max=5, bounds=(-0.5, 0.5) if box else None)
-        assert _path(PredictionFactors.build(sys.in_mirror_basis(), config).control) == "blocked"
+        assert _path(PredictionFactors.build(sys.in_mirror_basis(), config).named["control"]) == "blocked"
         w, _ = solve(sys, config)
         monkeypatch.setattr(sparse_linalg, "BLOCK_MAX_NDOF", 0)
         w_ref, _ = solve(sys, config)
@@ -1265,7 +1278,7 @@ class TestBlockedFactors:
         assert broken.in_mirror_basis().block_sizes == broken.mirror_basis.sizes
         config = _config(broken, beta=10.0)
         factors = self._assert_matches(broken, config, _superlu_factors(broken, config, monkeypatch))
-        assert _path(factors.control) == ("blocked" if blocks > 1 else "superlu")
+        assert _path(factors.named["control"]) == ("blocked" if blocks > 1 else "superlu")
 
     def test_indefinite_raises(self, monkeypatch):
         shapes = []
