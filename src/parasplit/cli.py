@@ -57,6 +57,7 @@ def _config_from(args, problem) -> SolverConfig:
         gamma=args.gamma,
         epsilon=args.eps,
         k_max=args.kmax,
+        step=args.step,
     )
 
 
@@ -89,10 +90,11 @@ def cmd_box(args, problem, config) -> None:
     w, report = solve(system, replace(config, bounds=(args.lower, args.upper)))
     _write_csv(
         args.out,
-        ["k", "hnorm_increment_sq", "y_minus_p_norm"],
+        ["k", "hnorm_increment_sq", "y_minus_p_norm", "step"],
         [
-            [i + 1, float(inc), float(gap)]
-            for i, (inc, gap) in enumerate(zip(report.increment_history, report.gap_history))
+            [i + 1, float(inc), float(gap), float(step)]
+            for i, (inc, gap, step) in enumerate(
+                zip(report.increment_history, report.gap_history, report.step_history))
         ],
     )
     y_max = float(w.P.max())
@@ -124,6 +126,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--eps", type=float, default=SolverConfig.epsilon, help="squared-increment stop tolerance"
     )
     common.add_argument("--kmax", type=int, default=SolverConfig.k_max, help="iteration cap")
+    common.add_argument(
+        "--step", default=SolverConfig.step, choices=["dynamic", "constant"],
+        help="correction step: the per-iteration dynamic one, or the paper's constant one",
+    )
     common.add_argument("--out", required=True)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -341,13 +341,14 @@ class IterationRecord:
     k: int
     hnorm_to_star: float
     hnorm_increment_sq: float
+    step: float
 
 
 def iteration_history(
     problem: ManufacturedProblem, config: SolverConfig | None, n: int
 ) -> list[IterationRecord]:
-    """Per-iteration distances to the exact solution and squared increments.
-    Rejects a config with bounds."""
+    """Per-iteration distances to the exact solution, squared increments
+    and correction steps.  Rejects a config with bounds."""
     config = _oracle_config(problem, config, "iteration_history")
     sys = build_level(problem, n)
     sol = solve_kkt(sys, config.alpha)
@@ -360,8 +361,9 @@ def iteration_history(
 
     _, report = solve(sys, config, monitor=monitor)
     return [
-        IterationRecord(k=k, hnorm_to_star=dist, hnorm_increment_sq=float(inc))
-        for k, (dist, inc) in enumerate(zip(distances, report.increment_history), start=1)
+        IterationRecord(k=k, hnorm_to_star=dist, hnorm_increment_sq=float(inc), step=float(step))
+        for k, (dist, inc, step) in enumerate(
+            zip(distances, report.increment_history, report.step_history), start=1)
     ]
 
 

@@ -247,11 +247,12 @@ def solve_multi(tasks, pool=None) -> list:
     every one and return their results in task order, whichever finished
     first.
 
-    Each task is one unit of ``pool`` (None runs them inline, in order); the
-    first exception a task raised, in task order, is raised here.
-    ``splitting_solver``'s module docstring says how an iteration splits
-    into tasks.
+    Each task is one unit of ``pool``; without a pool, or for a batch of
+    one task, which no other task could overlap, they run inline on the
+    calling thread, in order.  The first exception a task raised, in task
+    order, is raised here.  ``splitting_solver``'s module docstring says
+    how an iteration splits into tasks.
     """
-    if pool is None:
+    if pool is None or len(tasks) == 1:
         return [task() for task in tasks]
     return [future.result() for future in [pool.submit(task) for task in tasks]]

@@ -2,9 +2,20 @@
 
 One iteration: compute the shifted residual q once, solve all control and
 state subproblems in closed form against shared factorizations (prediction),
-update the multiplier, then apply the constant-step correction
-w^{k+1} = w^k - nu (w^k - w~^k).  Monitoring uses the weighted norm under
-which the corrected iteration contracts.
+update the multiplier, then apply the correction
+w^{k+1} = w^k - alpha_k (w^k - w~^k).  Monitoring uses the weighted norm
+under which the corrected iteration contracts.
+
+The step rule is ``SolverConfig.step`` (``step_length``).  The paper's
+"constant" step is nu = gamma (1 - sqrt(L / (L + 1))), about gamma / (4M)
+(``correction_factor``), the worst case of the ratio the default "dynamic"
+rule computes every iteration from the difference d = w - w~:
+alpha_k = gamma (||d||_H^2 + 2 <C d, e>) / ||d||_H^2, with e the
+multiplier's difference (He, Hou & Yuan, SIAM J. Optim. 25(4), 2015),
+capped at 1 in the box variant.  Both keep the contraction inequality of
+the weighted norm; criterion 3's O(1/k) rate is proven for nu only.  On
+example 5.1 at n = 16 (beta 10, epsilon 1e-12) the constant step takes
+2038 iterations and the dynamic one 100.
 
 ``solve`` is the one entry point: it runs the box variant (projected state
 copies) exactly when the config has bounds.  It changes the system into its
@@ -33,10 +44,11 @@ the block row it enters, so step_minus Y_m sits in column m + 1 and column
 backing array (``Iterate.data``, S + 4 slabs with S = 3, or 5 in the box
 variant).  The loop never forms the predicted iterate w~ itself: the
 prediction writes the difference d = w - w~ with its products, the H-norm
-increment nu^2 ||d||_H^2 reads d's products, and ``correct(w, d, nu)``
-= w - nu d is the corrected iterate with its products.  The subproblems'
-normal matrices and right-hand sides are divided by beta once per solve
-(``PredictionFactors``), so no iteration multiplies by it; the control
+increment alpha_k^2 ||d||_H^2 reads d's products, and
+``correct(w, d, alpha_k)`` = w - alpha_k d is the corrected iterate with
+its products.  The subproblems' normal matrices and right-hand sides are
+divided by beta once per solve (``PredictionFactors``), so no iteration
+multiplies by it; the control
 solves use the mass shift (alpha / beta) I + tau A, the control normal
 matrix alpha tau A + beta tau^2 A A with its SPD factor beta tau A
 cancelled.  The multipliers keep their meaning: lam and mu, not over beta.
@@ -63,12 +75,12 @@ iterates with their products, which swap roles every iteration (the
 difference is written into the spare one, then overwritten in place by the
 correction), q, one slab of scratch and each group's right-hand sides.
 ``thread_count`` sets the workers of one thread pool opened per solve,
-capped at the CPUs the process may run on; a single thread runs every task
-inline.  An iteration is one ``solve_multi`` batch: one task per group of
-whole mirror blocks (``Group``, ``group_blocks``), a contiguous run of
-rows, at all M time steps.  In the mirror basis every operator the
+capped at the CPUs the process may run on; a single thread, or a batch of
+one task, runs inline.  An iteration's work is split into one task per
+group of whole mirror blocks (``Group``, ``group_blocks``), a contiguous
+run of rows, at all M time steps.  In the mirror basis every operator the
 prediction applies is block diagonal and every other step is elementwise,
-so a group's rows need no other rows.  Its task runs, on its rows:
+so a group's rows need no other rows.  A group's work is, on its rows:
 
 - ``predict_rows``: the control and state right-hand sides, their solves
   against the group's blocks of the factors (per block, one batched
@@ -78,27 +90,38 @@ so a group's rows need no other rows.  Its task runs, on its rows:
   products (``write_products``: step_plus d_Y, and step_minus d_Y one
   column on, in the block row it enters) and the box variant's d_P.  Every
   one-step shift runs over the flat rows (``one_step_on``);
-- ``advance_rows``: C d and the multipliers' differences
-  (``couple_difference``), d's H-norm and the box gap, the correction and
-  the next iteration's q.  Its return value is the rows' share of the
-  H-norm and the gap.
+- ``measure_rows``, the measuring pass: C d and the multipliers'
+  differences (``couple_difference``), and the rows' shares of d's H-norm
+  and of the step's cross term (``cross_term``);
+- ``advance_rows``, the advancing pass: the correction with the step, the
+  box gap and the next iteration's q.
+
+The step is a sum over all rows, so every group's advancing pass waits for
+every group's measuring pass.  Where a task can know the step from its own
+sums, under the constant rule or with one group holding every row, one
+batch runs both passes back to back in each group's task
+(``advance_group``).  With the dynamic rule and several groups, the first
+batch ends after the measuring pass, the calling thread forms the step
+from the sums, and a second batch runs the advancing passes
+(``finish_group``).
 
 A group's rows of a C-order slab are contiguous, so every call runs on
-contiguous runs of each slab.  With one group (M <= CHUNK_COLS, or a
-system of one block) the group is the whole backing array, and the
-correction is two ufunc calls; with several, it runs slab by slab.
-(Column blocks of these arrays are strided, and a tail split by time
+contiguous runs of each slab.  With one group (M <= CHUNK_COLS, every
+level up to n = 16, or a system of one block) the group is the whole
+backing array, and the correction is two ufunc calls; with several, it
+runs slab by slab.  (Column blocks of these arrays are strided, and a tail split by time
 columns ran slower than the serial one.)  The box variant's projection
 mixes the blocks, so it runs first, as a batch of its own: one task per
 chunk of CHUNK_COLS time steps (``project_copies``) writes its columns of
 P~ into the spare iterate's P slab, which the group tasks then turn into
 d_P = P - P~.
 
-The calling thread keeps the monitor and sums the groups' partial norms,
-which ``solve_multi`` returns in group order: each squared norm sums over
-rows, so a group's norm is its share of the whole's.  Groups and chunks
-are fixed by M and the block sizes alone, so the iterates, increments and
-gaps are bit-identical for every thread count.
+The calling thread keeps the monitor and sums the groups' partial norms
+and cross terms, which ``solve_multi`` returns in group order: each sums
+over rows, so a group's value is its share of the whole's.  Groups and
+chunks are fixed by M and the block sizes alone, and so is the choice of
+one batch or two, so the iterates, steps, increments and gaps are
+bit-identical for every thread count.
 """
 
 from __future__ import annotations
@@ -195,6 +218,7 @@ class SolverConfig:
     k_max: int = 20000
     bounds: tuple[float, float] | None = None
     thread_count: int = 1
+    step: str = "dynamic"  # the correction step rule: "dynamic" or "constant" (``step_length``)
 
     def __post_init__(self):
         if not 0.0 < self.alpha < math.inf:
@@ -221,6 +245,8 @@ class SolverConfig:
                 raise ValueError(f"bounds must be reals with lower below upper, got {self.bounds!r}")
         if self.thread_count < 1:
             raise ValueError(f"thread_count must be >= 1, got {self.thread_count}")
+        if self.step not in ("dynamic", "constant"):
+            raise ValueError(f"step must be 'dynamic' or 'constant', got {self.step!r}")
 
 
 @dataclass
@@ -236,19 +262,24 @@ class SolveReport:
     each block's stack in ``PredictionFactors.stacks``) to its stored
     entries, summed over its blocks: size^2 for a block's dense inverse,
     nnz(L) + nnz(U) for SuperLU's factors of a block.
-    ``seconds_predict`` and ``seconds_correct`` are measured where the work
-    runs: each group's task times its ``predict_rows`` and its
-    ``advance_rows``.  Per iteration they are the two times of the thread
-    busiest in the batch (its groups' times summed, as its tasks run one
-    after another), summed over iterations; the box variant's projection
-    batch adds to ``seconds_predict``.  At 1 thread every task runs on the
-    calling thread, so they are the phases' exact times; with several, the
-    times of the phases' longest path through the pool.
+    ``step_history`` holds each iteration's correction step
+    (``step_length``): alpha_k under the dynamic rule, nu repeated under the
+    constant one.  ``seconds_predict`` and ``seconds_correct`` are measured
+    where the work runs: each group's task times its ``predict_rows`` and
+    its row passes (``measure_rows``, ``advance_rows``).  Per batch they are
+    the two times of the thread busiest in it (its groups' times summed, as
+    its tasks run one after another), summed over batches and iterations;
+    the box variant's projection batch adds to ``seconds_predict``, the
+    dynamic rule's second batch (several groups) to ``seconds_correct``.
+    At 1 thread every task runs on the calling thread, so they are the
+    phases' exact times; with several, the times of the phases' longest
+    path through the pool.
     """
 
     iterations: int
     stop_reason: str
     increment_history: np.ndarray
+    step_history: np.ndarray
     final_constraint_norm: float
     residual_drift: float
     seconds_total: float
@@ -699,34 +730,83 @@ def h_norm_sq(sys: DiscreteSystem, v: Iterate, beta: float, work: np.ndarray | N
     return float(beta * (per_block + total_sum) + mult / beta)
 
 
+def cross_term(d: Iterate, work: np.ndarray) -> float:
+    """<C d, e> of the rows d holds, with C d d's product slab 3 and e its
+    multiplier slab lam - lam~; the box variant adds <d_Y - d_P, d_mu>,
+    with d_Y - d_P read from ``work``, where ``h_norm_sq`` left it."""
+    cross = np.vdot(d.products[3], d.lam)
+    if d.is_box:
+        cross += np.vdot(work, d.mu)
+    return float(cross)
+
+
+def step_length(config: SolverConfig, nu: float, h_sq: float, cross: float) -> float:
+    """The iteration's correction step, from d^T H d and ``cross_term``
+    summed over all rows.
+
+    The constant rule's step is nu (``correction_factor``).  The dynamic
+    rule's is alpha_k = gamma phi / ||d||_H^2, with
+    phi = ||d||_H^2 + 2 <C d, e> (+ 2 <d_Y - d_P, d_mu> in the box
+    variant), the lower bound of (w - w*)^T H d that the prediction's
+    variational inequality gives (He, Hou & Yuan, SIAM J. Optim. 25(4),
+    2015).  Every step in (0, alpha_k] keeps the contraction inequality
+    ||w+ - w*||_H^2 <= ||w - w*||_H^2 - (2 - gamma)/gamma ||w - w+||_H^2,
+    and alpha_k >= nu.  In the box variant alpha_k is capped at 1, so the
+    corrected copies P - alpha_k (P - P~) stay a convex combination of P
+    and P~, inside the bounds.  Where ||d||_H^2 is 0 (an exact fixed point)
+    the step is nu; a NaN sum gives a NaN step.
+    """
+    if config.step == "constant" or h_sq == 0.0:
+        return nu
+    alpha = config.gamma * (h_sq + 2.0 * cross) / h_sq
+    return 1.0 if config.bounds is not None and alpha > 1.0 else alpha
+
+
+def measure_rows(
+    sys: DiscreteSystem,
+    w: Iterate,
+    w_t: Iterate,
+    q: np.ndarray,
+    config: SolverConfig,
+    rows: slice,
+    work: np.ndarray,
+) -> tuple[float, float]:
+    """The measuring pass on the rows ``rows``, after ``predict_rows`` has
+    written the difference d = w - w~ of those rows into w_t: d_U, d_Y,
+    their products and the box variant's d_P.
+
+    ``couple_difference`` completes d.  Returns the rows' share of d^T H d
+    and, under the dynamic rule, of ``cross_term`` (0 under the constant
+    rule).  ``work`` (the rows of a slab-shaped array) holds the
+    temporaries.
+    """
+    w_rows, d = w.rows(rows), w_t.rows(rows)
+    couple_difference(w_rows, d, q[rows], config, work)
+    h_sq = h_norm_sq(sys, d, config.beta, work)
+    return h_sq, cross_term(d, work) if config.step == "dynamic" else 0.0
+
+
 def advance_rows(
     sys: DiscreteSystem,
     w: Iterate,
     w_t: Iterate,
     q: np.ndarray,
     config: SolverConfig,
-    nu: float,
+    step: float,
     rows: slice,
     work: np.ndarray,
-) -> tuple[float, float]:
-    """The iteration's tail on the rows ``rows``, after ``predict_rows`` has
-    written the difference d = w - w~ of those rows into w_t: d_U, d_Y,
-    their products and the box variant's d_P.
-
-    In turn: ``couple_difference`` completes d; the corrected iterate
-    w - nu d overwrites it, over the iterate and its products; and the
-    rows of ``q`` receive its shifted residual.  Returns the rows' share
-    of d^T H d and of the corrected iterate's ||Y - P||^2 (0 in the plain
-    variant).  ``work`` (the rows of a slab-shaped array) holds the
-    temporaries.
+) -> float:
+    """The advancing pass on the rows ``rows``, after ``measure_rows``: the
+    corrected iterate w - step d overwrites d in w_t, over the iterate and
+    its products, and the rows of ``q`` receive its shifted residual.
+    Returns the rows' share of the corrected iterate's ||Y - P||^2 (0 in
+    the plain variant).  ``work`` is as for ``measure_rows``.
     """
     w_rows, d = w.rows(rows), w_t.rows(rows)
-    couple_difference(w_rows, d, q[rows], config, work)
-    h_sq = h_norm_sq(sys, d, config.beta, work)
-    correct(w_rows, d, nu)
+    correct(w_rows, d, step)
     gap_sq = _sq(np.subtract(d.Y, d.P, out=work)) if d.is_box else 0.0
     compute_q(sys, w_t, config.beta, rows, out=q[rows], work=work)
-    return h_sq, gap_sq
+    return gap_sq
 
 
 def advance_group(
@@ -738,21 +818,48 @@ def advance_group(
     config: SolverConfig,
     nu: float,
     work: np.ndarray,
-) -> tuple[tuple[float, float], tuple[float, float, int]]:
-    """One task of an iteration: ``predict_rows`` on the group's rows into
-    w_t, then ``advance_rows`` on the same rows.  Returns advance_rows'
-    norms, and the seconds of each of the two with the thread that ran
-    them."""
+    advance: bool,
+) -> tuple[tuple[float, float, float], tuple[float, float, int]]:
+    """One task of an iteration's group batch: ``predict_rows`` on the
+    group's rows into w_t, then ``measure_rows`` on the same rows and, when
+    ``advance``, ``advance_rows`` with the step ``step_length`` gives for
+    the rows' own sums (the caller sets it where those are the step's: the
+    constant rule, or a single group).  Returns the rows' shares of
+    d^T H d, of the cross term and of the gap (0 when not advanced), and
+    the seconds of the prediction and of the row passes with the thread
+    that ran them."""
     t0 = time.perf_counter()
     predict_rows(group, w, q, config, w_t)
     t1 = time.perf_counter()
-    norms = advance_rows(sys, w, w_t, q, config, nu, group.rows, work)
-    return norms, (t1 - t0, time.perf_counter() - t1, threading.get_ident())
+    h_sq, cross = measure_rows(sys, w, w_t, q, config, group.rows, work)
+    gap_sq = 0.0
+    if advance:
+        gap_sq = advance_rows(sys, w, w_t, q, config, step_length(config, nu, h_sq, cross), group.rows, work)
+    return (h_sq, cross, gap_sq), (t1 - t0, time.perf_counter() - t1, threading.get_ident())
+
+
+def finish_group(
+    sys: DiscreteSystem,
+    group: Group,
+    w: Iterate,
+    w_t: Iterate,
+    q: np.ndarray,
+    config: SolverConfig,
+    step: float,
+    work: np.ndarray,
+) -> tuple[float, tuple[float, float, int]]:
+    """One task of the dynamic rule's second batch: ``advance_rows`` on the
+    group's rows with the step of all rows.  Returns the rows' share of the
+    gap, and no prediction seconds and the pass's with the thread that ran
+    it."""
+    t0 = time.perf_counter()
+    gap_sq = advance_rows(sys, w, w_t, q, config, step, group.rows, work)
+    return gap_sq, (0.0, time.perf_counter() - t0, threading.get_ident())
 
 
 def _busiest(times: list[tuple[float, float, int]]) -> tuple[float, float]:
     """The prediction and row-pass seconds of the thread busiest in a batch,
-    its tasks' ``advance_group`` times summed."""
+    its tasks' times (``advance_group``, ``finish_group``) summed."""
     busy: dict[int, tuple[float, float]] = {}
     for predict_s, correct_s, thread in times:
         p, c = busy.get(thread, (0.0, 0.0))
@@ -787,13 +894,14 @@ class _NodeView(Iterate):
 def solve(sys: DiscreteSystem, config: SolverConfig, monitor=None) -> tuple[Iterate, SolveReport]:
     """Run the corrected splitting iteration from the all-zeros iterate.
 
-    Without ``config.bounds`` the iterate is (U, Y, lam) and the correction
-    step counts 2 blocks per time step.  With bounds it is the box variant:
-    auxiliary state copies P, projected onto the bounds each iteration, and
-    their multiplier mu join the iterate, and the step counts 3 blocks per
-    time step.  Stops when the squared increment in the contraction norm
-    drops to the configured tolerance, at the iteration cap, or at the
-    first non-finite increment (reported, not raised).
+    Without ``config.bounds`` the iterate is (U, Y, lam) and the constant
+    correction step counts 2 blocks per time step.  With bounds it is the
+    box variant: auxiliary state copies P, projected onto the bounds each
+    iteration, and their multiplier mu join the iterate, the constant step
+    counts 3 blocks per time step and the dynamic one is capped at 1.
+    Stops when the squared increment in the contraction norm drops to the
+    configured tolerance, at the iteration cap, or at the first non-finite
+    increment (reported, not raised).
 
     The loop runs on the system in its mirror basis
     (``DiscreteSystem.in_mirror_basis``), formed once per solve: there
@@ -828,7 +936,11 @@ def solve(sys: DiscreteSystem, config: SolverConfig, monitor=None) -> tuple[Iter
     work = np.empty_like(q)
     copies = copy_chunks(sys, work) if box else []
 
+    # The groups' tasks can advance on their own sums under the constant
+    # rule, or when one group holds every row; else a second batch does.
+    fused = config.step == "constant" or len(groups) == 1
     increments: list[float] = []
+    steps: list[float] = []
     gaps: list[float] = [] if box else None
     stop_reason = "k_max"
     t_predict = 0.0
@@ -845,16 +957,23 @@ def solve(sys: DiscreteSystem, config: SolverConfig, monitor=None) -> tuple[Iter
                 solve_multi([partial(project_copies, sys, w, config, cols, spare.P, Z, basis_work)
                              for cols, Z, basis_work in copies], pool)
                 t_predict += time.perf_counter() - t1
-            done = solve_multi([partial(advance_group, sys, group, w, spare, q, config, nu, work[group.rows])
-                                for group in groups], pool)
-            h_sq, gap_sq = [sum(c) for c in zip(*(norms for norms, _ in done))]  # in group order
+            done = solve_multi([partial(advance_group, sys, group, w, spare, q, config, nu, work[group.rows],
+                                        fused) for group in groups], pool)
+            h_sq, cross, gap_sq = [sum(c) for c in zip(*(sums for sums, _ in done))]  # in group order
+            step = step_length(config, nu, h_sq, cross)
             predict_s, correct_s = _busiest([times for _, times in done])
+            if not fused:
+                rest = solve_multi([partial(finish_group, sys, group, w, spare, q, config, step, work[group.rows])
+                                    for group in groups], pool)
+                gap_sq = sum(gap for gap, _ in rest)
+                correct_s += _busiest([times for _, times in rest])[1]
             t_predict += predict_s
             t_correct += correct_s
             w, spare = spare, w
-            # w - w_next = nu d, and the H-norm is quadratic.
-            inc = nu * nu * h_sq
+            # w - w_next = step d, and the H-norm is quadratic.
+            inc = step * step * h_sq
             increments.append(inc)
+            steps.append(step)
             if box:
                 gaps.append(math.sqrt(gap_sq))
             if not math.isfinite(inc):
@@ -879,6 +998,7 @@ def solve(sys: DiscreteSystem, config: SolverConfig, monitor=None) -> tuple[Iter
         iterations=k,
         stop_reason=stop_reason,
         increment_history=np.asarray(increments),
+        step_history=np.asarray(steps),
         final_constraint_norm=float(np.linalg.norm(residual)),
         residual_drift=float(drift),
         seconds_total=time.perf_counter() - t0,

@@ -24,7 +24,7 @@ os.environ.update({k: "1" for k in THREAD_ENV})
 import numpy as np
 import scipy.linalg
 
-from parasplit.discretization import DiscreteSystem, TimeGrid, build_system
+from parasplit.discretization import DiscreteSystem, TimeGrid, build_system, constraint_linear_map
 from parasplit.fem_assembly import make_space
 from parasplit.kkt_oracle import modal_sweep
 from parasplit.mesh import NEUMANN, uniform_unit_square
@@ -279,13 +279,29 @@ def prediction_row_residuals(sys: DiscreteSystem, w: Iterate, w_tilde: Iterate, 
     return np.asarray(out)
 
 
+def reference_step(sys: DiscreteSystem, config, nu: float, d: Iterate) -> float:
+    """The correction step of ``config.step`` for the difference d = w - w~
+    (no carried products): nu, or gamma (||d||_H^2 + 2 <C d, e>) / ||d||_H^2
+    with C d formed from scratch (``constraint_linear_map``) and e = d's
+    multiplier slab, plus 2 <d_Y - d_P, d_mu> and capped at 1 in the box
+    variant; nu where ||d||_H^2 is 0."""
+    h = h_norm_sq(sys, d, config.beta)
+    if config.step == "constant" or h == 0.0:
+        return nu
+    cross = np.vdot(constraint_linear_map(sys, d.Y, d.U), d.lam)
+    if d.is_box:
+        cross += np.vdot(d.Y - d.P, d.mu)
+    step = config.gamma * (h + 2.0 * cross) / h
+    return min(step, 1.0) if d.is_box else step
+
+
 def reference_loop(sys: DiscreteSystem, config, K: int):
     """K splitting iterations built from the one-step pieces alone.
 
     No constraint products are carried (w never carries any, so neither do
-    the differences): every prediction and every H-norm increment forms its
-    products from the iterate itself.  Returns the final iterate and the K
-    squared increments ||w^k - w^{k+1}||_H^2.
+    the differences): every prediction, step (``reference_step``) and
+    H-norm increment forms its products from the iterate itself.  Returns
+    the final iterate and the K squared increments ||w^k - w^{k+1}||_H^2.
     """
     box = config.bounds is not None
     nu = correction_factor(sys.grid.M, config.gamma, blocks_per_step=3 if box else 2)
@@ -295,7 +311,8 @@ def reference_loop(sys: DiscreteSystem, config, K: int):
         np.clip(w.P, *config.bounds, out=w.P)
     increments = []
     for _ in range(K):
-        w_next = correct(w, iterate_diff(w, predict(sys, w, config, factors)), nu)
+        d = iterate_diff(w, predict(sys, w, config, factors))
+        w_next = correct(w, d, reference_step(sys, config, nu, d))
         increments.append(h_norm_sq(sys, iterate_diff(w, w_next), config.beta))
         w = w_next
     return w, np.asarray(increments)

@@ -68,12 +68,13 @@ def test_criterion_1_discretization_orders():
 @pytest.fixture(scope="module")
 def contraction_run():
     """Example 5.1 at n=8 (M=16), (alpha, beta, gamma) = (1e-2, 10, 1):
-    distance-to-solution and increment histories over 2001 iterations."""
+    distance-to-solution and increment histories over 2001 iterations of
+    the paper's constant step, for which criterion 3's rate is proven."""
     sys = build_level(get_example("5.1"), 8)
     assert sys.grid.M == 16
     w_star = _star_iterate(sys)
     beta, gamma = 10.0, 1.0
-    config = SolverConfig(alpha=1e-2, beta=beta, gamma=gamma, epsilon=0.0, k_max=2001)
+    config = SolverConfig(alpha=1e-2, beta=beta, gamma=gamma, epsilon=0.0, k_max=2001, step="constant")
     dist_sq = []
     _, report = solve(
         sys,

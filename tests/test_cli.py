@@ -6,7 +6,7 @@ import pytest
 
 from parasplit.cli import _fmt, main
 from parasplit.experiments import build_level, get_example
-from parasplit.splitting_solver import SolverConfig, solve
+from parasplit.splitting_solver import SolverConfig, correction_factor, solve
 
 
 def _read(path):
@@ -90,10 +90,15 @@ class TestIterate:
         args = ["iterate", "--example", "5.1", "--n", "2", "--kmax", "10", "--eps", "0", "--beta", "1", "--out", str(out)]
         assert main(args) == 0
         header, rows = _read(out)
-        assert header == ["k", "hnorm_to_star", "hnorm_increment_sq"]
+        assert header == ["k", "hnorm_to_star", "hnorm_increment_sq", "step"]
         assert len(rows) == 10
         dists = [float(r[1]) for r in rows]
         assert dists[-1] < dists[0]
+        # the paper's constant step on request: nu = 1 - sqrt(L / (L + 1)), L = 2M
+        assert main(args + ["--step", "constant"]) == 0
+        _, rows = _read(out)
+        M = build_level(get_example("5.1"), 2).grid.M
+        assert {float(r[3]) for r in rows} == {correction_factor(M, 1.0)}
 
 
 class TestBench:
@@ -101,7 +106,7 @@ class TestBench:
         out = tmp_path / "bench.csv"
         args = [
             "bench", "--example", "5.1", "--n", "2", "--k", "5",
-            "--threads", "1,2", "--beta", "1", "--out", str(out),
+            "--threads", "1,2", "--beta", "1", "--step", "constant", "--out", str(out),
         ]
         assert main(args) == 0
         header, rows = _read(out)
@@ -134,8 +139,9 @@ class TestBox:
         ]
         assert main(args) == 0
         header, rows = _read(out)
-        assert header == ["k", "hnorm_increment_sq", "y_minus_p_norm"]
+        assert header == ["k", "hnorm_increment_sq", "y_minus_p_norm", "step"]
         assert len(rows) >= 1
+        assert all(0.0 < float(r[3]) <= 1.0 for r in rows)  # the box variant's step is capped at 1
         # the summary line of a fresh solve; the printed gap is the last
         # recorded one, which is ||Y - P|| of the returned iterate
         problem = get_example("5.1")

@@ -242,6 +242,14 @@ class TestSolveMulti:
             assert solve_multi([partial(task, i) for i in range(4)], pool) == [0, 10, 20, 30]
         assert finished == ([1, 2, 3, 0] if workers else [0, 1, 2, 3])
 
+    def test_single_task_runs_on_the_calling_thread(self):
+        # a batch of one task has nothing to overlap, so it skips the
+        # pool's hand-off; a batch of two still uses the pool
+        with ThreadPoolExecutor(2) as pool:
+            caller = threading.get_ident()
+            assert solve_multi([threading.get_ident], pool) == [caller]
+            assert caller not in solve_multi([threading.get_ident] * 2, pool)
+
     def test_identity_passthrough(self):
         f = factorize(sp.identity(4))
         rhs = np.arange(12.0).reshape(4, 3)

@@ -671,10 +671,14 @@ class TestSolve:
                 "y0_nodal": np.zeros(sys.ndof),
             }
         )
-        w, report = solve(sys, _config(sys))
-        assert report.converged
-        assert report.iterations == 1
-        assert np.allclose(w.U, 0.0) and np.allclose(w.Y, 0.0)
+        for step in ("dynamic", "constant"):
+            w, report = solve(sys, _config(sys, step=step))
+            assert report.converged
+            assert report.iterations == 1
+            assert np.allclose(w.U, 0.0) and np.allclose(w.Y, 0.0)
+            # d = 0: the dynamic step's ratio is 0 / 0, so the step is nu
+            assert report.step_history.tolist() == [correction_factor(2, 1.0)]
+            assert report.increment_history.tolist() == [0.0]
 
     def test_saddle_point_is_fixed(self):
         sys = random_system(1, n=2, M=3)
@@ -786,7 +790,9 @@ class TestSolve:
         assert workers == [min(8, len(os.sched_getaffinity(0)))]
 
     def test_pool_threads_end_with_the_solve(self):
-        sys = random_system(13, n=2, M=19)
+        # three groups, so the batches have tasks for the pool (a batch of
+        # one task runs on the calling thread)
+        sys = random_system(13, n=2, M=2 * splitting_solver.CHUNK_COLS + 5)
         config = _config(sys, epsilon=0.0, k_max=5, bounds=(-0.5, 0.5), thread_count=2)
         before = threading.active_count()
         solve(sys, config)
@@ -819,10 +825,12 @@ class TestSolve:
         rhs = sys.rhs.copy()
         rhs[0, 1] = np.nan
         sys = dataclasses.replace(sys, rhs=rhs)
-        _, report = solve(sys, _config(sys, k_max=50))
-        assert report.iterations == 1
-        assert report.stop_reason == "non_finite"
-        assert not report.converged
+        for step in ("dynamic", "constant"):
+            _, report = solve(sys, _config(sys, k_max=50, step=step))
+            assert report.iterations == 1
+            assert report.stop_reason == "non_finite"
+            assert not report.converged
+            assert np.isnan(report.step_history[0]) == (step == "dynamic")
 
     def test_iteration_cap_reported(self):
         sys = random_system(9, n=2, M=2)
@@ -833,15 +841,28 @@ class TestSolve:
         assert len(report.increment_history) == 7
 
     def test_benchmark_stop(self):
-        # the benchmark's time-to-tolerance solve: a change of round-off that
-        # moves its iteration count shows here first
+        # the benchmark's time-to-tolerance solve with the paper's constant
+        # step: a change of round-off that moves its iteration count shows
+        # here first
         prob = get_example("5.1")
         sys = build_level(prob, 16)
-        w, report = solve(sys, SolverConfig(alpha=prob.alpha, beta=prob.beta))
+        w, report = solve(sys, SolverConfig(alpha=prob.alpha, beta=prob.beta, step="constant"))
         assert report.stop_reason == "converged" and report.iterations == 2038
+        assert np.array_equal(report.step_history, np.full(2038, correction_factor(sys.grid.M, 1.0)))
         star = solve_kkt(sys, prob.alpha)
         for got, want in ((w.Y, star.Y_star), (w.U, star.U_star)):
             assert np.linalg.norm(got - want) <= 5e-3 * np.linalg.norm(want)
+
+    def test_benchmark_stop_dynamic(self):
+        # the same solve with the default dynamic step: its exact count, and
+        # at the same tolerance it stops nearer the saddle point
+        prob = get_example("5.1")
+        sys = build_level(prob, 16)
+        w, report = solve(sys, SolverConfig(alpha=prob.alpha, beta=prob.beta))
+        assert report.stop_reason == "converged" and report.iterations == 100
+        star = solve_kkt(sys, prob.alpha)
+        for got, want, rtol in ((w.Y, star.Y_star, 1e-5), (w.U, star.U_star, 5e-4)):
+            assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
 
     def test_carried_residual_does_not_drift(self):
         prob = get_example("5.1")
@@ -1095,15 +1116,15 @@ class TestMirrorBasisLoop:
         # identity's operands; and d's state products with
         # constraint_products' writer, bit for bit.
         errors, states = [], []
-        real = splitting_solver.advance_rows
+        real = splitting_solver.measure_rows
 
-        def recording(sys_, w, d, q, config, nu, rows, work):
+        def recording(sys_, w, d, q, config, rows, work):
             assert rows == slice(0, sys_.ndof)  # one group at M <= CHUNK_COLS
             errors.append(_control_product_error(sys_, w, d, q, config))
             states.append(np.array_equal(d.products[1:3], constraint_products(sys_, d.Y, d.U)[1:3]))
-            return real(sys_, w, d, q, config, nu, rows, work)
+            return real(sys_, w, d, q, config, rows, work)
 
-        monkeypatch.setattr(splitting_solver, "advance_rows", recording)
+        monkeypatch.setattr(splitting_solver, "measure_rows", recording)
         prob = get_example("5.1")
         config = SolverConfig(alpha=prob.alpha, beta=prob.beta if bounds is None else 0.3, bounds=bounds,
                               k_max=400)
@@ -1146,6 +1167,136 @@ class TestSolveBox:
         assert w.P.max() <= hi + 1e-12
 
 
+class TestDynamicStep:
+    """The default correction step alpha_k = gamma phi / ||d||_H^2
+    (``step_length``) against the paper's constant nu."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        bc=st.sampled_from([NEUMANN, DIRICHLET]),
+        n=st.sampled_from([2, 3]),
+        M=st.integers(min_value=1, max_value=4),
+        box=st.booleans(),
+        beta=st.floats(min_value=0.1, max_value=10.0),
+        gamma=st.floats(min_value=0.05, max_value=1.95),
+    )
+    def test_step_at_least_the_constant_one(self, seed, bc, n, M, box, beta, gamma):
+        # ||C d||^2 <= L sum_l ||C_l d_l||^2 bounds alpha_k below by nu;
+        # the tolerance is the ratio's round-off
+        sys = random_system(seed, n=n, M=M, bc=bc)
+        config = _config(sys, beta=beta, gamma=gamma, epsilon=0.0, k_max=8, bounds=(-0.5, 0.5) if box else None)
+        _, report = solve(sys, config)
+        nu = correction_factor(M, gamma, blocks_per_step=3 if box else 2)
+        assert np.all(report.step_history >= nu * (1.0 - 1e-12))
+        assert not box or np.all(report.step_history <= 1.0)
+
+    @staticmethod
+    def _contraction_violations(example, beta, gamma, bounds, K) -> int:
+        """Iterations of a K-step solve of ``example`` at n = 8 that break
+        criterion 2's inequality ||w+ - w*||_H^2 <= ||w - w*||_H^2
+        - (2 - gamma)/gamma ||w - w+||_H^2 against the oracle's saddle point
+        (with P* = Y* and mu* = 0 under bounds that never bind), with
+        criterion 2's slack of 1e-10 ||w^1 - w*||_H^2; a NaN breaks it."""
+        prob = get_example(example)
+        sys = build_level(prob, 8)
+        star = solve_kkt(sys, prob.alpha)
+        w_star = Iterate.of(star.U_star, star.Y_star, star.lambda_star,
+                            *((star.Y_star, np.zeros_like(star.Y_star)) if bounds else ()))
+        dist = []
+        config = SolverConfig(alpha=prob.alpha, beta=beta, gamma=gamma, bounds=bounds, epsilon=0.0, k_max=K)
+        _, report = solve(sys, config, monitor=lambda k, w: dist.append(h_norm_sq(sys, iterate_diff(w, w_star), beta)))
+        dist = np.asarray(dist)
+        rhs = dist[:-1] - ((2.0 - gamma) / gamma) * report.increment_history[:-1]
+        return int(np.sum(~(dist[1:] <= rhs + 1e-10 * dist[0])))
+
+    @pytest.mark.parametrize("example,beta,gamma,bounds", [
+        ("5.1", 10.0, 1.0, None), ("5.2", 100.0, 1.0, None), ("5.1", 0.3, 1.5, (-1e6, 1e6))])
+    def test_contraction_inequality(self, example, beta, gamma, bounds, monkeypatch):
+        # criterion 2 holds for the dynamic step at every iteration; a copy
+        # whose step drops the cross term (alpha = gamma, capped at 1 under
+        # bounds) breaks it
+        assert self._contraction_violations(example, beta, gamma, bounds, 500) == 0
+        monkeypatch.setattr(splitting_solver, "cross_term", lambda d, work: 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert self._contraction_violations(example, beta, gamma, bounds, 200) > 0
+
+    def test_cap_keeps_copies_in_bounds(self, monkeypatch):
+        # P stays in the bounds at every monitored iterate, up to the change
+        # of basis's rounding (a few ulps; the copies are convex combinations
+        # in the mirror basis); without the cap, steps above 1 push P out
+        sys = random_system(5, n=3, M=4)
+        lo, hi = -0.5, 0.5
+        config = _config(sys, gamma=1.9, bounds=(lo, hi), epsilon=0.0, k_max=100)
+
+        def violation():
+            worst = [0.0]
+
+            def monitor(k, w):
+                worst[0] = max(worst[0], lo - w.P.min(), w.P.max() - hi)
+            _, report = solve(sys, config, monitor=monitor)
+            return worst[0], report.step_history
+
+        worst, steps = violation()
+        assert worst <= 1e-15 and steps.max() == 1.0
+        real = splitting_solver.step_length
+        monkeypatch.setattr(splitting_solver, "step_length",
+                            lambda config, *sums: real(dataclasses.replace(config, bounds=None), *sums))
+        worst, steps = violation()
+        assert steps.max() > 1.0 and worst > 1e-2
+
+    @pytest.mark.parametrize("box", [False, True])
+    @pytest.mark.parametrize("M", [19, 2 * splitting_solver.CHUNK_COLS + 5])
+    def test_bitwise_across_threads(self, M, box):
+        # one group (both passes in one task) and three groups (the sums of
+        # all groups, then a second batch), at 1 and 2 threads
+        sys = random_system(14, n=3, M=M)
+        assert len(group_blocks(sys.mirror_basis.sizes, M)) == (1 if M <= splitting_solver.CHUNK_COLS else 3)
+        runs = [solve(sys, _config(sys, beta=0.8, epsilon=0.0, k_max=12, thread_count=threads,
+                                   bounds=(-0.5, 0.5) if box else None)) for threads in (1, 2)]
+        (w1, r1), (w2, r2) = runs
+        assert np.array_equal(w1.z, w2.z)
+        for name in ("increment_history", "step_history") + (("gap_history",) if box else ()):
+            assert np.array_equal(getattr(r1, name), getattr(r2, name)), name
+        assert len(set(r1.step_history.tolist())) > 1  # the step moves
+
+    @pytest.mark.parametrize("box", [False, True])
+    def test_second_batch_only_where_the_step_needs_every_group(self, box, monkeypatch):
+        # per iteration: the box variant's projection batch, then one task
+        # per group; a second batch only for the dynamic step over several
+        # groups
+        batches = []
+        real = splitting_solver.solve_multi
+
+        def counting(tasks, pool=None):
+            batches.append(len(tasks))
+            return real(tasks, pool)
+
+        monkeypatch.setattr(splitting_solver, "solve_multi", counting)
+        K = 3
+        for M, step, group_batches in ((19, "dynamic", 1), (69, "constant", 1), (69, "dynamic", 2)):
+            sys = random_system(15, n=3, M=M)
+            groups = len(group_blocks(sys.mirror_basis.sizes, M))
+            batches.clear()
+            solve(sys, _config(sys, epsilon=0.0, k_max=K, step=step, bounds=(-0.5, 0.5) if box else None))
+            projection = [len(splitting_solver._chunks(M))] if box else []
+            assert batches == (projection + [groups] * group_batches) * K, (M, step)
+
+    @pytest.mark.parametrize("example", ["5.1", "5.2"])
+    def test_both_rules_reach_the_oracle(self, example):
+        prob = get_example(example)
+        sys = build_level(prob, 4)
+        star = solve_kkt(sys, prob.alpha)
+        counts = {}
+        for step in ("constant", "dynamic"):
+            w, report = solve(sys, SolverConfig(alpha=prob.alpha, beta=1.0, epsilon=1e-22, k_max=50_000, step=step))
+            assert report.converged, step
+            counts[step] = report.iterations
+            for got, want in ((w.Y, star.Y_star), (w.U, star.U_star)):
+                assert np.linalg.norm(got - want) <= 1e-7 * np.linalg.norm(want), step
+        assert 5 * counts["dynamic"] < counts["constant"]  # 641 against 7857 (5.1), 2123 against 12370 (5.2)
+
+
 class TestConfigValidation:
     def test_parameter_checks(self):
         for bad in (0.0, math.nan, math.inf):
@@ -1169,6 +1320,10 @@ class TestConfigValidation:
         for bad in (0, 1.5):
             with pytest.raises(ValueError, match="thread_count"):
                 SolverConfig(alpha=1.0, beta=1.0, thread_count=bad)
+        assert SolverConfig(alpha=1.0, beta=1.0).step == "dynamic"
+        for bad in ("Constant", "adaptive", None):
+            with pytest.raises(ValueError, match="step"):
+                SolverConfig(alpha=1.0, beta=1.0, step=bad)
 
 
 def _superlu_factors(sys, config, monkeypatch):

@@ -1,6 +1,6 @@
 """Time this tree's solver against a git revision's, interleaved in one process.
 
-    python3 tools/ab.py REV [--rounds 10] [--out BENCH_ab.json]
+    python3 tools/ab.py REV [--rounds 10] [--step dynamic|constant] [--out BENCH_ab.json]
 
 Run from the repository root.  The tool exports ``git archive REV`` into a
 temporary directory and imports both ``src/parasplit`` trees side by side
@@ -27,6 +27,10 @@ the level's mirror basis, as on a newly built level), timed call by call:
   oracle-ladder   solve_kkt on examples 5.1 and 5.2 at n = 4, 8, 16 and 24
                   (the benchmark's oracle ladder, without its level builds
                   and error norms)
+
+``--step`` sets ``SolverConfig.step`` in the change's splitting cells only
+(REV's config may not have the field), so ``--step constant`` checks the
+paper's constant step bit for bit against a base that has only that rule.
 
 Per cell and tree the output holds the sum over iterations (or calls) of
 each one's fastest time across the rounds (as ``bench/run.py`` forms
@@ -103,10 +107,12 @@ def load(alias: str, src: Path):
 
 
 class Tree:
-    """One tree's package, with each cell's levels built once."""
+    """One tree's package, with each cell's levels built once and
+    ``config``'s fields added to every splitting cell's."""
 
-    def __init__(self, package, cells):
+    def __init__(self, package, cells, config=None):
         self.package = package
+        self.config = config or {}
         experiments = package.experiments
         self.problems = {"5.1": experiments.example_5_1(), "5.2": experiments.example_5_2()}
         rungs = {rung for cell in cells for rung in cell.rungs or [("5.1", cell.n)]}
@@ -118,7 +124,8 @@ class Tree:
         if cell.rungs:
             return self.run_oracle(cell)
         problem = self.problems["5.1"]
-        config = self.package.SolverConfig(**{"alpha": problem.alpha, "beta": problem.beta, **cell.config})
+        config = self.package.SolverConfig(**{"alpha": problem.alpha, "beta": problem.beta, **cell.config,
+                                              **self.config})
         stamps = []
         w, report = self.package.solve(self.levels["5.1", cell.n], config,
                                        monitor=lambda k, v: stamps.append(time.perf_counter()))
@@ -141,12 +148,13 @@ def _summary(sums: list[float], per_iteration: list[list[float]]) -> dict:
             "median_s": median, "q1_s": q1, "q3_s": q3}
 
 
-def compare(base, change, cells=CELLS, rounds: int = 10) -> dict:
+def compare(base, change, cells=CELLS, rounds: int = 10, step: str | None = None) -> dict:
     """Run every cell ``rounds`` (at least 2) times on the packages
-    ``base`` and ``change``, alternating which goes first; per cell, the
-    timings of both, the rounds the change won, the iteration counts and
-    the final iterates' difference."""
-    trees = {"base": Tree(base, cells), "change": Tree(change, cells)}
+    ``base`` and ``change``, alternating which goes first, the change's
+    splitting cells with ``step`` as their step rule when given; per cell,
+    the timings of both, the rounds the change won, the iteration counts
+    and the final iterates' difference."""
+    trees = {"base": Tree(base, cells), "change": Tree(change, cells, {"step": step} if step else None)}
     for tree in trees.values():  # untimed: caches, allocator and pool start-up
         tree.run(dataclasses.replace(cells[0], config={**cells[0].config, "epsilon": 0.0, "k_max": 5}))
     times = {cell.name: {side: [] for side in trees} for cell in cells}
@@ -186,6 +194,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev", help="the base revision, e.g. HEAD or a commit")
     parser.add_argument("--rounds", type=int, default=10)
+    parser.add_argument("--step", choices=["dynamic", "constant"], default=None,
+                        help="the change's step rule (default: its SolverConfig default)")
     parser.add_argument("--out", type=Path, default=sweep_common.ROOT / "BENCH_ab.json")
     args = parser.parse_args(argv)
     if args.rounds < 2:
@@ -193,9 +203,10 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         base = load("parasplit_ab_base", export(args.rev, Path(tmp)))
         change = load("parasplit_ab_change", sweep_common.ROOT / "src")
-        cells = compare(base, change, rounds=args.rounds)
+        cells = compare(base, change, rounds=args.rounds, step=args.step)
     record = {
-        "command": f"python3 tools/ab.py {args.rev} --rounds {args.rounds}",
+        "command": f"python3 tools/ab.py {args.rev} --rounds {args.rounds}"
+                   + (f" --step {args.step}" if args.step else ""),
         "base": _git("rev-parse", args.rev),
         "change": {"head": _git("rev-parse", "HEAD"),
                    "uncommitted_src": bool(_git("status", "--porcelain", "--", "src"))},
