@@ -75,35 +75,33 @@ iterates with their products, which swap roles every iteration (the
 difference is written into the spare one, then overwritten in place by the
 correction), q, one slab of scratch and each group's right-hand sides.
 ``thread_count`` sets the workers of one thread pool opened per solve,
-capped at the CPUs the process may run on; a single thread, or a batch of
-one task, runs inline.  An iteration's work is split into one task per
-group of whole mirror blocks (``Group``, ``group_blocks``), a contiguous
-run of rows, at all M time steps.  In the mirror basis every operator the
+capped at the CPUs the process may run on; where that leaves one worker
+no pool is opened, and a batch of one task runs inline.  An iteration's
+work is split into one task per group of whole mirror blocks (``Group``,
+``group_blocks``), a contiguous run of rows, at all M time steps.  In the mirror basis every operator the
 prediction applies is block diagonal and every other step is elementwise,
 so a group's rows need no other rows.  A group's work is, on its rows:
 
-- ``predict_rows``: the control and state right-hand sides, their solves
-  against the group's blocks of the factors (per block, one batched
+- ``predict_rows``, which opens the measuring task: the control and state
+  right-hand sides, their solves against the group's blocks of the
+  factors (per block, one batched
   product applies its control and state inverses to both, and one more
   solves step M again against its terminal inverse), tau A d_U from the
   control solve, the difference (d_U, d_Y) in one ufunc call, d's state
   products (``write_products``: step_plus d_Y, and step_minus d_Y one
   column on, in the block row it enters) and the box variant's d_P.  Every
   one-step shift runs over the flat rows (``one_step_on``);
-- ``measure_rows``, the measuring pass: C d and the multipliers'
-  differences (``couple_difference``), and the rows' shares of d's H-norm
-  and of the step's cross term (``cross_term``);
-- ``advance_rows``, the advancing pass: the correction with the step, the
+- ``measure_group``, the rest of the measuring task: C d and the
+  multipliers' differences (``couple_difference``), and the rows' shares
+  of d's H-norm and of the step's cross term (``cross_term``);
+- ``advance_group``, the advancing task: the correction with the step, the
   box gap and the next iteration's q.
 
-The step is a sum over all rows, so every group's advancing pass waits for
-every group's measuring pass.  Where a task can know the step from its own
-sums, under the constant rule or with one group holding every row, one
-batch runs both passes back to back in each group's task
-(``advance_group``).  With the dynamic rule and several groups, the first
-batch ends after the measuring pass, the calling thread forms the step
-from the sums, and a second batch runs the advancing passes
-(``finish_group``).
+The step is a sum over all rows, so every group's advancing task waits for
+every group's measuring task.  Every iteration has the same shape under
+either step rule: the measuring batch (``predict_and_measure``, which
+``predict`` shares), the step from the sums on the calling thread
+(``step_length``, the one reader of the rule), then the advancing batch.
 
 A group's rows of a C-order slab are contiguous, so every call runs on
 contiguous runs of each slab.  With one group (M <= CHUNK_COLS, every
@@ -119,9 +117,8 @@ d_P = P - P~.
 The calling thread keeps the monitor and sums the groups' partial norms
 and cross terms, which ``solve_multi`` returns in group order: each sums
 over rows, so a group's value is its share of the whole's.  Groups and
-chunks are fixed by M and the block sizes alone, and so is the choice of
-one batch or two, so the iterates, steps, increments and gaps are
-bit-identical for every thread count.
+chunks are fixed by M and the block sizes alone, so the iterates, steps,
+increments and gaps are bit-identical for every thread count.
 """
 
 from __future__ import annotations
@@ -265,12 +262,14 @@ class SolveReport:
     ``step_history`` holds each iteration's correction step
     (``step_length``): alpha_k under the dynamic rule, nu repeated under the
     constant one.  ``seconds_predict`` and ``seconds_correct`` are measured
-    where the work runs: each group's task times its ``predict_rows`` and
-    its row passes (``measure_rows``, ``advance_rows``).  Per batch they are
-    the two times of the thread busiest in it (its groups' times summed, as
-    its tasks run one after another), summed over batches and iterations;
-    the box variant's projection batch adds to ``seconds_predict``, the
-    dynamic rule's second batch (several groups) to ``seconds_correct``.
+    where the work runs: each group's measuring task (``measure_group``)
+    times its ``predict_rows`` and the rest, its advancing task
+    (``advance_group``) the whole.  Per batch they are the times of the
+    thread busiest in it (its groups' times summed, as its tasks run one
+    after another), summed over batches and iterations: ``seconds_predict``
+    is the prediction plus the box variant's projection batch,
+    ``seconds_correct`` the rest of the measuring batch plus the advancing
+    batch.
     At 1 thread every task runs on the calling thread, so they are the
     phases' exact times; with several, the times of the phases' longest
     path through the pool.
@@ -618,33 +617,6 @@ def predict_rows(group: Group, w: Iterate, q: np.ndarray, config: SolverConfig, 
         np.subtract(w.P, d.P, out=d.P)
 
 
-def predict(sys: DiscreteSystem, w: Iterate, config: SolverConfig, factors: PredictionFactors,
-            pool=None) -> Iterate:
-    """One full prediction sweep; all subproblems read the same w and q.
-
-    Runs what an iteration of ``solve`` runs before its row pass, on
-    ``pool`` (None: inline): in the box variant the projection batch
-    (``project_copies``), then one ``predict_rows`` task per group of the
-    system's blocks (``Group.partition``); then ``couple_difference`` forms
-    what couples the columns: C d and the multipliers' differences.  Uses
-    the products w carries, forming them first when it carries none, and
-    forms w's shifted residual q.  The predicted iterate w - d is returned
-    with its products.
-    """
-    box = config.bounds is not None
-    if w.products is None:
-        w = w.with_products(sys)
-    q = compute_q(sys, w, config.beta)
-    d = Iterate.zeros(*w.U.shape, box=box, products=True)
-    slab = np.empty_like(q)
-    if box:
-        solve_multi([partial(project_copies, sys, w, config, cols, d.P, Z, work)
-                     for cols, Z, work in copy_chunks(sys, slab)], pool)
-    solve_multi([partial(predict_rows, group, w, q, config, d) for group in Group.partition(sys, factors)], pool)
-    couple_difference(w, d, q, config, slab)
-    return iterate_diff(w, d, out=d)
-
-
 def _operands(*iterates: Iterate) -> tuple[list[tuple[np.ndarray, ...]], bool]:
     """The operands of elementwise work on iterates of one shape, and
     whether they hold the products.  The arrays are the backing arrays
@@ -762,104 +734,84 @@ def step_length(config: SolverConfig, nu: float, h_sq: float, cross: float) -> f
     return 1.0 if config.bounds is not None and alpha > 1.0 else alpha
 
 
-def measure_rows(
-    sys: DiscreteSystem,
-    w: Iterate,
-    w_t: Iterate,
-    q: np.ndarray,
-    config: SolverConfig,
-    rows: slice,
-    work: np.ndarray,
-) -> tuple[float, float]:
-    """The measuring pass on the rows ``rows``, after ``predict_rows`` has
-    written the difference d = w - w~ of those rows into w_t: d_U, d_Y,
-    their products and the box variant's d_P.
-
-    ``couple_difference`` completes d.  Returns the rows' share of d^T H d
-    and, under the dynamic rule, of ``cross_term`` (0 under the constant
-    rule).  ``work`` (the rows of a slab-shaped array) holds the
-    temporaries.
-    """
-    w_rows, d = w.rows(rows), w_t.rows(rows)
-    couple_difference(w_rows, d, q[rows], config, work)
-    h_sq = h_norm_sq(sys, d, config.beta, work)
-    return h_sq, cross_term(d, work) if config.step == "dynamic" else 0.0
-
-
-def advance_rows(
-    sys: DiscreteSystem,
-    w: Iterate,
-    w_t: Iterate,
-    q: np.ndarray,
-    config: SolverConfig,
-    step: float,
-    rows: slice,
-    work: np.ndarray,
-) -> float:
-    """The advancing pass on the rows ``rows``, after ``measure_rows``: the
-    corrected iterate w - step d overwrites d in w_t, over the iterate and
-    its products, and the rows of ``q`` receive its shifted residual.
-    Returns the rows' share of the corrected iterate's ||Y - P||^2 (0 in
-    the plain variant).  ``work`` is as for ``measure_rows``.
-    """
-    w_rows, d = w.rows(rows), w_t.rows(rows)
-    correct(w_rows, d, step)
-    gap_sq = _sq(np.subtract(d.Y, d.P, out=work)) if d.is_box else 0.0
-    compute_q(sys, w_t, config.beta, rows, out=q[rows], work=work)
-    return gap_sq
-
-
-def advance_group(
-    sys: DiscreteSystem,
-    group: Group,
-    w: Iterate,
-    w_t: Iterate,
-    q: np.ndarray,
-    config: SolverConfig,
-    nu: float,
-    work: np.ndarray,
-    advance: bool,
-) -> tuple[tuple[float, float, float], tuple[float, float, int]]:
-    """One task of an iteration's group batch: ``predict_rows`` on the
-    group's rows into w_t, then ``measure_rows`` on the same rows and, when
-    ``advance``, ``advance_rows`` with the step ``step_length`` gives for
-    the rows' own sums (the caller sets it where those are the step's: the
-    constant rule, or a single group).  Returns the rows' shares of
-    d^T H d, of the cross term and of the gap (0 when not advanced), and
-    the seconds of the prediction and of the row passes with the thread
-    that ran them."""
+def measure_group(sys: DiscreteSystem, group: Group, w: Iterate, d: Iterate, q: np.ndarray, config: SolverConfig,
+                  work: np.ndarray) -> tuple[tuple[float, float], tuple[float, float, int]]:
+    """One task of an iteration's measuring batch, on the rows of ``group``:
+    ``predict_rows`` writes the difference d = w - w~ of those rows into d,
+    and ``couple_difference`` completes it.  Returns the rows' shares of
+    d^T H d and of ``cross_term``, and the seconds of the prediction and of
+    the rest with the thread that ran them.  ``work`` (the group's rows of a
+    slab-shaped array) holds the temporaries."""
     t0 = time.perf_counter()
-    predict_rows(group, w, q, config, w_t)
+    predict_rows(group, w, q, config, d)
     t1 = time.perf_counter()
-    h_sq, cross = measure_rows(sys, w, w_t, q, config, group.rows, work)
-    gap_sq = 0.0
-    if advance:
-        gap_sq = advance_rows(sys, w, w_t, q, config, step_length(config, nu, h_sq, cross), group.rows, work)
-    return (h_sq, cross, gap_sq), (t1 - t0, time.perf_counter() - t1, threading.get_ident())
+    w, d = w.rows(group.rows), d.rows(group.rows)
+    couple_difference(w, d, q[group.rows], config, work)
+    sums = h_norm_sq(sys, d, config.beta, work), cross_term(d, work)
+    return sums, (t1 - t0, time.perf_counter() - t1, threading.get_ident())
 
 
-def finish_group(
-    sys: DiscreteSystem,
-    group: Group,
-    w: Iterate,
-    w_t: Iterate,
-    q: np.ndarray,
-    config: SolverConfig,
-    step: float,
-    work: np.ndarray,
-) -> tuple[float, tuple[float, float, int]]:
-    """One task of the dynamic rule's second batch: ``advance_rows`` on the
-    group's rows with the step of all rows.  Returns the rows' share of the
-    gap, and no prediction seconds and the pass's with the thread that ran
-    it."""
+def advance_group(sys: DiscreteSystem, group: Group, w: Iterate, d: Iterate, q: np.ndarray, config: SolverConfig,
+                  step: float, work: np.ndarray) -> tuple[float, tuple[float, float, int]]:
+    """One task of an iteration's advancing batch, on the rows of ``group``,
+    after ``measure_group``: the corrected iterate w - step d overwrites d,
+    over the iterate and its products, and those rows of ``q`` receive its
+    shifted residual.  Returns the rows' share of the corrected iterate's
+    ||Y - P||^2 (0 in the plain variant), and no prediction seconds and the
+    pass's with the thread that ran it.  ``work`` is as for
+    ``measure_group``."""
     t0 = time.perf_counter()
-    gap_sq = advance_rows(sys, w, w_t, q, config, step, group.rows, work)
+    rows = group.rows
+    d_rows = correct(w.rows(rows), d.rows(rows), step)
+    gap_sq = _sq(np.subtract(d_rows.Y, d_rows.P, out=work)) if d.is_box else 0.0
+    compute_q(sys, d, config.beta, rows, out=q[rows], work=work)
     return gap_sq, (0.0, time.perf_counter() - t0, threading.get_ident())
+
+
+def predict_and_measure(sys: DiscreteSystem, groups: list[Group], copies: list[tuple], w: Iterate, d: Iterate,
+                        q: np.ndarray, config: SolverConfig, work: np.ndarray, pool=None) -> tuple[float, list]:
+    """The first half of an iteration, on ``pool`` (None: inline): in the
+    box variant the projection batch, one ``project_copies`` task per entry
+    of ``copies`` (``copy_chunks``), writes P~ into d's P slab; then the
+    measuring batch runs one ``measure_group`` task per group, which leaves
+    the difference d = w - w~ in d, with its products.  Returns the
+    projection batch's seconds and the measuring tasks' results in group
+    order."""
+    t0 = time.perf_counter()
+    if config.bounds is not None:
+        solve_multi([partial(project_copies, sys, w, config, cols, d.P, Z, basis_work)
+                     for cols, Z, basis_work in copies], pool)
+    t1 = time.perf_counter()
+    return t1 - t0, solve_multi([partial(measure_group, sys, group, w, d, q, config, work[group.rows])
+                                 for group in groups], pool)
+
+
+def predict(sys: DiscreteSystem, w: Iterate, config: SolverConfig, factors: PredictionFactors,
+            pool=None) -> Iterate:
+    """One full prediction sweep; all subproblems read the same w and q.
+
+    Runs the first half of an iteration of ``solve``
+    (``predict_and_measure``) on ``pool`` (None: inline), over the system's
+    groups (``Group.partition``): in the box variant the projection batch,
+    then the measuring batch, which leaves the difference d = w - w~ with
+    its products.  Uses the products w carries, forming them first when it
+    carries none, and forms w's shifted residual q.  The predicted iterate
+    w - d is returned with its products.
+    """
+    box = config.bounds is not None
+    if w.products is None:
+        w = w.with_products(sys)
+    q = compute_q(sys, w, config.beta)
+    d = Iterate.zeros(*w.U.shape, box=box, products=True)
+    work = np.empty_like(q)
+    copies = copy_chunks(sys, work) if box else []
+    predict_and_measure(sys, Group.partition(sys, factors), copies, w, d, q, config, work, pool)
+    return iterate_diff(w, d, out=d)
 
 
 def _busiest(times: list[tuple[float, float, int]]) -> tuple[float, float]:
     """The prediction and row-pass seconds of the thread busiest in a batch,
-    its tasks' times (``advance_group``, ``finish_group``) summed."""
+    its tasks' times (``measure_group``, ``advance_group``) summed."""
     busy: dict[int, tuple[float, float]] = {}
     for predict_s, correct_s, thread in times:
         p, c = busy.get(thread, (0.0, 0.0))
@@ -869,11 +821,10 @@ def _busiest(times: list[tuple[float, float, int]]) -> tuple[float, float]:
 
 def _worker_pool(thread_count: int):
     """One executor for a whole solve, with at most one worker per usable
-    CPU; a null context (inline solves) for a single thread."""
-    if thread_count == 1:
-        return nullcontext()
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return ThreadPoolExecutor(min(thread_count, cpus))
+    CPU; a null context (inline solves) where that leaves one worker."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(thread_count, cpus)
+    return nullcontext() if workers == 1 else ThreadPoolExecutor(workers)
 
 
 class _NodeView(Iterate):
@@ -914,7 +865,10 @@ def solve(sys: DiscreteSystem, config: SolverConfig, monitor=None) -> tuple[Iter
     in node coordinates and without products.  Its arrays are formed from
     the solver's working storage when the monitor first reads them (a
     monitor that reads none costs no change of basis), so the monitor
-    must read them during the call, and must not change them.
+    must read them during the call, and must not change them.  In the box
+    variant a monitored P may lie outside the bounds by a few ulps: the
+    loop keeps P in the bounds in the mirror basis, and the change of
+    basis rounds.  Only the returned P is clipped.
     """
     if config.alpha != sys.alpha:
         raise ValueError(f"config alpha {config.alpha} does not match the system's alpha {sys.alpha}")
@@ -936,9 +890,6 @@ def solve(sys: DiscreteSystem, config: SolverConfig, monitor=None) -> tuple[Iter
     work = np.empty_like(q)
     copies = copy_chunks(sys, work) if box else []
 
-    # The groups' tasks can advance on their own sums under the constant
-    # rule, or when one group holds every row; else a second batch does.
-    fused = config.step == "constant" or len(groups) == 1
     increments: list[float] = []
     steps: list[float] = []
     gaps: list[float] = [] if box else None
@@ -952,23 +903,15 @@ def solve(sys: DiscreteSystem, config: SolverConfig, monitor=None) -> tuple[Iter
             k += 1
             if monitor is not None:
                 monitor(k, _NodeView(basis, w.z))
-            if box:  # the copies mix the blocks: P~ into spare's P slab, chunk by chunk
-                t1 = time.perf_counter()
-                solve_multi([partial(project_copies, sys, w, config, cols, spare.P, Z, basis_work)
-                             for cols, Z, basis_work in copies], pool)
-                t_predict += time.perf_counter() - t1
-            done = solve_multi([partial(advance_group, sys, group, w, spare, q, config, nu, work[group.rows],
-                                        fused) for group in groups], pool)
-            h_sq, cross, gap_sq = [sum(c) for c in zip(*(sums for sums, _ in done))]  # in group order
+            project_s, measured = predict_and_measure(sys, groups, copies, w, spare, q, config, work, pool)
+            h_sq, cross = [sum(c) for c in zip(*(sums for sums, _ in measured))]  # in group order
             step = step_length(config, nu, h_sq, cross)
-            predict_s, correct_s = _busiest([times for _, times in done])
-            if not fused:
-                rest = solve_multi([partial(finish_group, sys, group, w, spare, q, config, step, work[group.rows])
+            advanced = solve_multi([partial(advance_group, sys, group, w, spare, q, config, step, work[group.rows])
                                     for group in groups], pool)
-                gap_sq = sum(gap for gap, _ in rest)
-                correct_s += _busiest([times for _, times in rest])[1]
-            t_predict += predict_s
-            t_correct += correct_s
+            gap_sq = sum(gap for gap, _ in advanced)
+            predict_s, measure_s = _busiest([times for _, times in measured])
+            t_predict += project_s + predict_s
+            t_correct += measure_s + _busiest([times for _, times in advanced])[1]
             w, spare = spare, w
             # w - w_next = step d, and the H-norm is quadratic.
             inc = step * step * h_sq

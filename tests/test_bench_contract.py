@@ -205,16 +205,19 @@ def test_ab_runs_head_against_itself(tmp_path, monkeypatch):
         small = (("5.1", 4), ("5.2", 4))  # the oracle cell on small rungs
         cells = [dataclasses.replace(c, rungs=small) if c.rungs else
                  dataclasses.replace(c, n=4, config={**c.config, "k_max": 20}) for c in ab.CELLS]
-        out = ab.compare(base, change, cells, rounds=2)
+        assert ab.takes_step(base) and ab.takes_step(change)
+        # the default rule, and --step constant, which both trees take
+        runs = [ab.compare(base, change, cells, rounds=2, step=step) for step in (None, "constant")]
     finally:
         for name in [m for m in sys.modules if m.split(".")[0] in aliases]:
             del sys.modules[name]
-    assert list(out) == [c.name for c in ab.CELLS] and "oracle-ladder" in out
-    for name, cell in out.items():
-        count = len(small) if name == "oracle-ladder" else 20  # calls, or iterations
-        slabs = 3 * len(small) if name == "oracle-ladder" else len(cell["max_rel_diff_per_slab"])
-        assert cell["iterations"] == {"base": count, "change": count}, name
-        assert len(cell["max_rel_diff_per_slab"]) == slabs, name
-        assert cell["identical"] and not any(cell["max_rel_diff_per_slab"]), name
-        for side in ("base", "change"):
-            assert 0.0 < cell[side]["sum_of_minima_s"] <= cell[side]["q1_s"] <= cell[side]["q3_s"], name
+    for out in runs:
+        assert list(out) == [c.name for c in ab.CELLS] and "oracle-ladder" in out
+        for name, cell in out.items():
+            count = len(small) if name == "oracle-ladder" else 20  # calls, or iterations
+            slabs = 3 * len(small) if name == "oracle-ladder" else len(cell["max_rel_diff_per_slab"])
+            assert cell["iterations"] == {"base": count, "change": count}, name
+            assert len(cell["max_rel_diff_per_slab"]) == slabs, name
+            assert cell["identical"] and not any(cell["max_rel_diff_per_slab"]), name
+            for side in ("base", "change"):
+                assert 0.0 < cell[side]["sum_of_minima_s"] <= cell[side]["q1_s"] <= cell[side]["q3_s"], name

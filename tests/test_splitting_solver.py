@@ -774,7 +774,9 @@ class TestSolve:
             assert 0.0 < report.seconds_predict and 0.0 < report.seconds_correct
             assert report.seconds_predict + report.seconds_correct <= report.seconds_total, threads
 
-    def test_one_pool_per_threaded_solve(self, monkeypatch):
+    @staticmethod
+    def _pool_workers(monkeypatch) -> list:
+        """The worker counts of the thread pools opened from now on."""
         workers = []
         init = ThreadPoolExecutor.__init__
 
@@ -783,11 +785,28 @@ class TestSolve:
             init(self, max_workers, *args, **kwargs)
 
         monkeypatch.setattr(ThreadPoolExecutor, "__init__", counting_init)
+        return workers
+
+    def test_one_pool_per_threaded_solve(self, monkeypatch):
+        workers = self._pool_workers(monkeypatch)
         sys = random_system(12, n=2, M=19)
         solve(sys, _config(sys, epsilon=0.0, k_max=4))
         assert workers == []
         solve(sys, _config(sys, epsilon=0.0, k_max=4, thread_count=8))
-        assert workers == [min(8, len(os.sched_getaffinity(0)))]
+        cpus = len(os.sched_getaffinity(0))
+        assert workers == ([] if cpus == 1 else [min(8, cpus)])
+
+    def test_no_pool_on_one_usable_cpu(self, monkeypatch):
+        # threads asked for, one CPU to run them: no pool is opened, and the
+        # iterates are the 1-thread run's
+        sys = random_system(12, n=2, M=2 * splitting_solver.CHUNK_COLS + 5)
+        config = _config(sys, epsilon=0.0, k_max=6, bounds=(-0.5, 0.5))
+        want, _ = solve(sys, config)
+        workers = self._pool_workers(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        got, _ = solve(sys, dataclasses.replace(config, thread_count=4))
+        assert workers == []
+        assert np.array_equal(got.z, want.z)
 
     def test_pool_threads_end_with_the_solve(self):
         # three groups, so the batches have tasks for the pool (a batch of
@@ -1116,22 +1135,26 @@ class TestMirrorBasisLoop:
         # identity's operands; and d's state products with
         # constraint_products' writer, bit for bit.
         errors, states = [], []
-        real = splitting_solver.measure_rows
+        real = splitting_solver.couple_difference
+        in_basis = []  # the level's system in its mirror basis, as the loop runs it
 
-        def recording(sys_, w, d, q, config, rows, work):
-            assert rows == slice(0, sys_.ndof)  # one group at M <= CHUNK_COLS
+        def recording(w, d, q, config, work):
+            sys_ = in_basis[0]
+            assert d.U.shape[0] == sys_.ndof  # one group at M <= CHUNK_COLS
             errors.append(_control_product_error(sys_, w, d, q, config))
             states.append(np.array_equal(d.products[1:3], constraint_products(sys_, d.Y, d.U)[1:3]))
-            return real(sys_, w, d, q, config, rows, work)
+            return real(w, d, q, config, work)
 
-        monkeypatch.setattr(splitting_solver, "measure_rows", recording)
+        monkeypatch.setattr(splitting_solver, "couple_difference", recording)
         prob = get_example("5.1")
         config = SolverConfig(alpha=prob.alpha, beta=prob.beta if bounds is None else 0.3, bounds=bounds,
                               k_max=400)
         for n in (8, 16):
             errors.clear()
             states.clear()
-            _, report = solve(build_level(prob, n), config)
+            sys = build_level(prob, n)
+            in_basis[:] = [sys.in_mirror_basis()]
+            _, report = solve(sys, config)
             assert len(errors) == report.iterations and all(states), n
             assert max(errors) <= CONTROL_PRODUCT_ROUNDING, n
 
@@ -1248,23 +1271,25 @@ class TestDynamicStep:
     @pytest.mark.parametrize("box", [False, True])
     @pytest.mark.parametrize("M", [19, 2 * splitting_solver.CHUNK_COLS + 5])
     def test_bitwise_across_threads(self, M, box):
-        # one group (both passes in one task) and three groups (the sums of
-        # all groups, then a second batch), at 1 and 2 threads
+        # one group and three groups (the sums of all groups cross a
+        # barrier before the advancing batch), at 1 and 2 threads; with
+        # three groups the constant rule crosses it too
         sys = random_system(14, n=3, M=M)
         assert len(group_blocks(sys.mirror_basis.sizes, M)) == (1 if M <= splitting_solver.CHUNK_COLS else 3)
-        runs = [solve(sys, _config(sys, beta=0.8, epsilon=0.0, k_max=12, thread_count=threads,
-                                   bounds=(-0.5, 0.5) if box else None)) for threads in (1, 2)]
-        (w1, r1), (w2, r2) = runs
-        assert np.array_equal(w1.z, w2.z)
-        for name in ("increment_history", "step_history") + (("gap_history",) if box else ()):
-            assert np.array_equal(getattr(r1, name), getattr(r2, name)), name
-        assert len(set(r1.step_history.tolist())) > 1  # the step moves
+        for step in ("dynamic", "constant") if M > splitting_solver.CHUNK_COLS else ("dynamic",):
+            runs = [solve(sys, _config(sys, beta=0.8, epsilon=0.0, k_max=12, thread_count=threads, step=step,
+                                       bounds=(-0.5, 0.5) if box else None)) for threads in (1, 2)]
+            (w1, r1), (w2, r2) = runs
+            assert np.array_equal(w1.z, w2.z), step
+            for name in ("increment_history", "step_history") + (("gap_history",) if box else ()):
+                assert np.array_equal(getattr(r1, name), getattr(r2, name)), (step, name)
+            assert (len(set(r1.step_history.tolist())) > 1) == (step == "dynamic")  # the dynamic step moves
 
     @pytest.mark.parametrize("box", [False, True])
-    def test_second_batch_only_where_the_step_needs_every_group(self, box, monkeypatch):
-        # per iteration: the box variant's projection batch, then one task
-        # per group; a second batch only for the dynamic step over several
-        # groups
+    def test_every_iteration_runs_the_same_batches(self, box, monkeypatch):
+        # per iteration, under either rule and with one group or three: the
+        # box variant's projection batch, then one measuring task per
+        # group, then one advancing task per group
         batches = []
         real = splitting_solver.solve_multi
 
@@ -1274,13 +1299,15 @@ class TestDynamicStep:
 
         monkeypatch.setattr(splitting_solver, "solve_multi", counting)
         K = 3
-        for M, step, group_batches in ((19, "dynamic", 1), (69, "constant", 1), (69, "dynamic", 2)):
+        for M in (19, 2 * splitting_solver.CHUNK_COLS + 5):
             sys = random_system(15, n=3, M=M)
             groups = len(group_blocks(sys.mirror_basis.sizes, M))
-            batches.clear()
-            solve(sys, _config(sys, epsilon=0.0, k_max=K, step=step, bounds=(-0.5, 0.5) if box else None))
+            assert groups == (1 if M <= splitting_solver.CHUNK_COLS else 3)
             projection = [len(splitting_solver._chunks(M))] if box else []
-            assert batches == (projection + [groups] * group_batches) * K, (M, step)
+            for step in ("dynamic", "constant"):
+                batches.clear()
+                solve(sys, _config(sys, epsilon=0.0, k_max=K, step=step, bounds=(-0.5, 0.5) if box else None))
+                assert batches == (projection + [groups, groups]) * K, (M, step)
 
     @pytest.mark.parametrize("example", ["5.1", "5.2"])
     def test_both_rules_reach_the_oracle(self, example):

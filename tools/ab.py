@@ -28,9 +28,11 @@ the level's mirror basis, as on a newly built level), timed call by call:
                   (the benchmark's oracle ladder, without its level builds
                   and error norms)
 
-``--step`` sets ``SolverConfig.step`` in the change's splitting cells only
-(REV's config may not have the field), so ``--step constant`` checks the
-paper's constant step bit for bit against a base that has only that rule.
+``--step`` sets ``SolverConfig.step`` in the splitting cells of each tree
+whose ``SolverConfig`` has that field (``takes_step``): of both trees
+where REV has it, so both run the same rule; else of the change only, so
+``--step constant`` checks the paper's constant step bit for bit against
+a base that has only that rule.  The record names the trees that took it.
 
 Per cell and tree the output holds the sum over iterations (or calls) of
 each one's fastest time across the rounds (as ``bench/run.py`` forms
@@ -148,13 +150,19 @@ def _summary(sums: list[float], per_iteration: list[list[float]]) -> dict:
             "median_s": median, "q1_s": q1, "q3_s": q3}
 
 
+def takes_step(package) -> bool:
+    """Whether the package's ``SolverConfig`` has a ``step`` field."""
+    return "step" in {f.name for f in dataclasses.fields(package.SolverConfig)}
+
+
 def compare(base, change, cells=CELLS, rounds: int = 10, step: str | None = None) -> dict:
     """Run every cell ``rounds`` (at least 2) times on the packages
-    ``base`` and ``change``, alternating which goes first, the change's
-    splitting cells with ``step`` as their step rule when given; per cell,
-    the timings of both, the rounds the change won, the iteration counts
-    and the final iterates' difference."""
-    trees = {"base": Tree(base, cells), "change": Tree(change, cells, {"step": step} if step else None)}
+    ``base`` and ``change``, alternating which goes first, the splitting
+    cells of each tree that ``takes_step`` with ``step`` as their step rule
+    when given; per cell, the timings of both, the rounds the change won,
+    the iteration counts and the final iterates' difference."""
+    trees = {side: Tree(package, cells, {"step": step} if step and takes_step(package) else None)
+             for side, package in (("base", base), ("change", change))}
     for tree in trees.values():  # untimed: caches, allocator and pool start-up
         tree.run(dataclasses.replace(cells[0], config={**cells[0].config, "epsilon": 0.0, "k_max": 5}))
     times = {cell.name: {side: [] for side in trees} for cell in cells}
@@ -195,7 +203,7 @@ def main(argv=None) -> int:
     parser.add_argument("rev", help="the base revision, e.g. HEAD or a commit")
     parser.add_argument("--rounds", type=int, default=10)
     parser.add_argument("--step", choices=["dynamic", "constant"], default=None,
-                        help="the change's step rule (default: its SolverConfig default)")
+                        help="the step rule of each tree that has one (default: its SolverConfig default)")
     parser.add_argument("--out", type=Path, default=sweep_common.ROOT / "BENCH_ab.json")
     args = parser.parse_args(argv)
     if args.rounds < 2:
@@ -212,6 +220,9 @@ def main(argv=None) -> int:
                    "uncommitted_src": bool(_git("status", "--porcelain", "--", "src"))},
         "environment": sweep_common.environment(),
         "rounds": args.rounds,
+        "step": None if args.step is None else {"rule": args.step,
+                               "trees": [side for side, package in (("base", base), ("change", change))
+                                         if takes_step(package)]},
         "cells": cells,
     }
     records = json.loads(args.out.read_text()) if args.out.exists() else []
