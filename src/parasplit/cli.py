@@ -104,6 +104,7 @@ def cmd_box(args, problem, config) -> None:
         f"stop_reason={report.stop_reason} "
         f"P_range=[{_fmt(y_min)}, {_fmt(y_max)}] "
         f"final_gap={_fmt(float(report.gap_history[-1]))} "
+        f"seconds_setup={_fmt(report.seconds_setup)} "
         f"seconds_predict={_fmt(report.seconds_predict)} seconds_correct={_fmt(report.seconds_correct)} "
         f"factor_nnz={','.join(f'{k}:{v}' for k, v in report.factor_nnz.items())}"
     )

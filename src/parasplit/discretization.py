@@ -8,6 +8,7 @@ control are evaluated at the midpoint t_{m-1/2}.  Trajectories are stored as
 from __future__ import annotations
 
 import operator
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -120,8 +121,12 @@ class DiscreteSystem:
         of it applies both step matrices to the same trajectory, the two
         results stacked by rows.  Each row holds the entries of its step
         matrix's row in their order, so the product equals the two separate
-        ones bit for bit."""
-        return sp.vstack([self.step_plus, self.step_minus], format="csr")
+        ones bit for bit.  It is the two matrices' CSR arrays concatenated,
+        the second's row pointers moved past the first's entries."""
+        plus, minus = self.step_plus, self.step_minus
+        return sp.csr_matrix((np.concatenate((plus.data, minus.data)), np.concatenate((plus.indices, minus.indices)),
+                              np.concatenate((plus.indptr, minus.indptr[1:] + plus.nnz))),
+                             shape=(plus.shape[0] + minus.shape[0], plus.shape[1]))
 
     @cached_property
     def tracking_loads(self) -> np.ndarray:
@@ -150,10 +155,11 @@ class DiscreteSystem:
         if self.basis is not None:
             raise ValueError("in_mirror_basis takes a system in node coordinates, not one in its basis")
         basis = self.mirror_basis
+        mass, stiffness = basis.block_diagonals(self.mass, self.stiffness)
         return replace(
             self,
-            mass=basis.block_diagonal(self.mass),
-            stiffness=basis.block_diagonal(self.stiffness),
+            mass=mass,
+            stiffness=stiffness,
             rhs=basis.project_stacked(self.rhs),
             desired_loads=basis.project_stacked(self.desired_loads),
             basis=basis,
@@ -233,6 +239,22 @@ def one_step_on(behind: np.ndarray, *ahead: np.ndarray) -> tuple[np.ndarray, ...
     return (behind.reshape(-1, copy=False)[:-1], *(x.reshape(-1, copy=False)[1:] for x in ahead))
 
 
+def bind_write_products(step_stack: sp.csr_matrix, Y: np.ndarray, products: np.ndarray) -> Callable[[], None]:
+    """``write_products(step_stack, Y, products)`` as a callable of no
+    arguments, with its views of ``products`` formed here, once."""
+    n, M = Y.shape
+    PY, first = products[1], products[2][:, 0]
+    ahead = products[2].reshape(-1, copy=False)[1:]  # slab 2 one step on, as ``one_step_on`` views it
+
+    def write():
+        stacked = step_stack @ Y
+        PY[...] = stacked[:n]
+        ahead[...] = stacked.reshape(-1)[n * M : -1]  # step_minus Y's flat run, behind
+        first.fill(0.0)
+
+    return write
+
+
 def write_products(step_stack: sp.csr_matrix, Y: np.ndarray, products: np.ndarray) -> None:
     """Write the state slabs 1-2 of a ``constraint_products`` array from
     the trajectory Y, both from one sparse product of ``step_stack`` =
@@ -244,12 +266,19 @@ def write_products(step_stack: sp.csr_matrix, Y: np.ndarray, products: np.ndarra
     block of a group of a block-diagonal system's rows
     (``splitting_solver.Group``), with Y and ``products`` those rows.
     """
-    n = Y.shape[0]
-    stacked = step_stack @ Y
-    products[1] = stacked[:n]
-    MY, ahead = one_step_on(stacked[n:], products[2])
-    ahead[...] = MY
-    products[2][:, 0] = 0.0
+    bind_write_products(step_stack, Y, products)()
+
+
+def bind_fill_constraint_map(products: np.ndarray) -> Callable[[], None]:
+    """``fill_constraint_map(products)`` as a callable of no arguments,
+    with its views of the slabs formed here, once."""
+    AU, PY, MY, Cz = products
+
+    def fill():
+        np.subtract(PY, AU, out=Cz)
+        np.subtract(Cz, MY, out=Cz)
+
+    return fill
 
 
 def fill_constraint_map(products: np.ndarray) -> np.ndarray:
@@ -260,9 +289,7 @@ def fill_constraint_map(products: np.ndarray) -> np.ndarray:
     and the products of any trajectory, such as the difference of two
     iterates.  Works in place.  Returns ``products``.
     """
-    Cz = products[3]
-    np.subtract(products[1], products[0], out=Cz)
-    np.subtract(Cz, products[2], out=Cz)
+    bind_fill_constraint_map(products)()
     return products
 
 

@@ -8,7 +8,8 @@ such an operator is block diagonal, with up to four blocks of about
 ndof / 4.  ``DiscreteSystem.mirror_basis`` forms the basis once per system,
 on first use.  The oracle and the splitting solver both change their
 system into it once (``DiscreteSystem.in_mirror_basis``): the operators
-become one block-diagonal matrix each (``block_diagonal``), the vectors
+become one block-diagonal matrix each (``block_diagonals``, mass and
+stiffness in one pass), the vectors
 take the stacked block coordinates (``project_stacked``), with block c in
 one contiguous run of rows, and a result comes back to node coordinates
 with ``expand_stacked``.  A mesh without the symmetry keeps no mirror: its
@@ -69,6 +70,31 @@ class MirrorBasis:
         blocks are as sparse as mat: an entry couples two orbits that
         neighbour each other.  For an operator the kept mirrors map onto
         itself the rest of Q^T mat Q is round-off."""
+        return self.block_diagonals(mat)[0]
+
+    def block_diagonals(self, *mats: sp.csr_matrix) -> list[sp.csr_matrix]:
+        """``block_diagonal`` of each CSR matrix, in order.  Two matrices of
+        one sparsity pattern (the same ``indptr`` and ``indices``, as a
+        level's mass and stiffness have) share the work: they travel as the
+        real and imaginary parts of one complex array through one pass,
+        whose sort and duplicate sums act on the two parts alike, so each
+        part is bit for bit the matrix its own pass gives.  Each result
+        drops its own zeros."""
+        if len(mats) == 2 and all(np.array_equal(a, b) for a, b in zip(*((m.indptr, m.indices) for m in mats))):
+            data = np.empty(mats[0].nnz, dtype=complex)
+            data.real, data.imag = mats[0].data, mats[1].data
+            both = self._blocks(mats[0], data)
+            out = [sp.csr_matrix((part.copy(), both.indices.copy(), both.indptr.copy()), shape=both.shape)
+                   for part in (both.data.real, both.data.imag)]
+        else:
+            out = [self._blocks(mat, mat.data) for mat in mats]
+        for mat in out:
+            mat.eliminate_zeros()
+        return out
+
+    def _blocks(self, mat: sp.csr_matrix, data: np.ndarray) -> sp.csr_matrix:
+        """The diagonal blocks of the matrix of mat's pattern with entries
+        ``data``, in CSR with its zeros kept."""
         _, _, reach, _, _ = self._stacked
         n_orb = self.orbits.shape[1]
         orbit = reach % n_orb
@@ -81,10 +107,8 @@ class MirrorBasis:
         row[self.present] = np.arange(self.ndof)
         into, onto = row[:, orbit[rows]], row[:, orbit[cols]]
         keep = (into >= 0) & (onto >= 0)
-        data = (phase[:, rows] * phase[:, cols] * mat.data)[keep]
-        out = sp.csr_matrix((data, (into[keep], onto[keep])), shape=mat.shape)  # sums the repeats
-        out.eliminate_zeros()
-        return out
+        return sp.csr_matrix(((phase[:, rows] * phase[:, cols] * data)[keep], (into[keep], onto[keep])),
+                             shape=mat.shape)  # sums the repeats
 
     @cached_property
     def _stacked(self) -> tuple[np.ndarray, ...]:

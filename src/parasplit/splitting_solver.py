@@ -27,13 +27,15 @@ of rows; Q is orthogonal, so every norm the loop forms is the node-space
 one up to round-off.  A system without a mirror gets the one-block basis
 (Q = I), so every solve runs the same loop.  The loop's functions take any
 system, in node coordinates or in the basis.  ``PredictionFactors.build``
-forms and factors the subproblems' normal matrices from the system's mass,
-stiffness and step matrices, all three in one call, block by block
-(``sparse_linalg.factorize_stack``): per block, the three dense inverses
-in one stack for a block of at most ``BLOCK_MAX_NDOF`` unknowns, SuperLU's
-three factors above.  The box variant's projection onto the bounds
-holds in node coordinates: it expands columns of Y - mu / beta, clips them
-and projects them back.
+forms and factors the subproblems' normal matrices block by block, each
+block's three from its blocks of mass, stiffness and step_plus and their
+Gram matrices (``sparse_linalg.gram_blocks``), with no whole-matrix
+product or sum: per block, the three dense inverses in one stack for a
+block of at most ``BLOCK_MAX_NDOF`` unknowns, formed dense and inverted in
+place, or SuperLU's three factors of sparse ones above
+(``sparse_linalg.factor_block``).  The box variant's projection onto the
+bounds holds in node coordinates: it expands columns of Y - mu / beta,
+clips them and projects them back.
 
 An iterate is the slabs U, Y, lam and, in the box variant, P and mu.  The
 constraint map is linear, so the loop carries the iterate's constraint
@@ -70,10 +72,17 @@ difference cancels, so relative to tau A d_U itself the error grows (about
 residual still agrees with the one recomputed from the iterate to about
 1e-14 (``SolveReport.residual_drift``).
 
-``solve`` allocates its storage once: two zeroed backing arrays, the
-iterates with their products, which swap roles every iteration (the
-difference is written into the spare one, then overwritten in place by the
-correction), q, one slab of scratch and each group's right-hand sides.
+``solve`` allocates its storage once, and every array keeps its role for
+the whole solve: two zeroed backing arrays, the iterate w and the
+difference d, each with its products (the prediction writes d, and the
+correction w - alpha_k d overwrites w in place, scaling d), q, one slab of
+scratch and each group's right-hand sides.  It then binds an iteration's
+tasks to that storage once (``bind_iteration``): every row block, view,
+operand pair and task object is formed before the first iteration, so an
+iteration runs kernels only, and builds nothing but the advancing tasks'
+step.  Each step function is written once, as a binder: ``bind_f(args)``
+forms the views ``f`` reads and writes and returns a callable that runs
+its kernels, and ``f(args)`` is ``bind_f(args)()``.
 ``thread_count`` sets the workers of one thread pool opened per solve,
 capped at the CPUs the process may run on; where that leaves one worker
 no pool is opened, and a batch of one task runs inline.  An iteration's
@@ -82,7 +91,7 @@ work is split into one task per group of whole mirror blocks (``Group``,
 prediction applies is block diagonal and every other step is elementwise,
 so a group's rows need no other rows.  A group's work is, on its rows:
 
-- ``predict_rows``, which opens the measuring task: the control and state
+- ``predict_rows``, which opens the measuring task (``bind_measure_group``): the control and state
   right-hand sides, their solves against the group's blocks of the
   factors (per block, one batched
   product applies its control and state inverses to both, and one more
@@ -91,11 +100,11 @@ so a group's rows need no other rows.  A group's work is, on its rows:
   products (``write_products``: step_plus d_Y, and step_minus d_Y one
   column on, in the block row it enters) and the box variant's d_P.  Every
   one-step shift runs over the flat rows (``one_step_on``);
-- ``measure_group``, the rest of the measuring task: C d and the
-  multipliers' differences (``couple_difference``), and the rows' shares
-  of d's H-norm and of the step's cross term (``cross_term``);
-- ``advance_group``, the advancing task: the correction with the step, the
-  box gap and the next iteration's q.
+- the rest of the measuring task: C d and the multipliers' differences
+  (``bind_couple_difference``), and the rows' shares of d's H-norm and of the
+  step's cross term (``bind_cross_term``);
+- the advancing task (``bind_advance_group``): the correction with the
+  step, in place in w, the box gap and the next iteration's q.
 
 The step is a sum over all rows, so every group's advancing task waits for
 every group's measuring task.  Every iteration has the same shape under
@@ -111,8 +120,7 @@ runs slab by slab.  (Column blocks of these arrays are strided, and a tail split
 columns ran slower than the serial one.)  The box variant's projection
 mixes the blocks, so it runs first, as a batch of its own: one task per
 chunk of CHUNK_COLS time steps (``project_copies``) writes its columns of
-P~ into the spare iterate's P slab, which the group tasks then turn into
-d_P = P - P~.
+P~ into d's P slab, which the group tasks then turn into d_P = P - P~.
 
 The calling thread keeps the monitor and sums the groups' partial norms
 and cross terms, which ``solve_multi`` returns in group order: each sums
@@ -129,6 +137,7 @@ import operator
 import os
 import threading
 import time
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -138,16 +147,24 @@ import numpy as np
 
 from .discretization import (  # noqa: F401  constraint_linear_map: bench/tracing.py patches it here
     DiscreteSystem,
+    bind_fill_constraint_map,
+    bind_write_products,
     constraint_linear_map,
     constraint_products,
     constraint_residual,
-    fill_constraint_map,
     one_step_on,
-    write_products,
 )
 from .mirrors import MirrorBasis
-# factorize is not called here; bench/tracing.py patches it under this module's name
-from .sparse_linalg import CholFactor, block_rows, factorize, factorize_stack, solve_multi  # noqa: F401
+from .sparse_linalg import (  # noqa: F401  factorize: bench/tracing.py patches it here
+    CholFactor,
+    block_rows,
+    check_symmetric,
+    factor_block,
+    factorize,
+    gram_blocks,
+    plus_identity,
+    solve_multi,
+)
 
 import scipy.sparse as sp
 
@@ -261,10 +278,13 @@ class SolveReport:
     nnz(L) + nnz(U) for SuperLU's factors of a block.
     ``step_history`` holds each iteration's correction step
     (``step_length``): alpha_k under the dynamic rule, nu repeated under the
-    constant one.  ``seconds_predict`` and ``seconds_correct`` are measured
-    where the work runs: each group's measuring task (``measure_group``)
-    times its ``predict_rows`` and the rest, its advancing task
-    (``advance_group``) the whole.  Per batch they are the times of the
+    constant one.  ``seconds_setup`` is the wall time from the call to the
+    loop's start (the change of basis, the prediction factors, the storage
+    and the bound tasks), ``seconds_total`` the loop's and the rest's after
+    it.  ``seconds_predict`` and ``seconds_correct`` are measured where the
+    work runs: each group's measuring task (``bind_measure_group``) times
+    its ``predict_rows`` and the rest, its advancing task
+    (``bind_advance_group``) the whole.  Per batch they are the times of the
     thread busiest in it (its groups' times summed, as its tasks run one
     after another), summed over batches and iterations: ``seconds_predict``
     is the prediction plus the box variant's projection batch,
@@ -281,6 +301,7 @@ class SolveReport:
     step_history: np.ndarray
     final_constraint_norm: float
     residual_drift: float
+    seconds_setup: float
     seconds_total: float
     seconds_predict: float
     seconds_correct: float
@@ -311,6 +332,22 @@ def _products(sys: DiscreteSystem, w: Iterate) -> np.ndarray:
     return w.products if w.products is not None else constraint_products(sys, w.Y, w.U)
 
 
+def bind_compute_q(sys: DiscreteSystem, w: Iterate, beta: float, rows: slice, out: np.ndarray,
+                   work: np.ndarray | None) -> Callable[[], np.ndarray]:
+    """``compute_q(sys, w, beta, rows, out, work)`` as a callable of no
+    arguments, with its views of w's products, ``sys.rhs`` and lam formed
+    here, once (``work`` may be None: lam / beta then goes to a new
+    array)."""
+    Cz, rhs, lam = _products(sys, w)[3][rows], sys.rhs[rows], w.lam[rows]
+
+    def compute():
+        np.subtract(Cz, rhs, out=out)
+        np.subtract(out, np.divide(lam, beta, out=work), out=out)
+        return out
+
+    return compute
+
+
 def compute_q(
     sys: DiscreteSystem, w: Iterate, beta: float, rows: slice = slice(None), out=None, work=None
 ) -> np.ndarray:
@@ -318,15 +355,7 @@ def compute_q(
     ``rows`` (all by default), one column per step: into ``out``, with
     lam / beta in ``work`` (arrays of those rows' shape), or into new
     arrays."""
-    out = np.subtract(_products(sys, w)[3][rows], sys.rhs[rows], out=out)
-    out -= np.divide(w.lam[rows], beta, out=work)
-    return out
-
-
-def _gram(a: sp.csr_matrix) -> sp.csr_matrix:
-    """a^T a, symmetrized against rounding."""
-    prod = a.T @ a
-    return sp.csr_matrix(0.5 * (prod + prod.T))
+    return bind_compute_q(sys, w, beta, rows, np.empty_like(sys.rhs[rows]) if out is None else out, work)()
 
 
 @dataclass(frozen=True)
@@ -337,13 +366,12 @@ class PredictionFactors:
     The subproblems' normal matrices and right-hand sides are divided by
     beta, so no iteration multiplies by it.  The three matrices, control,
     state and terminal, are polynomials in the system's mass and
-    stiffness, so they share its block structure: one
-    ``sparse_linalg.factorize_stack`` call factors them block by block over
-    ``DiscreteSystem.block_sizes``, on the rows ``rows``.  ``stacks`` holds
-    each block's three factors together: their dense inverses as one
-    (3, b, b) array, so one batched product applies the control and state
-    inverses (``solve``), or SuperLU's three factors.  ``named`` views
-    them as one ``CholFactor`` per matrix.
+    stiffness, so they share its block structure, and each is formed and
+    factored block by block over ``DiscreteSystem.block_sizes``, on the
+    rows ``rows``.  ``stacks`` holds each block's three factors together:
+    their dense inverses as one (3, b, b) array, so one batched product
+    applies the control and state inverses (``solve``), or SuperLU's three
+    factors.  ``named`` views them as one ``CholFactor`` per matrix.
     """
 
     rows: list[slice]  # the blocks' rows
@@ -356,18 +384,36 @@ class PredictionFactors:
         state normal matrices over beta: (tau / beta) A + step_plus^2
         + step_minus^2 = (tau / beta) A + 2 A A + tau^2/2 B B and, for the
         terminal step, (tau / (2 beta)) A + step_plus^2, each plus I from
-        the state-copy constraint row in the box variant."""
+        the state-copy constraint row in the box variant.
+
+        Mass and stiffness are checked finite and symmetric first
+        (``sparse_linalg.check_symmetric``, ValueError).  Then each block's
+        three matrices are formed from its blocks of mass, stiffness and
+        step_plus and their Gram matrices (``sparse_linalg.gram_blocks``),
+        by one set of polynomials for both paths: dense up to
+        ``BLOCK_MAX_NDOF`` rows, each inverted in place in its slot of the
+        block's stack, sparse above it, for SuperLU
+        (``sparse_linalg.factor_block``; NotPositiveDefiniteError at a
+        non-positive pivot, counted from the block's first row)."""
         tau = sys.grid.tau
         alpha, beta = config.alpha, config.beta
         shift = 0.0
         if config.bounds is not None:
             shift = 1.0  # I from the state-copy constraint row
-        eye = sp.identity(sys.ndof, format="csr")
-        state_gram = 2.0 * _gram(sys.mass) + (tau * tau / 2.0) * _gram(sys.stiffness)
-        rows, stacks = factorize_stack([(alpha / beta) * eye + tau * sys.mass,
-                                        (tau / beta) * sys.mass + state_gram + shift * eye,
-                                        (tau / (2.0 * beta)) * sys.mass + _gram(sys.step_plus) + shift * eye],
-                                       sys.block_sizes)
+        mats = [check_symmetric(sys.mass), check_symmetric(sys.stiffness), sys.step_plus]
+        rows = block_rows(sys.block_sizes)
+        stacks = []
+        for r in rows:
+            # In place where the blocks are dense; each sum is the one of
+            # the whole matrices' polynomials, entry by entry.
+            A, (state, BB, terminal) = gram_blocks(mats, r)  # A, then A A, B B, step_plus^2
+            state *= 2.0
+            BB *= tau * tau / 2.0
+            state += BB
+            state += (tau / beta) * A
+            terminal += (tau / (2.0 * beta)) * A
+            stacks.append(factor_block([plus_identity(tau * A, alpha / beta), plus_identity(state, shift),
+                                        plus_identity(terminal, shift)], r.start))
         return PredictionFactors(rows, stacks, sys.tracking_loads / beta)
 
     @property
@@ -375,6 +421,25 @@ class PredictionFactors:
         """The three factorizations by name, their parts views into ``stacks``."""
         return {name: CholFactor(self.rows, [stack[i] for stack in self.stacks])
                 for i, name in enumerate(("control", "state", "terminal"))}
+
+    def bind_solve(self, rhs: np.ndarray, out: np.ndarray) -> Callable[[], None]:
+        """``solve(rhs, out)`` as a callable of no arguments, with every
+        block's views of its operands formed here, once."""
+        steps = []
+        for rows, stack in zip(self.rows, self.stacks):
+            b, x = rhs[:, rows], out[:, rows]
+            if isinstance(stack, np.ndarray):
+                steps += [partial(np.matmul, stack[:2], b, out=x),
+                          partial(np.matmul, stack[2], b[1][:, -1], out=x[1][:, -1])]
+            else:
+                steps += [partial(_superlu_solve, factor, b_slab, x_slab)
+                          for factor, b_slab, x_slab in zip(stack, (*b, b[1][:, -1]), (*x, x[1][:, -1]))]
+
+        def solve():
+            for step in steps:
+                step()
+
+        return solve
 
     def solve(self, rhs: np.ndarray, out: np.ndarray) -> None:
         """U~ and Y~ of all M steps from their right-hand sides ``rhs``,
@@ -391,15 +456,17 @@ class PredictionFactors:
         column's right-hand side, step M's, is also solved against the
         terminal factor, whose solution replaces it.
         """
-        for rows, stack in zip(self.rows, self.stacks):
-            b, x = rhs[:, rows], out[:, rows]
-            if isinstance(stack, np.ndarray):
-                np.matmul(stack[:2], b, out=x)
-                np.matmul(stack[2], b[1][:, -1], out=x[1][:, -1])
-            else:
-                for factor, b_slab, x_slab in zip(stack[:2], b, x):
-                    x_slab[...] = factor.solve(b_slab)
-                x[1][:, -1] = stack[2].solve(b[1][:, -1])
+        self.bind_solve(rhs, out)()
+
+
+def _superlu_solve(factor, b: np.ndarray, x: np.ndarray) -> None:
+    """SuperLU's solve of b, into x."""
+    x[...] = factor.solve(b)
+
+
+def bind_predict_controls(w: Iterate, q: np.ndarray, out: np.ndarray) -> Callable[[], np.ndarray]:
+    """``predict_controls(w, q, out)`` as a callable of no arguments."""
+    return partial(np.add, w.products[0], q, out=out)
 
 
 def predict_controls(w: Iterate, q: np.ndarray, out: np.ndarray) -> None:
@@ -413,7 +480,34 @@ def predict_controls(w: Iterate, q: np.ndarray, out: np.ndarray) -> None:
     constraint carries the control with a negative block.)  tau A U comes
     from w's products.
     """
-    np.add(w.products[0], q, out=out)
+    bind_predict_controls(w, q, out)()
+
+
+def bind_predict_states(step_row: sp.csr_matrix, w: Iterate, q: np.ndarray, config: SolverConfig,
+                        loads: np.ndarray, out: np.ndarray, work: np.ndarray) -> Callable[[], None]:
+    """``predict_states`` of these arrays as a callable of no arguments,
+    with every view it reads and writes formed here, once: the stacked
+    arguments' slabs and flat run, their one-step shifts
+    (``one_step_on``) and the terminal column."""
+    _, PY, MY, _ = w.products
+    shifted, term = work
+    flat = work.reshape(-1, work.shape[-1])
+    behind, MY_ahead, q_ahead = one_step_on(term, MY, q)
+    terminal = term[:, -1]
+    box = (w.mu, config.beta, w.P) if config.bounds is not None else None
+
+    def states():
+        np.subtract(PY, q, out=shifted)
+        np.add(MY_ahead, q_ahead, out=behind)
+        terminal.fill(0.0)  # the terminal step has no step_minus term
+        np.add(step_row @ flat, loads, out=out)
+        if box:
+            mu, beta, P = box
+            np.divide(mu, beta, out=shifted)
+            np.add(shifted, P, out=shifted)
+            np.add(out, shifted, out=out)
+
+    return states
 
 
 def predict_states(
@@ -444,18 +538,8 @@ def predict_states(
     group's diagonal block of it (``Group``), with w, q, ``loads`` and
     ``out`` the group's rows.
     """
-    _, PY, MY, _ = w.products
     work = work if work is not None else np.empty((2,) + out.shape)
-    shifted, term = work
-    np.subtract(PY, q, out=shifted)
-    behind, MY_ahead, q_ahead = one_step_on(term, MY, q)
-    np.add(MY_ahead, q_ahead, out=behind)
-    term[:, -1] = 0.0  # the terminal step has no step_minus term
-    np.add(step_row @ work.reshape(-1, work.shape[-1]), loads, out=out)
-    if config.bounds is not None:
-        np.divide(w.mu, config.beta, out=shifted)
-        shifted += w.P
-        out += shifted
+    bind_predict_states(step_row, w, q, config, loads, out, work)()
 
 
 def predict_multiplier(
@@ -473,12 +557,12 @@ def predict_multiplier(
     return np.subtract(w.lam[rows], out, out=out)
 
 
-def couple_difference(
-    w: Iterate, d: Iterate, q: np.ndarray, config: SolverConfig, work: np.ndarray | None = None
-) -> None:
-    """Complete the difference d = w - w~ from what ``predict_rows`` wrote:
-    d_U, d_Y, their products tau A d_U, step_plus d_Y and step_minus d_Y,
-    and the box variant's d_P.  Forms C d, the multiplier slab
+def bind_couple_difference(w: Iterate, d: Iterate, q: np.ndarray, config: SolverConfig,
+                           work: np.ndarray | None) -> Callable[[], None]:
+    """Complete the difference d = w - w~ from what ``predict_rows`` wrote
+    (d_U, d_Y, their products tau A d_U, step_plus d_Y and step_minus d_Y,
+    and the box variant's d_P), as a callable of no arguments with its
+    views formed here, once.  It forms C d, the multiplier slab
     lam - lam~ = beta (q - C d) + lam and, in the box variant,
     mu - mu~ = beta ((Y - P) - (d_Y - d_P)).
 
@@ -486,19 +570,27 @@ def couple_difference(
     q = C z - rhs - lam / beta (w's shifted residual) and
     mu~ = mu - beta (Y~ - P~).  Each is elementwise (``predict_rows`` wrote
     step_minus d_Y in the block row it enters), so w, d and q may be any
-    block of rows (``Iterate.rows``).  Works in place in d's arrays;
+    block of rows (``Iterate.rows``).  It works in place in d's arrays;
     ``work``, an array of one slab's shape, holds the box variant's
-    d_Y - d_P (allocated here when not given).
+    d_Y - d_P.
     """
     beta = config.beta
-    Cd = fill_constraint_map(d.products)[3]
-    e = np.subtract(q, Cd, out=d.lam)
-    e *= beta
-    e += w.lam
-    if config.bounds is not None:
-        f = np.subtract(w.Y, w.P, out=d.mu)
-        f -= np.subtract(d.Y, d.P, out=work)
-        f *= beta
+    fill = bind_fill_constraint_map(d.products)
+    Cd, e, lam = d.products[3], d.lam, w.lam
+    box = (w.Y, w.P, d.mu, d.Y, d.P) if config.bounds is not None else None
+
+    def couple():
+        fill()
+        np.subtract(q, Cd, out=e)
+        np.multiply(e, beta, out=e)
+        np.add(e, lam, out=e)
+        if box:
+            Y, P, f, dY, dP = box
+            np.subtract(Y, P, out=f)
+            np.subtract(f, np.subtract(dY, dP, out=work), out=f)
+            np.multiply(f, beta, out=f)
+
+    return couple
 
 
 def project_copies(sys: DiscreteSystem, w: Iterate, config: SolverConfig, cols: slice, out: np.ndarray,
@@ -588,6 +680,37 @@ class Group:
         return groups
 
 
+def bind_predict_rows(group: Group, w: Iterate, q: np.ndarray, config: SolverConfig,
+                      d: Iterate) -> Callable[[], None]:
+    """``predict_rows(group, w, q, config, d)`` as a callable of no
+    arguments: the group's rows of w, d and q, and every view of them and
+    of the group's right-hand sides that the prediction reads and writes,
+    formed here, once."""
+    rows, rhs = group.rows, group.rhs
+    w, d, q = w.rows(rows), d.rows(rows), q[rows]
+    states = bind_predict_states(group.step_row, w, q, config, group.factors.loads, rhs[1], rhs)
+    controls = bind_predict_controls(w, q, rhs[0])
+    solved = d.z[:2]
+    solve = group.factors.bind_solve(rhs, solved)
+    U_t, AdU, ratio, old = solved[0], d.products[0], config.alpha / config.beta, w.z[:2]
+    products = bind_write_products(group.step_stack, d.Y, d.products)
+    copies = (w.P, d.P) if config.bounds is not None else None  # P and P~, then d_P
+
+    def predict():
+        states()
+        controls()
+        solve()
+        np.multiply(U_t, ratio, out=AdU)  # tau A d_U = (alpha / beta) U~ - q
+        np.subtract(AdU, q, out=AdU)
+        np.subtract(old, solved, out=solved)
+        products()
+        if copies:
+            P, dP = copies
+            np.subtract(P, dP, out=dP)
+
+    return predict
+
+
 def predict_rows(group: Group, w: Iterate, q: np.ndarray, config: SolverConfig, d: Iterate) -> None:
     """The prediction on the rows of ``group`` at all M steps, written into
     those rows of d, an iterate with products, as the difference
@@ -601,20 +724,9 @@ def predict_rows(group: Group, w: Iterate, q: np.ndarray, config: SolverConfig, 
     tau A d_U = (alpha / beta) U~ - q (the module docstring), read off U~
     before the difference over d_U and d_Y is formed in one ufunc call;
     d's state products come from ``write_products``, one sparse product.
-    The rest of d, which couples the columns, is ``couple_difference``'s.
+    The rest of d, which couples the columns, is ``bind_couple_difference``'s.
     """
-    rows = group.rows
-    w, d, q = w.rows(rows), d.rows(rows), q[rows]
-    predict_states(group.step_row, w, q, config, group.factors.loads, group.rhs[1], work=group.rhs)
-    predict_controls(w, q, group.rhs[0])
-    solved = d.z[:2]
-    group.factors.solve(group.rhs, solved)
-    AdU = np.multiply(solved[0], config.alpha / config.beta, out=d.products[0])
-    AdU -= q
-    np.subtract(w.z[:2], solved, out=solved)
-    write_products(group.step_stack, d.Y, d.products)
-    if config.bounds is not None:
-        np.subtract(w.P, d.P, out=d.P)
+    bind_predict_rows(group, w, q, config, d)()
 
 
 def _operands(*iterates: Iterate) -> tuple[list[tuple[np.ndarray, ...]], bool]:
@@ -657,6 +769,22 @@ def iterate_diff(a: Iterate, b: Iterate, out: Iterate | None = None) -> Iterate:
     return out if carried else Iterate(out.z)
 
 
+def bind_correct(w: Iterate, d: Iterate, into_w: bool = False) -> Callable[[float], None]:
+    """The correction w - nu d from the difference d = w - w~ as a
+    callable of nu, with its operands (``_operands``) formed here, once.
+    It scales d by nu, then writes w - nu d into d's storage, or with
+    ``into_w`` into w's (both the same operands and operations, so the
+    same bits)."""
+    operands, _ = _operands(w, d)
+
+    def correction(nu: float) -> None:
+        for x, o in operands:
+            o *= nu
+            np.subtract(x, o, out=x if into_w else o)
+
+    return correction
+
+
 def correct(w: Iterate, d: Iterate, nu: float) -> Iterate:
     """The corrected iterate w - nu d from the difference d = w - w~.
 
@@ -665,15 +793,33 @@ def correct(w: Iterate, d: Iterate, nu: float) -> Iterate:
     w - w~, this is w - nu (w - w~) to the last bit.  On contiguous
     iterates, two ufunc calls over the backing arrays (or the z's).
     """
-    operands, carried = _operands(w, d)
-    for x, o in operands:
-        o *= nu
-        np.subtract(x, o, out=o)
-    return d if carried else Iterate(d.z)
+    bind_correct(w, d)(nu)
+    return d if w.products is not None and d.products is not None else Iterate(d.z)
 
 
 def _sq(x: np.ndarray):
     return np.vdot(x, x)
+
+
+def bind_h_norm_sq(products: np.ndarray, v: Iterate, beta: float, work: np.ndarray | None) -> Callable[[], float]:
+    """``h_norm_sq`` of v with the products ``products`` as a callable of
+    no arguments, with its views formed here, once."""
+    AU, PY, MY, Cz = products
+    lam = v.lam
+    box = (v.Y, v.P, v.mu) if v.is_box else None
+
+    def h_sq() -> float:
+        per_block = _sq(AU) + _sq(PY) + _sq(MY)
+        total_sum = _sq(Cz)
+        mult = _sq(lam)
+        if box:
+            Y, P, mu = box
+            per_block += _sq(Y) + _sq(P)
+            total_sum += _sq(np.subtract(Y, P, out=work))
+            mult += _sq(mu)
+        return float(beta * (per_block + total_sum) + mult / beta)
+
+    return h_sq
 
 
 def h_norm_sq(sys: DiscreteSystem, v: Iterate, beta: float, work: np.ndarray | None = None) -> float:
@@ -691,29 +837,28 @@ def h_norm_sq(sys: DiscreteSystem, v: Iterate, beta: float, work: np.ndarray | N
     (``Iterate.rows``, carrying its products) is its share of the whole's.
     ``work``, an array of one slab's shape, holds the box variant's Y - P.
     """
-    AU, PY, MY, Cz = _products(sys, v)
-    per_block = _sq(AU) + _sq(PY) + _sq(MY)
-    total_sum = _sq(Cz)
-    mult = _sq(v.lam)
-    if v.is_box:
-        per_block += _sq(v.Y) + _sq(v.P)
-        total_sum += _sq(np.subtract(v.Y, v.P, out=work))
-        mult += _sq(v.mu)
-    return float(beta * (per_block + total_sum) + mult / beta)
+    return bind_h_norm_sq(_products(sys, v), v, beta, work)()
 
 
-def cross_term(d: Iterate, work: np.ndarray) -> float:
-    """<C d, e> of the rows d holds, with C d d's product slab 3 and e its
-    multiplier slab lam - lam~; the box variant adds <d_Y - d_P, d_mu>,
-    with d_Y - d_P read from ``work``, where ``h_norm_sq`` left it."""
-    cross = np.vdot(d.products[3], d.lam)
-    if d.is_box:
-        cross += np.vdot(work, d.mu)
-    return float(cross)
+def bind_cross_term(d: Iterate, work: np.ndarray | None) -> Callable[[], float]:
+    """<C d, e> of the rows d holds, as a callable of no arguments with its
+    views formed here, once: C d is d's product slab 3 and e its multiplier
+    slab lam - lam~; the box variant adds <d_Y - d_P, d_mu>, with
+    d_Y - d_P read from ``work``, where ``h_norm_sq`` left it."""
+    Cd, e = d.products[3], d.lam
+    box = (work, d.mu) if d.is_box else None
+
+    def cross() -> float:
+        value = np.vdot(Cd, e)
+        if box:
+            value += np.vdot(*box)
+        return float(value)
+
+    return cross
 
 
 def step_length(config: SolverConfig, nu: float, h_sq: float, cross: float) -> float:
-    """The iteration's correction step, from d^T H d and ``cross_term``
+    """The iteration's correction step, from d^T H d and ``bind_cross_term``
     summed over all rows.
 
     The constant rule's step is nu (``correction_factor``).  The dynamic
@@ -734,56 +879,87 @@ def step_length(config: SolverConfig, nu: float, h_sq: float, cross: float) -> f
     return 1.0 if config.bounds is not None and alpha > 1.0 else alpha
 
 
-def measure_group(sys: DiscreteSystem, group: Group, w: Iterate, d: Iterate, q: np.ndarray, config: SolverConfig,
-                  work: np.ndarray) -> tuple[tuple[float, float], tuple[float, float, int]]:
-    """One task of an iteration's measuring batch, on the rows of ``group``:
-    ``predict_rows`` writes the difference d = w - w~ of those rows into d,
-    and ``couple_difference`` completes it.  Returns the rows' shares of
-    d^T H d and of ``cross_term``, and the seconds of the prediction and of
-    the rest with the thread that ran them.  ``work`` (the group's rows of a
-    slab-shaped array) holds the temporaries."""
-    t0 = time.perf_counter()
-    predict_rows(group, w, q, config, d)
-    t1 = time.perf_counter()
-    w, d = w.rows(group.rows), d.rows(group.rows)
-    couple_difference(w, d, q[group.rows], config, work)
-    sums = h_norm_sq(sys, d, config.beta, work), cross_term(d, work)
-    return sums, (t1 - t0, time.perf_counter() - t1, threading.get_ident())
-
-
-def advance_group(sys: DiscreteSystem, group: Group, w: Iterate, d: Iterate, q: np.ndarray, config: SolverConfig,
-                  step: float, work: np.ndarray) -> tuple[float, tuple[float, float, int]]:
-    """One task of an iteration's advancing batch, on the rows of ``group``,
-    after ``measure_group``: the corrected iterate w - step d overwrites d,
-    over the iterate and its products, and those rows of ``q`` receive its
-    shifted residual.  Returns the rows' share of the corrected iterate's
-    ||Y - P||^2 (0 in the plain variant), and no prediction seconds and the
-    pass's with the thread that ran it.  ``work`` is as for
-    ``measure_group``."""
-    t0 = time.perf_counter()
+def bind_measure_group(group: Group, w: Iterate, d: Iterate, q: np.ndarray, config: SolverConfig,
+                       work: np.ndarray) -> Callable[[], tuple]:
+    """One task of an iteration's measuring batch, on the rows of
+    ``group``, bound to the arrays of a solve once: ``predict_rows`` writes
+    the difference d = w - w~ of those rows into d, and
+    ``bind_couple_difference`` completes it.  The task returns the rows' shares
+    of d^T H d and of ``bind_cross_term``, and the seconds of the prediction and
+    of the rest with the thread that ran them.  ``work`` (a slab-shaped
+    array; the task uses the group's rows) holds the temporaries."""
+    predict = bind_predict_rows(group, w, q, config, d)
     rows = group.rows
-    d_rows = correct(w.rows(rows), d.rows(rows), step)
-    gap_sq = _sq(np.subtract(d_rows.Y, d_rows.P, out=work)) if d.is_box else 0.0
-    compute_q(sys, d, config.beta, rows, out=q[rows], work=work)
-    return gap_sq, (0.0, time.perf_counter() - t0, threading.get_ident())
+    w, d, q, work = w.rows(rows), d.rows(rows), q[rows], work[rows]
+    couple = bind_couple_difference(w, d, q, config, work)
+    h_sq = bind_h_norm_sq(d.products, d, config.beta, work)
+    cross = bind_cross_term(d, work)
+
+    def measure() -> tuple[tuple[float, float], tuple[float, float, int]]:
+        t0 = time.perf_counter()
+        predict()
+        t1 = time.perf_counter()
+        couple()
+        sums = h_sq(), cross()
+        return sums, (t1 - t0, time.perf_counter() - t1, threading.get_ident())
+
+    return measure
 
 
-def predict_and_measure(sys: DiscreteSystem, groups: list[Group], copies: list[tuple], w: Iterate, d: Iterate,
-                        q: np.ndarray, config: SolverConfig, work: np.ndarray, pool=None) -> tuple[float, list]:
-    """The first half of an iteration, on ``pool`` (None: inline): in the
-    box variant the projection batch, one ``project_copies`` task per entry
-    of ``copies`` (``copy_chunks``), writes P~ into d's P slab; then the
-    measuring batch runs one ``measure_group`` task per group, which leaves
-    the difference d = w - w~ in d, with its products.  Returns the
-    projection batch's seconds and the measuring tasks' results in group
-    order."""
+def bind_advance_group(sys: DiscreteSystem, group: Group, w: Iterate, d: Iterate, q: np.ndarray,
+                       config: SolverConfig, work: np.ndarray) -> Callable[[float], tuple]:
+    """One task of an iteration's advancing batch, on the rows of
+    ``group``, after its measuring task, bound to the arrays of a solve
+    once; a callable of the step: the corrected iterate w - step d
+    overwrites those rows of w, over the iterate and its products (d is
+    used up), and those rows of ``q`` receive its shifted residual.  The
+    task returns the rows' share of the corrected iterate's ||Y - P||^2 (0
+    in the plain variant), and no prediction seconds and the pass's with
+    the thread that ran it.  ``work`` is as for ``bind_measure_group``."""
+    rows = group.rows
+    correction = bind_correct(w.rows(rows), d.rows(rows), into_w=True)
+    gap = (w.Y[rows], w.P[rows], work[rows]) if config.bounds is not None else None
+    next_q = bind_compute_q(sys, w, config.beta, rows, q[rows], work[rows])
+
+    def advance(step: float) -> tuple[float, tuple[float, float, int]]:
+        t0 = time.perf_counter()
+        correction(step)
+        gap_sq = 0.0
+        if gap:
+            Y, P, scratch = gap
+            gap_sq = _sq(np.subtract(Y, P, out=scratch))
+        next_q()
+        return gap_sq, (0.0, time.perf_counter() - t0, threading.get_ident())
+
+    return advance
+
+
+def bind_iteration(sys: DiscreteSystem, groups: list[Group], w: Iterate, d: Iterate, q: np.ndarray,
+                   config: SolverConfig, work: np.ndarray) -> tuple[list, list, list]:
+    """The tasks of an iteration on the iterate w (with products), bound
+    once to w, the difference's storage d, q and ``work`` (a slab-shaped
+    array): in the box variant one ``project_copies`` task per chunk of
+    ``copy_chunks``, each writing its columns of P~ into d's P slab (none
+    in the plain variant); then per group one measuring task
+    (``bind_measure_group``) and one advancing task, a callable of the step
+    (``bind_advance_group``)."""
+    copies = copy_chunks(sys, work) if config.bounds is not None else []
+    return ([partial(project_copies, sys, w, config, cols, d.P, Z, basis_work) for cols, Z, basis_work in copies],
+            [bind_measure_group(group, w, d, q, config, work) for group in groups],
+            [bind_advance_group(sys, group, w, d, q, config, work) for group in groups])
+
+
+def predict_and_measure(projecting: list, measuring: list, pool=None) -> tuple[float, list]:
+    """The first half of an iteration (``bind_iteration``'s tasks), on
+    ``pool`` (None: inline): the box variant's projection batch, then the
+    measuring batch, which leaves the difference d = w - w~ in d, with its
+    products.  Returns the projection batch's seconds and the measuring
+    tasks' results in group order."""
     t0 = time.perf_counter()
-    if config.bounds is not None:
-        solve_multi([partial(project_copies, sys, w, config, cols, d.P, Z, basis_work)
-                     for cols, Z, basis_work in copies], pool)
+    if projecting:
+        solve_multi(projecting, pool)
     t1 = time.perf_counter()
-    return t1 - t0, solve_multi([partial(measure_group, sys, group, w, d, q, config, work[group.rows])
-                                 for group in groups], pool)
+    return t1 - t0, solve_multi(measuring, pool)
 
 
 def predict(sys: DiscreteSystem, w: Iterate, config: SolverConfig, factors: PredictionFactors,
@@ -791,27 +967,26 @@ def predict(sys: DiscreteSystem, w: Iterate, config: SolverConfig, factors: Pred
     """One full prediction sweep; all subproblems read the same w and q.
 
     Runs the first half of an iteration of ``solve``
-    (``predict_and_measure``) on ``pool`` (None: inline), over the system's
-    groups (``Group.partition``): in the box variant the projection batch,
-    then the measuring batch, which leaves the difference d = w - w~ with
-    its products.  Uses the products w carries, forming them first when it
+    (``predict_and_measure``) on ``pool`` (None: inline), with tasks bound
+    as the loop binds them (``bind_iteration``) over the system's groups
+    (``Group.partition``): in the box variant the projection batch, then
+    the measuring batch, which leaves the difference d = w - w~ with its
+    products.  Uses the products w carries, forming them first when it
     carries none, and forms w's shifted residual q.  The predicted iterate
     w - d is returned with its products.
     """
-    box = config.bounds is not None
     if w.products is None:
         w = w.with_products(sys)
     q = compute_q(sys, w, config.beta)
-    d = Iterate.zeros(*w.U.shape, box=box, products=True)
-    work = np.empty_like(q)
-    copies = copy_chunks(sys, work) if box else []
-    predict_and_measure(sys, Group.partition(sys, factors), copies, w, d, q, config, work, pool)
+    d = Iterate.zeros(*w.U.shape, box=config.bounds is not None, products=True)
+    projecting, measuring, _ = bind_iteration(sys, Group.partition(sys, factors), w, d, q, config, np.empty_like(q))
+    predict_and_measure(projecting, measuring, pool)
     return iterate_diff(w, d, out=d)
 
 
 def _busiest(times: list[tuple[float, float, int]]) -> tuple[float, float]:
     """The prediction and row-pass seconds of the thread busiest in a batch,
-    its tasks' times (``measure_group``, ``advance_group``) summed."""
+    its tasks' times (``bind_measure_group``, ``bind_advance_group``) summed."""
     busy: dict[int, tuple[float, float]] = {}
     for predict_s, correct_s, thread in times:
         p, c = busy.get(thread, (0.0, 0.0))
@@ -870,6 +1045,7 @@ def solve(sys: DiscreteSystem, config: SolverConfig, monitor=None) -> tuple[Iter
     loop keeps P in the bounds in the mirror basis, and the change of
     basis rounds.  Only the returned P is clipped.
     """
+    t_entry = time.perf_counter()
     if config.alpha != sys.alpha:
         raise ValueError(f"config alpha {config.alpha} does not match the system's alpha {sys.alpha}")
     node, sys = sys, sys.in_mirror_basis()
@@ -878,17 +1054,17 @@ def solve(sys: DiscreteSystem, config: SolverConfig, monitor=None) -> tuple[Iter
     blocks = 3 if box else 2
     nu = correction_factor(sys.grid.M, config.gamma, blocks_per_step=blocks)
     factors = PredictionFactors.build(sys, config)
-    groups = Group.partition(sys, factors)
 
     # The zero trajectory's products are zero; step_minus column 0 stays zero.
     w = Iterate.zeros(sys.ndof, sys.grid.M, box=box, products=True)
-    spare = Iterate.zeros(sys.ndof, sys.grid.M, box=box, products=True)
+    d = Iterate.zeros(sys.ndof, sys.grid.M, box=box, products=True)
     if box:
         np.clip(w.P, *config.bounds, out=w.P)
         basis.project_stacked(w.P, out=w.P)
     q = compute_q(sys, w, config.beta)
-    work = np.empty_like(q)
-    copies = copy_chunks(sys, work) if box else []
+    projecting, measuring, advancing = bind_iteration(sys, Group.partition(sys, factors), w, d, q, config,
+                                                      np.empty_like(q))
+    z = w.z
 
     increments: list[float] = []
     steps: list[float] = []
@@ -902,17 +1078,15 @@ def solve(sys: DiscreteSystem, config: SolverConfig, monitor=None) -> tuple[Iter
         while k < config.k_max:
             k += 1
             if monitor is not None:
-                monitor(k, _NodeView(basis, w.z))
-            project_s, measured = predict_and_measure(sys, groups, copies, w, spare, q, config, work, pool)
+                monitor(k, _NodeView(basis, z))
+            project_s, measured = predict_and_measure(projecting, measuring, pool)
             h_sq, cross = [sum(c) for c in zip(*(sums for sums, _ in measured))]  # in group order
             step = step_length(config, nu, h_sq, cross)
-            advanced = solve_multi([partial(advance_group, sys, group, w, spare, q, config, step, work[group.rows])
-                                    for group in groups], pool)
+            advanced = solve_multi([partial(advance, step) for advance in advancing], pool)
             gap_sq = sum(gap for gap, _ in advanced)
             predict_s, measure_s = _busiest([times for _, times in measured])
             t_predict += project_s + predict_s
             t_correct += measure_s + _busiest([times for _, times in advanced])[1]
-            w, spare = spare, w
             # w - w_next = step d, and the H-norm is quadratic.
             inc = step * step * h_sq
             increments.append(inc)
@@ -926,10 +1100,10 @@ def solve(sys: DiscreteSystem, config: SolverConfig, monitor=None) -> tuple[Iter
                 stop_reason = "converged"
                 break
 
-    # The loop's storage goes before the change of basis, the spare iterate
+    # The loop's storage goes before the change of basis, the difference
     # before z is copied out of w.
     carried = w.products[3] - sys.rhs
-    groups = copies = spare = None
+    projecting = measuring = advancing = d = None
     z = w.z.copy()
     w = None
     result = Iterate(basis.expand_stacked(z, out=z))
@@ -944,6 +1118,7 @@ def solve(sys: DiscreteSystem, config: SolverConfig, monitor=None) -> tuple[Iter
         step_history=np.asarray(steps),
         final_constraint_norm=float(np.linalg.norm(residual)),
         residual_drift=float(drift),
+        seconds_setup=t0 - t_entry,
         seconds_total=time.perf_counter() - t0,
         seconds_predict=t_predict,
         seconds_correct=t_correct,

@@ -221,3 +221,10 @@ def test_ab_runs_head_against_itself(tmp_path, monkeypatch):
             assert cell["identical"] and not any(cell["max_rel_diff_per_slab"]), name
             for side in ("base", "change"):
                 assert 0.0 < cell[side]["sum_of_minima_s"] <= cell[side]["q1_s"] <= cell[side]["q3_s"], name
+            # each splitting cell's set-up times, summarised alike
+            assert ("setup" in cell) == (name != "oracle-ladder"), name
+            if "setup" in cell:
+                for side in ("base", "change"):
+                    setup = cell["setup"][side]
+                    assert 0.0 < setup["sum_of_minima_s"] <= setup["q1_s"] <= setup["median_s"] <= setup["q3_s"], name
+                assert 0 <= cell["setup_change_won_rounds"] <= 2, name

@@ -148,12 +148,13 @@ class TestBox:
         config = SolverConfig(alpha=problem.alpha, beta=1.0, epsilon=1e-14, k_max=200, bounds=(0.0, 0.5))
         w, report = solve(build_level(problem, 2), config)
         nnz = ",".join(f"{k}:{v}" for k, v in report.factor_nnz.items())
-        # the phase seconds are the run's own: two positive floats, printed
-        # as _fmt prints them, between the gap and the factors
+        # the set-up and phase seconds are the run's own: three positive
+        # floats, printed as _fmt prints them, between the gap and the factors
         line = capsys.readouterr().out
-        match = re.fullmatch(r"(.*) seconds_predict=(\S+) seconds_correct=(\S+) (factor_nnz=\S+)\n", line)
+        match = re.fullmatch(
+            r"(.*) seconds_setup=(\S+) seconds_predict=(\S+) seconds_correct=(\S+) (factor_nnz=\S+)\n", line)
         assert match is not None, line
-        head, predict_s, correct_s, tail = match.groups()
+        head, setup_s, predict_s, correct_s, tail = match.groups()
         assert head == (
             f"iterations={report.iterations} converged={report.converged} "
             f"stop_reason={report.stop_reason} "
@@ -161,7 +162,7 @@ class TestBox:
             f"final_gap={_fmt(float(np.linalg.norm(w.Y - w.P)))}"
         )
         assert tail == f"factor_nnz={nnz}"
-        for seconds in (predict_s, correct_s):
+        for seconds in (setup_s, predict_s, correct_s):
             assert 0.0 < float(seconds) < float("inf") and _fmt(float(seconds)) == seconds
         assert nnz.startswith("control:") and ",terminal:" in nnz
 

@@ -166,6 +166,29 @@ class TestMirrorBlocks:
             assert not blocked.any()  # block_diagonal keeps the diagonal blocks only
             assert np.abs(projected).max() <= 1e-14 * scale  # what it drops is round-off
 
+    @pytest.mark.parametrize("n", [4, 9, 16])
+    @pytest.mark.parametrize("name", ["5.1", "5.2"])
+    def test_pair_matches_single_builds(self, name, n):
+        # mass and stiffness share one pattern, the stiffness with stored
+        # zeros: the pair's blocks are each matrix's own, bit for bit, with
+        # its zeros dropped; two matrices of different patterns are built
+        # one by one
+        sys = build_level(get_example(name), n)
+        basis = mirror_basis(sys)
+        assert np.array_equal(sys.mass.indices, sys.stiffness.indices)
+        assert (sys.stiffness.data == 0.0).any()
+        pair = basis.block_diagonals(sys.mass, sys.stiffness)
+        for got, mat in zip(pair, (sys.mass, sys.stiffness)):
+            want = basis.block_diagonal(mat)
+            for field in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, field), getattr(want, field)), field
+            assert got.data.all()
+        pruned = sp.csr_matrix(sys.stiffness.toarray())
+        assert pruned.nnz < sys.stiffness.nnz
+        apart = basis.block_diagonals(sys.mass, pruned)
+        assert (apart[1] != basis.block_diagonal(pruned)).nnz == 0
+        assert (apart[0] != pair[0]).nnz == 0
+
     @pytest.mark.parametrize("n", [8, 9])
     @pytest.mark.parametrize("name", ["5.1", "5.2"])
     def test_matches_full_pencil(self, name, n):

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import os
 import threading
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -71,7 +72,7 @@ def _path(f) -> str:
 
 def _group_differences(sys, w, config, factors):
     """The difference d = w - w~ as an iteration's tasks write it before
-    ``couple_difference``: the box variant's projection chunks, then
+    ``bind_couple_difference``: the box variant's projection chunks, then
     ``predict_rows`` on every group of ``Group.partition``."""
     w = w.with_products(sys)
     q = compute_q(sys, w, config.beta)
@@ -177,6 +178,26 @@ class TestComputeQ:
         beta = 0.3 + 0.1 * seed
         q = compute_q(sys, w, beta)
         assert np.allclose(flat(q), dense_q(sys, w, beta), atol=1e-12)
+
+
+def _at_each_step(monkeypatch, callback):
+    """Call ``callback(w, d, q)`` at every step of every solve from now on,
+    with the loop's iterate, difference and q as the step rule sees them:
+    after the measuring batch, before the advancing one.  The arrays are
+    the solve's own storage (``bind_iteration``'s), in the mirror basis."""
+    bound = []
+    bind, step_length = splitting_solver.bind_iteration, splitting_solver.step_length
+
+    def binding(sys, groups, w, d, q, config, work):
+        bound[:] = [(w, d, q)]
+        return bind(sys, groups, w, d, q, config, work)
+
+    def stepping(config, *sums):
+        callback(*bound[0])
+        return step_length(config, *sums)
+
+    monkeypatch.setattr(splitting_solver, "bind_iteration", binding)
+    monkeypatch.setattr(splitting_solver, "step_length", stepping)
 
 
 class TestPrediction:
@@ -291,40 +312,45 @@ class TestPrediction:
         assert np.allclose(lhs_mat @ Y_t[:, 0], rhs, atol=1e-10 * max(1.0, np.abs(rhs).max()))
 
     def test_factored_normal_matrices(self, monkeypatch):
-        # the control, state and terminal matrices factored as one stack,
-        # in one call, and no matrix factored alone
-        calls = []
-        real_stack = splitting_solver.factorize_stack
+        # Each block's stack, formed block by block from the blocks of mass,
+        # stiffness and step_plus, against factorize_stack of the three
+        # whole sparse normal matrices over beta, formed with sparse Gram
+        # matrices 0.5 (G + G^T): bit for bit, on the dense path and on
+        # SuperLU's (cap 0); in the mirror basis (four blocks) and in node
+        # coordinates (one block, where the stiffness stores explicit
+        # zeros; 441 rows at n = 20 with Neumann nodes, SuperLU's at any cap).
+        def gram(a):
+            prod = a.T @ a
+            return sp.csr_matrix(0.5 * (prod + prod.T))
 
-        def recording(mat, sizes=None):
-            calls.append(("factorize", [mat.toarray()]))
-            raise AssertionError("a matrix factored alone")
-
-        def recording_stack(mats, sizes):
-            calls.append(("factorize_stack", [mat.toarray() for mat in mats]))
-            return real_stack(mats, sizes)
-
-        monkeypatch.setattr(splitting_solver, "factorize", recording)
-        monkeypatch.setattr(splitting_solver, "factorize_stack", recording_stack)
-        for seed, n, M, bc in [(0, 2, 2, NEUMANN), (1, 3, 1, NEUMANN), (2, 2, 3, DIRICHLET)]:
-            sys = random_system(seed, n=n, M=M, bc=bc)
-            tau, A = sys.grid.tau, sys.mass.toarray()
-            cp, cm = sys.step_plus.toarray(), sys.step_minus.toarray()
-            for bounds in (None, (0.0, 1.0)):
-                config = _config(sys, beta=2.5, bounds=bounds)
-                shift = np.eye(sys.ndof) if bounds else 0.0
-                calls.clear()
-                PredictionFactors.build(sys, config)
-                [(called, factored)] = calls
-                assert called == "factorize_stack"
-                control, state, terminal = factored  # every M has all three
-                # the normal matrices over beta
-                want = (config.alpha / config.beta) * np.eye(sys.ndof) + tau * A
-                assert np.allclose(control, want, atol=1e-14)
-                want = (tau / config.beta) * A + (cp.T @ cp + cm.T @ cm) + shift
-                assert np.allclose(state, want, atol=1e-13)
-                want = (0.5 * tau / config.beta) * A + (cp.T @ cp) + shift
-                assert np.allclose(terminal, want, atol=1e-14)
+        cases = [(seed, n, M, bc, box, cap) for seed, n, M in [(0, 3, 2), (1, 8, 1), (2, 20, 3)]
+                 for bc in (NEUMANN, DIRICHLET) for box in (False, True) for cap in (BLOCK_MAX_NDOF, 0)]
+        for seed, n, M, bc, box, cap in cases:
+            monkeypatch.setattr(sparse_linalg, "BLOCK_MAX_NDOF", cap)
+            node = random_system(seed, n=n, M=M, bc=bc)
+            for sys in (node, node.in_mirror_basis()):
+                tau, A = sys.grid.tau, sys.mass
+                config = _config(sys, beta=2.5, bounds=(0.0, 1.0) if box else None)
+                alpha, beta = config.alpha, config.beta
+                eye = sp.identity(sys.ndof, format="csr")
+                shift = eye if box else 0.0 * eye
+                whole = [(alpha / beta) * eye + tau * A,
+                         (tau / beta) * A + (2.0 * gram(A) + (tau * tau / 2.0) * gram(sys.stiffness)) + shift,
+                         (tau / (2.0 * beta)) * A + gram(sys.step_plus) + shift]
+                rows, want = sparse_linalg.factorize_stack(whole, sys.block_sizes)
+                factors = PredictionFactors.build(sys, config)
+                assert factors.rows == rows
+                for r, got, ref in zip(rows, factors.stacks, want):
+                    assert isinstance(got, np.ndarray) == isinstance(ref, np.ndarray) == (r.stop - r.start <= cap)
+                    if isinstance(ref, np.ndarray):
+                        assert np.array_equal(got, ref), (seed, sys.basis is None, r)
+                    else:
+                        assert len(got) == len(ref) == 3
+                        for lu, lu_ref in zip(got, ref):
+                            for part in ("L", "U"):
+                                x, y = getattr(lu, part), getattr(lu_ref, part)
+                                assert (x != y).nnz == 0 and x.nnz == y.nnz
+                            assert np.array_equal(lu.perm_c, lu_ref.perm_c) and np.array_equal(lu.perm_r, lu_ref.perm_r)
 
     @pytest.mark.parametrize("bc", [NEUMANN, DIRICHLET])
     @pytest.mark.parametrize("box", [False, True])
@@ -405,29 +431,21 @@ class TestDifference:
         # The difference d = w - w~ the loop corrects with, every iteration,
         # against w - predict(w) of the iterate it advances (in the mirror
         # basis, with its carried products), over every slab and product;
-        # at M > CHUNK_COLS the groups' rows are joined in order.  The
+        # at M > CHUNK_COLS the groups write their rows of one array.  The
         # prediction's multipliers, which both complete from the difference,
         # are checked against their definitions from w~ itself.
         sys = random_system(21, n=3, M=M, bc=bc)
         config = _config(sys, beta=0.8, epsilon=0.0, k_max=4, bounds=(-0.5, 0.5) if box else None)
         seen = []
-        real = splitting_solver.correct
-
-        def recording(w, d, nu):
-            seen.append((w.data.copy(), d.data.copy()))
-            return real(w, d, nu)
-
-        monkeypatch.setattr(splitting_solver, "correct", recording)
+        _at_each_step(monkeypatch, lambda w, d, q: seen.append((w.data.copy(), d.data.copy())))
         solve(sys, config)
         in_basis = sys.in_mirror_basis()
         factors = PredictionFactors.build(in_basis, config)
-        blocks = len(Group.partition(in_basis, factors))
-        assert blocks == min(len(splitting_solver._chunks(M)), len(in_basis.block_sizes))
-        assert len(seen) == config.k_max * blocks
-        for k in range(config.k_max):
-            parts = seen[k * blocks : (k + 1) * blocks]
-            w = Iterate(np.concatenate([w_rows for w_rows, _ in parts], axis=1), 5 if box else 3)
-            d = np.concatenate([d_rows for _, d_rows in parts], axis=1)
+        groups = len(Group.partition(in_basis, factors))
+        assert groups == min(len(splitting_solver._chunks(M)), len(in_basis.block_sizes))
+        assert len(seen) == config.k_max
+        for w_data, d in seen:
+            w = Iterate(w_data, 5 if box else 3)
             w_t = predict(in_basis, w, config, factors)
             residual = constraint_products(in_basis, w_t.Y, w_t.U)[3] - in_basis.rhs
             _assert_close(w_t.lam, w.lam - config.beta * residual)
@@ -461,13 +479,18 @@ class TestGroups:
     def test_groups_do_not_follow_the_thread_count(self, box, monkeypatch):
         # the rows of every task the loop runs, in order, at 1, 2 and 8 threads
         seen = []
-        real = splitting_solver.predict_rows
+        real = splitting_solver.bind_measure_group
 
         def recording(group, *args):
-            seen.append((group.rows.start, group.rows.stop))
-            return real(group, *args)
+            task = real(group, *args)
 
-        monkeypatch.setattr(splitting_solver, "predict_rows", recording)
+            def measure():
+                seen.append((group.rows.start, group.rows.stop))
+                return task()
+
+            return measure
+
+        monkeypatch.setattr(splitting_solver, "bind_measure_group", recording)
         sys = random_system(24, n=3, M=2 * splitting_solver.CHUNK_COLS + 5)
         runs = []
         for threads in (1, 2, 8):
@@ -851,6 +874,73 @@ class TestSolve:
             assert not report.converged
             assert np.isnan(report.step_history[0]) == (step == "dynamic")
 
+    @pytest.mark.parametrize("box", [False, True])
+    def test_bad_operators_fail_before_the_first_iteration(self, box):
+        # A NaN in a copy's mass and an asymmetric stiffness fail the
+        # factors' input check with its one-line reason, and an indefinite
+        # normal matrix fails its block's factorization with the pivot,
+        # all before the monitor's first call.
+        sys = random_system(9, n=3, M=3)
+        mass = sys.mass.copy()
+        mass.data[4] = np.nan
+        row = np.searchsorted(mass.indptr, 4, side="right") - 1
+        skew = sp.csr_matrix(([1e-6], ([0], [1])), shape=sys.stiffness.shape)
+        # a negative mass whose control matrix (alpha / beta) I + tau A is indefinite
+        scale = 10.0 * sys.alpha / (sys.grid.tau * sys.mass.diagonal().max())
+        cases = [(dataclasses.replace(sys, mass=mass), ValueError, "not finite"),
+                 (dataclasses.replace(sys, stiffness=sys.stiffness + skew), ValueError,
+                  "^matrix is not symmetric within tolerance$"),
+                 (dataclasses.replace(sys, mass=-scale * sys.mass), sparse_linalg.NotPositiveDefiniteError,
+                  r"^matrix not positive definite \(pivot \d+ <= 0\)$")]
+        for bad, error, reason in cases:
+            calls = []
+            with pytest.raises(error, match=reason):
+                solve(bad, _config(bad, bounds=(-0.5, 0.5) if box else None),
+                      monitor=lambda k, w: calls.append(k))
+            assert calls == []
+        with pytest.raises(ValueError, match=rf"^matrix entry \({row}, {mass.indices[4]}\) is nan, not finite$"):
+            PredictionFactors.build(dataclasses.replace(sys, mass=mass), _config(sys))
+
+    @pytest.mark.parametrize("box", [False, True])
+    def test_iterations_bind_nothing(self, box, monkeypatch):
+        # every view, operand and task of the loop is formed before its
+        # first iteration: from the first monitor call on, no Iterate is
+        # built, no row block taken and no correction operand formed (the
+        # monitor's own node-space view aside)
+        counts = {"Iterate": 0, "rows": 0, "_operands": 0}
+
+        def counting(name, real):
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(Iterate, "__init__", counting("Iterate", Iterate.__init__))
+        monkeypatch.setattr(Iterate, "rows", counting("rows", Iterate.rows))
+        monkeypatch.setattr(splitting_solver, "_operands", counting("_operands", splitting_solver._operands))
+        seen = []
+        for M in (5, 2 * splitting_solver.CHUNK_COLS + 5):  # one group, and three
+            sys = random_system(16, n=3, M=M)
+            seen.clear()
+            solve(sys, _config(sys, epsilon=0.0, k_max=6, bounds=(-0.5, 0.5) if box else None),
+                  monitor=lambda k, w: seen.append(dict(counts)))
+            assert len(seen) == 6 and seen[0]["rows"] > 0 and seen[0]["_operands"] > 0, M
+            assert seen == [seen[0]] * 6, M
+
+    def test_setup_seconds(self):
+        # the wall time from the call to the first iteration: positive,
+        # over before the first monitor call, and apart from the loop's
+        # seconds_total
+        sys = random_system(10, n=4, M=6)
+        stamps = []
+        t0 = time.perf_counter()
+        _, report = solve(sys, _config(sys, epsilon=0.0, k_max=5),
+                          monitor=lambda k, w: stamps.append(time.perf_counter()))
+        wall = time.perf_counter() - t0
+        assert 0.0 < report.seconds_setup <= stamps[0] - t0
+        assert report.seconds_setup + report.seconds_total <= wall
+        assert report.seconds_total >= stamps[-1] - stamps[0]
+
     def test_iteration_cap_reported(self):
         sys = random_system(9, n=2, M=2)
         _, report = solve(sys, _config(sys, epsilon=0.0, k_max=7))
@@ -1135,17 +1225,14 @@ class TestMirrorBasisLoop:
         # identity's operands; and d's state products with
         # constraint_products' writer, bit for bit.
         errors, states = [], []
-        real = splitting_solver.couple_difference
         in_basis = []  # the level's system in its mirror basis, as the loop runs it
 
-        def recording(w, d, q, config, work):
+        def recording(w, d, q):
             sys_ = in_basis[0]
-            assert d.U.shape[0] == sys_.ndof  # one group at M <= CHUNK_COLS
             errors.append(_control_product_error(sys_, w, d, q, config))
             states.append(np.array_equal(d.products[1:3], constraint_products(sys_, d.Y, d.U)[1:3]))
-            return real(w, d, q, config, work)
 
-        monkeypatch.setattr(splitting_solver, "couple_difference", recording)
+        _at_each_step(monkeypatch, recording)
         prob = get_example("5.1")
         config = SolverConfig(alpha=prob.alpha, beta=prob.beta if bounds is None else 0.3, bounds=bounds,
                               k_max=400)
@@ -1240,7 +1327,9 @@ class TestDynamicStep:
         # whose step drops the cross term (alpha = gamma, capped at 1 under
         # bounds) breaks it
         assert self._contraction_violations(example, beta, gamma, bounds, 500) == 0
-        monkeypatch.setattr(splitting_solver, "cross_term", lambda d, work: 0.0)
+        step_length = splitting_solver.step_length
+        monkeypatch.setattr(splitting_solver, "step_length",
+                            lambda config, nu, h_sq, cross: step_length(config, nu, h_sq, 0.0))
         with np.errstate(over="ignore", invalid="ignore"):
             assert self._contraction_violations(example, beta, gamma, bounds, 200) > 0
 

@@ -11,7 +11,9 @@ tree goes first, so slow stretches of a shared host fall on both alike.  A
 splitting cell is one ``splitting_solver.solve`` on a level each tree
 builds once, timed iteration by iteration from the monitor's timestamps
 (the monitor reads no array, so it costs no change of basis; the last
-iteration, which no monitor call ends, is not timed).  The oracle cell is
+iteration, which no monitor call ends, is not timed), and its set-up as
+the first stamp minus the call's start: the change of basis, the
+prediction factors and whatever else comes before the first iteration.  The oracle cell is
 one ``kkt_oracle.solve_kkt`` call per rung, each on a fresh copy of a
 level each tree builds once (``dataclasses.replace``, so the call forms
 the level's mirror basis, as on a newly built level), timed call by call:
@@ -36,8 +38,11 @@ a base that has only that rule.  The record names the trees that took it.
 
 Per cell and tree the output holds the sum over iterations (or calls) of
 each one's fastest time across the rounds (as ``bench/run.py`` forms
-``solve_s``), and the median and quartiles of the per-round sums; per cell,
-the rounds in which the change's sum was the lower, the iteration (or
+``solve_s``), and the median and quartiles of the per-round sums; for a
+splitting cell, ``setup`` holds the same summary of the set-up times (its
+``sum_of_minima_s`` is the fastest round's), and ``setup_change_won_rounds``
+counts the rounds whose set-up the change did faster.  Per cell, the
+rounds in which the change's sum was the lower, the iteration (or
 call) counts, and whether the two results are equal bit for bit: the final
 iterates' slabs, or each rung's Y*, U* and lambda*, with the largest
 difference per slab relative to the base slab's largest entry.  Each run
@@ -120,20 +125,22 @@ class Tree:
         rungs = {rung for cell in cells for rung in cell.rungs or [("5.1", cell.n)]}
         self.levels = {(e, n): experiments.build_level(self.problems[e], n) for e, n in rungs}
 
-    def run(self, cell: Cell) -> tuple[list[float], int, list[np.ndarray]]:
+    def run(self, cell: Cell) -> tuple[list[float], int, list[np.ndarray], float | None]:
         """One run of ``cell``: its iterations' (or calls') seconds, their
-        count and the result's slabs."""
+        count, the result's slabs and a splitting cell's set-up seconds
+        (None for the oracle)."""
         if cell.rungs:
             return self.run_oracle(cell)
         problem = self.problems["5.1"]
         config = self.package.SolverConfig(**{"alpha": problem.alpha, "beta": problem.beta, **cell.config,
                                               **self.config})
         stamps = []
+        t0 = time.perf_counter()
         w, report = self.package.solve(self.levels["5.1", cell.n], config,
                                        monitor=lambda k, v: stamps.append(time.perf_counter()))
-        return np.diff(stamps).tolist(), report.iterations, list(w.z)
+        return np.diff(stamps).tolist(), report.iterations, list(w.z), stamps[0] - t0
 
-    def run_oracle(self, cell: Cell) -> tuple[list[float], int, list[np.ndarray]]:
+    def run_oracle(self, cell: Cell) -> tuple[list[float], int, list[np.ndarray], None]:
         seconds, slabs = [], []
         for example, n in cell.rungs:
             level = dataclasses.replace(self.levels[example, n])
@@ -141,7 +148,7 @@ class Tree:
             sol = self.package.solve_kkt(level, self.problems[example].alpha)
             seconds.append(time.perf_counter() - t0)
             slabs += [sol.Y_star, sol.U_star, sol.lambda_star]
-        return seconds, len(cell.rungs), slabs
+        return seconds, len(cell.rungs), slabs, None
 
 
 def _summary(sums: list[float], per_iteration: list[list[float]]) -> dict:
@@ -166,24 +173,30 @@ def compare(base, change, cells=CELLS, rounds: int = 10, step: str | None = None
     for tree in trees.values():  # untimed: caches, allocator and pool start-up
         tree.run(dataclasses.replace(cells[0], config={**cells[0].config, "epsilon": 0.0, "k_max": 5}))
     times = {cell.name: {side: [] for side in trees} for cell in cells}
+    setups = {cell.name: {side: [] for side in trees} for cell in cells}
     last = {}
     for r in range(rounds):
         order = ("base", "change") if r % 2 == 0 else ("change", "base")
         gc.collect()
         for cell in cells:
             for side in order:
-                seconds, iterations, z = trees[side].run(cell)
+                seconds, iterations, z, setup = trees[side].run(cell)
                 times[cell.name][side].append(seconds)
+                setups[cell.name][side].append(setup)
                 last[cell.name, side] = iterations, z
     out = {}
     for cell in cells:
-        t = times[cell.name]
+        t, setup = times[cell.name], setups[cell.name]
         sums = {side: [sum(s) for s in t[side]] for side in trees}
         (k_base, z_base), (k_change, z_change) = last[cell.name, "base"], last[cell.name, "change"]
+        if not cell.rungs:
+            setup_summary = {"setup": {side: _summary(setup[side], [[s] for s in setup[side]]) for side in trees},
+                             "setup_change_won_rounds": sum(c < b for b, c in zip(setup["base"], setup["change"]))}
         out[cell.name] = {
             "n": cell.n,
             "config": cell.config,
             **{side: _summary(sums[side], t[side]) for side in trees},
+            **({} if cell.rungs else setup_summary),
             "change_won_rounds": sum(c < b for b, c in zip(sums["base"], sums["change"])),
             "iterations": {"base": k_base, "change": k_change},
             "identical": len(z_base) == len(z_change) and all(map(np.array_equal, z_base, z_change)),
@@ -229,9 +242,14 @@ def main(argv=None) -> int:
     args.out.write_text(json.dumps(records + [record], indent=1) + "\n")
     for name, c in cells.items():
         b, ch = c["base"]["sum_of_minima_s"], c["change"]["sum_of_minima_s"]
+        setup = ""
+        if "setup" in c:
+            sb, sc = (c["setup"][side]["sum_of_minima_s"] for side in ("base", "change"))
+            setup = (f", set-up {1e3 * sb:.2f} -> {1e3 * sc:.2f} ms ({100 * (sc / sb - 1):+.1f}%, won "
+                     f"{c['setup_change_won_rounds']}/{args.rounds})")
         print(f"{name}: {b:.3f} -> {ch:.3f} s ({100 * (ch / b - 1):+.1f}%), median "
               f"{c['base']['median_s']:.3f} -> {c['change']['median_s']:.3f} s, won "
-              f"{c['change_won_rounds']}/{args.rounds}, iterations {c['iterations']}, "
+              f"{c['change_won_rounds']}/{args.rounds}{setup}, iterations {c['iterations']}, "
               f"identical {c['identical']}, max rel diff {max(c['max_rel_diff_per_slab']):.1e}")
     return 0
 

@@ -10,8 +10,10 @@ slabs), split into the groups of one iteration
 level, 496 and 465 rows, each one contiguous run of M * rows entries per
 slab.  Per group there are two cells:
 
-  slabs  ``correct(w.rows(rows), d.rows(rows), nu)``, what the loop runs:
-         its two ufunc calls (d *= nu; d = w - d) on each slab in turn
+  slabs  ``correct(w.rows(rows), d.rows(rows), nu)``, the loop's calls:
+         two ufunc calls (d *= nu; d = w - d) on each slab in turn (the
+         loop's bound correction writes w - d into w instead, the same
+         operands and passes)
   whole  the same two calls once each over the group's rows of the whole
          backing arrays, strided by slab and contiguous within one
 
