@@ -64,22 +64,19 @@ class MirrorBasis:
     def ndof(self) -> int:
         return int(self.orbits.max()) + 1
 
-    def block_diagonal(self, mat: sp.csr_matrix) -> sp.csr_matrix:
-        """The diagonal blocks Q_c^T mat Q_c as one sparse block-diagonal
-        matrix in the stacked block coordinates (``project_stacked``).  The
-        blocks are as sparse as mat: an entry couples two orbits that
-        neighbour each other.  For an operator the kept mirrors map onto
-        itself the rest of Q^T mat Q is round-off."""
-        return self.block_diagonals(mat)[0]
-
     def block_diagonals(self, *mats: sp.csr_matrix) -> list[sp.csr_matrix]:
-        """``block_diagonal`` of each CSR matrix, in order.  Two matrices of
-        one sparsity pattern (the same ``indptr`` and ``indices``, as a
-        level's mass and stiffness have) share the work: they travel as the
-        real and imaginary parts of one complex array through one pass,
-        whose sort and duplicate sums act on the two parts alike, so each
-        part is bit for bit the matrix its own pass gives.  Each result
-        drops its own zeros."""
+        """Each CSR matrix's diagonal blocks Q_c^T mat Q_c, in order, as one
+        sparse block-diagonal matrix in the stacked block coordinates
+        (``project_stacked``).  The blocks are as sparse as mat: an entry
+        couples two orbits that neighbour each other.  For an operator the
+        kept mirrors map onto itself the rest of Q^T mat Q is round-off.
+
+        Two matrices of one sparsity pattern (the same ``indptr`` and
+        ``indices``, as a level's mass and stiffness have) share the work:
+        they travel as the real and imaginary parts of one complex array
+        through one pass, whose sort and duplicate sums act on the two parts
+        alike, so each part is bit for bit the matrix its own pass gives.
+        Each result drops its own zeros."""
         if len(mats) == 2 and all(np.array_equal(a, b) for a, b in zip(*((m.indptr, m.indices) for m in mats))):
             data = np.empty(mats[0].nnz, dtype=complex)
             data.real, data.imag = mats[0].data, mats[1].data

@@ -1,19 +1,15 @@
 """One finiteness and symmetry check, SPD factorization and batched solve
 tasks on sparse matrices.
 
-``factor_block`` is the one place that knows the backend.  It factors one
-diagonal block of several matrices and keeps the block's factors of all of
-them together, in one stack.  ``factorize_stack`` (``factorize`` is its
-one-matrix case) runs it on every block of whole matrices that are block
-diagonal with the same contiguous diagonal blocks, after one finiteness
-and symmetry check (``check_symmetric``) of each.  The splitting solver
-forms its control, state and terminal matrices block by block instead
-(``splitting_solver.PredictionFactors.build``, ``PredictionFactors.stacks``):
-``gram_blocks`` gives it each block's mass and the Gram matrices of mass,
-stiffness and step_plus, dense or sparse as the block's path wants, and
-``plus_identity`` the identity shifts, so no whole normal matrix is formed
-or checked; it checks its mass and stiffness once.  A matrix in node
-coordinates is one block.  The splitting solver's matrices, in the mirror
+``factorize_stack`` is the one place that knows the backend
+(``factorize`` is its one-matrix case).  It factors matrices that are block
+diagonal with the same contiguous diagonal blocks, one block at a time,
+after one finiteness and symmetry check (``check_symmetric``) of each
+whole matrix, and keeps each block's factors of all the matrices
+together, in one stack (the splitting solver's prediction factors its
+control, state and terminal matrices in one call,
+``PredictionFactors.stacks``).  A matrix in node coordinates is one
+block.  The splitting solver's matrices, in the mirror
 basis (``mirrors``), are up to four blocks of about ndof / 4.  Each block
 takes one of two paths:
 
@@ -231,76 +227,16 @@ def factorize_stack(mats: list[sp.spmatrix], sizes: list[int] | None = None) -> 
     sizes = [checked[0].shape[0]] if sizes is None else sizes
     checked = [_within_blocks(mat, sizes) for mat in checked]
     rows = block_rows(sizes)
-    return rows, [factor_block([_fortran_block(mat, r) if _dense(r) else mat[r, r] for mat in checked], r.start)
-                  for r in rows]
-
-
-def _dense(rows: slice) -> bool:
-    """Whether the block on ``rows`` takes the dense path (at most
-    ``BLOCK_MAX_NDOF`` rows)."""
-    return rows.stop - rows.start <= BLOCK_MAX_NDOF
-
-
-def _fortran_block(mat: sp.csr_matrix, rows: slice) -> np.ndarray:
-    """``dense_block`` in Fortran order, LAPACK's (``factor_block``)."""
-    size = rows.stop - rows.start
-    return dense_block(mat, rows, out=np.empty((size, size)).T)
-
-
-def factor_block(mats: list, offset: int):
-    """One diagonal block's factors of SPD matrices, stacked, from the
-    block of each (``offset`` is its first row): dense arrays, each
-    inverted in place in its slot of one (len(mats), b, b) array, or
-    sparse ones, a tuple of SuperLU's factors.  A slot holds its inverse's
-    transpose in C order, so its ``.T`` is the inverse in Fortran order,
-    LAPACK's (``_block_inverse``); a matrix in Fortran order is copied
-    into it without a transpose.  NotPositiveDefiniteError as
-    ``factorize_stack``."""
-    if not isinstance(mats[0], np.ndarray):
-        return tuple(_superlu(mat, offset) for mat in mats)
-    stack = np.empty((len(mats),) + mats[0].shape)
-    for mat, slot in zip(mats, stack):
-        slot.T[...] = mat
-        _block_inverse(slot.T, offset)
-    return stack
-
-
-def gram_blocks(mats: list[sp.csr_matrix], rows: slice) -> tuple:
-    """The diagonal block on ``rows`` of the first of duplicate-free CSR
-    matrices with no entry outside their diagonal blocks, and the Gram
-    matrices X^T X of every matrix's block: in Fortran order
-    (``factor_block``'s) where the block takes the dense path (at most
-    ``BLOCK_MAX_NDOF`` rows), as sparse matrices above it.  In place
-    ufuncs and ``plus_identity`` on them keep their order.
-
-    A block is its matrix's run of rows, its column indices moved to the
-    block's.  A dense X^T X is that run, transposed, times the dense
-    block: scipy sums each entry's terms in row order, as its sparse
-    product X^T X does, so it holds the sparse product's entries (a stored
-    entry of that product that sums to zero is a zero here).  Its entries
-    (i, l) and (l, i) are the same products summed in the same order, so
-    it is exactly symmetric and its transpose, in Fortran order, is itself.
-    The splitting solver forms its prediction factors from these
-    (``PredictionFactors.build``).
-    """
-    lo, hi = rows.start, rows.stop
-    runs = [sp.csr_matrix((mat.data[mat.indptr[lo]:mat.indptr[hi]], mat.indices[mat.indptr[lo]:mat.indptr[hi]] - lo,
-                           mat.indptr[lo:hi + 1] - mat.indptr[lo]), shape=(hi - lo, hi - lo)) for mat in mats]
-    if not _dense(rows):
-        return runs[0], [run.T @ run for run in runs]
-    dense = np.empty((hi - lo, hi - lo))  # each run made dense in turn
-    return _fortran_block(mats[0], rows), [(run.T @ run.toarray(out=dense)).T for run in runs]
-
-
-def plus_identity(mat, c: float):
-    """mat + c I, for ``gram_blocks``' two kinds of block: on a dense
-    array's diagonal, in place, or as a new sparse matrix.  The diagonal
-    entries are mat_ii + c, the others mat's, as a sparse sum gives them."""
-    if isinstance(mat, np.ndarray):
-        diagonal = np.einsum("ii->i", mat)
-        diagonal += c
-        return mat
-    return mat + c * sp.identity(mat.shape[0], format="csr")
+    stacks = []
+    for r in rows:
+        if r.stop - r.start <= BLOCK_MAX_NDOF:
+            stack = np.empty((len(checked), r.stop - r.start, r.stop - r.start))
+            for mat, slot in zip(checked, stack):
+                _block_inverse(dense_block(mat, r, out=slot.T), r.start)
+            stacks.append(stack)
+        else:
+            stacks.append(tuple(_superlu(mat[r, r], r.start) for mat in checked))
+    return rows, stacks
 
 
 def _within_blocks(mat: sp.csr_matrix, sizes: list[int]) -> sp.csr_matrix:

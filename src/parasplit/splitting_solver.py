@@ -27,15 +27,13 @@ of rows; Q is orthogonal, so every norm the loop forms is the node-space
 one up to round-off.  A system without a mirror gets the one-block basis
 (Q = I), so every solve runs the same loop.  The loop's functions take any
 system, in node coordinates or in the basis.  ``PredictionFactors.build``
-forms and factors the subproblems' normal matrices block by block, each
-block's three from its blocks of mass, stiffness and step_plus and their
-Gram matrices (``sparse_linalg.gram_blocks``), with no whole-matrix
-product or sum: per block, the three dense inverses in one stack for a
-block of at most ``BLOCK_MAX_NDOF`` unknowns, formed dense and inverted in
-place, or SuperLU's three factors of sparse ones above
-(``sparse_linalg.factor_block``).  The box variant's projection onto the
-bounds holds in node coordinates: it expands columns of Y - mu / beta,
-clips them and projects them back.
+forms the subproblems' normal matrices from the system's mass, stiffness
+and step matrices and factors all three in one call, block by block
+(``sparse_linalg.factorize_stack``): per block, the three dense inverses
+in one stack for a block of at most ``BLOCK_MAX_NDOF`` unknowns, SuperLU's
+three factors above.  The box variant's projection onto the bounds holds
+in node coordinates: it expands columns of Y - mu / beta, clips them and
+projects them back.
 
 An iterate is the slabs U, Y, lam and, in the box variant, P and mu.  The
 constraint map is linear, so the loop carries the iterate's constraint
@@ -159,10 +157,8 @@ from .sparse_linalg import (  # noqa: F401  factorize: bench/tracing.py patches 
     CholFactor,
     block_rows,
     check_symmetric,
-    factor_block,
     factorize,
-    gram_blocks,
-    plus_identity,
+    factorize_stack,
     solve_multi,
 )
 
@@ -348,14 +344,17 @@ def bind_compute_q(sys: DiscreteSystem, w: Iterate, beta: float, rows: slice, ou
     return compute
 
 
-def compute_q(
-    sys: DiscreteSystem, w: Iterate, beta: float, rows: slice = slice(None), out=None, work=None
-) -> np.ndarray:
-    """Shifted constraint residual Cz - rhs - lam / beta of the rows
-    ``rows`` (all by default), one column per step: into ``out``, with
-    lam / beta in ``work`` (arrays of those rows' shape), or into new
-    arrays."""
-    return bind_compute_q(sys, w, beta, rows, np.empty_like(sys.rhs[rows]) if out is None else out, work)()
+def compute_q(sys: DiscreteSystem, w: Iterate, beta: float) -> np.ndarray:
+    """Shifted constraint residual Cz - rhs - lam / beta, one column per
+    step, in a new array."""
+    return bind_compute_q(sys, w, beta, slice(None), np.empty_like(sys.rhs), None)()
+
+
+def _gram(a: sp.csr_matrix) -> sp.csr_matrix:
+    """a^T a, symmetrized against rounding: 0.5 (G^T + G) for G = a^T a,
+    in CSC, so G^T, in CSR, goes first and the sum is CSR."""
+    prod = a.T @ a
+    return 0.5 * (prod.T + prod)
 
 
 @dataclass(frozen=True)
@@ -366,12 +365,13 @@ class PredictionFactors:
     The subproblems' normal matrices and right-hand sides are divided by
     beta, so no iteration multiplies by it.  The three matrices, control,
     state and terminal, are polynomials in the system's mass and
-    stiffness, so they share its block structure, and each is formed and
-    factored block by block over ``DiscreteSystem.block_sizes``, on the
-    rows ``rows``.  ``stacks`` holds each block's three factors together:
-    their dense inverses as one (3, b, b) array, so one batched product
-    applies the control and state inverses (``solve``), or SuperLU's three
-    factors.  ``named`` views them as one ``CholFactor`` per matrix.
+    stiffness, so they share its block structure: one
+    ``sparse_linalg.factorize_stack`` call factors them block by block over
+    ``DiscreteSystem.block_sizes``, on the rows ``rows``.  ``stacks`` holds
+    each block's three factors together: their dense inverses as one
+    (3, b, b) array, so one batched product applies the control and state
+    inverses (``solve``), or SuperLU's three factors.  ``named`` views
+    them as one ``CholFactor`` per matrix.
     """
 
     rows: list[slice]  # the blocks' rows
@@ -387,33 +387,20 @@ class PredictionFactors:
         the state-copy constraint row in the box variant.
 
         Mass and stiffness are checked finite and symmetric first
-        (``sparse_linalg.check_symmetric``, ValueError).  Then each block's
-        three matrices are formed from its blocks of mass, stiffness and
-        step_plus and their Gram matrices (``sparse_linalg.gram_blocks``),
-        by one set of polynomials for both paths: dense up to
-        ``BLOCK_MAX_NDOF`` rows, each inverted in place in its slot of the
-        block's stack, sparse above it, for SuperLU
-        (``sparse_linalg.factor_block``; NotPositiveDefiniteError at a
-        non-positive pivot, counted from the block's first row)."""
+        (``sparse_linalg.check_symmetric``, ValueError): a Gram matrix is
+        symmetric whether or not its factor is.  ``factorize_stack`` checks
+        the three sums again (ValueError) and raises
+        NotPositiveDefiniteError at a non-positive pivot."""
         tau = sys.grid.tau
         alpha, beta = config.alpha, config.beta
-        shift = 0.0
-        if config.bounds is not None:
-            shift = 1.0  # I from the state-copy constraint row
-        mats = [check_symmetric(sys.mass), check_symmetric(sys.stiffness), sys.step_plus]
-        rows = block_rows(sys.block_sizes)
-        stacks = []
-        for r in rows:
-            # In place where the blocks are dense; each sum is the one of
-            # the whole matrices' polynomials, entry by entry.
-            A, (state, BB, terminal) = gram_blocks(mats, r)  # A, then A A, B B, step_plus^2
-            state *= 2.0
-            BB *= tau * tau / 2.0
-            state += BB
-            state += (tau / beta) * A
-            terminal += (tau / (2.0 * beta)) * A
-            stacks.append(factor_block([plus_identity(tau * A, alpha / beta), plus_identity(state, shift),
-                                        plus_identity(terminal, shift)], r.start))
+        mass, stiffness = check_symmetric(sys.mass), check_symmetric(sys.stiffness)
+        eye = sp.identity(sys.ndof, format="csr")
+        shift = eye if config.bounds is not None else 0.0  # I from the state-copy constraint row
+        state_gram = 2.0 * _gram(mass) + (tau * tau / 2.0) * _gram(stiffness)
+        rows, stacks = factorize_stack([(alpha / beta) * eye + tau * mass,
+                                        (tau / beta) * mass + state_gram + shift,
+                                        (tau / (2.0 * beta)) * mass + _gram(sys.step_plus) + shift],
+                                       sys.block_sizes)
         return PredictionFactors(rows, stacks, sys.tracking_loads / beta)
 
     @property
@@ -822,7 +809,7 @@ def bind_h_norm_sq(products: np.ndarray, v: Iterate, beta: float, work: np.ndarr
     return h_sq
 
 
-def h_norm_sq(sys: DiscreteSystem, v: Iterate, beta: float, work: np.ndarray | None = None) -> float:
+def h_norm_sq(sys: DiscreteSystem, v: Iterate, beta: float) -> float:
     """v^T H v without materializing H.
 
     Uses the identity v^T H v = beta * [ sum_l ||M_l v_l||^2
@@ -835,9 +822,8 @@ def h_norm_sq(sys: DiscreteSystem, v: Iterate, beta: float, work: np.ndarray | N
 
     Every squared norm sums over rows, so the value of a row block
     (``Iterate.rows``, carrying its products) is its share of the whole's.
-    ``work``, an array of one slab's shape, holds the box variant's Y - P.
     """
-    return bind_h_norm_sq(_products(sys, v), v, beta, work)()
+    return bind_h_norm_sq(_products(sys, v), v, beta, None)()
 
 
 def bind_cross_term(d: Iterate, work: np.ndarray | None) -> Callable[[], float]:

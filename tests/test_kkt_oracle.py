@@ -158,12 +158,12 @@ class TestMirrorBlocks:
         for mat in (sys.stiffness, sys.mass):
             dense = mat.toarray()
             projected = Q.T @ dense @ Q
-            blocked = basis.block_diagonal(mat).toarray()
+            blocked = basis.block_diagonals(mat)[0].toarray()
             scale = np.abs(dense).max()
             for inner in block_rows(basis.sizes):
                 assert np.abs(blocked[inner, inner] - projected[inner, inner]).max() <= 1e-14 * scale
                 blocked[inner, inner] = projected[inner, inner] = 0.0
-            assert not blocked.any()  # block_diagonal keeps the diagonal blocks only
+            assert not blocked.any()  # block_diagonals keeps the diagonal blocks only
             assert np.abs(projected).max() <= 1e-14 * scale  # what it drops is round-off
 
     @pytest.mark.parametrize("n", [4, 9, 16])
@@ -179,14 +179,14 @@ class TestMirrorBlocks:
         assert (sys.stiffness.data == 0.0).any()
         pair = basis.block_diagonals(sys.mass, sys.stiffness)
         for got, mat in zip(pair, (sys.mass, sys.stiffness)):
-            want = basis.block_diagonal(mat)
+            [want] = basis.block_diagonals(mat)
             for field in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(got, field), getattr(want, field)), field
             assert got.data.all()
         pruned = sp.csr_matrix(sys.stiffness.toarray())
         assert pruned.nnz < sys.stiffness.nnz
         apart = basis.block_diagonals(sys.mass, pruned)
-        assert (apart[1] != basis.block_diagonal(pruned)).nnz == 0
+        assert (apart[1] != basis.block_diagonals(pruned)[0]).nnz == 0
         assert (apart[0] != pair[0]).nnz == 0
 
     @pytest.mark.parametrize("n", [8, 9])

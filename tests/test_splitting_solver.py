@@ -312,17 +312,28 @@ class TestPrediction:
         assert np.allclose(lhs_mat @ Y_t[:, 0], rhs, atol=1e-10 * max(1.0, np.abs(rhs).max()))
 
     def test_factored_normal_matrices(self, monkeypatch):
-        # Each block's stack, formed block by block from the blocks of mass,
-        # stiffness and step_plus, against factorize_stack of the three
-        # whole sparse normal matrices over beta, formed with sparse Gram
-        # matrices 0.5 (G + G^T): bit for bit, on the dense path and on
-        # SuperLU's (cap 0); in the mirror basis (four blocks) and in node
-        # coordinates (one block, where the stiffness stores explicit
+        # The control, state and terminal matrices factored as one stack,
+        # in one factorize_stack call, and no matrix factored alone: the
+        # three whole sparse normal matrices over beta, formed with sparse
+        # Gram matrices 0.5 (G + G^T), bit for bit, on the dense path and
+        # on SuperLU's (cap 0); in the mirror basis (four blocks) and in
+        # node coordinates (one block, where the stiffness stores explicit
         # zeros; 441 rows at n = 20 with Neumann nodes, SuperLU's at any cap).
         def gram(a):
             prod = a.T @ a
             return sp.csr_matrix(0.5 * (prod + prod.T))
 
+        calls = []
+
+        def alone(mat, sizes=None):
+            raise AssertionError("a matrix factored alone")
+
+        def recording_stack(mats, sizes):
+            calls.append(len(mats))
+            return sparse_linalg.factorize_stack(mats, sizes)
+
+        monkeypatch.setattr(splitting_solver, "factorize", alone)
+        monkeypatch.setattr(splitting_solver, "factorize_stack", recording_stack)
         cases = [(seed, n, M, bc, box, cap) for seed, n, M in [(0, 3, 2), (1, 8, 1), (2, 20, 3)]
                  for bc in (NEUMANN, DIRICHLET) for box in (False, True) for cap in (BLOCK_MAX_NDOF, 0)]
         for seed, n, M, bc, box, cap in cases:
@@ -338,7 +349,9 @@ class TestPrediction:
                          (tau / beta) * A + (2.0 * gram(A) + (tau * tau / 2.0) * gram(sys.stiffness)) + shift,
                          (tau / (2.0 * beta)) * A + gram(sys.step_plus) + shift]
                 rows, want = sparse_linalg.factorize_stack(whole, sys.block_sizes)
+                calls.clear()
                 factors = PredictionFactors.build(sys, config)
+                assert calls == [3]
                 assert factors.rows == rows
                 for r, got, ref in zip(rows, factors.stacks, want):
                     assert isinstance(got, np.ndarray) == isinstance(ref, np.ndarray) == (r.stop - r.start <= cap)
@@ -1568,7 +1581,7 @@ class TestBlockedFactors:
         # mirror-invariant, with the generalised eigenvalues of the pencil
         # below 100 (the lowest is about 2 pi^2) turned negative
         basis = sys.mirror_basis
-        mat = basis.block_diagonal(sys.stiffness - 100.0 * sys.mass)
+        [mat] = basis.block_diagonals(sys.stiffness - 100.0 * sys.mass)
         with pytest.raises(sparse_linalg.NotPositiveDefiniteError):
             factorize(mat, basis.sizes)
         assert shapes == [(sys.ndof, sys.ndof)]
